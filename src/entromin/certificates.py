@@ -40,7 +40,9 @@ whose conditioning grows like Hilbert matrices (about 1e10 for six
 monomials on half the unit interval).  Construction therefore runs in
 extended precision with iterative refinement; in plain float64 the
 orthogonality defect lands within a factor of four of the 1e-8 audit
-tolerance, which is too close to trust.
+tolerance, which is too close to trust.  `DirectionFunctions.evaluator`
+builds the long-double design once per point set, at its points inside the
+margin, and reuses it across verification trials and clip levels.
 """
 
 from __future__ import annotations
@@ -145,6 +147,17 @@ def _longest_run(mask: np.ndarray):
     return int(idx[starts[best]]), int(idx[stops[best]])
 
 
+def _confirmed_margin(x, interval, nodes=None) -> MarginInterval:
+    """[z1, z2] with the range of x over CONFIRM_SAMPLES points and the nodes inside."""
+    z1, z2 = float(interval[0]), float(interval[1])
+    samples = [np.linspace(z1, z2, CONFIRM_SAMPLES)]
+    if nodes is not None:
+        nodes = np.asarray(nodes, dtype=float)
+        samples.append(nodes[(nodes >= z1) & (nodes <= z2)])
+    values = np.asarray(x(np.concatenate(samples)), dtype=float)
+    return MarginInterval(z1, z2, float(np.min(values)), float(np.max(values)))
+
+
 def find_margin_interval(x, lower: float, upper: float, interval,
                          breakpoints=(), min_width: Optional[float] = None,
                          nodes=None, one_sided: bool = False) -> MarginInterval:
@@ -200,13 +213,7 @@ def find_margin_interval(x, lower: float, upper: float, interval,
         # up to one spacing shorter than the interval it certifies, and the
         # boundary case ties to the last ulp
         if best is not None and best[1] - best[0] >= min_width - 1.5 * spacing:
-            z1, z2 = best
-            samples = [np.linspace(z1, z2, CONFIRM_SAMPLES)]
-            if nodes is not None:
-                nodes = np.asarray(nodes, dtype=float)
-                samples.append(nodes[(nodes >= z1) & (nodes <= z2)])
-            values = np.asarray(x(np.concatenate(samples)), dtype=float)
-            return MarginInterval(z1, z2, float(np.min(values)), float(np.max(values)))
+            return _confirmed_margin(x, best, nodes)
 
     raise NoMarginIntervalError(
         f"no margin interval of width >= {min_width} found on [{lo}, {hi}]: "
@@ -232,20 +239,27 @@ class DirectionFunctions:
     sub_nodes: np.ndarray = field(repr=False)
     sub_weights: np.ndarray = field(repr=False)
 
+    def evaluator(self, s) -> Callable:
+        """Map from expansion coefficients, shape (n,) or (k, n), to their
+        values at the points s, zero outside the margin.  The long-double
+        design of the points inside the margin is built once, here."""
+        s = np.asarray(s, dtype=float)
+        inside = (s >= self.margin.lo) & (s <= self.margin.hi)
+        design = design_matrix(self.basis, s[inside].astype(_LD))
+
+        def evaluate(coeffs) -> np.ndarray:
+            inner = (np.asarray(coeffs, dtype=_LD) @ design).astype(float)
+            if inner.shape[-1] == s.size:  # every point inside: nothing to scatter
+                return inner
+            values = np.zeros(inner.shape[:-1] + s.shape)
+            values[..., inside] = inner
+            return values
+
+        return evaluate
+
     def evaluate_all(self, s) -> np.ndarray:
         """Values of every y_k at the points s, shape (n, len(s))."""
-        s = np.asarray(s, dtype=float)
-        design = design_matrix(self.basis, s.astype(_LD))
-        inside = (s >= self.margin.lo) & (s <= self.margin.hi)
-        return np.where(inside, (self.coeffs @ design).astype(float), 0.0)
-
-    def evaluate_combined(self, s, weights=None) -> np.ndarray:
-        """Value of sum_k w_k y_k at the points s (w defaults to all-ones)."""
-        w = np.ones(len(self.coeffs), dtype=_LD) if weights is None else np.asarray(weights, dtype=_LD)
-        s = np.asarray(s, dtype=float)
-        design = design_matrix(self.basis, s.astype(_LD))
-        inside = (s >= self.margin.lo) & (s <= self.margin.hi)
-        return np.where(inside, ((w @ self.coeffs) @ design).astype(float), 0.0)
+        return self.evaluator(s)(self.coeffs)
 
 
 def _refined_solve(matrix_ld: np.ndarray, rhs_ld: np.ndarray, refinements: int = 3) -> np.ndarray:
@@ -367,17 +381,6 @@ class CertificateVerification:
         return self.p1_passes == self.trials and self.p2_passes == self.trials
 
 
-def _confirmed_margin(x, candidate, nodes) -> MarginInterval:
-    z1, z2 = float(candidate[0]), float(candidate[1])
-    if not z1 < z2:
-        raise ValidationError(f"empty candidate interval [{z1}, {z2}]")
-    samples = [np.linspace(z1, z2, CONFIRM_SAMPLES)]
-    nodes = np.asarray(nodes, dtype=float)
-    samples.append(nodes[(nodes >= z1) & (nodes <= z2)])
-    values = np.asarray(x(np.concatenate(samples)), dtype=float)
-    return MarginInterval(z1, z2, float(np.min(values)), float(np.max(values)))
-
-
 def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: float,
                            candidate_interval=None,
                            min_width: Optional[float] = None) -> CoreCertificate:
@@ -472,6 +475,8 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     (useful as a negative control: beyond the certified bound, P1 must
     eventually fail on a tight margin).
     """
+    if int(trials) < 1:
+        raise ValidationError(f"verification needs at least one trial, got trials={trials}")
     rng = np.random.default_rng(seed)
     ver_rule = _verification_rule(instance, cert.margin)
     ver_design = design_matrix(instance.basis, ver_rule.nodes)
@@ -483,6 +488,9 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
         ver_rule.nodes,
     ])
     x_grid = np.asarray(x(grid), dtype=float)
+    # the designs depend only on the points: build them once for all trials
+    on_grid = cert.directions.evaluator(grid)
+    on_ver = cert.directions.evaluator(ver_rule.nodes)
 
     p1_passes = p2_passes = 0
     worst_p1 = 0.0
@@ -493,7 +501,7 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
         t = t_scale * cert.t_for(eta)
         coeffs = cert.combined_coeffs(eta, t)
 
-        perturbed = x_grid + _eval_coeffs(cert.directions, grid, coeffs)
+        perturbed = x_grid + on_grid(coeffs)
         violation = max(float(np.max(cert.lower - perturbed)), 0.0)
         if np.isfinite(cert.upper):
             violation = max(violation, float(np.max(perturbed - cert.upper)))
@@ -501,8 +509,7 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
         if violation <= P1_SLACK:
             p1_passes += 1
 
-        y_ver = _eval_coeffs(cert.directions, ver_rule.nodes, coeffs)
-        moments = ver_design @ (ver_rule.weights * (x_ver + y_ver))
+        moments = ver_design @ (ver_rule.weights * (x_ver + on_ver(coeffs)))
         residual = float(np.max(np.abs(moments - (b + t * eta))))
         worst_p2 = max(worst_p2, residual)
         if residual <= P2_TOL:
@@ -517,14 +524,6 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     )
     cert.verification = report
     return report
-
-
-def _eval_coeffs(directions: DirectionFunctions, s, coeffs_ld) -> np.ndarray:
-    """Evaluate a single expansion over the moment functions on the margin."""
-    s = np.asarray(s, dtype=float)
-    design = design_matrix(directions.basis, s.astype(_LD))
-    inside = (s >= directions.margin.lo) & (s <= directions.margin.hi)
-    return np.where(inside, (np.asarray(coeffs_ld, dtype=_LD) @ design).astype(float), 0.0)
 
 
 @dataclass
@@ -567,6 +566,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     Raises a :class:`CertificateError` describing the decay of the moment
     defect when the budget m_max is exhausted.
     """
+    if int(m_max) < 3:
+        raise ValidationError(f"the clip-level scan starts at m=3, got m_max={m_max}")
     basis, rule = instance.basis, instance.rule
     margin = find_margin_interval(
         x, lower, upper, rule.interval, breakpoints=rule.breakpoints,
@@ -591,9 +592,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     x_full = np.asarray(x(full_grid), dtype=float)
 
     # the m-scan reuses these designs every iteration; build them once
-    margin_design = design_matrix(basis, margin_grid.astype(_LD))
-    full_design = design_matrix(basis, full_grid.astype(_LD))
-    full_inside = (full_grid >= margin.lo) & (full_grid <= margin.hi)
+    on_margin = unit_directions.evaluator(margin_grid)
+    on_full = unit_directions.evaluator(full_grid)
 
     two_sided = np.isfinite(upper)
     width = (upper - lower) if two_sided else None
@@ -607,14 +607,12 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     for m in range(3, int(m_max) + 1):
         defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
         coeffs = np.asarray(defect, dtype=_LD) @ unit_directions.coeffs
-        correction_margin = (coeffs @ margin_design).astype(float)
-        sup_v = float(np.max(np.abs(correction_margin))) if correction_margin.size else 0.0
+        sup_v = float(np.max(np.abs(on_margin(coeffs))))
         if sup_v >= delta / 2.0:
             if m == 3 or m % 25 == 0:
                 history.append((m, float(np.max(np.abs(defect))), sup_v))
             continue
-        correction_full = np.where(full_inside, (coeffs @ full_design).astype(float), 0.0)
-        y_full = clip(x_full, m) - correction_full
+        y_full = clip(x_full, m) - on_full(coeffs)
         eps = float(np.min(y_full - lower))
         if eps <= 0.0:
             history.append((m, float(np.max(np.abs(defect))), sup_v))
@@ -623,7 +621,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
 
         def y(s, _m=m, _coeffs=coeffs):
             return clip(np.asarray(x(s), dtype=float), _m) \
-                - _eval_coeffs(unit_directions, s, _coeffs)
+                - unit_directions.evaluator(s)(_coeffs)
 
         residual = float(np.max(np.abs(
             ver_design @ (ver_rule.weights * y(ver_rule.nodes)) - b

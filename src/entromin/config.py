@@ -232,6 +232,10 @@ def load_config(path) -> RunConfig:
                 m_max=int(cert.get("m_max", DEFAULT_M_MAX)),
                 min_width=float(cert["min_width"]) if "min_width" in cert else None,
             )
+            if cfg.certify.trials < 1:
+                raise ValidationError(f"certify.trials must be >= 1, got {cfg.certify.trials}")
+            if cfg.certify.m_max < 3:
+                raise ValidationError(f"certify.m_max must be >= 3, got {cfg.certify.m_max}")
 
         if "compare" in parser and "window" in parser["compare"]:
             vals = _floats(parser["compare"]["window"])

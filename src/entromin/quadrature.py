@@ -100,15 +100,7 @@ def integrate(rule: QuadratureRule, g) -> float:
     values = np.asarray(g(rule.nodes), dtype=float)
     if values.shape != rule.nodes.shape:
         values = np.broadcast_to(values, rule.nodes.shape)
-    finite = np.isfinite(values)
-    if not np.all(finite):
-        idx = int(np.argmin(finite))
-        raise NonFiniteIntegrandError(
-            f"integrand is {values[idx]!r} at node s={rule.nodes[idx]!r}",
-            node=float(rule.nodes[idx]),
-            value=float(values[idx]),
-        )
-    return float(rule.weights @ values)
+    return integrate_values(rule, values)
 
 
 def integrate_values(rule: QuadratureRule, values: np.ndarray) -> float:

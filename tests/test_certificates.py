@@ -35,6 +35,47 @@ def make_instance(entropy_name, basis, rho):
     return instance_from_density(builtin_entropy(entropy_name), basis, RULE, rho)
 
 
+def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
+    """Core verification the direct way: both long-double designs are
+    rebuilt from the sample points on every trial."""
+    from entromin.certificates import (
+        MEMBERSHIP_SAMPLES, P1_SLACK, P2_TOL, CertificateVerification, _verification_rule,
+    )
+    from entromin.moments import design_matrix
+
+    def evaluate(s, coeffs):
+        design = design_matrix(instance.basis, s.astype(np.longdouble))
+        inside = (s >= cert.margin.lo) & (s <= cert.margin.hi)
+        return np.where(inside, (coeffs @ design).astype(float), 0.0)
+
+    rng = np.random.default_rng(seed)
+    ver_rule = _verification_rule(instance, cert.margin)
+    ver_design = design_matrix(instance.basis, ver_rule.nodes)
+    x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
+    grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
+                           ver_rule.nodes])
+    x_grid = np.asarray(x(grid), dtype=float)
+    p1 = p2 = 0
+    worst_p1 = worst_p2 = 0.0
+    for _ in range(trials):
+        eta = rng.standard_normal(instance.n)
+        eta /= np.linalg.norm(eta)
+        t = t_scale * cert.t_for(eta)
+        coeffs = cert.combined_coeffs(eta, t)
+        perturbed = x_grid + evaluate(grid, coeffs)
+        violation = max(float(np.max(cert.lower - perturbed)), 0.0)
+        if np.isfinite(cert.upper):
+            violation = max(violation, float(np.max(perturbed - cert.upper)))
+        worst_p1 = max(worst_p1, violation)
+        p1 += violation <= P1_SLACK
+        moments = ver_design @ (ver_rule.weights * (x_ver + evaluate(ver_rule.nodes, coeffs)))
+        residual = float(np.max(np.abs(moments - (instance.target_moments + t * eta))))
+        worst_p2 = max(worst_p2, residual)
+        p2 += residual <= P2_TOL
+    return CertificateVerification(trials=trials, p1_passes=int(p1), p2_passes=int(p2),
+                                   worst_p1_violation=worst_p1, worst_p2_residual=worst_p2)
+
+
 class TestWithinBounds:
     def test_pulse_in_unit_band_boltzmann(self):
         spec = builtin_entropy("boltzmann_shannon")
@@ -246,9 +287,41 @@ class TestCoreCertificate:
         margin = MarginInterval(0.1, 0.6, 0.1, 0.6)
         directions = build_direction_functions(basis, RULE, margin, [1.0, -2.0, 0.5])
         s = np.linspace(0, 1, 301)
-        combined = directions.evaluate_combined(s)
-        np.testing.assert_allclose(combined, directions.evaluate_all(s).sum(axis=0),
-                                   rtol=1e-12, atol=1e-12)
+        evaluate = directions.evaluator(s)
+        weights = np.array([[1.0, 1.0, 1.0], [0.5, -3.0, 2.0]], dtype=np.longdouble)
+        block = evaluate(weights @ directions.coeffs)
+        assert block.shape == (2, s.size)
+        rows = directions.evaluate_all(s)
+        for w, got in zip(weights.astype(float), block):
+            np.testing.assert_allclose(got, (w[:, None] * rows).sum(axis=0),
+                                       rtol=1e-12, atol=1e-12)
+        # a single expansion evaluates to the matching row of the block
+        np.testing.assert_array_equal(evaluate(weights[1] @ directions.coeffs), block[1])
+
+    @pytest.mark.parametrize("entropy,basis,rho,band,t_scale", [
+        ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF), 1.0),
+        ("boltzmann_shannon", monomial_basis(4), constant_density(0.5), (0.0, 1.0), 1.0),
+        ("boltzmann_shannon", monomial_basis(1), constant_density(0.5), (0.0, 1.0), 2.0),
+    ], ids=["pulse-piecewise4", "constant-monomial4", "overdriven-control"])
+    def test_designs_built_once_replay_exactly(self, entropy, basis, rho, band, t_scale):
+        """Verification with its designs built once reports exactly what a
+        replay rebuilding both long-double designs on every trial reports."""
+        inst = make_instance(entropy, basis, rho)
+        cert = build_core_certificate(inst, rho, *band)
+        expected = _replay_rebuilding_designs(inst, rho, cert, trials=40, seed=9,
+                                              t_scale=t_scale)
+        got = verify_core_certificate(inst, rho, cert, trials=40, seed=9, t_scale=t_scale)
+        assert got == expected
+        if t_scale > 1.0:
+            assert got.p1_passes < got.trials
+
+    def test_no_trials_rejected(self):
+        inst = make_instance("translated_boltzmann_shannon",
+                             piecewise_flat_basis(4, 0.5), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        for trials in (0, -3):
+            with pytest.raises(ValidationError):
+                verify_core_certificate(inst, PULSE, cert, trials=trials)
 
     def test_overdriven_step_breaks_band_on_tight_margin(self):
         """Doubling t past the certified rule must leave the band when the
@@ -302,6 +375,11 @@ class TestQriCertificate:
         assert cert.eps > 0.0
         assert cert.upper_clearance == INF
         assert cert.moment_match_residual <= 1e-8
+
+    def test_scan_below_first_clip_level_rejected(self):
+        inst = make_instance("boltzmann_shannon", monomial_basis(2), PULSE)
+        with pytest.raises(ValidationError):
+            build_qri_certificate(inst, PULSE, 0.0, 1.0, m_max=2)
 
     def test_budget_exhaustion_reports_decay(self):
         # five monomials need the clipping level well past m = 100

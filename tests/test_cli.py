@@ -144,6 +144,19 @@ class TestCertify:
         assert payload["residuals"]["moment_match"] <= 1e-8
         assert payload["m"] >= 3
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_core_without_trials_exits_1(self, tmp_path, trials):
+        cfg = write_cert_config(tmp_path, certify=f"trials = {trials}\nseed = 0")
+        assert main(["certify", "--config", str(cfg), "--type", "core"]) == 1
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
+    def test_qri_below_first_clip_level_exits_1(self, tmp_path):
+        cfg = write_cert_config(tmp_path, entropy="boltzmann_shannon",
+                                kind="monomial", n=3, extra_basis="",
+                                certify="alpha = 0\nbeta = 1\nm_max = 2")
+        assert main(["certify", "--config", str(cfg), "--type", "qri"]) == 1
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_cert_config(tmp_path)
         assert main(["certify", "--config", str(cfg), "--type", "core",
