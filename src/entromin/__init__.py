@@ -42,7 +42,6 @@ from .entropies import (
     Interval,
     available_entropies,
     builtin_entropy,
-    eval_f,
     fenchel_young_gap,
 )
 from .errors import (

@@ -42,11 +42,15 @@ extended precision with iterative refinement; in plain float64 the
 orthogonality defect lands within a factor of four of the 1e-8 audit
 tolerance, which is too close to trust.  `DirectionFunctions.evaluator`
 builds the long-double design once per point set, at its points inside the
-margin, and reuses it across verification trials and clip levels.
+margin, and reuses it across verification trials and clip levels.  The qri
+scan first screens each clip level at one margin point, where |v| peaked at
+the last full evaluation: |v| >= delta/2 there already rejects the level,
+and the full margin evaluation runs only when the screen does not reject.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -242,12 +246,23 @@ class DirectionFunctions:
     def evaluator(self, s) -> Callable:
         """Map from expansion coefficients, shape (n,) or (k, n), to their
         values at the points s, zero outside the margin.  The long-double
-        design of the points inside the margin is built once, here."""
+        design of the points inside the margin is built once, here.
+
+        With `at=i` the map returns the value of one expansion at s[i]
+        alone, computed from that point's column of the same design, so it
+        equals entry i of the full evaluation bit for bit.
+        """
         s = np.asarray(s, dtype=float)
         inside = (s >= self.margin.lo) & (s <= self.margin.hi)
         design = design_matrix(self.basis, s[inside].astype(_LD))
+        column = np.cumsum(inside) - 1  # design column of each point inside
 
-        def evaluate(coeffs) -> np.ndarray:
+        def evaluate(coeffs, at: Optional[int] = None):
+            if at is not None:
+                if not inside[at]:
+                    return 0.0
+                k = column[at]
+                return float((np.asarray(coeffs, dtype=_LD) @ design[:, k:k + 1])[0])
             inner = (np.asarray(coeffs, dtype=_LD) @ design).astype(float)
             if inner.shape[-1] == s.size:  # every point inside: nothing to scatter
                 return inner
@@ -563,6 +578,12 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     lower clearance of the density on the margin interval) and whose
     witness y = x_m - v keeps a positive lower clearance is returned.
 
+    Each level is first screened at one point of the margin grid, the
+    argmax of |v| at the last full evaluation: |v| >= delta/2 there
+    rejects the level, since sup |v| is at least that.  The full margin
+    evaluation runs only when the screen does not reject, so acceptance
+    always rests on the full sup |v|.
+
     Raises a :class:`CertificateError` describing the decay of the moment
     defect when the budget m_max is exhausted.
     """
@@ -597,7 +618,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
 
     two_sided = np.isfinite(upper)
     width = (upper - lower) if two_sided else None
-    history = []
+    history = deque(maxlen=6)   # (m, |defect|, coeffs) of the last levels reported
+    probe = None    # margin-grid index of |v|'s argmax at the last full evaluation
 
     def clip(values, m):
         if two_sided:
@@ -607,15 +629,19 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     for m in range(3, int(m_max) + 1):
         defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
         coeffs = np.asarray(defect, dtype=_LD) @ unit_directions.coeffs
-        sup_v = float(np.max(np.abs(on_margin(coeffs))))
-        if sup_v >= delta / 2.0:
+        screened_out = probe is not None and abs(on_margin(coeffs, at=probe)) >= delta / 2.0
+        if not screened_out:
+            abs_v = np.abs(on_margin(coeffs))
+            probe = int(np.argmax(abs_v))
+            sup_v = float(abs_v[probe])
+        if screened_out or sup_v >= delta / 2.0:
             if m == 3 or m % 25 == 0:
-                history.append((m, float(np.max(np.abs(defect))), sup_v))
+                history.append((m, float(np.max(np.abs(defect))), coeffs))
             continue
         y_full = clip(x_full, m) - on_full(coeffs)
         eps = float(np.min(y_full - lower))
         if eps <= 0.0:
-            history.append((m, float(np.max(np.abs(defect))), sup_v))
+            history.append((m, float(np.max(np.abs(defect))), coeffs))
             continue
         upper_clearance = float(np.min(upper - y_full)) if two_sided else float("inf")
 
@@ -636,7 +662,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
             correction_sup=sup_v,
         )
 
-    decay = "; ".join(f"m={m}: |defect|={d:.3e}, sup|v|={sv:.3e}" for m, d, sv in history[-6:])
+    decay = "; ".join(f"m={m}: |defect|={d:.3e}, sup|v|={np.max(np.abs(on_margin(c))):.3e}"
+                      for m, d, c in history)
     raise CertificateError(
         f"no acceptable witness up to m={m_max} (need sup|v| < {delta / 2.0:.3e} "
         f"with positive lower clearance); defect decay: {decay}",

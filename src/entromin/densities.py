@@ -54,13 +54,8 @@ def tabulated_density(path) -> Density:
     Lines starting with '#' are comments; an optional header line
     ``# breakpoints: b1 b2 ...`` declares jump locations.
     """
-    breakpoints = _parse_breakpoint_header(path)
-    data = np.loadtxt(path, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValidationError(f"{path}: need at least two columns (s, value)")
+    breakpoints, data = _load_table(path, "need at least two columns (s, value)")
     s, vals = data[:, 0], data[:, 1]
-    if np.any(np.diff(s) <= 0):
-        raise ValidationError(f"{path}: first column must be strictly increasing")
 
     def fn(q):
         return np.interp(np.asarray(q, dtype=float), s, vals)
@@ -68,7 +63,15 @@ def tabulated_density(path) -> Density:
     return Density(kind="tabulated", fn=fn, breakpoints=breakpoints)
 
 
-def _parse_breakpoint_header(path) -> tuple:
+def _load_table(path, too_few_columns: str):
+    """(breakpoints, samples) of a tabulated file, checked for both loaders.
+
+    The breakpoints come from an optional leading comment line
+    ``# breakpoints: ...``.  The samples must have at least two columns
+    (else `too_few_columns` is the message), finite entries and a strictly
+    increasing first column.
+    """
+    breakpoints = ()
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             stripped = line.strip()
@@ -77,5 +80,13 @@ def _parse_breakpoint_header(path) -> tuple:
             body = stripped.lstrip("#").strip()
             if body.lower().startswith("breakpoints:"):
                 tail = body.split(":", 1)[1].replace(",", " ").split()
-                return tuple(float(tok) for tok in tail)
-    return ()
+                breakpoints = tuple(float(tok) for tok in tail)
+                break
+    data = np.loadtxt(path, ndmin=2)
+    if data.shape[1] < 2:
+        raise ValidationError(f"{path}: {too_few_columns}")
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{path}: every entry must be finite (found nan or inf)")
+    if np.any(np.diff(data[:, 0]) <= 0):
+        raise ValidationError(f"{path}: first column must be strictly increasing")
+    return breakpoints, data

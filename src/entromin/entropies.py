@@ -40,7 +40,6 @@ __all__ = [
     "EntropySpec",
     "builtin_entropy",
     "available_entropies",
-    "eval_f",
     "fenchel_young_gap",
 ]
 
@@ -260,14 +259,6 @@ def builtin_entropy(name: str) -> EntropySpec:
             f"unknown entropy {name!r}; available: {', '.join(available_entropies())}"
         ) from None
     return builder()
-
-
-def eval_f(spec: EntropySpec, u):
-    """Extended-valued entropy: f(u) inside the domain, +inf outside.
-
-    Finite closed endpoints take their limit values (0*log(0) = 0).
-    """
-    return spec.f(u)
 
 
 def fenchel_young_gap(spec: EntropySpec, u, v):

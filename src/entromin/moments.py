@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import _parse_breakpoint_header
+from .densities import _load_table
 from .entropies import EntropySpec
 from .errors import ValidationError
 from .quadrature import QuadratureRule, build_rule, integrate_values
@@ -129,13 +129,8 @@ def tabulated_basis(path, interval=(0.0, 1.0)) -> MomentBasis:
     samples are interpolated linearly.  An optional header
     ``# breakpoints: ...`` declares non-smooth points.
     """
-    breakpoints = _parse_breakpoint_header(path)
-    data = np.loadtxt(path, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValidationError(f"{path}: need an s column plus at least one function column")
+    breakpoints, data = _load_table(path, "need an s column plus at least one function column")
     s = data[:, 0]
-    if np.any(np.diff(s) <= 0):
-        raise ValidationError(f"{path}: first column must be strictly increasing")
 
     def interpolant(col):
         vals = data[:, col]

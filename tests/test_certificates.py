@@ -76,6 +76,63 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
                                    worst_p1_violation=worst_p1, worst_p2_residual=worst_p2)
 
 
+def _replay_full_scan(instance, x, lower, upper, m_max):
+    """The qri clip-level scan the direct way: the correction is evaluated
+    on the whole margin grid at every m.  Returns (m, eps, correction_sup,
+    moment_match_residual, upper_clearance, y on a grid), or the message of
+    the CertificateError the scan ends with."""
+    from entromin.certificates import (
+        MARGIN_SCAN_SAMPLES, MEMBERSHIP_SAMPLES, _verification_rule,
+    )
+    from entromin.moments import design_matrix
+
+    basis, rule = instance.basis, instance.rule
+    margin = find_margin_interval(x, lower, upper, rule.interval, breakpoints=rule.breakpoints,
+                                  nodes=rule.nodes, one_sided=True)
+    delta = margin.val_lo - lower
+    directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
+    ver_rule = _verification_rule(instance, margin)
+    ver_design = design_matrix(basis, ver_rule.nodes)
+    x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
+    on_margin = directions.evaluator(np.concatenate([
+        np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES), directions.sub_nodes]))
+    full_grid = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2),
+                                ver_rule.nodes])
+    x_full = np.asarray(x(full_grid), dtype=float)
+
+    def clip(values, m):
+        if np.isfinite(upper):
+            width = upper - lower
+            return np.clip(values, lower + width / m, upper - width / m)
+        return np.maximum(values, lower + 1.0 / m)
+
+    history = []
+    for m in range(3, m_max + 1):
+        defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
+        coeffs = np.asarray(defect, dtype=np.longdouble) @ directions.coeffs
+        sup_v = float(np.max(np.abs(on_margin(coeffs))))
+        if sup_v >= delta / 2.0:
+            if m == 3 or m % 25 == 0:
+                history.append((m, float(np.max(np.abs(defect))), sup_v))
+            continue
+        y_full = clip(x_full, m) - directions.evaluator(full_grid)(coeffs)
+        eps = float(np.min(y_full - lower))
+        if eps <= 0.0:
+            history.append((m, float(np.max(np.abs(defect))), sup_v))
+            continue
+
+        def y(s):
+            return clip(np.asarray(x(s), dtype=float), m) - directions.evaluator(s)(coeffs)
+
+        residual = float(np.max(np.abs(
+            ver_design @ (ver_rule.weights * y(ver_rule.nodes)) - instance.target_moments)))
+        upper_clearance = float(np.min(upper - y_full)) if np.isfinite(upper) else INF
+        return m, eps, sup_v, residual, upper_clearance, y(np.linspace(0.0, 1.0, 777))
+    decay = "; ".join(f"m={m}: |defect|={d:.3e}, sup|v|={sv:.3e}" for m, d, sv in history[-6:])
+    return (f"no acceptable witness up to m={m_max} (need sup|v| < {delta / 2.0:.3e} "
+            f"with positive lower clearance); defect decay: {decay}")
+
+
 class TestWithinBounds:
     def test_pulse_in_unit_band_boltzmann(self):
         spec = builtin_entropy("boltzmann_shannon")
@@ -388,6 +445,48 @@ class TestQriCertificate:
             build_qri_certificate(inst, PULSE, 0.0, 1.0, m_max=100)
         assert "defect decay" in str(err.value)
         assert err.value.hypothesis == "witness acceptance"
+
+    @pytest.mark.parametrize("entropy,basis,rho,band,m_max", [
+        ("boltzmann_shannon", monomial_basis(4), PULSE, (0.0, 1.0), 4000),
+        ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF), 4000),
+        ("boltzmann_shannon", monomial_basis(3), constant_density(0.5), (0.0, 1.0), 4000),
+        # the README config, whose witness lies past m = 44,000
+        ("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE, (0.0, INF), 200),
+    ], ids=["pulse-monomial4", "pulse-piecewise4", "constant-monomial3", "readme-budget-200"])
+    def test_screened_scan_replays_full_scan_exactly(self, entropy, basis, rho, band, m_max):
+        """Screening each clip level at one point accepts the same m, with
+        the same witness, as evaluating every level on the whole margin
+        grid, and fails with the same message."""
+        inst = make_instance(entropy, basis, rho)
+        expected = _replay_full_scan(inst, rho, *band, m_max=m_max)
+        if isinstance(expected, str):
+            with pytest.raises(CertificateError) as err:
+                build_qri_certificate(inst, rho, *band, m_max=m_max)
+            assert str(err.value) == expected
+            return
+        cert = build_qri_certificate(inst, rho, *band, m_max=m_max)
+        m, eps, correction_sup, residual, upper_clearance, y_grid = expected
+        assert cert.m == m
+        assert cert.eps == eps
+        assert cert.correction_sup == correction_sup
+        assert cert.moment_match_residual == residual
+        assert cert.upper_clearance == upper_clearance
+        np.testing.assert_array_equal(cert.y(np.linspace(0.0, 1.0, 777)), y_grid)
+        if rho.kind == "constant":
+            assert m == 3  # accepted at the first level, before any screen
+
+    def test_readme_config_accepted_past_default_budget(self):
+        """On the pulse, m * sup|v| stays near 22,050 for the README config,
+        so the default budget of 4000 clip levels cannot reach a witness;
+        acceptance comes at m = 44103."""
+        inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
+        with pytest.raises(CertificateError):
+            build_qri_certificate(inst, PULSE, 0.0, INF)
+        cert = build_qri_certificate(inst, PULSE, 0.0, INF, m_max=50000)
+        assert cert.m == 44103
+        assert cert.eps > 0.0
+        assert cert.correction_sup < 0.5
+        assert cert.moment_match_residual <= 1e-8
 
     @pytest.mark.parametrize("entropy,basis,rho,band,m_max", [
         # the flat side makes all four moment defects equal, which costs a

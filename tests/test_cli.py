@@ -276,6 +276,29 @@ dir = {tmp_path / 'out'}
         assert summary["converged"] is True
         assert abs(summary["duality_gap"]) <= 1e-8
 
+    def test_non_finite_tabulated_density_exits_1(self, tmp_path):
+        # a nan in the s column slips past the strictly-increasing check
+        rho_file = tmp_path / "rho.txt"
+        np.savetxt(rho_file, [[0.0, 0.5], [np.nan, 0.5], [1.0, 0.5]])
+        ini = tmp_path / "tab.ini"
+        ini.write_text(f"""
+[problem]
+entropy = translated_boltzmann_shannon
+
+[basis]
+kind = monomial
+n = 2
+
+[rho]
+kind = tabulated
+file = {rho_file}
+
+[output]
+dir = {tmp_path / 'out'}
+""")
+        assert main(["solve", "--config", str(ini)]) == 1
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_phi0_from_config_enables_burg(self, tmp_path):
         # Burg's conjugate domain excludes zero, so a per-config start matters
         ini = tmp_path / "burg.ini"

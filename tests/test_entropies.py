@@ -7,7 +7,6 @@ from entromin import (
     DomainViolationError,
     available_entropies,
     builtin_entropy,
-    eval_f,
     fenchel_young_gap,
 )
 
@@ -77,26 +76,26 @@ class TestClosedForms:
 class TestEvalF:
     def test_entropy_limit_at_zero(self):
         # u*log(u) -> 0 as u -> 0
-        assert eval_f(builtin_entropy("boltzmann_shannon"), 0.0) == 0.0
+        assert builtin_entropy("boltzmann_shannon").f(0.0) == 0.0
 
     def test_outside_domain_is_infinite(self):
-        assert eval_f(builtin_entropy("burg"), -1.0) == np.inf
-        assert eval_f(builtin_entropy("burg"), 0.0) == np.inf
+        assert builtin_entropy("burg").f(-1.0) == np.inf
+        assert builtin_entropy("burg").f(0.0) == np.inf
 
     def test_fermi_dirac_at_half(self):
         # (1/2)log(1/2) + (1/2)log(1/2) = -log 2
-        got = eval_f(builtin_entropy("fermi_dirac"), 0.5)
+        got = builtin_entropy("fermi_dirac").f(0.5)
         assert got == pytest.approx(-np.log(2.0), rel=1e-15)
 
     def test_fermi_dirac_endpoint_limits(self):
         spec = builtin_entropy("fermi_dirac")
-        assert eval_f(spec, 0.0) == 0.0
-        assert eval_f(spec, 1.0) == 0.0
-        assert eval_f(spec, 1.5) == np.inf
+        assert spec.f(0.0) == 0.0
+        assert spec.f(1.0) == 0.0
+        assert spec.f(1.5) == np.inf
 
     def test_vectorized(self):
         spec = builtin_entropy("burg")
-        out = eval_f(spec, np.array([-1.0, 1.0, np.e]))
+        out = spec.f(np.array([-1.0, 1.0, np.e]))
         np.testing.assert_allclose(out, [np.inf, 0.0, -1.0], atol=1e-15)
 
 

@@ -195,6 +195,13 @@ class TestTabulatedBasis(object):
         with pytest.raises(ValidationError):
             tabulated_basis(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        np.savetxt(path, [[0.0, 1.0, 0.0], [0.5, 1.0, bad], [1.0, 1.0, 1.0]])
+        with pytest.raises(ValidationError, match="finite"):
+            tabulated_basis(path)
+
 
 class TestProblemInstance:
     def test_breakpoint_coverage_enforced(self):
