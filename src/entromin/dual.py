@@ -18,9 +18,22 @@ choice here.
 The solver stops on the infinity norm of the gradient (the violation of
 the stationarity system itself) rather than on step size.  Backtracking
 halves the step until the dual value does not decrease and every node
-stays inside the conjugate domain; conjugate-domain violations surface as
-exceptions from the evaluation layer and are treated as ordinary
-line-search rejections.
+stays inside the conjugate domain; conjugate-domain violations and
+non-finite derivatives surface as exceptions from the evaluation layer and
+are treated as ordinary line-search rejections.
+
+Near the optimum the predicted ascent g.d of a Newton step falls to the
+rounding level of D itself (a few eps times max(1, |D|)).  There, whether
+the computed D rises or falls is decided by rounding, and accepting on
+"does not decrease" lets the search settle on steps too short to move
+the residual.  In that regime a step is accepted instead when it
+strictly lowers the residual, the infinity norm of the gradient at the
+candidate; the dual values along the trace are then nondecreasing only up
+to rounding.
+
+One oracle computes D, its gradient and its Hessian from one dual field.
+A line-search trial asks it for D alone and an accepted iterate for all
+three; in the rounding regime every trial asks for all three.
 """
 
 from __future__ import annotations
@@ -28,11 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import DomainViolationError, NonFiniteIntegrandError, ValidationError
 from .moments import ProblemInstance
-from .quadrature import integrate_values
+from .quadrature import finite_at_nodes, integrate_values
 
 __all__ = ["DualSolution", "IterationRecord", "dual_value", "dual_gradient",
            "dual_hessian", "solve_dual", "default_start"]
@@ -43,6 +55,7 @@ DEFAULT_MAX_ITER = 100
 _MIN_STEP = 2.0 ** -60          # give up on the line search below this
 _REG_START = 1e-12              # Hessian shift ladder, relative to ||H||
 _REG_LIMIT = 1e-4
+_ROUNDING = 8 * np.finfo(float).eps  # predicted ascent below this x max(1, |D|) is noise
 
 
 @dataclass(frozen=True)
@@ -60,7 +73,7 @@ class DualSolution:
     `residual_inf` is the infinity norm of the dual gradient at
     `multipliers`, i.e. the worst violation of the stationarity system.
     The trace records one row per accepted iterate; the dual values along
-    it are nondecreasing because only ascent steps are accepted.
+    it are nondecreasing up to rounding (see the module note).
     """
 
     multipliers: np.ndarray
@@ -72,59 +85,49 @@ class DualSolution:
     message: str = ""
 
 
-def _dual_field(instance: ProblemInstance, phi: np.ndarray) -> np.ndarray:
-    """sum_k phi_k a_k at all quadrature nodes, domain-checked."""
-    v = instance.design.T @ phi
-    ok = instance.entropy.f_star_domain.contains(v)
+def _oracle(instance: ProblemInstance, phi: np.ndarray, order: int):
+    """(D, grad D, Hess D) at phi, with the derivatives above `order` None.
+
+    The dual field sum_k phi_k a_k and its conjugate-domain check are
+    computed once per call and shared by every returned quantity.
+    """
+    entropy, rule, design = instance.entropy, instance.rule, instance.design
+    v = design.T @ phi
+    ok = entropy.f_star_domain.contains(v)
     if not np.all(ok):
         idx = int(np.argmin(ok))
         raise DomainViolationError(
-            f"dual field {v[idx]!r} at node s={instance.rule.nodes[idx]!r} is outside "
-            f"the conjugate domain {instance.entropy.f_star_domain} of {instance.entropy.name}",
+            f"dual field {v[idx]!r} at node s={rule.nodes[idx]!r} is outside "
+            f"the conjugate domain {entropy.f_star_domain} of {entropy.name}",
             argument="phi",
             value=float(v[idx]),
-            node=float(instance.rule.nodes[idx]),
+            node=float(rule.nodes[idx]),
         )
-    return v
+    value = float(phi @ instance.target_moments - integrate_values(rule, entropy.f_star(v)))
+    grad = hess = None
+    if order >= 1:
+        density = finite_at_nodes(rule, entropy.f_star_d1(v), "(f*)'")
+        grad = instance.target_moments - design @ (rule.weights * density)
+    if order >= 2:
+        curvature = finite_at_nodes(rule, entropy.f_star_d2(v), "(f*)''")
+        hess = -(design * (rule.weights * curvature)) @ design.T
+        hess = 0.5 * (hess + hess.T)
+    return value, grad, hess
 
 
 def dual_value(instance: ProblemInstance, phi) -> float:
     """<phi, b> minus the integral of f* composed with the dual field."""
-    phi = np.asarray(phi, dtype=float)
-    v = _dual_field(instance, phi)
-    return float(phi @ instance.target_moments
-                 - integrate_values(instance.rule, instance.entropy.f_star(v)))
+    return _oracle(instance, np.asarray(phi, dtype=float), 0)[0]
 
 
 def dual_gradient(instance: ProblemInstance, phi) -> np.ndarray:
     """Componentwise b_k minus the moments of the reconstructed density."""
-    phi = np.asarray(phi, dtype=float)
-    v = _dual_field(instance, phi)
-    density = instance.entropy.f_star_d1(v)
-    if not np.all(np.isfinite(density)):
-        idx = int(np.argmin(np.isfinite(density)))
-        raise NonFiniteIntegrandError(
-            f"(f*)' is {density[idx]!r} at node s={instance.rule.nodes[idx]!r}",
-            node=float(instance.rule.nodes[idx]),
-            value=float(density[idx]),
-        )
-    return instance.target_moments - instance.design @ (instance.rule.weights * density)
+    return _oracle(instance, np.asarray(phi, dtype=float), 1)[1]
 
 
 def dual_hessian(instance: ProblemInstance, phi) -> np.ndarray:
     """Negative (f*)''-weighted Gram matrix of the moment functions."""
-    phi = np.asarray(phi, dtype=float)
-    v = _dual_field(instance, phi)
-    curvature = instance.entropy.f_star_d2(v)
-    if not np.all(np.isfinite(curvature)):
-        idx = int(np.argmin(np.isfinite(curvature)))
-        raise NonFiniteIntegrandError(
-            f"(f*)'' is {curvature[idx]!r} at node s={instance.rule.nodes[idx]!r}",
-            node=float(instance.rule.nodes[idx]),
-            value=float(curvature[idx]),
-        )
-    hess = -(instance.design * (instance.rule.weights * curvature)) @ instance.design.T
-    return 0.5 * (hess + hess.T)
+    return _oracle(instance, np.asarray(phi, dtype=float), 2)[2]
 
 
 def default_start(instance: ProblemInstance) -> np.ndarray:
@@ -150,6 +153,12 @@ def default_start(instance: ProblemInstance) -> np.ndarray:
     )
 
 
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for symmetric positive definite a; raises LinAlgError otherwise."""
+    low = np.linalg.cholesky(a)
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
+
+
 def _newton_direction(hess: np.ndarray, grad: np.ndarray):
     """Solve H d = -g for the ascent direction, shifting H if needed.
 
@@ -158,16 +167,16 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray):
     """
     neg = -hess
     try:
-        return cho_solve(cho_factor(neg), grad), 0.0
-    except (LinAlgError, np.linalg.LinAlgError):
+        return _cholesky_solve(neg, grad), 0.0
+    except np.linalg.LinAlgError:
         pass
     scale = float(np.linalg.norm(hess, np.inf)) or 1.0
     shift = _REG_START * scale
     eye = np.eye(hess.shape[0])
     while shift <= _REG_LIMIT * scale:
         try:
-            return cho_solve(cho_factor(neg + shift * eye), grad), shift
-        except (LinAlgError, np.linalg.LinAlgError):
+            return _cholesky_solve(neg + shift * eye, grad), shift
+        except np.linalg.LinAlgError:
             shift *= 10.0
     return grad.copy(), -1.0  # gradient ascent for this iteration
 
@@ -188,8 +197,7 @@ def solve_dual(instance: ProblemInstance, phi0=None, tol: float = DEFAULT_TOL,
     if phi.shape != (instance.n,):
         raise ValidationError(f"phi0 has shape {phi.shape}, expected ({instance.n},)")
 
-    value = dual_value(instance, phi)  # raises if phi0 infeasible
-    grad = dual_gradient(instance, phi)
+    value, grad, hess = _oracle(instance, phi, 2)  # raises if phi0 infeasible
     residual = float(np.max(np.abs(grad)))
     trace = [IterationRecord(0, residual, 0.0, value)]
     iterations = 0
@@ -199,26 +207,30 @@ def solve_dual(instance: ProblemInstance, phi0=None, tol: float = DEFAULT_TOL,
         if iterations >= max_iter:
             message = f"iteration budget {max_iter} exhausted with residual {residual:.3e}"
             break
-        direction, _shift = _newton_direction(dual_hessian(instance, phi), grad)
+        direction, _shift = _newton_direction(hess, grad)
+        by_residual = abs(float(grad @ direction)) <= _ROUNDING * max(1.0, abs(value))
         step = 1.0
-        accepted = False
+        accepted = None
         while step >= _MIN_STEP:
             candidate = phi + step * direction
             try:
-                candidate_value = dual_value(instance, candidate)
+                if by_residual:
+                    point = _oracle(instance, candidate, 2)
+                    if np.max(np.abs(point[1])) < residual:
+                        accepted = point
+                elif _oracle(instance, candidate, 0)[0] >= value:
+                    accepted = _oracle(instance, candidate, 2)
             except (DomainViolationError, NonFiniteIntegrandError):
-                step *= 0.5
-                continue
-            if candidate_value >= value:
-                accepted = True
+                pass
+            if accepted is not None:
                 break
             step *= 0.5
-        if not accepted:
+        if accepted is None:
             message = f"line search stalled at residual {residual:.3e}"
             break
-        phi, value = candidate, candidate_value
+        phi = candidate
+        value, grad, hess = accepted
         iterations += 1
-        grad = dual_gradient(instance, phi)
         residual = float(np.max(np.abs(grad)))
         trace.append(IterationRecord(iterations, residual, step, value))
 

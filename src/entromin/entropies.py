@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .errors import DomainViolationError
 
@@ -150,6 +149,17 @@ def _exp(v):
         return np.exp(v)
 
 
+def _xlogx(u):
+    # u*log(u) with the limit value 0 at u == 0 (0*-inf is nan before np.where)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u == 0.0, 0.0, u * np.log(u))
+
+
+def _expit(v):
+    # 1/(1+e^-v); e^-v overflowing to +inf gives exactly 0
+    return 1.0 / (1.0 + _exp(-v))
+
+
 def _cosh(u):
     with np.errstate(over="ignore"):
         return np.cosh(u)
@@ -174,7 +184,7 @@ def _boltzmann_shannon():
     return _make(
         "boltzmann_shannon",
         Interval(0.0, _INF, True, False),
-        lambda u: xlogy(u, u),
+        _xlogx,
         _REAL,
         lambda v: _exp(v - 1.0),
         lambda v: _exp(v - 1.0),
@@ -186,7 +196,7 @@ def _translated_boltzmann_shannon():
     return _make(
         "translated_boltzmann_shannon",
         Interval(0.0, _INF, True, False),
-        lambda u: xlogy(u, u) - u,
+        lambda u: _xlogx(u) - u,
         _REAL,
         _exp,
         _exp,
@@ -222,11 +232,11 @@ def _fermi_dirac():
     return _make(
         "fermi_dirac",
         Interval(0.0, 1.0, True, True),
-        lambda u: xlogy(u, u) + xlogy(1.0 - u, 1.0 - u),
+        lambda u: _xlogx(u) + _xlogx(1.0 - u),
         _REAL,
         lambda v: np.logaddexp(0.0, v),
-        expit,
-        lambda v: expit(v) * expit(-v),
+        _expit,
+        lambda v: _expit(v) * _expit(-v),
     )
 
 

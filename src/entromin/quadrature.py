@@ -103,15 +103,21 @@ def integrate(rule: QuadratureRule, g) -> float:
     return integrate_values(rule, values)
 
 
-def integrate_values(rule: QuadratureRule, values: np.ndarray) -> float:
-    """Weighted sum for integrand values already evaluated at the nodes."""
+def finite_at_nodes(rule: QuadratureRule, values, what: str = "integrand") -> np.ndarray:
+    """`values` at the nodes as a float array; a non-finite entry raises
+    :class:`NonFiniteIntegrandError` naming `what` and carrying the node."""
     values = np.asarray(values, dtype=float)
     finite = np.isfinite(values)
     if not np.all(finite):
         idx = int(np.argmin(finite))
         raise NonFiniteIntegrandError(
-            f"integrand is {values[idx]!r} at node s={rule.nodes[idx]!r}",
+            f"{what} is {values[idx]!r} at node s={rule.nodes[idx]!r}",
             node=float(rule.nodes[idx]),
             value=float(values[idx]),
         )
-    return float(rule.weights @ values)
+    return values
+
+
+def integrate_values(rule: QuadratureRule, values: np.ndarray) -> float:
+    """Weighted sum for integrand values already evaluated at the nodes."""
+    return float(rule.weights @ finite_at_nodes(rule, values))

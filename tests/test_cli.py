@@ -1,12 +1,15 @@
 """Command-line pipelines: artifacts, exit codes, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entromin
 from entromin.cli import main
 
 SOLVE_INI = """
@@ -331,3 +334,13 @@ def test_console_entry_point_runs(tmp_path):
                            "--config", str(cfg)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "converged" in proc.stdout
+
+
+def test_cli_imports_no_scipy():
+    src = str(Path(entromin.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, entromin.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

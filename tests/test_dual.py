@@ -14,9 +14,11 @@ from entromin import (
     dual_value,
     instance_from_density,
     monomial_basis,
+    piecewise_flat_basis,
     pulse_density,
     solve_dual,
 )
+from entromin.dual import _newton_direction
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 
@@ -172,7 +174,7 @@ class TestSolveDual:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert solution.trace[0].iteration == 0 and solution.trace[0].step == 0.0
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_pulse_benchmark_residuals(self, n):
         solution = solve_dual(pulse_instance("translated_boltzmann_shannon", n))
         assert solution.converged
@@ -225,3 +227,48 @@ class TestSolveDual:
         )
         with pytest.raises(ValidationError, match="phi0"):
             solve_dual(shifted)
+
+
+class TestRoundingRegime:
+    """Near the optimum the predicted ascent of a Newton step sits at the
+    rounding level of D, so comparing dual values compares rounding errors;
+    the line search then accepts on a lower residual instead."""
+
+    # constant density 0.5 on 1280 nodes; under value-only acceptance burg
+    # monomial n=2 and, with numpy's Cholesky, burg piecewise_flat n=8 spend
+    # 100 iterations in steps too short to move the residual
+    CASES = {
+        "burg-monomial2": ("burg", monomial_basis(2), build_rule((0.0, 1.0), (), 20, 64)),
+        "tbs-monomial6": ("translated_boltzmann_shannon", monomial_basis(6),
+                          build_rule((0.0, 1.0), (), 20, 64)),
+        "burg-flat8": ("burg", piecewise_flat_basis(8, 0.5), build_rule((0.0, 1.0), (0.5,), 20, 32)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_converges_without_stalling(self, case):
+        name, basis, rule = self.CASES[case]
+        inst = instance_from_density(builtin_entropy(name), basis, rule, constant_density(0.5))
+        solution = solve_dual(inst)
+        assert solution.converged and solution.iterations <= 10
+        values = [row.dual_value for row in solution.trace]
+        eps = np.finfo(float).eps
+        assert all(b >= a - 8 * eps * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
+
+
+class TestNewtonDirection:
+    def test_singular_hessian_is_shifted(self):
+        hess = -np.array([[1.0, 1.0], [1.0, 1.0]])  # negative semidefinite, rank 1
+        grad = np.array([1.0, -1.0])
+        direction, shift = _newton_direction(hess, grad)
+        assert shift > 0.0 and grad @ direction > 0.0
+        shifted = shift * np.eye(2) - hess  # the factor is backward stable, not accurate
+        residual = np.linalg.norm(shifted @ direction - grad)
+        assert residual <= 1e-12 * np.linalg.norm(shifted) * np.linalg.norm(direction)
+
+    def test_indefinite_hessian_falls_back_to_gradient(self):
+        hess = np.diag([1.0, -1.0])  # no shift up to the ladder's limit makes -H definite
+        grad = np.array([0.3, -0.7])
+        direction, shift = _newton_direction(hess, grad)
+        assert shift == -1.0
+        np.testing.assert_array_equal(direction, grad)
+        assert direction is not grad

@@ -1,5 +1,8 @@
 """Entropy/conjugate pairs: closed forms, domains, and convexity checks."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,39 @@ class TestEvalF:
         spec = builtin_entropy("burg")
         out = spec.f(np.array([-1.0, 1.0, np.e]))
         np.testing.assert_allclose(out, [np.inf, 0.0, -1.0], atol=1e-15)
+
+
+class TestNumpyForms:
+    """u*log(u) and the logistic 1/(1+e^-v), written with numpy alone."""
+
+    def test_endpoint_limits_exact_on_arrays(self):
+        np.testing.assert_array_equal(builtin_entropy("fermi_dirac").f(np.array([0.0, 1.0])), 0.0)
+        np.testing.assert_array_equal(builtin_entropy("boltzmann_shannon").f(np.array([0.0])), 0.0)
+
+    def test_logistic_saturates_without_warning(self):
+        spec = builtin_entropy("fermi_dirac")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in (-800.0, 800.0, np.array([-800.0, 800.0])):
+                d1 = spec.f_star_d1(v)
+                assert np.all(np.isfinite(d1)) and np.all((0.0 <= d1) & (d1 <= 1.0))
+            np.testing.assert_array_equal(spec.f_star_d1(np.array([-800.0, 800.0])), [0.0, 1.0])
+            np.testing.assert_array_equal(spec.f_star_d2(np.array([-800.0, 800.0])), 0.0)
+
+    def test_logistic_symmetry(self):
+        d1 = builtin_entropy("fermi_dirac").f_star_d1
+        v = np.linspace(-40.0, 40.0, 801)
+        assert np.max(np.abs(d1(v) + d1(-v) - 1.0)) <= 2 * np.spacing(1.0)
+
+    def test_against_math_references(self):
+        v = np.linspace(-40.0, 40.0, 801)
+        ref = np.array([1.0 / (1.0 + math.exp(-x)) for x in v])
+        got = builtin_entropy("fermi_dirac").f_star_d1(v)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+        u = np.linspace(0.0, 5.0, 501)
+        ref = np.array([x * math.log(x) if x > 0 else 0.0 for x in u])
+        got = builtin_entropy("boltzmann_shannon").f(u)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
 
 
 class TestFenchelYoungGap:
