@@ -221,6 +221,9 @@ def load_config(path) -> RunConfig:
             output = parser["output"]
             cfg.out_dir = output.get("dir", "out")
             cfg.sample_points = int(output.get("sample_points", 1001))
+            if cfg.sample_points < 0:
+                raise ValidationError(
+                    f"output.sample_points must be >= 0, got {cfg.sample_points}")
 
         if "certify" in parser:
             cert = parser["certify"]

@@ -31,14 +31,17 @@ strictly lowers the residual, the infinity norm of the gradient at the
 candidate; the dual values along the trace are then nondecreasing only up
 to rounding.
 
-One oracle computes D, its gradient and its Hessian from one dual field.
-A line-search trial asks it for D alone and an accepted iterate for all
-three; in the rounding regime every trial asks for all three.
+One oracle computes D, its gradient and its Hessian from one dual field,
+whose conjugate-domain check is the only one made: f* and its derivatives
+are called unchecked.  A line-search trial builds the field and D; an
+accepted trial reuses that field for the gradient and the Hessian, and in
+the rounding regime every trial computes all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from inspect import unwrap
 
 import numpy as np
 
@@ -85,14 +88,14 @@ class DualSolution:
     message: str = ""
 
 
-def _oracle(instance: ProblemInstance, phi: np.ndarray, order: int):
-    """(D, grad D, Hess D) at phi, with the derivatives above `order` None.
+def _field(instance: ProblemInstance, phi: np.ndarray):
+    """The dual field v = sum_k phi_k a_k at the nodes, and D(phi).
 
-    The dual field sum_k phi_k a_k and its conjugate-domain check are
-    computed once per call and shared by every returned quantity.
+    v is checked against the conjugate domain here, once, so f* and its
+    derivatives are evaluated from it unchecked.
     """
-    entropy, rule, design = instance.entropy, instance.rule, instance.design
-    v = design.T @ phi
+    entropy, rule = instance.entropy, instance.rule
+    v = instance.design.T @ phi
     ok = entropy.f_star_domain.contains(v)
     if not np.all(ok):
         idx = int(np.argmin(ok))
@@ -103,21 +106,34 @@ def _oracle(instance: ProblemInstance, phi: np.ndarray, order: int):
             value=float(v[idx]),
             node=float(rule.nodes[idx]),
         )
-    value = float(phi @ instance.target_moments - integrate_values(rule, entropy.f_star(v)))
+    conjugate = unwrap(entropy.f_star)(v)
+    return v, float(phi @ instance.target_moments - integrate_values(rule, conjugate))
+
+
+def _derivatives(instance: ProblemInstance, v: np.ndarray, order: int):
+    """(grad D, Hess D) from a checked dual field v, those above `order` None."""
+    entropy, rule, design = instance.entropy, instance.rule, instance.design
     grad = hess = None
     if order >= 1:
-        density = finite_at_nodes(rule, entropy.f_star_d1(v), "(f*)'")
+        density = finite_at_nodes(rule, unwrap(entropy.f_star_d1)(v), "(f*)'")
         grad = instance.target_moments - design @ (rule.weights * density)
     if order >= 2:
-        curvature = finite_at_nodes(rule, entropy.f_star_d2(v), "(f*)''")
+        curvature = finite_at_nodes(rule, unwrap(entropy.f_star_d2)(v), "(f*)''")
         hess = -(design * (rule.weights * curvature)) @ design.T
         hess = 0.5 * (hess + hess.T)
-    return value, grad, hess
+    return grad, hess
+
+
+def _oracle(instance: ProblemInstance, phi: np.ndarray, order: int):
+    """(D, grad D, Hess D) at phi, with the derivatives above `order` None,
+    all from one dual field."""
+    v, value = _field(instance, phi)
+    return (value, *_derivatives(instance, v, order))
 
 
 def dual_value(instance: ProblemInstance, phi) -> float:
     """<phi, b> minus the integral of f* composed with the dual field."""
-    return _oracle(instance, np.asarray(phi, dtype=float), 0)[0]
+    return _field(instance, np.asarray(phi, dtype=float))[1]
 
 
 def dual_gradient(instance: ProblemInstance, phi) -> np.ndarray:
@@ -189,8 +205,8 @@ def solve_dual(instance: ProblemInstance, phi0=None, tol: float = DEFAULT_TOL,
     iteration budget returns a non-converged solution with diagnostics
     rather than raising; an infeasible `phi0` raises a domain error.
     """
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:  # also rejects nan
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 0:
         raise ValidationError(f"max_iter must be nonnegative, got {max_iter}")
     phi = np.array(phi0, dtype=float) if phi0 is not None else default_start(instance)
@@ -214,12 +230,13 @@ def solve_dual(instance: ProblemInstance, phi0=None, tol: float = DEFAULT_TOL,
         while step >= _MIN_STEP:
             candidate = phi + step * direction
             try:
+                v, trial_value = _field(instance, candidate)
                 if by_residual:
-                    point = _oracle(instance, candidate, 2)
+                    point = (trial_value, *_derivatives(instance, v, 2))
                     if np.max(np.abs(point[1])) < residual:
                         accepted = point
-                elif _oracle(instance, candidate, 0)[0] >= value:
-                    accepted = _oracle(instance, candidate, 2)
+                elif trial_value >= value:
+                    accepted = (trial_value, *_derivatives(instance, v, 2))
             except (DomainViolationError, NonFiniteIntegrandError):
                 pass
             if accepted is not None:

@@ -16,7 +16,9 @@ Conventions:
   :class:`~entromin.errors.DomainViolationError` outside the conjugate
   domain.  For Burg's entropy the conjugate lives on ``v < 0`` and a hard
   error (rather than ``+inf``) is what lets the Newton line search detect
-  violations explicitly.
+  violations explicitly.  Each of the three exposes its unchecked map as
+  ``__wrapped__`` (``inspect.unwrap``); the dual oracle checks the domain
+  once per dual field and calls those.
 
 The cosh conjugate deserves a note: it is frequently misquoted as
 ``arcsinh(v) - sqrt(1+v^2)``.  The correct closed form, recovered by
@@ -96,6 +98,7 @@ def _guard(interval: Interval, name: str, owner: str, fn):
         out = fn(arr)
         return float(out) if arr.ndim == 0 else out
 
+    guarded.__wrapped__ = fn  # for callers that check the domain themselves
     return guarded
 
 

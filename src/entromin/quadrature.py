@@ -9,11 +9,16 @@ schemes, is byte-for-byte deterministic across runs.
 
 Nodes are strictly interior to their panels, so integrands are never
 evaluated exactly at a discontinuity.
+
+The reference rule on [-1, 1] is computed once per order and cached
+read-only, since `leggauss` costs more than laying out every panel; the
+panels are laid out from it in one broadcast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +30,15 @@ DEFAULT_NODES_PER_PANEL = 20
 DEFAULT_PANELS_PER_SEGMENT = 8
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: a float order still raises in leggauss
+def _reference_rule(nodes_per_panel):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
+    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    ref_x.flags.writeable = False
+    ref_w.flags.writeable = False
+    return ref_x, ref_w
+
+
 def gauss_panels(lo, hi, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL,
                  panels_per_segment=DEFAULT_PANELS_PER_SEGMENT):
     """Nodes and weights of the composite rule as flat float64 arrays.
@@ -33,16 +47,17 @@ def gauss_panels(lo, hi, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL
     `panels_per_segment` equal panels carrying a `nodes_per_panel`-point
     Gauss-Legendre rule, so no panel straddles a breakpoint.
     """
-    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    ref_x, ref_w = _reference_rule(nodes_per_panel)
     edges = [lo, *breakpoints, hi]
-    nodes, weights = [], []
+    starts, ends = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         panel_edges = np.linspace(a, b, panels_per_segment + 1)
-        for pa, pb in zip(panel_edges[:-1], panel_edges[1:]):
-            half = 0.5 * (pb - pa)
-            nodes.append(pa + half * (ref_x + 1.0))
-            weights.append(half * ref_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+        starts.append(panel_edges[:-1])
+        ends.append(panel_edges[1:])
+    pa, pb = np.concatenate(starts), np.concatenate(ends)
+    half = 0.5 * (pb - pa)
+    nodes = pa[:, None] + half[:, None] * (ref_x + 1.0)
+    return nodes.ravel(), (half[:, None] * ref_w).ravel()
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,21 @@ class TestSolve:
         path.write_text("[problem]\nentropy = l2_norm\n")
         assert main(["solve", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_1(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("tol = 1e-10", f"tol = {tol}"))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_sample_points_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("sample_points = 101", "sample_points = -1"))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "output.sample_points must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_quad_overrides_accepted(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg),

@@ -5,6 +5,8 @@ import pytest
 
 from entromin import (
     DomainViolationError,
+    Interval,
+    NonFiniteIntegrandError,
     ValidationError,
     build_rule,
     builtin_entropy,
@@ -18,7 +20,8 @@ from entromin import (
     pulse_density,
     solve_dual,
 )
-from entromin.dual import _newton_direction
+from entromin import dual
+from entromin.dual import IterationRecord, _newton_direction, _oracle, default_start
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 
@@ -211,8 +214,9 @@ class TestSolveDual:
         inst = single_constraint("l2_norm")
         with pytest.raises(ValidationError):
             solve_dual(inst, phi0=[1.0, 2.0])
-        with pytest.raises(ValidationError):
-            solve_dual(inst, tol=0.0)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                solve_dual(inst, tol=tol)
         with pytest.raises(ValidationError):
             solve_dual(inst, max_iter=-1)
 
@@ -272,3 +276,95 @@ class TestNewtonDirection:
         assert shift == -1.0
         np.testing.assert_array_equal(direction, grad)
         assert direction is not grad
+
+
+def reference_solve(instance, phi):
+    """solve_dual's loop with D evaluated at every trial and the full
+    oracle evaluated again at an accepted one, each from its own field.
+
+    Also returns which of "rejection" (a trial outside the conjugate
+    domain or non-finite) and "rounding" (acceptance on the residual) ran.
+    """
+    value, grad, hess = _oracle(instance, phi, 2)
+    residual = float(np.max(np.abs(grad)))
+    trace = [IterationRecord(0, residual, 0.0, value)]
+    iterations, message, seen = 0, "", set()
+    budget = dual.DEFAULT_MAX_ITER
+    while residual > dual.DEFAULT_TOL:
+        if iterations >= budget:
+            message = f"iteration budget {budget} exhausted with residual {residual:.3e}"
+            break
+        direction, _ = _newton_direction(hess, grad)
+        by_residual = abs(float(grad @ direction)) <= dual._ROUNDING * max(1.0, abs(value))
+        if by_residual:
+            seen.add("rounding")
+        step, accepted = 1.0, None
+        while step >= dual._MIN_STEP:
+            candidate = phi + step * direction
+            try:
+                if by_residual:
+                    point = _oracle(instance, candidate, 2)
+                    if np.max(np.abs(point[1])) < residual:
+                        accepted = point
+                elif dual_value(instance, candidate) >= value:
+                    accepted = _oracle(instance, candidate, 2)
+            except (DomainViolationError, NonFiniteIntegrandError):
+                seen.add("rejection")
+            if accepted is not None:
+                break
+            step *= 0.5
+        if accepted is None:
+            message = f"line search stalled at residual {residual:.3e}"
+            break
+        phi = candidate
+        value, grad, hess = accepted
+        iterations += 1
+        residual = float(np.max(np.abs(grad)))
+        trace.append(IterationRecord(iterations, residual, step, value))
+    return phi, trace, message, seen
+
+
+class TestSingleFieldLineSearch:
+    """An accepted trial reuses the dual field its D was computed from, and
+    the conjugate domain is checked once per trial point."""
+
+    CASES = {
+        # the README config: 320 nodes, piecewise_flat n=6 split at 0.5
+        "readme": ("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5),
+                   RULE, pulse_density(0.5)),
+        # Newton steps leave Burg's conjugate domain and are halved back
+        "burg-rejections": ("burg", monomial_basis(12), build_rule((0.0, 1.0), (0.5,), 20, 32),
+                            pulse_density(0.5)),
+        "rounding-regime": ("burg", *TestRoundingRegime.CASES["burg-monomial2"][1:],
+                            constant_density(0.5)),
+    }
+
+    def instance(self, case):
+        name, basis, rule, rho = self.CASES[case]
+        return instance_from_density(builtin_entropy(name), basis, rule, rho)
+
+    @pytest.mark.parametrize("case,exercises", [("readme", set()),
+                                                ("burg-rejections", {"rejection"}),
+                                                ("rounding-regime", {"rounding"})])
+    def test_matches_reference_loop(self, case, exercises):
+        inst = self.instance(case)
+        phi, trace, message, seen = reference_solve(inst, default_start(inst))
+        assert exercises <= seen
+        solution = solve_dual(inst)
+        assert solution.converged
+        np.testing.assert_array_equal(solution.multipliers, phi)
+        assert solution.trace == trace
+        assert solution.message == message
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_domain_checked_once_per_trial_point(self, case, monkeypatch):
+        inst = self.instance(case)
+        phi0 = default_start(inst)
+        calls = []
+        check = Interval.contains
+        monkeypatch.setattr(Interval, "contains", lambda self, v: calls.append(1) or check(self, v))
+        solution = solve_dual(inst, phi0=phi0)
+        assert solution.converged
+        # a step of 2^-k is the (k+1)-th trial of its line search; one more for phi0
+        trials = 1 + sum(1 + round(-np.log2(row.step)) for row in solution.trace[1:])
+        assert len(calls) == trials

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entromin import (
+    DomainViolationError,
     build_rule,
     builtin_entropy,
     constant_density,
@@ -112,6 +113,16 @@ class TestSampleSolution:
                                 np.linspace(0, 1, 1001))
         assert table.shape == (1001, 2)
         assert np.all(np.isfinite(table))
+
+    def test_burg_field_leaving_domain_between_nodes_raises(self):
+        # the solve checks the dual field at the nodes only; between them the
+        # field of this solution turns positive, where Burg's (f*)' is undefined
+        inst = make_instance("burg", piecewise_flat_basis(6, 0.5), pulse_density(0.5))
+        solution = solve_dual(inst)
+        assert solution.converged
+        primal = reconstruct(inst, solution.multipliers)
+        with pytest.raises(DomainViolationError, match="f_star_d1 of burg"):
+            sample_solution(primal, np.linspace(0, 1, 1001))
 
     def test_empty_grid(self):
         inst = make_instance("l2_norm", monomial_basis(1), constant_density(0.5))

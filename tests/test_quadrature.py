@@ -5,6 +5,7 @@ import pytest
 
 from entromin import NonFiniteIntegrandError, ValidationError, build_rule, integrate
 from entromin.densities import pulse_density
+from entromin.quadrature import _reference_rule
 
 
 def test_weights_sum_to_interval_length():
@@ -104,3 +105,44 @@ def test_refinement_stability():
     fine = build_rule((0.0, 1.0), (0.5,), panels_per_segment=16)
     for g in integrands:
         assert integrate(coarse, g) == pytest.approx(integrate(fine, g), abs=1e-10)
+
+
+def per_panel_rule(lo, hi, breakpoints, nodes_per_panel, panels_per_segment):
+    """The composite rule laid out one panel at a time, with its own leggauss."""
+    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    edges = [lo, *breakpoints, hi]
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        panel_edges = np.linspace(a, b, panels_per_segment + 1)
+        for pa, pb in zip(panel_edges[:-1], panel_edges[1:]):
+            half = 0.5 * (pb - pa)
+            nodes.append(pa + half * (ref_x + 1.0))
+            weights.append(half * ref_w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("interval,breakpoints", [
+        ((0.0, 1.0), ()),
+        ((0.0, 1.0), (0.5,)),
+        ((-2.5, 3.0), (-1.0, 0.1, 2.9)),
+        ((1e-3, 7.25), (1.0 / 3.0, np.pi)),
+    ])
+    @pytest.mark.parametrize("order", [1, 2, 7, 20])
+    @pytest.mark.parametrize("panels", [1, 3, 8])
+    def test_matches_per_panel_layout(self, interval, breakpoints, order, panels):
+        rule = build_rule(interval, breakpoints, order, panels)
+        nodes, weights = per_panel_rule(*interval, breakpoints, order, panels)
+        assert rule.nodes.shape == nodes.shape
+        assert np.all(rule.nodes == nodes) and np.all(rule.weights == weights)
+
+    def test_reference_rule_is_read_only_and_not_shared(self):
+        rule = build_rule((-1.0, 1.0), (), 7, 1)  # one panel: the reference rule itself
+        ref_x, ref_w = _reference_rule(7)
+        assert np.all(rule.weights == ref_w)
+        for ref in (ref_x, ref_w):
+            with pytest.raises(ValueError):
+                ref[0] = 0.0
+            assert not np.shares_memory(rule.nodes, ref)
+            assert not np.shares_memory(rule.weights, ref)
+        assert _reference_rule(7) is _reference_rule(7)
