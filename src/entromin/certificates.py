@@ -42,9 +42,11 @@ extended precision with iterative refinement; in plain float64 the
 orthogonality defect lands within a factor of four of the 1e-8 audit
 tolerance, which is too close to trust.  `DirectionFunctions.evaluator`
 builds the long-double design once per point set, at its points inside the
-margin, and reuses it across verification trials and clip levels.  The qri
-scan first screens each clip level at one margin point, where |v| peaked at
-the last full evaluation: |v| >= delta/2 there already rejects the level,
+margin.  Core verification evaluates the y_k once per point set in long
+double and combines them per trial in float64; the perturbation is bounded
+by SAFETY_FACTOR * clearance, so that adds at most about (n+2)*eps*clearance.
+The qri scan screens each clip level at one margin point, where |v| peaked
+at the last full evaluation: |v| >= delta/2 there already rejects the level,
 and the full margin evaluation runs only when the screen does not reject.
 """
 
@@ -133,9 +135,7 @@ def within_bounds(entropy: EntropySpec, x, lower: float, upper: float,
         rule.nodes,
     ])
     values = np.asarray(x(samples), dtype=float)
-    ok_lo = values >= lower
-    ok_hi = values <= upper if np.isfinite(upper) else np.ones_like(values, dtype=bool)
-    return bool(np.all(ok_lo & ok_hi))
+    return bool(np.all((values >= lower) & (values <= upper)))
 
 
 def _longest_run(mask: np.ndarray):
@@ -183,8 +183,8 @@ def find_margin_interval(x, lower: float, upper: float, interval,
     lo, hi = float(interval[0]), float(interval[1])
     if min_width is None:
         min_width = (hi - lo) / 100.0
-    if min_width <= 0:
-        raise ValidationError(f"min_width must be positive, got {min_width}")
+    if not 0.0 < min_width < np.inf:
+        raise ValidationError(f"min_width must be positive and finite, got {min_width}")
 
     if np.isfinite(upper):
         eps_grid = [(upper - lower) / 2.0 ** k for k in range(1, 60)]
@@ -375,10 +375,6 @@ class CoreCertificate:
             return 0.0
         return SAFETY_FACTOR * self.clearance / (len(self.sup_unit) * bound)
 
-    def combined_coeffs(self, eta, t: float) -> np.ndarray:
-        """Expansion of t * sum_k eta_k y_k over the moment functions."""
-        return (_LD(t) * (np.asarray(eta, dtype=_LD) @ self.directions.coeffs))
-
 
 @dataclass(frozen=True)
 class CertificateVerification:
@@ -444,11 +440,8 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     sup_unit = np.max(np.abs(directions.evaluate_all(sample_points)), axis=1)
     sup_unit = sup_unit * (1.0 + 1e-9)  # strict upper bound on the sampled sup
     delta = float(np.max(sup_unit))
-    if np.isfinite(upper):
-        clearance = min(margin.val_lo - lower, upper - margin.val_hi)
-    else:
-        clearance = margin.val_lo - lower
-    cert = CoreCertificate(
+    clearance = min(margin.val_lo - lower, upper - margin.val_hi)
+    return CoreCertificate(
         margin=margin,
         directions=directions,
         sup_unit=sup_unit,
@@ -458,7 +451,6 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
         clearance=float(clearance),
         t_unit=SAFETY_FACTOR * float(clearance) / (basis.n * delta),
     )
-    return cert
 
 
 def _verification_rule(instance: ProblemInstance, margin: MarginInterval) -> QuadratureRule:
@@ -488,10 +480,16 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     within 1e-8 (P2), integrating over a rule refined with the margin
     endpoints.  `t_scale` deliberately over- or under-drives the step rule
     (useful as a negative control: beyond the certified bound, P1 must
-    eventually fail on a tight margin).
+    eventually fail on a tight margin).  The y_k are evaluated once per
+    point set in long double; each trial combines them in float64 as
+    (t*eta) @ y, within about (n+2)*eps*clearance*t_scale of a long-double sum.
     """
     if int(trials) < 1:
         raise ValidationError(f"verification needs at least one trial, got trials={trials}")
+    if int(seed) < 0:
+        raise ValidationError(f"the verification seed must be >= 0, got seed={seed}")
+    if not 0.0 <= t_scale < np.inf:
+        raise ValidationError(f"t_scale must be non-negative and finite, got {t_scale}")
     rng = np.random.default_rng(seed)
     ver_rule = _verification_rule(instance, cert.margin)
     ver_design = design_matrix(instance.basis, ver_rule.nodes)
@@ -503,29 +501,27 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
         ver_rule.nodes,
     ])
     x_grid = np.asarray(x(grid), dtype=float)
-    # the designs depend only on the points: build them once for all trials
-    on_grid = cert.directions.evaluator(grid)
-    on_ver = cert.directions.evaluator(ver_rule.nodes)
+    # the perturbation is linear in eta: evaluate the unit y_k once per point set
+    y_grid = cert.directions.evaluate_all(grid)
+    y_ver = cert.directions.evaluate_all(ver_rule.nodes)
 
     p1_passes = p2_passes = 0
-    worst_p1 = 0.0
-    worst_p2 = 0.0
+    worst_p1 = worst_p2 = 0.0
     for _ in range(int(trials)):
         eta = rng.standard_normal(instance.n)
         eta /= np.linalg.norm(eta)
         t = t_scale * cert.t_for(eta)
-        coeffs = cert.combined_coeffs(eta, t)
+        step = t * eta
 
-        perturbed = x_grid + on_grid(coeffs)
-        violation = max(float(np.max(cert.lower - perturbed)), 0.0)
-        if np.isfinite(cert.upper):
-            violation = max(violation, float(np.max(perturbed - cert.upper)))
+        perturbed = x_grid + step @ y_grid
+        violation = max(float(np.max(cert.lower - perturbed)),
+                        float(np.max(perturbed - cert.upper)), 0.0)
         worst_p1 = max(worst_p1, violation)
         if violation <= P1_SLACK:
             p1_passes += 1
 
-        moments = ver_design @ (ver_rule.weights * (x_ver + on_ver(coeffs)))
-        residual = float(np.max(np.abs(moments - (b + t * eta))))
+        moments = ver_design @ (ver_rule.weights * (x_ver + step @ y_ver))
+        residual = float(np.max(np.abs(moments - (b + step))))
         worst_p2 = max(worst_p2, residual)
         if residual <= P2_TOL:
             p2_passes += 1

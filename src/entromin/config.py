@@ -239,6 +239,8 @@ def load_config(path) -> RunConfig:
                 raise ValidationError(f"certify.trials must be >= 1, got {cfg.certify.trials}")
             if cfg.certify.m_max < 3:
                 raise ValidationError(f"certify.m_max must be >= 3, got {cfg.certify.m_max}")
+            if cfg.certify.seed < 0:
+                raise ValidationError(f"certify.seed must be >= 0, got {cfg.certify.seed}")
 
         if "compare" in parser and "window" in parser["compare"]:
             vals = _floats(parser["compare"]["window"])

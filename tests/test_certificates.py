@@ -23,7 +23,7 @@ from entromin import (
     verify_core_certificate,
     within_bounds,
 )
-from entromin.certificates import MarginInterval
+from entromin.certificates import DirectionFunctions, MarginInterval
 from entromin.moments import moment_vector
 
 RULE = build_rule((0.0, 1.0), (0.5,))
@@ -36,7 +36,8 @@ def make_instance(entropy_name, basis, rho):
 
 
 def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
-    """Core verification the direct way: both long-double designs are
+    """Core verification the direct way: each trial's perturbation is
+    expanded in long double and evaluated on both long-double designs,
     rebuilt from the sample points on every trial."""
     from entromin.certificates import (
         MEMBERSHIP_SAMPLES, P1_SLACK, P2_TOL, CertificateVerification, _verification_rule,
@@ -61,7 +62,7 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
         eta = rng.standard_normal(instance.n)
         eta /= np.linalg.norm(eta)
         t = t_scale * cert.t_for(eta)
-        coeffs = cert.combined_coeffs(eta, t)
+        coeffs = np.longdouble(t) * (eta.astype(np.longdouble) @ cert.directions.coeffs)
         perturbed = x_grid + evaluate(grid, coeffs)
         violation = max(float(np.max(cert.lower - perturbed)), 0.0)
         if np.isfinite(cert.upper):
@@ -182,8 +183,9 @@ class TestFindMarginInterval:
         assert margin.hi <= 0.5 and margin.val_lo == pytest.approx(1.0)
 
     def test_bad_min_width(self):
-        with pytest.raises(ValidationError):
-            find_margin_interval(PULSE, 0.0, INF, (0.0, 1.0), min_width=0.0)
+        for min_width in (0.0, -0.1, float("nan"), INF):
+            with pytest.raises(ValidationError):
+                find_margin_interval(PULSE, 0.0, INF, (0.0, 1.0), min_width=min_width)
 
 
 class TestDirectionFunctions:
@@ -334,7 +336,7 @@ class TestCoreCertificate:
             eta = np.zeros(4)
             eta[k] = 1.0
             t = cert.t_for(eta)
-            coeffs = cert.combined_coeffs(eta, t)
+            coeffs = np.longdouble(t) * (eta.astype(np.longdouble) @ cert.directions.coeffs)
             y_ver = np.where(inside, (coeffs @ design_ld).astype(float), 0.0)
             shift = design @ (ver.weights * (x_ver + y_ver)) - inst.target_moments
             assert np.max(np.abs(shift - t * eta)) <= 1e-10
@@ -379,6 +381,62 @@ class TestCoreCertificate:
         for trials in (0, -3):
             with pytest.raises(ValidationError):
                 verify_core_certificate(inst, PULSE, cert, trials=trials)
+
+    def test_bad_seed_and_t_scale_rejected(self):
+        inst = make_instance("translated_boltzmann_shannon",
+                             piecewise_flat_basis(4, 0.5), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            verify_core_certificate(inst, PULSE, cert, trials=3, seed=-1)
+        for t_scale in (float("nan"), INF, -0.5):
+            with pytest.raises(ValidationError, match="t_scale must be non-negative"):
+                verify_core_certificate(inst, PULSE, cert, trials=3, t_scale=t_scale)
+        assert verify_core_certificate(inst, PULSE, cert, trials=3, t_scale=0.0).all_passed
+
+    def test_direction_functions_evaluated_once_per_point_set(self, monkeypatch):
+        """The long-double evaluations do not grow with the number of trials."""
+        inst = make_instance("translated_boltzmann_shannon",
+                             piecewise_flat_basis(4, 0.5), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        calls = []
+        evaluator = DirectionFunctions.evaluator
+
+        def counting_evaluator(self, s):
+            evaluate = evaluator(self, s)
+            return lambda *args, **kw: calls.append(1) or evaluate(*args, **kw)
+
+        monkeypatch.setattr(DirectionFunctions, "evaluator", counting_evaluator)
+        counts = []
+        for trials in (3, 30):
+            calls.clear()
+            verify_core_certificate(inst, PULSE, cert, trials=trials, seed=0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("t_scale", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("basis", [
+        piecewise_flat_basis(2, 0.5), piecewise_flat_basis(4, 0.5), piecewise_flat_basis(6, 0.5),
+        monomial_basis(2), monomial_basis(4), monomial_basis(6),
+    ], ids=["piecewise2", "piecewise4", "piecewise6", "monomial2", "monomial4", "monomial6"])
+    @pytest.mark.parametrize("entropy,rho,band", [
+        ("translated_boltzmann_shannon", PULSE, (0.0, INF)),
+        ("boltzmann_shannon", constant_density(0.5), (0.0, 1.0)),
+    ], ids=["pulse", "constant"])
+    def test_float64_combination_matches_long_double_replay(self, entropy, rho, band,
+                                                            basis, t_scale):
+        """Combining the y_k in float64 gives the pass counts of a per-trial
+        long-double evaluation, and its worst values to a few ulps of the
+        clearance (the bound on the perturbation).  At n=2 an overdriven
+        step leaves the band in some trials, so P1 counts are compared too."""
+        inst = make_instance(entropy, basis, rho)
+        cert = build_core_certificate(inst, rho, *band)
+        expected = _replay_rebuilding_designs(inst, rho, cert, trials=40, seed=9,
+                                              t_scale=t_scale)
+        got = verify_core_certificate(inst, rho, cert, trials=40, seed=9, t_scale=t_scale)
+        assert (got.p1_passes, got.p2_passes) == (expected.p1_passes, expected.p2_passes)
+        tol = 4 * np.finfo(float).eps * max(1.0, cert.clearance)
+        assert abs(got.worst_p1_violation - expected.worst_p1_violation) <= tol
+        assert abs(got.worst_p2_residual - expected.worst_p2_residual) <= tol
 
     def test_overdriven_step_breaks_band_on_tight_margin(self):
         """Doubling t past the certified rule must leave the band when the

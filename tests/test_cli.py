@@ -180,6 +180,26 @@ class TestCertify:
         assert main(["certify", "--config", str(cfg), "--type", "core",
                      "--seed", "12345"]) == 0
 
+    @pytest.mark.parametrize("cert_type", ["core", "qri"])
+    @pytest.mark.parametrize("min_width", ["nan", "inf"])
+    def test_non_finite_min_width_exits_1(self, tmp_path, capsys, min_width, cert_type):
+        cfg = write_cert_config(tmp_path, certify=f"alpha = 0\nmin_width = {min_width}")
+        assert main(["certify", "--config", str(cfg), "--type", cert_type]) == 1
+        assert "min_width must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
+    def test_negative_seed_in_config_exits_1(self, tmp_path, capsys):
+        cfg = write_cert_config(tmp_path, certify="trials = 100\nseed = -1")
+        assert main(["certify", "--config", str(cfg), "--type", "core"]) == 1
+        assert "certify.seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
+    def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
+        cfg = write_cert_config(tmp_path)
+        assert main(["certify", "--config", str(cfg), "--type", "core", "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
 
 COMPARE_INI = """
 [problem]
