@@ -188,15 +188,11 @@ class TestCertify:
         assert "min_width must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "certificate.json").exists()
 
-    def test_negative_seed_in_config_exits_1(self, tmp_path, capsys):
-        cfg = write_cert_config(tmp_path, certify="trials = 100\nseed = -1")
-        assert main(["certify", "--config", str(cfg), "--type", "core"]) == 1
-        assert "certify.seed must be >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "certificate.json").exists()
-
-    def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
-        cfg = write_cert_config(tmp_path)
-        assert main(["certify", "--config", str(cfg), "--type", "core", "--seed", "-1"]) == 1
+    @pytest.mark.parametrize("seed,flag", [("-1", []), ("0", ["--seed", "-1"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, seed, flag):
+        cfg = write_cert_config(tmp_path, certify=f"trials = 100\nseed = {seed}")
+        assert main(["certify", "--config", str(cfg), "--type", "core", *flag]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "certificate.json").exists()
 
