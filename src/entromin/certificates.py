@@ -45,14 +45,15 @@ builds the long-double design once per point set, at its points inside the
 margin.  Core verification evaluates the y_k once per point set in long
 double and combines them per trial in float64; the perturbation is bounded
 by SAFETY_FACTOR * clearance, so that adds at most about (n+2)*eps*clearance.
-The qri scan screens each clip level at one margin point, where |v| peaked
-at the last full evaluation: |v| >= delta/2 there already rejects the level,
-and the full margin evaluation runs only when the screen does not reject.
+The qri scan screens clip levels in blocks at one margin point, where |v|
+peaked at the last full evaluation.  A block sums the same float64 products
+as one level at a time, in another order, so a rounding bound err covers the
+difference: |v| - err >= delta/2 there rejects a level, and the first level
+that survives runs the exact per-level path with a full margin evaluation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -248,9 +249,10 @@ class DirectionFunctions:
         values at the points s, zero outside the margin.  The long-double
         design of the points inside the margin is built once, here.
 
-        With `at=i` the map returns the value of one expansion at s[i]
-        alone, computed from that point's column of the same design, so it
-        equals entry i of the full evaluation bit for bit.
+        With `at=i` the map returns the values at s[i] alone, one per row
+        of coefficients (a scalar for shape (n,), shape (k,) for a stack),
+        computed from that point's column of the same design, so each
+        equals entry i of the full evaluation of its row bit for bit.
         """
         s = np.asarray(s, dtype=float)
         inside = (s >= self.margin.lo) & (s <= self.margin.hi)
@@ -258,12 +260,13 @@ class DirectionFunctions:
         column = np.cumsum(inside) - 1  # design column of each point inside
 
         def evaluate(coeffs, at: Optional[int] = None):
+            coeffs = np.asarray(coeffs, dtype=_LD)
             if at is not None:
                 if not inside[at]:
-                    return 0.0
+                    return np.zeros(coeffs.shape[:-1])[()]
                 k = column[at]
-                return float((np.asarray(coeffs, dtype=_LD) @ design[:, k:k + 1])[0])
-            inner = (np.asarray(coeffs, dtype=_LD) @ design).astype(float)
+                return (coeffs @ design[:, k:k + 1])[..., 0].astype(float)[()]
+            inner = (coeffs @ design).astype(float)
             if inner.shape[-1] == s.size:  # every point inside: nothing to scatter
                 return inner
             values = np.zeros(inner.shape[:-1] + s.shape)
@@ -469,6 +472,16 @@ def _verification_rule(instance: ProblemInstance, margin: MarginInterval) -> Qua
                       instance.rule.nodes_per_panel, instance.rule.panels_per_segment)
 
 
+def _verification_points(instance: ProblemInstance, margin: MarginInterval, x):
+    """The verification rule with its design and x at its nodes, and the
+    membership grid (uniform samples plus those nodes) with x on it."""
+    ver_rule = _verification_rule(instance, margin)
+    grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
+                           ver_rule.nodes])
+    return (ver_rule, design_matrix(instance.basis, ver_rule.nodes),
+            np.asarray(x(ver_rule.nodes), dtype=float), grid, np.asarray(x(grid), dtype=float))
+
+
 def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
                             trials: int = 100, seed: int = 0,
                             t_scale: float = 1.0) -> CertificateVerification:
@@ -491,16 +504,8 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     if not 0.0 <= t_scale < np.inf:
         raise ValidationError(f"t_scale must be non-negative and finite, got {t_scale}")
     rng = np.random.default_rng(seed)
-    ver_rule = _verification_rule(instance, cert.margin)
-    ver_design = design_matrix(instance.basis, ver_rule.nodes)
-    x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
+    ver_rule, ver_design, x_ver, grid, x_grid = _verification_points(instance, cert.margin, x)
     b = instance.target_moments
-
-    grid = np.concatenate([
-        np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
-        ver_rule.nodes,
-    ])
-    x_grid = np.asarray(x(grid), dtype=float)
     # the perturbation is linear in eta: evaluate the unit y_k once per point set
     y_grid = cert.directions.evaluate_all(grid)
     y_ver = cert.directions.evaluate_all(ver_rule.nodes)
@@ -559,6 +564,21 @@ class QriCertificate:
 
 DEFAULT_M_MAX = 4000    # covers the benchmark families; the clip level must
                         # outrun an amplification constant that grows with n
+SCREEN_ELEMENTS = 16384  # cap per block temporary: 128 KiB, under the mmap threshold
+
+
+def _screen_levels(rows, ver_design, coeffs, on_margin, probe):
+    """Correction values at margin-grid point `probe` for a block of clip
+    levels, one per row of `rows` (weights * (x_m - x) at the N nodes), and
+    a bound on their distance from the values of the per-level path: the
+    defects differ only in summation order, by at most about
+    N*eps*(|r| @ |V|^T), and gamma doubles that and covers the roundings after it.
+    """
+    n, size = ver_design.shape
+    values = on_margin((rows @ ver_design.T).astype(_LD) @ coeffs, at=probe)
+    a_probe = np.abs(on_margin(np.eye(n, dtype=_LD), at=probe))
+    gamma = 2.0 * (size + 2 * n + 4) * np.finfo(float).eps
+    return values, gamma * (np.abs(rows) @ np.abs(ver_design).T) @ (np.abs(coeffs) @ a_probe)
 
 
 def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: float,
@@ -574,11 +594,12 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     lower clearance of the density on the margin interval) and whose
     witness y = x_m - v keeps a positive lower clearance is returned.
 
-    Each level is first screened at one point of the margin grid, the
-    argmax of |v| at the last full evaluation: |v| >= delta/2 there
-    rejects the level, since sup |v| is at least that.  The full margin
-    evaluation runs only when the screen does not reject, so acceptance
-    always rests on the full sup |v|.
+    Levels are screened in blocks, growing from 1, at the argmax of |v| at
+    the last full evaluation: |v| - err >= delta/2 there (see
+    `_screen_levels`) rejects a level, since its sup |v| is at least that.
+    The first level that survives runs the exact path with the full margin
+    evaluation, so the accepted m, the witness and the failure report are
+    those of a scan that evaluates every level on the whole margin grid.
 
     Raises a :class:`CertificateError` describing the decay of the moment
     defect when the budget m_max is exhausted.
@@ -593,20 +614,12 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     delta = margin.val_lo - lower
     unit_directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
 
-    ver_rule = _verification_rule(instance, margin)
-    ver_design = design_matrix(basis, ver_rule.nodes)
-    x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
+    ver_rule, ver_design, x_ver, full_grid, x_full = _verification_points(instance, margin, x)
     b = instance.target_moments
-
     margin_grid = np.concatenate([
         np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
         unit_directions.sub_nodes,
     ])
-    full_grid = np.concatenate([
-        np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2),
-        ver_rule.nodes,
-    ])
-    x_full = np.asarray(x(full_grid), dtype=float)
 
     # the m-scan reuses these designs every iteration; build them once
     on_margin = unit_directions.evaluator(margin_grid)
@@ -614,7 +627,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
 
     two_sided = np.isfinite(upper)
     width = (upper - lower) if two_sided else None
-    history = deque(maxlen=6)   # (m, |defect|, coeffs) of the last levels reported
+    lost = []       # levels whose witness lost its lower clearance
     probe = None    # margin-grid index of |v|'s argmax at the last full evaluation
 
     def clip(values, m):
@@ -622,28 +635,41 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
             return np.clip(values, lower + width / m, upper - width / m)
         return np.maximum(values, lower + 1.0 / m)
 
-    for m in range(3, int(m_max) + 1):
+    def level(m):
+        """Moment defect of the level-m clip and its correction's coefficients."""
         defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
-        coeffs = np.asarray(defect, dtype=_LD) @ unit_directions.coeffs
-        screened_out = probe is not None and abs(on_margin(coeffs, at=probe)) >= delta / 2.0
-        if not screened_out:
-            abs_v = np.abs(on_margin(coeffs))
-            probe = int(np.argmax(abs_v))
-            sup_v = float(abs_v[probe])
-        if screened_out or sup_v >= delta / 2.0:
-            if m == 3 or m % 25 == 0:
-                history.append((m, float(np.max(np.abs(defect))), coeffs))
+        return defect, np.asarray(defect, dtype=_LD) @ unit_directions.coeffs
+
+    def unscreened(m=4, block=1):
+        """3, then each level the block screen does not reject, in order."""
+        yield 3     # the first full evaluation sets the probe
+        while m <= m_max:
+            ms = np.arange(m, min(m + block, int(m_max) + 1))
+            values, err = _screen_levels(ver_rule.weights * (clip(x_ver, ms[:, None]) - x_ver),
+                                         ver_design, unit_directions.coeffs, on_margin, probe)
+            kept = ms[np.abs(values) - err < delta / 2.0]
+            if kept.size:
+                yield int(kept[0])
+                m, block = int(kept[0]) + 1, 1
+            else:
+                m, block = m + ms.size, min(2 * block, max(1, SCREEN_ELEMENTS // x_ver.size))
+
+    for m in unscreened():
+        coeffs = level(m)[1]
+        abs_v = np.abs(on_margin(coeffs))
+        probe = int(np.argmax(abs_v))
+        sup_v = float(abs_v[probe])
+        if sup_v >= delta / 2.0:
             continue
         y_full = clip(x_full, m) - on_full(coeffs)
         eps = float(np.min(y_full - lower))
         if eps <= 0.0:
-            history.append((m, float(np.max(np.abs(defect))), coeffs))
+            lost.append(m)
             continue
         upper_clearance = float(np.min(upper - y_full)) if two_sided else float("inf")
 
-        def y(s, _m=m, _coeffs=coeffs):
-            return clip(np.asarray(x(s), dtype=float), _m) \
-                - unit_directions.evaluator(s)(_coeffs)
+        def y(s):
+            return clip(np.asarray(x(s), dtype=float), m) - unit_directions.evaluator(s)(coeffs)
 
         residual = float(np.max(np.abs(
             ver_design @ (ver_rule.weights * y(ver_rule.nodes)) - b
@@ -658,8 +684,11 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
             correction_sup=sup_v,
         )
 
-    decay = "; ".join(f"m={m}: |defect|={d:.3e}, sup|v|={np.max(np.abs(on_margin(c))):.3e}"
-                      for m, d, c in history)
+    # every level failed: report the last of m = 3, the multiples of 25 and the lost ones
+    reported = sorted({3, *range(25, int(m_max) + 1, 25), *lost})[-6:]
+    decay = "; ".join(f"m={m}: |defect|={np.max(np.abs(d)):.3e}, "
+                      f"sup|v|={np.max(np.abs(on_margin(c))):.3e}"
+                      for m, (d, c) in zip(reported, map(level, reported)))
     raise CertificateError(
         f"no acceptable witness up to m={m_max} (need sup|v| < {delta / 2.0:.3e} "
         f"with positive lower clearance); defect decay: {decay}",

@@ -142,8 +142,10 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     instance, rho = build_problem(cfg, cfg.basis)
     lower, upper = cfg.certify.band_for(instance.entropy)
     seed = args.seed if args.seed is not None else cfg.certify.seed
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    out_path = os.path.join(cfg.out_dir, "certificate.json")
+
+    def write_certificate(payload):  # the directory appears only with the certificate
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        _write_json(os.path.join(cfg.out_dir, "certificate.json"), payload)
 
     if args.type == "core":
         cert = build_core_certificate(instance, rho, lower, upper,
@@ -166,7 +168,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
             "trials_passed": min(report.p1_passes, report.p2_passes),
             "trials": report.trials,
         }
-        _write_json(out_path, payload)
+        write_certificate(payload)
         if not report.all_passed:
             print(f"certify: verification failed "
                   f"({report.p1_passes}/{report.trials} P1, "
@@ -194,7 +196,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
         "residuals": {"moment_match": cert.moment_match_residual},
         "trials_passed": None,
     }
-    _write_json(out_path, payload)
+    write_certificate(payload)
     print(f"certify: qri witness accepted at m={cert.m}, clearance {_fmt(cert.eps)}, "
           f"moment residual {_fmt(cert.moment_match_residual)} "
           f"(note: numerical evidence on dense samples, not an a.e. proof)")

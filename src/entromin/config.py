@@ -171,7 +171,7 @@ def load_config(path) -> RunConfig:
     """Parse a run configuration file, applying documented defaults."""
     if not os.path.exists(path):
         raise ValidationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read(path)
     except configparser.Error as exc:

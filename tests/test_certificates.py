@@ -5,6 +5,7 @@ import pytest
 
 from entromin import (
     CertificateError,
+    Density,
     DependentBasisError,
     NoMarginIntervalError,
     ValidationError,
@@ -28,6 +29,8 @@ from entromin.moments import moment_vector
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 PULSE = pulse_density(0.5)
+RAMP = Density(kind="ramp", fn=lambda s: np.asarray(s, dtype=float))
+BUMP = Density(kind="bump", fn=lambda s: 4.0 * np.asarray(s, dtype=float) * (1.0 - np.asarray(s)))
 INF = float("inf")
 
 
@@ -510,11 +513,19 @@ class TestQriCertificate:
         ("boltzmann_shannon", monomial_basis(3), constant_density(0.5), (0.0, 1.0), 4000),
         # the README config, whose witness lies past m = 44,000
         ("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE, (0.0, INF), 200),
-    ], ids=["pulse-monomial4", "pulse-piecewise4", "constant-monomial3", "readme-budget-200"])
+        # the clipped set changes with m on the ramp and the bump
+        ("boltzmann_shannon", monomial_basis(4), RAMP, (0.0, 1.0), 3000),
+        ("translated_boltzmann_shannon", monomial_basis(5), RAMP, (0.0, INF), 4000),
+        ("boltzmann_shannon", monomial_basis(3), BUMP, (0.0, 1.0), 4000),
+        ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), BUMP, (0.0, INF), 300),
+        ("boltzmann_shannon", monomial_basis(6), PULSE, (0.0, 1.0), 400),
+    ], ids=["pulse-monomial4", "pulse-piecewise4", "constant-monomial3", "readme-budget-200",
+            "ramp-monomial4", "ramp-monomial5-half-line", "bump-monomial3",
+            "bump-piecewise4-half-line", "pulse-monomial6-budget-400"])
     def test_screened_scan_replays_full_scan_exactly(self, entropy, basis, rho, band, m_max):
-        """Screening each clip level at one point accepts the same m, with
-        the same witness, as evaluating every level on the whole margin
-        grid, and fails with the same message."""
+        """Screening the clip levels in blocks at one point accepts the same
+        m, with the same witness, as evaluating every level on the whole
+        margin grid, and fails with the same message."""
         inst = make_instance(entropy, basis, rho)
         expected = _replay_full_scan(inst, rho, *band, m_max=m_max)
         if isinstance(expected, str):
@@ -532,6 +543,100 @@ class TestQriCertificate:
         np.testing.assert_array_equal(cert.y(np.linspace(0.0, 1.0, 777)), y_grid)
         if rho.kind == "constant":
             assert m == 3  # accepted at the first level, before any screen
+
+    @pytest.mark.parametrize("start", [4, 150, 2500])
+    @pytest.mark.parametrize("entropy,basis,rho,band", [
+        ("boltzmann_shannon", monomial_basis(4), PULSE, (0.0, 1.0)),
+        ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF)),
+        ("boltzmann_shannon", monomial_basis(4), RAMP, (0.0, 1.0)),
+        ("translated_boltzmann_shannon", monomial_basis(5), RAMP, (0.0, INF)),
+        ("boltzmann_shannon", monomial_basis(3), BUMP, (0.0, 1.0)),
+        ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), BUMP, (0.0, INF)),
+    ], ids=["pulse-monomial4", "pulse-piecewise4-half-line", "ramp-monomial4",
+            "ramp-monomial5-half-line", "bump-monomial3", "bump-piecewise4-half-line"])
+    def test_block_screen_bounds_each_level(self, entropy, basis, rho, band, start):
+        """For every level of a full block, the per-level value at the probe
+        lies within err of the block value, and err stays far below delta,
+        so the screen can still reject."""
+        from entromin.certificates import (
+            MARGIN_SCAN_SAMPLES, SCREEN_ELEMENTS, _screen_levels, _verification_rule,
+        )
+        from entromin.moments import design_matrix
+
+        inst = make_instance(entropy, basis, rho)
+        lower, upper = band
+        margin = find_margin_interval(rho, lower, upper, RULE.interval,
+                                      breakpoints=RULE.breakpoints, nodes=RULE.nodes,
+                                      one_sided=True)
+        delta = margin.val_lo - lower
+        directions = build_direction_functions(inst.basis, RULE, margin, np.ones(inst.n))
+        ver_rule = _verification_rule(inst, margin)
+        ver_design = design_matrix(inst.basis, ver_rule.nodes)
+        x_ver = np.asarray(rho(ver_rule.nodes), dtype=float)
+        on_margin = directions.evaluator(np.concatenate([
+            np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES), directions.sub_nodes]))
+
+        def clip(values, m):
+            if np.isfinite(upper):
+                return np.clip(values, lower + (upper - lower) / m, upper - (upper - lower) / m)
+            return np.maximum(values, lower + 1.0 / m)
+
+        def coeffs(m):  # one level at a time: gemv defect, long-double coefficients
+            defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
+            return np.asarray(defect, dtype=np.longdouble) @ directions.coeffs
+
+        probe = int(np.argmax(np.abs(on_margin(coeffs(3)))))
+        ms = np.arange(start, start + SCREEN_ELEMENTS // x_ver.size)
+        rows = ver_rule.weights * (clip(x_ver, ms[:, None]) - x_ver)
+        values, err = _screen_levels(rows, ver_design, directions.coeffs, on_margin, probe)
+        stack = np.array([coeffs(m) for m in ms])
+        exact = on_margin(stack, at=probe)
+        assert np.all(np.abs(values - exact) <= err)
+        assert np.all(err <= 1e-6 * delta)
+        # a stacked at= evaluation equals each row's own, and its full evaluation, bit for bit
+        np.testing.assert_array_equal(exact, [on_margin(c, at=probe) for c in stack])
+        np.testing.assert_array_equal(exact, on_margin(stack)[:, probe])
+
+    def test_levels_losing_clearance_reported_as_full_scan(self):
+        """A density that drops to the lower bound at one verification node
+        inside the margin, which the margin scan never samples, makes the
+        witnesses lose their clearance there; the failure report names those
+        levels exactly as the full scan does."""
+        from entromin.certificates import _verification_rule
+
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
+        margin = build_qri_certificate(inst, PULSE, 0.0, INF).margin
+        nodes = _verification_rule(inst, margin).nodes
+        spike = float(nodes[(nodes > margin.lo) & (nodes < margin.hi)][0])
+        rho = Density(kind="spiked", fn=lambda s: np.where(np.asarray(s) == spike, 0.0, PULSE(s)))
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), rho)
+        expected = _replay_full_scan(inst, rho, 0.0, INF, m_max=300)
+        assert "m=299:" in expected  # rejected for its clearance alone
+        with pytest.raises(CertificateError) as err:
+            build_qri_certificate(inst, rho, 0.0, INF, m_max=300)
+        assert str(err.value) == expected
+
+    def test_block_screen_spares_full_evaluations(self, monkeypatch):
+        """On the README config at the default budget the scan makes the same
+        7 full margin evaluations as a per-level screen, and its one-point
+        screens come in blocks: far fewer calls than the 3,997 levels."""
+        inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
+        calls = {"full": 0, "at": 0}
+        evaluator = DirectionFunctions.evaluator
+
+        def counting_evaluator(self, s):
+            evaluate = evaluator(self, s)
+
+            def counted(coeffs, at=None):
+                calls["full" if at is None else "at"] += 1
+                return evaluate(coeffs, at=at)
+            return counted
+
+        monkeypatch.setattr(DirectionFunctions, "evaluator", counting_evaluator)
+        with pytest.raises(CertificateError):
+            build_qri_certificate(inst, PULSE, 0.0, INF, m_max=4000)
+        assert calls["full"] == 7
+        assert calls["at"] <= 3997 // 10
 
     def test_readme_config_accepted_past_default_budget(self):
         """On the pulse, m * sup|v| stays near 22,050 for the README config,

@@ -11,6 +11,7 @@ import pytest
 
 import entromin
 from entromin.cli import main
+from entromin.config import load_config
 
 SOLVE_INI = """
 [problem]
@@ -196,6 +197,18 @@ class TestCertify:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "certificate.json").exists()
 
+    @pytest.mark.parametrize("cert_type,certify,flag", [
+        ("core", "seed = 0", ["--seed", "-1"]),
+        ("core", "alpha = 0\nmin_width = nan", []),
+        ("qri", "alpha = 0\nmin_width = nan", []),
+    ], ids=["core-seed-flag", "core-min-width", "qri-min-width"])
+    def test_config_error_leaves_no_output_directory(self, tmp_path, cert_type, certify, flag):
+        cfg = write_cert_config(tmp_path, certify=certify)
+        out = tmp_path / "E" / cert_type
+        assert main(["certify", "--config", str(cfg), "--type", cert_type,
+                     "--out", str(out), *flag]) == 1
+        assert not out.exists()
+
 
 COMPARE_INI = """
 [problem]
@@ -375,3 +388,17 @@ def test_cli_imports_no_scipy():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_config_schema_loads(tmp_path):
+    """The README's "Config schema" block loads as it stands, inline comments included."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "schema.ini"
+    path.write_text(block)
+    cfg = load_config(str(path))
+    assert cfg.entropy == "translated_boltzmann_shannon"
+    assert (cfg.basis.kind, cfg.basis.n, cfg.basis.split) == ("piecewise_flat", 6, 0.5)
+    assert cfg.certify.m_max == 4000
+    assert cfg.certify.seed == 0
+    assert cfg.tol == 1e-10
