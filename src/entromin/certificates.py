@@ -42,9 +42,15 @@ extended precision with iterative refinement; in plain float64 the
 orthogonality defect lands within a factor of four of the 1e-8 audit
 tolerance, which is too close to trust.  `DirectionFunctions.evaluator`
 builds the long-double design once per point set, at its points inside the
-margin.  Core verification evaluates the y_k once per point set in long
-double and combines them per trial in float64; the perturbation is bounded
-by SAFETY_FACTOR * clearance, so that adds at most about (n+2)*eps*clearance.
+margin.  Its powers s**k are products of k factors, within k*eps_ld of exact:
+glibc powl takes a log/exp path for k >= 4 at about 0.5 us a value, and for
+k <= 3 it multiplies too, so designs and certificates with n <= 4 are the
+same bit for bit.  Core verification evaluates the y_k once in long double,
+on the membership grid, which ends with the verification nodes, and combines
+them per trial in float64; the perturbation is bounded by SAFETY_FACTOR *
+clearance, so that adds at most about (n+2)*eps*clearance.  It draws every
+direction in one call, the same stream as one draw per trial, and takes all
+their steps from one `t_for` call.
 The qri scan screens clip levels in blocks at one margin point, where |v|
 peaked at the last full evaluation.  A block sums the same float64 products
 as one level at a time, in another order, so a rounding bound err covers the
@@ -54,6 +60,7 @@ that survives runs the exact per-level path with a full margin evaluation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -314,7 +321,7 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     sub = subinterval_rule(basis, rule, (margin.lo, margin.hi))
     nodes_ld = sub.nodes.astype(_LD)
     weights_ld = sub.weights.astype(_LD)
-    design_ld = design_matrix(basis, nodes_ld).astype(_LD)
+    design_ld = design_matrix(basis, nodes_ld)
     gram_ld = (design_ld * weights_ld) @ design_ld.T
     gram_ld = 0.5 * (gram_ld + gram_ld.T)
 
@@ -367,16 +374,18 @@ class CoreCertificate:
     t_unit: float
     verification: Optional["CertificateVerification"] = None
 
-    def delta_for(self, eta) -> float:
+    def delta_for(self, eta):
+        """Sup bound for a direction, or one per row of a stack of them."""
         eta = np.asarray(eta, dtype=float)
-        return float(np.max(np.abs(eta) * self.sup_unit))
+        return np.max(np.abs(eta) * self.sup_unit, axis=-1)[()]
 
-    def t_for(self, eta) -> float:
-        """Step length keeping x + t * sum y_k strictly inside the band."""
+    def t_for(self, eta):
+        """Step length keeping x + t * sum y_k strictly inside the band
+        (0 for a zero direction), or one per row of a stack of directions."""
         bound = self.delta_for(eta)
-        if bound == 0.0:
-            return 0.0
-        return SAFETY_FACTOR * self.clearance / (len(self.sup_unit) * bound)
+        with np.errstate(divide="ignore"):
+            t = SAFETY_FACTOR * self.clearance / (len(self.sup_unit) * bound)
+        return np.where(bound == 0.0, 0.0, t)[()]
 
 
 @dataclass(frozen=True)
@@ -493,50 +502,47 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     within 1e-8 (P2), integrating over a rule refined with the margin
     endpoints.  `t_scale` deliberately over- or under-drives the step rule
     (useful as a negative control: beyond the certified bound, P1 must
-    eventually fail on a tight margin).  The y_k are evaluated once per
-    point set in long double; each trial combines them in float64 as
-    (t*eta) @ y, within about (n+2)*eps*clearance*t_scale of a long-double sum.
+    eventually fail on a tight margin).  The y_k are evaluated once in long
+    double on the membership grid, which ends with the verification nodes
+    (powers as products, see the module note); each trial combines them in
+    float64 as (t*eta) @ y, within about (n+2)*eps*clearance*t_scale of a
+    long-double sum.  The directions are drawn in one call, the same stream
+    as one draw of n per trial, so a seed gives the directions it gave one
+    trial at a time.  `trials` and `seed` must be whole numbers.
     """
-    if int(trials) < 1:
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            raise ValidationError(f"{name} must be a whole number, got {name}={value}")
+    if trials < 1:
         raise ValidationError(f"verification needs at least one trial, got trials={trials}")
-    if int(seed) < 0:
+    if seed < 0:
         raise ValidationError(f"the verification seed must be >= 0, got seed={seed}")
     if not 0.0 <= t_scale < np.inf:
         raise ValidationError(f"t_scale must be non-negative and finite, got {t_scale}")
-    rng = np.random.default_rng(seed)
+    trials = int(trials)
+    etas = np.random.default_rng(int(seed)).standard_normal((trials, instance.n))
+    etas /= np.sqrt([eta.dot(eta) for eta in etas])[:, None]  # np.linalg.norm, bit for bit
+    steps = (t_scale * cert.t_for(etas))[:, None] * etas
     ver_rule, ver_design, x_ver, grid, x_grid = _verification_points(instance, cert.margin, x)
-    b = instance.target_moments
-    # the perturbation is linear in eta: evaluate the unit y_k once per point set
+    # the perturbation is linear in eta: evaluate the unit y_k once, on the
+    # membership grid, whose last points are the verification nodes
     y_grid = cert.directions.evaluate_all(grid)
-    y_ver = cert.directions.evaluate_all(ver_rule.nodes)
+    y_ver = y_grid[:, grid.size - ver_rule.nodes.size:]
 
-    p1_passes = p2_passes = 0
-    worst_p1 = worst_p2 = 0.0
-    for _ in range(int(trials)):
-        eta = rng.standard_normal(instance.n)
-        eta /= np.linalg.norm(eta)
-        t = t_scale * cert.t_for(eta)
-        step = t * eta
-
+    violations, residuals = np.empty(trials), np.empty(trials)
+    for i, (step, target) in enumerate(zip(steps, instance.target_moments + steps)):
         perturbed = x_grid + step @ y_grid
-        violation = max(float(np.max(cert.lower - perturbed)),
-                        float(np.max(perturbed - cert.upper)), 0.0)
-        worst_p1 = max(worst_p1, violation)
-        if violation <= P1_SLACK:
-            p1_passes += 1
-
+        # lower - p rounds monotonically in p, so this is max(lower - p) exactly
+        violations[i] = max(cert.lower - perturbed.min(), perturbed.max() - cert.upper, 0.0)
         moments = ver_design @ (ver_rule.weights * (x_ver + step @ y_ver))
-        residual = float(np.max(np.abs(moments - (b + step))))
-        worst_p2 = max(worst_p2, residual)
-        if residual <= P2_TOL:
-            p2_passes += 1
+        residuals[i] = np.abs(moments - target).max()
 
     report = CertificateVerification(
-        trials=int(trials),
-        p1_passes=p1_passes,
-        p2_passes=p2_passes,
-        worst_p1_violation=worst_p1,
-        worst_p2_residual=worst_p2,
+        trials=trials,
+        p1_passes=int(np.count_nonzero(violations <= P1_SLACK)),
+        p2_passes=int(np.count_nonzero(residuals <= P2_TOL)),
+        worst_p1_violation=float(violations.max()),
+        worst_p2_residual=float(residuals.max()),
     )
     cert.verification = report
     return report

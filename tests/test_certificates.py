@@ -1,5 +1,7 @@
 """Margin intervals, direction functions, and both duality certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,34 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
         p2 += residual <= P2_TOL
     return CertificateVerification(trials=trials, p1_passes=int(p1), p2_passes=int(p2),
                                    worst_p1_violation=worst_p1, worst_p2_residual=worst_p2)
+
+
+def _replay_per_trial(instance, x, cert, trials, seed, t_scale):
+    """Core verification one direction at a time: a draw, np.linalg.norm
+    and the scalar step rule per trial, P1 as the max over the grid of
+    lower - p and p - upper, each worst value kept as it comes."""
+    from entromin.certificates import P1_SLACK, P2_TOL, _verification_points
+
+    rng = np.random.default_rng(seed)
+    ver_rule, ver_design, x_ver, grid, x_grid = _verification_points(instance, cert.margin, x)
+    y_grid = cert.directions.evaluate_all(grid)
+    y_ver = cert.directions.evaluate_all(ver_rule.nodes)
+    p1 = p2 = 0
+    worst_p1 = worst_p2 = 0.0
+    for _ in range(trials):
+        eta = rng.standard_normal(instance.n)
+        eta /= np.linalg.norm(eta)
+        step = t_scale * cert.t_for(eta) * eta
+        perturbed = x_grid + step @ y_grid
+        violation = max(float(np.max(cert.lower - perturbed)),
+                        float(np.max(perturbed - cert.upper)), 0.0)
+        worst_p1 = max(worst_p1, violation)
+        p1 += violation <= P1_SLACK
+        moments = ver_design @ (ver_rule.weights * (x_ver + step @ y_ver))
+        residual = float(np.max(np.abs(moments - (instance.target_moments + step))))
+        worst_p2 = max(worst_p2, residual)
+        p2 += residual <= P2_TOL
+    return (trials, p1, p2, worst_p1, worst_p2, P2_TOL)
 
 
 def _replay_full_scan(instance, x, lower, upper, m_max):
@@ -293,11 +323,19 @@ class TestCoreCertificate:
                              piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         rng = np.random.default_rng(5)
+        etas = []
         for _ in range(25):
             eta = rng.standard_normal(4)
             eta /= np.linalg.norm(eta)
             t = cert.t_for(eta)
             assert t * 4 * cert.delta_for(eta) < cert.clearance
+            etas.append(eta)
+        # a stack gives each row's own values, and 0 for a zero direction
+        stack = np.vstack([etas, np.zeros(4)])
+        with np.errstate(all="raise"):
+            steps, bounds = cert.t_for(stack), cert.delta_for(stack)
+        assert steps.tolist() == [cert.t_for(eta) for eta in stack] and steps[-1] == 0.0
+        assert bounds.tolist() == [cert.delta_for(eta) for eta in stack] and bounds[-1] == 0.0
 
     def test_band_violation_names_hypothesis(self):
         rho = constant_density(2.0)
@@ -377,6 +415,28 @@ class TestCoreCertificate:
         if t_scale > 1.0:
             assert got.p1_passes < got.trials
 
+    @pytest.mark.parametrize("basis", [
+        piecewise_flat_basis(1, 0.5), piecewise_flat_basis(2, 0.5), piecewise_flat_basis(4, 0.5),
+        piecewise_flat_basis(6, 0.5), monomial_basis(1), monomial_basis(2), monomial_basis(4),
+        monomial_basis(6),
+    ], ids=["piecewise1", "piecewise2", "piecewise4", "piecewise6-readme", "monomial1",
+            "monomial2", "monomial4", "monomial6"])
+    @pytest.mark.parametrize("entropy,rho,band", [
+        ("translated_boltzmann_shannon", PULSE, (0.0, INF)),
+        ("boltzmann_shannon", constant_density(0.5), (0.0, 1.0)),
+    ], ids=["pulse", "constant"])
+    def test_stacked_directions_replay_per_trial_loop(self, entropy, rho, band, basis):
+        """Drawing every direction in one call and taking the step rule on
+        the stack reports exactly what the per-trial loop reports."""
+        inst = make_instance(entropy, basis, rho)
+        cert = build_core_certificate(inst, rho, *band)
+        for seed, t_scale in zip((0, 1, 2), (0.0, 1.0, 2.0)):
+            for trials in (1, 40):
+                got = verify_core_certificate(inst, rho, cert, trials=trials, seed=seed,
+                                              t_scale=t_scale)
+                expected = _replay_per_trial(inst, rho, cert, trials, seed, t_scale)
+                assert dataclasses.astuple(got) == expected, (seed, t_scale, trials)
+
     def test_no_trials_rejected(self):
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(4, 0.5), PULSE)
@@ -391,6 +451,10 @@ class TestCoreCertificate:
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             verify_core_certificate(inst, PULSE, cert, trials=3, seed=-1)
+        for kw in ({"trials": 2.5}, {"seed": 1.5}, {"trials": float("nan")}, {"seed": INF}):
+            with pytest.raises(ValidationError, match="must be a whole number"):
+                verify_core_certificate(inst, PULSE, cert, **{"trials": 3, **kw})
+        assert verify_core_certificate(inst, PULSE, cert, trials=3.0, seed=2.0).trials == 3
         for t_scale in (float("nan"), INF, -0.5):
             with pytest.raises(ValidationError, match="t_scale must be non-negative"):
                 verify_core_certificate(inst, PULSE, cert, trials=3, t_scale=t_scale)

@@ -1,5 +1,7 @@
 """Moment families, the moment map, Gram matrices, and independence."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,29 @@ def test_design_matrix_preserves_longdouble():
     s = np.linspace(0, 1, 7).astype(np.longdouble)
     out = design_matrix(basis, s)
     assert out.dtype == np.longdouble
+
+
+@pytest.mark.parametrize("basis,grid", [
+    (monomial_basis(20, (-1.0, 2.0)), np.linspace(-1.0, 2.0, 61)),
+    (piecewise_flat_basis(20, 0.5), np.concatenate([np.linspace(0.0, 1.0, 41), RULE.nodes[::8]])),
+], ids=["monomial", "piecewise_flat"])
+def test_longdouble_powers_by_multiplication(basis, grid):
+    """Long-double powers are products: equal to s**k (glibc powl) for k <= 3
+    and within k*eps of the exact power up to k = 19; float64 keeps s**k."""
+    assert 0.0 in grid and 0.5 in grid
+    eps = np.finfo(np.longdouble).eps
+    s_ld = np.concatenate([grid, grid * (1 + eps)])  # the second half is off the float64 grid
+    flat = s_ld > basis.breakpoints[0] if basis.breakpoints else np.zeros(s_ld.size, bool)
+    design = design_matrix(basis, s_ld)
+    assert design.dtype == np.longdouble
+    for k in range(4):
+        np.testing.assert_array_equal(design[k], np.where(flat, 1, s_ld ** k))
+    exact_eps = Fraction(*eps.as_integer_ratio())
+    for k in range(4, basis.n):
+        for s, value, is_flat in zip(s_ld, design[k], flat):
+            exact = Fraction(1) if is_flat else Fraction(*s.as_integer_ratio()) ** k
+            assert abs(Fraction(*value.as_integer_ratio()) - exact) <= k * exact_eps * abs(exact)
+    design64 = design_matrix(basis, grid)
+    for k in range(basis.n):
+        powers = grid ** k if k else np.ones_like(grid)
+        np.testing.assert_array_equal(design64[k], np.where(flat[:grid.size], 1.0, powers))
