@@ -87,11 +87,6 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_solution(path, primal, cfg) -> None:
-    grid = np.linspace(cfg.interval[0], cfg.interval[1], cfg.sample_points)
-    _write_csv(path, ("s", "x"), sample_solution(primal, grid))
-
-
 def _write_trace(path, solution) -> None:
     rows = [(r.iteration, r.residual_inf, r.step, r.dual_value) for r in solution.trace]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -123,8 +118,9 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     if cfg.basis is None:
         raise EntrominError("solve requires a [basis] section") from None
     instance, rho, solution, primal = _solve_one(cfg, cfg.basis)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_solution(os.path.join(cfg.out_dir, "solution.csv"), primal, cfg)
+    table = sample_solution(primal, np.linspace(*cfg.interval, cfg.sample_points))
+    os.makedirs(cfg.out_dir, exist_ok=True)  # only after tabulating, which may raise
+    _write_csv(os.path.join(cfg.out_dir, "solution.csv"), ("s", "x"), table)
     _write_json(os.path.join(cfg.out_dir, "summary.json"), _summary(solution, primal))
     if args.trace:
         _write_trace(os.path.join(cfg.out_dir, "trace.csv"), solution)
@@ -211,15 +207,12 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             f"compare needs equal basis sizes, got {cfg.basis_a.n} and {cfg.basis_b.n}"
         ) from None
     window = cfg.default_window()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
-    results = {}
+    grid = np.linspace(*cfg.interval, cfg.sample_points)
+    results, solved = {}, {}
     for label, spec in (("a", cfg.basis_a), ("b", cfg.basis_b)):
         instance, rho, solution, primal = _solve_one(cfg, spec)
         overshoot = gibbs_overshoot(primal, rho, window)
-        _write_solution(os.path.join(cfg.out_dir, f"solution_{label}.csv"), primal, cfg)
-        if args.trace:
-            _write_trace(os.path.join(cfg.out_dir, f"trace_{label}.csv"), solution)
+        solved[label] = solution, sample_solution(primal, grid)
         results[label] = {
             "basis": spec.kind,
             "n": spec.n,
@@ -239,6 +232,11 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         "gaps": [results["a"]["gap"], results["b"]["gap"]],
         "window": list(window),
     }
+    os.makedirs(cfg.out_dir, exist_ok=True)  # only once both solves are tabulated
+    for label, (solution, table) in solved.items():
+        _write_csv(os.path.join(cfg.out_dir, f"solution_{label}.csv"), ("s", "x"), table)
+        if args.trace:
+            _write_trace(os.path.join(cfg.out_dir, f"trace_{label}.csv"), solution)
     _write_json(os.path.join(cfg.out_dir, "comparison.json"), payload)
 
     if not (results["a"]["converged"] and results["b"]["converged"]):

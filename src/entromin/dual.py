@@ -31,17 +31,17 @@ strictly lowers the residual, the infinity norm of the gradient at the
 candidate; the dual values along the trace are then nondecreasing only up
 to rounding.
 
-One oracle computes D, its gradient and its Hessian from one dual field,
-whose conjugate-domain check is the only one made: f* and its derivatives
-are called unchecked.  A line-search trial builds the field and D; an
-accepted trial reuses that field for the gradient and the Hessian, and in
-the rounding regime every trial computes all three.
+One oracle computes D, its gradient and its Hessian from one dual field on
+the instance's design, whose conjugate-domain check is the only one made:
+f* and its derivatives are called unchecked, as the instance resolved them.
+A line-search trial builds the field and D; an accepted trial reuses that
+field for the gradient and the Hessian, and in the rounding regime every
+trial computes all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from inspect import unwrap
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def _field(instance: ProblemInstance, phi: np.ndarray):
     entropy, rule = instance.entropy, instance.rule
     v = instance.design.T @ phi
     ok = entropy.f_star_domain.contains(v)
-    if not np.all(ok):
+    if not ok.all():
         idx = int(np.argmin(ok))
         raise DomainViolationError(
             f"dual field {v[idx]!r} at node s={rule.nodes[idx]!r} is outside "
@@ -106,19 +106,19 @@ def _field(instance: ProblemInstance, phi: np.ndarray):
             value=float(v[idx]),
             node=float(rule.nodes[idx]),
         )
-    conjugate = unwrap(entropy.f_star)(v)
+    conjugate = instance._unchecked[0](v)
     return v, float(phi @ instance.target_moments - integrate_values(rule, conjugate))
 
 
 def _derivatives(instance: ProblemInstance, v: np.ndarray, order: int):
     """(grad D, Hess D) from a checked dual field v, those above `order` None."""
-    entropy, rule, design = instance.entropy, instance.rule, instance.design
+    rule, design, unchecked = instance.rule, instance.design, instance._unchecked
     grad = hess = None
     if order >= 1:
-        density = finite_at_nodes(rule, unwrap(entropy.f_star_d1)(v), "(f*)'")
+        density = finite_at_nodes(rule, unchecked[1](v), "(f*)'")
         grad = instance.target_moments - design @ (rule.weights * density)
     if order >= 2:
-        curvature = finite_at_nodes(rule, unwrap(entropy.f_star_d2)(v), "(f*)''")
+        curvature = finite_at_nodes(rule, unchecked[2](v), "(f*)''")
         hess = -(design * (rule.weights * curvature)) @ design.T
         hess = 0.5 * (hess + hess.T)
     return grad, hess

@@ -17,8 +17,8 @@ Conventions:
   domain.  For Burg's entropy the conjugate lives on ``v < 0`` and a hard
   error (rather than ``+inf``) is what lets the Newton line search detect
   violations explicitly.  Each of the three exposes its unchecked map as
-  ``__wrapped__`` (``inspect.unwrap``); the dual oracle checks the domain
-  once per dual field and calls those.
+  ``__wrapped__`` (``inspect.unwrap``), which a problem instance looks up
+  once for the dual solver to call on the dual fields it checked itself.
 
 The cosh conjugate deserves a note: it is frequently misquoted as
 ``arcsinh(v) - sqrt(1+v^2)``.  The correct closed form, recovered by
@@ -63,8 +63,8 @@ class Interval:
     def contains(self, v):
         """Vectorized membership test; infinite endpoints count as open."""
         v = np.asarray(v, dtype=float)
-        lo_ok = (v >= self.lo) if (self.closed_lo and np.isfinite(self.lo)) else (v > self.lo)
-        hi_ok = (v <= self.hi) if (self.closed_hi and np.isfinite(self.hi)) else (v < self.hi)
+        lo_ok = (v >= self.lo) if (self.closed_lo and math.isfinite(self.lo)) else (v > self.lo)
+        hi_ok = (v <= self.hi) if (self.closed_hi and math.isfinite(self.hi)) else (v < self.hi)
         return lo_ok & hi_ok
 
     def contains_interval(self, lo: float, hi: float) -> bool:

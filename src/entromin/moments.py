@@ -20,15 +20,16 @@ callers may want to judge for themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
+from inspect import unwrap
 
 import numpy as np
 
 from .densities import _load_table
 from .entropies import EntropySpec
 from .errors import ValidationError
-from .quadrature import QuadratureRule, build_rule, integrate_values
+from .quadrature import QuadratureRule, build_rule, finite_at_nodes
 
 __all__ = [
     "MomentBasis",
@@ -112,9 +113,8 @@ def piecewise_flat_basis(n: int, split: float, interval=(0.0, 1.0)) -> MomentBas
         raise ValidationError(f"split {split} must lie strictly inside ({lo}, {hi})")
 
     def branch(k):
-        def f(s):
-            s = np.asarray(s)
-            return np.where(s <= split, _power(s, k), np.ones_like(s))
+        def f(s):  # 1**k is exactly 1, so masking before the power keeps every bit
+            return _power(np.where(np.asarray(s) <= split, s, 1), k)
 
         return f
 
@@ -162,8 +162,13 @@ def design_matrix(basis: MomentBasis, s) -> np.ndarray:
 
 def moment_vector(basis: MomentBasis, rule: QuadratureRule, x) -> np.ndarray:
     """The moment map: componentwise quadrature of a_k * x."""
-    xv = np.asarray(x(rule.nodes), dtype=float)
-    return np.array([integrate_values(rule, row * xv) for row in design_matrix(basis, rule.nodes)])
+    return _node_moments(rule, design_matrix(basis, rule.nodes), x)
+
+
+def _node_moments(rule: QuadratureRule, design: np.ndarray, x) -> np.ndarray:
+    """moment_vector on a built design; a sum per row, as one gemv changes bits."""
+    products = finite_at_nodes(rule, design * np.asarray(x(rule.nodes), dtype=float))
+    return np.array([float(rule.weights @ row) for row in products])
 
 
 def subinterval_rule(basis: MomentBasis, rule: QuadratureRule, subinterval) -> QuadratureRule:
@@ -225,15 +230,16 @@ def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterva
 class ProblemInstance:
     """Everything needed to pose one constrained entropy minimization.
 
-    The rule must resolve every basis breakpoint.  `design` (the basis
-    evaluated at all quadrature nodes) is precomputed once because the
-    dual solver touches it on every iteration.
+    The rule must resolve every basis breakpoint.  What the dual solver uses on
+    every iteration is built once: `design`, the basis at the nodes (passed in by
+    `instance_from_density`), and `_unchecked`: f*, (f*)', (f*)'' without domain checks.
     """
 
     entropy: EntropySpec
     basis: MomentBasis
     rule: QuadratureRule
     target_moments: np.ndarray
+    design: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.target_moments = np.asarray(self.target_moments, dtype=float)
@@ -251,7 +257,10 @@ class ProblemInstance:
                 f"rule breakpoints {self.rule.breakpoints} do not cover basis "
                 f"breakpoints {missing}"
             )
-        self.design = design_matrix(self.basis, self.rule.nodes)
+        if self.design is None:
+            self.design = design_matrix(self.basis, self.rule.nodes)
+        conjugates = (self.entropy.f_star, self.entropy.f_star_d1, self.entropy.f_star_d2)
+        self._unchecked = tuple(map(unwrap, conjugates))
 
     @property
     def n(self) -> int:
@@ -261,5 +270,5 @@ class ProblemInstance:
 def instance_from_density(entropy: EntropySpec, basis: MomentBasis, rule: QuadratureRule,
                           rho) -> ProblemInstance:
     """Build an instance whose target moments are the moments of `rho`."""
-    b = moment_vector(basis, rule, rho)
-    return ProblemInstance(entropy=entropy, basis=basis, rule=rule, target_moments=b)
+    design = design_matrix(basis, rule.nodes)
+    return ProblemInstance(entropy, basis, rule, _node_moments(rule, design, rho), design)

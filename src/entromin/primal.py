@@ -7,10 +7,10 @@ At optimal multipliers mu the primal density is pointwise
 so recovering it costs one conjugate-derivative sweep over the nodes.  The
 audit quantities computed here close the loop: the moment residual checks
 feasibility, and the duality gap I_f(x) - D(mu) checks optimality.  Both
-primal and dual values are evaluated with the same quadrature rule as the
-solve, which makes the zero-gap identity a property of the discrete
-problem and lets it hold to solver precision rather than merely quadrature
-precision.
+primal and dual values come from one dual field on the instance's design,
+with the same quadrature rule as the solve, which makes the zero-gap
+identity a property of the discrete problem and lets it hold to solver
+precision rather than merely quadrature precision.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dual import dual_value
+from .dual import _field
 from .moments import ProblemInstance, design_matrix
 from .quadrature import integrate_values
 
@@ -48,10 +48,10 @@ def reconstruct(instance: ProblemInstance, mu) -> PrimalSolution:
         v = design_matrix(basis, np.asarray(s, dtype=float)).T @ mu
         return entropy.f_star_d1(v)
 
-    x_nodes = x(instance.rule.nodes)
+    v, dual = _field(instance, mu)
+    x_nodes = instance._unchecked[1](v)
     moments = instance.design @ (instance.rule.weights * x_nodes)
     primal = integrate_values(instance.rule, entropy.f(x_nodes))
-    dual = dual_value(instance, mu)
     return PrimalSolution(
         x=x,
         multipliers=mu,

@@ -119,15 +119,15 @@ def integrate(rule: QuadratureRule, g) -> float:
 
 
 def finite_at_nodes(rule: QuadratureRule, values, what: str = "integrand") -> np.ndarray:
-    """`values` at the nodes as a float array; a non-finite entry raises
-    :class:`NonFiniteIntegrandError` naming `what` and carrying the node."""
+    """`values` at the nodes (last axis) as a float array; the first non-finite
+    entry raises :class:`NonFiniteIntegrandError` naming `what` and its node."""
     values = np.asarray(values, dtype=float)
     finite = np.isfinite(values)
-    if not np.all(finite):
-        idx = int(np.argmin(finite))
+    if not finite.all():
+        idx = np.unravel_index(np.argmin(finite), values.shape)
         raise NonFiniteIntegrandError(
-            f"{what} is {values[idx]!r} at node s={rule.nodes[idx]!r}",
-            node=float(rule.nodes[idx]),
+            f"{what} is {values[idx]!r} at node s={rule.nodes[idx[-1]]!r}",
+            node=float(rule.nodes[idx[-1]]),
             value=float(values[idx]),
         )
     return values

@@ -437,6 +437,18 @@ class TestCoreCertificate:
                 expected = _replay_per_trial(inst, rho, cert, trials, seed, t_scale)
                 assert dataclasses.astuple(got) == expected, (seed, t_scale, trials)
 
+    def test_margin_columns_replay_full_grid(self):
+        """P1 on the grid columns that meet the margin reports what the full
+        grid does, also where 1074 columns meet it, not a multiple of 4, and
+        an overdriven step puts the extreme among the last of them."""
+        rho = pulse_density(0.4571)
+        inst = instance_from_density(builtin_entropy("translated_boltzmann_shannon"),
+                                     monomial_basis(6), build_rule((0.0, 1.0), (0.4571,)), rho)
+        cert = build_core_certificate(inst, rho, 0.0, INF)
+        for seed in (7, 8, 17):
+            got = verify_core_certificate(inst, rho, cert, trials=40, seed=seed, t_scale=8.0)
+            assert dataclasses.astuple(got) == _replay_per_trial(inst, rho, cert, 40, seed, 8.0)
+
     def test_no_trials_rejected(self):
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(4, 0.5), PULSE)

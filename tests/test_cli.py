@@ -100,6 +100,15 @@ class TestSolve:
         assert "output.sample_points must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_field_leaving_domain_between_nodes_exits_1_without_output(self, tmp_path, capsys):
+        # the solve converges, but Burg's dual field turns positive between
+        # quadrature nodes, where the solution cannot be tabulated
+        cfg = write_config(tmp_path, entropy="burg", kind="piecewise_flat", n=6,
+                           extra_basis="split = 0.5")
+        assert main(["solve", "--config", str(cfg), "--trace"]) == 1
+        assert "f_star_d1 of burg" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_quad_overrides_accepted(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg),
@@ -279,6 +288,15 @@ class TestCompare:
                                            n=3, out=str(tmp_path / "out"))
                         .replace("n = 3\nsplit = 0.5", "n = 4\nsplit = 0.5"))
         assert main(["compare", "--config", str(path)]) == 1
+
+    def test_second_basis_leaving_domain_exits_1_without_output(self, tmp_path, capsys):
+        # basis a solves and tabulates; basis b's Burg field turns positive
+        # between quadrature nodes, so nothing of the run may be written
+        cfg = write_compare_config(tmp_path, out=str(tmp_path / "out"))
+        cfg.write_text(cfg.read_text().replace("translated_boltzmann_shannon", "burg"))
+        assert main(["compare", "--config", str(cfg), "--trace"]) == 1
+        assert "f_star_d1 of burg" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg1 = write_compare_config(tmp_path, name="c1.ini", out=str(tmp_path / "run1"))

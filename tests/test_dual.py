@@ -1,5 +1,7 @@
 """Dual objective, derivatives, and the damped Newton solve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from entromin import (
 )
 from entromin import dual
 from entromin.dual import IterationRecord, _newton_direction, _oracle, default_start
+from entromin.moments import ProblemInstance
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 
@@ -368,3 +371,16 @@ class TestSingleFieldLineSearch:
         # a step of 2^-k is the (k+1)-th trial of its line search; one more for phi0
         trials = 1 + sum(1 + round(-np.log2(row.step)) for row in solution.trace[1:])
         assert len(calls) == trials
+
+    def test_conjugates_without_wrapped_are_called_as_given(self):
+        """Conjugate maps that expose no __wrapped__ are called as they are:
+        bare unchecked maps solve to the bits of the built-in's."""
+        inst = self.instance("burg-rejections")
+        bare = dataclasses.replace(inst.entropy, **{
+            name: getattr(inst.entropy, name).__wrapped__
+            for name in ("f_star", "f_star_d1", "f_star_d2")})
+        assert not hasattr(bare.f_star, "__wrapped__")
+        got = solve_dual(ProblemInstance(bare, inst.basis, inst.rule, inst.target_moments))
+        expected = solve_dual(inst)
+        assert got.multipliers.tobytes() == expected.multipliers.tobytes()
+        assert got.trace == expected.trace

@@ -17,8 +17,10 @@ from entromin import (
     piecewise_flat_basis,
     tabulated_basis,
 )
-from entromin.densities import pulse_density
-from entromin.moments import ProblemInstance, design_matrix
+from entromin.densities import constant_density, pulse_density
+from entromin.errors import NonFiniteIntegrandError
+from entromin.moments import ProblemInstance, _power, design_matrix
+from entromin.quadrature import integrate_values
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 
@@ -106,6 +108,49 @@ class TestMomentVector:
         lhs = moment_vector(basis, RULE, lambda s: x(s) + lam * y(s))
         rhs = moment_vector(basis, RULE, x) + lam * moment_vector(basis, RULE, y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    def test_non_finite_product_names_first_node(self):
+        bad = RULE.nodes[[37, 100]]
+        density = lambda s: np.where(np.isin(s, bad), np.nan, 1.0)
+        with pytest.raises(NonFiniteIntegrandError, match="integrand is") as err:
+            moment_vector(monomial_basis(3), RULE, density)
+        assert err.value.node == bad[0]
+
+
+def _moments_per_row(basis, rule, x):
+    """The moment map one row at a time, each row checked and summed alone."""
+    xv = np.asarray(x(rule.nodes), dtype=float)
+    return np.array([integrate_values(rule, row * xv) for row in design_matrix(basis, rule.nodes)])
+
+
+@pytest.mark.parametrize("rho", [pulse_density(0.5), constant_density(0.5)],
+                         ids=["pulse", "constant"])
+@pytest.mark.parametrize("basis", [monomial_basis(6), piecewise_flat_basis(6, 0.5),
+                                   monomial_basis(16), piecewise_flat_basis(16, 0.5)],
+                         ids=["monomial6", "piecewise6", "monomial16", "piecewise16"])
+def test_instance_moments_replay_per_row_quadrature(basis, rho):
+    """The instance's one design gives the target moments, bit for bit, of
+    the row-by-row moment map on a design of its own."""
+    rule = build_rule((0.0, 1.0), (0.5,), 20, 32)
+    inst = instance_from_density(builtin_entropy("l2_norm"), basis, rule, rho)
+    expected = _moments_per_row(basis, rule, rho)
+    assert inst.target_moments.tobytes() == expected.tobytes()
+    assert moment_vector(basis, rule, rho).tobytes() == expected.tobytes()
+    assert inst.design.tobytes() == design_matrix(basis, rule.nodes).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_piecewise_flat_masks_before_the_power(dtype):
+    """Each row is one power of the grid with the flat side set to 1, equal
+    bit for bit to the power taken everywhere and replaced by 1 there."""
+    split = 0.5
+    s = np.concatenate([np.linspace(-0.5, 1.5, 321), RULE.nodes, [split, 7.0]]).astype(dtype)
+    basis = piecewise_flat_basis(12, split)
+    for k, f in enumerate(basis.functions):
+        row = f(s)
+        expected = np.where(s <= split, _power(s, k), np.ones_like(s))
+        assert row.dtype == dtype
+        assert row.tobytes() == expected.tobytes(), k
 
 
 class TestGramMatrix:

@@ -1,5 +1,7 @@
 """Primal recovery, duality-gap audit, and the overshoot metric."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,10 @@ from entromin import (
     sample_solution,
     solve_dual,
 )
+from entromin.config import BasisSpec, RunConfig, build_problem
+from entromin.moments import design_matrix
+from entromin.quadrature import integrate_values
+
 RULE = build_rule((0.0, 1.0), (0.5,))
 
 
@@ -96,6 +102,64 @@ class TestReconstruct:
         for _ in range(25):
             phi = rng.uniform(-1.0, 1.0, 3)
             assert rho_entropy >= dual_value(inst, phi) - 1e-8
+
+
+def _reconstruct_rebuilding_design(instance, mu):
+    """reconstruct with x evaluated at the nodes through a design of its
+    own and D from a separate dual_value call: (audit fields, x)."""
+    mu = np.asarray(mu, dtype=float)
+    entropy, basis = instance.entropy, instance.basis
+
+    def x(s):
+        return entropy.f_star_d1(design_matrix(basis, np.asarray(s, dtype=float)).T @ mu)
+
+    x_nodes = x(instance.rule.nodes)
+    moments = instance.design @ (instance.rule.weights * x_nodes)
+    primal = integrate_values(instance.rule, entropy.f(x_nodes))
+    dual = dual_value(instance, mu)
+    residual = float(np.max(np.abs(moments - instance.target_moments)))
+    return (mu.tobytes(), residual, primal, dual, primal - dual), x
+
+
+class TestOneFieldReconstruct:
+    @pytest.mark.parametrize("rho", [pulse_density(0.5), constant_density(0.5)],
+                             ids=["pulse", "constant"])
+    @pytest.mark.parametrize("basis", [monomial_basis(4), piecewise_flat_basis(4, 0.5)],
+                             ids=["monomial", "piecewise_flat"])
+    @pytest.mark.parametrize("entropy", ["boltzmann_shannon", "burg", "cosh", "fermi_dirac",
+                                         "l2_norm", "translated_boltzmann_shannon"])
+    def test_replays_design_rebuild(self, entropy, basis, rho):
+        """One field at the solution gives every audit field, and x on a
+        grid, bit for bit as a rebuilt design and a second field did."""
+        inst = make_instance(entropy, basis, rho)
+        mu = solve_dual(inst).multipliers
+        got = reconstruct(inst, mu)
+        expected, x = _reconstruct_rebuilding_design(inst, mu)
+        assert (got.multipliers.tobytes(), got.moment_residual_inf, got.primal_value,
+                got.dual_value, got.duality_gap) == expected
+        grid = np.linspace(0.0, 1.0, 201)
+        assert got.x(grid).tobytes() == x(grid).tobytes()
+
+    def test_basis_evaluated_at_the_nodes_once(self, monkeypatch):
+        """Building, solving and reconstructing one problem evaluates each
+        moment function at the rule nodes once."""
+        calls = []
+        to_basis = BasisSpec.to_basis
+
+        def counting(f):
+            return lambda s: calls.append(np.asarray(s).copy()) or f(s)
+
+        def spying_to_basis(self, interval):
+            basis = to_basis(self, interval)
+            return dataclasses.replace(basis, functions=tuple(map(counting, basis.functions)))
+
+        monkeypatch.setattr(BasisSpec, "to_basis", spying_to_basis)
+        cfg = RunConfig(entropy="translated_boltzmann_shannon",
+                        basis=BasisSpec("piecewise_flat", 6, 0.5))
+        instance, _ = build_problem(cfg, cfg.basis)
+        reconstruct(instance, solve_dual(instance).multipliers)
+        at_nodes = [s for s in calls if np.array_equal(s, instance.rule.nodes)]
+        assert len(at_nodes) == len(calls) == instance.n
 
 
 class TestSampleSolution:
