@@ -3,11 +3,12 @@
 Strong duality for the constrained entropy problem needs the target moment
 vector to lie in the core of the image of the entropy's effective domain
 under the moment map.  Both certificates built here witness that
-membership constructively, starting from the same geometric ingredient: a
-"margin interval" on which the reference density stays strictly inside its
-admissible value band, and on which the moment functions are linearly
-independent.  Independence is needed nowhere else, which is what lets
-moment families that degenerate elsewhere (the piecewise-flat family) pass.
+membership constructively, starting from the same hypothesis, which one
+prelude (`_margin_prelude`) checks for both: a "margin interval" on which the
+reference density stays strictly inside its admissible value band, and on
+which the moment functions are linearly independent.  Independence is needed
+nowhere else, which is what lets moment families that degenerate elsewhere
+(the piecewise-flat family) pass.
 
 Core certificate.  For every direction eta in R^n one can perturb the
 density by t * sum_k y_k, where the y_k are "direction functions"
@@ -40,9 +41,10 @@ whose conditioning grows like Hilbert matrices (about 1e10 for six
 monomials on half the unit interval).  Construction therefore runs in
 extended precision with iterative refinement; in plain float64 the
 orthogonality defect lands within a factor of four of the 1e-8 audit
-tolerance, which is too close to trust.  `DirectionFunctions.evaluator`
-builds the long-double design once per point set, at its points inside the
-margin.  Its powers s**k are products of k factors, within k*eps_ld of exact:
+tolerance, which is too close to trust.  The y_k are evaluated one way,
+`_combine`: a long-double product of coefficients and a design built once per
+point set, the prelude's margin design or `DirectionFunctions.evaluator`'s.
+Powers s**k are products of k factors, within k*eps_ld of exact:
 glibc powl takes a log/exp path for k >= 4 at about 0.5 us a value, and for
 k <= 3 it multiplies too, so designs and certificates with n <= 4 are the
 same bit for bit.  Core verification evaluates the y_k once in long double,
@@ -52,7 +54,8 @@ clearance, so that adds at most about (n+2)*eps*clearance.  It draws every
 direction in one call, the same stream as one draw per trial, and takes all
 their steps from one `t_for` call.
 The qri scan screens clip levels in blocks at one margin point, where |v|
-peaked at the last full evaluation.  A block sums the same float64 products
+peaked at the last full evaluation, reading that point's column of the
+margin design.  A block sums the same float64 products
 as one level at a time, in another order, so a rounding bound err covers the
 difference: |v| - err >= delta/2 there rejects a level, and the first level
 that survives runs the exact per-level path with a full margin evaluation.
@@ -126,22 +129,23 @@ class MarginInterval:
         return self.hi - self.lo
 
 
-def within_bounds(entropy: EntropySpec, x, lower: float, upper: float,
-                  rule: QuadratureRule, num: int = MEMBERSHIP_SAMPLES) -> bool:
-    """Check x(s) in [lower, upper] at all nodes and a dense uniform grid.
-
-    [lower, upper] must sit inside the entropy domain; that is a
-    configuration error, not a certificate failure.
-    """
+def _check_band(entropy: EntropySpec, lower: float, upper: float) -> None:
+    """[lower, upper] must sit inside the entropy domain; that is a
+    configuration error, not a certificate failure."""
     if not entropy.f_domain.contains_interval(lower, upper):
         raise ValidationError(
             f"band [{lower}, {upper}] is not contained in the domain "
             f"{entropy.f_domain} of {entropy.name}"
         )
-    samples = np.concatenate([
-        np.linspace(rule.interval[0], rule.interval[1], max(int(num), 2)),
-        rule.nodes,
-    ])
+
+
+def within_bounds(entropy: EntropySpec, x, lower: float, upper: float,
+                  rule: QuadratureRule) -> bool:
+    """Check x(s) in [lower, upper] at all nodes and MEMBERSHIP_SAMPLES
+    uniform samples; a band outside the entropy domain raises ValidationError.
+    """
+    _check_band(entropy, lower, upper)
+    samples = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES), rule.nodes])
     values = np.asarray(x(samples), dtype=float)
     return bool(np.all((values >= lower) & (values <= upper)))
 
@@ -248,32 +252,20 @@ class DirectionFunctions:
     eta: np.ndarray
     coeffs: np.ndarray = field(repr=False)          # (n, n) longdouble
     gram: np.ndarray = field(repr=False)            # (n, n) longdouble
-    sub_nodes: np.ndarray = field(repr=False)
-    sub_weights: np.ndarray = field(repr=False)
+    sub_nodes: np.ndarray = field(repr=False)       # subinterval rule nodes
 
     def evaluator(self, s) -> Callable:
         """Map from expansion coefficients, shape (n,) or (k, n), to their
         values at the points s, zero outside the margin.  The long-double
-        design of the points inside the margin is built once, here.
-
-        With `at=i` the map returns the values at s[i] alone, one per row
-        of coefficients (a scalar for shape (n,), shape (k,) for a stack),
-        computed from that point's column of the same design, so each
-        equals entry i of the full evaluation of its row bit for bit.
+        design of the points inside the margin is built once, here, and
+        each call is one `_combine` with it.
         """
         s = np.asarray(s, dtype=float)
         inside = (s >= self.margin.lo) & (s <= self.margin.hi)
         design = design_matrix(self.basis, s[inside].astype(_LD))
-        column = np.cumsum(inside) - 1  # design column of each point inside
 
-        def evaluate(coeffs, at: Optional[int] = None):
-            coeffs = np.asarray(coeffs, dtype=_LD)
-            if at is not None:
-                if not inside[at]:
-                    return np.zeros(coeffs.shape[:-1])[()]
-                k = column[at]
-                return (coeffs @ design[:, k:k + 1])[..., 0].astype(float)[()]
-            inner = (coeffs @ design).astype(float)
+        def evaluate(coeffs):
+            inner = _combine(coeffs, design)
             if inner.shape[-1] == s.size:  # every point inside: nothing to scatter
                 return inner
             values = np.zeros(inner.shape[:-1] + s.shape)
@@ -285,6 +277,12 @@ class DirectionFunctions:
     def evaluate_all(self, s) -> np.ndarray:
         """Values of every y_k at the points s, shape (n, len(s))."""
         return self.evaluator(s)(self.coeffs)
+
+
+def _combine(coeffs, design) -> np.ndarray:
+    """Values of the expansions `coeffs` at the points of a long-double
+    design, or at one point for a design column, rounded to float64."""
+    return (np.asarray(coeffs, dtype=_LD) @ design).astype(float)
 
 
 def _refined_solve(matrix_ld: np.ndarray, rhs_ld: np.ndarray, refinements: int = 3) -> np.ndarray:
@@ -345,7 +343,6 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
         coeffs=coeffs,
         gram=gram_ld,
         sub_nodes=sub.nodes,
-        sub_weights=sub.weights,
     )
 
 
@@ -404,6 +401,49 @@ class CertificateVerification:
         return self.p1_passes == self.trials and self.p2_passes == self.trials
 
 
+def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
+                    candidate_interval=None, min_width: Optional[float] = None,
+                    one_sided: bool = False):
+    """The hypothesis both certificates start from, checked in order.
+
+    1. The band lies in the entropy domain (ValidationError otherwise); the
+       two-sided core construction also needs the density inside it.
+    2. A margin interval: the scan, or `candidate_interval` confirmed.
+    3. The unit-direction y_k on it, the only independence check.
+    4. Its confirmed range strictly inside the band, or only above `lower`
+       when `one_sided`.
+
+    Returns the margin, the y_k, and the long-double design of the margin
+    grid: MARGIN_SCAN_SAMPLES uniform samples plus the subinterval nodes.
+    """
+    basis, rule = instance.basis, instance.rule
+    if one_sided:
+        _check_band(instance.entropy, lower, upper)
+    elif not within_bounds(instance.entropy, x, lower, upper, rule):
+        raise CertificateError(
+            f"the density leaves the band [{lower}, {upper}] somewhere on "
+            f"{rule.interval}", hypothesis="admissible band",
+        )
+    if candidate_interval is None:
+        margin = find_margin_interval(
+            x, lower, upper, rule.interval, breakpoints=rule.breakpoints,
+            min_width=min_width, nodes=rule.nodes, one_sided=one_sided,
+        )
+    else:
+        margin = _confirmed_margin(x, candidate_interval, rule.nodes)
+    directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
+    if not (margin.val_lo > lower and (one_sided or margin.val_hi < upper)):
+        raise CertificateError(
+            f"density range [{margin.val_lo}, {margin.val_hi}] on the margin interval "
+            f"[{margin.lo}, {margin.hi}] is not strictly "
+            + (f"above {lower}" if one_sided else f"inside ({lower}, {upper})"),
+            hypothesis="margin interval",
+        )
+    grid = np.concatenate([np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
+                           directions.sub_nodes])
+    return margin, directions, design_matrix(basis, grid.astype(_LD))
+
+
 def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: float,
                            candidate_interval=None,
                            min_width: Optional[float] = None) -> CoreCertificate:
@@ -411,45 +451,13 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
 
     Fails with a :class:`CertificateError` naming the hypothesis that does
     not hold: band membership, existence of a margin interval, or linear
-    independence on it.  With an explicit `candidate_interval` the
-    independence of the moment family there is examined first, since that
-    is the hypothesis a caller overriding the scan is usually probing.
+    independence on it (see `_margin_prelude`).  An explicit
+    `candidate_interval` replaces the scan; independence there is examined
+    before its value range.
     """
-    basis, rule = instance.basis, instance.rule
-    if not within_bounds(instance.entropy, x, lower, upper, rule):
-        raise CertificateError(
-            f"the density leaves the band [{lower}, {upper}] somewhere on "
-            f"{rule.interval}", hypothesis="admissible band",
-        )
-    if candidate_interval is not None:
-        report = linearly_independent_on(basis, rule, candidate_interval)
-        if not report.independent:
-            raise DependentBasisError(
-                f"moment functions are numerically dependent on the candidate "
-                f"interval {tuple(candidate_interval)} (smallest Gram eigenvalue "
-                f"{report.min_eigenvalue:.3e} <= threshold {report.threshold:.3e})"
-            )
-        margin = _confirmed_margin(x, candidate_interval, rule.nodes)
-        interior = margin.val_lo > lower and (not np.isfinite(upper) or margin.val_hi < upper)
-        if not interior:
-            raise CertificateError(
-                f"density range [{margin.val_lo}, {margin.val_hi}] on the candidate "
-                f"interval is not strictly inside ({lower}, {upper})",
-                hypothesis="margin interval",
-            )
-    else:
-        margin = find_margin_interval(
-            x, lower, upper, rule.interval, breakpoints=rule.breakpoints,
-            min_width=min_width, nodes=rule.nodes,
-        )
-
-    directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
-
-    sample_points = np.concatenate([
-        np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
-        directions.sub_nodes,
-    ])
-    sup_unit = np.max(np.abs(directions.evaluate_all(sample_points)), axis=1)
+    margin, directions, design = _margin_prelude(instance, x, lower, upper,
+                                                 candidate_interval, min_width)
+    sup_unit = np.max(np.abs(_combine(directions.coeffs, design)), axis=1)
     sup_unit = sup_unit * (1.0 + 1e-9)  # strict upper bound on the sampled sup
     delta = float(np.max(sup_unit))
     clearance = min(margin.val_lo - lower, upper - margin.val_hi)
@@ -461,7 +469,7 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
         lower=float(lower),
         upper=float(upper),
         clearance=float(clearance),
-        t_unit=SAFETY_FACTOR * float(clearance) / (basis.n * delta),
+        t_unit=SAFETY_FACTOR * float(clearance) / (instance.n * delta),
     )
 
 
@@ -578,17 +586,18 @@ DEFAULT_M_MAX = 4000    # covers the benchmark families; the clip level must
 SCREEN_ELEMENTS = 16384  # cap per block temporary: 128 KiB, under the mmap threshold
 
 
-def _screen_levels(rows, ver_design, coeffs, on_margin, probe):
-    """Correction values at margin-grid point `probe` for a block of clip
-    levels, one per row of `rows` (weights * (x_m - x) at the N nodes), and
-    a bound on their distance from the values of the per-level path: the
-    defects differ only in summation order, by at most about
-    N*eps*(|r| @ |V|^T), and gamma doubles that and covers the roundings after it.
+def _screen_levels(rows, ver_design, coeffs, column):
+    """Correction values at the margin-grid point whose design column is
+    `column`, for a block of clip levels, one per row of `rows` (weights *
+    (x_m - x) at the N nodes), and a bound on their distance from the values
+    of the per-level path: the defects differ only in summation order, by at
+    most about N*eps*(|r| @ |V|^T), and gamma doubles that and covers the
+    roundings after it.
     """
     n, size = ver_design.shape
-    values = on_margin((rows @ ver_design.T).astype(_LD) @ coeffs, at=probe)
-    a_probe = np.abs(on_margin(np.eye(n, dtype=_LD), at=probe))
+    values = _combine((rows @ ver_design.T).astype(_LD) @ coeffs, column)
     gamma = 2.0 * (size + 2 * n + 4) * np.finfo(float).eps
+    a_probe = np.abs(column.astype(float))
     return values, gamma * (np.abs(rows) @ np.abs(ver_design).T) @ (np.abs(coeffs) @ a_probe)
 
 
@@ -617,29 +626,15 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     """
     if int(m_max) < 3:
         raise ValidationError(f"the clip-level scan starts at m=3, got m_max={m_max}")
-    basis, rule = instance.basis, instance.rule
-    margin = find_margin_interval(
-        x, lower, upper, rule.interval, breakpoints=rule.breakpoints,
-        min_width=min_width, nodes=rule.nodes, one_sided=True,
-    )
+    margin, unit_directions, margin_design = _margin_prelude(
+        instance, x, lower, upper, min_width=min_width, one_sided=True)
     delta = margin.val_lo - lower
-    unit_directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
-
     ver_rule, ver_design, x_ver, full_grid, x_full = _verification_points(instance, margin, x)
-    b = instance.target_moments
-    margin_grid = np.concatenate([
-        np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
-        unit_directions.sub_nodes,
-    ])
+    on_full = unit_directions.evaluator(full_grid)  # built once for the whole scan
 
-    # the m-scan reuses these designs every iteration; build them once
-    on_margin = unit_directions.evaluator(margin_grid)
-    on_full = unit_directions.evaluator(full_grid)
-
-    two_sided = np.isfinite(upper)
-    width = (upper - lower) if two_sided else None
+    two_sided, width = np.isfinite(upper), upper - lower
     lost = []       # levels whose witness lost its lower clearance
-    probe = None    # margin-grid index of |v|'s argmax at the last full evaluation
+    probe = None    # margin-design column of |v|'s argmax at the last full evaluation
 
     def clip(values, m):
         if two_sided:
@@ -657,7 +652,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
         while m <= m_max:
             ms = np.arange(m, min(m + block, int(m_max) + 1))
             values, err = _screen_levels(ver_rule.weights * (clip(x_ver, ms[:, None]) - x_ver),
-                                         ver_design, unit_directions.coeffs, on_margin, probe)
+                                         ver_design, unit_directions.coeffs, margin_design[:, probe])
             kept = ms[np.abs(values) - err < delta / 2.0]
             if kept.size:
                 yield int(kept[0])
@@ -667,7 +662,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
 
     for m in unscreened():
         coeffs = level(m)[1]
-        abs_v = np.abs(on_margin(coeffs))
+        abs_v = np.abs(_combine(coeffs, margin_design))
         probe = int(np.argmax(abs_v))
         sup_v = float(abs_v[probe])
         if sup_v >= delta / 2.0:
@@ -682,23 +677,16 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
         def y(s):
             return clip(np.asarray(x(s), dtype=float), m) - unit_directions.evaluator(s)(coeffs)
 
+        y_ver = y_full[-ver_rule.nodes.size:]  # the membership grid ends with the nodes
         residual = float(np.max(np.abs(
-            ver_design @ (ver_rule.weights * y(ver_rule.nodes)) - b
-        )))
-        return QriCertificate(
-            m=m,
-            y=y,
-            eps=eps,
-            moment_match_residual=residual,
-            margin=margin,
-            upper_clearance=upper_clearance,
-            correction_sup=sup_v,
-        )
+            ver_design @ (ver_rule.weights * y_ver) - instance.target_moments)))
+        return QriCertificate(m=m, y=y, eps=eps, moment_match_residual=residual, margin=margin,
+                              upper_clearance=upper_clearance, correction_sup=sup_v)
 
     # every level failed: report the last of m = 3, the multiples of 25 and the lost ones
     reported = sorted({3, *range(25, int(m_max) + 1, 25), *lost})[-6:]
     decay = "; ".join(f"m={m}: |defect|={np.max(np.abs(d)):.3e}, "
-                      f"sup|v|={np.max(np.abs(on_margin(c))):.3e}"
+                      f"sup|v|={np.max(np.abs(_combine(c, margin_design))):.3e}"
                       for m, (d, c) in zip(reported, map(level, reported)))
     raise CertificateError(
         f"no acceptable witness up to m={m_max} (need sup|v| < {delta / 2.0:.3e} "

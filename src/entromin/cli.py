@@ -88,11 +88,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _write_trace(path, solution) -> None:
-    rows = [(r.iteration, r.residual_inf, r.step, r.dual_value) for r in solution.trace]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iter,residual_inf,step,dual_value\n")
-        for it, res, step, val in rows:
-            fh.write(f"{it},{_fmt(res)},{_fmt(step)},{_fmt(val)}\n")
+    _write_csv(path, ("iter", "residual_inf", "step", "dual_value"),
+               [(r.iteration, r.residual_inf, r.step, r.dual_value) for r in solution.trace])
 
 
 def _solve_one(cfg: RunConfig, basis_spec):

@@ -26,6 +26,8 @@ from .quadrature import integrate_values
 
 __all__ = ["PrimalSolution", "reconstruct", "sample_solution", "gibbs_overshoot"]
 
+OVERSHOOT_SAMPLES = 2001
+
 
 @dataclass
 class PrimalSolution:
@@ -70,16 +72,16 @@ def sample_solution(solution: PrimalSolution, grid) -> np.ndarray:
     return np.column_stack([grid, solution.x(grid)])
 
 
-def gibbs_overshoot(solution: PrimalSolution, target, window, num: int = 2001) -> float:
+def gibbs_overshoot(solution: PrimalSolution, target, window) -> float:
     """How far the density escapes the target's range inside a window.
 
-    Scans a uniform grid of at least `num` points in `window` and returns
+    Scans a uniform grid of OVERSHOOT_SAMPLES points in `window` and returns
     the largest exceedance of x above the target's supremum or below its
     infimum there; zero when the density stays within the target's range.
     This turns "the oscillation near the jump got smaller" into a number.
     """
     lo, hi = float(window[0]), float(window[1])
-    grid = np.linspace(lo, hi, max(int(num), 2))
+    grid = np.linspace(lo, hi, OVERSHOOT_SAMPLES)
     x_vals = np.asarray(solution.x(grid), dtype=float)
     t_vals = np.asarray(target(grid), dtype=float)
     above = float(np.max(x_vals) - np.max(t_vals))

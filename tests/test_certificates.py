@@ -167,6 +167,17 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
             f"with positive lower clearance); defect decay: {decay}")
 
 
+def _pulse_zeroed_in_margin():
+    """The README-family pulse with piecewise_flat n=4, set to 0 at one
+    instance-rule node inside its margin: the scan, which samples between
+    the nodes, still finds the margin, but its confirmed range reaches 0."""
+    margin = find_margin_interval(PULSE, 0.0, INF, RULE.interval, breakpoints=RULE.breakpoints,
+                                  nodes=RULE.nodes)
+    node = float(RULE.nodes[(RULE.nodes > margin.lo) & (RULE.nodes < margin.hi)][0])
+    rho = Density(kind="zeroed", fn=lambda s: np.where(np.asarray(s) == node, 0.0, PULSE(s)))
+    return make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), rho), rho
+
+
 class TestWithinBounds:
     def test_pulse_in_unit_band_boltzmann(self):
         spec = builtin_entropy("boltzmann_shannon")
@@ -358,6 +369,13 @@ class TestCoreCertificate:
         with pytest.raises(CertificateError) as err:
             build_core_certificate(inst, PULSE, 0.0, 1.0)
         assert err.value.hypothesis == "margin interval"
+
+    def test_scanned_margin_touching_the_band_names_margin(self):
+        inst, rho = _pulse_zeroed_in_margin()
+        with pytest.raises(CertificateError) as err:
+            build_core_certificate(inst, rho, 0.0, INF)
+        assert err.value.hypothesis == "margin interval"
+        assert "is not strictly inside (0.0, inf)" in str(err.value)
 
     def test_coordinate_directions_shift_one_moment_exactly(self):
         """For eta = e_k the perturbed moments move by t in coordinate k
@@ -575,6 +593,23 @@ class TestQriCertificate:
         with pytest.raises(ValidationError):
             build_qri_certificate(inst, PULSE, 0.0, 1.0, m_max=2)
 
+    @pytest.mark.parametrize("band", [(-1.0, 2.0), (2.0, 1.0)], ids=["outside-domain", "empty"])
+    def test_band_outside_entropy_domain_rejected(self, band):
+        inst = make_instance("boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
+        with pytest.raises(ValidationError, match="is not contained in the domain"):
+            build_qri_certificate(inst, PULSE, *band)
+
+    def test_scanned_margin_touching_the_band_names_margin(self, monkeypatch):
+        """The zeroed node makes delta 0: no clip level is screened or scanned."""
+        from entromin import certificates
+
+        inst, rho = _pulse_zeroed_in_margin()
+        monkeypatch.setattr(certificates, "_screen_levels", None)
+        with pytest.raises(CertificateError) as err:
+            build_qri_certificate(inst, rho, 0.0, INF)
+        assert err.value.hypothesis == "margin interval"
+        assert "is not strictly above 0.0" in str(err.value)
+
     def test_budget_exhaustion_reports_decay(self):
         # five monomials need the clipping level well past m = 100
         inst = make_instance("boltzmann_shannon", monomial_basis(5), PULSE)
@@ -635,22 +670,18 @@ class TestQriCertificate:
         lies within err of the block value, and err stays far below delta,
         so the screen can still reject."""
         from entromin.certificates import (
-            MARGIN_SCAN_SAMPLES, SCREEN_ELEMENTS, _screen_levels, _verification_rule,
+            SCREEN_ELEMENTS, _combine, _margin_prelude, _screen_levels, _verification_rule,
         )
         from entromin.moments import design_matrix
 
         inst = make_instance(entropy, basis, rho)
         lower, upper = band
-        margin = find_margin_interval(rho, lower, upper, RULE.interval,
-                                      breakpoints=RULE.breakpoints, nodes=RULE.nodes,
-                                      one_sided=True)
+        margin, directions, margin_design = _margin_prelude(inst, rho, lower, upper,
+                                                            one_sided=True)
         delta = margin.val_lo - lower
-        directions = build_direction_functions(inst.basis, RULE, margin, np.ones(inst.n))
         ver_rule = _verification_rule(inst, margin)
         ver_design = design_matrix(inst.basis, ver_rule.nodes)
         x_ver = np.asarray(rho(ver_rule.nodes), dtype=float)
-        on_margin = directions.evaluator(np.concatenate([
-            np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES), directions.sub_nodes]))
 
         def clip(values, m):
             if np.isfinite(upper):
@@ -661,17 +692,19 @@ class TestQriCertificate:
             defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
             return np.asarray(defect, dtype=np.longdouble) @ directions.coeffs
 
-        probe = int(np.argmax(np.abs(on_margin(coeffs(3)))))
+        probe = int(np.argmax(np.abs(_combine(coeffs(3), margin_design))))
+        column = margin_design[:, probe]
         ms = np.arange(start, start + SCREEN_ELEMENTS // x_ver.size)
         rows = ver_rule.weights * (clip(x_ver, ms[:, None]) - x_ver)
-        values, err = _screen_levels(rows, ver_design, directions.coeffs, on_margin, probe)
+        values, err = _screen_levels(rows, ver_design, directions.coeffs, column)
         stack = np.array([coeffs(m) for m in ms])
-        exact = on_margin(stack, at=probe)
+        exact = _combine(stack, column)
         assert np.all(np.abs(values - exact) <= err)
         assert np.all(err <= 1e-6 * delta)
-        # a stacked at= evaluation equals each row's own, and its full evaluation, bit for bit
-        np.testing.assert_array_equal(exact, [on_margin(c, at=probe) for c in stack])
-        np.testing.assert_array_equal(exact, on_margin(stack)[:, probe])
+        # a stack on the probe's column equals each row's own, and the full
+        # margin evaluation's entries, bit for bit
+        np.testing.assert_array_equal(exact, [_combine(c, column) for c in stack])
+        np.testing.assert_array_equal(exact, _combine(stack, margin_design)[:, probe])
 
     def test_levels_losing_clearance_reported_as_full_scan(self):
         """A density that drops to the lower bound at one verification node
@@ -696,23 +729,26 @@ class TestQriCertificate:
         """On the README config at the default budget the scan makes the same
         7 full margin evaluations as a per-level screen, and its one-point
         screens come in blocks: far fewer calls than the 3,997 levels."""
+        from entromin import certificates
+
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
-        calls = {"full": 0, "at": 0}
-        evaluator = DirectionFunctions.evaluator
+        calls = {"full": 0, "screen": 0}
+        combine, screen_levels = certificates._combine, certificates._screen_levels
 
-        def counting_evaluator(self, s):
-            evaluate = evaluator(self, s)
+        def counted_combine(coeffs, design):
+            calls["full"] += design.ndim == 2  # a screen combines with one design column
+            return combine(coeffs, design)
 
-            def counted(coeffs, at=None):
-                calls["full" if at is None else "at"] += 1
-                return evaluate(coeffs, at=at)
-            return counted
+        def counted_screen(*args):
+            calls["screen"] += 1
+            return screen_levels(*args)
 
-        monkeypatch.setattr(DirectionFunctions, "evaluator", counting_evaluator)
+        monkeypatch.setattr(certificates, "_combine", counted_combine)
+        monkeypatch.setattr(certificates, "_screen_levels", counted_screen)
         with pytest.raises(CertificateError):
             build_qri_certificate(inst, PULSE, 0.0, INF, m_max=4000)
         assert calls["full"] == 7
-        assert calls["at"] <= 3997 // 10
+        assert calls["screen"] <= 3997 // 20, calls  # 164 screens on this config
 
     def test_readme_config_accepted_past_default_budget(self):
         """On the pulse, m * sup|v| stays near 22,050 for the README config,

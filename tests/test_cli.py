@@ -219,6 +219,18 @@ class TestCertify:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("cert_type", ["core", "qri"])
+    @pytest.mark.parametrize("band", ["alpha = -1\nbeta = 2", "alpha = 2\nbeta = 1"],
+                             ids=["outside-domain", "empty"])
+    def test_band_outside_entropy_domain_exits_1(self, tmp_path, capsys, cert_type, band):
+        cfg = write_cert_config(tmp_path, entropy="boltzmann_shannon", n=6, certify=band)
+        out = tmp_path / "E" / cert_type
+        assert main(["certify", "--config", str(cfg), "--type", cert_type,
+                     "--out", str(out)]) == 1
+        assert "is not contained in the domain" in capsys.readouterr().err
+        assert not out.exists()
+
+
 COMPARE_INI = """
 [problem]
 entropy = translated_boltzmann_shannon
