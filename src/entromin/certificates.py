@@ -43,28 +43,17 @@ extended precision with iterative refinement; in plain float64 the
 orthogonality defect lands within a factor of four of the 1e-8 audit
 tolerance, which is too close to trust.  The y_k are evaluated one way,
 `_combine`: a long-double product of coefficients and a design built once per
-point set, the prelude's margin design or `DirectionFunctions.evaluator`'s.
-Powers s**k are products of k factors, within k*eps_ld of exact:
-glibc powl takes a log/exp path for k >= 4 at about 0.5 us a value, and for
-k <= 3 it multiplies too, so designs and certificates with n <= 4 are the
-same bit for bit.  Core verification evaluates the y_k once in long double,
-on the membership grid, which ends with the verification nodes, and combines
-them per trial in float64; the perturbation is bounded by SAFETY_FACTOR *
-clearance, so that adds at most about (n+2)*eps*clearance.  It draws every
-direction in one call, the same stream as one draw per trial, and takes all
-their steps from one `t_for` call.
-The qri scan screens clip levels in blocks at one margin point, where |v|
-peaked at the last full evaluation, reading that point's column of the
-margin design.  A block sums the same float64 products
-as one level at a time, in another order, so a rounding bound err covers the
-difference: |v| - err >= delta/2 there rejects a level, and the first level
-that survives runs the exact per-level path with a full margin evaluation.
+point set (powers as products, see `moments._power`), the prelude's margin
+design or `DirectionFunctions.evaluator`'s.  Core verification combines them
+per trial in float64 (see `verify_core_certificate`).  The qri scan solves for
+the clip levels it must evaluate instead of visiting each (see
+`_candidate_levels`).
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -116,7 +105,8 @@ class MarginInterval:
 
     `val_lo`/`val_hi` are the observed minimum and maximum of the density
     over at least 1001 uniform samples of [lo, hi] plus every quadrature
-    node inside it.
+    node inside it, and, from the certificate builders, every membership-grid
+    point and verification node inside it, where certificates are checked.
     """
 
     lo: float
@@ -152,15 +142,12 @@ def within_bounds(entropy: EntropySpec, x, lower: float, upper: float,
 
 def _longest_run(mask: np.ndarray):
     """(start, stop) indices of the longest run of True, or None."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    if edges.size == 0:
         return None
-    gaps = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([[0], gaps + 1])
-    stops = np.concatenate([gaps, [idx.size - 1]])
-    lengths = idx[stops] - idx[starts]
-    best = int(np.argmax(lengths))
-    return int(idx[starts[best]]), int(idx[stops[best]])
+    starts, stops = edges[::2], edges[1::2] - 1
+    best = int(np.argmax(stops - starts))
+    return int(starts[best]), int(stops[best])
 
 
 def _confirmed_margin(x, interval, nodes=None) -> MarginInterval:
@@ -281,7 +268,7 @@ class DirectionFunctions:
 
 def _combine(coeffs, design) -> np.ndarray:
     """Values of the expansions `coeffs` at the points of a long-double
-    design, or at one point for a design column, rounded to float64."""
+    design, rounded to float64."""
     return (np.asarray(coeffs, dtype=_LD) @ design).astype(float)
 
 
@@ -408,13 +395,15 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
 
     1. The band lies in the entropy domain (ValidationError otherwise); the
        two-sided core construction also needs the density inside it.
-    2. A margin interval: the scan, or `candidate_interval` confirmed.
+    2. A margin interval: the scan, or `candidate_interval` confirmed, its
+       range widened by the `_verification_points` inside it.
     3. The unit-direction y_k on it, the only independence check.
     4. Its confirmed range strictly inside the band, or only above `lower`
        when `one_sided`.
 
-    Returns the margin, the y_k, and the long-double design of the margin
-    grid: MARGIN_SCAN_SAMPLES uniform samples plus the subinterval nodes.
+    Returns the margin, the y_k, the long-double design of the margin grid
+    (MARGIN_SCAN_SAMPLES uniform samples plus the subinterval nodes), and
+    the margin's `_verification_points`.
     """
     basis, rule = instance.basis, instance.rule
     if one_sided:
@@ -431,6 +420,10 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
         )
     else:
         margin = _confirmed_margin(x, candidate_interval, rule.nodes)
+    points = _verification_points(instance, margin, x)
+    checked = points[4][(points[3] >= margin.lo) & (points[3] <= margin.hi)]
+    margin = replace(margin, val_lo=float(checked.min(initial=margin.val_lo)),
+                     val_hi=float(checked.max(initial=margin.val_hi)))
     directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
     if not (margin.val_lo > lower and (one_sided or margin.val_hi < upper)):
         raise CertificateError(
@@ -441,7 +434,7 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
         )
     grid = np.concatenate([np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
                            directions.sub_nodes])
-    return margin, directions, design_matrix(basis, grid.astype(_LD))
+    return margin, directions, design_matrix(basis, grid.astype(_LD)), points
 
 
 def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: float,
@@ -455,8 +448,8 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     `candidate_interval` replaces the scan; independence there is examined
     before its value range.
     """
-    margin, directions, design = _margin_prelude(instance, x, lower, upper,
-                                                 candidate_interval, min_width)
+    margin, directions, design, _ = _margin_prelude(instance, x, lower, upper,
+                                                    candidate_interval, min_width)
     sup_unit = np.max(np.abs(_combine(directions.coeffs, design)), axis=1)
     sup_unit = sup_unit * (1.0 + 1e-9)  # strict upper bound on the sampled sup
     delta = float(np.max(sup_unit))
@@ -473,28 +466,24 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     )
 
 
-def _verification_rule(instance: ProblemInstance, margin: MarginInterval) -> QuadratureRule:
-    """Instance rule refined with the margin endpoints as breakpoints.
+def _verification_points(instance: ProblemInstance, margin: MarginInterval, x):
+    """The verification rule, its design and x at its nodes, and the
+    membership grid (uniform samples plus those nodes) with x on it.
 
-    Perturbations are supported exactly on the margin interval, so their
-    moments are only integrated accurately when the panel edges include
-    its endpoints.
+    The verification rule is the instance rule refined with the margin ends
+    as breakpoints: perturbations are supported exactly on the margin
+    interval, so their moments are only integrated accurately when the panel
+    edges include its endpoints.
     """
-    lo, hi = instance.rule.interval
-    bps = set(instance.rule.breakpoints)
+    rule = instance.rule
+    lo, hi = rule.interval
+    bps = set(rule.breakpoints)
     for z in (margin.lo, margin.hi):
         if lo < z < hi and all(abs(z - b) > 1e-12 for b in bps):
             bps.add(z)
-    return build_rule((lo, hi), tuple(sorted(bps)),
-                      instance.rule.nodes_per_panel, instance.rule.panels_per_segment)
-
-
-def _verification_points(instance: ProblemInstance, margin: MarginInterval, x):
-    """The verification rule with its design and x at its nodes, and the
-    membership grid (uniform samples plus those nodes) with x on it."""
-    ver_rule = _verification_rule(instance, margin)
-    grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
-                           ver_rule.nodes])
+    ver_rule = build_rule((lo, hi), tuple(sorted(bps)), rule.nodes_per_panel,
+                          rule.panels_per_segment)
+    grid = np.concatenate([np.linspace(lo, hi, MEMBERSHIP_SAMPLES + 2), ver_rule.nodes])
     return (ver_rule, design_matrix(instance.basis, ver_rule.nodes),
             np.asarray(x(ver_rule.nodes), dtype=float), grid, np.asarray(x(grid), dtype=float))
 
@@ -532,9 +521,7 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     etas /= np.sqrt([eta.dot(eta) for eta in etas])[:, None]  # np.linalg.norm, bit for bit
     steps = (t_scale * cert.t_for(etas))[:, None] * etas
     ver_rule, ver_design, x_ver, grid, x_grid = _verification_points(instance, cert.margin, x)
-    # the perturbation is linear in eta: evaluate the unit y_k once, on the
-    # membership grid, whose last points are the verification nodes
-    y_grid = cert.directions.evaluate_all(grid)
+    y_grid = cert.directions.evaluate_all(grid)     # the unit y_k: linear in eta
     y_ver = y_grid[:, grid.size - ver_rule.nodes.size:]
     # y is 0 off the margin; aligned C-order groups of 16 columns keep the full grid's gemv bits
     meets = (grid >= cert.margin.lo) & (grid <= cert.margin.hi)
@@ -581,24 +568,59 @@ class QriCertificate:
     correction_sup: float
 
 
-DEFAULT_M_MAX = 4000    # covers the benchmark families; the clip level must
-                        # outrun an amplification constant that grows with n
-SCREEN_ELEMENTS = 16384  # cap per block temporary: 128 KiB, under the mmap threshold
+DEFAULT_M_MAX = 4000    # clip-level budget: the README config needs m = 44103
 
 
-def _screen_levels(rows, ver_design, coeffs, column):
-    """Correction values at the margin-grid point whose design column is
-    `column`, for a block of clip levels, one per row of `rows` (weights *
-    (x_m - x) at the N nodes), and a bound on their distance from the values
-    of the per-level path: the defects differ only in summation order, by at
-    most about N*eps*(|r| @ |V|^T), and gamma doubles that and covers the
-    roundings after it.
+def _candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,
+                      lower: float, upper: float, delta: float, m_max: int):
+    """The clip levels in [3, m_max], in order, that an affine prediction of
+    the correction cannot reject, for the exact per-level path to decide.
+
+    While the nodes a level clips up (side +1) or down (-1) stay the same,
+    clip(x, m) - x = t*width*side + (edge - x) in t = 1/m, so the correction
+    on the margin grid is v = t*vA + vB.  Its rows and defects differ from
+    the per-level path's by at most about (2N+3)*eps*|V| @ (weights*(t*width
+    + |edge| + |x|)) on the clipped nodes, carried on through |C| @ |M|;
+    err = 2(N+2n+8)*eps*(that + |v| + delta/2) also covers the roundings
+    after it.  A level with |v| - err >= delta/2 somewhere is rejected: the
+    rest of the piece is one interval of t, widened to whole levels.
     """
-    n, size = ver_design.shape
-    values = _combine((rows @ ver_design.T).astype(_LD) @ coeffs, column)
-    gamma = 2.0 * (size + 2 * n + 4) * np.finfo(float).eps
-    a_probe = np.abs(column.astype(float))
-    return values, gamma * (np.abs(rows) @ np.abs(ver_design).T) @ (np.abs(coeffs) @ a_probe)
+    gamma = 2.0 * (x_ver.size + 2 * coeffs.shape[0] + 8) * np.finfo(float).eps
+    width = upper - lower if np.isfinite(upper) else 1.0
+    design = spread = None  # M in float64 and |C| @ |M|, for the first piece that clips
+
+    def sides(k):
+        return np.sign(np.clip(x_ver, lower + width / k, upper - width / k) - x_ver)
+
+    m = 3
+    while m <= m_max:
+        side = sides(m)
+        if not side.any():  # nothing is clipped at m or after it: v = 0
+            yield from range(m, m_max + 1)
+            return
+        end, step = m, 1    # gallop and bisect to the piece's end: clipped sets only shrink
+        while step:
+            grow = end + step <= m_max and np.array_equal(sides(end + step), side)
+            end, step = (end + step, 2 * step) if grow else (end, step // 2)
+        if spread is None:
+            design = margin_design.astype(float)
+            spread = np.abs(coeffs).astype(float) @ np.abs(design)
+        edge = np.where(side > 0, lower, np.where(side < 0, upper, 0.0))
+        clipped = weights * np.abs(side)
+        rows = clipped * np.array([width * side, edge - x_ver])
+        sizes = clipped * np.array([np.full(side.shape, width), np.abs(edge) + np.abs(x_ver)])
+        v = ((rows @ ver_design.T).astype(_LD) @ coeffs).astype(float) @ design
+        err = gamma * ((sizes @ np.abs(ver_design).T) @ spread + np.abs(v) + [[0], [delta / 2]])
+        bound = delta / 2 + err[1]  # t*alpha < beta: v < delta/2 + err and -v < delta/2 + err
+        alpha = np.concatenate([v[0] - err[0], -v[0] - err[0]])
+        beta = np.concatenate([bound - v[1], bound + v[1]])
+        up, down = alpha > 0, alpha < 0
+        t_hi = float((beta[up] / alpha[up]).min(initial=np.inf))
+        t_lo = float((beta[down] / alpha[down]).max(initial=0.0))
+        if t_lo < t_hi and 1.0 / t_hi <= end and np.all(beta[alpha == 0] > 0):
+            last = min(1.0 / t_lo, end) if t_lo > 0 else end
+            yield from range(max(m, int(1.0 / t_hi)), int(np.ceil(last)) + 1)
+        m = end + 1
 
 
 def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: float,
@@ -613,58 +635,35 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     correction satisfies sup |v| < delta/2 (delta being the certified
     lower clearance of the density on the margin interval) and whose
     witness y = x_m - v keeps a positive lower clearance is returned.
-
-    Levels are screened in blocks, growing from 1, at the argmax of |v| at
-    the last full evaluation: |v| - err >= delta/2 there (see
-    `_screen_levels`) rejects a level, since its sup |v| is at least that.
-    The first level that survives runs the exact path with the full margin
-    evaluation, so the accepted m, the witness and the failure report are
-    those of a scan that evaluates every level on the whole margin grid.
+    Only the levels `_candidate_levels` hands on are evaluated; every other
+    has sup |v| >= delta/2, so the accepted m, the witness and the failure
+    report are those of a scan that evaluates every level.
 
     Raises a :class:`CertificateError` describing the decay of the moment
     defect when the budget m_max is exhausted.
     """
     if int(m_max) < 3:
         raise ValidationError(f"the clip-level scan starts at m=3, got m_max={m_max}")
-    margin, unit_directions, margin_design = _margin_prelude(
+    margin, unit_directions, margin_design, points = _margin_prelude(
         instance, x, lower, upper, min_width=min_width, one_sided=True)
     delta = margin.val_lo - lower
-    ver_rule, ver_design, x_ver, full_grid, x_full = _verification_points(instance, margin, x)
+    ver_rule, ver_design, x_ver, full_grid, x_full = points
     on_full = unit_directions.evaluator(full_grid)  # built once for the whole scan
-
-    two_sided, width = np.isfinite(upper), upper - lower
     lost = []       # levels whose witness lost its lower clearance
-    probe = None    # margin-design column of |v|'s argmax at the last full evaluation
+    width = upper - lower if np.isfinite(upper) else 1.0
 
     def clip(values, m):
-        if two_sided:
-            return np.clip(values, lower + width / m, upper - width / m)
-        return np.maximum(values, lower + 1.0 / m)
+        return np.clip(values, lower + width / m, upper - width / m)
 
     def level(m):
         """Moment defect of the level-m clip and its correction's coefficients."""
         defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
         return defect, np.asarray(defect, dtype=_LD) @ unit_directions.coeffs
 
-    def unscreened(m=4, block=1):
-        """3, then each level the block screen does not reject, in order."""
-        yield 3     # the first full evaluation sets the probe
-        while m <= m_max:
-            ms = np.arange(m, min(m + block, int(m_max) + 1))
-            values, err = _screen_levels(ver_rule.weights * (clip(x_ver, ms[:, None]) - x_ver),
-                                         ver_design, unit_directions.coeffs, margin_design[:, probe])
-            kept = ms[np.abs(values) - err < delta / 2.0]
-            if kept.size:
-                yield int(kept[0])
-                m, block = int(kept[0]) + 1, 1
-            else:
-                m, block = m + ms.size, min(2 * block, max(1, SCREEN_ELEMENTS // x_ver.size))
-
-    for m in unscreened():
+    for m in _candidate_levels(x_ver, ver_rule.weights, ver_design, unit_directions.coeffs,
+                               margin_design, lower, upper, delta, int(m_max)):
         coeffs = level(m)[1]
-        abs_v = np.abs(_combine(coeffs, margin_design))
-        probe = int(np.argmax(abs_v))
-        sup_v = float(abs_v[probe])
+        sup_v = float(np.max(np.abs(_combine(coeffs, margin_design))))
         if sup_v >= delta / 2.0:
             continue
         y_full = clip(x_full, m) - on_full(coeffs)
@@ -672,7 +671,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
         if eps <= 0.0:
             lost.append(m)
             continue
-        upper_clearance = float(np.min(upper - y_full)) if two_sided else float("inf")
+        upper_clearance = float(np.min(upper - y_full))     # inf when unbounded above
 
         def y(s):
             return clip(np.asarray(x(s), dtype=float), m) - unit_directions.evaluator(s)(coeffs)
@@ -683,8 +682,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
         return QriCertificate(m=m, y=y, eps=eps, moment_match_residual=residual, margin=margin,
                               upper_clearance=upper_clearance, correction_sup=sup_v)
 
-    # every level failed: report the last of m = 3, the multiples of 25 and the lost ones
-    reported = sorted({3, *range(25, int(m_max) + 1, 25), *lost})[-6:]
+    # every level failed: report the last six of m = 3, the multiples of 25 and the lost ones
+    reported = sorted({3, *range(int(m_max) // 25 * 25, 0, -25)[:6], *lost})[-6:]
     decay = "; ".join(f"m={m}: |defect|={np.max(np.abs(d)):.3e}, "
                       f"sup|v|={np.max(np.abs(_combine(c, margin_design))):.3e}"
                       for m, (d, c) in zip(reported, map(level, reported)))

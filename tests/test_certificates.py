@@ -45,7 +45,7 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
     expanded in long double and evaluated on both long-double designs,
     rebuilt from the sample points on every trial."""
     from entromin.certificates import (
-        MEMBERSHIP_SAMPLES, P1_SLACK, P2_TOL, CertificateVerification, _verification_rule,
+        MEMBERSHIP_SAMPLES, P1_SLACK, P2_TOL, CertificateVerification, _verification_points,
     )
     from entromin.moments import design_matrix
 
@@ -55,7 +55,7 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
         return np.where(inside, (coeffs @ design).astype(float), 0.0)
 
     rng = np.random.default_rng(seed)
-    ver_rule = _verification_rule(instance, cert.margin)
+    ver_rule = _verification_points(instance, cert.margin, x)[0]
     ver_design = design_matrix(instance.basis, ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
@@ -116,7 +116,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     moment_match_residual, upper_clearance, y on a grid), or the message of
     the CertificateError the scan ends with."""
     from entromin.certificates import (
-        MARGIN_SCAN_SAMPLES, MEMBERSHIP_SAMPLES, _verification_rule,
+        MARGIN_SCAN_SAMPLES, MEMBERSHIP_SAMPLES, _verification_points,
     )
     from entromin.moments import design_matrix
 
@@ -125,7 +125,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
                                   nodes=rule.nodes, one_sided=True)
     delta = margin.val_lo - lower
     directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
-    ver_rule = _verification_rule(instance, margin)
+    ver_rule = _verification_points(instance, margin, x)[0]
     ver_design = design_matrix(basis, ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     on_margin = directions.evaluator(np.concatenate([
@@ -176,6 +176,70 @@ def _pulse_zeroed_in_margin():
     node = float(RULE.nodes[(RULE.nodes > margin.lo) & (RULE.nodes < margin.hi)][0])
     rho = Density(kind="zeroed", fn=lambda s: np.where(np.asarray(s) == node, 0.0, PULSE(s)))
     return make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), rho), rho
+
+
+def _pulse_marked(basis, value, where):
+    """The pulse set to `value` at points where a certificate is later checked
+    but the margin scan does not sample: the first verification node inside
+    the scanned margin ("node"), or every 9th membership-grid point in
+    (0, 0.5) ("grid")."""
+    from entromin.certificates import MEMBERSHIP_SAMPLES, _verification_points
+
+    if where == "node":
+        margin = find_margin_interval(PULSE, 0.0, INF, RULE.interval,
+                                      breakpoints=RULE.breakpoints, nodes=RULE.nodes)
+        inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
+        nodes = _verification_points(inst, margin, PULSE)[0].nodes
+        points = nodes[(nodes > margin.lo) & (nodes < margin.hi)][:1]
+    else:
+        grid = np.linspace(*RULE.interval, MEMBERSHIP_SAMPLES + 2)
+        points = grid[(grid > 0.0) & (grid < 0.5)][::9]
+    rho = Density(kind="marked",
+                  fn=lambda s: np.where(np.isin(np.asarray(s), points), value, PULSE(s)))
+    return make_instance("translated_boltzmann_shannon", basis, rho), rho
+
+
+BASES_34 = [monomial_basis(3), piecewise_flat_basis(4, 0.5)]
+
+
+class TestCheckedPointsConfirmMargin:
+    """Both certificates are checked on the verification nodes and the
+    membership grid, so the margin's value range covers those inside it."""
+
+    @pytest.mark.parametrize("candidate", [False, True], ids=["scanned", "candidate"])
+    @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
+    def test_density_at_band_on_verification_node_names_margin(self, basis, candidate,
+                                                                monkeypatch):
+        """Both builders, or core on an explicit candidate interval (the
+        scanned one), fail before any trial or clip level runs."""
+        from entromin import certificates
+
+        inst, rho = _pulse_marked(basis, 0.0, "node")
+        monkeypatch.setattr(certificates, "_candidate_levels", None)  # no clip level runs
+        builds = [build_core_certificate, build_qri_certificate]
+        if candidate:
+            margin = find_margin_interval(PULSE, 0.0, INF, RULE.interval,
+                                          breakpoints=RULE.breakpoints, nodes=RULE.nodes)
+            builds = [lambda *args: build_core_certificate(
+                *args, candidate_interval=(margin.lo, margin.hi))]
+        for build in builds:
+            with pytest.raises(CertificateError) as err:
+                build(inst, rho, 0.0, INF)
+            assert err.value.hypothesis == "margin interval"
+            assert "density range [0.0, 1.0]" in str(err.value)
+
+    @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
+    def test_dips_on_membership_grid_set_the_clearance(self, basis):
+        """A density at 0.1 on those grid points keeps a margin, but of 0.1,
+        not the 1.0 that a range sampled between them sees.  (At 0 the scan
+        itself, which samples every other grid point, finds no margin.)"""
+        inst, rho = _pulse_marked(basis, 0.1, "grid")
+        core = build_core_certificate(inst, rho, 0.0, INF)
+        assert core.clearance == 0.1
+        assert verify_core_certificate(inst, rho, core, trials=100, seed=0).all_passed
+        qri = build_qri_certificate(inst, rho, 0.0, INF, m_max=20000)
+        assert qri.margin.val_lo == 0.1
+        assert qri.eps > 0.0
 
 
 class TestWithinBounds:
@@ -380,13 +444,13 @@ class TestCoreCertificate:
     def test_coordinate_directions_shift_one_moment_exactly(self):
         """For eta = e_k the perturbed moments move by t in coordinate k
         alone, to 1e-10, under a rule resolving the perturbation support."""
-        from entromin.certificates import _verification_rule
+        from entromin.certificates import _verification_points
         from entromin.moments import design_matrix
 
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
-        ver = _verification_rule(inst, cert.margin)
+        ver = _verification_points(inst, cert.margin, PULSE)[0]
         design = design_matrix(inst.basis, ver.nodes)
         x_ver = PULSE(ver.nodes)
         inside = (ver.nodes >= cert.margin.lo) & (ver.nodes <= cert.margin.hi)
@@ -600,11 +664,11 @@ class TestQriCertificate:
             build_qri_certificate(inst, PULSE, *band)
 
     def test_scanned_margin_touching_the_band_names_margin(self, monkeypatch):
-        """The zeroed node makes delta 0: no clip level is screened or scanned."""
+        """The zeroed node makes delta 0: no clip level is solved for or scanned."""
         from entromin import certificates
 
         inst, rho = _pulse_zeroed_in_margin()
-        monkeypatch.setattr(certificates, "_screen_levels", None)
+        monkeypatch.setattr(certificates, "_candidate_levels", None)
         with pytest.raises(CertificateError) as err:
             build_qri_certificate(inst, rho, 0.0, INF)
         assert err.value.hypothesis == "margin interval"
@@ -634,9 +698,9 @@ class TestQriCertificate:
             "ramp-monomial4", "ramp-monomial5-half-line", "bump-monomial3",
             "bump-piecewise4-half-line", "pulse-monomial6-budget-400"])
     def test_screened_scan_replays_full_scan_exactly(self, entropy, basis, rho, band, m_max):
-        """Screening the clip levels in blocks at one point accepts the same
-        m, with the same witness, as evaluating every level on the whole
-        margin grid, and fails with the same message."""
+        """Solving for the candidate clip levels accepts the same m, with the
+        same witness, as evaluating every level on the whole margin grid,
+        and fails with the same message."""
         inst = make_instance(entropy, basis, rho)
         expected = _replay_full_scan(inst, rho, *band, m_max=m_max)
         if isinstance(expected, str):
@@ -653,9 +717,8 @@ class TestQriCertificate:
         assert cert.upper_clearance == upper_clearance
         np.testing.assert_array_equal(cert.y(np.linspace(0.0, 1.0, 777)), y_grid)
         if rho.kind == "constant":
-            assert m == 3  # accepted at the first level, before any screen
+            assert m == 3  # accepted at the first level, which clips nothing
 
-    @pytest.mark.parametrize("start", [4, 150, 2500])
     @pytest.mark.parametrize("entropy,basis,rho,band", [
         ("boltzmann_shannon", monomial_basis(4), PULSE, (0.0, 1.0)),
         ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF)),
@@ -663,92 +726,128 @@ class TestQriCertificate:
         ("translated_boltzmann_shannon", monomial_basis(5), RAMP, (0.0, INF)),
         ("boltzmann_shannon", monomial_basis(3), BUMP, (0.0, 1.0)),
         ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), BUMP, (0.0, INF)),
+        ("fermi_dirac", monomial_basis(4), RAMP, (0.0, 1.0)),
+        # clip levels away from 0 on both sides: the |edge| term of the bound
+        ("l2_norm", monomial_basis(4), PULSE, (-0.001, 1.001)),
     ], ids=["pulse-monomial4", "pulse-piecewise4-half-line", "ramp-monomial4",
-            "ramp-monomial5-half-line", "bump-monomial3", "bump-piecewise4-half-line"])
-    def test_block_screen_bounds_each_level(self, entropy, basis, rho, band, start):
-        """For every level of a full block, the per-level value at the probe
-        lies within err of the block value, and err stays far below delta,
-        so the screen can still reject."""
-        from entromin.certificates import (
-            SCREEN_ELEMENTS, _combine, _margin_prelude, _screen_levels, _verification_rule,
-        )
-        from entromin.moments import design_matrix
+            "ramp-monomial5-half-line", "bump-monomial3", "bump-piecewise4-half-line",
+            "ramp-monomial4-fermi-dirac", "pulse-monomial4-l2-wide-band"])
+    def test_candidate_levels_keep_every_passing_level(self, entropy, basis, rho, band):
+        """Every level in [3, m_max] that is not handed to the exact path has
+        an exact per-level sup|v| >= delta/2, and every level handed on
+        passes, or the next one does (the solved interval is widened to whole
+        levels)."""
+        from entromin.certificates import _candidate_levels, _combine, _margin_prelude
 
         inst = make_instance(entropy, basis, rho)
         lower, upper = band
-        margin, directions, margin_design = _margin_prelude(inst, rho, lower, upper,
-                                                            one_sided=True)
+        m_max = 2000
+        margin, directions, margin_design, points = _margin_prelude(inst, rho, lower, upper,
+                                                                    one_sided=True)
+        ver_rule, ver_design, x_ver = points[:3]
         delta = margin.val_lo - lower
-        ver_rule = _verification_rule(inst, margin)
-        ver_design = design_matrix(inst.basis, ver_rule.nodes)
-        x_ver = np.asarray(rho(ver_rule.nodes), dtype=float)
 
         def clip(values, m):
             if np.isfinite(upper):
                 return np.clip(values, lower + (upper - lower) / m, upper - (upper - lower) / m)
             return np.maximum(values, lower + 1.0 / m)
 
-        def coeffs(m):  # one level at a time: gemv defect, long-double coefficients
-            defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
-            return np.asarray(defect, dtype=np.longdouble) @ directions.coeffs
+        levels = np.arange(3, m_max + 1)
+        coeffs = np.array([  # one level at a time: gemv defect, long-double coefficients
+            np.asarray(ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver)),
+                       dtype=np.longdouble) @ directions.coeffs for m in levels])
+        sups = np.concatenate([np.abs(_combine(coeffs[i:i + 250], margin_design)).max(axis=1)
+                               for i in range(0, levels.size, 250)])
+        # a stack gives each row's own full margin evaluation, bit for bit
+        np.testing.assert_array_equal(
+            sups[:4], [np.max(np.abs(_combine(c, margin_design))) for c in coeffs[:4]])
+        passing = set(levels[sups < delta / 2.0].tolist())
+        handed = list(_candidate_levels(x_ver, ver_rule.weights, ver_design, directions.coeffs,
+                                        margin_design, lower, upper, delta, m_max))
+        assert handed == sorted(set(handed)) and set(handed) <= set(levels.tolist())
+        assert passing <= set(handed)
+        assert all(m in passing or m + 1 in passing for m in handed)
+        assert passing and min(passing) > 3  # the prediction rejects levels on each config
 
-        probe = int(np.argmax(np.abs(_combine(coeffs(3), margin_design))))
-        column = margin_design[:, probe]
-        ms = np.arange(start, start + SCREEN_ELEMENTS // x_ver.size)
-        rows = ver_rule.weights * (clip(x_ver, ms[:, None]) - x_ver)
-        values, err = _screen_levels(rows, ver_design, directions.coeffs, column)
-        stack = np.array([coeffs(m) for m in ms])
-        exact = _combine(stack, column)
-        assert np.all(np.abs(values - exact) <= err)
-        assert np.all(err <= 1e-6 * delta)
-        # a stack on the probe's column equals each row's own, and the full
-        # margin evaluation's entries, bit for bit
-        np.testing.assert_array_equal(exact, [_combine(c, column) for c in stack])
-        np.testing.assert_array_equal(exact, _combine(stack, margin_design)[:, probe])
+    @pytest.mark.parametrize("lost", [3, None], ids=["three-lost-then-accepted", "all-lost"])
+    def test_levels_losing_clearance_reported_as_full_scan(self, monkeypatch, lost):
+        """A level that passes sup|v| < delta/2 but whose witness has eps <= 0
+        is skipped and named in the failure report, as the full scan does.  A
+        confirmed margin leaves no such level on a real density, so a fake
+        raises the correction by 2 on the membership grid for the first
+        `lost` witnesses each scan checks (every one, for None)."""
+        from entromin.certificates import MEMBERSHIP_SAMPLES
 
-    def test_levels_losing_clearance_reported_as_full_scan(self):
-        """A density that drops to the lower bound at one verification node
-        inside the margin, which the margin scan never samples, makes the
-        witnesses lose their clearance there; the failure report names those
-        levels exactly as the full scan does."""
-        from entromin.certificates import _verification_rule
+        evaluator, checked = DirectionFunctions.evaluator, []
 
+        def raised_on_membership_grid(self, s):
+            evaluate = evaluator(self, s)
+            if not (s.size > MEMBERSHIP_SAMPLES and s[0] < self.margin.lo):
+                return evaluate  # the margin grid, or a witness's own points
+
+            def raised(coeffs):
+                checked.append(None)
+                return evaluate(coeffs) + (2.0 if lost is None or len(checked) <= lost else 0.0)
+
+            return raised
+
+        monkeypatch.setattr(DirectionFunctions, "evaluator", raised_on_membership_grid)
         inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
-        margin = build_qri_certificate(inst, PULSE, 0.0, INF).margin
-        nodes = _verification_rule(inst, margin).nodes
-        spike = float(nodes[(nodes > margin.lo) & (nodes < margin.hi)][0])
-        rho = Density(kind="spiked", fn=lambda s: np.where(np.asarray(s) == spike, 0.0, PULSE(s)))
-        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), rho)
-        expected = _replay_full_scan(inst, rho, 0.0, INF, m_max=300)
-        assert "m=299:" in expected  # rejected for its clearance alone
-        with pytest.raises(CertificateError) as err:
-            build_qri_certificate(inst, rho, 0.0, INF, m_max=300)
-        assert str(err.value) == expected
+        expected = _replay_full_scan(inst, PULSE, 0.0, INF, m_max=300)
+        checked.clear()
+        if lost is None:
+            assert "m=300:" in expected and "m=299:" in expected  # rejected for clearance alone
+            with pytest.raises(CertificateError) as err:
+                build_qri_certificate(inst, PULSE, 0.0, INF, m_max=300)
+            assert str(err.value) == expected
+            return
+        cert = build_qri_certificate(inst, PULSE, 0.0, INF, m_max=300)
+        assert len(checked) == lost + 1
+        m, eps, correction_sup, residual, upper_clearance, y_grid = expected
+        assert (cert.m, cert.eps, cert.correction_sup, cert.moment_match_residual) == (
+            m, eps, correction_sup, residual)
+        np.testing.assert_array_equal(cert.y(np.linspace(0.0, 1.0, 777)), y_grid)
 
-    def test_block_screen_spares_full_evaluations(self, monkeypatch):
-        """On the README config at the default budget the scan makes the same
-        7 full margin evaluations as a per-level screen, and its one-point
-        screens come in blocks: far fewer calls than the 3,997 levels."""
+    def test_candidate_levels_spare_full_evaluations(self, monkeypatch):
+        """On the README config the scan evaluates no clip level on the margin
+        grid at the default budget, only the six of the failure report, and
+        at m_max = 50000 it accepts m = 44103 after at most five."""
         from entromin import certificates
 
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
-        calls = {"full": 0, "screen": 0}
-        combine, screen_levels = certificates._combine, certificates._screen_levels
+        calls = []
+        combine = certificates._combine
 
         def counted_combine(coeffs, design):
-            calls["full"] += design.ndim == 2  # a screen combines with one design column
+            calls.append(None)
             return combine(coeffs, design)
 
-        def counted_screen(*args):
-            calls["screen"] += 1
-            return screen_levels(*args)
-
         monkeypatch.setattr(certificates, "_combine", counted_combine)
-        monkeypatch.setattr(certificates, "_screen_levels", counted_screen)
         with pytest.raises(CertificateError):
             build_qri_certificate(inst, PULSE, 0.0, INF, m_max=4000)
-        assert calls["full"] == 7
-        assert calls["screen"] <= 3997 // 20, calls  # 164 screens on this config
+        assert len(calls) == 6
+        calls.clear()
+        assert build_qri_certificate(inst, PULSE, 0.0, INF, m_max=50000).m == 44103
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("m_max,reported", [
+        (10**8, list(range(99999875, 10**8 + 1, 25))),
+        (10**8 + 24, list(range(99999875, 10**8 + 1, 25))),
+        (110, [3, 25, 50, 75, 100]),
+    ])
+    def test_failure_report_costs_nothing_per_budget_level(self, m_max, reported):
+        """The reported levels, the last six of m = 3 and the multiples of 25
+        up to m_max, are found without listing the budget: a budget of 10**8
+        levels fails in milliseconds."""
+        import time
+
+        rho = constant_density(1e-9)
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), rho)
+        start = time.perf_counter()
+        with pytest.raises(CertificateError) as err:
+            build_qri_certificate(inst, rho, 0.0, INF, m_max=m_max)
+        assert time.perf_counter() - start < 0.5
+        assert [int(part.split(":")[0]) for part in str(err.value).split("m=")[2:]] == reported
 
     def test_readme_config_accepted_past_default_budget(self):
         """On the pulse, m * sup|v| stays near 22,050 for the README config,

@@ -404,8 +404,10 @@ dir = {tmp_path / 'out'}
 
 def test_console_entry_point_runs(tmp_path):
     cfg = write_config(tmp_path, n=2)
+    src = str(Path(entromin.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "entromin.cli", "solve",
-                           "--config", str(cfg)], capture_output=True, text=True)
+                           "--config", str(cfg)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert "converged" in proc.stdout
 
