@@ -45,9 +45,11 @@ tolerance, which is too close to trust.  The y_k are evaluated one way,
 `_combine`: a long-double product of coefficients and a design built once per
 point set (powers as products, see `moments._power`), the prelude's margin
 design or `DirectionFunctions.evaluator`'s.  Core verification combines them
-per trial in float64 (see `verify_core_certificate`).  The qri scan solves for
-the clip levels it must evaluate instead of visiting each (see
-`_candidate_levels`).
+in float64, trials in stacked blocks (see `verify_core_certificate`), and the
+Gram solves of all k form one stack (`_refined_solve`): a stacked numpy call
+makes each item's BLAS or LAPACK call, so both keep their bits.  The qri
+scan solves for the clip levels it must evaluate instead of visiting each
+(see `_candidate_levels`).
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ CONFIRM_SAMPLES = 1001          # minimum for the margin value range
 SAFETY_FACTOR = 0.99            # strictness slack in the step rule
 P2_TOL = 1e-8
 P1_SLACK = 1e-12
+TRIAL_BLOCK = 8                 # verification trials per stacked call: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,9 @@ def _combine(coeffs, design) -> np.ndarray:
 
 
 def _refined_solve(matrix_ld: np.ndarray, rhs_ld: np.ndarray, refinements: int = 3) -> np.ndarray:
-    """Solve in float64, then polish with extended-precision residuals."""
+    """Solve in float64, then polish with extended-precision residuals.  A
+    stack, (k, m, m) and (k, m, 1), makes one gesv per system per solve, so
+    each system keeps the bits it has when solved alone."""
     matrix64 = matrix_ld.astype(float)
     solution = np.linalg.solve(matrix64, rhs_ld.astype(float)).astype(_LD)
     for _ in range(refinements):
@@ -289,7 +294,7 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     For each k with eta_k != 0, the component of a_k orthogonal to the
     span of the remaining functions (an (n-1)-dimensional Gram solve) is
     rescaled so its inner product with a_k equals eta_k.  Zero components
-    of eta yield identically zero y_k.
+    of eta yield identically zero y_k; the solves of all k form one stack.
     """
     eta = np.asarray(eta, dtype=float)
     n = basis.n
@@ -310,18 +315,16 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     gram_ld = (design_ld * weights_ld) @ design_ld.T
     gram_ld = 0.5 * (gram_ld + gram_ld.T)
 
+    ks = np.flatnonzero(eta)
+    j = np.arange(n - 1)
+    others = j + (j >= ks[:, None])     # row i: every index but ks[i]
+    solution = _refined_solve(gram_ld[others[:, :, None], others[:, None, :]],
+                              gram_ld[others, ks[:, None], None])
+    v = np.eye(n, dtype=_LD)[ks]
+    np.put_along_axis(v, others, -solution[..., 0], axis=1)
+    denom = (gram_ld[ks][:, None, :] @ v[:, :, None])[:, 0, 0]  # <a_k, v> = |a_k off the others|^2
     coeffs = np.zeros((n, n), dtype=_LD)
-    for k in range(n):
-        if eta[k] == 0.0:
-            continue
-        others = [j for j in range(n) if j != k]
-        v = np.zeros(n, dtype=_LD)
-        v[k] = 1.0
-        if others:
-            c = _refined_solve(gram_ld[np.ix_(others, others)], gram_ld[others, k])
-            v[others] = -c
-        denom = gram_ld[k] @ v  # == <a_k, v> == ||component of a_k off the others||^2
-        coeffs[k] = (_LD(eta[k]) / denom) * v
+    coeffs[ks] = (eta[ks].astype(_LD) / denom)[:, None] * v
 
     return DirectionFunctions(
         margin=margin,
@@ -394,7 +397,8 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     """The hypothesis both certificates start from, checked in order.
 
     1. The band lies in the entropy domain (ValidationError otherwise); the
-       two-sided core construction also needs the density inside it.
+       two-sided core construction also needs the density inside it, on
+       P1's membership grid too once step 2 has built it.
     2. A margin interval: the scan, or `candidate_interval` confirmed, its
        range widened by the `_verification_points` inside it.
     3. The unit-direction y_k on it, the only independence check.
@@ -406,13 +410,12 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     the margin's `_verification_points`.
     """
     basis, rule = instance.basis, instance.rule
+    outside = CertificateError(f"the density leaves the band [{lower}, {upper}] somewhere on "
+                               f"{rule.interval}", hypothesis="admissible band")
     if one_sided:
         _check_band(instance.entropy, lower, upper)
     elif not within_bounds(instance.entropy, x, lower, upper, rule):
-        raise CertificateError(
-            f"the density leaves the band [{lower}, {upper}] somewhere on "
-            f"{rule.interval}", hypothesis="admissible band",
-        )
+        raise outside
     if candidate_interval is None:
         margin = find_margin_interval(
             x, lower, upper, rule.interval, breakpoints=rule.breakpoints,
@@ -421,6 +424,8 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     else:
         margin = _confirmed_margin(x, candidate_interval, rule.nodes)
     points = _verification_points(instance, margin, x)
+    if not (one_sided or np.all((points[4] >= lower) & (points[4] <= upper))):
+        raise outside   # P1's grid: within_bounds samples other points
     checked = points[4][(points[3] >= margin.lo) & (points[3] <= margin.hi)]
     margin = replace(margin, val_lo=float(checked.min(initial=margin.val_lo)),
                      val_hi=float(checked.max(initial=margin.val_hi)))
@@ -505,7 +510,9 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     float64 as (t*eta) @ y, within about (n+2)*eps*clearance*t_scale of a
     long-double sum.  The directions are drawn in one call, the same stream
     as one draw of n per trial, so a seed gives the directions it gave one
-    trial at a time.  `trials` and `seed` must be whole numbers.
+    trial at a time.  Trials run in stacked blocks of TRIAL_BLOCK with the
+    BLAS calls, so the bits, of one trial at a time.  `trials` and `seed`
+    must be whole numbers.
     """
     for name, value in (("trials", trials), ("seed", seed)):
         if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
@@ -518,8 +525,9 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
         raise ValidationError(f"t_scale must be non-negative and finite, got {t_scale}")
     trials = int(trials)
     etas = np.random.default_rng(int(seed)).standard_normal((trials, instance.n))
-    etas /= np.sqrt([eta.dot(eta) for eta in etas])[:, None]  # np.linalg.norm, bit for bit
+    etas /= np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0]  # np.linalg.norm's bits
     steps = (t_scale * cert.t_for(etas))[:, None] * etas
+    targets = instance.target_moments + steps
     ver_rule, ver_design, x_ver, grid, x_grid = _verification_points(instance, cert.margin, x)
     y_grid = cert.directions.evaluate_all(grid)     # the unit y_k: linear in eta
     y_ver = y_grid[:, grid.size - ver_rule.nodes.size:]
@@ -530,12 +538,19 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     x_lo, x_hi = x_grid[~keep].min(initial=np.inf), x_grid[~keep].max(initial=-np.inf)
 
     violations, residuals = np.empty(trials), np.empty(trials)
-    for i, (step, target) in enumerate(zip(steps, instance.target_moments + steps)):
-        p = x_in + step @ y_in
+    for a in range(0, trials, TRIAL_BLOCK):
+        block, rows = steps[a:a + TRIAL_BLOCK, None, :], slice(a, a + TRIAL_BLOCK)
+        p = (block @ y_in)[:, 0]
+        p += x_in
         # lower - p rounds monotonically in p, so this is max(lower - p) exactly
-        violations[i] = max(cert.lower - p.min(initial=x_lo), p.max(initial=x_hi) - cert.upper, 0.0)
-        moments = ver_design @ (ver_rule.weights * (x_ver + step @ y_ver))
-        residuals[i] = np.abs(moments - target).max()
+        low = cert.lower - p.min(axis=1, initial=x_lo)
+        high = p.max(axis=1, initial=x_hi) - cert.upper
+        worst = np.where(high > low, high, low)  # Python's max(low, high, 0.0), NaN and -0.0 too
+        violations[rows] = np.where(worst < 0.0, 0.0, worst)
+        z = (block @ y_ver)[:, 0]
+        z += x_ver
+        z *= ver_rule.weights
+        residuals[rows] = np.abs((ver_design @ z[:, :, None])[:, :, 0] - targets[rows]).max(axis=1)
 
     report = CertificateVerification(
         trials=trials,

@@ -166,9 +166,9 @@ def moment_vector(basis: MomentBasis, rule: QuadratureRule, x) -> np.ndarray:
 
 
 def _node_moments(rule: QuadratureRule, design: np.ndarray, x) -> np.ndarray:
-    """moment_vector on a built design; a sum per row, as one gemv changes bits."""
+    """moment_vector on a built design; one dot per row, as one gemv changes bits."""
     products = finite_at_nodes(rule, design * np.asarray(x(rule.nodes), dtype=float))
-    return np.array([float(rule.weights @ row) for row in products])
+    return (products[:, None, :] @ rule.weights[:, None])[:, 0, 0]
 
 
 def subinterval_rule(basis: MomentBasis, rule: QuadratureRule, subinterval) -> QuadratureRule:

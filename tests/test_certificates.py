@@ -110,6 +110,25 @@ def _replay_per_trial(instance, x, cert, trials, seed, t_scale):
     return (trials, p1, p2, worst_p1, worst_p2, P2_TOL)
 
 
+def _coeffs_per_k(gram, eta):
+    """Direction-function coefficients one k at a time: each Gram system
+    solved alone, with a 1-D right-hand side, and refined three times with
+    long-double residuals."""
+    n, ld = len(eta), np.longdouble
+    coeffs = np.zeros((n, n), dtype=ld)
+    for k in np.flatnonzero(eta):
+        others = [j for j in range(n) if j != k]
+        matrix, rhs = gram[np.ix_(others, others)], gram[others, k]
+        matrix64 = matrix.astype(float)
+        c = np.linalg.solve(matrix64, rhs.astype(float)).astype(ld)
+        for _ in range(3):
+            c = c + np.linalg.solve(matrix64, (rhs - matrix @ c).astype(float)).astype(ld)
+        v = np.zeros(n, dtype=ld)
+        v[k], v[others] = 1.0, -c
+        coeffs[k] = (ld(eta[k]) / (gram[k] @ v)) * v
+    return coeffs
+
+
 def _replay_full_scan(instance, x, lower, upper, m_max):
     """The qri clip-level scan the direct way: the correction is evaluated
     on the whole margin grid at every m.  Returns (m, eps, correction_sup,
@@ -241,6 +260,21 @@ class TestCheckedPointsConfirmMargin:
         assert qri.margin.val_lo == 0.1
         assert qri.eps > 0.0
 
+    @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
+    def test_density_off_band_on_membership_grid_names_band(self, basis):
+        """The pulse at -1 on one membership-grid point off the margin, which
+        `within_bounds` does not sample: core names the band before any
+        trial, instead of building clearance 1.0 that fails P1 every time."""
+        from entromin.certificates import MEMBERSHIP_SAMPLES
+
+        point = np.linspace(*RULE.interval, MEMBERSHIP_SAMPLES + 2)[1202]
+        rho = Density(kind="dip", fn=lambda s: np.where(np.asarray(s) == point, -1.0, PULSE(s)))
+        inst = make_instance("translated_boltzmann_shannon", basis, rho)
+        assert within_bounds(inst.entropy, rho, 0.0, INF, RULE)
+        with pytest.raises(CertificateError) as err:
+            build_core_certificate(inst, rho, 0.0, INF)
+        assert err.value.hypothesis == "admissible band"
+
 
 class TestWithinBounds:
     def test_pulse_in_unit_band_boltzmann(self):
@@ -350,6 +384,36 @@ class TestDirectionFunctions:
             defect = direction_inner_products(directions) - np.diag(eta)
             worst = max(worst, float(np.max(np.abs(defect))))
         assert worst <= 1e-8
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("family", [monomial_basis, lambda n: piecewise_flat_basis(n, 0.9)],
+                             ids=["monomial", "piecewise"])
+    def test_stacked_gram_solves_replay_per_k_loop(self, family, n):
+        """The solves for every k as one stack give the coefficients, bit for
+        bit, of one refined solve per k with a 1-D right-hand side, also for
+        directions with zero entries (their y_k stay 0)."""
+        basis, rule = family(n), build_rule((0.0, 1.0), (0.9,))
+        margin = MarginInterval(0.0, 0.9, 1.0, 1.0)
+        rng = np.random.default_rng(n)
+        for eta in (np.ones(n), rng.standard_normal(n) * (np.arange(n) % 3 != 1),
+                    np.where(np.arange(n) == n - 1, -2.5, 0.0), np.zeros(n)):
+            directions = build_direction_functions(basis, rule, margin, eta)
+            expected = _coeffs_per_k(directions.gram, eta)
+            # values, not bytes: the padding around long double's 80 bits is arbitrary
+            np.testing.assert_array_equal(directions.coeffs, expected, strict=True)
+            assert np.array_equal(np.signbit(directions.coeffs), np.signbit(expected))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_gram_solves_one_stack_per_build(self, monkeypatch, n):
+        """A build makes the 1 + 3 refinement solves of one stack, for any n."""
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        for basis in (monomial_basis(n), piecewise_flat_basis(n, 0.9)):
+            calls.clear()
+            build_direction_functions(basis, build_rule((0.0, 1.0), (0.9,)),
+                                      MarginInterval(0.0, 0.9, 1.0, 1.0), np.ones(n))
+            assert len(calls) == 4
 
 
 class TestCoreCertificate:
@@ -530,6 +594,58 @@ class TestCoreCertificate:
         for seed in (7, 8, 17):
             got = verify_core_certificate(inst, rho, cert, trials=40, seed=seed, t_scale=8.0)
             assert dataclasses.astuple(got) == _replay_per_trial(inst, rho, cert, 40, seed, 8.0)
+
+    @pytest.mark.parametrize("entropy,basis,rho,band", [
+        ("translated_boltzmann_shannon", monomial_basis(3), PULSE, (0.0, INF)),
+        ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF)),
+        ("boltzmann_shannon", monomial_basis(4), constant_density(0.5), (0.0, 1.0)),
+        ("boltzmann_shannon", monomial_basis(1), constant_density(0.5), (0.0, 1.0)),
+    ], ids=["pulse-monomial3", "pulse-piecewise4", "constant-monomial4", "constant-monomial1"])
+    def test_trial_blocks_replay_one_trial_at_a_time(self, entropy, basis, rho, band):
+        """Trials stacked in blocks report, field for field, what the float64
+        loop over one trial at a time does, for counts on both sides of a
+        block edge and at every step scale; against the long-double replay
+        the pass counts agree and the worst values to a few ulps."""
+        from entromin.certificates import TRIAL_BLOCK
+
+        inst = make_instance(entropy, basis, rho)
+        cert = build_core_certificate(inst, rho, *band)
+        for trials in (1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 2 * TRIAL_BLOCK + 1, 100):
+            for t_scale in (0.0, 1.0, 8.0):
+                got = verify_core_certificate(inst, rho, cert, trials=trials, seed=trials,
+                                              t_scale=t_scale)
+                expected = _replay_per_trial(inst, rho, cert, trials, trials, t_scale)
+                assert dataclasses.astuple(got) == expected, (trials, t_scale)
+                exact = _replay_rebuilding_designs(inst, rho, cert, trials, trials, t_scale)
+                assert (got.p1_passes, got.p2_passes) == (exact.p1_passes, exact.p2_passes)
+                tol = 4 * np.finfo(float).eps * max(1.0, cert.clearance) * max(1.0, t_scale)
+                assert abs(got.worst_p1_violation - exact.worst_p1_violation) <= tol
+                assert abs(got.worst_p2_residual - exact.worst_p2_residual) <= tol
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16, 33])
+    def test_stacked_norm_equals_linalg_norm(self, n):
+        """The direction norms as one stacked matmul, one dot per row, are
+        np.linalg.norm's bit for bit, over a wide range of magnitudes."""
+        etas = np.random.default_rng(n).standard_normal((100, n))
+        etas *= np.logspace(-150, 150, 100)[:, None]
+        stacked = np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0, 0]
+        assert stacked.tobytes() == np.array([np.linalg.norm(eta) for eta in etas]).tobytes()
+
+    @pytest.mark.parametrize("trials", [1, 17, 100])
+    def test_points_and_directions_built_once_per_verification(self, monkeypatch, trials):
+        """One verification builds its points once and evaluates the y_k once,
+        in one long-double combination, for any number of trials."""
+        from entromin import certificates
+
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        calls = []
+        for name in ("_verification_points", "_combine"):
+            original = getattr(certificates, name)
+            monkeypatch.setattr(certificates, name, lambda *args, _f=original, _n=name:
+                                calls.append(_n) or _f(*args))
+        verify_core_certificate(inst, PULSE, cert, trials=trials, seed=0)
+        assert sorted(calls) == ["_combine", "_verification_points"]
 
     def test_no_trials_rejected(self):
         inst = make_instance("translated_boltzmann_shannon",
