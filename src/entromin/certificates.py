@@ -132,15 +132,20 @@ def _check_band(entropy: EntropySpec, lower: float, upper: float) -> None:
         )
 
 
+def _in_band(values, lower: float, upper: float) -> bool:
+    """Every value finite and in [lower, upper]: +inf fails an unbounded band."""
+    return bool(np.all(np.isfinite(values) & (values >= lower) & (values <= upper)))
+
+
 def within_bounds(entropy: EntropySpec, x, lower: float, upper: float,
                   rule: QuadratureRule) -> bool:
-    """Check x(s) in [lower, upper] at all nodes and MEMBERSHIP_SAMPLES
-    uniform samples; a band outside the entropy domain raises ValidationError.
+    """Check x(s) finite and in [lower, upper] at all nodes and
+    MEMBERSHIP_SAMPLES uniform samples; a band outside the entropy domain
+    raises ValidationError.
     """
     _check_band(entropy, lower, upper)
     samples = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES), rule.nodes])
-    values = np.asarray(x(samples), dtype=float)
-    return bool(np.all((values >= lower) & (values <= upper)))
+    return _in_band(np.asarray(x(samples), dtype=float), lower, upper)
 
 
 def _longest_run(mask: np.ndarray):
@@ -397,8 +402,9 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     """The hypothesis both certificates start from, checked in order.
 
     1. The band lies in the entropy domain (ValidationError otherwise); the
-       two-sided core construction also needs the density inside it, on
-       P1's membership grid too once step 2 has built it.
+       two-sided core construction also needs the density finite and inside
+       it, on P1's membership grid too once step 2 has built it; the
+       one-sided qri needs it finite there.
     2. A margin interval: the scan, or `candidate_interval` confirmed, its
        range widened by the `_verification_points` inside it.
     3. The unit-direction y_k on it, the only independence check.
@@ -424,7 +430,7 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     else:
         margin = _confirmed_margin(x, candidate_interval, rule.nodes)
     points = _verification_points(instance, margin, x)
-    if not (one_sided or np.all((points[4] >= lower) & (points[4] <= upper))):
+    if not _in_band(points[4], *((-np.inf, np.inf) if one_sided else (lower, upper))):
         raise outside   # P1's grid: within_bounds samples other points
     checked = points[4][(points[3] >= margin.lo) & (points[3] <= margin.hi)]
     margin = replace(margin, val_lo=float(checked.min(initial=margin.val_lo)),

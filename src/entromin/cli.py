@@ -36,13 +36,8 @@ EXIT_FAILED_HYPOTHESIS = 3
 
 
 def _fmt(value) -> str:
-    """One float at 17 significant digits (full double precision)."""
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".17g")
+    """One float at 17 significant digits (full double precision); nan, inf, -inf."""
+    return format(float(value), ".17g")
 
 
 def _json_dumps(obj, indent=0) -> str:
@@ -133,66 +128,39 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     if cfg.basis is None:
         raise EntrominError("certify requires a [basis] section") from None
     instance, rho = build_problem(cfg, cfg.basis)
-    lower, upper = cfg.certify.band_for(instance.entropy)
-    seed = args.seed if args.seed is not None else cfg.certify.seed
-
-    def write_certificate(payload):  # the directory appears only with the certificate
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        _write_json(os.path.join(cfg.out_dir, "certificate.json"), payload)
-
+    opts = cfg.certify
+    lower, upper = opts.band_for(instance.entropy)
     if args.type == "core":
-        cert = build_core_certificate(instance, rho, lower, upper,
-                                      min_width=cfg.certify.min_width)
-        report = verify_core_certificate(instance, rho, cert,
-                                         trials=cfg.certify.trials, seed=seed)
-        payload = {
-            "type": "core",
-            "zeta1": cert.margin.lo,
-            "zeta2": cert.margin.hi,
-            "eps1": cert.margin.val_lo,
-            "eps2": cert.margin.val_hi,
-            "delta": cert.delta,
-            "t_unit": cert.t_unit,
-            "m": None,
-            "residuals": {
-                "p2_worst": report.worst_p2_residual,
-                "p1_worst_violation": report.worst_p1_violation,
-            },
-            "trials_passed": min(report.p1_passes, report.p2_passes),
-            "trials": report.trials,
-        }
-        write_certificate(payload)
-        if not report.all_passed:
-            print(f"certify: verification failed "
-                  f"({report.p1_passes}/{report.trials} P1, "
-                  f"{report.p2_passes}/{report.trials} P2)", file=sys.stderr)
-            return EXIT_FAILED_HYPOTHESIS
-        print(f"certify: core certificate verified, "
-              f"{report.trials}/{report.trials} directions passed "
-              f"(note: numerical evidence on dense samples, not an a.e. proof)")
-        return EXIT_OK
+        cert = build_core_certificate(instance, rho, lower, upper, min_width=opts.min_width)
+        report = verify_core_certificate(instance, rho, cert, trials=opts.trials,
+                                         seed=args.seed if args.seed is not None else opts.seed)
+        fields = {"delta": cert.delta, "t_unit": cert.t_unit, "trials": report.trials,
+                  "trials_passed": min(report.p1_passes, report.p2_passes),
+                  "residuals": {"p2_worst": report.worst_p2_residual,
+                                "p1_worst_violation": report.worst_p1_violation}}
+    else:
+        cert = build_qri_certificate(instance, rho, lower, upper, m_max=opts.m_max,
+                                     min_width=opts.min_width)
+        fields = {"m": cert.m, "eps": cert.eps, "upper_clearance": cert.upper_clearance,
+                  "residuals": {"moment_match": cert.moment_match_residual}}
+    margin = cert.margin
+    payload = {"type": args.type, "zeta1": margin.lo, "zeta2": margin.hi,
+               "eps1": margin.val_lo, "eps2": margin.val_hi,
+               "delta": None, "t_unit": None, "m": None, "trials_passed": None, **fields}
+    os.makedirs(cfg.out_dir, exist_ok=True)  # the directory appears only with the certificate
+    _write_json(os.path.join(cfg.out_dir, "certificate.json"), payload)
 
-    cert = build_qri_certificate(instance, rho, lower, upper,
-                                 m_max=cfg.certify.m_max,
-                                 min_width=cfg.certify.min_width)
-    payload = {
-        "type": "qri",
-        "zeta1": cert.margin.lo,
-        "zeta2": cert.margin.hi,
-        "eps1": cert.margin.val_lo,
-        "eps2": cert.margin.val_hi,
-        "delta": None,
-        "t_unit": None,
-        "m": cert.m,
-        "eps": cert.eps,
-        "upper_clearance": cert.upper_clearance,
-        "residuals": {"moment_match": cert.moment_match_residual},
-        "trials_passed": None,
-    }
-    write_certificate(payload)
-    print(f"certify: qri witness accepted at m={cert.m}, clearance {_fmt(cert.eps)}, "
-          f"moment residual {_fmt(cert.moment_match_residual)} "
-          f"(note: numerical evidence on dense samples, not an a.e. proof)")
+    note = "(note: numerical evidence on dense samples, not an a.e. proof)"
+    if args.type == "qri":
+        print(f"certify: qri witness accepted at m={cert.m}, clearance {_fmt(cert.eps)}, "
+              f"moment residual {_fmt(cert.moment_match_residual)} {note}")
+        return EXIT_OK
+    if not report.all_passed:
+        print(f"certify: verification failed ({report.p1_passes}/{report.trials} P1, "
+              f"{report.p2_passes}/{report.trials} P2)", file=sys.stderr)
+        return EXIT_FAILED_HYPOTHESIS
+    print(f"certify: core certificate verified, {report.trials}/{report.trials} "
+          f"directions passed {note}")
     return EXIT_OK
 
 

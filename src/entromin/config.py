@@ -20,6 +20,7 @@ import numpy as np
 
 from .certificates import DEFAULT_M_MAX
 from .densities import Density, constant_density, pulse_density, tabulated_density
+from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .entropies import EntropySpec, builtin_entropy
 from .errors import ValidationError
 from .moments import (
@@ -43,6 +44,28 @@ def _floats(text: str) -> list:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _increasing_pair(name: str, text: str) -> tuple:
+    vals = _floats(text)
+    if len(vals) != 2 or not vals[0] < vals[1]:
+        raise ValidationError(f"{name} must be two increasing numbers, got {vals}")
+    return vals[0], vals[1]
+
+
+def _existing_file(what: str, path: Optional[str]) -> str:
+    """The file of a tabulated basis or density, which must exist."""
+    if not path:
+        raise ValidationError(f"tabulated {what} requires a file")
+    if not os.path.exists(path):
+        raise ValidationError(f"{what} file not found: {path}")
+    return path
+
+
+def _read(section, **parsers) -> dict:
+    """The keys of `section` (a mapping, {} when absent) that `parsers`
+    names, each parsed; a key it lacks keeps its field's default."""
+    return {key: parse(section[key]) for key, parse in parsers.items() if key in section}
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     kind: str
@@ -58,11 +81,7 @@ class BasisSpec:
                 raise ValidationError("piecewise_flat basis requires a split point")
             return piecewise_flat_basis(self.n, self.split, interval)
         if self.kind == "tabulated":
-            if not self.file:
-                raise ValidationError("tabulated basis requires a file")
-            if not os.path.exists(self.file):
-                raise ValidationError(f"basis file not found: {self.file}")
-            basis = tabulated_basis(self.file, interval)
+            basis = tabulated_basis(_existing_file("basis", self.file), interval)
             if basis.n != self.n:
                 raise ValidationError(
                     f"basis file {self.file} provides {basis.n} functions, config says n={self.n}"
@@ -75,7 +94,7 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class RhoSpec:
-    kind: str
+    kind: str = "pulse"
     split: float = 0.5
     c: float = 0.5
     file: Optional[str] = None
@@ -86,11 +105,7 @@ class RhoSpec:
         if self.kind == "constant":
             return constant_density(self.c)
         if self.kind == "tabulated":
-            if not self.file:
-                raise ValidationError("tabulated density requires a file")
-            if not os.path.exists(self.file):
-                raise ValidationError(f"density file not found: {self.file}")
-            return tabulated_density(self.file)
+            return tabulated_density(_existing_file("density", self.file))
         raise ValidationError(
             f"unknown density kind {self.kind!r}; expected pulse, constant or tabulated"
         )
@@ -123,11 +138,11 @@ class RunConfig:
     basis: Optional[BasisSpec] = None
     basis_a: Optional[BasisSpec] = None
     basis_b: Optional[BasisSpec] = None
-    rho: RhoSpec = field(default_factory=lambda: RhoSpec(kind="pulse"))
+    rho: RhoSpec = field(default_factory=RhoSpec)
     quad_order: int = DEFAULT_NODES_PER_PANEL
     quad_panels: int = DEFAULT_PANELS_PER_SEGMENT
-    tol: float = 1e-10
-    max_iter: int = 100
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     phi0: Optional[np.ndarray] = None
     out_dir: str = "out"
     sample_points: int = 1001
@@ -135,10 +150,7 @@ class RunConfig:
     window: Optional[tuple] = None
 
     def entropy_spec(self) -> EntropySpec:
-        try:
-            return builtin_entropy(self.entropy)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
+        return builtin_entropy(self.entropy)
 
     def default_window(self) -> tuple:
         """Comparison window: split +- 0.1, falling back to the midpoint."""
@@ -156,17 +168,6 @@ class RunConfig:
         return (split - 0.1, split + 0.1)
 
 
-def _parse_basis(section) -> BasisSpec:
-    if "kind" not in section or "n" not in section:
-        raise ValidationError("basis section requires 'kind' and 'n'")
-    return BasisSpec(
-        kind=section.get("kind").strip(),
-        n=int(section.get("n")),
-        split=float(section["split"]) if "split" in section else None,
-        file=section.get("file", None),
-    )
-
-
 def load_config(path) -> RunConfig:
     """Parse a run configuration file, applying documented defaults."""
     if not os.path.exists(path):
@@ -179,74 +180,44 @@ def load_config(path) -> RunConfig:
 
     if "problem" not in parser or "entropy" not in parser["problem"]:
         raise ValidationError(f"{path}: section [problem] with 'entropy' is required")
-    problem = parser["problem"]
+    sections = {name: parser[name] for name in parser.sections()}
+    problem = sections["problem"]
 
     try:
         cfg = RunConfig(entropy=problem.get("entropy").strip())
         if "interval" in problem:
-            vals = _floats(problem["interval"])
-            if len(vals) != 2 or not vals[0] < vals[1]:
-                raise ValidationError(f"interval must be two increasing numbers, got {vals}")
-            cfg.interval = (vals[0], vals[1])
+            cfg.interval = _increasing_pair("interval", problem["interval"])
+        for name in ("basis", "basis_a", "basis_b"):
+            if name in sections:
+                if "kind" not in sections[name] or "n" not in sections[name]:
+                    raise ValidationError("basis section requires 'kind' and 'n'")
+                setattr(cfg, name, BasisSpec(**_read(sections[name], kind=str.strip, n=int,
+                                                     split=float, file=str)))
+        cfg.rho = RhoSpec(**_read(sections.get("rho", {}), kind=str.strip, split=float,
+                                  c=float, file=str))
 
-        if "basis" in parser:
-            cfg.basis = _parse_basis(parser["basis"])
-        if "basis_a" in parser:
-            cfg.basis_a = _parse_basis(parser["basis_a"])
-        if "basis_b" in parser:
-            cfg.basis_b = _parse_basis(parser["basis_b"])
+        quad = sections.get("quad", {})
+        cfg.quad_order = int(quad.get("order", cfg.quad_order))
+        cfg.quad_panels = int(quad.get("panels", cfg.quad_panels))
+        solver = sections.get("solver", {})
+        cfg.tol = float(solver.get("tol", cfg.tol))
+        cfg.max_iter = int(solver.get("max_iter", cfg.max_iter))
+        if "phi0" in solver:
+            cfg.phi0 = np.array(_floats(solver["phi0"]))
+        output = sections.get("output", {})
+        cfg.out_dir = output.get("dir", cfg.out_dir)
+        cfg.sample_points = int(output.get("sample_points", cfg.sample_points))
+        if cfg.sample_points < 0:
+            raise ValidationError(f"output.sample_points must be >= 0, got {cfg.sample_points}")
 
-        if "rho" in parser:
-            rho = parser["rho"]
-            cfg.rho = RhoSpec(
-                kind=rho.get("kind", "pulse").strip(),
-                split=float(rho.get("split", 0.5)),
-                c=float(rho.get("c", 0.5)),
-                file=rho.get("file", None),
-            )
-
-        if "quad" in parser:
-            quad = parser["quad"]
-            cfg.quad_order = int(quad.get("order", DEFAULT_NODES_PER_PANEL))
-            cfg.quad_panels = int(quad.get("panels", DEFAULT_PANELS_PER_SEGMENT))
-
-        if "solver" in parser:
-            solver = parser["solver"]
-            cfg.tol = float(solver.get("tol", 1e-10))
-            cfg.max_iter = int(solver.get("max_iter", 100))
-            if "phi0" in solver:
-                cfg.phi0 = np.array(_floats(solver["phi0"]))
-
-        if "output" in parser:
-            output = parser["output"]
-            cfg.out_dir = output.get("dir", "out")
-            cfg.sample_points = int(output.get("sample_points", 1001))
-            if cfg.sample_points < 0:
+        cfg.certify = CertifyOptions(**_read(sections.get("certify", {}), alpha=float, beta=float,
+                                             trials=int, seed=int, m_max=int, min_width=float))
+        for key, least in (("trials", 1), ("m_max", 3), ("seed", 0)):
+            if getattr(cfg.certify, key) < least:
                 raise ValidationError(
-                    f"output.sample_points must be >= 0, got {cfg.sample_points}")
-
-        if "certify" in parser:
-            cert = parser["certify"]
-            cfg.certify = CertifyOptions(
-                alpha=float(cert["alpha"]) if "alpha" in cert else None,
-                beta=float(cert["beta"]) if "beta" in cert else None,
-                trials=int(cert.get("trials", 100)),
-                seed=int(cert.get("seed", 0)),
-                m_max=int(cert.get("m_max", DEFAULT_M_MAX)),
-                min_width=float(cert["min_width"]) if "min_width" in cert else None,
-            )
-            if cfg.certify.trials < 1:
-                raise ValidationError(f"certify.trials must be >= 1, got {cfg.certify.trials}")
-            if cfg.certify.m_max < 3:
-                raise ValidationError(f"certify.m_max must be >= 3, got {cfg.certify.m_max}")
-            if cfg.certify.seed < 0:
-                raise ValidationError(f"certify.seed must be >= 0, got {cfg.certify.seed}")
-
-        if "compare" in parser and "window" in parser["compare"]:
-            vals = _floats(parser["compare"]["window"])
-            if len(vals) != 2 or not vals[0] < vals[1]:
-                raise ValidationError(f"compare window must be two increasing numbers, got {vals}")
-            cfg.window = (vals[0], vals[1])
+                    f"certify.{key} must be >= {least}, got {getattr(cfg.certify, key)}")
+        if "window" in sections.get("compare", {}):
+            cfg.window = _increasing_pair("compare window", sections["compare"]["window"])
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ValidationError):
             raise

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainViolationError
+from .errors import DomainViolationError, ValidationError
 
 __all__ = [
     "Interval",
@@ -262,13 +262,13 @@ def builtin_entropy(name: str) -> EntropySpec:
 
     Raises
     ------
-    ValidationError-compatible ValueError listing the available names when
-    `name` is unknown.
+    ValidationError (a ValueError) listing the available names when `name`
+    is unknown.
     """
     try:
         builder = _BUILTINS[name]
     except KeyError:
-        raise ValueError(
+        raise ValidationError(
             f"unknown entropy {name!r}; available: {', '.join(available_entropies())}"
         ) from None
     return builder()

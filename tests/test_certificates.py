@@ -275,6 +275,28 @@ class TestCheckedPointsConfirmMargin:
             build_core_certificate(inst, rho, 0.0, INF)
         assert err.value.hypothesis == "admissible band"
 
+    @pytest.mark.parametrize("build", [build_core_certificate, build_qri_certificate],
+                             ids=["core", "qri"])
+    @pytest.mark.parametrize("where", ["grid", "node", "margin-grid"])
+    def test_infinite_density_value_names_band(self, build, where):
+        """The pulse at +inf on one checked point passes `x <= inf`.  Before
+        the finite check it built certificates with NaN in them: core with
+        clearance 1.0 (P2 failing every trial on the node), or "[margin
+        interval]" inside the margin; qri with a NaN upper clearance, and on
+        the node a NaN eps and residual."""
+        from entromin.certificates import MEMBERSHIP_SAMPLES
+
+        basis = monomial_basis(3)
+        inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
+        grid = np.linspace(*RULE.interval, MEMBERSHIP_SAMPLES + 2)
+        point = {"grid": grid[1202], "margin-grid": grid[500],
+                 "node": RULE.nodes[np.argmin(np.abs(RULE.nodes - 0.6252))]}[where]
+        rho = Density(kind="spike",
+                      fn=lambda s: np.where(np.asarray(s) == point, np.inf, PULSE(s)))
+        with pytest.raises(CertificateError) as err:
+            build(inst, rho, 0.0, INF)
+        assert err.value.hypothesis == "admissible band"
+
 
 class TestWithinBounds:
     def test_pulse_in_unit_band_boltzmann(self):

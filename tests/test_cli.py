@@ -161,6 +161,26 @@ class TestCertify:
         cfg = write_cert_config(tmp_path, rho_kind="constant", c="0.0")
         assert main(["certify", "--config", str(cfg), "--type", "core"]) == 3
 
+    def test_failed_verification_exits_3_with_certificate(self, tmp_path, capsys):
+        """A kinked density tabulated without its breakpoints, on a coarse
+        rule: the certificate builds, but P2 misses b + t*eta in every trial,
+        and the certificate is still written as the evidence."""
+        s = np.linspace(0.0, 1.0, 11)
+        np.savetxt(tmp_path / "rho.txt", np.column_stack([s, 0.5 + 0.4 * np.abs(np.sin(7 * s))]))
+        cfg = write_cert_config(tmp_path, kind="monomial", extra_basis="", rho_kind="tabulated",
+                                certify="trials = 20\n[quad]\norder = 4\npanels = 2")
+        cfg.write_text(cfg.read_text().replace("kind = tabulated",
+                                               f"kind = tabulated\nfile = {tmp_path / 'rho.txt'}"))
+        assert main(["certify", "--config", str(cfg), "--type", "core"]) == 3
+        assert capsys.readouterr().err == "certify: verification failed (20/20 P1, 0/20 P2)\n"
+        payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+        assert sorted(payload) == ["delta", "eps1", "eps2", "m", "residuals", "t_unit",
+                                   "trials", "trials_passed", "type", "zeta1", "zeta2"]
+        assert (payload["type"], payload["m"], payload["trials"]) == ("core", None, 20)
+        assert payload["trials_passed"] == 0
+        assert payload["residuals"] == {"p1_worst_violation": 0,
+                                        "p2_worst": pytest.approx(2.3e-05, rel=0.01)}
+
     def test_qri_pulse_monomials_unit_band(self, tmp_path):
         cfg = write_cert_config(tmp_path, entropy="boltzmann_shannon",
                                 kind="monomial", n=3, extra_basis="",
@@ -400,6 +420,70 @@ dir = {tmp_path / 'out'}
         assert main(["solve", "--config", str(ini)]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["mu"][0] == pytest.approx(-2.0, abs=1e-9)
+
+
+TBS = "[problem]\nentropy = translated_boltzmann_shannon\n"
+MONOMIAL_2 = "[basis]\nkind = monomial\nn = 2\n"
+
+# subcommand args, config text and the problem stderr names; {tmp} is the
+# test's directory, where basis.txt holds two tabulated functions
+CONFIG_ERRORS = {
+    "piecewise-without-split": (["solve"], TBS + "[basis]\nkind = piecewise_flat\nn = 2\n",
+                                "piecewise_flat basis requires a split point"),
+    "tabulated-basis-without-file": (["solve"], TBS + "[basis]\nkind = tabulated\nn = 2\n",
+                                     "tabulated basis requires a file"),
+    "tabulated-basis-missing-file": (["solve"], TBS + "[basis]\nkind = tabulated\nn = 2\n"
+                                     "file = {tmp}/none.txt\n", "basis file not found: "),
+    "tabulated-basis-wrong-n": (["solve"], TBS + "[basis]\nkind = tabulated\nn = 3\n"
+                                "file = {tmp}/basis.txt\n",
+                                "provides 2 functions, config says n=3"),
+    "unknown-basis-kind": (["solve"], TBS + "[basis]\nkind = hermite\nn = 2\n",
+                           "unknown basis kind 'hermite'; expected monomial, "
+                           "piecewise_flat or tabulated"),
+    "tabulated-density-without-file": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = tabulated\n",
+                                       "tabulated density requires a file"),
+    "tabulated-density-missing-file": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = tabulated\n"
+                                       "file = {tmp}/none.txt\n", "density file not found: "),
+    "unknown-density-kind": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = gaussian\n",
+                             "unknown density kind 'gaussian'; expected pulse, "
+                             "constant or tabulated"),
+    "l2-norm-without-alpha": (["certify", "--type", "core"],
+                              "[problem]\nentropy = l2_norm\n" + MONOMIAL_2,
+                              "certificates need a finite lower bound"),
+    "basis-without-n": (["solve"], TBS + "[basis]\nkind = monomial\n",
+                        "basis section requires 'kind' and 'n'"),
+    "unparsable-file": (["solve"], "entropy without a section\n", "cannot parse "),
+    "unknown-entropy": (["solve"], "[problem]\nentropy = gaps\n" + MONOMIAL_2,
+                        "unknown entropy 'gaps'; available: boltzmann_shannon, burg"),
+    "no-entropy": (["solve"], "[problem]\ninterval = 0 1\n" + MONOMIAL_2,
+                   "section [problem] with 'entropy' is required"),
+    "decreasing-interval": (["solve"], TBS + "interval = 1 0\n" + MONOMIAL_2,
+                            "interval must be two increasing numbers, got [1.0, 0.0]"),
+    "single-window": (["compare"], TBS + "[compare]\nwindow = 0.4\n",
+                      "compare window must be two increasing numbers, got [0.4]"),
+    "n-not-a-number": (["solve"], TBS + "[basis]\nkind = monomial\nn = six\n",
+                       "invalid literal for int() with base 10: 'six'"),
+    "certify-without-basis": (["certify", "--type", "qri"], TBS,
+                              "certify: certify requires a [basis] section"),
+    "compare-without-bases": (["compare"], TBS + MONOMIAL_2,
+                              "compare: compare requires [basis_a] and [basis_b] sections"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_ERRORS))
+def test_config_error_exits_1_naming_it_without_output(tmp_path, capsys, case):
+    """Every configuration error path: exit 1, its problem on stderr, and no
+    output directory."""
+    command, text, message = CONFIG_ERRORS[case]
+    s = np.linspace(0.0, 1.0, 11)
+    np.savetxt(tmp_path / "basis.txt", np.column_stack([s, np.ones_like(s), s]))
+    path = tmp_path / "bad.ini"
+    path.write_text(text.format(tmp=tmp_path))
+    out = tmp_path / "E"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command[0]}: ") and message in err, err
+    assert not out.exists()
 
 
 def test_console_entry_point_runs(tmp_path):
