@@ -44,12 +44,14 @@ orthogonality defect lands within a factor of four of the 1e-8 audit
 tolerance, which is too close to trust.  The y_k are evaluated one way,
 `_combine`: a long-double product of coefficients and a design built once per
 point set (powers as products, see `moments._power`), the prelude's margin
-design or `DirectionFunctions.evaluator`'s.  Core verification combines them
-in float64, trials in stacked blocks (see `verify_core_certificate`), and the
-Gram solves of all k form one stack (`_refined_solve`): a stacked numpy call
-makes each item's BLAS or LAPACK call, so both keep their bits.  The qri
-scan solves for the clip levels it must evaluate instead of visiting each
-(see `_candidate_levels`).
+design or `DirectionFunctions.evaluator`'s.  The prelude builds the
+verification points, and the core certificate carries them to its
+verification.  Core verification combines the y_k in float64, trials in
+stacked blocks (see `verify_core_certificate`), and the Gram solves of all k
+form one stack (`_refined_solve`): a stacked numpy call makes each item's
+BLAS or LAPACK call, so both keep their bits.  The qri scan solves for the
+clip levels it must evaluate instead of visiting each (see
+`_candidate_levels`).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .moments import (
     design_matrix,
     linearly_independent_on,
     subinterval_rule,
+    weighted_gram,
 )
 from .quadrature import QuadratureRule, build_rule
 
@@ -116,10 +119,6 @@ class MarginInterval:
     hi: float
     val_lo: float
     val_hi: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def _check_band(entropy: EntropySpec, lower: float, upper: float) -> None:
@@ -244,7 +243,6 @@ class DirectionFunctions:
 
     margin: MarginInterval
     basis: MomentBasis
-    eta: np.ndarray
     coeffs: np.ndarray = field(repr=False)          # (n, n) longdouble
     gram: np.ndarray = field(repr=False)            # (n, n) longdouble
     sub_nodes: np.ndarray = field(repr=False)       # subinterval rule nodes
@@ -261,8 +259,6 @@ class DirectionFunctions:
 
         def evaluate(coeffs):
             inner = _combine(coeffs, design)
-            if inner.shape[-1] == s.size:  # every point inside: nothing to scatter
-                return inner
             values = np.zeros(inner.shape[:-1] + s.shape)
             values[..., inside] = inner
             return values
@@ -280,13 +276,13 @@ def _combine(coeffs, design) -> np.ndarray:
     return (np.asarray(coeffs, dtype=_LD) @ design).astype(float)
 
 
-def _refined_solve(matrix_ld: np.ndarray, rhs_ld: np.ndarray, refinements: int = 3) -> np.ndarray:
-    """Solve in float64, then polish with extended-precision residuals.  A
+def _refined_solve(matrix_ld: np.ndarray, rhs_ld: np.ndarray) -> np.ndarray:
+    """Solve in float64, then polish with three extended-precision residuals.  A
     stack, (k, m, m) and (k, m, 1), makes one gesv per system per solve, so
     each system keeps the bits it has when solved alone."""
     matrix64 = matrix_ld.astype(float)
     solution = np.linalg.solve(matrix64, rhs_ld.astype(float)).astype(_LD)
-    for _ in range(refinements):
+    for _ in range(3):
         residual = rhs_ld - matrix_ld @ solution
         solution = solution + np.linalg.solve(matrix64, residual.astype(float)).astype(_LD)
     return solution
@@ -314,11 +310,7 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
             f"reduce the family or choose a different interval"
         )
     sub = subinterval_rule(basis, rule, (margin.lo, margin.hi))
-    nodes_ld = sub.nodes.astype(_LD)
-    weights_ld = sub.weights.astype(_LD)
-    design_ld = design_matrix(basis, nodes_ld)
-    gram_ld = (design_ld * weights_ld) @ design_ld.T
-    gram_ld = 0.5 * (gram_ld + gram_ld.T)
+    gram_ld = weighted_gram(design_matrix(basis, sub.nodes.astype(_LD)), sub.weights.astype(_LD))
 
     ks = np.flatnonzero(eta)
     j = np.arange(n - 1)
@@ -331,14 +323,8 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     coeffs = np.zeros((n, n), dtype=_LD)
     coeffs[ks] = (eta[ks].astype(_LD) / denom)[:, None] * v
 
-    return DirectionFunctions(
-        margin=margin,
-        basis=basis,
-        eta=eta,
-        coeffs=coeffs,
-        gram=gram_ld,
-        sub_nodes=sub.nodes,
-    )
+    return DirectionFunctions(margin=margin, basis=basis, coeffs=coeffs, gram=gram_ld,
+                              sub_nodes=sub.nodes)
 
 
 def direction_inner_products(directions: DirectionFunctions) -> np.ndarray:
@@ -346,14 +332,16 @@ def direction_inner_products(directions: DirectionFunctions) -> np.ndarray:
     return (directions.coeffs @ directions.gram).astype(float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreCertificate:
     """Constructive witness that the target moments are a core point.
 
     Built once for the all-ones direction; the y_k scale linearly in their
     own component of eta, so `delta_for`/`t_for` recover the bound and
     admissible step for any direction.  `t_unit` is the step for a
-    direction at the sup bound (delta_for == delta).
+    direction at the sup bound (delta_for == delta).  `points` are the
+    margin's `_verification_points`, on which the build confirmed the margin
+    and verification replays the construction.
     """
 
     margin: MarginInterval
@@ -364,7 +352,7 @@ class CoreCertificate:
     upper: float
     clearance: float
     t_unit: float
-    verification: Optional["CertificateVerification"] = None
+    points: tuple = field(repr=False)
 
     def delta_for(self, eta):
         """Sup bound for a direction, or one per row of a stack of them."""
@@ -406,14 +394,16 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
        it, on P1's membership grid too once step 2 has built it; the
        one-sided qri needs it finite there.
     2. A margin interval: the scan, or `candidate_interval` confirmed, its
-       range widened by the `_verification_points` inside it.
+       range widened by the membership-grid points inside it, where x is
+       sampled once.
     3. The unit-direction y_k on it, the only independence check.
     4. Its confirmed range strictly inside the band, or only above `lower`
        when `one_sided`.
 
     Returns the margin, the y_k, the long-double design of the margin grid
-    (MARGIN_SCAN_SAMPLES uniform samples plus the subinterval nodes), and
-    the margin's `_verification_points`.
+    (MARGIN_SCAN_SAMPLES uniform samples plus the subinterval nodes), the
+    margin's `_verification_points`, and x on their membership grid, whose
+    tail is x at the verification nodes.
     """
     basis, rule = instance.basis, instance.rule
     outside = CertificateError(f"the density leaves the band [{lower}, {upper}] somewhere on "
@@ -429,10 +419,12 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
         )
     else:
         margin = _confirmed_margin(x, candidate_interval, rule.nodes)
-    points = _verification_points(instance, margin, x)
-    if not _in_band(points[4], *((-np.inf, np.inf) if one_sided else (lower, upper))):
+    points = _verification_points(instance, margin)
+    grid = points[2]
+    x_grid = np.asarray(x(grid), dtype=float)
+    if not _in_band(x_grid, *((-np.inf, np.inf) if one_sided else (lower, upper))):
         raise outside   # P1's grid: within_bounds samples other points
-    checked = points[4][(points[3] >= margin.lo) & (points[3] <= margin.hi)]
+    checked = x_grid[(grid >= margin.lo) & (grid <= margin.hi)]
     margin = replace(margin, val_lo=float(checked.min(initial=margin.val_lo)),
                      val_hi=float(checked.max(initial=margin.val_hi)))
     directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
@@ -443,9 +435,9 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
             + (f"above {lower}" if one_sided else f"inside ({lower}, {upper})"),
             hypothesis="margin interval",
         )
-    grid = np.concatenate([np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
-                           directions.sub_nodes])
-    return margin, directions, design_matrix(basis, grid.astype(_LD)), points
+    on_margin = np.concatenate([np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
+                                directions.sub_nodes])
+    return margin, directions, design_matrix(basis, on_margin.astype(_LD)), points, x_grid
 
 
 def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: float,
@@ -459,8 +451,8 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     `candidate_interval` replaces the scan; independence there is examined
     before its value range.
     """
-    margin, directions, design, _ = _margin_prelude(instance, x, lower, upper,
-                                                    candidate_interval, min_width)
+    margin, directions, design, points, _ = _margin_prelude(instance, x, lower, upper,
+                                                            candidate_interval, min_width)
     sup_unit = np.max(np.abs(_combine(directions.coeffs, design)), axis=1)
     sup_unit = sup_unit * (1.0 + 1e-9)  # strict upper bound on the sampled sup
     delta = float(np.max(sup_unit))
@@ -474,12 +466,13 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
         upper=float(upper),
         clearance=float(clearance),
         t_unit=SAFETY_FACTOR * float(clearance) / (instance.n * delta),
+        points=points,
     )
 
 
-def _verification_points(instance: ProblemInstance, margin: MarginInterval, x):
-    """The verification rule, its design and x at its nodes, and the
-    membership grid (uniform samples plus those nodes) with x on it.
+def _verification_points(instance: ProblemInstance, margin: MarginInterval):
+    """The verification rule, its float64 design, and the membership grid:
+    MEMBERSHIP_SAMPLES + 2 uniform samples, then the rule's nodes.
 
     The verification rule is the instance rule refined with the margin ends
     as breakpoints: perturbations are supported exactly on the margin
@@ -495,8 +488,7 @@ def _verification_points(instance: ProblemInstance, margin: MarginInterval, x):
     ver_rule = build_rule((lo, hi), tuple(sorted(bps)), rule.nodes_per_panel,
                           rule.panels_per_segment)
     grid = np.concatenate([np.linspace(lo, hi, MEMBERSHIP_SAMPLES + 2), ver_rule.nodes])
-    return (ver_rule, design_matrix(instance.basis, ver_rule.nodes),
-            np.asarray(x(ver_rule.nodes), dtype=float), grid, np.asarray(x(grid), dtype=float))
+    return ver_rule, design_matrix(instance.basis, ver_rule.nodes), grid
 
 
 def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
@@ -510,10 +502,11 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     within 1e-8 (P2), integrating over a rule refined with the margin
     endpoints.  `t_scale` deliberately over- or under-drives the step rule
     (useful as a negative control: beyond the certified bound, P1 must
-    eventually fail on a tight margin).  The y_k are evaluated once in long
-    double on the membership grid, which ends with the verification nodes
-    (powers as products, see the module note); each trial combines them in
-    float64 as (t*eta) @ y, within about (n+2)*eps*clearance*t_scale of a
+    eventually fail on a tight margin).  x and, in long double, the y_k are
+    evaluated once on the certificate's membership grid, where its build
+    confirmed the margin, which ends with the verification nodes (powers as
+    products, see the module note); each trial combines the y_k in float64
+    as (t*eta) @ y, within about (n+2)*eps*clearance*t_scale of a
     long-double sum.  The directions are drawn in one call, the same stream
     as one draw of n per trial, so a seed gives the directions it gave one
     trial at a time.  Trials run in stacked blocks of TRIAL_BLOCK with the
@@ -534,9 +527,11 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     etas /= np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0]  # np.linalg.norm's bits
     steps = (t_scale * cert.t_for(etas))[:, None] * etas
     targets = instance.target_moments + steps
-    ver_rule, ver_design, x_ver, grid, x_grid = _verification_points(instance, cert.margin, x)
+    ver_rule, ver_design, grid = cert.points
+    x_grid = np.asarray(x(grid), dtype=float)
     y_grid = cert.directions.evaluate_all(grid)     # the unit y_k: linear in eta
-    y_ver = y_grid[:, grid.size - ver_rule.nodes.size:]
+    nodes = slice(grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
+    x_ver, y_ver = x_grid[nodes], y_grid[:, nodes]
     # y is 0 off the margin; aligned C-order groups of 16 columns keep the full grid's gemv bits
     meets = (grid >= cert.margin.lo) & (grid <= cert.margin.hi)
     keep = np.repeat(np.logical_or.reduceat(meets, np.arange(0, grid.size, 16)), 16)[:grid.size]
@@ -558,15 +553,13 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
         z *= ver_rule.weights
         residuals[rows] = np.abs((ver_design @ z[:, :, None])[:, :, 0] - targets[rows]).max(axis=1)
 
-    report = CertificateVerification(
+    return CertificateVerification(
         trials=trials,
         p1_passes=int(np.count_nonzero(violations <= P1_SLACK)),
         p2_passes=int(np.count_nonzero(residuals <= P2_TOL)),
         worst_p1_violation=float(violations.max()),
         worst_p2_residual=float(residuals.max()),
     )
-    cert.verification = report
-    return report
 
 
 @dataclass
@@ -665,10 +658,12 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     """
     if int(m_max) < 3:
         raise ValidationError(f"the clip-level scan starts at m=3, got m_max={m_max}")
-    margin, unit_directions, margin_design, points = _margin_prelude(
+    margin, unit_directions, margin_design, points, x_full = _margin_prelude(
         instance, x, lower, upper, min_width=min_width, one_sided=True)
     delta = margin.val_lo - lower
-    ver_rule, ver_design, x_ver, full_grid, x_full = points
+    ver_rule, ver_design, full_grid = points
+    nodes = slice(full_grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
+    x_ver = x_full[nodes]
     on_full = unit_directions.evaluator(full_grid)  # built once for the whole scan
     lost = []       # levels whose witness lost its lower clearance
     width = upper - lower if np.isfinite(upper) else 1.0
@@ -697,9 +692,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
         def y(s):
             return clip(np.asarray(x(s), dtype=float), m) - unit_directions.evaluator(s)(coeffs)
 
-        y_ver = y_full[-ver_rule.nodes.size:]  # the membership grid ends with the nodes
         residual = float(np.max(np.abs(
-            ver_design @ (ver_rule.weights * y_ver) - instance.target_moments)))
+            ver_design @ (ver_rule.weights * y_full[nodes]) - instance.target_moments)))
         return QriCertificate(m=m, y=y, eps=eps, moment_match_residual=residual, margin=margin,
                               upper_clearance=upper_clearance, correction_sup=sup_v)
 

@@ -121,14 +121,19 @@ class CertifyOptions:
     min_width: Optional[float] = None
 
     def band_for(self, entropy: EntropySpec) -> tuple:
-        lower = self.alpha if self.alpha is not None else entropy.f_domain.lo
-        upper = self.beta if self.beta is not None else entropy.f_domain.hi
+        domain = entropy.f_domain
+        lower = float(self.alpha if self.alpha is not None else domain.lo)
+        upper = float(self.beta if self.beta is not None else domain.hi)
         if not math.isfinite(lower):
             raise ValidationError(
                 f"certificates need a finite lower bound; entropy {entropy.name} has "
-                f"domain {entropy.f_domain}, set certify.alpha explicitly"
+                f"domain {domain}, set certify.alpha explicitly"
             )
-        return float(lower), float(upper)
+        if self.alpha is None and not domain.closed_lo:  # Burg's 0: no built-in upper end is open
+            raise ValidationError(f"band [{lower}, {upper}] is not contained in the domain "
+                                  f"{domain} of {entropy.name}, which leaves its end {lower} "
+                                  f"open; set certify.alpha explicitly")
+        return lower, upper
 
 
 @dataclass

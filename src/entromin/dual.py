@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainViolationError, NonFiniteIntegrandError, ValidationError
-from .moments import ProblemInstance
+from .moments import ProblemInstance, weighted_gram
 from .quadrature import finite_at_nodes, integrate_values
 
 __all__ = ["DualSolution", "IterationRecord", "dual_value", "dual_gradient",
@@ -119,8 +119,7 @@ def _derivatives(instance: ProblemInstance, v: np.ndarray, order: int):
         grad = instance.target_moments - design @ (rule.weights * density)
     if order >= 2:
         curvature = finite_at_nodes(rule, unchecked[2](v), "(f*)''")
-        hess = -(design * (rule.weights * curvature)) @ design.T
-        hess = 0.5 * (hess + hess.T)
+        hess = -weighted_gram(design, rule.weights * curvature)
     return grad, hess
 
 

@@ -50,17 +50,11 @@ DEFAULT_INDEPENDENCE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MomentBasis:
-    """An ordered family of bounded moment functions on [0, tau].
-
-    `sup_bound` is a finite upper bound on max_k sup |a_k|.  For tabulated
-    input it is taken from the samples, which can under-estimate the true
-    sup between sample points; the declared breakpoints are trusted as the
-    only non-smooth points.
-    """
+    """An ordered family of bounded moment functions on [0, tau]; the
+    declared breakpoints are trusted as the only non-smooth points."""
 
     functions: tuple
     breakpoints: tuple
-    sup_bound: float
     kind: str
     interval: tuple
 
@@ -90,7 +84,6 @@ def monomial_basis(n: int, interval=(0.0, 1.0)) -> MomentBasis:
     return MomentBasis(
         functions=tuple(partial(_power, k=k) for k in range(n)),
         breakpoints=(),
-        sup_bound=max(1.0, max(abs(lo), abs(hi)) ** (n - 1)),
         kind="monomial",
         interval=(lo, hi),
     )
@@ -121,7 +114,6 @@ def piecewise_flat_basis(n: int, split: float, interval=(0.0, 1.0)) -> MomentBas
     return MomentBasis(
         functions=tuple(branch(k) for k in range(n)),
         breakpoints=(split,),
-        sup_bound=max(1.0, max(abs(lo), abs(split)) ** (n - 1)),
         kind="piecewise_flat",
         interval=(lo, hi),
     )
@@ -148,7 +140,6 @@ def tabulated_basis(path, interval=(0.0, 1.0)) -> MomentBasis:
     return MomentBasis(
         functions=tuple(interpolant(c) for c in range(1, data.shape[1])),
         breakpoints=tuple(float(b) for b in breakpoints),
-        sup_bound=float(np.max(np.abs(data[:, 1:]))),
         kind="tabulated",
         interval=(float(interval[0]), float(interval[1])),
     )
@@ -191,8 +182,12 @@ def gram_matrix(basis: MomentBasis, rule: QuadratureRule, subinterval=None) -> n
     guarantees.
     """
     sub = subinterval_rule(basis, rule, subinterval or rule.interval)
-    design = design_matrix(basis, sub.nodes)
-    gram = (design * sub.weights) @ design.T
+    return weighted_gram(design_matrix(basis, sub.nodes), sub.weights)
+
+
+def weighted_gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_s w(s) a_i(s) a_j(s) from a design, symmetrized; keeps its dtype."""
+    gram = (design * weights) @ design.T
     return 0.5 * (gram + gram.T)
 
 
@@ -201,7 +196,6 @@ class IndependenceReport:
     independent: bool
     min_eigenvalue: float
     threshold: float
-    subinterval: tuple
 
     def __bool__(self):
         return self.independent
@@ -222,7 +216,6 @@ def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterva
         independent=bool(eigvals[0] > threshold),
         min_eigenvalue=float(eigvals[0]),
         threshold=threshold,
-        subinterval=(float(subinterval[0]), float(subinterval[1])),
     )
 
 

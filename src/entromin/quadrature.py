@@ -39,8 +39,7 @@ def _reference_rule(nodes_per_panel):
     return ref_x, ref_w
 
 
-def gauss_panels(lo, hi, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL,
-                 panels_per_segment=DEFAULT_PANELS_PER_SEGMENT):
+def gauss_panels(lo, hi, breakpoints, nodes_per_panel, panels_per_segment):
     """Nodes and weights of the composite rule as flat float64 arrays.
 
     Each segment between consecutive breakpoints is split into
@@ -70,10 +69,6 @@ class QuadratureRule:
     panels_per_segment: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-
-    @property
-    def length(self) -> float:
-        return self.interval[1] - self.interval[0]
 
 
 def build_rule(interval, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL,

@@ -55,7 +55,7 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
         return np.where(inside, (coeffs @ design).astype(float), 0.0)
 
     rng = np.random.default_rng(seed)
-    ver_rule = _verification_points(instance, cert.margin, x)[0]
+    ver_rule = _verification_points(instance, cert.margin)[0]
     ver_design = design_matrix(instance.basis, ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
@@ -89,7 +89,8 @@ def _replay_per_trial(instance, x, cert, trials, seed, t_scale):
     from entromin.certificates import P1_SLACK, P2_TOL, _verification_points
 
     rng = np.random.default_rng(seed)
-    ver_rule, ver_design, x_ver, grid, x_grid = _verification_points(instance, cert.margin, x)
+    ver_rule, ver_design, grid = _verification_points(instance, cert.margin)
+    x_ver, x_grid = (np.asarray(x(s), dtype=float) for s in (ver_rule.nodes, grid))
     y_grid = cert.directions.evaluate_all(grid)
     y_ver = cert.directions.evaluate_all(ver_rule.nodes)
     p1 = p2 = 0
@@ -144,7 +145,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
                                   nodes=rule.nodes, one_sided=True)
     delta = margin.val_lo - lower
     directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
-    ver_rule = _verification_points(instance, margin, x)[0]
+    ver_rule = _verification_points(instance, margin)[0]
     ver_design = design_matrix(basis, ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     on_margin = directions.evaluator(np.concatenate([
@@ -208,7 +209,7 @@ def _pulse_marked(basis, value, where):
         margin = find_margin_interval(PULSE, 0.0, INF, RULE.interval,
                                       breakpoints=RULE.breakpoints, nodes=RULE.nodes)
         inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
-        nodes = _verification_points(inst, margin, PULSE)[0].nodes
+        nodes = _verification_points(inst, margin)[0].nodes
         points = nodes[(nodes > margin.lo) & (nodes < margin.hi)][:1]
     else:
         grid = np.linspace(*RULE.interval, MEMBERSHIP_SAMPLES + 2)
@@ -457,7 +458,6 @@ class TestCoreCertificate:
         assert report.p1_passes == 100
         assert report.p2_passes == 100
         assert report.worst_p2_residual <= 1e-8
-        assert cert.verification is report
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_candidate_interval_right_of_split_fails_independence(self, n):
@@ -473,7 +473,7 @@ class TestCoreCertificate:
         inst = instance_from_density(builtin_entropy("boltzmann_shannon"),
                                      monomial_basis(3), build_rule((0.0, 1.0)), rho)
         cert = build_core_certificate(inst, rho, 0.0, 1.0)
-        assert cert.margin.width > 0.9
+        assert cert.margin.hi - cert.margin.lo > 0.9
         assert cert.margin.val_lo == pytest.approx(0.5)
         assert cert.margin.val_hi == pytest.approx(0.5)
         report = verify_core_certificate(inst, rho, cert, trials=50, seed=1)
@@ -536,7 +536,7 @@ class TestCoreCertificate:
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
-        ver = _verification_points(inst, cert.margin, PULSE)[0]
+        ver = _verification_points(inst, cert.margin)[0]
         design = design_matrix(inst.basis, ver.nodes)
         x_ver = PULSE(ver.nodes)
         inside = (ver.nodes >= cert.margin.lo) & (ver.nodes <= cert.margin.hi)
@@ -655,8 +655,9 @@ class TestCoreCertificate:
 
     @pytest.mark.parametrize("trials", [1, 17, 100])
     def test_points_and_directions_built_once_per_verification(self, monkeypatch, trials):
-        """One verification builds its points once and evaluates the y_k once,
-        in one long-double combination, for any number of trials."""
+        """One verification builds no points, it reads the certificate's, and
+        evaluates the y_k once, in one long-double combination, for any
+        number of trials."""
         from entromin import certificates
 
         inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
@@ -667,7 +668,63 @@ class TestCoreCertificate:
             monkeypatch.setattr(certificates, name, lambda *args, _f=original, _n=name:
                                 calls.append(_n) or _f(*args))
         verify_core_certificate(inst, PULSE, cert, trials=trials, seed=0)
-        assert sorted(calls) == ["_combine", "_verification_points"]
+        assert sorted(calls) == ["_combine"]
+
+    @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
+    def test_verification_builds_no_rule_and_samples_x_once(self, monkeypatch, basis):
+        """Verification replays on the points where the build confirmed the
+        margin: it builds no quadrature rule and samples the density once,
+        on the membership grid, and reports what it reports for the bare
+        density."""
+        from entromin import certificates, moments
+
+        inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        rules, sampled = [], []
+        for module in (certificates, moments):
+            monkeypatch.setattr(module, "build_rule",
+                                lambda *args: rules.append(args) or build_rule(*args))
+
+        def x(s):
+            sampled.append(np.array(s))
+            return PULSE(s)
+
+        report = verify_core_certificate(inst, x, cert, trials=20, seed=3)
+        assert rules == []
+        assert len(sampled) == 1 and sampled[0].size > certificates.MEMBERSHIP_SAMPLES
+        assert report == verify_core_certificate(inst, PULSE, cert, trials=20, seed=3)
+
+    @pytest.mark.parametrize("one_sided", [False, True], ids=["core", "qri"])
+    def test_prelude_samples_no_verification_nodes_alone(self, monkeypatch, one_sided):
+        """The prelude reads x at the verification nodes from the tail of its
+        membership-grid sample: no call samples the nodes alone."""
+        from entromin import certificates
+
+        inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE)
+        rules, sampled = [], []
+        monkeypatch.setattr(certificates, "build_rule",   # the verification rule alone
+                            lambda *args: rules.append(build_rule(*args)) or rules[-1])
+
+        def x(s):
+            sampled.append(np.array(s))
+            return PULSE(s)
+
+        *_, x_grid = certificates._margin_prelude(inst, x, 0.0, INF, one_sided=one_sided)
+        [ver_rule] = rules
+        assert not any(np.array_equal(s, ver_rule.nodes) for s in sampled)
+        np.testing.assert_array_equal(x_grid[-ver_rule.nodes.size:], PULSE(ver_rule.nodes))
+
+    def test_certificate_frozen_and_unchanged_by_verification(self):
+        inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.delta = 0.0
+        before = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
+        arrays = [cert.sup_unit.copy(), *(np.copy(a) for a in cert.points[1:])]
+        verify_core_certificate(inst, PULSE, cert, trials=10, seed=0)
+        assert all(getattr(cert, name) is value for name, value in before.items())
+        for array, now in zip(arrays, [cert.sup_unit, *cert.points[1:]]):
+            np.testing.assert_array_equal(now, array)
 
     def test_no_trials_rejected(self):
         inst = make_instance("translated_boltzmann_shannon",
@@ -880,9 +937,10 @@ class TestQriCertificate:
         inst = make_instance(entropy, basis, rho)
         lower, upper = band
         m_max = 2000
-        margin, directions, margin_design, points = _margin_prelude(inst, rho, lower, upper,
-                                                                    one_sided=True)
-        ver_rule, ver_design, x_ver = points[:3]
+        margin, directions, margin_design, points, x_grid = _margin_prelude(
+            inst, rho, lower, upper, one_sided=True)
+        ver_rule, ver_design, grid = points
+        x_ver = x_grid[grid.size - ver_rule.nodes.size:]
         delta = margin.val_lo - lower
 
         def clip(values, m):

@@ -238,6 +238,18 @@ class TestCertify:
                      "--out", str(out), *flag]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("cert_type", ["core", "qri"])
+    def test_burg_default_band_names_alpha(self, tmp_path, capsys, cert_type):
+        """Burg's domain (0, inf) leaves 0 open, so the default band [0, inf]
+        is outside it, and the error names the key that sets the lower end."""
+        cfg = write_cert_config(tmp_path, entropy="burg")
+        out = tmp_path / "E" / cert_type
+        assert main(["certify", "--config", str(cfg), "--type", cert_type,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "certify: band [0.0, inf] is not contained in the domain (0.0, inf) of burg, "
+            "which leaves its end 0.0 open; set certify.alpha explicitly\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("cert_type", ["core", "qri"])
     @pytest.mark.parametrize("band", ["alpha = -1\nbeta = 2", "alpha = 2\nbeta = 1"],

@@ -228,8 +228,8 @@ class TestSolveDual:
         basis = monomial_basis(2)
         shifted = instance_from_density(
             builtin_entropy("burg"),
-            type(basis)(functions=basis.functions[::-1], breakpoints=(),
-                        sup_bound=basis.sup_bound, kind="monomial", interval=(0.0, 1.0)),
+            type(basis)(functions=basis.functions[::-1], breakpoints=(), kind="monomial",
+                        interval=(0.0, 1.0)),
             RULE, constant_density(0.5),
         )
         with pytest.raises(ValidationError, match="phi0"):
