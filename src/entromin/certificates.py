@@ -36,20 +36,20 @@ All membership checks are sample-based (dense grids plus quadrature
 nodes), so a certificate is strong numerical evidence, not an
 almost-everywhere proof; solver output labels it as such.
 
-Numerical note: the direction-function coefficients solve Gram systems
-whose conditioning grows like Hilbert matrices (about 1e10 for six
-monomials on half the unit interval).  Construction therefore runs in
-extended precision with iterative refinement; in plain float64 the
-orthogonality defect lands within a factor of four of the 1e-8 audit
-tolerance, which is too close to trust.  The y_k are evaluated one way,
-`_combine`: a long-double product of coefficients and a design built once per
-point set (powers as products, see `moments._power`), the prelude's margin
+Numerical note: the y_k are the dual basis of a_1..a_n on the margin, scaled
+by eta, so their coefficients are diag(eta) G^-1 for the margin Gram matrix G,
+whose conditioning grows like Hilbert matrices (about 1e10 for six monomials
+on half the unit interval).  Construction therefore runs in extended
+precision, one solve of G X = I with iterative refinement (`_refined_solve`);
+in plain float64 the orthogonality defect lands within a factor of four of the
+1e-8 audit tolerance, which is too close to trust.  The y_k are evaluated one
+way, `_combine`: a long-double product of coefficients and a design built once
+per point set (powers as products, see `moments._power`), the prelude's margin
 design or `DirectionFunctions.evaluator`'s.  The prelude builds the
 verification points, and the core certificate carries them to its
 verification.  Core verification combines the y_k in float64, trials in
-stacked blocks (see `verify_core_certificate`), and the Gram solves of all k
-form one stack (`_refined_solve`): a stacked numpy call makes each item's
-BLAS or LAPACK call, so both keep their bits.  The qri scan solves for the
+stacked blocks (see `verify_core_certificate`): a stacked numpy call makes
+each trial's BLAS call, so each keeps its bits.  The qri scan solves for the
 clip levels it must evaluate instead of visiting each (see
 `_candidate_levels`).
 """
@@ -277,9 +277,7 @@ def _combine(coeffs, design) -> np.ndarray:
 
 
 def _refined_solve(matrix_ld: np.ndarray, rhs_ld: np.ndarray) -> np.ndarray:
-    """Solve in float64, then polish with three extended-precision residuals.  A
-    stack, (k, m, m) and (k, m, 1), makes one gesv per system per solve, so
-    each system keeps the bits it has when solved alone."""
+    """Solve in float64, then polish with three extended-precision residuals."""
     matrix64 = matrix_ld.astype(float)
     solution = np.linalg.solve(matrix64, rhs_ld.astype(float)).astype(_LD)
     for _ in range(3):
@@ -292,10 +290,11 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
                               margin: MarginInterval, eta) -> DirectionFunctions:
     """Construct the y_k for a direction eta on the margin interval.
 
-    For each k with eta_k != 0, the component of a_k orthogonal to the
-    span of the remaining functions (an (n-1)-dimensional Gram solve) is
-    rescaled so its inner product with a_k equals eta_k.  Zero components
-    of eta yield identically zero y_k; the solves of all k form one stack.
+    The y_k are the dual basis of a_1..a_n on the margin, scaled by eta:
+    row k of the coefficients is eta_k times row k of the inverse Gram
+    matrix, from one refined solve of G X = I.  So the coefficients are
+    linear in eta, bit for bit, and zero components of eta yield
+    identically zero y_k.
     """
     eta = np.asarray(eta, dtype=float)
     n = basis.n
@@ -312,16 +311,8 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     sub = subinterval_rule(basis, rule, (margin.lo, margin.hi))
     gram_ld = weighted_gram(design_matrix(basis, sub.nodes.astype(_LD)), sub.weights.astype(_LD))
 
-    ks = np.flatnonzero(eta)
-    j = np.arange(n - 1)
-    others = j + (j >= ks[:, None])     # row i: every index but ks[i]
-    solution = _refined_solve(gram_ld[others[:, :, None], others[:, None, :]],
-                              gram_ld[others, ks[:, None], None])
-    v = np.eye(n, dtype=_LD)[ks]
-    np.put_along_axis(v, others, -solution[..., 0], axis=1)
-    denom = (gram_ld[ks][:, None, :] @ v[:, :, None])[:, 0, 0]  # <a_k, v> = |a_k off the others|^2
-    coeffs = np.zeros((n, n), dtype=_LD)
-    coeffs[ks] = (eta[ks].astype(_LD) / denom)[:, None] * v
+    inverse = _refined_solve(gram_ld, np.eye(n, dtype=_LD))
+    coeffs = eta.astype(_LD)[:, None] * inverse.T
 
     return DirectionFunctions(margin=margin, basis=basis, coeffs=coeffs, gram=gram_ld,
                               sub_nodes=sub.nodes)

@@ -212,15 +212,20 @@ def load_config(path) -> RunConfig:
         output = sections.get("output", {})
         cfg.out_dir = output.get("dir", cfg.out_dir)
         cfg.sample_points = int(output.get("sample_points", cfg.sample_points))
-        if cfg.sample_points < 0:
-            raise ValidationError(f"output.sample_points must be >= 0, got {cfg.sample_points}")
 
         cfg.certify = CertifyOptions(**_read(sections.get("certify", {}), alpha=float, beta=float,
                                              trials=int, seed=int, m_max=int, min_width=float))
-        for key, least in (("trials", 1), ("m_max", 3), ("seed", 0)):
-            if getattr(cfg.certify, key) < least:
-                raise ValidationError(
-                    f"certify.{key} must be >= {least}, got {getattr(cfg.certify, key)}")
+        for key, value, least in (
+                ("quad.order", cfg.quad_order, 1), ("quad.panels", cfg.quad_panels, 1),
+                ("solver.max_iter", cfg.max_iter, 0),
+                ("output.sample_points", cfg.sample_points, 0),
+                ("certify.trials", cfg.certify.trials, 1), ("certify.m_max", cfg.certify.m_max, 3),
+                ("certify.seed", cfg.certify.seed, 0)):
+            if value < least:
+                raise ValidationError(f"{key} must be >= {least}, got {value}")
+        if not 0.0 < cfg.tol < math.inf:  # also rejects nan
+            raise ValidationError(
+                f"solver.tol: tolerance must be positive and finite, got {cfg.tol}")
         if "window" in sections.get("compare", {}):
             cfg.window = _increasing_pair("compare window", sections["compare"]["window"])
     except (ValueError, KeyError) as exc:

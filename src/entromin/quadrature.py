@@ -39,26 +39,6 @@ def _reference_rule(nodes_per_panel):
     return ref_x, ref_w
 
 
-def gauss_panels(lo, hi, breakpoints, nodes_per_panel, panels_per_segment):
-    """Nodes and weights of the composite rule as flat float64 arrays.
-
-    Each segment between consecutive breakpoints is split into
-    `panels_per_segment` equal panels carrying a `nodes_per_panel`-point
-    Gauss-Legendre rule, so no panel straddles a breakpoint.
-    """
-    ref_x, ref_w = _reference_rule(nodes_per_panel)
-    edges = [lo, *breakpoints, hi]
-    starts, ends = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        panel_edges = np.linspace(a, b, panels_per_segment + 1)
-        starts.append(panel_edges[:-1])
-        ends.append(panel_edges[1:])
-    pa, pb = np.concatenate(starts), np.concatenate(ends)
-    half = 0.5 * (pb - pa)
-    nodes = pa[:, None] + half[:, None] * (ref_x + 1.0)
-    return nodes.ravel(), (half[:, None] * ref_w).ravel()
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """An immutable composite rule on [lo, hi] honoring its breakpoints."""
@@ -75,9 +55,11 @@ def build_rule(interval, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL
                panels_per_segment=DEFAULT_PANELS_PER_SEGMENT) -> QuadratureRule:
     """Build a composite Gauss-Legendre rule on `interval`.
 
-    Breakpoints must be sorted, distinct, and strictly inside the interval;
-    they become panel edges so that piecewise-smooth integrands are smooth
-    on every panel.
+    Breakpoints must be sorted, distinct, and strictly inside the interval.
+    Each segment between consecutive breakpoints is split into
+    `panels_per_segment` equal panels carrying a `nodes_per_panel`-point
+    Gauss-Legendre rule, so piecewise-smooth integrands are smooth on every
+    panel.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -89,14 +71,18 @@ def build_rule(interval, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL
         raise ValidationError(f"breakpoints {bps} must lie strictly inside ({lo}, {hi})")
     if any(b2 <= b1 for b1, b2 in zip(bps[:-1], bps[1:])):
         raise ValidationError(f"breakpoints {bps} must be sorted and distinct")
-    nodes, weights = gauss_panels(lo, hi, bps, nodes_per_panel, panels_per_segment)
+    ref_x, ref_w = _reference_rule(nodes_per_panel)
+    edges = [lo, *bps, hi]
+    panels = [np.linspace(a, b, panels_per_segment + 1) for a, b in zip(edges, edges[1:])]
+    pa = np.concatenate([p[:-1] for p in panels])
+    half = 0.5 * (np.concatenate([p[1:] for p in panels]) - pa)
     return QuadratureRule(
         interval=(lo, hi),
         breakpoints=bps,
         nodes_per_panel=int(nodes_per_panel),
         panels_per_segment=int(panels_per_segment),
-        nodes=nodes,
-        weights=weights,
+        nodes=(pa[:, None] + half[:, None] * (ref_x + 1.0)).ravel(),
+        weights=(half[:, None] * ref_w).ravel(),
     )
 
 

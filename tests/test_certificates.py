@@ -111,25 +111,6 @@ def _replay_per_trial(instance, x, cert, trials, seed, t_scale):
     return (trials, p1, p2, worst_p1, worst_p2, P2_TOL)
 
 
-def _coeffs_per_k(gram, eta):
-    """Direction-function coefficients one k at a time: each Gram system
-    solved alone, with a 1-D right-hand side, and refined three times with
-    long-double residuals."""
-    n, ld = len(eta), np.longdouble
-    coeffs = np.zeros((n, n), dtype=ld)
-    for k in np.flatnonzero(eta):
-        others = [j for j in range(n) if j != k]
-        matrix, rhs = gram[np.ix_(others, others)], gram[others, k]
-        matrix64 = matrix.astype(float)
-        c = np.linalg.solve(matrix64, rhs.astype(float)).astype(ld)
-        for _ in range(3):
-            c = c + np.linalg.solve(matrix64, (rhs - matrix @ c).astype(float)).astype(ld)
-        v = np.zeros(n, dtype=ld)
-        v[k], v[others] = 1.0, -c
-        coeffs[k] = (ld(eta[k]) / (gram[k] @ v)) * v
-    return coeffs
-
-
 def _replay_full_scan(instance, x, lower, upper, m_max):
     """The qri clip-level scan the direct way: the correction is evaluated
     on the whole margin grid at every m.  Returns (m, eps, correction_sup,
@@ -411,20 +392,19 @@ class TestDirectionFunctions:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("family", [monomial_basis, lambda n: piecewise_flat_basis(n, 0.9)],
                              ids=["monomial", "piecewise"])
-    def test_stacked_gram_solves_replay_per_k_loop(self, family, n):
-        """The solves for every k as one stack give the coefficients, bit for
-        bit, of one refined solve per k with a 1-D right-hand side, also for
-        directions with zero entries (their y_k stay 0)."""
+    def test_directions_linear_in_eta(self, family, n):
+        """The coefficients for any eta are eta_k times those for the all-ones
+        direction, by value, and rows where eta is zero are exactly 0."""
         basis, rule = family(n), build_rule((0.0, 1.0), (0.9,))
         margin = MarginInterval(0.0, 0.9, 1.0, 1.0)
+        unit = build_direction_functions(basis, rule, margin, np.ones(n)).coeffs
         rng = np.random.default_rng(n)
         for eta in (np.ones(n), rng.standard_normal(n) * (np.arange(n) % 3 != 1),
                     np.where(np.arange(n) == n - 1, -2.5, 0.0), np.zeros(n)):
-            directions = build_direction_functions(basis, rule, margin, eta)
-            expected = _coeffs_per_k(directions.gram, eta)
+            coeffs = build_direction_functions(basis, rule, margin, eta).coeffs
             # values, not bytes: the padding around long double's 80 bits is arbitrary
-            np.testing.assert_array_equal(directions.coeffs, expected, strict=True)
-            assert np.array_equal(np.signbit(directions.coeffs), np.signbit(expected))
+            np.testing.assert_array_equal(coeffs, eta[:, None] * unit, strict=True)
+            assert np.all(coeffs[eta == 0.0] == 0.0)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_gram_solves_one_stack_per_build(self, monkeypatch, n):

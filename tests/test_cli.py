@@ -226,6 +226,19 @@ class TestCertify:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "certificate.json").exists()
 
+    @pytest.mark.parametrize("section,message", [
+        ("[quad]\norder = 0", "quad.order must be >= 1, got 0"),
+        ("[quad]\npanels = 0", "quad.panels must be >= 1, got 0"),
+        ("[solver]\nmax_iter = -3", "solver.max_iter must be >= 0, got -3"),
+        ("[solver]\ntol = nan", "solver.tol: tolerance must be positive and finite, got nan"),
+        ("[solver]\ntol = 0", "solver.tol: tolerance must be positive and finite, got 0.0"),
+    ], ids=["quad-order", "quad-panels", "max-iter", "tol-nan", "tol-zero"])
+    def test_bad_quad_or_solver_key_names_it(self, tmp_path, capsys, section, message):
+        cfg = write_cert_config(tmp_path, certify=f"trials = 100\n{section}")
+        assert main(["certify", "--config", str(cfg), "--type", "core"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cert_type,certify,flag", [
         ("core", "seed = 0", ["--seed", "-1"]),
         ("core", "alpha = 0\nmin_width = nan", []),
@@ -518,10 +531,15 @@ def test_cli_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def _readme_block(heading, lang):
+    """The first ```lang block under `heading` in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(heading, 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_config_schema_loads(tmp_path):
     """The README's "Config schema" block loads as it stands, inline comments included."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("### Config schema", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("### Config schema", "ini")
     path = tmp_path / "schema.ini"
     path.write_text(block)
     cfg = load_config(str(path))
@@ -530,3 +548,8 @@ def test_readme_config_schema_loads(tmp_path):
     assert cfg.certify.m_max == 4000
     assert cfg.certify.seed == 0
     assert cfg.tol == 1e-10
+
+
+def test_readme_library_quick_start_runs():
+    """The README's "Library quick start" block runs as it stands, asserts included."""
+    exec(compile(_readme_block("## Library quick start", "python"), "README.md", "exec"), {})
