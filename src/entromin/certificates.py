@@ -37,21 +37,21 @@ nodes), so a certificate is strong numerical evidence, not an
 almost-everywhere proof; solver output labels it as such.
 
 Numerical note: the y_k are the dual basis of a_1..a_n on the margin, scaled
-by eta, so their coefficients are diag(eta) G^-1 for the margin Gram matrix G,
-whose conditioning grows like Hilbert matrices (about 1e10 for six monomials
-on half the unit interval).  Construction therefore runs in extended
-precision, one solve of G X = I with iterative refinement (`_refined_solve`);
-in plain float64 the orthogonality defect lands within a factor of four of the
-1e-8 audit tolerance, which is too close to trust.  The y_k are evaluated one
-way, `_combine`: a long-double product of coefficients and a design built once
-per point set (powers as products, see `moments._power`), the prelude's margin
-design or `DirectionFunctions.evaluator`'s.  The prelude builds the
-verification points, and the core certificate carries them to its
-verification.  Core verification combines the y_k in float64, trials in
-stacked blocks (see `verify_core_certificate`): a stacked numpy call makes
-each trial's BLAS call, so each keeps its bits.  The qri scan solves for the
-clip levels it must evaluate instead of visiting each (see
-`_candidate_levels`).
+by eta: over functions phi_j spanning the a_k their coefficients are
+diag(eta) M^-1, M_ji = <phi_j, a_i> on the margin's subinterval rule, in
+float64.  Power form is what makes the margin Gram matrix Hilbert-like (about
+1e10 for six monomials on half the unit interval), so phi is the Legendre
+polynomials on the margin where they reproduce the a_k (monomials, and
+piecewise_flat on a margin that does not cross its split), and otherwise the
+a_k orthonormalized by a QR factorization, whose M is conditioned like the
+weighted a_k, not like their Gram matrix.  The y_k are evaluated one way,
+coefficients @ `DirectionFunctions.design`, built once per point set: the
+prelude's margin design or `DirectionFunctions.evaluator`'s.  The prelude
+builds the verification points, and the core certificate carries them to its
+verification.  Core verification combines the y_k, trials in stacked blocks
+(see `verify_core_certificate`): a stacked numpy call makes each trial's
+BLAS call, so each keeps its bits.  The qri scan solves for the clip levels
+it must evaluate instead of visiting each (see `_candidate_levels`).
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .moments import (
     design_matrix,
     linearly_independent_on,
     subinterval_rule,
-    weighted_gram,
 )
 from .quadrature import QuadratureRule, build_rule
 
@@ -93,8 +92,6 @@ __all__ = [
     "verify_core_certificate",
     "build_qri_certificate",
 ]
-
-_LD = np.longdouble
 
 MARGIN_SCAN_SAMPLES = 2001      # per segment between breakpoints
 MEMBERSHIP_SAMPLES = 2001
@@ -231,36 +228,46 @@ def find_margin_interval(x, lower: float, upper: float, interval,
     )
 
 
-@dataclass
+def _phi(margin: MarginInterval, basis: MomentBasis, factor, s) -> np.ndarray:
+    """The phi_j of the module note at the points s, shape (n, len(s)): Legendre
+    polynomials on the margin if `factor` is None, else R^-T a for R = `factor`."""
+    s = np.asarray(s, dtype=float)
+    if factor is None:
+        u = (2.0 * s - (margin.lo + margin.hi)) / (margin.hi - margin.lo)
+        return np.polynomial.legendre.legvander(u, basis.n - 1).T
+    return np.linalg.solve(factor.T, design_matrix(basis, s))
+
+
+@dataclass(frozen=True)
 class DirectionFunctions:
     """Functions y_1..y_n in the span of the moment family on a margin
     interval, with <y_k, a_j> = eta_k when j = k and 0 otherwise.
 
-    Each row of `coeffs` holds the expansion of one y_k over a_1..a_n,
-    restricted to [margin.lo, margin.hi] (zero outside).  Coefficients and
-    the Gram matrix are kept in extended precision; see the module note.
+    Row k of `coeffs` expands y_k over the phi_j of `_phi`, which `design`
+    tabulates; the y_k are zero outside [margin.lo, margin.hi].
     """
 
     margin: MarginInterval
     basis: MomentBasis
-    coeffs: np.ndarray = field(repr=False)          # (n, n) longdouble
-    gram: np.ndarray = field(repr=False)            # (n, n) longdouble
-    sub_nodes: np.ndarray = field(repr=False)       # subinterval rule nodes
+    coeffs: np.ndarray = field(repr=False)              # (n, n)
+    factor: Optional[np.ndarray] = field(repr=False)    # (n, n) R, or None for Legendre
+    sub_rule: QuadratureRule = field(repr=False)        # the margin's subinterval rule
+
+    def design(self, s) -> np.ndarray:
+        """The phi_j at the points s, shape (n, len(s))."""
+        return _phi(self.margin, self.basis, self.factor, s)
 
     def evaluator(self, s) -> Callable:
         """Map from expansion coefficients, shape (n,) or (k, n), to their
-        values at the points s, zero outside the margin.  The long-double
-        design of the points inside the margin is built once, here, and
-        each call is one `_combine` with it.
-        """
+        values at the points s, zero outside the margin: one product with the
+        design of the points inside the margin, which is built once, here."""
         s = np.asarray(s, dtype=float)
         inside = (s >= self.margin.lo) & (s <= self.margin.hi)
-        design = design_matrix(self.basis, s[inside].astype(_LD))
+        design = self.design(s[inside])
 
         def evaluate(coeffs):
-            inner = _combine(coeffs, design)
-            values = np.zeros(inner.shape[:-1] + s.shape)
-            values[..., inside] = inner
+            values = np.zeros(coeffs.shape[:-1] + s.shape)
+            values[..., inside] = coeffs @ design
             return values
 
         return evaluate
@@ -270,36 +277,25 @@ class DirectionFunctions:
         return self.evaluator(s)(self.coeffs)
 
 
-def _combine(coeffs, design) -> np.ndarray:
-    """Values of the expansions `coeffs` at the points of a long-double
-    design, rounded to float64."""
-    return (np.asarray(coeffs, dtype=_LD) @ design).astype(float)
-
-
-def _refined_solve(matrix_ld: np.ndarray, rhs_ld: np.ndarray) -> np.ndarray:
-    """Solve in float64, then polish with three extended-precision residuals."""
-    matrix64 = matrix_ld.astype(float)
-    solution = np.linalg.solve(matrix64, rhs_ld.astype(float)).astype(_LD)
-    for _ in range(3):
-        residual = rhs_ld - matrix_ld @ solution
-        solution = solution + np.linalg.solve(matrix64, residual.astype(float)).astype(_LD)
-    return solution
+LEGENDRE_FIT_TOL = 1e3 * np.finfo(float).eps   # relative to the 2-norm of a_k at the nodes
 
 
 def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
                               margin: MarginInterval, eta) -> DirectionFunctions:
     """Construct the y_k for a direction eta on the margin interval.
 
-    The y_k are the dual basis of a_1..a_n on the margin, scaled by eta:
-    row k of the coefficients is eta_k times row k of the inverse Gram
-    matrix, from one refined solve of G X = I.  So the coefficients are
-    linear in eta, bit for bit, and zero components of eta yield
-    identically zero y_k.
+    Row k of the coefficients is eta_k times row k of M^-1 (see the module
+    note), so they are linear in eta, bit for bit, and zero components of
+    eta yield identically zero y_k.  phi is Legendre (see `_phi`) when its
+    least-squares fit reproduces the a_k at the subinterval nodes to
+    LEGENDRE_FIT_TOL, and the a_k orthonormalized on those nodes otherwise.
     """
     eta = np.asarray(eta, dtype=float)
     n = basis.n
     if eta.shape != (n,):
         raise ValidationError(f"direction has shape {eta.shape}, expected ({n},)")
+    if not np.all(np.isfinite(eta)):
+        raise ValidationError(f"direction must be finite, got {eta}")
     report = linearly_independent_on(basis, rule, (margin.lo, margin.hi))
     if not report.independent:
         raise DependentBasisError(
@@ -309,18 +305,21 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
             f"reduce the family or choose a different interval"
         )
     sub = subinterval_rule(basis, rule, (margin.lo, margin.hi))
-    gram_ld = weighted_gram(design_matrix(basis, sub.nodes.astype(_LD)), sub.weights.astype(_LD))
-
-    inverse = _refined_solve(gram_ld, np.eye(n, dtype=_LD))
-    coeffs = eta.astype(_LD)[:, None] * inverse.T
-
-    return DirectionFunctions(margin=margin, basis=basis, coeffs=coeffs, gram=gram_ld,
-                              sub_nodes=sub.nodes)
+    values = design_matrix(basis, sub.nodes)
+    phi, factor = _phi(margin, basis, None, sub.nodes), None   # Legendre, kept if it fits the a_k
+    misfit = np.sqrt(np.linalg.lstsq(phi.T, values.T, rcond=None)[1])  # none unless N > n
+    if misfit.size < n or np.any(misfit > LEGENDRE_FIT_TOL * np.linalg.norm(values, axis=1)):
+        factor = np.linalg.qr((values * np.sqrt(sub.weights)).T, mode="r")
+        phi = _phi(margin, basis, factor, sub.nodes)
+    coeffs = eta[:, None] * np.linalg.inv((phi * sub.weights) @ values.T)
+    return DirectionFunctions(margin, basis, coeffs, factor, sub)
 
 
 def direction_inner_products(directions: DirectionFunctions) -> np.ndarray:
-    """The matrix <y_k, a_j> under the margin-interval inner product."""
-    return (directions.coeffs @ directions.gram).astype(float)
+    """The matrix <y_k, a_j>, integrated on the margin's subinterval rule."""
+    sub = directions.sub_rule
+    values = directions.evaluate_all(sub.nodes) * sub.weights
+    return values @ design_matrix(directions.basis, sub.nodes).T
 
 
 @dataclass(frozen=True)
@@ -391,7 +390,7 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     4. Its confirmed range strictly inside the band, or only above `lower`
        when `one_sided`.
 
-    Returns the margin, the y_k, the long-double design of the margin grid
+    Returns the margin, the y_k, their design of the margin grid
     (MARGIN_SCAN_SAMPLES uniform samples plus the subinterval nodes), the
     margin's `_verification_points`, and x on their membership grid, whose
     tail is x at the verification nodes.
@@ -427,8 +426,13 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
             hypothesis="margin interval",
         )
     on_margin = np.concatenate([np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
-                                directions.sub_nodes])
-    return margin, directions, design_matrix(basis, on_margin.astype(_LD)), points, x_grid
+                                directions.sub_rule.nodes])
+    return margin, directions, directions.design(on_margin), points, x_grid
+
+
+def _margin_sup(coeffs, margin_design):
+    """sup |v| on the margin grid of each expansion v in `coeffs`."""
+    return np.max(np.abs(coeffs @ margin_design), axis=-1)
 
 
 def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: float,
@@ -444,8 +448,7 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     """
     margin, directions, design, points, _ = _margin_prelude(instance, x, lower, upper,
                                                             candidate_interval, min_width)
-    sup_unit = np.max(np.abs(_combine(directions.coeffs, design)), axis=1)
-    sup_unit = sup_unit * (1.0 + 1e-9)  # strict upper bound on the sampled sup
+    sup_unit = _margin_sup(directions.coeffs, design) * (1.0 + 1e-9)  # above the sampled sup
     delta = float(np.max(sup_unit))
     clearance = min(margin.val_lo - lower, upper - margin.val_hi)
     return CoreCertificate(
@@ -482,6 +485,14 @@ def _verification_points(instance: ProblemInstance, margin: MarginInterval):
     return ver_rule, design_matrix(instance.basis, ver_rule.nodes), grid
 
 
+def _whole_number(name: str, value) -> int:
+    """`value` as an int; a ValidationError unless it is a whole real number."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real)
+                                               and float(value).is_integer()):
+        return int(value)
+    raise ValidationError(f"{name} must be a whole number, got {name}={value!r}")
+
+
 def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
                             trials: int = 100, seed: int = 0,
                             t_scale: float = 1.0) -> CertificateVerification:
@@ -493,28 +504,24 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     within 1e-8 (P2), integrating over a rule refined with the margin
     endpoints.  `t_scale` deliberately over- or under-drives the step rule
     (useful as a negative control: beyond the certified bound, P1 must
-    eventually fail on a tight margin).  x and, in long double, the y_k are
+    eventually fail on a tight margin).  x and the unit-direction y_k are
     evaluated once on the certificate's membership grid, where its build
-    confirmed the margin, which ends with the verification nodes (powers as
-    products, see the module note); each trial combines the y_k in float64
-    as (t*eta) @ y, within about (n+2)*eps*clearance*t_scale of a
-    long-double sum.  The directions are drawn in one call, the same stream
-    as one draw of n per trial, so a seed gives the directions it gave one
-    trial at a time.  Trials run in stacked blocks of TRIAL_BLOCK with the
-    BLAS calls, so the bits, of one trial at a time.  `trials` and `seed`
-    must be whole numbers.
+    confirmed the margin, which ends with the verification nodes; each
+    trial combines the y_k as (t*eta) @ y, within about
+    (n+2)*eps*clearance*t_scale of the exact sum of those values.  The
+    directions are drawn in one call, the same stream as one draw of n per
+    trial, so a seed gives the directions it gave one trial at a time.
+    Trials run in stacked blocks of TRIAL_BLOCK with the BLAS calls, so the
+    bits, of one trial at a time.  `trials` and `seed` must be whole numbers.
     """
-    for name, value in (("trials", trials), ("seed", seed)):
-        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-            raise ValidationError(f"{name} must be a whole number, got {name}={value}")
+    trials, seed = _whole_number("trials", trials), _whole_number("seed", seed)
     if trials < 1:
         raise ValidationError(f"verification needs at least one trial, got trials={trials}")
     if seed < 0:
         raise ValidationError(f"the verification seed must be >= 0, got seed={seed}")
     if not 0.0 <= t_scale < np.inf:
         raise ValidationError(f"t_scale must be non-negative and finite, got {t_scale}")
-    trials = int(trials)
-    etas = np.random.default_rng(int(seed)).standard_normal((trials, instance.n))
+    etas = np.random.default_rng(seed).standard_normal((trials, instance.n))
     etas /= np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0]  # np.linalg.norm's bits
     steps = (t_scale * cert.t_for(etas))[:, None] * etas
     targets = instance.target_moments + steps
@@ -583,16 +590,18 @@ def _candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,
 
     While the nodes a level clips up (side +1) or down (-1) stay the same,
     clip(x, m) - x = t*width*side + (edge - x) in t = 1/m, so the correction
-    on the margin grid is v = t*vA + vB.  Its rows and defects differ from
-    the per-level path's by at most about (2N+3)*eps*|V| @ (weights*(t*width
-    + |edge| + |x|)) on the clipped nodes, carried on through |C| @ |M|;
-    err = 2(N+2n+8)*eps*(that + |v| + delta/2) also covers the roundings
-    after it.  A level with |v| - err >= delta/2 somewhere is rejected: the
-    rest of the piece is one interval of t, widened to whole levels.
+    on the margin grid is v = t*vA + vB.  The per-level defect rounds N+4
+    times (level, difference, weight, sum), the predicted rows N+2, and each
+    path 2n times more (by C, by M), so in float64 the two differ by at most
+    (2N+4n+6)*eps*(|V| @ (weights*(t*width + |edge| + |x|)) on the clipped
+    nodes) @ |C| @ |M|; err = 2(N+2n+8)*eps*(that + |v| + delta/2) covers
+    the roundings after it too.  A level with |v| - err >= delta/2 somewhere
+    is rejected: the rest of the piece is one interval of t, widened to
+    whole levels.
     """
     gamma = 2.0 * (x_ver.size + 2 * coeffs.shape[0] + 8) * np.finfo(float).eps
     width = upper - lower if np.isfinite(upper) else 1.0
-    design = spread = None  # M in float64 and |C| @ |M|, for the first piece that clips
+    spread = np.abs(coeffs) @ np.abs(margin_design)
 
     def sides(k):
         return np.sign(np.clip(x_ver, lower + width / k, upper - width / k) - x_ver)
@@ -607,14 +616,11 @@ def _candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,
         while step:
             grow = end + step <= m_max and np.array_equal(sides(end + step), side)
             end, step = (end + step, 2 * step) if grow else (end, step // 2)
-        if spread is None:
-            design = margin_design.astype(float)
-            spread = np.abs(coeffs).astype(float) @ np.abs(design)
         edge = np.where(side > 0, lower, np.where(side < 0, upper, 0.0))
         clipped = weights * np.abs(side)
         rows = clipped * np.array([width * side, edge - x_ver])
         sizes = clipped * np.array([np.full(side.shape, width), np.abs(edge) + np.abs(x_ver)])
-        v = ((rows @ ver_design.T).astype(_LD) @ coeffs).astype(float) @ design
+        v = (rows @ ver_design.T) @ coeffs @ margin_design
         err = gamma * ((sizes @ np.abs(ver_design).T) @ spread + np.abs(v) + [[0], [delta / 2]])
         bound = delta / 2 + err[1]  # t*alpha < beta: v < delta/2 + err and -v < delta/2 + err
         alpha = np.concatenate([v[0] - err[0], -v[0] - err[0]])
@@ -647,7 +653,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     Raises a :class:`CertificateError` describing the decay of the moment
     defect when the budget m_max is exhausted.
     """
-    if int(m_max) < 3:
+    m_max = _whole_number("m_max", m_max)
+    if m_max < 3:
         raise ValidationError(f"the clip-level scan starts at m=3, got m_max={m_max}")
     margin, unit_directions, margin_design, points, x_full = _margin_prelude(
         instance, x, lower, upper, min_width=min_width, one_sided=True)
@@ -665,12 +672,12 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     def level(m):
         """Moment defect of the level-m clip and its correction's coefficients."""
         defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
-        return defect, np.asarray(defect, dtype=_LD) @ unit_directions.coeffs
+        return defect, defect @ unit_directions.coeffs
 
     for m in _candidate_levels(x_ver, ver_rule.weights, ver_design, unit_directions.coeffs,
-                               margin_design, lower, upper, delta, int(m_max)):
+                               margin_design, lower, upper, delta, m_max):
         coeffs = level(m)[1]
-        sup_v = float(np.max(np.abs(_combine(coeffs, margin_design))))
+        sup_v = float(_margin_sup(coeffs, margin_design))
         if sup_v >= delta / 2.0:
             continue
         y_full = clip(x_full, m) - on_full(coeffs)
@@ -689,9 +696,9 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
                               upper_clearance=upper_clearance, correction_sup=sup_v)
 
     # every level failed: report the last six of m = 3, the multiples of 25 and the lost ones
-    reported = sorted({3, *range(int(m_max) // 25 * 25, 0, -25)[:6], *lost})[-6:]
+    reported = sorted({3, *range(m_max // 25 * 25, 0, -25)[:6], *lost})[-6:]
     decay = "; ".join(f"m={m}: |defect|={np.max(np.abs(d)):.3e}, "
-                      f"sup|v|={np.max(np.abs(_combine(c, margin_design))):.3e}"
+                      f"sup|v|={_margin_sup(c, margin_design):.3e}"
                       for m, (d, c) in zip(reported, map(level, reported)))
     raise CertificateError(
         f"no acceptable witness up to m={m_max} (need sup|v| < {delta / 2.0:.3e} "

@@ -64,16 +64,8 @@ class MomentBasis:
 
 
 def _power(s, k: int) -> np.ndarray:
-    """s**k.  Long double multiplies k-1 times, within k*eps of exact: glibc
-    powl takes a log/exp path for k >= 4 at about 0.5 us a value, and for
-    k <= 3 it multiplies too, bit for bit.  float64 keeps numpy's SIMD pow."""
-    s = np.asarray(s)
-    if k == 0 or s.dtype != np.longdouble:
-        return s ** k if k else np.ones_like(s)
-    out = s.copy()
-    for _ in range(k - 1):
-        out *= s
-    return out
+    """s**k, numpy's pow in the dtype of s (ones for k = 0)."""
+    return np.asarray(s) ** k
 
 
 def monomial_basis(n: int, interval=(0.0, 1.0)) -> MomentBasis:

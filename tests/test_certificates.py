@@ -1,6 +1,7 @@
 """Margin intervals, direction functions, and both duality certificates."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from entromin import (
     within_bounds,
 )
 from entromin.certificates import DirectionFunctions, MarginInterval
-from entromin.moments import moment_vector
+from entromin.moments import IndependenceReport, moment_vector, tabulated_basis
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 PULSE = pulse_density(0.5)
@@ -42,17 +43,16 @@ def make_instance(entropy_name, basis, rho):
 
 def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
     """Core verification the direct way: each trial's perturbation is
-    expanded in long double and evaluated on both long-double designs,
-    rebuilt from the sample points on every trial."""
+    expanded as one set of coefficients and evaluated on both designs of
+    the y_k, rebuilt from the sample points on every trial."""
     from entromin.certificates import (
         MEMBERSHIP_SAMPLES, P1_SLACK, P2_TOL, CertificateVerification, _verification_points,
     )
     from entromin.moments import design_matrix
 
     def evaluate(s, coeffs):
-        design = design_matrix(instance.basis, s.astype(np.longdouble))
         inside = (s >= cert.margin.lo) & (s <= cert.margin.hi)
-        return np.where(inside, (coeffs @ design).astype(float), 0.0)
+        return np.where(inside, coeffs @ cert.directions.design(s), 0.0)
 
     rng = np.random.default_rng(seed)
     ver_rule = _verification_points(instance, cert.margin)[0]
@@ -67,7 +67,7 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
         eta = rng.standard_normal(instance.n)
         eta /= np.linalg.norm(eta)
         t = t_scale * cert.t_for(eta)
-        coeffs = np.longdouble(t) * (eta.astype(np.longdouble) @ cert.directions.coeffs)
+        coeffs = t * (eta @ cert.directions.coeffs)
         perturbed = x_grid + evaluate(grid, coeffs)
         violation = max(float(np.max(cert.lower - perturbed)), 0.0)
         if np.isfinite(cert.upper):
@@ -130,7 +130,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     ver_design = design_matrix(basis, ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     on_margin = directions.evaluator(np.concatenate([
-        np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES), directions.sub_nodes]))
+        np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES), directions.sub_rule.nodes]))
     full_grid = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2),
                                 ver_rule.nodes])
     x_full = np.asarray(x(full_grid), dtype=float)
@@ -144,7 +144,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     history = []
     for m in range(3, m_max + 1):
         defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
-        coeffs = np.asarray(defect, dtype=np.longdouble) @ directions.coeffs
+        coeffs = defect @ directions.coeffs
         sup_v = float(np.max(np.abs(on_margin(coeffs))))
         if sup_v >= delta / 2.0:
             if m == 3 or m % 25 == 0:
@@ -201,6 +201,33 @@ def _pulse_marked(basis, value, where):
 
 
 BASES_34 = [monomial_basis(3), piecewise_flat_basis(4, 0.5)]
+
+README_MARGIN = MarginInterval(0.00024975024975024975, 0.49975024975024973, 1.0, 1.0)
+
+
+def _exact_monomial_dual_basis(n, lo, hi, s):
+    """The dual basis of 1, s, ..., s**(n-1) on [lo, hi] at the points s, in
+    exact rational arithmetic: the exact Gram matrix inverted by Gauss-Jordan,
+    each y_k summed by Horner's rule, then rounded once to float64."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    rows = [[(hi ** (i + j + 1) - lo ** (i + j + 1)) / (i + j + 1) for j in range(n)]
+            + [Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    inverse = [row[n:] for row in rows]
+    values = np.empty((n, len(s)))
+    for i, point in enumerate(map(Fraction, s)):
+        for k in range(n):
+            acc = Fraction(0)
+            for c in reversed(inverse[k]):
+                acc = acc * point + c
+            values[k, i] = float(acc)
+    return values
 
 
 class TestCheckedPointsConfirmMargin:
@@ -353,13 +380,86 @@ class TestDirectionFunctions:
         basis = monomial_basis(2)
         margin = MarginInterval(0.0, 1.0, 0.5, 0.5)
         directions = build_direction_functions(basis, RULE, margin, [1.0, 0.0])
-        np.testing.assert_allclose(np.asarray(directions.coeffs[0], dtype=float),
-                                   [4.0, -6.0], rtol=1e-10)
-        np.testing.assert_allclose(np.asarray(directions.coeffs[1], dtype=float),
-                                   [0.0, 0.0], atol=0.0)
+        s = np.linspace(0.0, 1.0, 11)
+        values = directions.evaluate_all(s)
+        np.testing.assert_allclose(values[0], 4.0 - 6.0 * s, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(values[1], 0.0)
         ips = direction_inner_products(directions)
         assert abs(ips[0, 1]) <= 1e-10
         assert ips[0, 0] == pytest.approx(1.0, rel=1e-12)
+
+    # bounds on the error relative to sup|y_k|: 4e-15 up to n = 4, then about
+    # 2.5x the float64 construction's error, but 6.5e-15 at n = 5
+    ORACLE_TOL = {2: 4e-15, 3: 4e-15, 4: 4e-15, 5: 6.5e-15, 6: 4e-14, 7: 2.5e-13, 8: 3e-13}
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_monomials_match_exact_dual_basis(self, n, monkeypatch):
+        """On the README margin each y_k agrees with the exact rational dual
+        basis to ORACLE_TOL relative to its sup.  The independence threshold
+        rejects n = 7 and 8 there, so it is bypassed for them."""
+        from entromin import certificates
+
+        if n >= 7:
+            monkeypatch.setattr(certificates, "linearly_independent_on",
+                                lambda *args: IndependenceReport(True, 1.0, 0.0))
+        directions = build_direction_functions(monomial_basis(n), RULE, README_MARGIN,
+                                               np.ones(n))
+        assert directions.factor is None  # Legendre polynomials
+        s = np.linspace(README_MARGIN.lo, README_MARGIN.hi, 301)
+        exact = _exact_monomial_dual_basis(n, README_MARGIN.lo, README_MARGIN.hi, s)
+        error = np.abs(directions.evaluate_all(s) - exact).max(axis=1)
+        assert np.max(error / np.abs(exact).max(axis=1)) <= self.ORACLE_TOL[n]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        with pytest.raises(ValidationError, match="direction must be finite"):
+            build_direction_functions(monomial_basis(4), RULE, README_MARGIN,
+                                      [bad, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("basis,margin,legendre", [
+        (monomial_basis(6), README_MARGIN, True),
+        (piecewise_flat_basis(6, 0.5), README_MARGIN, True),
+        (piecewise_flat_basis(1, 0.5), MarginInterval(0.5, 1.0, 1.0, 1.0), True),
+        (piecewise_flat_basis(4, 0.5), MarginInterval(0.25, 0.75, 1.0, 1.0), False),
+        (monomial_basis(3), MarginInterval(0.1, 0.9, 1.0, 1.0), True),
+    ], ids=["monomial6", "piecewise6", "flat-side-n1", "piecewise4-across-split", "monomial3"])
+    def test_expansion_functions_follow_the_family(self, basis, margin, legendre):
+        """Legendre polynomials where they reproduce the a_k on the margin,
+        the orthonormalized a_k across a split; the y_k are the dual basis
+        either way."""
+        rng = np.random.default_rng(3)
+        eta = rng.standard_normal(basis.n)
+        directions = build_direction_functions(basis, RULE, margin, eta)
+        assert (directions.factor is None) is legendre
+        defect = direction_inner_products(directions) - np.diag(eta)
+        assert np.max(np.abs(defect)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_tabulated_monomials_certify_on_the_family(self, tmp_path, n):
+        """Monomials tabulated on 401 samples are piecewise linear, so the y_k
+        expand over the orthonormalized a_k, which keeps their orthogonality
+        defect near rounding, and the core certificate on the pulse passes
+        every trial."""
+        s = np.linspace(0.0, 1.0, 401)
+        path = tmp_path / "basis.txt"
+        np.savetxt(path, np.column_stack([s] + [s ** k for k in range(n)]))
+        inst = make_instance("translated_boltzmann_shannon", tabulated_basis(path), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        assert cert.directions.factor is not None
+        defect = direction_inner_products(cert.directions) - np.eye(n)
+        assert np.max(np.abs(defect)) <= 1e-11
+        assert verify_core_certificate(inst, PULSE, cert, trials=100, seed=3).all_passed
+
+    def test_inner_products_audit_the_evaluation(self):
+        """The inner products integrate the y_k as `evaluate_all` gives them:
+        the same coefficients over a wrongly mapped margin show a defect."""
+        directions = build_direction_functions(monomial_basis(4), RULE, README_MARGIN,
+                                               np.ones(4))
+        np.testing.assert_allclose(direction_inner_products(directions), np.eye(4),
+                                   rtol=0.0, atol=1e-12)
+        shifted = dataclasses.replace(README_MARGIN, hi=0.45)
+        defect = direction_inner_products(dataclasses.replace(directions, margin=shifted))
+        assert np.max(np.abs(defect - np.eye(4))) > 0.1
 
     def test_zero_direction_gives_zero_functions(self):
         basis = monomial_basis(3)
@@ -402,21 +502,8 @@ class TestDirectionFunctions:
         for eta in (np.ones(n), rng.standard_normal(n) * (np.arange(n) % 3 != 1),
                     np.where(np.arange(n) == n - 1, -2.5, 0.0), np.zeros(n)):
             coeffs = build_direction_functions(basis, rule, margin, eta).coeffs
-            # values, not bytes: the padding around long double's 80 bits is arbitrary
             np.testing.assert_array_equal(coeffs, eta[:, None] * unit, strict=True)
             assert np.all(coeffs[eta == 0.0] == 0.0)
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_gram_solves_one_stack_per_build(self, monkeypatch, n):
-        """A build makes the 1 + 3 refinement solves of one stack, for any n."""
-        calls = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
-        for basis in (monomial_basis(n), piecewise_flat_basis(n, 0.9)):
-            calls.clear()
-            build_direction_functions(basis, build_rule((0.0, 1.0), (0.9,)),
-                                      MarginInterval(0.0, 0.9, 1.0, 1.0), np.ones(n))
-            assert len(calls) == 4
 
 
 class TestCoreCertificate:
@@ -519,14 +606,12 @@ class TestCoreCertificate:
         ver = _verification_points(inst, cert.margin)[0]
         design = design_matrix(inst.basis, ver.nodes)
         x_ver = PULSE(ver.nodes)
-        inside = (ver.nodes >= cert.margin.lo) & (ver.nodes <= cert.margin.hi)
-        design_ld = design_matrix(inst.basis, ver.nodes.astype(np.longdouble))
+        evaluate = cert.directions.evaluator(ver.nodes)
         for k in range(4):
             eta = np.zeros(4)
             eta[k] = 1.0
             t = cert.t_for(eta)
-            coeffs = np.longdouble(t) * (eta.astype(np.longdouble) @ cert.directions.coeffs)
-            y_ver = np.where(inside, (coeffs @ design_ld).astype(float), 0.0)
+            y_ver = evaluate(t * (eta @ cert.directions.coeffs))
             shift = design @ (ver.weights * (x_ver + y_ver)) - inst.target_moments
             assert np.max(np.abs(shift - t * eta)) <= 1e-10
 
@@ -536,15 +621,22 @@ class TestCoreCertificate:
         directions = build_direction_functions(basis, RULE, margin, [1.0, -2.0, 0.5])
         s = np.linspace(0, 1, 301)
         evaluate = directions.evaluator(s)
-        weights = np.array([[1.0, 1.0, 1.0], [0.5, -3.0, 2.0]], dtype=np.longdouble)
+        weights = np.array([[1.0, 1.0, 1.0], [0.5, -3.0, 2.0]])
         block = evaluate(weights @ directions.coeffs)
         assert block.shape == (2, s.size)
         rows = directions.evaluate_all(s)
-        for w, got in zip(weights.astype(float), block):
+        for w, got in zip(weights, block):
             np.testing.assert_allclose(got, (w[:, None] * rows).sum(axis=0),
                                        rtol=1e-12, atol=1e-12)
-        # a single expansion evaluates to the matching row of the block
-        np.testing.assert_array_equal(evaluate(weights[1] @ directions.coeffs), block[1])
+        # a single expansion evaluates to the matching row of the block, to
+        # rounding: BLAS takes one row as gemv and a block as gemm.  Each side
+        # is two length-n products, each within n*eps of its sum of magnitudes.
+        inside = (s >= margin.lo) & (s <= margin.hi)
+        size = np.zeros_like(s)
+        size[inside] = ((np.abs(weights[1]) @ np.abs(directions.coeffs))
+                        @ np.abs(directions.design(s[inside])))
+        single = evaluate(weights[1] @ directions.coeffs)
+        assert np.all(np.abs(single - block[1]) <= 4 * basis.n * np.finfo(float).eps * size)
 
     @pytest.mark.parametrize("entropy,basis,rho,band,t_scale", [
         ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF), 1.0),
@@ -553,7 +645,7 @@ class TestCoreCertificate:
     ], ids=["pulse-piecewise4", "constant-monomial4", "overdriven-control"])
     def test_designs_built_once_replay_exactly(self, entropy, basis, rho, band, t_scale):
         """Verification with its designs built once reports exactly what a
-        replay rebuilding both long-double designs on every trial reports."""
+        replay rebuilding both designs on every trial reports."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         expected = _replay_rebuilding_designs(inst, rho, cert, trials=40, seed=9,
@@ -606,8 +698,9 @@ class TestCoreCertificate:
     def test_trial_blocks_replay_one_trial_at_a_time(self, entropy, basis, rho, band):
         """Trials stacked in blocks report, field for field, what the float64
         loop over one trial at a time does, for counts on both sides of a
-        block edge and at every step scale; against the long-double replay
-        the pass counts agree and the worst values to a few ulps."""
+        block edge and at every step scale; against the replay that expands
+        each perturbation as one set of coefficients the pass counts agree and
+        the worst values to a few ulps."""
         from entromin.certificates import TRIAL_BLOCK
 
         inst = make_instance(entropy, basis, rho)
@@ -636,19 +729,19 @@ class TestCoreCertificate:
     @pytest.mark.parametrize("trials", [1, 17, 100])
     def test_points_and_directions_built_once_per_verification(self, monkeypatch, trials):
         """One verification builds no points, it reads the certificate's, and
-        evaluates the y_k once, in one long-double combination, for any
+        evaluates the y_k once, on one design of the membership grid, for any
         number of trials."""
         from entromin import certificates
 
         inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         calls = []
-        for name in ("_verification_points", "_combine"):
-            original = getattr(certificates, name)
-            monkeypatch.setattr(certificates, name, lambda *args, _f=original, _n=name:
+        for owner, name in ((certificates, "_verification_points"), (DirectionFunctions, "design")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name:
                                 calls.append(_n) or _f(*args))
         verify_core_certificate(inst, PULSE, cert, trials=trials, seed=0)
-        assert sorted(calls) == ["_combine"]
+        assert sorted(calls) == ["design"]
 
     @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
     def test_verification_builds_no_rule_and_samples_x_once(self, monkeypatch, basis):
@@ -720,7 +813,8 @@ class TestCoreCertificate:
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             verify_core_certificate(inst, PULSE, cert, trials=3, seed=-1)
-        for kw in ({"trials": 2.5}, {"seed": 1.5}, {"trials": float("nan")}, {"seed": INF}):
+        for kw in ({"trials": 2.5}, {"seed": 1.5}, {"trials": float("nan")}, {"seed": INF},
+                   {"trials": "3"}, {"seed": "1"}):
             with pytest.raises(ValidationError, match="must be a whole number"):
                 verify_core_certificate(inst, PULSE, cert, **{"trials": 3, **kw})
         assert verify_core_certificate(inst, PULSE, cert, trials=3.0, seed=2.0).trials == 3
@@ -730,7 +824,7 @@ class TestCoreCertificate:
         assert verify_core_certificate(inst, PULSE, cert, trials=3, t_scale=0.0).all_passed
 
     def test_direction_functions_evaluated_once_per_point_set(self, monkeypatch):
-        """The long-double evaluations do not grow with the number of trials."""
+        """The evaluations of the y_k do not grow with the number of trials."""
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
@@ -758,11 +852,11 @@ class TestCoreCertificate:
         ("translated_boltzmann_shannon", PULSE, (0.0, INF)),
         ("boltzmann_shannon", constant_density(0.5), (0.0, 1.0)),
     ], ids=["pulse", "constant"])
-    def test_float64_combination_matches_long_double_replay(self, entropy, rho, band,
-                                                            basis, t_scale):
-        """Combining the y_k in float64 gives the pass counts of a per-trial
-        long-double evaluation, and its worst values to a few ulps of the
-        clearance (the bound on the perturbation).  At n=2 an overdriven
+    def test_combination_matches_direct_replay(self, entropy, rho, band, basis, t_scale):
+        """Combining the y_k evaluated once gives the pass counts of a
+        per-trial evaluation of each perturbation's own coefficients, and its
+        worst values to a few ulps of the clearance (the bound on the
+        perturbation).  At n=2 an overdriven
         step leaves the band in some trials, so P1 counts are compared too."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
@@ -831,6 +925,20 @@ class TestQriCertificate:
         inst = make_instance("boltzmann_shannon", monomial_basis(2), PULSE)
         with pytest.raises(ValidationError):
             build_qri_certificate(inst, PULSE, 0.0, 1.0, m_max=2)
+
+    @pytest.mark.parametrize("m_max", [float("nan"), INF, 3.5, 4000.5, "10"])
+    def test_budget_must_be_whole_number(self, m_max):
+        """A budget that is not a whole number names itself, as trials and
+        seed do: 3.5 scanned only m = 3, and "10" was accepted."""
+        inst = make_instance("boltzmann_shannon", monomial_basis(2), PULSE)
+        with pytest.raises(ValidationError, match="m_max must be a whole number"):
+            build_qri_certificate(inst, PULSE, 0.0, 1.0, m_max=m_max)
+
+    def test_whole_float_budget_scans_as_int(self):
+        inst = make_instance("boltzmann_shannon", monomial_basis(2), PULSE)
+        by_float, by_int = (dataclasses.replace(build_qri_certificate(
+            inst, PULSE, 0.0, 1.0, m_max=m_max), y=None) for m_max in (4000.0, 4000))
+        assert by_float == by_int
 
     @pytest.mark.parametrize("band", [(-1.0, 2.0), (2.0, 1.0)], ids=["outside-domain", "empty"])
     def test_band_outside_entropy_domain_rejected(self, band):
@@ -912,7 +1020,7 @@ class TestQriCertificate:
         an exact per-level sup|v| >= delta/2, and every level handed on
         passes, or the next one does (the solved interval is widened to whole
         levels)."""
-        from entromin.certificates import _candidate_levels, _combine, _margin_prelude
+        from entromin.certificates import _candidate_levels, _margin_prelude, _margin_sup
 
         inst = make_instance(entropy, basis, rho)
         lower, upper = band
@@ -929,14 +1037,9 @@ class TestQriCertificate:
             return np.maximum(values, lower + 1.0 / m)
 
         levels = np.arange(3, m_max + 1)
-        coeffs = np.array([  # one level at a time: gemv defect, long-double coefficients
-            np.asarray(ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver)),
-                       dtype=np.longdouble) @ directions.coeffs for m in levels])
-        sups = np.concatenate([np.abs(_combine(coeffs[i:i + 250], margin_design)).max(axis=1)
-                               for i in range(0, levels.size, 250)])
-        # a stack gives each row's own full margin evaluation, bit for bit
-        np.testing.assert_array_equal(
-            sups[:4], [np.max(np.abs(_combine(c, margin_design))) for c in coeffs[:4]])
+        sups = np.array([  # one level at a time, as the scan's exact path takes it
+            _margin_sup(ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
+                        @ directions.coeffs, margin_design) for m in levels])
         passing = set(levels[sups < delta / 2.0].tolist())
         handed = list(_candidate_levels(x_ver, ver_rule.weights, ver_design, directions.coeffs,
                                         margin_design, lower, upper, delta, m_max))
@@ -992,13 +1095,13 @@ class TestQriCertificate:
 
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
         calls = []
-        combine = certificates._combine
+        margin_sup = certificates._margin_sup
 
-        def counted_combine(coeffs, design):
+        def counted_margin_sup(coeffs, design):
             calls.append(None)
-            return combine(coeffs, design)
+            return margin_sup(coeffs, design)
 
-        monkeypatch.setattr(certificates, "_combine", counted_combine)
+        monkeypatch.setattr(certificates, "_margin_sup", counted_margin_sup)
         with pytest.raises(CertificateError):
             build_qri_certificate(inst, PULSE, 0.0, INF, m_max=4000)
         assert len(calls) == 6

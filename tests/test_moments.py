@@ -1,7 +1,5 @@
 """Moment families, the moment map, Gram matrices, and independence."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -141,8 +139,9 @@ def test_instance_moments_replay_per_row_quadrature(basis, rho):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_piecewise_flat_masks_before_the_power(dtype):
-    """Each row is one power of the grid with the flat side set to 1, equal
-    bit for bit to the power taken everywhere and replaced by 1 there."""
+    """Each row is one power of the grid with the flat side set to 1, in the
+    grid's dtype and equal to the power taken everywhere and replaced by 1
+    there (bit for bit in float64)."""
     split = 0.5
     s = np.concatenate([np.linspace(-0.5, 1.5, 321), RULE.nodes, [split, 7.0]]).astype(dtype)
     basis = piecewise_flat_basis(12, split)
@@ -150,7 +149,9 @@ def test_piecewise_flat_masks_before_the_power(dtype):
         row = f(s)
         expected = np.where(s <= split, _power(s, k), np.ones_like(s))
         assert row.dtype == dtype
-        assert row.tobytes() == expected.tobytes(), k
+        np.testing.assert_array_equal(row, expected, err_msg=str(k), strict=True)
+        if dtype == np.float64:  # long double pads its 80 bits with arbitrary bytes
+            assert row.tobytes() == expected.tobytes(), k
 
 
 class TestGramMatrix:
@@ -291,29 +292,3 @@ def test_design_matrix_preserves_longdouble():
     s = np.linspace(0, 1, 7).astype(np.longdouble)
     out = design_matrix(basis, s)
     assert out.dtype == np.longdouble
-
-
-@pytest.mark.parametrize("basis,grid", [
-    (monomial_basis(20, (-1.0, 2.0)), np.linspace(-1.0, 2.0, 61)),
-    (piecewise_flat_basis(20, 0.5), np.concatenate([np.linspace(0.0, 1.0, 41), RULE.nodes[::8]])),
-], ids=["monomial", "piecewise_flat"])
-def test_longdouble_powers_by_multiplication(basis, grid):
-    """Long-double powers are products: equal to s**k (glibc powl) for k <= 3
-    and within k*eps of the exact power up to k = 19; float64 keeps s**k."""
-    assert 0.0 in grid and 0.5 in grid
-    eps = np.finfo(np.longdouble).eps
-    s_ld = np.concatenate([grid, grid * (1 + eps)])  # the second half is off the float64 grid
-    flat = s_ld > basis.breakpoints[0] if basis.breakpoints else np.zeros(s_ld.size, bool)
-    design = design_matrix(basis, s_ld)
-    assert design.dtype == np.longdouble
-    for k in range(4):
-        np.testing.assert_array_equal(design[k], np.where(flat, 1, s_ld ** k))
-    exact_eps = Fraction(*eps.as_integer_ratio())
-    for k in range(4, basis.n):
-        for s, value, is_flat in zip(s_ld, design[k], flat):
-            exact = Fraction(1) if is_flat else Fraction(*s.as_integer_ratio()) ** k
-            assert abs(Fraction(*value.as_integer_ratio()) - exact) <= k * exact_eps * abs(exact)
-    design64 = design_matrix(basis, grid)
-    for k in range(basis.n):
-        powers = grid ** k if k else np.ones_like(grid)
-        np.testing.assert_array_equal(design64[k], np.where(flat[:grid.size], 1.0, powers))
