@@ -36,22 +36,23 @@ All membership checks are sample-based (dense grids plus quadrature
 nodes), so a certificate is strong numerical evidence, not an
 almost-everywhere proof; solver output labels it as such.
 
-Numerical note: the y_k are the dual basis of a_1..a_n on the margin, scaled
-by eta: over functions phi_j spanning the a_k their coefficients are
-diag(eta) M^-1, M_ji = <phi_j, a_i> on the margin's subinterval rule, in
-float64.  Power form is what makes the margin Gram matrix Hilbert-like (about
-1e10 for six monomials on half the unit interval), so phi is the Legendre
-polynomials on the margin where they reproduce the a_k (monomials, and
-piecewise_flat on a margin that does not cross its split), and otherwise the
-a_k orthonormalized by a QR factorization, whose M is conditioned like the
-weighted a_k, not like their Gram matrix.  The y_k are evaluated one way,
-coefficients @ `DirectionFunctions.design`, built once per point set: the
-prelude's margin design or `DirectionFunctions.evaluator`'s.  The prelude
-builds the verification points, and the core certificate carries them to its
-verification.  Core verification combines the y_k, trials in stacked blocks
-(see `verify_core_certificate`): a stacked numpy call makes each trial's
-BLAS call, so each keeps its bits.  The qri scan solves for the clip levels
-it must evaluate instead of visiting each (see `_candidate_levels`).
+Numerical note: every margin integral (independence, the y_k, core
+verification, the qri scan) is taken on one rule, the instance rule refined
+at the margin ends, which the prelude builds once.  The y_k are the dual
+basis of a_1..a_n on the margin, scaled by eta: over functions phi_j spanning
+the a_k their coefficients are diag(eta) M^-1, M_ji = <phi_j, a_i> on that
+rule's margin nodes, in float64.  Power form is what makes the margin Gram
+matrix Hilbert-like (about 1e10 for six monomials on half the unit interval),
+so phi is the Legendre polynomials on the margin where they reproduce the a_k
+(monomials, and piecewise_flat on a margin that does not cross its split),
+and otherwise the a_k orthonormalized by a QR factorization, whose M is
+conditioned like the weighted a_k, not like their Gram matrix.  The y_k are
+evaluated one way, coefficients @ `DirectionFunctions.design`, built once per
+point set: the prelude's margin design or `DirectionFunctions.evaluator`'s.
+Core verification combines the y_k, trials in stacked blocks (see
+`verify_core_certificate`): a stacked numpy call makes each trial's BLAS
+call, so each keeps its bits.  The qri scan solves for the clip levels it
+must evaluate instead of visiting each (see `_candidate_levels`).
 """
 
 from __future__ import annotations
@@ -69,14 +70,8 @@ from .errors import (
     NoMarginIntervalError,
     ValidationError,
 )
-from .moments import (
-    MomentBasis,
-    ProblemInstance,
-    design_matrix,
-    linearly_independent_on,
-    subinterval_rule,
-)
-from .quadrature import QuadratureRule, build_rule
+from .moments import MomentBasis, ProblemInstance, design_matrix, linearly_independent_on
+from .quadrature import QuadratureRule, nodes_in, refine_rule
 
 __all__ = [
     "MarginInterval",
@@ -244,14 +239,15 @@ class DirectionFunctions:
     interval, with <y_k, a_j> = eta_k when j = k and 0 otherwise.
 
     Row k of `coeffs` expands y_k over the phi_j of `_phi`, which `design`
-    tabulates; the y_k are zero outside [margin.lo, margin.hi].
+    tabulates; the y_k are zero outside [margin.lo, margin.hi].  `rule` is
+    the margin rule, whose nodes in the margin carry every margin integral.
     """
 
     margin: MarginInterval
     basis: MomentBasis
     coeffs: np.ndarray = field(repr=False)              # (n, n)
     factor: Optional[np.ndarray] = field(repr=False)    # (n, n) R, or None for Legendre
-    sub_rule: QuadratureRule = field(repr=False)        # the margin's subinterval rule
+    rule: QuadratureRule = field(repr=False)    # refined at the margin ends
 
     def design(self, s) -> np.ndarray:
         """The phi_j at the points s, shape (n, len(s))."""
@@ -286,9 +282,11 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
 
     Row k of the coefficients is eta_k times row k of M^-1 (see the module
     note), so they are linear in eta, bit for bit, and zero components of
-    eta yield identically zero y_k.  phi is Legendre (see `_phi`) when its
-    least-squares fit reproduces the a_k at the subinterval nodes to
-    LEGENDRE_FIT_TOL, and the a_k orthonormalized on those nodes otherwise.
+    eta yield identically zero y_k.  Every integral, the independence check
+    included, is taken on the margin nodes of `rule` refined at the margin
+    ends (`refine_rule`).  phi is Legendre (see `_phi`) when its least-squares
+    fit reproduces the a_k at those nodes to LEGENDRE_FIT_TOL, and the a_k
+    orthonormalized on them otherwise.
     """
     eta = np.asarray(eta, dtype=float)
     n = basis.n
@@ -296,6 +294,7 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
         raise ValidationError(f"direction has shape {eta.shape}, expected ({n},)")
     if not np.all(np.isfinite(eta)):
         raise ValidationError(f"direction must be finite, got {eta}")
+    rule = refine_rule(rule, margin.lo, margin.hi)
     report = linearly_independent_on(basis, rule, (margin.lo, margin.hi))
     if not report.independent:
         raise DependentBasisError(
@@ -304,22 +303,21 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
             f"{report.min_eigenvalue:.3e} <= threshold {report.threshold:.3e}); "
             f"reduce the family or choose a different interval"
         )
-    sub = subinterval_rule(basis, rule, (margin.lo, margin.hi))
-    values = design_matrix(basis, sub.nodes)
-    phi, factor = _phi(margin, basis, None, sub.nodes), None   # Legendre, kept if it fits the a_k
+    nodes, weights = nodes_in(rule, margin.lo, margin.hi)
+    values = design_matrix(basis, nodes)
+    phi, factor = _phi(margin, basis, None, nodes), None   # Legendre, kept if it fits the a_k
     misfit = np.sqrt(np.linalg.lstsq(phi.T, values.T, rcond=None)[1])  # none unless N > n
     if misfit.size < n or np.any(misfit > LEGENDRE_FIT_TOL * np.linalg.norm(values, axis=1)):
-        factor = np.linalg.qr((values * np.sqrt(sub.weights)).T, mode="r")
-        phi = _phi(margin, basis, factor, sub.nodes)
-    coeffs = eta[:, None] * np.linalg.inv((phi * sub.weights) @ values.T)
-    return DirectionFunctions(margin, basis, coeffs, factor, sub)
+        factor = np.linalg.qr((values * np.sqrt(weights)).T, mode="r")
+        phi = _phi(margin, basis, factor, nodes)
+    coeffs = eta[:, None] * np.linalg.inv((phi * weights) @ values.T)
+    return DirectionFunctions(margin, basis, coeffs, factor, rule)
 
 
 def direction_inner_products(directions: DirectionFunctions) -> np.ndarray:
-    """The matrix <y_k, a_j>, integrated on the margin's subinterval rule."""
-    sub = directions.sub_rule
-    values = directions.evaluate_all(sub.nodes) * sub.weights
-    return values @ design_matrix(directions.basis, sub.nodes).T
+    """The matrix <y_k, a_j>, integrated on the margin nodes of its rule."""
+    nodes, weights = nodes_in(directions.rule, directions.margin.lo, directions.margin.hi)
+    return (directions.evaluate_all(nodes) * weights) @ design_matrix(directions.basis, nodes).T
 
 
 @dataclass(frozen=True)
@@ -329,9 +327,9 @@ class CoreCertificate:
     Built once for the all-ones direction; the y_k scale linearly in their
     own component of eta, so `delta_for`/`t_for` recover the bound and
     admissible step for any direction.  `t_unit` is the step for a
-    direction at the sup bound (delta_for == delta).  `points` are the
-    margin's `_verification_points`, on which the build confirmed the margin
-    and verification replays the construction.
+    direction at the sup bound (delta_for == delta).  `points` are the basis
+    at the nodes of `directions.rule` and the membership grid ending with
+    them, where the build confirmed the margin and verification replays.
     """
 
     margin: MarginInterval
@@ -385,15 +383,15 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
        one-sided qri needs it finite there.
     2. A margin interval: the scan, or `candidate_interval` confirmed, its
        range widened by the membership-grid points inside it, where x is
-       sampled once.
+       sampled once, and the margin rule: the instance rule refined at its ends.
     3. The unit-direction y_k on it, the only independence check.
     4. Its confirmed range strictly inside the band, or only above `lower`
        when `one_sided`.
 
     Returns the margin, the y_k, their design of the margin grid
-    (MARGIN_SCAN_SAMPLES uniform samples plus the subinterval nodes), the
-    margin's `_verification_points`, and x on their membership grid, whose
-    tail is x at the verification nodes.
+    (MARGIN_SCAN_SAMPLES uniform samples plus the margin nodes), the basis at
+    the margin rule's nodes with the membership grid (MEMBERSHIP_SAMPLES + 2
+    uniform samples, then those nodes), and x on that grid.
     """
     basis, rule = instance.basis, instance.rule
     outside = CertificateError(f"the density leaves the band [{lower}, {upper}] somewhere on "
@@ -409,8 +407,8 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
         )
     else:
         margin = _confirmed_margin(x, candidate_interval, rule.nodes)
-    points = _verification_points(instance, margin)
-    grid = points[2]
+    rule = refine_rule(rule, margin.lo, margin.hi)
+    grid = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2), rule.nodes])
     x_grid = np.asarray(x(grid), dtype=float)
     if not _in_band(x_grid, *((-np.inf, np.inf) if one_sided else (lower, upper))):
         raise outside   # P1's grid: within_bounds samples other points
@@ -426,7 +424,8 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
             hypothesis="margin interval",
         )
     on_margin = np.concatenate([np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
-                                directions.sub_rule.nodes])
+                                nodes_in(rule, margin.lo, margin.hi)[0]])
+    points = design_matrix(basis, rule.nodes), grid
     return margin, directions, directions.design(on_margin), points, x_grid
 
 
@@ -462,27 +461,6 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
         t_unit=SAFETY_FACTOR * float(clearance) / (instance.n * delta),
         points=points,
     )
-
-
-def _verification_points(instance: ProblemInstance, margin: MarginInterval):
-    """The verification rule, its float64 design, and the membership grid:
-    MEMBERSHIP_SAMPLES + 2 uniform samples, then the rule's nodes.
-
-    The verification rule is the instance rule refined with the margin ends
-    as breakpoints: perturbations are supported exactly on the margin
-    interval, so their moments are only integrated accurately when the panel
-    edges include its endpoints.
-    """
-    rule = instance.rule
-    lo, hi = rule.interval
-    bps = set(rule.breakpoints)
-    for z in (margin.lo, margin.hi):
-        if lo < z < hi and all(abs(z - b) > 1e-12 for b in bps):
-            bps.add(z)
-    ver_rule = build_rule((lo, hi), tuple(sorted(bps)), rule.nodes_per_panel,
-                          rule.panels_per_segment)
-    grid = np.concatenate([np.linspace(lo, hi, MEMBERSHIP_SAMPLES + 2), ver_rule.nodes])
-    return ver_rule, design_matrix(instance.basis, ver_rule.nodes), grid
 
 
 def _whole_number(name: str, value) -> int:
@@ -525,7 +503,7 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     etas /= np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0]  # np.linalg.norm's bits
     steps = (t_scale * cert.t_for(etas))[:, None] * etas
     targets = instance.target_moments + steps
-    ver_rule, ver_design, grid = cert.points
+    ver_rule, (ver_design, grid) = cert.directions.rule, cert.points
     x_grid = np.asarray(x(grid), dtype=float)
     y_grid = cert.directions.evaluate_all(grid)     # the unit y_k: linear in eta
     nodes = slice(grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
@@ -659,7 +637,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     margin, unit_directions, margin_design, points, x_full = _margin_prelude(
         instance, x, lower, upper, min_width=min_width, one_sided=True)
     delta = margin.val_lo - lower
-    ver_rule, ver_design, full_grid = points
+    ver_rule, (ver_design, full_grid) = unit_directions.rule, points
     nodes = slice(full_grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
     x_ver = x_full[nodes]
     on_full = unit_directions.evaluator(full_grid)  # built once for the whole scan

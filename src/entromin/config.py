@@ -34,6 +34,7 @@ from .quadrature import (
     DEFAULT_NODES_PER_PANEL,
     DEFAULT_PANELS_PER_SEGMENT,
     build_rule,
+    merge_breakpoints,
 )
 
 __all__ = ["BasisSpec", "RhoSpec", "CertifyOptions", "RunConfig", "load_config",
@@ -245,11 +246,6 @@ def build_problem(cfg: RunConfig, basis_spec: BasisSpec) -> tuple:
     entropy = cfg.entropy_spec()
     basis = basis_spec.to_basis(cfg.interval)
     rho = cfg.rho.to_density()
-    lo, hi = cfg.interval
-    bps = sorted({b for b in (*basis.breakpoints, *rho.breakpoints) if lo < b < hi})
-    merged = []
-    for b in bps:  # collapse near-duplicates from the two sources
-        if not merged or b - merged[-1] > 1e-12:
-            merged.append(b)
-    rule = build_rule(cfg.interval, tuple(merged), cfg.quad_order, cfg.quad_panels)
+    bps = merge_breakpoints(cfg.interval, (), (*basis.breakpoints, *rho.breakpoints))
+    rule = build_rule(cfg.interval, bps, cfg.quad_order, cfg.quad_panels)
     return instance_from_density(entropy, basis, rule, rho), rho

@@ -67,22 +67,26 @@ def _load_table(path, too_few_columns: str):
     """(breakpoints, samples) of a tabulated file, checked for both loaders.
 
     The breakpoints come from an optional leading comment line
-    ``# breakpoints: ...``.  The samples must have at least two columns
-    (else `too_few_columns` is the message), finite entries and a strictly
-    increasing first column.
+    ``# breakpoints: ...``.  The samples must be rows of numbers of one
+    length, at least two columns (else `too_few_columns` is the message),
+    finite, with a strictly increasing first column; a ValidationError
+    naming the file says which does not hold.
     """
     breakpoints = ()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped.startswith("#"):
-                break
-            body = stripped.lstrip("#").strip()
-            if body.lower().startswith("breakpoints:"):
-                tail = body.split(":", 1)[1].replace(",", " ").split()
-                breakpoints = tuple(float(tok) for tok in tail)
-                break
-    data = np.loadtxt(path, ndmin=2)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                stripped = line.strip()
+                if not stripped.startswith("#"):
+                    break
+                body = stripped.lstrip("#").strip()
+                if body.lower().startswith("breakpoints:"):
+                    tail = body.split(":", 1)[1].replace(",", " ").split()
+                    breakpoints = tuple(float(tok) for tok in tail)
+                    break
+        data = np.loadtxt(path, ndmin=2)
+    except ValueError as err:   # a token that is no number, a ragged row, or not UTF-8
+        raise ValidationError(f"{path}: {str(err).split(';')[0]}") from None
     if data.shape[1] < 2:
         raise ValidationError(f"{path}: {too_few_columns}")
     if not np.all(np.isfinite(data)):

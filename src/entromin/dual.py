@@ -99,13 +99,11 @@ def _field(instance: ProblemInstance, phi: np.ndarray):
     ok = entropy.f_star_domain.contains(v)
     if not ok.all():
         idx = int(np.argmin(ok))
+        value, node = float(v[idx]), float(rule.nodes[idx])
         raise DomainViolationError(
-            f"dual field {v[idx]!r} at node s={rule.nodes[idx]!r} is outside "
+            f"dual field {value!r} at node s={node!r} is outside "
             f"the conjugate domain {entropy.f_star_domain} of {entropy.name}",
-            argument="phi",
-            value=float(v[idx]),
-            node=float(rule.nodes[idx]),
-        )
+            argument="phi", value=value, node=node)
     conjugate = instance._unchecked[0](v)
     return v, float(phi @ instance.target_moments - integrate_values(rule, conjugate))
 

@@ -29,7 +29,7 @@ import numpy as np
 from .densities import _load_table
 from .entropies import EntropySpec
 from .errors import ValidationError
-from .quadrature import QuadratureRule, build_rule, finite_at_nodes
+from .quadrature import QuadratureRule, finite_at_nodes, nodes_in, refine_rule
 
 __all__ = [
     "MomentBasis",
@@ -154,27 +154,18 @@ def _node_moments(rule: QuadratureRule, design: np.ndarray, x) -> np.ndarray:
     return (products[:, None, :] @ rule.weights[:, None])[:, 0, 0]
 
 
-def subinterval_rule(basis: MomentBasis, rule: QuadratureRule, subinterval) -> QuadratureRule:
-    """A rule on a subinterval with the basis breakpoints that fall inside."""
-    lo, hi = float(subinterval[0]), float(subinterval[1])
-    if not lo < hi:
-        raise ValidationError(f"empty subinterval [{lo}, {hi}]")
-    big_lo, big_hi = rule.interval
-    if lo < big_lo - 1e-14 or hi > big_hi + 1e-14:
-        raise ValidationError(f"subinterval [{lo}, {hi}] not inside {rule.interval}")
-    inner = tuple(b for b in basis.breakpoints if lo < b < hi)
-    return build_rule((lo, hi), inner, rule.nodes_per_panel, rule.panels_per_segment)
-
-
 def gram_matrix(basis: MomentBasis, rule: QuadratureRule, subinterval=None) -> np.ndarray:
     """G_ij = integral of a_i * a_j over the subinterval (default: all of it).
 
+    Taken on the nodes inside it of `rule` refined at its ends (`refine_rule`),
+    as every margin integral is; `rule` must resolve the basis breakpoints.
     Symmetrized numerically; positive semidefinite up to roundoff whenever
     the quadrature weights are positive, which composite Gauss-Legendre
     guarantees.
     """
-    sub = subinterval_rule(basis, rule, subinterval or rule.interval)
-    return weighted_gram(design_matrix(basis, sub.nodes), sub.weights)
+    lo, hi = subinterval or rule.interval
+    nodes, weights = nodes_in(refine_rule(rule, lo, hi), lo, hi)
+    return weighted_gram(design_matrix(basis, nodes), weights)
 
 
 def weighted_gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -62,6 +62,8 @@ def build_rule(interval, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL
     panel.
     """
     lo, hi = float(interval[0]), float(interval[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError(f"integration interval [{lo}, {hi}] must be finite")
     if not lo < hi:
         raise ValidationError(f"empty integration interval [{lo}, {hi}]")
     if nodes_per_panel < 1 or panels_per_segment < 1:
@@ -86,6 +88,38 @@ def build_rule(interval, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL
     )
 
 
+def merge_breakpoints(interval, breakpoints, points) -> tuple:
+    """The sorted `breakpoints` plus each of `points`, in ascending order, that
+    lies strictly inside `interval` and more than 1e-12 from all kept so far."""
+    bps = list(breakpoints)
+    for z in sorted(map(float, points)):
+        if interval[0] < z < interval[1] and all(abs(z - b) > 1e-12 for b in bps):
+            bps.append(z)
+    return tuple(sorted(bps))
+
+
+def refine_rule(rule: QuadratureRule, lo: float, hi: float) -> QuadratureRule:
+    """`rule` with [lo, hi] among its panel edges (`merge_breakpoints`), or
+    `rule` itself when it already has both.  The nodes of the result in
+    [lo, hi] (`nodes_in`) are then a composite rule on that subinterval.
+    """
+    lo, hi = float(lo), float(hi)
+    if not lo < hi:
+        raise ValidationError(f"empty subinterval [{lo}, {hi}]")
+    if lo < rule.interval[0] - 1e-14 or hi > rule.interval[1] + 1e-14:
+        raise ValidationError(f"subinterval [{lo}, {hi}] not inside {rule.interval}")
+    bps = merge_breakpoints(rule.interval, rule.breakpoints, (lo, hi))
+    if bps == rule.breakpoints:
+        return rule
+    return build_rule(rule.interval, bps, rule.nodes_per_panel, rule.panels_per_segment)
+
+
+def nodes_in(rule: QuadratureRule, lo: float, hi: float):
+    """The nodes of `rule` in [lo, hi] and their weights."""
+    inside = (rule.nodes >= lo) & (rule.nodes <= hi)
+    return rule.nodes[inside], rule.weights[inside]
+
+
 def integrate(rule: QuadratureRule, g) -> float:
     """Integrate a scalar map over the rule's interval.
 
@@ -106,11 +140,9 @@ def finite_at_nodes(rule: QuadratureRule, values, what: str = "integrand") -> np
     finite = np.isfinite(values)
     if not finite.all():
         idx = np.unravel_index(np.argmin(finite), values.shape)
-        raise NonFiniteIntegrandError(
-            f"{what} is {values[idx]!r} at node s={rule.nodes[idx[-1]]!r}",
-            node=float(rule.nodes[idx[-1]]),
-            value=float(values[idx]),
-        )
+        value, node = float(values[idx]), float(rule.nodes[idx[-1]])
+        raise NonFiniteIntegrandError(f"{what} is {value!r} at node s={node!r}",
+                                      node=node, value=value)
     return values
 
 

@@ -29,6 +29,7 @@ from entromin import (
 )
 from entromin.certificates import DirectionFunctions, MarginInterval
 from entromin.moments import IndependenceReport, moment_vector, tabulated_basis
+from entromin.quadrature import nodes_in
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 PULSE = pulse_density(0.5)
@@ -46,7 +47,7 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
     expanded as one set of coefficients and evaluated on both designs of
     the y_k, rebuilt from the sample points on every trial."""
     from entromin.certificates import (
-        MEMBERSHIP_SAMPLES, P1_SLACK, P2_TOL, CertificateVerification, _verification_points,
+        MEMBERSHIP_SAMPLES, P1_SLACK, P2_TOL, CertificateVerification,
     )
     from entromin.moments import design_matrix
 
@@ -55,7 +56,7 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
         return np.where(inside, coeffs @ cert.directions.design(s), 0.0)
 
     rng = np.random.default_rng(seed)
-    ver_rule = _verification_points(instance, cert.margin)[0]
+    ver_rule = cert.directions.rule
     ver_design = design_matrix(instance.basis, ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
@@ -86,10 +87,14 @@ def _replay_per_trial(instance, x, cert, trials, seed, t_scale):
     """Core verification one direction at a time: a draw, np.linalg.norm
     and the scalar step rule per trial, P1 as the max over the grid of
     lower - p and p - upper, each worst value kept as it comes."""
-    from entromin.certificates import P1_SLACK, P2_TOL, _verification_points
+    from entromin.certificates import MEMBERSHIP_SAMPLES, P1_SLACK, P2_TOL
+    from entromin.moments import design_matrix
 
     rng = np.random.default_rng(seed)
-    ver_rule, ver_design, grid = _verification_points(instance, cert.margin)
+    ver_rule = cert.directions.rule
+    ver_design = design_matrix(instance.basis, ver_rule.nodes)
+    grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
+                           ver_rule.nodes])
     x_ver, x_grid = (np.asarray(x(s), dtype=float) for s in (ver_rule.nodes, grid))
     y_grid = cert.directions.evaluate_all(grid)
     y_ver = cert.directions.evaluate_all(ver_rule.nodes)
@@ -116,9 +121,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     on the whole margin grid at every m.  Returns (m, eps, correction_sup,
     moment_match_residual, upper_clearance, y on a grid), or the message of
     the CertificateError the scan ends with."""
-    from entromin.certificates import (
-        MARGIN_SCAN_SAMPLES, MEMBERSHIP_SAMPLES, _verification_points,
-    )
+    from entromin.certificates import MARGIN_SCAN_SAMPLES, MEMBERSHIP_SAMPLES
     from entromin.moments import design_matrix
 
     basis, rule = instance.basis, instance.rule
@@ -126,11 +129,12 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
                                   nodes=rule.nodes, one_sided=True)
     delta = margin.val_lo - lower
     directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
-    ver_rule = _verification_points(instance, margin)[0]
+    ver_rule = directions.rule
     ver_design = design_matrix(basis, ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     on_margin = directions.evaluator(np.concatenate([
-        np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES), directions.sub_rule.nodes]))
+        np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
+        nodes_in(ver_rule, margin.lo, margin.hi)[0]]))
     full_grid = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2),
                                 ver_rule.nodes])
     x_full = np.asarray(x(full_grid), dtype=float)
@@ -184,13 +188,12 @@ def _pulse_marked(basis, value, where):
     but the margin scan does not sample: the first verification node inside
     the scanned margin ("node"), or every 9th membership-grid point in
     (0, 0.5) ("grid")."""
-    from entromin.certificates import MEMBERSHIP_SAMPLES, _verification_points
+    from entromin.certificates import MEMBERSHIP_SAMPLES
 
     if where == "node":
         margin = find_margin_interval(PULSE, 0.0, INF, RULE.interval,
                                       breakpoints=RULE.breakpoints, nodes=RULE.nodes)
-        inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
-        nodes = _verification_points(inst, margin)[0].nodes
+        nodes = build_direction_functions(basis, RULE, margin, np.ones(basis.n)).rule.nodes
         points = nodes[(nodes > margin.lo) & (nodes < margin.hi)][:1]
     else:
         grid = np.linspace(*RULE.interval, MEMBERSHIP_SAMPLES + 2)
@@ -450,6 +453,30 @@ class TestDirectionFunctions:
         assert np.max(np.abs(defect)) <= 1e-11
         assert verify_core_certificate(inst, PULSE, cert, trials=100, seed=3).all_passed
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_dual_basis_on_the_rule_that_verifies_it(self, tmp_path, n):
+        """A candidate margin across a declared kink of a tabulated density:
+        the y_k are built on the instance rule refined at the margin ends,
+        the rule core verification integrates them on, so <y_k, a_j> there is
+        the identity to rounding (built on the basis breakpoints alone, they
+        missed it by 7.7e-4 for n = 4 and 1.3e-1 for n = 6)."""
+        from entromin.densities import tabulated_density
+        from entromin.moments import design_matrix
+
+        s = np.linspace(0.0, 1.0, 401)
+        np.savetxt(tmp_path / "basis.txt", np.column_stack([s] + [s ** k for k in range(n)]))
+        (tmp_path / "rho.txt").write_text("# breakpoints: 0.3\n0 0.5\n0.3 1.0\n1 0.5\n")
+        basis = tabulated_basis(tmp_path / "basis.txt")
+        rho = tabulated_density(tmp_path / "rho.txt")
+        inst = instance_from_density(builtin_entropy("translated_boltzmann_shannon"), basis,
+                                     build_rule((0.0, 1.0), rho.breakpoints), rho)
+        cert = build_core_certificate(inst, rho, 0.0, INF, candidate_interval=(0.1, 0.9))
+        ver = cert.directions.rule
+        assert ver.breakpoints == (0.1, 0.3, 0.9)
+        products = ((cert.directions.evaluate_all(ver.nodes) * ver.weights)
+                    @ design_matrix(basis, ver.nodes).T)
+        assert np.max(np.abs(products - np.eye(n))) <= 1e-12
+
     def test_inner_products_audit_the_evaluation(self):
         """The inner products integrate the y_k as `evaluate_all` gives them:
         the same coefficients over a wrongly mapped margin show a defect."""
@@ -597,13 +624,12 @@ class TestCoreCertificate:
     def test_coordinate_directions_shift_one_moment_exactly(self):
         """For eta = e_k the perturbed moments move by t in coordinate k
         alone, to 1e-10, under a rule resolving the perturbation support."""
-        from entromin.certificates import _verification_points
         from entromin.moments import design_matrix
 
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
-        ver = _verification_points(inst, cert.margin)[0]
+        ver = cert.directions.rule
         design = design_matrix(inst.basis, ver.nodes)
         x_ver = PULSE(ver.nodes)
         evaluate = cert.directions.evaluator(ver.nodes)
@@ -736,7 +762,7 @@ class TestCoreCertificate:
         inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         calls = []
-        for owner, name in ((certificates, "_verification_points"), (DirectionFunctions, "design")):
+        for owner, name in ((certificates, "refine_rule"), (DirectionFunctions, "design")):
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name:
                                 calls.append(_n) or _f(*args))
@@ -749,14 +775,13 @@ class TestCoreCertificate:
         margin: it builds no quadrature rule and samples the density once,
         on the membership grid, and reports what it reports for the bare
         density."""
-        from entromin import certificates, moments
+        from entromin import certificates, quadrature
 
         inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         rules, sampled = [], []
-        for module in (certificates, moments):
-            monkeypatch.setattr(module, "build_rule",
-                                lambda *args: rules.append(args) or build_rule(*args))
+        monkeypatch.setattr(quadrature, "build_rule",   # every rule is built there
+                            lambda *args: rules.append(args) or build_rule(*args))
 
         def x(s):
             sampled.append(np.array(s))
@@ -767,23 +792,43 @@ class TestCoreCertificate:
         assert len(sampled) == 1 and sampled[0].size > certificates.MEMBERSHIP_SAMPLES
         assert report == verify_core_certificate(inst, PULSE, cert, trials=20, seed=3)
 
+    @pytest.mark.parametrize("build", [build_core_certificate, build_qri_certificate],
+                             ids=["core", "qri"])
+    @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
+    def test_build_makes_one_rule(self, monkeypatch, build, basis):
+        """A certificate build refines the instance rule at the scanned margin
+        ends once; the independence check, the y_k and the verification
+        points all take that rule."""
+        from entromin import quadrature
+
+        inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
+        rules = []
+        monkeypatch.setattr(quadrature, "build_rule",
+                            lambda *args: rules.append(build_rule(*args)) or rules[-1])
+        kwargs = {"m_max": 50000} if build is build_qri_certificate else {}
+        margin = build(inst, PULSE, 0.0, INF, **kwargs).margin
+        [rule] = rules
+        assert rule.breakpoints == tuple(sorted((margin.lo, margin.hi, 0.5)))
+
     @pytest.mark.parametrize("one_sided", [False, True], ids=["core", "qri"])
     def test_prelude_samples_no_verification_nodes_alone(self, monkeypatch, one_sided):
         """The prelude reads x at the verification nodes from the tail of its
         membership-grid sample: no call samples the nodes alone."""
-        from entromin import certificates
+        from entromin import certificates, quadrature
 
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE)
         rules, sampled = [], []
-        monkeypatch.setattr(certificates, "build_rule",   # the verification rule alone
+        monkeypatch.setattr(quadrature, "build_rule",   # the verification rule alone
                             lambda *args: rules.append(build_rule(*args)) or rules[-1])
 
         def x(s):
             sampled.append(np.array(s))
             return PULSE(s)
 
-        *_, x_grid = certificates._margin_prelude(inst, x, 0.0, INF, one_sided=one_sided)
+        _, directions, *_, x_grid = certificates._margin_prelude(inst, x, 0.0, INF,
+                                                                 one_sided=one_sided)
         [ver_rule] = rules
+        assert ver_rule is directions.rule
         assert not any(np.array_equal(s, ver_rule.nodes) for s in sampled)
         np.testing.assert_array_equal(x_grid[-ver_rule.nodes.size:], PULSE(ver_rule.nodes))
 
@@ -793,10 +838,10 @@ class TestCoreCertificate:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.delta = 0.0
         before = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
-        arrays = [cert.sup_unit.copy(), *(np.copy(a) for a in cert.points[1:])]
+        arrays = [cert.sup_unit.copy(), *(np.copy(a) for a in cert.points)]
         verify_core_certificate(inst, PULSE, cert, trials=10, seed=0)
         assert all(getattr(cert, name) is value for name, value in before.items())
-        for array, now in zip(arrays, [cert.sup_unit, *cert.points[1:]]):
+        for array, now in zip(arrays, [cert.sup_unit, *cert.points]):
             np.testing.assert_array_equal(now, array)
 
     def test_no_trials_rejected(self):
@@ -1027,7 +1072,7 @@ class TestQriCertificate:
         m_max = 2000
         margin, directions, margin_design, points, x_grid = _margin_prelude(
             inst, rho, lower, upper, one_sided=True)
-        ver_rule, ver_design, grid = points
+        ver_rule, (ver_design, grid) = directions.rule, points
         x_ver = x_grid[grid.size - ver_rule.nodes.size:]
         delta = margin.val_lo - lower
 

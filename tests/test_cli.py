@@ -421,6 +421,33 @@ dir = {tmp_path / 'out'}
         assert main(["solve", "--config", str(ini)]) == 1
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    def test_burg_start_outside_domain_names_plain_floats(self, tmp_path, capsys):
+        """The failed start's stderr line prints the field and node as floats,
+        not as numpy scalar reprs."""
+        ini = tmp_path / "burg.ini"
+        ini.write_text(f"""
+[problem]
+entropy = burg
+
+[basis]
+kind = monomial
+n = 2
+
+[rho]
+kind = constant
+c = 0.5
+
+[solver]
+phi0 = 1 0
+
+[output]
+dir = {tmp_path / 'out'}
+""")
+        assert main(["solve", "--config", str(ini)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("solve: dual field 1.0 at node s=0.000")
+        assert "np." not in line
+
     def test_phi0_from_config_enables_burg(self, tmp_path):
         # Burg's conjugate domain excludes zero, so a per-config start matters
         ini = tmp_path / "burg.ini"
@@ -484,6 +511,11 @@ CONFIG_ERRORS = {
                    "section [problem] with 'entropy' is required"),
     "decreasing-interval": (["solve"], TBS + "interval = 1 0\n" + MONOMIAL_2,
                             "interval must be two increasing numbers, got [1.0, 0.0]"),
+    "infinite-interval": (["solve"], TBS + "interval = 0 inf\n" + MONOMIAL_2,
+                          "integration interval [0.0, inf] must be finite"),
+    "infinite-interval-certify": (["certify", "--type", "core"],
+                                  TBS + "interval = -inf 1\n" + MONOMIAL_2,
+                                  "integration interval [-inf, 1.0] must be finite"),
     "single-window": (["compare"], TBS + "[compare]\nwindow = 0.4\n",
                       "compare window must be two increasing numbers, got [0.4]"),
     "n-not-a-number": (["solve"], TBS + "[basis]\nkind = monomial\nn = six\n",
@@ -509,6 +541,38 @@ def test_config_error_exits_1_naming_it_without_output(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"{command[0]}: ") and message in err, err
     assert not out.exists()
+
+
+# a malformed table's text and what stderr says of it after "<path>: "
+MALFORMED_TABLES = {
+    "non-numeric": ("0 1 0\n0.5 one 0.5\n1 1 1\n",
+                    "could not convert string 'one' to float64 at row 1, column 2."),
+    "ragged": ("0 1 0\n0.5 1\n1 1 1\n", "the number of columns changed from 3 to 2 at row 2"),
+    "breakpoints": ("# breakpoints: 0.2 half\n0 1 0\n1 1 1\n",
+                    "could not convert string to float: 'half'"),
+}
+
+
+@pytest.mark.parametrize("section", ["basis", "rho"])
+@pytest.mark.parametrize("table", list(MALFORMED_TABLES))
+def test_malformed_table_is_one_config_error_line(tmp_path, capsys, table, section):
+    """A tabulated basis or density file with a token that is no number, a
+    ragged row or a breakpoint that is no number: exit 1, one stderr line
+    naming the file, and no output directory, for every subcommand."""
+    text, message = MALFORMED_TABLES[table]
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    tabulated = f"kind = tabulated\nn = 2\nfile = {path}\n"
+    monomial = "kind = monomial\nn = 2\n"
+    basis = tabulated if section == "basis" else monomial   # [basis_a] for compare too
+    rho = f"[rho]\n{tabulated}" if section == "rho" else ""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"{TBS}[basis]\n{basis}[basis_a]\n{basis}[basis_b]\n{monomial}{rho}")
+    for command in (["solve"], ["certify", "--type", "core"], ["compare"]):
+        out = tmp_path / "E"
+        assert main([*command, "--config", str(ini), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"{command[0]}: {path}: {message}\n"
+        assert not out.exists()
 
 
 def test_console_entry_point_runs(tmp_path):

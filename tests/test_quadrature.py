@@ -5,7 +5,7 @@ import pytest
 
 from entromin import NonFiniteIntegrandError, ValidationError, build_rule, integrate
 from entromin.densities import pulse_density
-from entromin.quadrature import _reference_rule
+from entromin.quadrature import _reference_rule, nodes_in, refine_rule
 
 
 def test_weights_sum_to_interval_length():
@@ -79,6 +79,43 @@ class TestValidation:
         with pytest.raises(ValidationError):
             build_rule((1.0, 1.0))
 
+    @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+    def test_non_finite_interval(self, interval):
+        with pytest.raises(ValidationError, match=r"integration interval \[.*\] must be finite"):
+            build_rule(interval)
+
+
+class TestRefineRule:
+    RULE = build_rule((0.0, 1.0), (0.5,))
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.0, 0.5), (0.5 - 1e-13, 1.0),
+                                       (0.0, 0.5 + 1e-12)])
+    def test_rule_itself_when_nothing_is_added(self, lo, hi):
+        """Ends at the interval ends or within 1e-12 of a breakpoint add none."""
+        assert refine_rule(self.RULE, lo, hi) is self.RULE
+
+    def test_ends_become_breakpoints(self):
+        refined = refine_rule(self.RULE, 0.1, 0.5 + 2e-12)
+        assert refined.breakpoints == (0.1, 0.5, 0.5 + 2e-12)
+        assert (refined.nodes_per_panel, refined.panels_per_segment) == (20, 8)
+        assert refine_rule(refined, 0.1, 0.5 + 2e-12) is refined
+
+    def test_nodes_inside_are_the_subinterval_rule(self):
+        """On a refined rule the nodes in [lo, hi] are, float for float, the
+        rule built on [lo, hi] when no breakpoint lies inside."""
+        nodes, weights = nodes_in(refine_rule(self.RULE, 0.1, 0.4), 0.1, 0.4)
+        sub = build_rule((0.1, 0.4))
+        assert nodes.tobytes() == sub.nodes.tobytes()
+        assert weights.tobytes() == sub.weights.tobytes()
+
+    @pytest.mark.parametrize("lo,hi,message", [(0.7, 0.7, "empty subinterval"),
+                                               (0.6, 0.2, "empty subinterval"),
+                                               (-0.1, 0.5, "not inside"),
+                                               (0.5, 1.1, "not inside")])
+    def test_bad_subinterval(self, lo, hi, message):
+        with pytest.raises(ValidationError, match=message):
+            refine_rule(self.RULE, lo, hi)
+
 
 def test_nonfinite_integrand_carries_node():
     rule = build_rule((0.0, 1.0))
@@ -89,6 +126,7 @@ def test_nonfinite_integrand_carries_node():
     with pytest.raises(NonFiniteIntegrandError) as err:
         integrate(rule, bad)
     assert err.value.node > 0.7
+    assert str(err.value) == f"integrand is inf at node s={err.value.node!r}"
 
 
 def test_refinement_stability():
