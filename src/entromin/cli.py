@@ -6,8 +6,8 @@ with 17 significant digits, LF line endings, and sorted JSON keys, so two
 runs with identical inputs produce byte-identical artifacts.  Plotting is
 intentionally left to the user's tool of choice.
 
-Exit codes: 0 success, 1 configuration error, 2 solver did not converge,
-3 a certificate hypothesis failed.
+Exit codes: 0 success, 1 configuration error (a usage error too), 2 solver
+did not converge, 3 a certificate hypothesis failed.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -87,11 +88,9 @@ def _write_trace(path, solution) -> None:
                [(r.iteration, r.residual_inf, r.step, r.dual_value) for r in solution.trace])
 
 
-def _solve_one(cfg: RunConfig, basis_spec):
-    instance, rho = build_problem(cfg, basis_spec)
+def _solve(cfg: RunConfig, instance):
     solution = solve_dual(instance, phi0=cfg.phi0, tol=cfg.tol, max_iter=cfg.max_iter)
-    primal = reconstruct(instance, solution.multipliers)
-    return instance, rho, solution, primal
+    return solution, reconstruct(instance, solution.multipliers)
 
 
 def _summary(solution, primal) -> dict:
@@ -109,7 +108,7 @@ def _summary(solution, primal) -> dict:
 def cmd_solve(cfg: RunConfig, args) -> int:
     if cfg.basis is None:
         raise EntrominError("solve requires a [basis] section") from None
-    instance, rho, solution, primal = _solve_one(cfg, cfg.basis)
+    solution, primal = _solve(cfg, build_problem(cfg, cfg.basis)[0])
     table = sample_solution(primal, np.linspace(*cfg.interval, cfg.sample_points))
     os.makedirs(cfg.out_dir, exist_ok=True)  # only after tabulating, which may raise
     _write_csv(os.path.join(cfg.out_dir, "solution.csv"), ("s", "x"), table)
@@ -132,8 +131,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     lower, upper = opts.band_for(instance.entropy)
     if args.type == "core":
         cert = build_core_certificate(instance, rho, lower, upper, min_width=opts.min_width)
-        report = verify_core_certificate(instance, rho, cert, trials=opts.trials,
-                                         seed=args.seed if args.seed is not None else opts.seed)
+        report = verify_core_certificate(instance, rho, cert, trials=opts.trials, seed=opts.seed)
         fields = {"delta": cert.delta, "t_unit": cert.t_unit, "trials": report.trials,
                   "trials_passed": min(report.p1_passes, report.p2_passes),
                   "residuals": {"p2_worst": report.worst_p2_residual,
@@ -173,9 +171,11 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         ) from None
     window = cfg.default_window()
     grid = np.linspace(*cfg.interval, cfg.sample_points)
+    problems = {label: (spec, *build_problem(cfg, spec))  # both built before either solves
+                for label, spec in (("a", cfg.basis_a), ("b", cfg.basis_b))}
     results, solved = {}, {}
-    for label, spec in (("a", cfg.basis_a), ("b", cfg.basis_b)):
-        instance, rho, solution, primal = _solve_one(cfg, spec)
+    for label, (spec, instance, rho) in problems.items():
+        solution, primal = _solve(cfg, instance)
         overshoot = gibbs_overshoot(primal, rho, window)
         solved[label] = solution, sample_solution(primal, grid)
         results[label] = {
@@ -240,15 +240,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         cfg = load_config(args.config)
-        if args.out:
-            cfg.out_dir = args.out
-        if args.quad_order is not None:
-            cfg.quad_order = args.quad_order
-        if args.quad_panels is not None:
-            cfg.quad_panels = args.quad_panels
+        if args.seed is not None:  # each flag meets its INI key's check before any rule is built
+            cfg = replace(cfg, certify=replace(cfg.certify, seed=args.seed))
+        flags = {"out_dir": args.out or None, "quad_order": args.quad_order,
+                 "quad_panels": args.quad_panels}
+        cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
         handler = {"solve": cmd_solve, "certify": cmd_certify, "compare": cmd_compare}
         return handler[args.command](cfg, args)
     except CertificateError as exc:

@@ -6,6 +6,10 @@ A run is described by a single INI file with sections [problem], [basis]
 entropy and the basis; the full schema with defaults is documented in the
 README.  Floats, integers, and small vectors are plain whitespace- or
 comma-separated text.
+
+Each setting is declared once: `load_config`'s `_read` calls list every key a
+file may hold, and the frozen dataclass holding a value checks its bounds, so
+a flag applied with `dataclasses.replace` meets its INI key's check.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .certificates import DEFAULT_M_MAX
 from .densities import Density, constant_density, pulse_density, tabulated_density
@@ -41,15 +43,15 @@ __all__ = ["BasisSpec", "RhoSpec", "CertifyOptions", "RunConfig", "load_config",
            "build_problem"]
 
 
-def _floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-def _increasing_pair(name: str, text: str) -> tuple:
-    vals = _floats(text)
-    if len(vals) != 2 or not vals[0] < vals[1]:
-        raise ValidationError(f"{name} must be two increasing numbers, got {vals}")
-    return vals[0], vals[1]
+def _at_least(*bounds) -> None:
+    """Raise on the first (key, value, least) whose value is below least."""
+    for key, value, least in bounds:
+        if value < least:
+            raise ValidationError(f"{key} must be >= {least}, got {value}")
 
 
 def _existing_file(what: str, path: Optional[str]) -> str:
@@ -61,10 +63,20 @@ def _existing_file(what: str, path: Optional[str]) -> str:
     return path
 
 
-def _read(section, **parsers) -> dict:
-    """The keys of `section` (a mapping, {} when absent) that `parsers`
-    names, each parsed; a key it lacks keeps its field's default."""
-    return {key: parse(section[key]) for key, parse in parsers.items() if key in section}
+def _read(path, sections: dict, name: str, **parsers) -> dict:
+    """Fields from section [name], taken out of `sections`: `parsers[key]` parses
+    key's value into the field of its name, or is a (field, parser) pair.  A key
+    it does not name, or a value its parser rejects, is an error naming name.key."""
+    fields = {}
+    for key, text in sections.pop(name, {}).items():
+        if key not in parsers:
+            raise ValidationError(f"{path}: unknown key {name}.{key}")
+        target, parse = parsers[key] if isinstance(parsers[key], tuple) else (key, parsers[key])
+        try:
+            fields[target] = parse(text)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {name}.{key}: {exc}") from None
+    return fields
 
 
 @dataclass(frozen=True)
@@ -121,6 +133,10 @@ class CertifyOptions:
     m_max: int = DEFAULT_M_MAX
     min_width: Optional[float] = None
 
+    def __post_init__(self):
+        _at_least(("certify.trials", self.trials, 1), ("certify.m_max", self.m_max, 3),
+                  ("certify.seed", self.seed, 0))
+
     def band_for(self, entropy: EntropySpec) -> tuple:
         domain = entropy.f_domain
         lower = float(self.alpha if self.alpha is not None else domain.lo)
@@ -137,7 +153,7 @@ class CertifyOptions:
         return lower, upper
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     entropy: str
     interval: tuple = (0.0, 1.0)
@@ -149,14 +165,22 @@ class RunConfig:
     quad_panels: int = DEFAULT_PANELS_PER_SEGMENT
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    phi0: Optional[np.ndarray] = None
+    phi0: Optional[tuple] = None
     out_dir: str = "out"
     sample_points: int = 1001
     certify: CertifyOptions = field(default_factory=CertifyOptions)
     window: Optional[tuple] = None
 
-    def entropy_spec(self) -> EntropySpec:
-        return builtin_entropy(self.entropy)
+    def __post_init__(self):
+        for name, pair in (("interval", self.interval), ("compare window", self.window)):
+            if pair is not None and (len(pair) != 2 or not pair[0] < pair[1]):
+                raise ValidationError(f"{name} must be two increasing numbers, got {list(pair)}")
+        _at_least(("quad.order", self.quad_order, 1), ("quad.panels", self.quad_panels, 1),
+                  ("solver.max_iter", self.max_iter, 0),
+                  ("output.sample_points", self.sample_points, 0))
+        if not 0.0 < self.tol < math.inf:  # also rejects nan
+            raise ValidationError(
+                f"solver.tol: tolerance must be positive and finite, got {self.tol}")
 
     def default_window(self) -> tuple:
         """Comparison window: split +- 0.1, falling back to the midpoint."""
@@ -181,60 +205,30 @@ def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read(path)
-    except configparser.Error as exc:
-        raise ValidationError(f"cannot parse {path}: {exc}") from None
+    except configparser.Error as exc:  # its text spans lines; keep it on one
+        raise ValidationError(f"cannot parse {path}: {' '.join(str(exc).split())}") from None
 
-    if "problem" not in parser or "entropy" not in parser["problem"]:
-        raise ValidationError(f"{path}: section [problem] with 'entropy' is required")
     sections = {name: parser[name] for name in parser.sections()}
-    problem = sections["problem"]
-
-    try:
-        cfg = RunConfig(entropy=problem.get("entropy").strip())
-        if "interval" in problem:
-            cfg.interval = _increasing_pair("interval", problem["interval"])
-        for name in ("basis", "basis_a", "basis_b"):
-            if name in sections:
-                if "kind" not in sections[name] or "n" not in sections[name]:
-                    raise ValidationError("basis section requires 'kind' and 'n'")
-                setattr(cfg, name, BasisSpec(**_read(sections[name], kind=str.strip, n=int,
-                                                     split=float, file=str)))
-        cfg.rho = RhoSpec(**_read(sections.get("rho", {}), kind=str.strip, split=float,
-                                  c=float, file=str))
-
-        quad = sections.get("quad", {})
-        cfg.quad_order = int(quad.get("order", cfg.quad_order))
-        cfg.quad_panels = int(quad.get("panels", cfg.quad_panels))
-        solver = sections.get("solver", {})
-        cfg.tol = float(solver.get("tol", cfg.tol))
-        cfg.max_iter = int(solver.get("max_iter", cfg.max_iter))
-        if "phi0" in solver:
-            cfg.phi0 = np.array(_floats(solver["phi0"]))
-        output = sections.get("output", {})
-        cfg.out_dir = output.get("dir", cfg.out_dir)
-        cfg.sample_points = int(output.get("sample_points", cfg.sample_points))
-
-        cfg.certify = CertifyOptions(**_read(sections.get("certify", {}), alpha=float, beta=float,
-                                             trials=int, seed=int, m_max=int, min_width=float))
-        for key, value, least in (
-                ("quad.order", cfg.quad_order, 1), ("quad.panels", cfg.quad_panels, 1),
-                ("solver.max_iter", cfg.max_iter, 0),
-                ("output.sample_points", cfg.sample_points, 0),
-                ("certify.trials", cfg.certify.trials, 1), ("certify.m_max", cfg.certify.m_max, 3),
-                ("certify.seed", cfg.certify.seed, 0)):
-            if value < least:
-                raise ValidationError(f"{key} must be >= {least}, got {value}")
-        if not 0.0 < cfg.tol < math.inf:  # also rejects nan
-            raise ValidationError(
-                f"solver.tol: tolerance must be positive and finite, got {cfg.tol}")
-        if "window" in sections.get("compare", {}):
-            cfg.window = _increasing_pair("compare window", sections["compare"]["window"])
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"{path}: {exc}") from None
-
-    return cfg
+    if "entropy" not in sections.get("problem", {}):
+        raise ValidationError(f"{path}: section [problem] with 'entropy' is required")
+    bases = {name: _read(path, sections, name, kind=str.strip, n=int, split=float, file=str)
+             for name in ("basis", "basis_a", "basis_b") if name in sections}
+    if any("kind" not in spec or "n" not in spec for spec in bases.values()):
+        raise ValidationError("basis section requires 'kind' and 'n'")
+    fields = {
+        **_read(path, sections, "problem", entropy=str.strip, interval=_floats),
+        **_read(path, sections, "quad", order=("quad_order", int), panels=("quad_panels", int)),
+        **_read(path, sections, "solver", tol=float, max_iter=int, phi0=_floats),
+        **_read(path, sections, "output", dir=("out_dir", str), sample_points=int),
+        **_read(path, sections, "compare", window=_floats),
+        "rho": RhoSpec(**_read(path, sections, "rho", kind=str.strip, split=float, c=float,
+                               file=str)),
+        "certify": CertifyOptions(**_read(path, sections, "certify", alpha=float, beta=float,
+                                          trials=int, seed=int, m_max=int, min_width=float)),
+    }
+    if sections:
+        raise ValidationError(f"{path}: unknown section [{next(iter(sections))}]")
+    return RunConfig(**{name: BasisSpec(**spec) for name, spec in bases.items()}, **fields)
 
 
 def build_problem(cfg: RunConfig, basis_spec: BasisSpec) -> tuple:
@@ -243,7 +237,7 @@ def build_problem(cfg: RunConfig, basis_spec: BasisSpec) -> tuple:
     The quadrature rule carries the union of the basis and density
     breakpoints, so the target moments are integrated exactly.
     """
-    entropy = cfg.entropy_spec()
+    entropy = builtin_entropy(cfg.entropy)
     basis = basis_spec.to_basis(cfg.interval)
     rho = cfg.rho.to_density()
     bps = merge_breakpoints(cfg.interval, (), (*basis.breakpoints, *rho.breakpoints))

@@ -9,6 +9,7 @@ data as piecewise-linear interpolants.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,8 +68,8 @@ def _load_table(path, too_few_columns: str):
     """(breakpoints, samples) of a tabulated file, checked for both loaders.
 
     The breakpoints come from an optional leading comment line
-    ``# breakpoints: ...``.  The samples must be rows of numbers of one
-    length, at least two columns (else `too_few_columns` is the message),
+    ``# breakpoints: ...``.  The samples must be one or more rows of numbers
+    of one length, at least two columns (else `too_few_columns` is the message),
     finite, with a strictly increasing first column; a ValidationError
     naming the file says which does not hold.
     """
@@ -84,9 +85,13 @@ def _load_table(path, too_few_columns: str):
                     tail = body.split(":", 1)[1].replace(",", " ").split()
                     breakpoints = tuple(float(tok) for tok in tail)
                     break
-        data = np.loadtxt(path, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file, reported below
+            data = np.loadtxt(path, ndmin=2)
     except ValueError as err:   # a token that is no number, a ragged row, or not UTF-8
         raise ValidationError(f"{path}: {str(err).split(';')[0]}") from None
+    if data.size == 0:
+        raise ValidationError(f"{path}: contains no data rows")
     if data.shape[1] < 2:
         raise ValidationError(f"{path}: {too_few_columns}")
     if not np.all(np.isfinite(data)):

@@ -57,7 +57,6 @@ DEFAULT_MAX_ITER = 100
 
 _MIN_STEP = 2.0 ** -60          # give up on the line search below this
 _REG_START = 1e-12              # Hessian shift ladder, relative to ||H||
-_REG_LIMIT = 1e-4
 _ROUNDING = 8 * np.finfo(float).eps  # predicted ascent below this x max(1, |D|) is noise
 
 
@@ -175,8 +174,11 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _newton_direction(hess: np.ndarray, grad: np.ndarray):
     """Solve H d = -g for the ascent direction, shifting H if needed.
 
-    Returns (direction, shift_used).  Falls back to the gradient direction
-    when the shift ladder exhausts without a usable factorization.
+    Returns (direction, shift_used).  The shift grows tenfold until -H +
+    shift*I factorizes, which it does for any finite H once the shift passes
+    ||H||_inf (the matrix is then strictly diagonally dominant).  -H is a
+    (f*)''-weighted Gram, positive semidefinite for every built-in entropy,
+    so a shift is needed only where rounding makes it singular.
     """
     neg = -hess
     try:
@@ -186,12 +188,11 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray):
     scale = float(np.linalg.norm(hess, np.inf)) or 1.0
     shift = _REG_START * scale
     eye = np.eye(hess.shape[0])
-    while shift <= _REG_LIMIT * scale:
+    while True:
         try:
             return _cholesky_solve(neg + shift * eye, grad), shift
         except np.linalg.LinAlgError:
             shift *= 10.0
-    return grad.copy(), -1.0  # gradient ascent for this iteration
 
 
 def solve_dual(instance: ProblemInstance, phi0=None, tol: float = DEFAULT_TOL,

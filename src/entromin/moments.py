@@ -206,9 +206,10 @@ def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterva
 class ProblemInstance:
     """Everything needed to pose one constrained entropy minimization.
 
-    The rule must resolve every basis breakpoint.  What the dual solver uses on
-    every iteration is built once: `design`, the basis at the nodes (passed in by
-    `instance_from_density`), and `_unchecked`: f*, (f*)', (f*)'' without domain checks.
+    The rule must resolve every basis breakpoint strictly inside its interval.  What
+    the dual solver uses on every iteration is built once: `design`, the basis at the
+    nodes (passed in by `instance_from_density`), and `_unchecked`: f*, (f*)', (f*)''
+    without domain checks.
     """
 
     entropy: EntropySpec
@@ -226,8 +227,9 @@ class ProblemInstance:
             )
         if not np.all(np.isfinite(self.target_moments)):
             raise ValidationError("target moments must be finite")
-        missing = [b for b in self.basis.breakpoints
-                   if not any(abs(b - rb) <= 1e-12 for rb in self.rule.breakpoints)]
+        lo, hi = self.rule.interval  # a breakpoint at or past an end is none (merge_breakpoints)
+        missing = [b for b in self.basis.breakpoints if lo < b < hi
+                   and not any(abs(b - rb) <= 1e-12 for rb in self.rule.breakpoints)]
         if missing:
             raise ValidationError(
                 f"rule breakpoints {self.rule.breakpoints} do not cover basis "

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import entromin
+from entromin import cli
 from entromin.cli import main
 from entromin.config import load_config
 
@@ -355,6 +356,17 @@ class TestCompare:
         assert "f_star_d1 of burg" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_invalid_second_basis_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        """Both instances are built before either is solved, so a [basis_b]
+        that cannot be built costs no solve."""
+        calls = []
+        monkeypatch.setattr(cli, "solve_dual", lambda *args, **kw: calls.append(args))
+        cfg = write_compare_config(tmp_path, extra_b="", out=str(tmp_path / "out"))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "compare: piecewise_flat basis requires a split point\n"
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg1 = write_compare_config(tmp_path, name="c1.ini", out=str(tmp_path / "run1"))
         cfg2 = write_compare_config(tmp_path, name="c2.ini", out=str(tmp_path / "run2"))
@@ -397,6 +409,26 @@ dir = {tmp_path / 'out'}
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["converged"] is True
         assert abs(summary["duality_gap"]) <= 1e-8
+
+    @pytest.mark.parametrize("header", ["0", "1", "0 1"])
+    def test_breakpoint_header_at_interval_end_solves_as_without(self, tmp_path, header):
+        """A `# breakpoints:` header naming only interval ends declares no
+        breakpoint: the solve writes the bytes it writes without the header."""
+        s = np.linspace(0.0, 1.0, 401)
+        rows = np.column_stack([s, np.ones_like(s), s])
+        artifacts = []
+        for name, text in (("plain", ""), ("ends", f"# breakpoints: {header}\n")):
+            table = tmp_path / f"{name}.txt"
+            with open(table, "w") as fh:
+                fh.write(text)
+                np.savetxt(fh, rows)
+            out = tmp_path / name
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(f"{TBS}[basis]\nkind = tabulated\nn = 2\nfile = {table}\n"
+                           f"[output]\ndir = {out}\n")
+            assert main(["solve", "--config", str(ini), "--trace"]) == 0
+            artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert artifacts[0] == artifacts[1] and len(artifacts[0]) == 3
 
     def test_non_finite_tabulated_density_exits_1(self, tmp_path):
         # a nan in the s column slips past the strictly-increasing check
@@ -478,7 +510,8 @@ TBS = "[problem]\nentropy = translated_boltzmann_shannon\n"
 MONOMIAL_2 = "[basis]\nkind = monomial\nn = 2\n"
 
 # subcommand args, config text and the problem stderr names; {tmp} is the
-# test's directory, where basis.txt holds two tabulated functions
+# test's directory, where basis.txt holds two tabulated functions and
+# empty.txt nothing
 CONFIG_ERRORS = {
     "piecewise-without-split": (["solve"], TBS + "[basis]\nkind = piecewise_flat\nn = 2\n",
                                 "piecewise_flat basis requires a split point"),
@@ -504,7 +537,22 @@ CONFIG_ERRORS = {
                               "certificates need a finite lower bound"),
     "basis-without-n": (["solve"], TBS + "[basis]\nkind = monomial\n",
                         "basis section requires 'kind' and 'n'"),
-    "unparsable-file": (["solve"], "entropy without a section\n", "cannot parse "),
+    "unparsable-file": (["solve"], "entropy without a section\n",
+                        "cannot parse {tmp}/bad.ini: File contains no section headers."),
+    "unknown-section": (["certify", "--type", "qri"], TBS + MONOMIAL_2 + "[certfy]\nm_max = 50000\n",
+                        "{tmp}/bad.ini: unknown section [certfy]"),
+    "unknown-key": (["certify", "--type", "qri"], TBS + MONOMIAL_2 + "[certify]\nm-max = 50000\n",
+                    "{tmp}/bad.ini: unknown key certify.m-max"),
+    "quad-order-flag": (["solve", "--quad-order", "0"], TBS + MONOMIAL_2,
+                        "quad.order must be >= 1, got 0"),
+    "quad-panels-flag": (["solve", "--quad-panels", "0"], TBS + MONOMIAL_2,
+                         "quad.panels must be >= 1, got 0"),
+    "seed-flag": (["certify", "--type", "core", "--seed", "-1"], TBS + MONOMIAL_2,
+                  "certify.seed must be >= 0, got -1"),
+    "empty-basis-file": (["solve"], TBS + "[basis]\nkind = tabulated\nn = 2\n"
+                         "file = {tmp}/empty.txt\n", "{tmp}/empty.txt: contains no data rows"),
+    "empty-density-file": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = tabulated\n"
+                           "file = {tmp}/empty.txt\n", "{tmp}/empty.txt: contains no data rows"),
     "unknown-entropy": (["solve"], "[problem]\nentropy = gaps\n" + MONOMIAL_2,
                         "unknown entropy 'gaps'; available: boltzmann_shannon, burg"),
     "no-entropy": (["solve"], "[problem]\ninterval = 0 1\n" + MONOMIAL_2,
@@ -519,7 +567,7 @@ CONFIG_ERRORS = {
     "single-window": (["compare"], TBS + "[compare]\nwindow = 0.4\n",
                       "compare window must be two increasing numbers, got [0.4]"),
     "n-not-a-number": (["solve"], TBS + "[basis]\nkind = monomial\nn = six\n",
-                       "invalid literal for int() with base 10: 'six'"),
+                       "basis.n: invalid literal for int() with base 10: 'six'"),
     "certify-without-basis": (["certify", "--type", "qri"], TBS,
                               "certify: certify requires a [basis] section"),
     "compare-without-bases": (["compare"], TBS + MONOMIAL_2,
@@ -529,18 +577,55 @@ CONFIG_ERRORS = {
 
 @pytest.mark.parametrize("case", list(CONFIG_ERRORS))
 def test_config_error_exits_1_naming_it_without_output(tmp_path, capsys, case):
-    """Every configuration error path: exit 1, its problem on stderr, and no
-    output directory."""
+    """Every configuration error path: exit 1, its problem on one stderr
+    line, and no output directory."""
     command, text, message = CONFIG_ERRORS[case]
     s = np.linspace(0.0, 1.0, 11)
     np.savetxt(tmp_path / "basis.txt", np.column_stack([s, np.ones_like(s), s]))
+    (tmp_path / "empty.txt").write_text("")
     path = tmp_path / "bad.ini"
     path.write_text(text.format(tmp=tmp_path))
     out = tmp_path / "E"
     assert main([*command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"{command[0]}: ") and message in err, err
+    assert err.startswith(f"{command[0]}: ") and message.format(tmp=tmp_path) in err, err
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["quad-order-flag", "quad-panels-flag", "seed-flag"])
+def test_flag_fails_its_key_check_before_any_build(tmp_path, capsys, monkeypatch, case):
+    """A flag passes the check of the INI key it overrides, with that key's
+    message, before build_problem makes a rule."""
+    monkeypatch.setattr(cli, "build_problem", lambda *args: pytest.fail("build_problem ran"))
+    command, text, message = CONFIG_ERRORS[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main([*command, "--config", str(path), "--out", str(tmp_path / "E")]) == 1
+    assert capsys.readouterr().err == f"{command[0]}: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["solve"], ["certify", "--config", "run.ini"], ["frobnicate", "--config", "run.ini"],
+    ["certify", "--config", "run.ini", "--type", "core", "--seed", "x"],
+], ids=["solve-without-config", "certify-without-type", "unknown-subcommand", "seed-not-int"])
+def test_usage_error_exits_1(capsys, args):
+    """argparse's usage errors take the configuration-error code, not 2."""
+    assert main(args) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--quad-order" in capsys.readouterr().out
+
+
+def test_usage_error_exits_1_from_module():
+    src = str(Path(entromin.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "entromin.cli", "solve"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert "the following arguments are required: --config" in proc.stderr
 
 
 # a malformed table's text and what stderr says of it after "<path>: "
@@ -562,9 +647,9 @@ def test_malformed_table_is_one_config_error_line(tmp_path, capsys, table, secti
     text, message = MALFORMED_TABLES[table]
     path = tmp_path / "table.txt"
     path.write_text(text)
-    tabulated = f"kind = tabulated\nn = 2\nfile = {path}\n"
+    tabulated = f"kind = tabulated\nfile = {path}\n"
     monomial = "kind = monomial\nn = 2\n"
-    basis = tabulated if section == "basis" else monomial   # [basis_a] for compare too
+    basis = f"{tabulated}n = 2\n" if section == "basis" else monomial  # [basis_a] for compare too
     rho = f"[rho]\n{tabulated}" if section == "rho" else ""
     ini = tmp_path / "bad.ini"
     ini.write_text(f"{TBS}[basis]\n{basis}[basis_a]\n{basis}[basis_b]\n{monomial}{rho}")
@@ -612,6 +697,36 @@ def test_readme_config_schema_loads(tmp_path):
     assert cfg.certify.m_max == 4000
     assert cfg.certify.seed == 0
     assert cfg.tol == 1e-10
+
+
+def test_readme_config_schema_commented_keys_load(tmp_path):
+    """Each optional key the README shows commented out is one load_config
+    reads, too."""
+    lines = _readme_block("### Config schema", "ini").splitlines()
+    block = "\n".join(line[2:] if line.startswith("; ") and " = " in line else line
+                      for line in lines)
+    path = tmp_path / "schema.ini"
+    path.write_text(block)
+    cfg = load_config(str(path))
+    assert (cfg.certify.alpha, cfg.certify.beta, cfg.certify.min_width) == (0.0, np.inf, 0.01)
+    assert list(cfg.phi0) == [-1.0, 0.0, 0.0]
+    assert (cfg.basis.file, cfg.rho.file) == ("basis.txt", "rho.txt")
+
+
+@pytest.mark.parametrize("old,new,named", [
+    ("m_max = 4000", "m-max = 50000", "unknown key certify.m-max"),
+    ("max_iter = 100", "max_iters = 1", "unknown key solver.max_iters"),
+    ("[certify]", "[certfy]", "unknown section [certfy]"),
+], ids=["m-max", "max-iters", "certfy"])
+def test_readme_config_with_undeclared_key_exits_1(tmp_path, capsys, old, new, named):
+    """A misspelt key or section of the README config is not dropped: the
+    run exits 1 with one stderr line naming it, and writes nothing."""
+    path = tmp_path / "schema.ini"
+    path.write_text(_readme_block("### Config schema", "ini").replace(old, new))
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(path), "--type", "qri", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"certify: {path}: {named}\n"
+    assert not out.exists()
 
 
 def test_readme_library_quick_start_runs():

@@ -1,11 +1,13 @@
-"""Run configuration: defaults shared with the library, and the comparison window."""
+"""Run configuration: defaults shared with the library, bounds, the key
+table, and the comparison window."""
 
+import dataclasses
 import inspect
 
 import pytest
 
 from entromin.certificates import build_qri_certificate, verify_core_certificate
-from entromin.config import BasisSpec, CertifyOptions, RhoSpec, RunConfig
+from entromin.config import BasisSpec, CertifyOptions, RhoSpec, RunConfig, load_config
 from entromin.densities import pulse_density
 from entromin.dual import solve_dual
 from entromin.quadrature import build_rule
@@ -46,3 +48,68 @@ def test_default_window_fallbacks(fields, window):
     """An explicit window, else the pulse split, else a basis split, else the
     interval midpoint, each +- 0.1."""
     assert RunConfig(entropy="l2_norm", **fields).default_window() == window
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: RunConfig("l2_norm", quad_order=0), "quad.order must be >= 1, got 0"),
+    (lambda: RunConfig("l2_norm", quad_panels=0), "quad.panels must be >= 1, got 0"),
+    (lambda: RunConfig("l2_norm", max_iter=-1), "solver.max_iter must be >= 0, got -1"),
+    (lambda: RunConfig("l2_norm", tol=float("nan")),
+     "solver.tol: tolerance must be positive and finite, got nan"),
+    (lambda: RunConfig("l2_norm", sample_points=-1), "output.sample_points must be >= 0, got -1"),
+    (lambda: RunConfig("l2_norm", interval=(1.0, 0.0)),
+     "interval must be two increasing numbers, got [1.0, 0.0]"),
+    (lambda: RunConfig("l2_norm", window=(0.4,)),
+     "compare window must be two increasing numbers, got [0.4]"),
+    (lambda: CertifyOptions(trials=0), "certify.trials must be >= 1, got 0"),
+    (lambda: CertifyOptions(m_max=2), "certify.m_max must be >= 3, got 2"),
+    (lambda: CertifyOptions(seed=-1), "certify.seed must be >= 0, got -1"),
+    (lambda: dataclasses.replace(RunConfig("l2_norm"), quad_order=0),
+     "quad.order must be >= 1, got 0"),
+], ids=["order", "panels", "max-iter", "tol", "sample-points", "interval", "window",
+        "trials", "m-max", "seed", "replace"])
+def test_bounds_checked_where_the_value_is_held(make, message):
+    """Each bound is the dataclass's own, so a config built in code or
+    changed with dataclasses.replace meets the INI key's check."""
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_run_config_frozen():
+    cfg = RunConfig("l2_norm")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.out_dir = "elsewhere"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[problem]\nentropy = l2_norm\nentropy_name = burg\n", "unknown key problem.entropy_name"),
+    ("[problem]\nentropy = l2_norm\n[output]\ndirectory = x\n", "unknown key output.directory"),
+    ("[problem]\nentropy = l2_norm\n[quad]\nnodes = 4\n", "unknown key quad.nodes"),
+    ("[problem]\nentropy = l2_norm\n[rho]\nn = 2\n", "unknown key rho.n"),
+    ("[problem]\nentropy = l2_norm\n[compare]\nsplit = 0.5\n", "unknown key compare.split"),
+    ("[problem]\nentropy = l2_norm\n[basis_c]\nkind = monomial\n", "unknown section [basis_c]"),
+    ("[problem]\nentropy = l2_norm\n[quad]\norder = 2.5\n",
+     "quad.order: invalid literal for int() with base 10: '2.5'"),
+    ("[problem]\nentropy = l2_norm\ninterval = 0 one\n",
+     "problem.interval: could not convert string to float: 'one'"),
+    ("[problem]\nentropy = l2_norm\n[solver]\nphi0 = -1 x\n",
+     "solver.phi0: could not convert string to float: 'x'"),
+], ids=["problem", "output", "quad", "rho", "compare", "section", "int", "interval", "phi0"])
+def test_undeclared_key_or_unparsable_value_named(tmp_path, text, message):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_keys_fill_their_fields(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[problem]\nentropy = l2_norm\ninterval = 1, 3\n[quad]\norder = 5\n"
+                    "panels = 2\n[output]\ndir = there\nsample_points = 7\n"
+                    "[compare]\nwindow = 1.5 2\n[solver]\nmax_iter = 9\ntol = 1e-9\n")
+    cfg = load_config(str(path))
+    assert (cfg.interval, cfg.quad_order, cfg.quad_panels) == ((1.0, 3.0), 5, 2)
+    assert (cfg.out_dir, cfg.sample_points, cfg.window) == ("there", 7, (1.5, 2.0))
+    assert (cfg.max_iter, cfg.tol, cfg.phi0) == (9, 1e-9, None)

@@ -272,13 +272,14 @@ class TestNewtonDirection:
         residual = np.linalg.norm(shifted @ direction - grad)
         assert residual <= 1e-12 * np.linalg.norm(shifted) * np.linalg.norm(direction)
 
-    def test_indefinite_hessian_falls_back_to_gradient(self):
-        hess = np.diag([1.0, -1.0])  # no shift up to the ladder's limit makes -H definite
+    def test_indefinite_hessian_gets_definite_shift(self):
+        """The ladder climbs until -H + shift*I is positive definite, here past
+        H's eigenvalue 1, and the direction it solves for ascends."""
+        hess = np.diag([1.0, -1.0])
         grad = np.array([0.3, -0.7])
         direction, shift = _newton_direction(hess, grad)
-        assert shift == -1.0
-        np.testing.assert_array_equal(direction, grad)
-        assert direction is not grad
+        assert 1.0 < shift < 100.0 and grad @ direction > 0.0
+        np.testing.assert_allclose((shift * np.eye(2) - hess) @ direction, grad, rtol=1e-14)
 
 
 def reference_solve(instance, phi):

@@ -258,6 +258,27 @@ class TestProblemInstance:
         with pytest.raises(ValidationError):
             ProblemInstance(builtin_entropy("l2_norm"), basis, bare_rule, np.zeros(2))
 
+    @pytest.mark.parametrize("header,covered", [
+        ("0", True), ("1", True), ("0, 1", True), ("-0.5 2", True), ("0 0.3", False),
+    ])
+    def test_breakpoints_inside_the_interval_must_be_covered(self, tmp_path, header, covered):
+        """Only basis breakpoints strictly inside the interval, the ones
+        merge_breakpoints keeps, must be rule breakpoints; an end or a point
+        outside is none."""
+        s = np.linspace(0.0, 1.0, 11)
+        path = tmp_path / "basis.txt"
+        with open(path, "w") as fh:
+            fh.write(f"# breakpoints: {header}\n")
+            np.savetxt(fh, np.column_stack([s, np.ones_like(s), s]))
+        basis = tabulated_basis(path)
+        entropy, rho = builtin_entropy("l2_norm"), pulse_density(0.5)
+        if covered:
+            inst = instance_from_density(entropy, basis, RULE, rho)
+            assert inst.rule.breakpoints == (0.5,)
+        else:
+            with pytest.raises(ValidationError, match=r"do not cover basis breakpoints \[0.3\]"):
+                instance_from_density(entropy, basis, RULE, rho)
+
     def test_target_moment_shape_enforced(self):
         basis = monomial_basis(2)
         with pytest.raises(ValidationError):
