@@ -18,7 +18,10 @@ direction and rescaled, since they are linear in eta), a bound Delta on
 their sup, and the step rule t(eta) that keeps the perturbed density
 inside the band.  Verification replays the construction for randomized
 directions and checks both conclusions: the perturbed density stays in the
-band (P1) and its moments move exactly to b + t*eta (P2).
+band (P1) and its moments move exactly to b + t*eta (P2).  P2 is linear in
+eta, so the n x n matrix <y_k, a_j> and the density's own moment defect
+decide it for every direction at once; each is also checked at unit size,
+failing by name as "direction functions" or "target moments".
 
 Quasi-relative-interior certificate.  Clip the density into the open band
 at level 1/m, correct the clipped moments back to b with a function v
@@ -49,10 +52,12 @@ and otherwise the a_k orthonormalized by a QR factorization, whose M is
 conditioned like the weighted a_k, not like their Gram matrix.  The y_k are
 evaluated one way, coefficients @ `DirectionFunctions.design`, built once per
 point set: the prelude's margin design or `DirectionFunctions.evaluator`'s.
-Core verification combines the y_k, trials in stacked blocks (see
-`verify_core_certificate`): a stacked numpy call makes each trial's BLAS
-call, so each keeps its bits.  The qri scan solves for the clip levels it
-must evaluate instead of visiting each (see `_candidate_levels`).
+The core build takes the sup bound and <y_k, a_j> from the margin design
+and evaluates the y_k where the membership grid meets the margin, for P1,
+which runs in stacked blocks: a stacked numpy call makes each trial's BLAS
+call, so each keeps its bits.  Verification builds no design.  The qri scan
+solves for the clip levels it must evaluate instead of visiting each (see
+`_candidate_levels`).
 """
 
 from __future__ import annotations
@@ -330,6 +335,9 @@ class CoreCertificate:
     direction at the sup bound (delta_for == delta).  `points` are the basis
     at the nodes of `directions.rule` and the membership grid ending with
     them, where the build confirmed the margin and verification replays.
+    `inner_products` is <y_k, a_j> (row k) on that rule's margin nodes, and
+    `y_kept` the y_k on the grid columns `kept`, the aligned groups of 16
+    that meet the margin (the y_k are zero on the others).
     """
 
     margin: MarginInterval
@@ -341,6 +349,9 @@ class CoreCertificate:
     clearance: float
     t_unit: float
     points: tuple = field(repr=False)
+    inner_products: np.ndarray = field(repr=False)     # (n, n)
+    kept: np.ndarray = field(repr=False)               # bool, one per grid point
+    y_kept: np.ndarray = field(repr=False)             # (n, kept columns)
 
     def delta_for(self, eta):
         """Sup bound for a direction, or one per row of a stack of them."""
@@ -358,18 +369,33 @@ class CoreCertificate:
 
 @dataclass(frozen=True)
 class CertificateVerification:
-    """Replay report for randomized directions; see verify_core_certificate."""
+    """Replay report for randomized directions; see verify_core_certificate.
+
+    The two parts of every P2 residual are reported at unit size:
+    `orthogonality`, the largest over j of the 2-norm over k of
+    <y_k, a_j> - delta_kj, and `target`, |moments of x - b| on the margin rule.
+    """
 
     trials: int
     p1_passes: int
     p2_passes: int
     worst_p1_violation: float
     worst_p2_residual: float
+    orthogonality: float
+    target: float
     p2_tol: float = P2_TOL
 
     @property
+    def failures(self) -> tuple:
+        """The certificate-level checks above `p2_tol` (or NaN), by name."""
+        return tuple(name for name, value in (("direction functions", self.orthogonality),
+                                              ("target moments", self.target))
+                     if not value <= self.p2_tol)
+
+    @property
     def all_passed(self) -> bool:
-        return self.p1_passes == self.trials and self.p2_passes == self.trials
+        return (self.p1_passes == self.trials and self.p2_passes == self.trials
+                and not self.failures)
 
 
 def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
@@ -447,9 +473,17 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     """
     margin, directions, design, points, _ = _margin_prelude(instance, x, lower, upper,
                                                             candidate_interval, min_width)
-    sup_unit = _margin_sup(directions.coeffs, design) * (1.0 + 1e-9)  # above the sampled sup
+    y_margin = directions.coeffs @ design   # the unit y_k on the margin grid, nodes last
+    sup_unit = np.max(np.abs(y_margin), axis=-1) * (1.0 + 1e-9)  # above the sampled sup
     delta = float(np.max(sup_unit))
     clearance = min(margin.val_lo - lower, upper - margin.val_hi)
+    rule, (ver_design, grid) = directions.rule, points
+    on_nodes = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
+    inner_products = ((y_margin[:, MARGIN_SCAN_SAMPLES:] * rule.weights[on_nodes])
+                      @ ver_design.compress(on_nodes, axis=1).T)  # C order: the audit's bits
+    # y is 0 off the margin; aligned C-order groups of 16 columns keep the full grid's gemv bits
+    meets = (grid >= margin.lo) & (grid <= margin.hi)
+    kept = np.repeat(np.logical_or.reduceat(meets, np.arange(0, grid.size, 16)), 16)[:grid.size]
     return CoreCertificate(
         margin=margin,
         directions=directions,
@@ -460,6 +494,9 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
         clearance=float(clearance),
         t_unit=SAFETY_FACTOR * float(clearance) / (instance.n * delta),
         points=points,
+        inner_products=inner_products,
+        kept=kept,
+        y_kept=directions.evaluate_all(grid[kept]),
     )
 
 
@@ -476,21 +513,23 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
                             t_scale: float = 1.0) -> CertificateVerification:
     """Replay the core construction for seeded random unit directions.
 
-    For each direction eta the perturbation y = t(eta) * sum_k eta_k y_k
-    is checked for both conclusions: the perturbed density stays inside
-    the band on a dense sample (P1), and its moments equal b + t*eta to
-    within 1e-8 (P2), integrating over a rule refined with the margin
-    endpoints.  `t_scale` deliberately over- or under-drives the step rule
-    (useful as a negative control: beyond the certified bound, P1 must
-    eventually fail on a tight margin).  x and the unit-direction y_k are
-    evaluated once on the certificate's membership grid, where its build
-    confirmed the margin, which ends with the verification nodes; each
-    trial combines the y_k as (t*eta) @ y, within about
-    (n+2)*eps*clearance*t_scale of the exact sum of those values.  The
-    directions are drawn in one call, the same stream as one draw of n per
-    trial, so a seed gives the directions it gave one trial at a time.
-    Trials run in stacked blocks of TRIAL_BLOCK with the BLAS calls, so the
-    bits, of one trial at a time.  `trials` and `seed` must be whole numbers.
+    For each direction eta the step s = t(eta) * eta is checked for both
+    conclusions: x + sum_k s_k y_k stays inside the band on the membership
+    grid (P1), and its moments equal b + s to within P2_TOL (P2).  `t_scale`
+    over- or under-drives the step rule (a negative control: beyond the
+    certified bound P1 must eventually fail on a tight margin).
+
+    P2 is linear in s: on the margin rule those moments are b + e + D^T s,
+    with e the moments of x less b and D = `cert.inner_products`, so one
+    product gives every trial's residual |e + (D - I)^T s|, and each part is
+    also checked at unit size (`CertificateVerification.failures`).  x is
+    sampled once, on the certificate's membership grid, which ends with the
+    margin rule's nodes.  P1 combines the y_k the build evaluated where the
+    grid meets the margin as s @ y, within about (n+2)*eps*clearance*t_scale
+    of the exact sum, in stacked blocks of TRIAL_BLOCK trials that keep the
+    BLAS calls, so the bits, of one trial at a time.  The directions are
+    drawn in one call, the stream of one draw of n per trial.  `trials` and
+    `seed` must be whole numbers.
     """
     trials, seed = _whole_number("trials", trials), _whole_number("seed", seed)
     if trials < 1:
@@ -502,32 +541,23 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     etas = np.random.default_rng(seed).standard_normal((trials, instance.n))
     etas /= np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0]  # np.linalg.norm's bits
     steps = (t_scale * cert.t_for(etas))[:, None] * etas
-    targets = instance.target_moments + steps
-    ver_rule, (ver_design, grid) = cert.directions.rule, cert.points
+    weights, (ver_design, grid) = cert.directions.rule.weights, cert.points
     x_grid = np.asarray(x(grid), dtype=float)
-    y_grid = cert.directions.evaluate_all(grid)     # the unit y_k: linear in eta
-    nodes = slice(grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
-    x_ver, y_ver = x_grid[nodes], y_grid[:, nodes]
-    # y is 0 off the margin; aligned C-order groups of 16 columns keep the full grid's gemv bits
-    meets = (grid >= cert.margin.lo) & (grid <= cert.margin.hi)
-    keep = np.repeat(np.logical_or.reduceat(meets, np.arange(0, grid.size, 16)), 16)[:grid.size]
-    x_in, y_in = x_grid[keep], np.ascontiguousarray(y_grid[:, keep])
-    x_lo, x_hi = x_grid[~keep].min(initial=np.inf), x_grid[~keep].max(initial=-np.inf)
+    target = ver_design @ (weights * x_grid[grid.size - weights.size:]) - instance.target_moments
+    defect = cert.inner_products - np.eye(instance.n)
+    residuals = np.abs(target + steps @ defect).max(axis=1)
+    x_in, x_out = x_grid[cert.kept], x_grid[~cert.kept]
+    x_lo, x_hi = x_out.min(initial=np.inf), x_out.max(initial=-np.inf)
 
-    violations, residuals = np.empty(trials), np.empty(trials)
+    violations = np.empty(trials)
     for a in range(0, trials, TRIAL_BLOCK):
-        block, rows = steps[a:a + TRIAL_BLOCK, None, :], slice(a, a + TRIAL_BLOCK)
-        p = (block @ y_in)[:, 0]
+        p = (steps[a:a + TRIAL_BLOCK, None, :] @ cert.y_kept)[:, 0]
         p += x_in
         # lower - p rounds monotonically in p, so this is max(lower - p) exactly
         low = cert.lower - p.min(axis=1, initial=x_lo)
         high = p.max(axis=1, initial=x_hi) - cert.upper
         worst = np.where(high > low, high, low)  # Python's max(low, high, 0.0), NaN and -0.0 too
-        violations[rows] = np.where(worst < 0.0, 0.0, worst)
-        z = (block @ y_ver)[:, 0]
-        z += x_ver
-        z *= ver_rule.weights
-        residuals[rows] = np.abs((ver_design @ z[:, :, None])[:, :, 0] - targets[rows]).max(axis=1)
+        violations[a:a + TRIAL_BLOCK] = np.where(worst < 0.0, 0.0, worst)
 
     return CertificateVerification(
         trials=trials,
@@ -535,6 +565,8 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
         p2_passes=int(np.count_nonzero(residuals <= P2_TOL)),
         worst_p1_violation=float(violations.max()),
         worst_p2_residual=float(residuals.max()),
+        orthogonality=float(np.linalg.norm(defect, axis=0).max()),
+        target=float(np.abs(target).max()),
     )
 
 

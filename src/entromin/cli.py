@@ -135,7 +135,9 @@ def cmd_certify(cfg: RunConfig, args) -> int:
         fields = {"delta": cert.delta, "t_unit": cert.t_unit, "trials": report.trials,
                   "trials_passed": min(report.p1_passes, report.p2_passes),
                   "residuals": {"p2_worst": report.worst_p2_residual,
-                                "p1_worst_violation": report.worst_p1_violation}}
+                                "p1_worst_violation": report.worst_p1_violation,
+                                "orthogonality": report.orthogonality,
+                                "target": report.target}}
     else:
         cert = build_qri_certificate(instance, rho, lower, upper, m_max=opts.m_max,
                                      min_width=opts.min_width)
@@ -154,8 +156,9 @@ def cmd_certify(cfg: RunConfig, args) -> int:
               f"moment residual {_fmt(cert.moment_match_residual)} {note}")
         return EXIT_OK
     if not report.all_passed:
+        failed = f"; failed: {', '.join(report.failures)}" if report.failures else ""
         print(f"certify: verification failed ({report.p1_passes}/{report.trials} P1, "
-              f"{report.p2_passes}/{report.trials} P2)", file=sys.stderr)
+              f"{report.p2_passes}/{report.trials} P2{failed})", file=sys.stderr)
         return EXIT_FAILED_HYPOTHESIS
     print(f"certify: core certificate verified, {report.trials}/{report.trials} "
           f"directions passed {note}")
@@ -248,7 +251,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:  # each flag meets its INI key's check before any rule is built
             cfg = replace(cfg, certify=replace(cfg.certify, seed=args.seed))
-        flags = {"out_dir": args.out or None, "quad_order": args.quad_order,
+        flags = {"out_dir": args.out, "quad_order": args.quad_order,
                  "quad_panels": args.quad_panels}
         cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
         handler = {"solve": cmd_solve, "certify": cmd_certify, "compare": cmd_compare}

@@ -181,6 +181,8 @@ class RunConfig:
         if not 0.0 < self.tol < math.inf:  # also rejects nan
             raise ValidationError(
                 f"solver.tol: tolerance must be positive and finite, got {self.tol}")
+        if not self.out_dir:
+            raise ValidationError("output.dir must not be empty")
 
     def default_window(self) -> tuple:
         """Comparison window: split +- 0.1, falling back to the midpoint."""
@@ -208,6 +210,8 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:  # its text spans lines; keep it on one
         raise ValidationError(f"cannot parse {path}: {' '.join(str(exc).split())}") from None
 
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ValidationError(f"{path}: unknown section [{parser.default_section}]")
     sections = {name: parser[name] for name in parser.sections()}
     if "entropy" not in sections.get("problem", {}):
         raise ValidationError(f"{path}: section [problem] with 'entropy' is required")

@@ -42,78 +42,109 @@ def make_instance(entropy_name, basis, rho):
     return instance_from_density(builtin_entropy(entropy_name), basis, RULE, rho)
 
 
+def _quadrature_p2(instance, x, cert, steps):
+    """P2 the direct way: the moments of each perturbed density x + s @ y
+    integrated on the margin rule, less b + s, one residual per row of
+    `steps`.  Returns the residuals and, per trial, a rounding bound on their
+    distance from verification's linear form |e + (D - I)^T s|.
+
+    Both compute A(w(x + s @ y)) - b - s, a sum of at most N + 2n + 6 rounded
+    terms (N nodes of the margin rule, n moments; the y_k themselves are
+    each n rounded terms of C @ phi, evaluated once or per trial), each a
+    product of at most three factors, so each lies within gamma = (N + 2n +
+    6) * eps of it in units of the summed magnitudes |A| @ (w * (|x| +
+    |s| @ |C| @ |phi|)) + |b| + |s|, and the two within twice that."""
+    from entromin.moments import design_matrix
+
+    rule, directions = cert.directions.rule, cert.directions
+    design = design_matrix(instance.basis, rule.nodes)
+    x_ver = np.asarray(x(rule.nodes), dtype=float)
+    y_ver = directions.evaluate_all(rule.nodes)
+    inside = (rule.nodes >= cert.margin.lo) & (rule.nodes <= cert.margin.hi)
+    spread = np.zeros_like(y_ver)
+    spread[:, inside] = np.abs(directions.coeffs) @ np.abs(directions.design(rule.nodes[inside]))
+    gamma = (rule.nodes.size + 2 * instance.n + 6) * np.finfo(float).eps
+    residuals, bounds = [], []
+    for step in steps:
+        moments = design @ (rule.weights * (x_ver + step @ y_ver))
+        residuals.append(float(np.max(np.abs(moments - (instance.target_moments + step)))))
+        sizes = (np.abs(design) @ (rule.weights * (np.abs(x_ver) + np.abs(step) @ spread))
+                 + np.abs(instance.target_moments) + np.abs(step))
+        bounds.append(2.0 * gamma * float(np.max(sizes)))
+    return np.array(residuals), np.array(bounds)
+
+
+def _replay(instance, x, cert, steps, p1_violations):
+    """(trials, P1 passes, P2 passes, worst P1 violation, worst P2 residual)
+    of a replay, with P2 by quadrature, and its P2 rounding bound."""
+    from entromin.certificates import P1_SLACK, P2_TOL
+
+    residuals, bounds = _quadrature_p2(instance, x, cert, steps)
+    violations = np.array(p1_violations)
+    return ((len(steps), int(np.count_nonzero(violations <= P1_SLACK)),
+             int(np.count_nonzero(residuals <= P2_TOL)), float(violations.max()),
+             float(residuals.max())), float(bounds.max()))
+
+
+def _assert_replays(got, replay, p1_tol=0.0):
+    """Verification against a replay: the counts exactly, the worst P1
+    violation to `p1_tol` (exactly by default), the worst P2 residual within
+    the replay's rounding bound."""
+    (trials, p1, p2, worst_p1, worst_p2), bound = replay
+    assert (got.trials, got.p1_passes, got.p2_passes) == (trials, p1, p2)
+    assert abs(got.worst_p1_violation - worst_p1) <= p1_tol
+    assert abs(got.worst_p2_residual - worst_p2) <= bound
+
+
 def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
     """Core verification the direct way: each trial's perturbation is
-    expanded as one set of coefficients and evaluated on both designs of
-    the y_k, rebuilt from the sample points on every trial."""
-    from entromin.certificates import (
-        MEMBERSHIP_SAMPLES, P1_SLACK, P2_TOL, CertificateVerification,
-    )
-    from entromin.moments import design_matrix
+    expanded as one set of coefficients and evaluated on the membership
+    grid, with the y_k design rebuilt on every trial; P2 by quadrature."""
+    from entromin.certificates import MEMBERSHIP_SAMPLES
 
     def evaluate(s, coeffs):
         inside = (s >= cert.margin.lo) & (s <= cert.margin.hi)
         return np.where(inside, coeffs @ cert.directions.design(s), 0.0)
 
     rng = np.random.default_rng(seed)
-    ver_rule = cert.directions.rule
-    ver_design = design_matrix(instance.basis, ver_rule.nodes)
-    x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
-                           ver_rule.nodes])
+                           cert.directions.rule.nodes])
     x_grid = np.asarray(x(grid), dtype=float)
-    p1 = p2 = 0
-    worst_p1 = worst_p2 = 0.0
+    steps, violations = [], []
     for _ in range(trials):
         eta = rng.standard_normal(instance.n)
         eta /= np.linalg.norm(eta)
         t = t_scale * cert.t_for(eta)
-        coeffs = t * (eta @ cert.directions.coeffs)
-        perturbed = x_grid + evaluate(grid, coeffs)
+        perturbed = x_grid + evaluate(grid, t * (eta @ cert.directions.coeffs))
         violation = max(float(np.max(cert.lower - perturbed)), 0.0)
         if np.isfinite(cert.upper):
             violation = max(violation, float(np.max(perturbed - cert.upper)))
-        worst_p1 = max(worst_p1, violation)
-        p1 += violation <= P1_SLACK
-        moments = ver_design @ (ver_rule.weights * (x_ver + evaluate(ver_rule.nodes, coeffs)))
-        residual = float(np.max(np.abs(moments - (instance.target_moments + t * eta))))
-        worst_p2 = max(worst_p2, residual)
-        p2 += residual <= P2_TOL
-    return CertificateVerification(trials=trials, p1_passes=int(p1), p2_passes=int(p2),
-                                   worst_p1_violation=worst_p1, worst_p2_residual=worst_p2)
+        violations.append(violation)
+        steps.append(t * eta)
+    return _replay(instance, x, cert, np.array(steps), violations)
 
 
 def _replay_per_trial(instance, x, cert, trials, seed, t_scale):
     """Core verification one direction at a time: a draw, np.linalg.norm
     and the scalar step rule per trial, P1 as the max over the grid of
-    lower - p and p - upper, each worst value kept as it comes."""
-    from entromin.certificates import MEMBERSHIP_SAMPLES, P1_SLACK, P2_TOL
-    from entromin.moments import design_matrix
+    lower - p and p - upper; P2 by quadrature."""
+    from entromin.certificates import MEMBERSHIP_SAMPLES
 
     rng = np.random.default_rng(seed)
-    ver_rule = cert.directions.rule
-    ver_design = design_matrix(instance.basis, ver_rule.nodes)
     grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
-                           ver_rule.nodes])
-    x_ver, x_grid = (np.asarray(x(s), dtype=float) for s in (ver_rule.nodes, grid))
+                           cert.directions.rule.nodes])
+    x_grid = np.asarray(x(grid), dtype=float)
     y_grid = cert.directions.evaluate_all(grid)
-    y_ver = cert.directions.evaluate_all(ver_rule.nodes)
-    p1 = p2 = 0
-    worst_p1 = worst_p2 = 0.0
+    steps, violations = [], []
     for _ in range(trials):
         eta = rng.standard_normal(instance.n)
         eta /= np.linalg.norm(eta)
         step = t_scale * cert.t_for(eta) * eta
         perturbed = x_grid + step @ y_grid
-        violation = max(float(np.max(cert.lower - perturbed)),
-                        float(np.max(perturbed - cert.upper)), 0.0)
-        worst_p1 = max(worst_p1, violation)
-        p1 += violation <= P1_SLACK
-        moments = ver_design @ (ver_rule.weights * (x_ver + step @ y_ver))
-        residual = float(np.max(np.abs(moments - (instance.target_moments + step))))
-        worst_p2 = max(worst_p2, residual)
-        p2 += residual <= P2_TOL
-    return (trials, p1, p2, worst_p1, worst_p2, P2_TOL)
+        violations.append(max(float(np.max(cert.lower - perturbed)),
+                              float(np.max(perturbed - cert.upper)), 0.0))
+        steps.append(step)
+    return _replay(instance, x, cert, np.array(steps), violations)
 
 
 def _replay_full_scan(instance, x, lower, upper, m_max):
@@ -670,14 +701,16 @@ class TestCoreCertificate:
         ("boltzmann_shannon", monomial_basis(1), constant_density(0.5), (0.0, 1.0), 2.0),
     ], ids=["pulse-piecewise4", "constant-monomial4", "overdriven-control"])
     def test_designs_built_once_replay_exactly(self, entropy, basis, rho, band, t_scale):
-        """Verification with its designs built once reports exactly what a
-        replay rebuilding both designs on every trial reports."""
+        """Verification with its designs built once reports exactly the counts
+        and worst P1 violation of a replay rebuilding the design on every
+        trial, and its linear P2 residual within rounding of that replay's
+        per-trial quadrature."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         expected = _replay_rebuilding_designs(inst, rho, cert, trials=40, seed=9,
                                               t_scale=t_scale)
         got = verify_core_certificate(inst, rho, cert, trials=40, seed=9, t_scale=t_scale)
-        assert got == expected
+        _assert_replays(got, expected)
         if t_scale > 1.0:
             assert got.p1_passes < got.trials
 
@@ -693,15 +726,15 @@ class TestCoreCertificate:
     ], ids=["pulse", "constant"])
     def test_stacked_directions_replay_per_trial_loop(self, entropy, rho, band, basis):
         """Drawing every direction in one call and taking the step rule on
-        the stack reports exactly what the per-trial loop reports."""
+        the stack reports the counts and worst P1 violation of the per-trial
+        loop exactly, and P2 within rounding of its quadrature."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         for seed, t_scale in zip((0, 1, 2), (0.0, 1.0, 2.0)):
             for trials in (1, 40):
                 got = verify_core_certificate(inst, rho, cert, trials=trials, seed=seed,
                                               t_scale=t_scale)
-                expected = _replay_per_trial(inst, rho, cert, trials, seed, t_scale)
-                assert dataclasses.astuple(got) == expected, (seed, t_scale, trials)
+                _assert_replays(got, _replay_per_trial(inst, rho, cert, trials, seed, t_scale))
 
     def test_margin_columns_replay_full_grid(self):
         """P1 on the grid columns that meet the margin reports what the full
@@ -713,7 +746,7 @@ class TestCoreCertificate:
         cert = build_core_certificate(inst, rho, 0.0, INF)
         for seed in (7, 8, 17):
             got = verify_core_certificate(inst, rho, cert, trials=40, seed=seed, t_scale=8.0)
-            assert dataclasses.astuple(got) == _replay_per_trial(inst, rho, cert, 40, seed, 8.0)
+            _assert_replays(got, _replay_per_trial(inst, rho, cert, 40, seed, 8.0))
 
     @pytest.mark.parametrize("entropy,basis,rho,band", [
         ("translated_boltzmann_shannon", monomial_basis(3), PULSE, (0.0, INF)),
@@ -722,11 +755,12 @@ class TestCoreCertificate:
         ("boltzmann_shannon", monomial_basis(1), constant_density(0.5), (0.0, 1.0)),
     ], ids=["pulse-monomial3", "pulse-piecewise4", "constant-monomial4", "constant-monomial1"])
     def test_trial_blocks_replay_one_trial_at_a_time(self, entropy, basis, rho, band):
-        """Trials stacked in blocks report, field for field, what the float64
-        loop over one trial at a time does, for counts on both sides of a
-        block edge and at every step scale; against the replay that expands
-        each perturbation as one set of coefficients the pass counts agree and
-        the worst values to a few ulps."""
+        """Trials stacked in blocks report the counts and worst P1 violation
+        of the float64 loop over one trial at a time, for counts on both sides
+        of a block edge and at every step scale, and P2 within rounding of its
+        quadrature; against the replay that expands each perturbation as one
+        set of coefficients the pass counts agree and the worst P1 violation
+        to a few ulps."""
         from entromin.certificates import TRIAL_BLOCK
 
         inst = make_instance(entropy, basis, rho)
@@ -735,13 +769,10 @@ class TestCoreCertificate:
             for t_scale in (0.0, 1.0, 8.0):
                 got = verify_core_certificate(inst, rho, cert, trials=trials, seed=trials,
                                               t_scale=t_scale)
-                expected = _replay_per_trial(inst, rho, cert, trials, trials, t_scale)
-                assert dataclasses.astuple(got) == expected, (trials, t_scale)
-                exact = _replay_rebuilding_designs(inst, rho, cert, trials, trials, t_scale)
-                assert (got.p1_passes, got.p2_passes) == (exact.p1_passes, exact.p2_passes)
+                _assert_replays(got, _replay_per_trial(inst, rho, cert, trials, trials, t_scale))
                 tol = 4 * np.finfo(float).eps * max(1.0, cert.clearance) * max(1.0, t_scale)
-                assert abs(got.worst_p1_violation - exact.worst_p1_violation) <= tol
-                assert abs(got.worst_p2_residual - exact.worst_p2_residual) <= tol
+                exact = _replay_rebuilding_designs(inst, rho, cert, trials, trials, t_scale)
+                _assert_replays(got, exact, p1_tol=tol)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16, 33])
     def test_stacked_norm_equals_linalg_norm(self, n):
@@ -754,9 +785,9 @@ class TestCoreCertificate:
 
     @pytest.mark.parametrize("trials", [1, 17, 100])
     def test_points_and_directions_built_once_per_verification(self, monkeypatch, trials):
-        """One verification builds no points, it reads the certificate's, and
-        evaluates the y_k once, on one design of the membership grid, for any
-        number of trials."""
+        """Verification builds no points and no design of the y_k, for any
+        number of trials: the build made them once, and verification reads
+        the certificate's."""
         from entromin import certificates
 
         inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
@@ -767,7 +798,7 @@ class TestCoreCertificate:
             monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name:
                                 calls.append(_n) or _f(*args))
         verify_core_certificate(inst, PULSE, cert, trials=trials, seed=0)
-        assert sorted(calls) == ["design"]
+        assert calls == []
 
     @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
     def test_verification_builds_no_rule_and_samples_x_once(self, monkeypatch, basis):
@@ -838,10 +869,11 @@ class TestCoreCertificate:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.delta = 0.0
         before = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
-        arrays = [cert.sup_unit.copy(), *(np.copy(a) for a in cert.points)]
+        held = [cert.sup_unit, *cert.points, cert.inner_products, cert.kept, cert.y_kept]
+        arrays = [np.copy(a) for a in held]
         verify_core_certificate(inst, PULSE, cert, trials=10, seed=0)
         assert all(getattr(cert, name) is value for name, value in before.items())
-        for array, now in zip(arrays, [cert.sup_unit, *cert.points]):
+        for array, now in zip(arrays, held):
             np.testing.assert_array_equal(now, array)
 
     def test_no_trials_rejected(self):
@@ -869,7 +901,8 @@ class TestCoreCertificate:
         assert verify_core_certificate(inst, PULSE, cert, trials=3, t_scale=0.0).all_passed
 
     def test_direction_functions_evaluated_once_per_point_set(self, monkeypatch):
-        """The evaluations of the y_k do not grow with the number of trials."""
+        """Verification evaluates no y_k, for any number of trials: the build
+        evaluated them once on the grid columns that meet the margin."""
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
@@ -886,7 +919,7 @@ class TestCoreCertificate:
             calls.clear()
             verify_core_certificate(inst, PULSE, cert, trials=trials, seed=0)
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        assert counts == [0, 0]
 
     @pytest.mark.parametrize("t_scale", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("basis", [
@@ -899,19 +932,17 @@ class TestCoreCertificate:
     ], ids=["pulse", "constant"])
     def test_combination_matches_direct_replay(self, entropy, rho, band, basis, t_scale):
         """Combining the y_k evaluated once gives the pass counts of a
-        per-trial evaluation of each perturbation's own coefficients, and its
-        worst values to a few ulps of the clearance (the bound on the
-        perturbation).  At n=2 an overdriven
-        step leaves the band in some trials, so P1 counts are compared too."""
+        per-trial evaluation of each perturbation's own coefficients, its
+        worst P1 violation to a few ulps of the clearance (the bound on the
+        perturbation) and its worst P2 residual within the quadrature's
+        rounding bound.  At n=2 an overdriven step leaves the band in some
+        trials, so P1 counts are compared too."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         expected = _replay_rebuilding_designs(inst, rho, cert, trials=40, seed=9,
                                               t_scale=t_scale)
         got = verify_core_certificate(inst, rho, cert, trials=40, seed=9, t_scale=t_scale)
-        assert (got.p1_passes, got.p2_passes) == (expected.p1_passes, expected.p2_passes)
-        tol = 4 * np.finfo(float).eps * max(1.0, cert.clearance)
-        assert abs(got.worst_p1_violation - expected.worst_p1_violation) <= tol
-        assert abs(got.worst_p2_residual - expected.worst_p2_residual) <= tol
+        _assert_replays(got, expected, p1_tol=4 * np.finfo(float).eps * max(1.0, cert.clearance))
 
     def test_overdriven_step_breaks_band_on_tight_margin(self):
         """Doubling t past the certified rule must leave the band when the
@@ -925,6 +956,71 @@ class TestCoreCertificate:
         overdriven = verify_core_certificate(inst, rho, cert, trials=20, seed=3, t_scale=2.0)
         assert overdriven.p1_passes == 0
         assert overdriven.worst_p1_violation > 0.4
+
+    @pytest.mark.parametrize("basis", [
+        piecewise_flat_basis(4, 0.5), piecewise_flat_basis(6, 0.5), monomial_basis(1),
+        monomial_basis(4), monomial_basis(6),
+    ], ids=["piecewise4", "piecewise6-readme", "monomial1", "monomial4", "monomial6"])
+    def test_build_hands_verification_the_audited_arrays(self, basis):
+        """The inner products the build takes from its margin design match
+        `direction_inner_products` to 1e-13, verification reports their
+        orthogonality defect, and the y_k it carries on the kept grid columns
+        are those columns of `evaluate_all` on the whole grid, bit for bit."""
+        inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        audit = direction_inner_products(cert.directions)
+        np.testing.assert_allclose(cert.inner_products, audit, rtol=0.0, atol=1e-13)
+        report = verify_core_certificate(inst, PULSE, cert, trials=10, seed=0)
+        defect = cert.inner_products - np.eye(inst.n)
+        assert report.orthogonality == np.linalg.norm(defect, axis=0).max() <= 1e-12
+        assert report.target <= 1e-14 and report.all_passed and report.failures == ()
+        grid = cert.points[1]
+        full = cert.directions.evaluate_all(grid)
+        assert cert.y_kept.tobytes() == np.ascontiguousarray(full[:, cert.kept]).tobytes()
+        assert not np.any(full[:, ~cert.kept])
+
+    def test_corrupted_direction_fails_as_direction_functions(self, monkeypatch):
+        """Negative control: y_1 + 1e-6 y_2 in place of y_1 on the README
+        family has <y_1, a_2> = 1e-6.  The per-trial P2 residual scales it by
+        t, about 7e-7, so every trial passes P2; the orthogonality defect,
+        taken at unit size, fails as "direction functions"."""
+        from entromin import certificates
+
+        build = certificates.build_direction_functions
+
+        def corrupted(*args):
+            directions = build(*args)
+            coeffs = directions.coeffs.copy()
+            coeffs[0] += 1e-6 * coeffs[1]
+            return dataclasses.replace(directions, coeffs=coeffs)
+
+        monkeypatch.setattr(certificates, "build_direction_functions", corrupted)
+        inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        assert direction_inner_products(cert.directions)[0, 1] == pytest.approx(1e-6, rel=1e-6)
+        report = verify_core_certificate(inst, PULSE, cert, trials=100, seed=0)
+        assert (report.p1_passes, report.p2_passes) == (100, 100)
+        assert report.orthogonality == pytest.approx(1e-6, rel=1e-6)
+        assert report.failures == ("direction functions",) and not report.all_passed
+
+    @pytest.mark.parametrize("n,gap", [(3, 1.63e-8), (4, 2.45e-8), (5, 4.66e-8), (6, 7.58e-8)])
+    def test_tabulated_target_fails_as_target_moments(self, tmp_path, n, gap):
+        """Monomials tabulated on 401 samples, on `constant 0.5`: the target
+        moments, integrated on the instance rule, miss the density's moments
+        on the margin rule by the quadrature error across the kinks, which
+        fails every trial's P2 and, by name, as "target moments"."""
+        s = np.linspace(0.0, 1.0, 401)
+        np.savetxt(tmp_path / "basis.txt", np.column_stack([s] + [s ** k for k in range(n)]))
+        rho = constant_density(0.5)
+        inst = instance_from_density(builtin_entropy("boltzmann_shannon"),
+                                     tabulated_basis(tmp_path / "basis.txt"),
+                                     build_rule((0.0, 1.0)), rho)
+        cert = build_core_certificate(inst, rho, 0.0, 1.0)
+        report = verify_core_certificate(inst, rho, cert, trials=100, seed=0)
+        assert (report.p1_passes, report.p2_passes) == (100, 0)
+        assert report.target == pytest.approx(gap, rel=0.01)
+        assert report.orthogonality <= 1e-13
+        assert report.failures == ("target moments",) and not report.all_passed
 
 
 class TestQriCertificate:

@@ -1,5 +1,6 @@
 """Command-line pipelines: artifacts, exit codes, and determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -165,7 +166,9 @@ class TestCertify:
     def test_failed_verification_exits_3_with_certificate(self, tmp_path, capsys):
         """A kinked density tabulated without its breakpoints, on a coarse
         rule: the certificate builds, but P2 misses b + t*eta in every trial,
-        and the certificate is still written as the evidence."""
+        because the density's moments on the margin rule miss the targets
+        (a "target moments" failure), and the certificate is still written
+        as the evidence."""
         s = np.linspace(0.0, 1.0, 11)
         np.savetxt(tmp_path / "rho.txt", np.column_stack([s, 0.5 + 0.4 * np.abs(np.sin(7 * s))]))
         cfg = write_cert_config(tmp_path, kind="monomial", extra_basis="", rho_kind="tabulated",
@@ -173,14 +176,40 @@ class TestCertify:
         cfg.write_text(cfg.read_text().replace("kind = tabulated",
                                                f"kind = tabulated\nfile = {tmp_path / 'rho.txt'}"))
         assert main(["certify", "--config", str(cfg), "--type", "core"]) == 3
-        assert capsys.readouterr().err == "certify: verification failed (20/20 P1, 0/20 P2)\n"
+        assert capsys.readouterr().err == ("certify: verification failed (20/20 P1, 0/20 P2; "
+                                           "failed: target moments)\n")
         payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
         assert sorted(payload) == ["delta", "eps1", "eps2", "m", "residuals", "t_unit",
                                    "trials", "trials_passed", "type", "zeta1", "zeta2"]
         assert (payload["type"], payload["m"], payload["trials"]) == ("core", None, 20)
         assert payload["trials_passed"] == 0
         assert payload["residuals"] == {"p1_worst_violation": 0,
-                                        "p2_worst": pytest.approx(2.3e-05, rel=0.01)}
+                                        "p2_worst": pytest.approx(2.3e-05, rel=0.01),
+                                        "orthogonality": pytest.approx(0.0, abs=1e-12),
+                                        "target": pytest.approx(2.3e-05, rel=0.01)}
+
+    def test_corrupted_direction_functions_exit_3_by_name(self, tmp_path, capsys, monkeypatch):
+        """y_1 + 1e-6 y_2 in place of y_1: every trial passes, but the
+        orthogonality defect fails by name, and certificate.json carries it."""
+        from entromin import certificates
+
+        build = certificates.build_direction_functions
+
+        def corrupted(*args):
+            directions = build(*args)
+            coeffs = directions.coeffs.copy()
+            coeffs[0] += 1e-6 * coeffs[1]
+            return dataclasses.replace(directions, coeffs=coeffs)
+
+        monkeypatch.setattr(certificates, "build_direction_functions", corrupted)
+        cfg = write_cert_config(tmp_path)
+        assert main(["certify", "--config", str(cfg), "--type", "core"]) == 3
+        assert capsys.readouterr().err == ("certify: verification failed (100/100 P1, "
+                                           "100/100 P2; failed: direction functions)\n")
+        payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+        assert payload["trials_passed"] == 100
+        assert payload["residuals"]["orthogonality"] == pytest.approx(1e-6, rel=1e-6)
+        assert payload["residuals"]["target"] <= 1e-14
 
     def test_qri_pulse_monomials_unit_band(self, tmp_path):
         cfg = write_cert_config(tmp_path, entropy="boltzmann_shannon",
@@ -322,6 +351,18 @@ class TestCompare:
         assert payload["basis_a"]["converged"] and payload["basis_b"]["converged"]
         assert (tmp_path / "out" / "solution_a.csv").exists()
         assert (tmp_path / "out" / "solution_b.csv").exists()
+
+    def test_unconverged_solve_exits_2_with_comparison(self, tmp_path, capsys):
+        """One Newton iteration converges neither basis: exit 2 with one
+        stderr line, and comparison.json is still written as the evidence."""
+        cfg = write_compare_config(tmp_path, out=str(tmp_path / "out"))
+        cfg.write_text(cfg.read_text() + "\n[solver]\nmax_iter = 1\n")
+        assert main(["compare", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "compare: at least one solve did not converge\n"
+        payload = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        assert (payload["basis_a"]["converged"], payload["basis_b"]["converged"]) == (False, False)
+        assert min(payload["residuals"]) > 1e-10
+        assert (tmp_path / "out" / "solution_a.csv").exists()
 
     def test_identical_bases_identical_outputs(self, tmp_path):
         cfg = write_compare_config(tmp_path, kind_b="monomial", extra_b="", n=4,
@@ -543,6 +584,10 @@ CONFIG_ERRORS = {
                         "{tmp}/bad.ini: unknown section [certfy]"),
     "unknown-key": (["certify", "--type", "qri"], TBS + MONOMIAL_2 + "[certify]\nm-max = 50000\n",
                     "{tmp}/bad.ini: unknown key certify.m-max"),
+    "default-section": (["solve"], "[DEFAULT]\nn = 2\n" + TBS + MONOMIAL_2,
+                        "{tmp}/bad.ini: unknown section [DEFAULT]"),
+    "empty-output-dir": (["solve"], TBS + MONOMIAL_2 + "[output]\ndir =\n",
+                         "output.dir must not be empty"),
     "quad-order-flag": (["solve", "--quad-order", "0"], TBS + MONOMIAL_2,
                         "quad.order must be >= 1, got 0"),
     "quad-panels-flag": (["solve", "--quad-panels", "0"], TBS + MONOMIAL_2,
@@ -603,6 +648,20 @@ def test_flag_fails_its_key_check_before_any_build(tmp_path, capsys, monkeypatch
     path.write_text(text)
     assert main([*command, "--config", str(path), "--out", str(tmp_path / "E")]) == 1
     assert capsys.readouterr().err == f"{command[0]}: {message}\n"
+
+
+@pytest.mark.parametrize("where", ["key", "flag"])
+def test_empty_output_dir_exits_1_before_solving(tmp_path, capsys, monkeypatch, where):
+    """An empty `[output] dir` and `--out ""` are one configuration error,
+    named by its key, before anything is built or solved."""
+    monkeypatch.setattr(cli, "build_problem", lambda *args: pytest.fail("build_problem ran"))
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.ini"
+    path.write_text(TBS + MONOMIAL_2 + ("[output]\ndir =\n" if where == "key" else ""))
+    flags = ["--out", ""] if where == "flag" else []
+    assert main(["solve", "--config", str(path), *flags]) == 1
+    assert capsys.readouterr().err == "solve: output.dir must not be empty\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("args", [

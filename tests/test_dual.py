@@ -203,6 +203,18 @@ class TestSolveDual:
         assert solution.iterations == 0
         assert "budget" in solution.message
 
+    def test_tolerance_below_rounding_stalls_the_line_search(self):
+        """A tolerance no float64 residual reaches: once no step along the
+        Newton direction lowers the residual (the rounding regime), the
+        search runs down to its smallest step and the solve stops on a named
+        stall, well inside its budget, at the last accepted iterate."""
+        solution = solve_dual(pulse_instance("boltzmann_shannon", 2), tol=1e-300)
+        assert not solution.converged
+        assert solution.message == f"line search stalled at residual {solution.residual_inf:.3e}"
+        assert solution.iterations == len(solution.trace) - 1 < dual.DEFAULT_MAX_ITER
+        assert 0.0 < solution.residual_inf <= 1e-15
+        assert solution.trace[-1].residual_inf == solution.residual_inf
+
     def test_burg_automatic_start(self):
         # the conjugate domain excludes 0, so the start makes the field -1
         solution = solve_dual(single_constraint("burg"))
