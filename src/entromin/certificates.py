@@ -49,15 +49,15 @@ matrix Hilbert-like (about 1e10 for six monomials on half the unit interval),
 so phi is the Legendre polynomials on the margin where they reproduce the a_k
 (monomials, and piecewise_flat on a margin that does not cross its split),
 and otherwise the a_k orthonormalized by a QR factorization, whose M is
-conditioned like the weighted a_k, not like their Gram matrix.  The y_k are
-evaluated one way, coefficients @ `DirectionFunctions.design`, built once per
-point set: the prelude's margin design or `DirectionFunctions.evaluator`'s.
-The core build takes the sup bound and <y_k, a_j> from the margin design
-and evaluates the y_k where the membership grid meets the margin, for P1,
-which runs in stacked blocks: a stacked numpy call makes each trial's BLAS
-call, so each keeps its bits.  Verification builds no design.  The qri scan
-solves for the clip levels it must evaluate instead of visiting each (see
-`_candidate_levels`).
+conditioned like the weighted a_k, not like their Gram matrix.  M takes the
+basis at the margin rule's nodes and the phi_j on the margin grid, each
+evaluated once.  The y_k are coefficients @ a design of the phi_j: that one
+(`DirectionFunctions.margin_design`), whence the core build's sup bound and
+<y_k, a_j>, or `DirectionFunctions.evaluator`'s, as where the membership grid
+meets the margin, for P1, which runs in stacked blocks: a stacked numpy call
+makes each trial's BLAS call, so each keeps its bits.  Verification builds no
+design.  The qri scan solves for the clip levels it must evaluate instead of
+visiting each (see `_candidate_levels`).
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ from .errors import (
     NoMarginIntervalError,
     ValidationError,
 )
-from .moments import MomentBasis, ProblemInstance, design_matrix, linearly_independent_on
-from .quadrature import QuadratureRule, nodes_in, refine_rule
+from .moments import (DEFAULT_INDEPENDENCE_TOL, MomentBasis, ProblemInstance, design_matrix,
+                      linearly_independent_on)
+from .quadrature import QuadratureRule, nodes_in, refine_rule, uniform_grid
 
 __all__ = [
     "MarginInterval",
@@ -140,13 +141,14 @@ def within_bounds(entropy: EntropySpec, x, lower: float, upper: float,
     raises ValidationError.
     """
     _check_band(entropy, lower, upper)
-    samples = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES), rule.nodes])
+    samples = np.concatenate([uniform_grid(*rule.interval, MEMBERSHIP_SAMPLES), rule.nodes])
     return _in_band(np.asarray(x(samples), dtype=float), lower, upper)
 
 
 def _longest_run(mask: np.ndarray):
     """(start, stop) indices of the longest run of True, or None."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
     if edges.size == 0:
         return None
     starts, stops = edges[::2], edges[1::2] - 1
@@ -157,7 +159,7 @@ def _longest_run(mask: np.ndarray):
 def _confirmed_margin(x, interval, nodes=None) -> MarginInterval:
     """[z1, z2] with the range of x over CONFIRM_SAMPLES points and the nodes inside."""
     z1, z2 = float(interval[0]), float(interval[1])
-    samples = [np.linspace(z1, z2, CONFIRM_SAMPLES)]
+    samples = [uniform_grid(z1, z2, CONFIRM_SAMPLES)]
     if nodes is not None:
         nodes = np.asarray(nodes, dtype=float)
         samples.append(nodes[(nodes >= z1) & (nodes <= z2)])
@@ -198,7 +200,7 @@ def find_margin_interval(x, lower: float, upper: float, interval,
     segments = []
     spacing = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        grid = np.linspace(a, b, MARGIN_SCAN_SAMPLES + 2)[1:-1]  # interior only
+        grid = uniform_grid(a, b, MARGIN_SCAN_SAMPLES + 2)[1:-1]  # interior only
         spacing = max(spacing, float(grid[1] - grid[0]))
         segments.append((grid, np.asarray(x(grid), dtype=float)))
 
@@ -230,12 +232,17 @@ def find_margin_interval(x, lower: float, upper: float, interval,
 
 def _phi(margin: MarginInterval, basis: MomentBasis, factor, s) -> np.ndarray:
     """The phi_j of the module note at the points s, shape (n, len(s)): Legendre
-    polynomials on the margin if `factor` is None, else R^-T a for R = `factor`."""
+    polynomials on the margin (`legvander(u, n - 1).T`, by its recurrence, bit
+    for bit, in C order) if `factor` is None, else R^-T a for R = `factor`."""
     s = np.asarray(s, dtype=float)
-    if factor is None:
-        u = (2.0 * s - (margin.lo + margin.hi)) / (margin.hi - margin.lo)
-        return np.polynomial.legendre.legvander(u, basis.n - 1).T
-    return np.linalg.solve(factor.T, design_matrix(basis, s))
+    if factor is not None:
+        return np.linalg.solve(factor.T, design_matrix(basis, s))
+    u = (2.0 * s - (margin.lo + margin.hi)) / (margin.hi - margin.lo) + 0.0  # no -0.0
+    rows = np.empty((basis.n,) + u.shape)
+    rows[0], rows[1:2] = u * 0 + 1, u   # row 1 only when n > 1
+    for i in range(2, basis.n):
+        rows[i] = (rows[i - 1] * u * (2 * i - 1) - rows[i - 2] * (i - 1)) / i
+    return rows
 
 
 @dataclass(frozen=True)
@@ -253,6 +260,7 @@ class DirectionFunctions:
     coeffs: np.ndarray = field(repr=False)              # (n, n)
     factor: Optional[np.ndarray] = field(repr=False)    # (n, n) R, or None for Legendre
     rule: QuadratureRule = field(repr=False)    # refined at the margin ends
+    margin_design: np.ndarray = field(repr=False)   # phi_j on the margin grid, nodes last
 
     def design(self, s) -> np.ndarray:
         """The phi_j at the points s, shape (n, len(s))."""
@@ -282,14 +290,15 @@ LEGENDRE_FIT_TOL = 1e3 * np.finfo(float).eps   # relative to the 2-norm of a_k a
 
 
 def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
-                              margin: MarginInterval, eta) -> DirectionFunctions:
+                              margin: MarginInterval, eta, design=None) -> DirectionFunctions:
     """Construct the y_k for a direction eta on the margin interval.
 
     Row k of the coefficients is eta_k times row k of M^-1 (see the module
     note), so they are linear in eta, bit for bit, and zero components of
     eta yield identically zero y_k.  Every integral, the independence check
     included, is taken on the margin nodes of `rule` refined at the margin
-    ends (`refine_rule`).  phi is Legendre (see `_phi`) when its least-squares
+    ends (`refine_rule`); `design` is the basis at that rule's nodes, or None
+    to evaluate it here.  phi is Legendre (see `_phi`) when its least-squares
     fit reproduces the a_k at those nodes to LEGENDRE_FIT_TOL, and the a_k
     orthonormalized on them otherwise.
     """
@@ -299,8 +308,13 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
         raise ValidationError(f"direction has shape {eta.shape}, expected ({n},)")
     if not np.all(np.isfinite(eta)):
         raise ValidationError(f"direction must be finite, got {eta}")
-    rule = refine_rule(rule, margin.lo, margin.hi)
-    report = linearly_independent_on(basis, rule, (margin.lo, margin.hi))
+    rule = refine_rule(rule, margin.lo, margin.hi)   # the prelude's rule comes back as it is
+    design = design_matrix(basis, rule.nodes) if design is None else design
+    inside = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
+    nodes, weights = rule.nodes[inside], rule.weights[inside]
+    values = design.compress(inside, axis=1)   # C order, as the Gram's and M's bits need
+    report = linearly_independent_on(basis, rule, (margin.lo, margin.hi),
+                                     DEFAULT_INDEPENDENCE_TOL, values)
     if not report.independent:
         raise DependentBasisError(
             f"moment functions are numerically dependent on "
@@ -308,15 +322,15 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
             f"{report.min_eigenvalue:.3e} <= threshold {report.threshold:.3e}); "
             f"reduce the family or choose a different interval"
         )
-    nodes, weights = nodes_in(rule, margin.lo, margin.hi)
-    values = design_matrix(basis, nodes)
-    phi, factor = _phi(margin, basis, None, nodes), None   # Legendre, kept if it fits the a_k
+    grid = np.concatenate([uniform_grid(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES), nodes])
+    on_grid, factor = _phi(margin, basis, None, grid), None  # Legendre, kept if it fits the a_k
+    phi = on_grid[:, MARGIN_SCAN_SAMPLES:].copy()   # C order, as M's bits need
     misfit = np.sqrt(np.linalg.lstsq(phi.T, values.T, rcond=None)[1])  # none unless N > n
     if misfit.size < n or np.any(misfit > LEGENDRE_FIT_TOL * np.linalg.norm(values, axis=1)):
         factor = np.linalg.qr((values * np.sqrt(weights)).T, mode="r")
-        phi = _phi(margin, basis, factor, nodes)
+        phi, on_grid = _phi(margin, basis, factor, nodes), _phi(margin, basis, factor, grid)
     coeffs = eta[:, None] * np.linalg.inv((phi * weights) @ values.T)
-    return DirectionFunctions(margin, basis, coeffs, factor, rule)
+    return DirectionFunctions(margin, basis, coeffs, factor, rule, on_grid)
 
 
 def direction_inner_products(directions: DirectionFunctions) -> np.ndarray:
@@ -416,8 +430,8 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
 
     Returns the margin, the y_k, their design of the margin grid
     (MARGIN_SCAN_SAMPLES uniform samples plus the margin nodes), the basis at
-    the margin rule's nodes with the membership grid (MEMBERSHIP_SAMPLES + 2
-    uniform samples, then those nodes), and x on that grid.
+    the margin rule's nodes, which the y_k take too, with the membership grid
+    (MEMBERSHIP_SAMPLES + 2 uniform samples, then those nodes), and x on it.
     """
     basis, rule = instance.basis, instance.rule
     outside = CertificateError(f"the density leaves the band [{lower}, {upper}] somewhere on "
@@ -434,14 +448,15 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     else:
         margin = _confirmed_margin(x, candidate_interval, rule.nodes)
     rule = refine_rule(rule, margin.lo, margin.hi)
-    grid = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2), rule.nodes])
+    grid = np.concatenate([uniform_grid(*rule.interval, MEMBERSHIP_SAMPLES + 2), rule.nodes])
     x_grid = np.asarray(x(grid), dtype=float)
     if not _in_band(x_grid, *((-np.inf, np.inf) if one_sided else (lower, upper))):
         raise outside   # P1's grid: within_bounds samples other points
     checked = x_grid[(grid >= margin.lo) & (grid <= margin.hi)]
     margin = replace(margin, val_lo=float(checked.min(initial=margin.val_lo)),
                      val_hi=float(checked.max(initial=margin.val_hi)))
-    directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
+    points = design_matrix(basis, rule.nodes), grid
+    directions = build_direction_functions(basis, rule, margin, np.ones(basis.n), points[0])
     if not (margin.val_lo > lower and (one_sided or margin.val_hi < upper)):
         raise CertificateError(
             f"density range [{margin.val_lo}, {margin.val_hi}] on the margin interval "
@@ -449,10 +464,7 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
             + (f"above {lower}" if one_sided else f"inside ({lower}, {upper})"),
             hypothesis="margin interval",
         )
-    on_margin = np.concatenate([np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
-                                nodes_in(rule, margin.lo, margin.hi)[0]])
-    points = design_matrix(basis, rule.nodes), grid
-    return margin, directions, directions.design(on_margin), points, x_grid
+    return margin, directions, directions.margin_design, points, x_grid
 
 
 def _margin_sup(coeffs, margin_design):
@@ -608,6 +620,11 @@ def _candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,
     the roundings after it too.  A level with |v| - err >= delta/2 somewhere
     is rejected: the rest of the piece is one interval of t, widened to
     whole levels.
+
+    Clipped sets only shrink as m grows: a piece ends before its first clipped
+    node leaves, near width / gap (gap = x - lower, or upper - x from above).
+    The clipped sets there and one level on confirm that end; where rounding
+    puts it a level off, a gallop and bisection finds it, at the cost of probes.
     """
     gamma = 2.0 * (x_ver.size + 2 * coeffs.shape[0] + 8) * np.finfo(float).eps
     width = upper - lower if np.isfinite(upper) else 1.0
@@ -622,11 +639,17 @@ def _candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,
         if not side.any():  # nothing is clipped at m or after it: v = 0
             yield from range(m, m_max + 1)
             return
-        end, step = m, 1    # gallop and bisect to the piece's end: clipped sets only shrink
-        while step:
+        edge = np.where(side > 0, lower, np.where(side < 0, upper, 0.0))
+        end, step = m, 0    # one level long, unless the next level clips the same nodes
+        if m < m_max and np.array_equal(sides(m + 1), side):
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = side * (x_ver - edge)   # a clipped node leaves at about width / gap
+                guess = int(min(m_max, np.ceil((width / gap[gap > 0]).min(initial=np.inf)) - 1))
+            end, step = (guess if guess > m + 1 and np.array_equal(sides(guess), side)
+                         else m + 1), 1
+        while step:  # confirm the end, or gallop and bisect on: clipped sets only shrink
             grow = end + step <= m_max and np.array_equal(sides(end + step), side)
             end, step = (end + step, 2 * step) if grow else (end, step // 2)
-        edge = np.where(side > 0, lower, np.where(side < 0, upper, 0.0))
         clipped = weights * np.abs(side)
         rows = clipped * np.array([width * side, edge - x_ver])
         sizes = clipped * np.array([np.full(side.shape, width), np.abs(edge) + np.abs(x_ver)])
@@ -672,7 +695,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     ver_rule, (ver_design, full_grid) = unit_directions.rule, points
     nodes = slice(full_grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
     x_ver = x_full[nodes]
-    on_full = unit_directions.evaluator(full_grid)  # built once for the whole scan
+    on_full = None  # the membership-grid evaluator, built once the first level passes
     lost = []       # levels whose witness lost its lower clearance
     width = upper - lower if np.isfinite(upper) else 1.0
 
@@ -690,6 +713,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
         sup_v = float(_margin_sup(coeffs, margin_design))
         if sup_v >= delta / 2.0:
             continue
+        on_full = on_full or unit_directions.evaluator(full_grid)
         y_full = clip(x_full, m) - on_full(coeffs)
         eps = float(np.min(y_full - lower))
         if eps <= 0.0:

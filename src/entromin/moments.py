@@ -154,18 +154,19 @@ def _node_moments(rule: QuadratureRule, design: np.ndarray, x) -> np.ndarray:
     return (products[:, None, :] @ rule.weights[:, None])[:, 0, 0]
 
 
-def gram_matrix(basis: MomentBasis, rule: QuadratureRule, subinterval=None) -> np.ndarray:
+def gram_matrix(basis: MomentBasis, rule: QuadratureRule, subinterval=None,
+                design=None) -> np.ndarray:
     """G_ij = integral of a_i * a_j over the subinterval (default: all of it).
 
     Taken on the nodes inside it of `rule` refined at its ends (`refine_rule`),
-    as every margin integral is; `rule` must resolve the basis breakpoints.
-    Symmetrized numerically; positive semidefinite up to roundoff whenever
-    the quadrature weights are positive, which composite Gauss-Legendre
-    guarantees.
+    as every margin integral is, from `design`, the a_k there (evaluated if
+    None); `rule` must resolve the basis breakpoints.  Symmetrized numerically;
+    positive semidefinite up to roundoff whenever the quadrature weights are
+    positive, which composite Gauss-Legendre guarantees.
     """
     lo, hi = subinterval or rule.interval
     nodes, weights = nodes_in(refine_rule(rule, lo, hi), lo, hi)
-    return weighted_gram(design_matrix(basis, nodes), weights)
+    return weighted_gram(design_matrix(basis, nodes) if design is None else design, weights)
 
 
 def weighted_gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -185,14 +186,15 @@ class IndependenceReport:
 
 
 def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterval,
-                            tol: float = DEFAULT_INDEPENDENCE_TOL) -> IndependenceReport:
+                            tol: float = DEFAULT_INDEPENDENCE_TOL,
+                            design=None) -> IndependenceReport:
     """Decide numerical independence of the a_k on a subinterval.
 
-    Independent iff the smallest Gram eigenvalue exceeds tol * trace/n.
+    Independent iff the smallest Gram eigenvalue exceeds tol * trace/n, 0 < tol < inf.
     """
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
-    gram = gram_matrix(basis, rule, subinterval)
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
+    gram = gram_matrix(basis, rule, subinterval, design)
     eigvals = np.linalg.eigvalsh(gram)
     threshold = tol * float(np.trace(gram)) / basis.n
     return IndependenceReport(

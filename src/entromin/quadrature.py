@@ -11,8 +11,8 @@ Nodes are strictly interior to their panels, so integrands are never
 evaluated exactly at a discontinuity.
 
 The reference rule on [-1, 1] is computed once per order and cached
-read-only, since `leggauss` costs more than laying out every panel; the
-panels are laid out from it in one broadcast.
+read-only, since `leggauss` costs more than laying out every panel; edges
+and panels are laid out in one broadcast each (edges: `uniform_grid`).
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ def build_rule(interval, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL
     if any(b2 <= b1 for b1, b2 in zip(bps[:-1], bps[1:])):
         raise ValidationError(f"breakpoints {bps} must be sorted and distinct")
     ref_x, ref_w = _reference_rule(nodes_per_panel)
-    edges = [lo, *bps, hi]
-    panels = [np.linspace(a, b, panels_per_segment + 1) for a, b in zip(edges, edges[1:])]
-    pa = np.concatenate([p[:-1] for p in panels])
-    half = 0.5 * (np.concatenate([p[1:] for p in panels]) - pa)
+    edges = np.array([lo, *bps, hi])
+    panels = uniform_grid(edges[:-1, None], edges[1:, None], panels_per_segment + 1)
+    pa = panels[:, :-1].ravel()
+    half = 0.5 * (panels[:, 1:].ravel() - pa)
     return QuadratureRule(
         interval=(lo, hi),
         breakpoints=bps,
@@ -86,6 +86,18 @@ def build_rule(interval, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL
         nodes=(pa[:, None] + half[:, None] * (ref_x + 1.0)).ravel(),
         weights=(half[:, None] * ref_w).ravel(),
     )
+
+
+def uniform_grid(start, stop, num: int) -> np.ndarray:
+    """`np.linspace(start, stop, num)`, bit for bit (num >= 2), as arange * step +
+    start, then stop, without its overhead; columns of ends give one per row."""
+    step = (stop - start) / (num - 1)
+    grid = np.arange(num) * step
+    if not grid[..., 1].all():  # a step that underflows: linspace scales by the width instead
+        grid = np.where(grid[..., 1:2] == 0, np.arange(num) / (num - 1) * (stop - start), grid)
+    grid += start
+    grid[..., -1:] = stop
+    return grid
 
 
 def merge_breakpoints(interval, breakpoints, points) -> tuple:

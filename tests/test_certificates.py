@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entromin import (
     CertificateError,
@@ -264,6 +266,75 @@ def _exact_monomial_dual_basis(n, lo, hi, s):
     return values
 
 
+SCREENED_CONFIGS = [
+    ("boltzmann_shannon", monomial_basis(4), PULSE, (0.0, 1.0)),
+    ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF)),
+    ("boltzmann_shannon", monomial_basis(4), RAMP, (0.0, 1.0)),
+    ("translated_boltzmann_shannon", monomial_basis(5), RAMP, (0.0, INF)),
+    ("boltzmann_shannon", monomial_basis(3), BUMP, (0.0, 1.0)),
+    ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), BUMP, (0.0, INF)),
+    ("fermi_dirac", monomial_basis(4), RAMP, (0.0, 1.0)),
+    # clip levels away from 0 on both sides: the |edge| term of the bound
+    ("l2_norm", monomial_basis(4), PULSE, (-0.001, 1.001)),
+]
+SCREENED_IDS = ["pulse-monomial4", "pulse-piecewise4-half-line", "ramp-monomial4",
+                "ramp-monomial5-half-line", "bump-monomial3", "bump-piecewise4-half-line",
+                "ramp-monomial4-fermi-dirac", "pulse-monomial4-l2-wide-band"]
+
+
+def _scan_inputs(entropy, basis, rho, band):
+    """The arguments `build_qri_certificate` hands `_candidate_levels`, but
+    m_max, from the prelude of the instance."""
+    from entromin.certificates import _margin_prelude
+
+    inst = make_instance(entropy, basis, rho)
+    margin, directions, margin_design, (ver_design, grid), x_grid = _margin_prelude(
+        inst, rho, *band, one_sided=True)
+    x_ver = x_grid[grid.size - directions.rule.nodes.size:]
+    return [x_ver, directions.rule.weights, ver_design, directions.coeffs, margin_design,
+            *band, margin.val_lo - band[0]]
+
+
+def _galloping_candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,
+                                lower, upper, delta, m_max):
+    """`_candidate_levels` with each piece's end found by galloping and
+    bisecting from the piece's first level, one clipped-set comparison per
+    probe: the reference the predicted piece ends must reproduce."""
+    gamma = 2.0 * (x_ver.size + 2 * coeffs.shape[0] + 8) * np.finfo(float).eps
+    width = upper - lower if np.isfinite(upper) else 1.0
+    spread = np.abs(coeffs) @ np.abs(margin_design)
+
+    def sides(k):
+        return np.sign(np.clip(x_ver, lower + width / k, upper - width / k) - x_ver)
+
+    m = 3
+    while m <= m_max:
+        side = sides(m)
+        if not side.any():  # nothing is clipped at m or after it: v = 0
+            yield from range(m, m_max + 1)
+            return
+        end, step = m, 1
+        while step:
+            grow = end + step <= m_max and np.array_equal(sides(end + step), side)
+            end, step = (end + step, 2 * step) if grow else (end, step // 2)
+        edge = np.where(side > 0, lower, np.where(side < 0, upper, 0.0))
+        clipped = weights * np.abs(side)
+        rows = clipped * np.array([width * side, edge - x_ver])
+        sizes = clipped * np.array([np.full(side.shape, width), np.abs(edge) + np.abs(x_ver)])
+        v = (rows @ ver_design.T) @ coeffs @ margin_design
+        err = gamma * ((sizes @ np.abs(ver_design).T) @ spread + np.abs(v) + [[0], [delta / 2]])
+        bound = delta / 2 + err[1]  # t*alpha < beta: v < delta/2 + err and -v < delta/2 + err
+        alpha = np.concatenate([v[0] - err[0], -v[0] - err[0]])
+        beta = np.concatenate([bound - v[1], bound + v[1]])
+        up, down = alpha > 0, alpha < 0
+        t_hi = float((beta[up] / alpha[up]).min(initial=np.inf))
+        t_lo = float((beta[down] / alpha[down]).max(initial=0.0))
+        if t_lo < t_hi and 1.0 / t_hi <= end and np.all(beta[alpha == 0] > 0):
+            last = min(1.0 / t_lo, end) if t_lo > 0 else end
+            yield from range(max(m, int(1.0 / t_hi)), int(np.ceil(last)) + 1)
+        m = end + 1
+
+
 class TestCheckedPointsConfirmMargin:
     """Both certificates are checked on the verification nodes and the
     membership grid, so the margin's value range covers those inside it."""
@@ -443,6 +514,49 @@ class TestDirectionFunctions:
         exact = _exact_monomial_dual_basis(n, README_MARGIN.lo, README_MARGIN.hi, s)
         error = np.abs(directions.evaluate_all(s) - exact).max(axis=1)
         assert np.max(error / np.abs(exact).max(axis=1)) <= self.ORACLE_TOL[n]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_legendre_rows_are_legvander(self, data, n):
+        """The Legendre rows are legvander's, bit for bit and in its memory
+        order (C order (n, N)), at any points of any margin."""
+        from entromin.certificates import _phi
+
+        ends = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2, unique=True))
+        lo, hi = sorted(ends)
+        s = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=50)))
+        margin = MarginInterval(lo, hi, 1.0, 1.0)
+        rows = _phi(margin, monomial_basis(n), None, s)
+        u = (2.0 * s - (lo + hi)) / (hi - lo)
+        expected = np.polynomial.legendre.legvander(u, n - 1).T
+        assert rows.tobytes() == expected.tobytes()
+        assert (rows.shape, rows.strides) == (expected.shape, expected.strides)
+        assert rows.flags.c_contiguous and expected.flags.c_contiguous
+
+    def test_legendre_rows_have_legvanders_zeros(self):
+        """legvander adds +0.0 to its points, so at -0.0, the centre of the
+        margin, its row 1 holds +0.0; so must _phi's."""
+        from entromin.certificates import _phi
+
+        u = np.array([-0.0, 0.0, -1.0, 1.0, -0.5])
+        rows = _phi(MarginInterval(-1.0, 1.0, 1.0, 1.0), monomial_basis(4), None, u)
+        assert rows.tobytes() == np.polynomial.legendre.legvander(u, 3).T.tobytes()
+
+    @pytest.mark.parametrize("basis,margin", [
+        (monomial_basis(6), README_MARGIN),
+        (piecewise_flat_basis(4, 0.5), MarginInterval(0.25, 0.75, 1.0, 1.0)),
+    ], ids=["legendre", "orthonormalized"])
+    def test_margin_design_is_phi_on_the_margin_grid(self, basis, margin):
+        """`margin_design`, from the one evaluation of the phi_j that also
+        gave M, equals a fresh evaluation on the margin grid bit for bit."""
+        from entromin.certificates import MARGIN_SCAN_SAMPLES
+
+        directions = build_direction_functions(basis, RULE, margin, np.ones(basis.n))
+        grid = np.concatenate([np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
+                               nodes_in(directions.rule, margin.lo, margin.hi)[0]])
+        fresh = directions.design(grid)
+        assert directions.margin_design.tobytes() == fresh.tobytes()
+        assert directions.margin_design.flags.c_contiguous
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_direction_rejected(self, bad):
@@ -1143,19 +1257,7 @@ class TestQriCertificate:
         if rho.kind == "constant":
             assert m == 3  # accepted at the first level, which clips nothing
 
-    @pytest.mark.parametrize("entropy,basis,rho,band", [
-        ("boltzmann_shannon", monomial_basis(4), PULSE, (0.0, 1.0)),
-        ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF)),
-        ("boltzmann_shannon", monomial_basis(4), RAMP, (0.0, 1.0)),
-        ("translated_boltzmann_shannon", monomial_basis(5), RAMP, (0.0, INF)),
-        ("boltzmann_shannon", monomial_basis(3), BUMP, (0.0, 1.0)),
-        ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), BUMP, (0.0, INF)),
-        ("fermi_dirac", monomial_basis(4), RAMP, (0.0, 1.0)),
-        # clip levels away from 0 on both sides: the |edge| term of the bound
-        ("l2_norm", monomial_basis(4), PULSE, (-0.001, 1.001)),
-    ], ids=["pulse-monomial4", "pulse-piecewise4-half-line", "ramp-monomial4",
-            "ramp-monomial5-half-line", "bump-monomial3", "bump-piecewise4-half-line",
-            "ramp-monomial4-fermi-dirac", "pulse-monomial4-l2-wide-band"])
+    @pytest.mark.parametrize("entropy,basis,rho,band", SCREENED_CONFIGS, ids=SCREENED_IDS)
     def test_candidate_levels_keep_every_passing_level(self, entropy, basis, rho, band):
         """Every level in [3, m_max] that is not handed to the exact path has
         an exact per-level sup|v| >= delta/2, and every level handed on
@@ -1188,6 +1290,105 @@ class TestQriCertificate:
         assert passing <= set(handed)
         assert all(m in passing or m + 1 in passing for m in handed)
         assert passing and min(passing) > 3  # the prediction rejects levels on each config
+
+    @pytest.mark.parametrize("m_max", [3, 4, 2000])
+    @pytest.mark.parametrize("entropy,basis,rho,band", SCREENED_CONFIGS, ids=SCREENED_IDS)
+    def test_predicted_piece_ends_yield_as_gallop(self, entropy, basis, rho, band, m_max):
+        """Predicting each piece's end from the clipped nodes' exit levels
+        yields the levels the gallop and bisection yield."""
+        from entromin.certificates import _candidate_levels
+
+        args = _scan_inputs(entropy, basis, rho, band)
+        assert (list(_candidate_levels(*args, m_max))
+                == list(_galloping_candidate_levels(*args, m_max)))
+
+    @staticmethod
+    def _exits_off_width_over_gap(lower, upper, top):
+        """Node values on a clip threshold, lower + width/k or upper - width/k
+        for k in [4, top), or one ulp to either side, whose exit level (the
+        first level that leaves them unclipped) is not ceil(width / gap) for
+        their gap to the band, and those exit levels."""
+        width = upper - lower if np.isfinite(upper) else 1.0
+        k = np.arange(4, top)
+        j = k[:, None] + np.arange(-2, 4)   # the exit is within two levels of k
+        values, exits = [], []
+        for side, edge in ((1, lower), (-1, upper))[:1 + np.isfinite(upper)]:
+            on = edge + side * width / k
+            for x in (on, np.nextafter(on, -INF), np.nextafter(on, INF)):
+                gap = side * (x - edge)
+                clipped = np.sign(np.clip(x[:, None], lower + width / j, upper - width / j)
+                                  - x[:, None]) == side
+                exit_level = j[np.arange(k.size), np.argmin(clipped, axis=1)]
+                off = (gap > 0) & clipped[:, 0] & ~clipped[:, -1]
+                off &= np.ceil(width / gap) != exit_level
+                values.append(x[off])
+                exits.append(exit_level[off])
+        return np.concatenate(values), np.concatenate(exits)
+
+    @pytest.mark.parametrize("band", [(0.0, 1.0), (0.0, INF), (-0.001, 1.001), (0.3, 2.5),
+                                      (-1.7, INF)],
+                             ids=["unit", "half-line", "wide", "offset", "offset-half-line"])
+    def test_nodes_on_clip_thresholds_yield_as_gallop(self, band):
+        """Every node sits on or next to a clip threshold where the exit level
+        predicted from width / gap is one level off, so each piece's predicted
+        end is wrong and the confirmation falls back to the gallop.  Acceptance
+        starts where a piece ends, for delta/2 at that level's sup|v|: there a
+        piece end one level off changes the yields."""
+        from entromin.certificates import _candidate_levels, _margin_sup
+
+        args = _scan_inputs("boltzmann_shannon", monomial_basis(4), RAMP, (0.0, 1.0))
+        x_ver, weights, ver_design, coeffs, margin_design = args[:5]
+        lower, upper = args[5:7] = band
+        width = upper - lower if np.isfinite(upper) else 1.0
+        values, exits = self._exits_off_width_over_gap(lower, upper, 20000)
+        pick = np.arange(0, values.size, values.size // 97)
+        args[0] = x_ver = np.resize(values[pick], x_ver.size)
+        for level in np.unique(exits[pick])[10::30]:
+            defect = ver_design @ (weights * (np.clip(x_ver, lower + width / level,
+                                                      upper - width / level) - x_ver))
+            args[7] = 2.0 * _margin_sup(defect @ coeffs, margin_design) * (1.0 + 1e-9)
+            assert (list(_candidate_levels(*args, 20010))
+                    == list(_galloping_candidate_levels(*args, 20010)))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_two_sided_clips_yield_as_gallop(self, seed):
+        """Nodes clipped from above and below in one piece, leaving it at
+        levels spread from 4 to 10**4: the same yields as the gallop."""
+        from entromin.certificates import _candidate_levels
+
+        args = _scan_inputs("boltzmann_shannon", monomial_basis(4), BUMP, (0.0, 1.0))
+        rng = np.random.default_rng(seed)
+        gaps = 1.0 / rng.uniform(4.0, 1e4, args[0].size)
+        args[0] = np.where(rng.random(args[0].size) < 0.5, gaps, 1.0 - gaps)
+        assert (list(_candidate_levels(*args, 12000))
+                == list(_galloping_candidate_levels(*args, 12000)))
+
+    @pytest.mark.parametrize("rho,spread", [(constant_density(1e-9), False),
+                                            (constant_density(1e-9), True)],
+                             ids=["one-piece", "exits-spread"])
+    def test_budget_of_1e8_levels_yields_as_gallop(self, rho, spread):
+        """At m_max = 10**8 a piece can end at the budget ("one-piece": every
+        node leaves at 10**9) or far inside it ("exits-spread": nodes leave at
+        levels up to 5 * 10**7, but one at the lower bound never does); the
+        prediction is clamped to the budget."""
+        from entromin.certificates import _candidate_levels
+
+        args = _scan_inputs("translated_boltzmann_shannon", monomial_basis(3), rho, (0.0, INF))
+        if spread:
+            args[0] = np.concatenate([[0.0], 1.0 / np.geomspace(10.0, 5e7, args[0].size - 1)])
+            args[7] = 0.0   # no level can pass: the yields stay few
+        expected = list(_galloping_candidate_levels(*args, 10**8))
+        assert list(_candidate_levels(*args, 10**8)) == expected
+        assert len(expected) < 1000
+
+    def test_density_no_level_clips_yields_as_gallop(self):
+        """Nothing clipped at m = 3: every level is handed on, as before."""
+        from entromin.certificates import _candidate_levels
+
+        args = _scan_inputs("boltzmann_shannon", monomial_basis(3), constant_density(0.5),
+                            (0.0, 1.0))
+        levels = list(_candidate_levels(*args, 4000))
+        assert levels == list(_galloping_candidate_levels(*args, 4000)) == list(range(3, 4001))
 
     @pytest.mark.parametrize("lost", [3, None], ids=["three-lost-then-accepted", "all-lost"])
     def test_levels_losing_clearance_reported_as_full_scan(self, monkeypatch, lost):
@@ -1298,3 +1499,72 @@ class TestQriCertificate:
         core = build_core_certificate(inst, rho, *band)
         report = verify_core_certificate(inst, rho, core, trials=25, seed=11)
         assert report.all_passed
+
+
+class TestOneDesignPerPointSet:
+    """A certificate build evaluates the basis once on the margin rule's
+    nodes and the phi_j once on the margin grid, and still reaches every
+    layer the benchmark traces."""
+
+    @staticmethod
+    def _tracing():
+        """bench/tracing.py, which wraps the traced layers by name."""
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("kind", ["core", "qri"])
+    def test_each_point_set_designed_once(self, monkeypatch, kind):
+        from entromin import certificates, moments
+        from entromin.certificates import MARGIN_SCAN_SAMPLES
+        from entromin.quadrature import refine_rule
+
+        inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE)
+        bases, phis = [], []
+        for module in (certificates, moments):
+            monkeypatch.setattr(module, "design_matrix", lambda basis, s, _f=module.design_matrix:
+                                bases.append(np.array(s)) or _f(basis, s))
+        monkeypatch.setattr(certificates, "_phi", lambda margin, basis, factor, s,
+                            _f=certificates._phi: phis.append(np.array(s))
+                            or _f(margin, basis, factor, s))
+        tracer = self._tracing().Tracer()
+        with tracer.installed():
+            if kind == "core":
+                cert = certificates.build_core_certificate(inst, PULSE, 0.0, INF)
+                certificates.verify_core_certificate(inst, PULSE, cert, trials=5)
+            else:
+                cert = certificates.build_qri_certificate(inst, PULSE, 0.0, INF)
+        rule = refine_rule(inst.rule, cert.margin.lo, cert.margin.hi)
+        on_margin = nodes_in(rule, cert.margin.lo, cert.margin.hi)[0]
+        margin_grid = np.concatenate([np.linspace(cert.margin.lo, cert.margin.hi,
+                                                  MARGIN_SCAN_SAMPLES), on_margin])
+        assert len(bases) == 1 and bases[0].tobytes() == rule.nodes.tobytes()
+        assert [s.tobytes() == margin_grid.tobytes() for s in phis] == [True, False]
+        assert phis[1].size < margin_grid.size   # the membership grid where it meets the margin
+        reached = {span[1] for span in tracer.spans}
+        assert {"quadrature.build_rule", "moments.linearly_independent_on",
+                "certificates.find_margin_interval",
+                "certificates.build_direction_functions"} <= reached
+        assert (f"certificates.build_{kind}_certificate" in reached
+                and ("certificates.verify_core_certificate" in reached) == (kind == "core"))
+
+    def test_failing_readme_scan_builds_no_membership_evaluator(self, monkeypatch):
+        """The README config fails at the default budget without a level
+        passing sup|v| < delta/2, so the membership-grid evaluator, built for
+        a passing level's witness, is never built."""
+        from entromin import certificates
+
+        evaluator, built = DirectionFunctions.evaluator, []
+        monkeypatch.setattr(DirectionFunctions, "evaluator",
+                            lambda self, s: built.append(s.size) or evaluator(self, s))
+        inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
+        with pytest.raises(CertificateError, match="no acceptable witness up to m=4000"):
+            certificates.build_qri_certificate(inst, PULSE, 0.0, INF, m_max=4000)
+        assert built == []
+        certificates.build_qri_certificate(inst, PULSE, 0.0, INF, m_max=50000)
+        assert len(built) == 1

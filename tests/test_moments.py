@@ -172,6 +172,19 @@ class TestGramMatrix:
         with pytest.raises(ValidationError):
             gram_matrix(monomial_basis(2), RULE, (0.7, 0.7))
 
+    @pytest.mark.parametrize("sub", [(0.0, 1.0), (0.1, 0.45), (0.3, 0.7)])
+    def test_given_design_gives_the_same_gram(self, sub):
+        """The a_k at the refined rule's nodes in the subinterval, passed in,
+        give the Gram matrix, and the independence report, bit for bit."""
+        from entromin.quadrature import nodes_in, refine_rule
+
+        basis = piecewise_flat_basis(4, 0.5)
+        design = design_matrix(basis, nodes_in(refine_rule(RULE, *sub), *sub)[0])
+        assert (gram_matrix(basis, RULE, sub, design).tobytes()
+                == gram_matrix(basis, RULE, sub).tobytes())
+        assert (linearly_independent_on(basis, RULE, sub, 1e-10, design)
+                == linearly_independent_on(basis, RULE, sub))
+
     @pytest.mark.parametrize("make", [
         lambda: monomial_basis(4),
         lambda: piecewise_flat_basis(4, 0.5),
@@ -214,9 +227,13 @@ class TestIndependence:
                 assert linearly_independent_on(basis, RULE, (0.0, hi)).independent
             assert not linearly_independent_on(basis, RULE, (0.5, 1.0)).independent
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValidationError):
-            linearly_independent_on(monomial_basis(2), RULE, (0.0, 1.0), tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tolerance(self, tol):
+        """Only a tolerance in (0, inf) decides: nan reported every family
+        dependent with a nan threshold, and inf every family dependent."""
+        with pytest.raises(ValidationError,
+                           match=f"^tolerance must be positive and finite, got {tol}$"):
+            linearly_independent_on(monomial_basis(2), RULE, (0.0, 1.0), tol=tol)
 
 
 class TestTabulatedBasis(object):

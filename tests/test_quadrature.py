@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entromin import NonFiniteIntegrandError, ValidationError, build_rule, integrate
 from entromin.densities import pulse_density
-from entromin.quadrature import _reference_rule, nodes_in, refine_rule
+from entromin.quadrature import _reference_rule, nodes_in, refine_rule, uniform_grid
 
 
 def test_weights_sum_to_interval_length():
@@ -184,3 +186,40 @@ class TestLayout:
             assert not np.shares_memory(rule.nodes, ref)
             assert not np.shares_memory(rule.weights, ref)
         assert _reference_rule(7) is _reference_rule(7)
+
+
+FINITE = st.floats(-1e300, 1e300)   # any width between them is finite
+
+
+def _per_segment_rule(edges, nodes_per_panel, panels_per_segment):
+    """Nodes and weights laid out with one np.linspace per segment."""
+    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    panels = [np.linspace(a, b, panels_per_segment + 1) for a, b in zip(edges, edges[1:])]
+    pa = np.concatenate([p[:-1] for p in panels])
+    half = 0.5 * (np.concatenate([p[1:] for p in panels]) - pa)
+    return (pa[:, None] + half[:, None] * (ref_x + 1.0)).ravel(), (half[:, None] * ref_w).ravel()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=st.lists(FINITE, min_size=2, max_size=6, unique=True).map(sorted),
+       nodes_per_panel=st.integers(1, 12), panels_per_segment=st.integers(1, 12))
+def test_panels_laid_out_as_linspace_per_segment(edges, nodes_per_panel, panels_per_segment):
+    """The one-broadcast panel layout gives a per-segment np.linspace's rule,
+    byte for byte, subnormal and huge widths included."""
+    rule = build_rule((edges[0], edges[-1]), edges[1:-1], nodes_per_panel, panels_per_segment)
+    nodes, weights = _per_segment_rule(edges, nodes_per_panel, panels_per_segment)
+    assert rule.nodes.tobytes() == nodes.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.lists(FINITE, min_size=2, max_size=2), num=st.integers(2, 3000))
+def test_uniform_grid_is_linspace(ends, num):
+    """uniform_grid is np.linspace bit for bit, for either order of the ends,
+    equal ends and a step that underflows; a column of ends gives each row's."""
+    start, stop = ends
+    assert uniform_grid(start, stop, num).tobytes() == np.linspace(start, stop, num).tobytes()
+    starts, stops = np.array([[start], [stop], [0.0]]), np.array([[stop], [start], [5e-324]])
+    rows = uniform_grid(starts, stops, num)
+    expected = [np.linspace(a, b, num) for a, b in zip(starts[:, 0], stops[:, 0])]
+    assert rows.tobytes() == np.array(expected).tobytes()
