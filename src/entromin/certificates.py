@@ -35,9 +35,11 @@ necessarily pushes y above the upper bound somewhere, so only the lower
 clearance can be certified.  When the upper bound is finite the measured
 upper clearance is reported alongside for inspection.
 
-All membership checks are sample-based (dense grids plus quadrature
-nodes), so a certificate is strong numerical evidence, not an
-almost-everywhere proof; solver output labels it as such.
+All membership checks are sample-based, so a certificate is strong numerical
+evidence, not an almost-everywhere proof; solver output labels it as such.
+x is sampled on lattices of one size, MEMBERSHIP_SAMPLES: the scan's, per
+segment, which set a scanned margin's range, and the membership grid
+(`_membership_grid`), where the band is checked and that range widened.
 
 Numerical note: every margin integral (independence, the y_k, core
 verification, the qri scan) is taken on one rule, the instance rule refined
@@ -94,9 +96,7 @@ __all__ = [
     "build_qri_certificate",
 ]
 
-MARGIN_SCAN_SAMPLES = 2001      # per segment between breakpoints
-MEMBERSHIP_SAMPLES = 2001
-CONFIRM_SAMPLES = 1001          # minimum for the margin value range
+MEMBERSHIP_SAMPLES = 2001       # per scan segment and margin grid; + 2 on the membership grid
 SAFETY_FACTOR = 0.99            # strictness slack in the step rule
 P2_TOL = 1e-8
 P1_SLACK = 1e-12
@@ -108,9 +108,9 @@ class MarginInterval:
     """A subinterval where the density keeps clear of its value bounds.
 
     `val_lo`/`val_hi` are the observed minimum and maximum of the density
-    over at least 1001 uniform samples of [lo, hi] plus every quadrature
-    node inside it, and, from the certificate builders, every membership-grid
-    point and verification node inside it, where certificates are checked.
+    on [lo, hi] over the points where certificates are checked: the
+    membership grid and the margin rule's nodes, and, for a scanned margin,
+    the scan samples and instance-rule nodes the scan evaluated there.
     """
 
     lo: float
@@ -134,15 +134,19 @@ def _in_band(values, lower: float, upper: float) -> bool:
     return bool(np.all(np.isfinite(values) & (values >= lower) & (values <= upper)))
 
 
+def _membership_grid(rule: QuadratureRule) -> np.ndarray:
+    """MEMBERSHIP_SAMPLES + 2 uniform samples of the rule's interval, then its nodes."""
+    return np.concatenate([uniform_grid(*rule.interval, MEMBERSHIP_SAMPLES + 2), rule.nodes])
+
+
 def within_bounds(entropy: EntropySpec, x, lower: float, upper: float,
                   rule: QuadratureRule) -> bool:
-    """Check x(s) finite and in [lower, upper] at all nodes and
-    MEMBERSHIP_SAMPLES uniform samples; a band outside the entropy domain
-    raises ValidationError.
+    """Check x(s) finite and in [lower, upper] on the membership grid of
+    `rule`, the grid P1 checks once the margin ends join the rule; a band
+    outside the entropy domain raises ValidationError.
     """
     _check_band(entropy, lower, upper)
-    samples = np.concatenate([uniform_grid(*rule.interval, MEMBERSHIP_SAMPLES), rule.nodes])
-    return _in_band(np.asarray(x(samples), dtype=float), lower, upper)
+    return _in_band(np.asarray(x(_membership_grid(rule)), dtype=float), lower, upper)
 
 
 def _longest_run(mask: np.ndarray):
@@ -156,34 +160,23 @@ def _longest_run(mask: np.ndarray):
     return int(starts[best]), int(stops[best])
 
 
-def _confirmed_margin(x, interval, nodes=None) -> MarginInterval:
-    """[z1, z2] with the range of x over CONFIRM_SAMPLES points and the nodes inside."""
-    z1, z2 = float(interval[0]), float(interval[1])
-    samples = [uniform_grid(z1, z2, CONFIRM_SAMPLES)]
-    if nodes is not None:
-        nodes = np.asarray(nodes, dtype=float)
-        samples.append(nodes[(nodes >= z1) & (nodes <= z2)])
-    values = np.asarray(x(np.concatenate(samples)), dtype=float)
-    return MarginInterval(z1, z2, float(np.min(values)), float(np.max(values)))
-
-
 def find_margin_interval(x, lower: float, upper: float, interval,
                          breakpoints=(), min_width: Optional[float] = None,
                          nodes=None, one_sided: bool = False) -> MarginInterval:
     """Locate the widest interval on which x stays clear of its bounds.
 
-    Scans each segment between breakpoints on a dense grid, trying margins
-    eps from a geometric grid (largest first) and returning the widest
-    interval of width at least `min_width` (default: 1% of the interval)
-    on which x(s) stays in [lower + eps, upper - eps].  With
+    Scans each segment between breakpoints on MEMBERSHIP_SAMPLES interior
+    samples, trying margins eps from a geometric grid (largest first) and
+    returning the widest interval of width at least `min_width` (default: 1%
+    of the interval) on which x(s) stays in [lower + eps, upper - eps].  With
     `one_sided=True` only the lower clearance constrains the scan, which
     is what the quasi-relative-interior construction needs: its conclusion
     certifies clearance above the lower bound only, so a density pinned to
     the upper bound (the pulse with band (0, 1)) must still admit a
     witness interval.
 
-    `nodes` (quadrature nodes, when available) join the confirmation
-    samples that set the certified value range.
+    x is called once, on the scan samples and `nodes` (quadrature nodes, if
+    given); the value range is read from those in the interval found.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if min_width is None:
@@ -196,33 +189,34 @@ def find_margin_interval(x, lower: float, upper: float, interval,
     else:
         eps_grid = [2.0 ** -k for k in range(0, 60)]
 
-    edges = [lo, *sorted(b for b in breakpoints if lo < b < hi), hi]
-    segments = []
-    spacing = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        grid = uniform_grid(a, b, MARGIN_SCAN_SAMPLES + 2)[1:-1]  # interior only
-        spacing = max(spacing, float(grid[1] - grid[0]))
-        segments.append((grid, np.asarray(x(grid), dtype=float)))
+    edges = np.array([lo, *sorted(b for b in breakpoints if lo < b < hi), hi])
+    grids = uniform_grid(edges[:-1, None], edges[1:, None], MEMBERSHIP_SAMPLES + 2)[:, 1:-1]
+    spacing = float(np.max(grids[:, 1] - grids[:, 0]))   # interior samples only, one row each
+    nodes = np.empty(0) if nodes is None else np.asarray(nodes, dtype=float)
+    values = np.asarray(x(np.concatenate([grids.ravel(), nodes])), dtype=float)
+    node_values, values = values[grids.size:], values[:grids.size].reshape(grids.shape)
 
     for eps in eps_grid:
         if lower + eps == lower or (np.isfinite(upper) and upper - eps == upper):
             break  # eps rounds away against the bounds: nothing left to scan
         best = None
-        for grid, values in segments:
-            ok = values >= lower + eps
+        for grid, row in zip(grids, values):
+            ok = row >= lower + eps
             if np.isfinite(upper) and not one_sided:
-                ok &= values <= upper - eps
+                ok &= row <= upper - eps
             run = _longest_run(ok)
             if run is None:
                 continue
             z1, z2 = float(grid[run[0]]), float(grid[run[1]])
             if best is None or (z2 - z1) > (best[1] - best[0]):
-                best = (z1, z2)
+                best = (z1, z2, row[run[0]:run[1] + 1])
         # slack of 1.5 grid steps: a run clipped to interior samples measures
         # up to one spacing shorter than the interval it certifies, and the
         # boundary case ties to the last ulp
         if best is not None and best[1] - best[0] >= min_width - 1.5 * spacing:
-            return _confirmed_margin(x, best, nodes)
+            z1, z2, run_values = best
+            seen = np.concatenate([run_values, node_values[(nodes >= z1) & (nodes <= z2)]])
+            return MarginInterval(z1, z2, float(seen.min()), float(seen.max()))
 
     raise NoMarginIntervalError(
         f"no margin interval of width >= {min_width} found on [{lo}, {hi}]: "
@@ -322,13 +316,14 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
             f"{report.min_eigenvalue:.3e} <= threshold {report.threshold:.3e}); "
             f"reduce the family or choose a different interval"
         )
-    grid = np.concatenate([uniform_grid(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES), nodes])
+    grid = np.concatenate([uniform_grid(margin.lo, margin.hi, MEMBERSHIP_SAMPLES), nodes])
     on_grid, factor = _phi(margin, basis, None, grid), None  # Legendre, kept if it fits the a_k
-    phi = on_grid[:, MARGIN_SCAN_SAMPLES:].copy()   # C order, as M's bits need
-    misfit = np.sqrt(np.linalg.lstsq(phi.T, values.T, rcond=None)[1])  # none unless N > n
+    misfit = np.sqrt(np.linalg.lstsq(on_grid[:, MEMBERSHIP_SAMPLES:].T, values.T,
+                                     rcond=None)[1])   # none unless N > n
     if misfit.size < n or np.any(misfit > LEGENDRE_FIT_TOL * np.linalg.norm(values, axis=1)):
         factor = np.linalg.qr((values * np.sqrt(weights)).T, mode="r")
-        phi, on_grid = _phi(margin, basis, factor, nodes), _phi(margin, basis, factor, grid)
+        on_grid = _phi(margin, basis, factor, grid)
+    phi = on_grid[:, MEMBERSHIP_SAMPLES:].copy()   # C order, as M's bits need
     coeffs = eta[:, None] * np.linalg.inv((phi * weights) @ values.T)
     return DirectionFunctions(margin, basis, coeffs, factor, rule, on_grid)
 
@@ -419,19 +414,17 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
 
     1. The band lies in the entropy domain (ValidationError otherwise); the
        two-sided core construction also needs the density finite and inside
-       it, on P1's membership grid too once step 2 has built it; the
-       one-sided qri needs it finite there.
-    2. A margin interval: the scan, or `candidate_interval` confirmed, its
-       range widened by the membership-grid points inside it, where x is
-       sampled once, and the margin rule: the instance rule refined at its ends.
+       it on the membership grid (`within_bounds`), and again on that grid
+       once step 2 has refined its rule; the one-sided qri needs it finite there.
+    2. A margin interval, the scan's or `candidate_interval` (whose range
+       starts empty), its range widened by the density on the membership grid
+       inside it, and the margin rule: the instance rule refined at its ends.
     3. The unit-direction y_k on it, the only independence check.
-    4. Its confirmed range strictly inside the band, or only above `lower`
-       when `one_sided`.
+    4. Its range strictly inside the band (above `lower` when `one_sided`).
 
-    Returns the margin, the y_k, their design of the margin grid
-    (MARGIN_SCAN_SAMPLES uniform samples plus the margin nodes), the basis at
-    the margin rule's nodes, which the y_k take too, with the membership grid
-    (MEMBERSHIP_SAMPLES + 2 uniform samples, then those nodes), and x on it.
+    Returns the margin, the y_k (whose `margin_design` covers the margin
+    grid), the basis at the margin rule's nodes, which the y_k take too, with
+    the membership grid of the margin rule (`_membership_grid`), and x on it.
     """
     basis, rule = instance.basis, instance.rule
     outside = CertificateError(f"the density leaves the band [{lower}, {upper}] somewhere on "
@@ -446,12 +439,12 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
             min_width=min_width, nodes=rule.nodes, one_sided=one_sided,
         )
     else:
-        margin = _confirmed_margin(x, candidate_interval, rule.nodes)
+        margin = MarginInterval(*map(float, candidate_interval), np.inf, -np.inf)
     rule = refine_rule(rule, margin.lo, margin.hi)
-    grid = np.concatenate([uniform_grid(*rule.interval, MEMBERSHIP_SAMPLES + 2), rule.nodes])
+    grid = _membership_grid(rule)
     x_grid = np.asarray(x(grid), dtype=float)
     if not _in_band(x_grid, *((-np.inf, np.inf) if one_sided else (lower, upper))):
-        raise outside   # P1's grid: within_bounds samples other points
+        raise outside
     checked = x_grid[(grid >= margin.lo) & (grid <= margin.hi)]
     margin = replace(margin, val_lo=float(checked.min(initial=margin.val_lo)),
                      val_hi=float(checked.max(initial=margin.val_hi)))
@@ -464,7 +457,7 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
             + (f"above {lower}" if one_sided else f"inside ({lower}, {upper})"),
             hypothesis="margin interval",
         )
-    return margin, directions, directions.margin_design, points, x_grid
+    return margin, directions, points, x_grid
 
 
 def _margin_sup(coeffs, margin_design):
@@ -483,15 +476,15 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     `candidate_interval` replaces the scan; independence there is examined
     before its value range.
     """
-    margin, directions, design, points, _ = _margin_prelude(instance, x, lower, upper,
-                                                            candidate_interval, min_width)
-    y_margin = directions.coeffs @ design   # the unit y_k on the margin grid, nodes last
+    margin, directions, points, _ = _margin_prelude(instance, x, lower, upper,
+                                                    candidate_interval, min_width)
+    y_margin = directions.coeffs @ directions.margin_design   # the unit y_k, nodes last
     sup_unit = np.max(np.abs(y_margin), axis=-1) * (1.0 + 1e-9)  # above the sampled sup
     delta = float(np.max(sup_unit))
     clearance = min(margin.val_lo - lower, upper - margin.val_hi)
     rule, (ver_design, grid) = directions.rule, points
     on_nodes = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
-    inner_products = ((y_margin[:, MARGIN_SCAN_SAMPLES:] * rule.weights[on_nodes])
+    inner_products = ((y_margin[:, MEMBERSHIP_SAMPLES:] * rule.weights[on_nodes])
                       @ ver_design.compress(on_nodes, axis=1).T)  # C order: the audit's bits
     # y is 0 off the margin; aligned C-order groups of 16 columns keep the full grid's gemv bits
     meets = (grid >= margin.lo) & (grid <= margin.hi)
@@ -689,8 +682,9 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     m_max = _whole_number("m_max", m_max)
     if m_max < 3:
         raise ValidationError(f"the clip-level scan starts at m=3, got m_max={m_max}")
-    margin, unit_directions, margin_design, points, x_full = _margin_prelude(
+    margin, unit_directions, points, x_full = _margin_prelude(
         instance, x, lower, upper, min_width=min_width, one_sided=True)
+    margin_design = unit_directions.margin_design
     delta = margin.val_lo - lower
     ver_rule, (ver_design, full_grid) = unit_directions.rule, points
     nodes = slice(full_grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes

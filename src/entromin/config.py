@@ -136,6 +136,9 @@ class CertifyOptions:
     def __post_init__(self):
         _at_least(("certify.trials", self.trials, 1), ("certify.m_max", self.m_max, 3),
                   ("certify.seed", self.seed, 0))
+        if self.min_width is not None and not 0.0 < self.min_width < math.inf:  # nan too
+            raise ValidationError(
+                f"certify.min_width must be positive and finite, got {self.min_width}")
 
     def band_for(self, entropy: EntropySpec) -> tuple:
         domain = entropy.f_domain
@@ -175,6 +178,10 @@ class RunConfig:
         for name, pair in (("interval", self.interval), ("compare window", self.window)):
             if pair is not None and (len(pair) != 2 or not pair[0] < pair[1]):
                 raise ValidationError(f"{name} must be two increasing numbers, got {list(pair)}")
+        if self.window is not None and not (self.interval[0] <= self.window[0]
+                                            and self.window[1] <= self.interval[1]):
+            raise ValidationError(f"compare.window {list(self.window)} must lie inside the "
+                                  f"interval {list(self.interval)}")
         _at_least(("quad.order", self.quad_order, 1), ("quad.panels", self.quad_panels, 1),
                   ("solver.max_iter", self.max_iter, 0),
                   ("output.sample_points", self.sample_points, 0))
@@ -185,7 +192,8 @@ class RunConfig:
             raise ValidationError("output.dir must not be empty")
 
     def default_window(self) -> tuple:
-        """Comparison window: split +- 0.1, falling back to the midpoint."""
+        """Comparison window: split +- 0.1, falling back to the midpoint, clipped
+        to the interval; a split whose window misses the interval is an error."""
         if self.window is not None:
             return self.window
         split = None
@@ -197,7 +205,11 @@ class RunConfig:
             split = self.basis.split
         if split is None:
             split = 0.5 * (self.interval[0] + self.interval[1])
-        return (split - 0.1, split + 0.1)
+        lo, hi = max(split - 0.1, self.interval[0]), min(split + 0.1, self.interval[1])
+        if not lo < hi:
+            raise ValidationError(f"compare.window: split {split} +- 0.1 misses the interval "
+                                  f"{list(self.interval)}; set compare.window")
+        return (lo, hi)
 
 
 def load_config(path) -> RunConfig:

@@ -154,7 +154,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     on the whole margin grid at every m.  Returns (m, eps, correction_sup,
     moment_match_residual, upper_clearance, y on a grid), or the message of
     the CertificateError the scan ends with."""
-    from entromin.certificates import MARGIN_SCAN_SAMPLES, MEMBERSHIP_SAMPLES
+    from entromin.certificates import MEMBERSHIP_SAMPLES
     from entromin.moments import design_matrix
 
     basis, rule = instance.basis, instance.rule
@@ -166,7 +166,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     ver_design = design_matrix(basis, ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     on_margin = directions.evaluator(np.concatenate([
-        np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
+        np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
         nodes_in(ver_rule, margin.lo, margin.hi)[0]]))
     full_grid = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2),
                                 ver_rule.nodes])
@@ -288,11 +288,11 @@ def _scan_inputs(entropy, basis, rho, band):
     from entromin.certificates import _margin_prelude
 
     inst = make_instance(entropy, basis, rho)
-    margin, directions, margin_design, (ver_design, grid), x_grid = _margin_prelude(
+    margin, directions, (ver_design, grid), x_grid = _margin_prelude(
         inst, rho, *band, one_sided=True)
     x_ver = x_grid[grid.size - directions.rule.nodes.size:]
-    return [x_ver, directions.rule.weights, ver_design, directions.coeffs, margin_design,
-            *band, margin.val_lo - band[0]]
+    return [x_ver, directions.rule.weights, ver_design, directions.coeffs,
+            directions.margin_design, *band, margin.val_lo - band[0]]
 
 
 def _galloping_candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,
@@ -376,15 +376,16 @@ class TestCheckedPointsConfirmMargin:
 
     @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
     def test_density_off_band_on_membership_grid_names_band(self, basis):
-        """The pulse at -1 on one membership-grid point off the margin, which
-        `within_bounds` does not sample: core names the band before any
-        trial, instead of building clearance 1.0 that fails P1 every time."""
+        """The pulse at -1 on one membership-grid point off the margin:
+        `within_bounds` samples the grid P1 checks, so it sees the dip, and
+        core names the band before any trial, instead of building clearance
+        1.0 that fails P1 every time."""
         from entromin.certificates import MEMBERSHIP_SAMPLES
 
         point = np.linspace(*RULE.interval, MEMBERSHIP_SAMPLES + 2)[1202]
         rho = Density(kind="dip", fn=lambda s: np.where(np.asarray(s) == point, -1.0, PULSE(s)))
         inst = make_instance("translated_boltzmann_shannon", basis, rho)
-        assert within_bounds(inst.entropy, rho, 0.0, INF, RULE)
+        assert not within_bounds(inst.entropy, rho, 0.0, INF, RULE)
         with pytest.raises(CertificateError) as err:
             build_core_certificate(inst, rho, 0.0, INF)
         assert err.value.hypothesis == "admissible band"
@@ -549,10 +550,10 @@ class TestDirectionFunctions:
     def test_margin_design_is_phi_on_the_margin_grid(self, basis, margin):
         """`margin_design`, from the one evaluation of the phi_j that also
         gave M, equals a fresh evaluation on the margin grid bit for bit."""
-        from entromin.certificates import MARGIN_SCAN_SAMPLES
+        from entromin.certificates import MEMBERSHIP_SAMPLES
 
         directions = build_direction_functions(basis, RULE, margin, np.ones(basis.n))
-        grid = np.concatenate([np.linspace(margin.lo, margin.hi, MARGIN_SCAN_SAMPLES),
+        grid = np.concatenate([np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
                                nodes_in(directions.rule, margin.lo, margin.hi)[0]])
         fresh = directions.design(grid)
         assert directions.margin_design.tobytes() == fresh.tobytes()
@@ -977,6 +978,24 @@ class TestCoreCertificate:
         assert not any(np.array_equal(s, ver_rule.nodes) for s in sampled)
         np.testing.assert_array_equal(x_grid[-ver_rule.nodes.size:], PULSE(ver_rule.nodes))
 
+    @pytest.mark.parametrize("build,calls", [
+        (build_core_certificate, 3),
+        (lambda *args: build_qri_certificate(*args, m_max=50000), 2),
+    ], ids=["core", "qri"])
+    def test_readme_build_samples_x_once_per_point_set(self, build, calls):
+        """On the README config core samples x on the instance rule's
+        membership grid (`within_bounds`), on the scan samples with the
+        instance nodes, and on the margin rule's membership grid; qri skips
+        the first.  The scan's samples set the margin's range: no call
+        samples a 1001-point lattice of the margin to confirm it."""
+        inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
+        sampled = []
+        x = Density(kind="counted", fn=lambda s: sampled.append(np.array(s)) or PULSE(s))
+        margin = build(inst, x, 0.0, INF).margin
+        assert len(sampled) == calls
+        lattice = np.linspace(margin.lo, margin.hi, 1001)
+        assert not any(np.isin(lattice, s).all() for s in sampled)
+
     def test_certificate_frozen_and_unchanged_by_verification(self):
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
@@ -1268,8 +1287,9 @@ class TestQriCertificate:
         inst = make_instance(entropy, basis, rho)
         lower, upper = band
         m_max = 2000
-        margin, directions, margin_design, points, x_grid = _margin_prelude(
+        margin, directions, points, x_grid = _margin_prelude(
             inst, rho, lower, upper, one_sided=True)
+        margin_design = directions.margin_design
         ver_rule, (ver_design, grid) = directions.rule, points
         x_ver = x_grid[grid.size - ver_rule.nodes.size:]
         delta = margin.val_lo - lower
@@ -1521,7 +1541,7 @@ class TestOneDesignPerPointSet:
     @pytest.mark.parametrize("kind", ["core", "qri"])
     def test_each_point_set_designed_once(self, monkeypatch, kind):
         from entromin import certificates, moments
-        from entromin.certificates import MARGIN_SCAN_SAMPLES
+        from entromin.certificates import MEMBERSHIP_SAMPLES
         from entromin.quadrature import refine_rule
 
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE)
@@ -1542,7 +1562,7 @@ class TestOneDesignPerPointSet:
         rule = refine_rule(inst.rule, cert.margin.lo, cert.margin.hi)
         on_margin = nodes_in(rule, cert.margin.lo, cert.margin.hi)[0]
         margin_grid = np.concatenate([np.linspace(cert.margin.lo, cert.margin.hi,
-                                                  MARGIN_SCAN_SAMPLES), on_margin])
+                                                  MEMBERSHIP_SAMPLES), on_margin])
         assert len(bases) == 1 and bases[0].tobytes() == rule.nodes.tobytes()
         assert [s.tobytes() == margin_grid.tobytes() for s in phis] == [True, False]
         assert phis[1].size < margin_grid.size   # the membership grid where it meets the margin

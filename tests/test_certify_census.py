@@ -1,0 +1,99 @@
+"""Certify outcome census: the 8 core and 5 qri configs of the certify
+benchmarks, each run through the CLI in-process and compared with the table
+`certify_census.json`.
+
+A row holds the exit code, the hypothesis stderr names, the margin ends and
+range, and `m`, all exactly, and `delta`, `t_unit`, `eps` and
+`trials_passed` to 1e-9 relative, which BLAS builds do not move.  A change
+that moves an outcome updates the table (`python tests/test_certify_census.py`
+rewrites it) and says which rows moved.
+"""
+
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from entromin.cli import main
+
+TABLE = Path(__file__).with_name("certify_census.json")
+
+# (type, basis kind, n, density, panels per segment, band or None for the
+# entropy domain, trial seed): translated Boltzmann-Shannon on [0, 1] with
+# 20-node panels, 320 or 1280 nodes in all, and m_max = 4000
+CONFIGS = [
+    ("core", "piecewise_flat", 6, "pulse", 8, None, 50368367),
+    ("core", "piecewise_flat", 4, "pulse", 8, None, 998410498),
+    ("core", "piecewise_flat", 4, "pulse", 32, None, 1276641131),
+    ("core", "monomial", 4, "pulse", 8, None, 905398695),
+    ("core", "monomial", 4, "pulse", 32, None, 1200494174),
+    ("core", "monomial", 6, "pulse", 8, None, 1654757784),
+    ("core", "monomial", 6, "pulse", 32, None, 771638049),
+    ("core", "monomial", 4, "constant", 16, (0.0, 1.0), 1970581548),
+    ("qri", "piecewise_flat", 6, "pulse", 8, None, 0),
+    ("qri", "piecewise_flat", 4, "pulse", 8, None, 0),
+    ("qri", "monomial", 4, "pulse", 8, None, 0),
+    ("qri", "monomial", 5, "pulse", 8, None, 0),
+    ("qri", "monomial", 3, "constant", 16, None, 0),
+]
+EXACT = ("exit", "hypothesis", "zeta1", "zeta2", "eps1", "eps2", "m")
+CLOSE = ("delta", "t_unit", "eps", "trials_passed")
+
+
+def _label(config) -> str:
+    kind, basis, n, rho, panels, band, _ = config
+    nodes = 20 * panels * (2 if rho == "pulse" or basis == "piecewise_flat" else 1)
+    label = f"{kind}/{basis}/n={n}/{rho}/{nodes}"
+    return label + (f"/band={band[0]:g},{band[1]:g}" if band else "")
+
+
+def _ini(config) -> str:
+    _, basis, n, rho, panels, band, seed = config
+    text = ("[problem]\nentropy = translated_boltzmann_shannon\ninterval = 0 1\n"
+            f"[basis]\nkind = {basis}\nn = {n}\n"
+            + ("split = 0.5\n" if basis == "piecewise_flat" else "")
+            + f"[rho]\nkind = {rho}\nsplit = 0.5\nc = 0.5\n[quad]\norder = 20\npanels = {panels}\n"
+            f"[certify]\ntrials = 100\nseed = {seed}\nm_max = 4000\n")
+    return text + (f"alpha = {band[0]!r}\nbeta = {band[1]!r}\n" if band else "")
+
+
+def _row(config, directory: Path) -> dict:
+    """One CLI run of `config` in `directory`, reduced to its census row."""
+    path, out = directory / "run.ini", directory / "out"
+    path.write_text(_ini(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["certify", "--type", config[0], "--config", str(path), "--out", str(out)])
+    named = re.search(r"failed hypothesis \[(.*?)\]", err.getvalue())
+    row = {"exit": code, "hypothesis": named and named.group(1)}
+    certificate = out / "certificate.json"
+    fields = json.loads(certificate.read_text()) if certificate.exists() else {}
+    return {**row, **{key: fields.get(key) for key in EXACT[2:] + CLOSE}}
+
+
+def test_table_covers_the_configs():
+    """The table keeps a row for every config, failures included, and no other."""
+    assert sorted(json.loads(TABLE.read_text())) == sorted(map(_label, CONFIGS))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[_label(c) for c in CONFIGS])
+def test_certify_outcome_matches_the_table(tmp_path, config):
+    expected = json.loads(TABLE.read_text())[_label(config)]
+    row = _row(config, tmp_path)
+    assert {key: row[key] for key in EXACT} == {key: expected[key] for key in EXACT}
+    for key in CLOSE:
+        assert row[key] == (None if expected[key] is None
+                            else pytest.approx(expected[key], rel=1e-9, abs=0.0)), key
+
+
+if __name__ == "__main__":  # rewrite the table from the current code
+    import tempfile
+
+    rows = {}
+    for config in CONFIGS:
+        with tempfile.TemporaryDirectory() as directory:
+            rows[_label(config)] = _row(config, Path(directory))
+    TABLE.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")

@@ -611,6 +611,16 @@ CONFIG_ERRORS = {
                                   "integration interval [-inf, 1.0] must be finite"),
     "single-window": (["compare"], TBS + "[compare]\nwindow = 0.4\n",
                       "compare window must be two increasing numbers, got [0.4]"),
+    "window-outside-interval": (["compare"], TBS + "[compare]\nwindow = 3 5\n",
+                                "compare.window [3.0, 5.0] must lie inside the interval "
+                                "[0.0, 1.0]"),
+    "min-width-zero": (["certify", "--type", "core"],
+                       TBS + MONOMIAL_2 + "[certify]\nmin_width = 0\n",
+                       "certify.min_width must be positive and finite, got 0.0"),
+    "min-width-nan": (["solve"], TBS + MONOMIAL_2 + "[certify]\nmin_width = nan\n",
+                      "certify.min_width must be positive and finite, got nan"),
+    "min-width-negative": (["compare"], TBS + "[certify]\nmin_width = -1\n",
+                           "certify.min_width must be positive and finite, got -1.0"),
     "n-not-a-number": (["solve"], TBS + "[basis]\nkind = monomial\nn = six\n",
                        "basis.n: invalid literal for int() with base 10: 'six'"),
     "certify-without-basis": (["certify", "--type", "qri"], TBS,

@@ -43,11 +43,23 @@ PIECEWISE = BasisSpec("piecewise_flat", 4, split=0.7)
     (dict(rho=RhoSpec("constant"), basis=PIECEWISE), (0.7 - 0.1, 0.7 + 0.1)),
     (dict(rho=RhoSpec("tabulated"), basis_a=BasisSpec("monomial", 4), interval=(1.0, 2.0)),
      (1.5 - 0.1, 1.5 + 0.1)),
-], ids=["explicit", "pulse-split", "basis-a-split", "basis-split", "interval-midpoint"])
+    (dict(rho=RhoSpec(split=0.95)), (0.95 - 0.1, 1.0)),
+    (dict(rho=RhoSpec(split=0.05)), (0.0, 0.05 + 0.1)),
+], ids=["explicit", "pulse-split", "basis-a-split", "basis-split", "interval-midpoint",
+        "clipped-above", "clipped-below"])
 def test_default_window_fallbacks(fields, window):
     """An explicit window, else the pulse split, else a basis split, else the
-    interval midpoint, each +- 0.1."""
+    interval midpoint, each +- 0.1 and clipped to the interval, where the
+    reconstruction is defined."""
     assert RunConfig(entropy="l2_norm", **fields).default_window() == window
+
+
+def test_default_window_missing_the_interval_named():
+    """A pulse split 0.1 or more past the interval leaves no window to clip."""
+    with pytest.raises(ValueError) as exc:
+        RunConfig(entropy="l2_norm", rho=RhoSpec(split=1.5)).default_window()
+    assert str(exc.value) == ("compare.window: split 1.5 +- 0.1 misses the interval "
+                              "[0.0, 1.0]; set compare.window")
 
 
 @pytest.mark.parametrize("make,message", [
@@ -61,13 +73,17 @@ def test_default_window_fallbacks(fields, window):
      "interval must be two increasing numbers, got [1.0, 0.0]"),
     (lambda: RunConfig("l2_norm", window=(0.4,)),
      "compare window must be two increasing numbers, got [0.4]"),
+    (lambda: RunConfig("l2_norm", interval=(0.0, 2.0), window=(1.5, 2.5)),
+     "compare.window [1.5, 2.5] must lie inside the interval [0.0, 2.0]"),
     (lambda: CertifyOptions(trials=0), "certify.trials must be >= 1, got 0"),
     (lambda: CertifyOptions(m_max=2), "certify.m_max must be >= 3, got 2"),
     (lambda: CertifyOptions(seed=-1), "certify.seed must be >= 0, got -1"),
+    (lambda: CertifyOptions(min_width=float("inf")),
+     "certify.min_width must be positive and finite, got inf"),
     (lambda: dataclasses.replace(RunConfig("l2_norm"), quad_order=0),
      "quad.order must be >= 1, got 0"),
 ], ids=["order", "panels", "max-iter", "tol", "sample-points", "interval", "window",
-        "trials", "m-max", "seed", "replace"])
+        "window-outside", "trials", "m-max", "seed", "min-width", "replace"])
 def test_bounds_checked_where_the_value_is_held(make, message):
     """Each bound is the dataclass's own, so a config built in code or
     changed with dataclasses.replace meets the INI key's check."""
