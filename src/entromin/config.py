@@ -182,6 +182,15 @@ class RunConfig:
                                             and self.window[1] <= self.interval[1]):
             raise ValidationError(f"compare.window {list(self.window)} must lie inside the "
                                   f"interval {list(self.interval)}")
+        min_width = self.certify.min_width
+        if min_width is not None and min_width >= self.interval[1] - self.interval[0]:
+            raise ValidationError(f"certify.min_width {min_width} must be shorter than the "
+                                  f"interval {list(self.interval)}")
+        for name in ("basis", "basis_a", "basis_b"):
+            spec = getattr(self, name)
+            if self.phi0 is not None and spec is not None and len(self.phi0) != spec.n:
+                raise ValidationError(f"solver.phi0 needs one value per function of [{name}] "
+                                      f"(n = {spec.n}), got {len(self.phi0)}")
         _at_least(("quad.order", self.quad_order, 1), ("quad.panels", self.quad_panels, 1),
                   ("solver.max_iter", self.max_iter, 0),
                   ("output.sample_points", self.sample_points, 0))

@@ -17,8 +17,8 @@ Conventions:
   domain.  For Burg's entropy the conjugate lives on ``v < 0`` and a hard
   error (rather than ``+inf``) is what lets the Newton line search detect
   violations explicitly.  Each of the three exposes its unchecked map as
-  ``__wrapped__`` (``inspect.unwrap``), which a problem instance looks up
-  once for the dual solver to call on the dual fields it checked itself.
+  ``__wrapped__``, which the dual solver's oracle (`entromin.dual`) calls
+  on the dual fields it has checked itself.
 
 The cosh conjugate deserves a note: it is frequently misquoted as
 ``arcsinh(v) - sqrt(1+v^2)``.  The correct closed form, recovered by

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from inspect import unwrap
 
 import numpy as np
 
@@ -208,10 +207,9 @@ def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterva
 class ProblemInstance:
     """Everything needed to pose one constrained entropy minimization.
 
-    The rule must resolve every basis breakpoint strictly inside its interval.  What
-    the dual solver uses on every iteration is built once: `design`, the basis at the
-    nodes (passed in by `instance_from_density`), and `_unchecked`: f*, (f*)', (f*)''
-    without domain checks.
+    The rule must resolve every basis breakpoint strictly inside its interval.
+    `design`, the basis at the nodes that the dual solver reads on every iteration,
+    is built once (or passed in by `instance_from_density`).
     """
 
     entropy: EntropySpec
@@ -239,8 +237,6 @@ class ProblemInstance:
             )
         if self.design is None:
             self.design = design_matrix(self.basis, self.rule.nodes)
-        conjugates = (self.entropy.f_star, self.entropy.f_star_d1, self.entropy.f_star_d2)
-        self._unchecked = tuple(map(unwrap, conjugates))
 
     @property
     def n(self) -> int:

@@ -7,10 +7,9 @@ At optimal multipliers mu the primal density is pointwise
 so recovering it costs one conjugate-derivative sweep over the nodes.  The
 audit quantities computed here close the loop: the moment residual checks
 feasibility, and the duality gap I_f(x) - D(mu) checks optimality.  Both
-primal and dual values come from one dual field on the instance's design,
-with the same quadrature rule as the solve, which makes the zero-gap
-identity a property of the discrete problem and lets it hold to solver
-precision rather than merely quadrature precision.
+come from the dual solver's oracle, one dual field on the same rule as the
+solve, which makes the zero-gap identity a property of the discrete problem
+and lets it hold to solver precision rather than merely quadrature precision.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dual import _field
+from .dual import _derivatives, _field
 from .moments import ProblemInstance, design_matrix
 from .quadrature import integrate_values
 
@@ -51,13 +50,12 @@ def reconstruct(instance: ProblemInstance, mu) -> PrimalSolution:
         return entropy.f_star_d1(v)
 
     v, dual = _field(instance, mu)
-    x_nodes = instance._unchecked[1](v)
-    moments = instance.design @ (instance.rule.weights * x_nodes)
+    x_nodes, grad, _ = _derivatives(instance, v, 1)
     primal = integrate_values(instance.rule, entropy.f(x_nodes))
     return PrimalSolution(
         x=x,
         multipliers=mu,
-        moment_residual_inf=float(np.max(np.abs(moments - instance.target_moments))),
+        moment_residual_inf=float(np.max(np.abs(grad))),
         primal_value=primal,
         dual_value=dual,
         duality_gap=primal - dual,

@@ -621,6 +621,29 @@ CONFIG_ERRORS = {
                       "certify.min_width must be positive and finite, got nan"),
     "min-width-negative": (["compare"], TBS + "[certify]\nmin_width = -1\n",
                            "certify.min_width must be positive and finite, got -1.0"),
+    "min-width-whole-interval-core": (["certify", "--type", "core"],
+                                      TBS + MONOMIAL_2 + "[certify]\nmin_width = 2\n",
+                                      "certify.min_width 2.0 must be shorter than the "
+                                      "interval [0.0, 1.0]"),
+    "min-width-whole-interval-qri": (["certify", "--type", "qri"], TBS + "interval = 0 2\n"
+                                     + MONOMIAL_2 + "[certify]\nmin_width = 2\n",
+                                     "certify.min_width 2.0 must be shorter than the "
+                                     "interval [0.0, 2.0]"),
+    "min-width-whole-interval-solve": (["solve"], TBS + MONOMIAL_2 + "[certify]\nmin_width = 1\n",
+                                       "certify.min_width 1.0 must be shorter than the "
+                                       "interval [0.0, 1.0]"),
+    "min-width-whole-interval-compare": (["compare"], TBS + "[certify]\nmin_width = 5\n",
+                                         "certify.min_width 5.0 must be shorter than the "
+                                         "interval [0.0, 1.0]"),
+    "phi0-short": (["solve"], TBS + "[basis]\nkind = monomial\nn = 3\n[solver]\nphi0 = 1 2\n",
+                   "solver.phi0 needs one value per function of [basis] (n = 3), got 2"),
+    "phi0-long-certify": (["certify", "--type", "core"],
+                          TBS + MONOMIAL_2 + "[solver]\nphi0 = 0 0 0\n",
+                          "solver.phi0 needs one value per function of [basis] (n = 2), got 3"),
+    "phi0-compare": (["compare"], TBS + "[basis_a]\nkind = monomial\nn = 2\n[basis_b]\n"
+                     "kind = monomial\nn = 2\n[solver]\nphi0 = 0\n",
+                     "solver.phi0 needs one value per function of [basis_a] "
+                     "(n = 2), got 1"),
     "n-not-a-number": (["solve"], TBS + "[basis]\nkind = monomial\nn = six\n",
                        "basis.n: invalid literal for int() with base 10: 'six'"),
     "certify-without-basis": (["certify", "--type", "qri"], TBS,
@@ -778,7 +801,7 @@ def test_readme_config_schema_commented_keys_load(tmp_path):
     path.write_text(block)
     cfg = load_config(str(path))
     assert (cfg.certify.alpha, cfg.certify.beta, cfg.certify.min_width) == (0.0, np.inf, 0.01)
-    assert list(cfg.phi0) == [-1.0, 0.0, 0.0]
+    assert list(cfg.phi0) == [-1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     assert (cfg.basis.file, cfg.rho.file) == ("basis.txt", "rho.txt")
 
 

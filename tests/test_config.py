@@ -82,8 +82,13 @@ def test_default_window_missing_the_interval_named():
      "certify.min_width must be positive and finite, got inf"),
     (lambda: dataclasses.replace(RunConfig("l2_norm"), quad_order=0),
      "quad.order must be >= 1, got 0"),
+    (lambda: RunConfig("l2_norm", interval=(0.0, 0.5), certify=CertifyOptions(min_width=0.5)),
+     "certify.min_width 0.5 must be shorter than the interval [0.0, 0.5]"),
+    (lambda: RunConfig("l2_norm", basis_b=BasisSpec("monomial", 3), phi0=(1.0, 2.0)),
+     "solver.phi0 needs one value per function of [basis_b] (n = 3), got 2"),
 ], ids=["order", "panels", "max-iter", "tol", "sample-points", "interval", "window",
-        "window-outside", "trials", "m-max", "seed", "min-width", "replace"])
+        "window-outside", "trials", "m-max", "seed", "min-width", "replace",
+        "min-width-whole-interval", "phi0-length"])
 def test_bounds_checked_where_the_value_is_held(make, message):
     """Each bound is the dataclass's own, so a config built in code or
     changed with dataclasses.replace meets the INI key's check."""

@@ -23,7 +23,7 @@ from entromin import (
     solve_dual,
 )
 from entromin import dual
-from entromin.dual import IterationRecord, _newton_direction, _oracle, default_start
+from entromin.dual import _REG_START, IterationRecord, _newton_direction, default_start
 from entromin.moments import ProblemInstance
 
 RULE = build_rule((0.0, 1.0), (0.5,))
@@ -275,11 +275,30 @@ class TestRoundingRegime:
 
 
 class TestNewtonDirection:
-    def test_singular_hessian_is_shifted(self):
+    @staticmethod
+    def counted_cholesky(monkeypatch):
+        calls, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        return calls
+
+    def test_definite_hessian_is_not_shifted(self, monkeypatch):
+        """The ladder's first rung is the unshifted Cholesky: one factorization."""
+        calls = self.counted_cholesky(monkeypatch)
+        hess = -np.array([[2.0, 1.0], [1.0, 2.0]])
+        grad = np.array([1.0, -1.0])
+        direction, shift = _newton_direction(hess, grad)
+        assert shift == 0.0 and len(calls) == 1
+        np.testing.assert_allclose(-hess @ direction, grad, rtol=1e-15)
+
+    def test_singular_hessian_is_shifted(self, monkeypatch):
+        """A singular PSD Gram fails the first rung and factorizes on the
+        second, _REG_START * ||H||_inf."""
+        calls = self.counted_cholesky(monkeypatch)
         hess = -np.array([[1.0, 1.0], [1.0, 1.0]])  # negative semidefinite, rank 1
         grad = np.array([1.0, -1.0])
         direction, shift = _newton_direction(hess, grad)
-        assert shift > 0.0 and grad @ direction > 0.0
+        assert shift == _REG_START * 2.0 and len(calls) == 2
+        assert grad @ direction > 0.0
         shifted = shift * np.eye(2) - hess  # the factor is backward stable, not accurate
         residual = np.linalg.norm(shifted @ direction - grad)
         assert residual <= 1e-12 * np.linalg.norm(shifted) * np.linalg.norm(direction)
@@ -294,6 +313,12 @@ class TestNewtonDirection:
         np.testing.assert_allclose((shift * np.eye(2) - hess) @ direction, grad, rtol=1e-14)
 
 
+def reference_oracle(instance, phi):
+    """(D, grad D, Hess D) at phi from the public wrappers, each of which
+    builds its own dual field."""
+    return dual_value(instance, phi), dual_gradient(instance, phi), dual_hessian(instance, phi)
+
+
 def reference_solve(instance, phi):
     """solve_dual's loop with D evaluated at every trial and the full
     oracle evaluated again at an accepted one, each from its own field.
@@ -301,7 +326,7 @@ def reference_solve(instance, phi):
     Also returns which of "rejection" (a trial outside the conjugate
     domain or non-finite) and "rounding" (acceptance on the residual) ran.
     """
-    value, grad, hess = _oracle(instance, phi, 2)
+    value, grad, hess = reference_oracle(instance, phi)
     residual = float(np.max(np.abs(grad)))
     trace = [IterationRecord(0, residual, 0.0, value)]
     iterations, message, seen = 0, "", set()
@@ -319,11 +344,11 @@ def reference_solve(instance, phi):
             candidate = phi + step * direction
             try:
                 if by_residual:
-                    point = _oracle(instance, candidate, 2)
+                    point = reference_oracle(instance, candidate)
                     if np.max(np.abs(point[1])) < residual:
                         accepted = point
                 elif dual_value(instance, candidate) >= value:
-                    accepted = _oracle(instance, candidate, 2)
+                    accepted = reference_oracle(instance, candidate)
             except (DomainViolationError, NonFiniteIntegrandError):
                 seen.add("rejection")
             if accepted is not None:

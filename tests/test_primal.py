@@ -7,6 +7,7 @@ import pytest
 
 from entromin import (
     DomainViolationError,
+    NonFiniteIntegrandError,
     build_rule,
     builtin_entropy,
     constant_density,
@@ -160,6 +161,15 @@ class TestOneFieldReconstruct:
         reconstruct(instance, solve_dual(instance).multipliers)
         at_nodes = [s for s in calls if np.array_equal(s, instance.rule.nodes)]
         assert len(at_nodes) == len(calls) == instance.n
+
+
+    def test_non_finite_density_at_a_node_names_the_conjugate_derivative(self):
+        """x at the nodes comes from the dual oracle, which names (f*)' and the
+        node: Burg's f* is finite at v = -1e-320, its derivative -1/v is not."""
+        inst = make_instance("burg", monomial_basis(1), constant_density(0.5))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteIntegrandError) as err:
+            reconstruct(inst, [-1e-320])
+        assert str(err.value) == f"(f*)' is inf at node s={float(inst.rule.nodes[0])!r}"
 
 
 class TestSampleSolution:

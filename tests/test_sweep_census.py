@@ -1,0 +1,106 @@
+"""Solve outcome census: the 288 configs of the solve-sweep benchmark, each
+solved in-process as `solve` solves it and compared with the table
+`sweep_census.json`.
+
+A config is one of 6 entropies x {monomial, piecewise_flat split at 0.5} x
+n in {2, 4, 6, 8, 12, 16} x {pulse split at 0.5, constant 0.5} x {320, 1280}
+nodes, on [0, 1] with 20-node panels, tol 1e-10 and a budget of 100 Newton
+iterations.  Its row holds the outcome class and the iteration count, both
+exactly:
+
+* "audited": converged, and |duality gap| <= GAP_TOL;
+* "gap audit": converged, and |duality gap| > GAP_TOL;
+* "not converged: <reason>": the solver's message without its residual;
+* otherwise the class name of the exception the run raised, with the
+  iterations of the solve if it finished (Burg's field can leave the
+  conjugate domain between nodes, which only tabulating the solution sees).
+
+A change that moves an outcome updates the table (`python
+tests/test_sweep_census.py` rewrites it) and says which rows moved.
+"""
+
+import itertools
+import json
+import re
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from entromin.config import BasisSpec, RhoSpec, RunConfig, build_problem
+from entromin.dual import solve_dual
+from entromin.primal import reconstruct, sample_solution
+
+TABLE = Path(__file__).with_name("sweep_census.json")
+GAP_TOL = 1e-8  # the gap audit of the solve-sweep benchmark (GAP_TOL in bench/worker.py)
+ENTROPIES = ("boltzmann_shannon", "burg", "cosh", "fermi_dirac", "l2_norm",
+             "translated_boltzmann_shannon")
+CONFIGS = list(itertools.product(ENTROPIES, ("monomial", "piecewise_flat"), (2, 4, 6, 8, 12, 16),
+                                 ("pulse", "constant"), (320, 1280)))
+
+
+def _label(config) -> str:
+    entropy, kind, n, rho, nodes = config
+    return f"{entropy}/{kind}/n={n}/{rho}/{nodes}"
+
+
+def _run_config(config) -> RunConfig:
+    entropy, kind, n, rho, nodes = config
+    segments = 2 if rho == "pulse" or kind == "piecewise_flat" else 1
+    return RunConfig(entropy, basis=BasisSpec(kind, n, 0.5 if kind == "piecewise_flat" else None),
+                     rho=RhoSpec(rho, 0.5, 0.5), quad_order=20,
+                     quad_panels=nodes // (20 * segments), tol=1e-10, max_iter=100)
+
+
+def _row(config) -> dict:
+    """One solve of `config`, reduced to its census row."""
+    cfg, solution = _run_config(config), None
+    try:
+        instance = build_problem(cfg, cfg.basis)[0]
+        solution = solve_dual(instance, phi0=cfg.phi0, tol=cfg.tol, max_iter=cfg.max_iter)
+        primal = reconstruct(instance, solution.multipliers)
+        sample_solution(primal, np.linspace(*cfg.interval, cfg.sample_points))
+    except Exception as exc:  # a failure is an outcome, recorded as it is
+        return {"outcome": type(exc).__name__,
+                "iterations": None if solution is None else solution.iterations}
+    if not solution.converged:
+        outcome = "not converged: " + re.sub(r" (with|at) residual .*", "", solution.message)
+    else:
+        outcome = "audited" if abs(primal.duality_gap) <= GAP_TOL else "gap audit"
+    return {"outcome": outcome, "iterations": solution.iterations}
+
+
+def test_table_covers_the_configs():
+    """The table keeps a row for every config, failures included, and no other."""
+    assert sorted(json.loads(TABLE.read_text())) == sorted(map(_label, CONFIGS))
+
+
+def test_solve_outcomes_match_the_table():
+    table = json.loads(TABLE.read_text())
+    moved = {}
+    for config in CONFIGS:
+        label, row = _label(config), _row(config)
+        if row != table[label]:
+            moved[label] = {"table": table[label], "now": row}
+    assert not moved, json.dumps(moved, indent=1)
+
+
+def test_reconstruction_residual_is_the_solver_residual():
+    """reconstruct reads the solver's oracle: at the multipliers solve_dual
+    returns, its moment residual is the solver's residual, bit for bit."""
+    converged = 0
+    for config in CONFIGS:
+        cfg = _run_config(config)
+        instance = build_problem(cfg, cfg.basis)[0]
+        solution = solve_dual(instance, tol=cfg.tol, max_iter=cfg.max_iter)
+        if solution.converged:
+            converged += 1
+            primal = reconstruct(instance, solution.multipliers)
+            assert primal.moment_residual_inf == solution.residual_inf, _label(config)
+    assert converged == 277  # the 270 audited and gap-audit rows, and 7 of the 8 Burg rows
+
+
+if __name__ == "__main__":  # rewrite the table from the current code, warnings as errors as in tier-1
+    warnings.simplefilter("error")
+    rows = {_label(config): _row(config) for config in CONFIGS}
+    TABLE.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
