@@ -51,15 +51,16 @@ matrix Hilbert-like (about 1e10 for six monomials on half the unit interval),
 so phi is the Legendre polynomials on the margin where they reproduce the a_k
 (monomials, and piecewise_flat on a margin that does not cross its split),
 and otherwise the a_k orthonormalized by a QR factorization, whose M is
-conditioned like the weighted a_k, not like their Gram matrix.  M takes the
-basis at the margin rule's nodes and the phi_j on the margin grid, each
-evaluated once.  The y_k are coefficients @ a design of the phi_j: that one
-(`DirectionFunctions.margin_design`), whence the core build's sup bound and
-<y_k, a_j>, or `DirectionFunctions.evaluator`'s, as where the membership grid
-meets the margin, for P1, which runs in stacked blocks: a stacked numpy call
-makes each trial's BLAS call, so each keeps its bits.  Verification builds no
-design.  The qri scan solves for the clip levels it must evaluate instead of
-visiting each (see `_candidate_levels`).
+conditioned like the weighted a_k, not like their Gram matrix.  The y_k
+carry the two designs M takes, each evaluated once: the basis at the margin
+rule's nodes (`basis_design`), for every margin integral, and the phi_j on the
+margin grid (`margin_design`), for core's sup bound and <y_k, a_j> and the qri
+scan's sup |v|.  Elsewhere the y_k, or any expansion over the phi_j, are
+evaluated by calling the `DirectionFunctions`: on the membership grid, for
+core's P1 and the qri witness.  P1 runs in stacked blocks: a stacked numpy
+call makes each trial's BLAS call, so each keeps its bits.  The qri scan
+solves for the clip levels it must evaluate instead of visiting each (see
+`_candidate_levels`).
 """
 
 from __future__ import annotations
@@ -244,9 +245,10 @@ class DirectionFunctions:
     """Functions y_1..y_n in the span of the moment family on a margin
     interval, with <y_k, a_j> = eta_k when j = k and 0 otherwise.
 
-    Row k of `coeffs` expands y_k over the phi_j of `_phi`, which `design`
-    tabulates; the y_k are zero outside [margin.lo, margin.hi].  `rule` is
-    the margin rule, whose nodes in the margin carry every margin integral.
+    Row k of `coeffs` expands y_k over the phi_j of `_phi`; the y_k are zero
+    outside [margin.lo, margin.hi], and calling the instance evaluates them.
+    `rule` is the margin rule, whose nodes in the margin carry every margin
+    integral, from the a_k at its nodes (`basis_design`).
     """
 
     margin: MarginInterval
@@ -254,47 +256,36 @@ class DirectionFunctions:
     coeffs: np.ndarray = field(repr=False)              # (n, n)
     factor: Optional[np.ndarray] = field(repr=False)    # (n, n) R, or None for Legendre
     rule: QuadratureRule = field(repr=False)    # refined at the margin ends
+    basis_design: np.ndarray = field(repr=False)    # a_k at the nodes of `rule`
     margin_design: np.ndarray = field(repr=False)   # phi_j on the margin grid, nodes last
 
-    def design(self, s) -> np.ndarray:
-        """The phi_j at the points s, shape (n, len(s))."""
-        return _phi(self.margin, self.basis, self.factor, s)
-
-    def evaluator(self, s) -> Callable:
-        """Map from expansion coefficients, shape (n,) or (k, n), to their
-        values at the points s, zero outside the margin: one product with the
-        design of the points inside the margin, which is built once, here."""
+    def __call__(self, s, coeffs=None) -> np.ndarray:
+        """The y_k at the points s, shape (n, len(s)), or the expansions
+        `coeffs` over the phi_j, shape (n,) or (k, n): one product with the
+        phi_j at the points inside the margin, zero outside."""
         s = np.asarray(s, dtype=float)
+        coeffs = self.coeffs if coeffs is None else coeffs
         inside = (s >= self.margin.lo) & (s <= self.margin.hi)
-        design = self.design(s[inside])
-
-        def evaluate(coeffs):
-            values = np.zeros(coeffs.shape[:-1] + s.shape)
-            values[..., inside] = coeffs @ design
-            return values
-
-        return evaluate
-
-    def evaluate_all(self, s) -> np.ndarray:
-        """Values of every y_k at the points s, shape (n, len(s))."""
-        return self.evaluator(s)(self.coeffs)
+        values = np.zeros(coeffs.shape[:-1] + s.shape)
+        values[..., inside] = coeffs @ _phi(self.margin, self.basis, self.factor, s[inside])
+        return values
 
 
 LEGENDRE_FIT_TOL = 1e3 * np.finfo(float).eps   # relative to the 2-norm of a_k at the nodes
 
 
 def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
-                              margin: MarginInterval, eta, design=None) -> DirectionFunctions:
+                              margin: MarginInterval, eta) -> DirectionFunctions:
     """Construct the y_k for a direction eta on the margin interval.
 
     Row k of the coefficients is eta_k times row k of M^-1 (see the module
     note), so they are linear in eta, bit for bit, and zero components of
     eta yield identically zero y_k.  Every integral, the independence check
     included, is taken on the margin nodes of `rule` refined at the margin
-    ends (`refine_rule`); `design` is the basis at that rule's nodes, or None
-    to evaluate it here.  phi is Legendre (see `_phi`) when its least-squares
-    fit reproduces the a_k at those nodes to LEGENDRE_FIT_TOL, and the a_k
-    orthonormalized on them otherwise.
+    ends (`refine_rule`), from the basis at that rule's nodes, evaluated here
+    once and kept as `basis_design`.  phi is Legendre (see `_phi`) when its
+    least-squares fit reproduces the a_k at those nodes to LEGENDRE_FIT_TOL,
+    and the a_k orthonormalized on them otherwise.
     """
     eta = np.asarray(eta, dtype=float)
     n = basis.n
@@ -303,7 +294,7 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     if not np.all(np.isfinite(eta)):
         raise ValidationError(f"direction must be finite, got {eta}")
     rule = refine_rule(rule, margin.lo, margin.hi)   # the prelude's rule comes back as it is
-    design = design_matrix(basis, rule.nodes) if design is None else design
+    design = design_matrix(basis, rule.nodes)
     inside = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
     nodes, weights = rule.nodes[inside], rule.weights[inside]
     values = design.compress(inside, axis=1)   # C order, as the Gram's and M's bits need
@@ -325,13 +316,13 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
         on_grid = _phi(margin, basis, factor, grid)
     phi = on_grid[:, MEMBERSHIP_SAMPLES:].copy()   # C order, as M's bits need
     coeffs = eta[:, None] * np.linalg.inv((phi * weights) @ values.T)
-    return DirectionFunctions(margin, basis, coeffs, factor, rule, on_grid)
+    return DirectionFunctions(margin, basis, coeffs, factor, rule, design, on_grid)
 
 
 def direction_inner_products(directions: DirectionFunctions) -> np.ndarray:
     """The matrix <y_k, a_j>, integrated on the margin nodes of its rule."""
     nodes, weights = nodes_in(directions.rule, directions.margin.lo, directions.margin.hi)
-    return (directions.evaluate_all(nodes) * weights) @ design_matrix(directions.basis, nodes).T
+    return (directions(nodes) * weights) @ design_matrix(directions.basis, nodes).T
 
 
 @dataclass(frozen=True)
@@ -341,12 +332,12 @@ class CoreCertificate:
     Built once for the all-ones direction; the y_k scale linearly in their
     own component of eta, so `delta_for`/`t_for` recover the bound and
     admissible step for any direction.  `t_unit` is the step for a
-    direction at the sup bound (delta_for == delta).  `points` are the basis
-    at the nodes of `directions.rule` and the membership grid ending with
-    them, where the build confirmed the margin and verification replays.
-    `inner_products` is <y_k, a_j> (row k) on that rule's margin nodes, and
-    `y_kept` the y_k on the grid columns `kept`, the aligned groups of 16
-    that meet the margin (the y_k are zero on the others).
+    direction at the sup bound (delta_for == delta).  `grid` is the
+    membership grid, ending with the nodes of `directions.rule`, where the
+    build confirmed the margin and verification replays.  `inner_products`
+    is <y_k, a_j> (row k) on that rule's margin nodes, and `y_kept` the y_k
+    on the grid columns `kept`, the aligned groups of 16 that meet the
+    margin (the y_k are zero on the others).
     """
 
     margin: MarginInterval
@@ -357,7 +348,7 @@ class CoreCertificate:
     upper: float
     clearance: float
     t_unit: float
-    points: tuple = field(repr=False)
+    grid: np.ndarray = field(repr=False)
     inner_products: np.ndarray = field(repr=False)     # (n, n)
     kept: np.ndarray = field(repr=False)               # bool, one per grid point
     y_kept: np.ndarray = field(repr=False)             # (n, kept columns)
@@ -422,9 +413,9 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     3. The unit-direction y_k on it, the only independence check.
     4. Its range strictly inside the band (above `lower` when `one_sided`).
 
-    Returns the margin, the y_k (whose `margin_design` covers the margin
-    grid), the basis at the margin rule's nodes, which the y_k take too, with
-    the membership grid of the margin rule (`_membership_grid`), and x on it.
+    Returns the y_k, whose `margin` is the margin of step 2 and whose designs
+    cover the margin rule's nodes and the margin grid, the membership grid of
+    the margin rule (`_membership_grid`), and x on it.
     """
     basis, rule = instance.basis, instance.rule
     outside = CertificateError(f"the density leaves the band [{lower}, {upper}] somewhere on "
@@ -448,8 +439,7 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     checked = x_grid[(grid >= margin.lo) & (grid <= margin.hi)]
     margin = replace(margin, val_lo=float(checked.min(initial=margin.val_lo)),
                      val_hi=float(checked.max(initial=margin.val_hi)))
-    points = design_matrix(basis, rule.nodes), grid
-    directions = build_direction_functions(basis, rule, margin, np.ones(basis.n), points[0])
+    directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
     if not (margin.val_lo > lower and (one_sided or margin.val_hi < upper)):
         raise CertificateError(
             f"density range [{margin.val_lo}, {margin.val_hi}] on the margin interval "
@@ -457,7 +447,7 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
             + (f"above {lower}" if one_sided else f"inside ({lower}, {upper})"),
             hypothesis="margin interval",
         )
-    return margin, directions, points, x_grid
+    return directions, grid, x_grid
 
 
 def _margin_sup(coeffs, margin_design):
@@ -476,16 +466,16 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     `candidate_interval` replaces the scan; independence there is examined
     before its value range.
     """
-    margin, directions, points, _ = _margin_prelude(instance, x, lower, upper,
-                                                    candidate_interval, min_width)
+    directions, grid, _ = _margin_prelude(instance, x, lower, upper, candidate_interval,
+                                          min_width)
+    margin, rule = directions.margin, directions.rule
     y_margin = directions.coeffs @ directions.margin_design   # the unit y_k, nodes last
     sup_unit = np.max(np.abs(y_margin), axis=-1) * (1.0 + 1e-9)  # above the sampled sup
     delta = float(np.max(sup_unit))
     clearance = min(margin.val_lo - lower, upper - margin.val_hi)
-    rule, (ver_design, grid) = directions.rule, points
     on_nodes = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
     inner_products = ((y_margin[:, MEMBERSHIP_SAMPLES:] * rule.weights[on_nodes])
-                      @ ver_design.compress(on_nodes, axis=1).T)  # C order: the audit's bits
+                      @ directions.basis_design.compress(on_nodes, axis=1).T)  # the audit's bits
     # y is 0 off the margin; aligned C-order groups of 16 columns keep the full grid's gemv bits
     meets = (grid >= margin.lo) & (grid <= margin.hi)
     kept = np.repeat(np.logical_or.reduceat(meets, np.arange(0, grid.size, 16)), 16)[:grid.size]
@@ -498,10 +488,10 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
         upper=float(upper),
         clearance=float(clearance),
         t_unit=SAFETY_FACTOR * float(clearance) / (instance.n * delta),
-        points=points,
+        grid=grid,
         inner_products=inner_products,
         kept=kept,
-        y_kept=directions.evaluate_all(grid[kept]),
+        y_kept=directions(grid[kept]),
     )
 
 
@@ -546,9 +536,10 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     etas = np.random.default_rng(seed).standard_normal((trials, instance.n))
     etas /= np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0]  # np.linalg.norm's bits
     steps = (t_scale * cert.t_for(etas))[:, None] * etas
-    weights, (ver_design, grid) = cert.directions.rule.weights, cert.points
+    weights, grid = cert.directions.rule.weights, cert.grid
     x_grid = np.asarray(x(grid), dtype=float)
-    target = ver_design @ (weights * x_grid[grid.size - weights.size:]) - instance.target_moments
+    target = (cert.directions.basis_design @ (weights * x_grid[grid.size - weights.size:])
+              - instance.target_moments)
     defect = cert.inner_products - np.eye(instance.n)
     residuals = np.abs(target + steps @ defect).max(axis=1)
     x_in, x_out = x_grid[cert.kept], x_grid[~cert.kept]
@@ -682,14 +673,12 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     m_max = _whole_number("m_max", m_max)
     if m_max < 3:
         raise ValidationError(f"the clip-level scan starts at m=3, got m_max={m_max}")
-    margin, unit_directions, points, x_full = _margin_prelude(
-        instance, x, lower, upper, min_width=min_width, one_sided=True)
-    margin_design = unit_directions.margin_design
-    delta = margin.val_lo - lower
-    ver_rule, (ver_design, full_grid) = unit_directions.rule, points
+    directions, full_grid, x_full = _margin_prelude(instance, x, lower, upper,
+                                                    min_width=min_width, one_sided=True)
+    margin, ver_rule, ver_design = directions.margin, directions.rule, directions.basis_design
+    delta, margin_design = margin.val_lo - lower, directions.margin_design
     nodes = slice(full_grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
     x_ver = x_full[nodes]
-    on_full = None  # the membership-grid evaluator, built once the first level passes
     lost = []       # levels whose witness lost its lower clearance
     width = upper - lower if np.isfinite(upper) else 1.0
 
@@ -699,16 +688,15 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     def level(m):
         """Moment defect of the level-m clip and its correction's coefficients."""
         defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
-        return defect, defect @ unit_directions.coeffs
+        return defect, defect @ directions.coeffs
 
-    for m in _candidate_levels(x_ver, ver_rule.weights, ver_design, unit_directions.coeffs,
+    for m in _candidate_levels(x_ver, ver_rule.weights, ver_design, directions.coeffs,
                                margin_design, lower, upper, delta, m_max):
         coeffs = level(m)[1]
         sup_v = float(_margin_sup(coeffs, margin_design))
         if sup_v >= delta / 2.0:
             continue
-        on_full = on_full or unit_directions.evaluator(full_grid)
-        y_full = clip(x_full, m) - on_full(coeffs)
+        y_full = clip(x_full, m) - directions(full_grid, coeffs)
         eps = float(np.min(y_full - lower))
         if eps <= 0.0:
             lost.append(m)
@@ -716,7 +704,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
         upper_clearance = float(np.min(upper - y_full))     # inf when unbounded above
 
         def y(s):
-            return clip(np.asarray(x(s), dtype=float), m) - unit_directions.evaluator(s)(coeffs)
+            return clip(np.asarray(x(s), dtype=float), m) - directions(s, coeffs)
 
         residual = float(np.max(np.abs(
             ver_design @ (ver_rule.weights * y_full[nodes]) - instance.target_moments)))

@@ -27,7 +27,7 @@ from .certificates import (
 )
 from .config import RunConfig, build_problem, load_config
 from .dual import solve_dual
-from .errors import CertificateError, EntrominError
+from .errors import CertificateError, DomainViolationError, EntrominError
 from .primal import gibbs_overshoot, reconstruct, sample_solution
 
 EXIT_OK = 0
@@ -109,9 +109,15 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     if cfg.basis is None:
         raise EntrominError("solve requires a [basis] section") from None
     solution, primal = _solve(cfg, build_problem(cfg, cfg.basis)[0])
-    table = sample_solution(primal, np.linspace(*cfg.interval, cfg.sample_points))
+    try:
+        table = sample_solution(primal, np.linspace(*cfg.interval, cfg.sample_points))
+    except DomainViolationError:
+        if solution.converged:
+            raise
+        table = None  # not converged, and untabulable: reported without solution.csv
     os.makedirs(cfg.out_dir, exist_ok=True)  # only after tabulating, which may raise
-    _write_csv(os.path.join(cfg.out_dir, "solution.csv"), ("s", "x"), table)
+    if table is not None:
+        _write_csv(os.path.join(cfg.out_dir, "solution.csv"), ("s", "x"), table)
     _write_json(os.path.join(cfg.out_dir, "summary.json"), _summary(solution, primal))
     if args.trace:
         _write_trace(os.path.join(cfg.out_dir, "trace.csv"), solution)

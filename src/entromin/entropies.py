@@ -18,7 +18,9 @@ Conventions:
   error (rather than ``+inf``) is what lets the Newton line search detect
   violations explicitly.  Each of the three exposes its unchecked map as
   ``__wrapped__``, which the dual solver's oracle (`entromin.dual`) calls
-  on the dual fields it has checked itself.
+  on the dual fields it has checked itself.  Both forms overflow and divide
+  by zero silently, to inf, -inf or 0.0, so the oracle, not a warning,
+  names a non-finite value.
 
 The cosh conjugate deserves a note: it is frequently misquoted as
 ``arcsinh(v) - sqrt(1+v^2)``.  The correct closed form, recovered by
@@ -82,7 +84,14 @@ class Interval:
 
 
 def _guard(interval: Interval, name: str, owner: str, fn):
-    """Wrap fn so evaluation outside `interval` raises a domain error."""
+    """Wrap fn so evaluation outside `interval` raises a domain error, and so
+    that fn, exposed as `__wrapped__`, overflows and divides by zero silently:
+    the dual oracle names a non-finite value as a NonFiniteIntegrandError,
+    which the line search treats as infeasible."""
+
+    def quiet(v):
+        with np.errstate(over="ignore", divide="ignore"):
+            return fn(v)
 
     def guarded(v):
         arr = np.asarray(v, dtype=float)
@@ -95,10 +104,10 @@ def _guard(interval: Interval, name: str, owner: str, fn):
                 argument=name,
                 value=offender,
             )
-        out = fn(arr)
+        out = quiet(arr)
         return float(out) if arr.ndim == 0 else out
 
-    guarded.__wrapped__ = fn  # for callers that check the domain themselves
+    guarded.__wrapped__ = quiet  # for callers that check the domain themselves
     return guarded
 
 
@@ -145,13 +154,6 @@ def _make(name, f_domain, f_raw, f_star_domain, fs_raw, d1_raw, d2_raw) -> Entro
     )
 
 
-def _exp(v):
-    # overflow to +inf silently; the quadrature layer turns that into a
-    # NonFiniteIntegrandError, which the line search treats as infeasible
-    with np.errstate(over="ignore"):
-        return np.exp(v)
-
-
 def _xlogx(u):
     # u*log(u) with the limit value 0 at u == 0 (0*-inf is nan before np.where)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -160,7 +162,7 @@ def _xlogx(u):
 
 def _expit(v):
     # 1/(1+e^-v); e^-v overflowing to +inf gives exactly 0
-    return 1.0 / (1.0 + _exp(-v))
+    return 1.0 / (1.0 + np.exp(-v))
 
 
 def _cosh(u):
@@ -189,9 +191,9 @@ def _boltzmann_shannon():
         Interval(0.0, _INF, True, False),
         _xlogx,
         _REAL,
-        lambda v: _exp(v - 1.0),
-        lambda v: _exp(v - 1.0),
-        lambda v: _exp(v - 1.0),
+        lambda v: np.exp(v - 1.0),
+        lambda v: np.exp(v - 1.0),
+        lambda v: np.exp(v - 1.0),
     )
 
 
@@ -201,9 +203,9 @@ def _translated_boltzmann_shannon():
         Interval(0.0, _INF, True, False),
         lambda u: _xlogx(u) - u,
         _REAL,
-        _exp,
-        _exp,
-        _exp,
+        np.exp,
+        np.exp,
+        np.exp,
     )
 
 

@@ -44,6 +44,13 @@ def make_instance(entropy_name, basis, rho):
     return instance_from_density(builtin_entropy(entropy_name), basis, RULE, rho)
 
 
+def _phi_at(directions, s):
+    """The phi_j the y_k expand over, at the points s, shape (n, len(s))."""
+    from entromin.certificates import _phi
+
+    return _phi(directions.margin, directions.basis, directions.factor, s)
+
+
 def _quadrature_p2(instance, x, cert, steps):
     """P2 the direct way: the moments of each perturbed density x + s @ y
     integrated on the margin rule, less b + s, one residual per row of
@@ -61,10 +68,10 @@ def _quadrature_p2(instance, x, cert, steps):
     rule, directions = cert.directions.rule, cert.directions
     design = design_matrix(instance.basis, rule.nodes)
     x_ver = np.asarray(x(rule.nodes), dtype=float)
-    y_ver = directions.evaluate_all(rule.nodes)
+    y_ver = directions(rule.nodes)
     inside = (rule.nodes >= cert.margin.lo) & (rule.nodes <= cert.margin.hi)
     spread = np.zeros_like(y_ver)
-    spread[:, inside] = np.abs(directions.coeffs) @ np.abs(directions.design(rule.nodes[inside]))
+    spread[:, inside] = np.abs(directions.coeffs) @ np.abs(_phi_at(directions, rule.nodes[inside]))
     gamma = (rule.nodes.size + 2 * instance.n + 6) * np.finfo(float).eps
     residuals, bounds = [], []
     for step in steps:
@@ -106,7 +113,7 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
 
     def evaluate(s, coeffs):
         inside = (s >= cert.margin.lo) & (s <= cert.margin.hi)
-        return np.where(inside, coeffs @ cert.directions.design(s), 0.0)
+        return np.where(inside, coeffs @ _phi_at(cert.directions, s), 0.0)
 
     rng = np.random.default_rng(seed)
     grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
@@ -136,7 +143,7 @@ def _replay_per_trial(instance, x, cert, trials, seed, t_scale):
     grid = np.concatenate([np.linspace(*instance.rule.interval, MEMBERSHIP_SAMPLES + 2),
                            cert.directions.rule.nodes])
     x_grid = np.asarray(x(grid), dtype=float)
-    y_grid = cert.directions.evaluate_all(grid)
+    y_grid = cert.directions(grid)
     steps, violations = [], []
     for _ in range(trials):
         eta = rng.standard_normal(instance.n)
@@ -165,9 +172,8 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     ver_rule = directions.rule
     ver_design = design_matrix(basis, ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
-    on_margin = directions.evaluator(np.concatenate([
-        np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
-        nodes_in(ver_rule, margin.lo, margin.hi)[0]]))
+    margin_grid = np.concatenate([np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
+                                  nodes_in(ver_rule, margin.lo, margin.hi)[0]])
     full_grid = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2),
                                 ver_rule.nodes])
     x_full = np.asarray(x(full_grid), dtype=float)
@@ -182,19 +188,19 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     for m in range(3, m_max + 1):
         defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
         coeffs = defect @ directions.coeffs
-        sup_v = float(np.max(np.abs(on_margin(coeffs))))
+        sup_v = float(np.max(np.abs(directions(margin_grid, coeffs))))
         if sup_v >= delta / 2.0:
             if m == 3 or m % 25 == 0:
                 history.append((m, float(np.max(np.abs(defect))), sup_v))
             continue
-        y_full = clip(x_full, m) - directions.evaluator(full_grid)(coeffs)
+        y_full = clip(x_full, m) - directions(full_grid, coeffs)
         eps = float(np.min(y_full - lower))
         if eps <= 0.0:
             history.append((m, float(np.max(np.abs(defect))), sup_v))
             continue
 
         def y(s):
-            return clip(np.asarray(x(s), dtype=float), m) - directions.evaluator(s)(coeffs)
+            return clip(np.asarray(x(s), dtype=float), m) - directions(s, coeffs)
 
         residual = float(np.max(np.abs(
             ver_design @ (ver_rule.weights * y(ver_rule.nodes)) - instance.target_moments)))
@@ -288,11 +294,10 @@ def _scan_inputs(entropy, basis, rho, band):
     from entromin.certificates import _margin_prelude
 
     inst = make_instance(entropy, basis, rho)
-    margin, directions, (ver_design, grid), x_grid = _margin_prelude(
-        inst, rho, *band, one_sided=True)
+    directions, grid, x_grid = _margin_prelude(inst, rho, *band, one_sided=True)
     x_ver = x_grid[grid.size - directions.rule.nodes.size:]
-    return [x_ver, directions.rule.weights, ver_design, directions.coeffs,
-            directions.margin_design, *band, margin.val_lo - band[0]]
+    return [x_ver, directions.rule.weights, directions.basis_design, directions.coeffs,
+            directions.margin_design, *band, directions.margin.val_lo - band[0]]
 
 
 def _galloping_candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,
@@ -473,9 +478,9 @@ class TestDirectionFunctions:
         basis = monomial_basis(1)
         margin = MarginInterval(0.0, 0.5, 1.0, 1.0)
         directions = build_direction_functions(basis, RULE, margin, [2.0])
-        inside = directions.evaluate_all(np.array([0.1, 0.3, 0.49]))
+        inside = directions(np.array([0.1, 0.3, 0.49]))
         np.testing.assert_allclose(inside, 4.0, rtol=1e-12)
-        outside = directions.evaluate_all(np.array([0.6, 0.9]))
+        outside = directions(np.array([0.6, 0.9]))
         np.testing.assert_allclose(outside, 0.0, atol=0.0)
         ips = direction_inner_products(directions)
         np.testing.assert_allclose(ips, [[2.0]], rtol=1e-12)
@@ -487,7 +492,7 @@ class TestDirectionFunctions:
         margin = MarginInterval(0.0, 1.0, 0.5, 0.5)
         directions = build_direction_functions(basis, RULE, margin, [1.0, 0.0])
         s = np.linspace(0.0, 1.0, 11)
-        values = directions.evaluate_all(s)
+        values = directions(s)
         np.testing.assert_allclose(values[0], 4.0 - 6.0 * s, rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(values[1], 0.0)
         ips = direction_inner_products(directions)
@@ -513,7 +518,7 @@ class TestDirectionFunctions:
         assert directions.factor is None  # Legendre polynomials
         s = np.linspace(README_MARGIN.lo, README_MARGIN.hi, 301)
         exact = _exact_monomial_dual_basis(n, README_MARGIN.lo, README_MARGIN.hi, s)
-        error = np.abs(directions.evaluate_all(s) - exact).max(axis=1)
+        error = np.abs(directions(s) - exact).max(axis=1)
         assert np.max(error / np.abs(exact).max(axis=1)) <= self.ORACLE_TOL[n]
 
     @settings(max_examples=200, deadline=None)
@@ -555,9 +560,40 @@ class TestDirectionFunctions:
         directions = build_direction_functions(basis, RULE, margin, np.ones(basis.n))
         grid = np.concatenate([np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
                                nodes_in(directions.rule, margin.lo, margin.hi)[0]])
-        fresh = directions.design(grid)
+        fresh = _phi_at(directions, grid)
         assert directions.margin_design.tobytes() == fresh.tobytes()
         assert directions.margin_design.flags.c_contiguous
+
+    @pytest.mark.parametrize("basis,margin", [
+        (monomial_basis(6), README_MARGIN),
+        (piecewise_flat_basis(4, 0.5), MarginInterval(0.25, 0.75, 1.0, 1.0)),
+    ], ids=["legendre", "orthonormalized"])
+    def test_basis_design_is_the_basis_at_the_rule_nodes(self, basis, margin):
+        """`basis_design`, from the one evaluation of the a_k that also gave
+        the independence check and M, is the basis at every node of the
+        margin rule, bit for bit."""
+        from entromin.moments import design_matrix
+
+        directions = build_direction_functions(basis, RULE, margin, np.ones(basis.n))
+        fresh = design_matrix(basis, directions.rule.nodes)
+        assert directions.basis_design.tobytes() == fresh.tobytes()
+        assert directions.basis_design.shape == fresh.shape
+
+    def test_one_call_evaluates_the_y_k_and_their_expansions(self):
+        """Called with points alone the y_k come back, one row each; with
+        coefficients of shape (n,) or (k, n) their expansions, one value or
+        row each, which for the y_k's own coefficients are the y_k, bit for
+        bit; zero outside the margin either way."""
+        directions = build_direction_functions(monomial_basis(3), RULE,
+                                               MarginInterval(0.1, 0.6, 0.1, 0.6), [1.0, -2.0, 0.5])
+        s = np.linspace(0.0, 1.0, 301)
+        rows = directions(s)
+        assert rows.shape == (3, s.size)
+        assert rows.tobytes() == directions(s, directions.coeffs).tobytes()
+        single = directions(s, directions.coeffs[1])
+        assert single.shape == s.shape
+        outside = (s < 0.1) | (s > 0.6)
+        assert not rows[:, outside].any() and not single[outside].any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_direction_rejected(self, bad):
@@ -619,12 +655,12 @@ class TestDirectionFunctions:
         cert = build_core_certificate(inst, rho, 0.0, INF, candidate_interval=(0.1, 0.9))
         ver = cert.directions.rule
         assert ver.breakpoints == (0.1, 0.3, 0.9)
-        products = ((cert.directions.evaluate_all(ver.nodes) * ver.weights)
+        products = ((cert.directions(ver.nodes) * ver.weights)
                     @ design_matrix(basis, ver.nodes).T)
         assert np.max(np.abs(products - np.eye(n))) <= 1e-12
 
     def test_inner_products_audit_the_evaluation(self):
-        """The inner products integrate the y_k as `evaluate_all` gives them:
+        """The inner products integrate the y_k as calling them gives them:
         the same coefficients over a wrongly mapped margin show a defect."""
         directions = build_direction_functions(monomial_basis(4), RULE, README_MARGIN,
                                                np.ones(4))
@@ -778,12 +814,11 @@ class TestCoreCertificate:
         ver = cert.directions.rule
         design = design_matrix(inst.basis, ver.nodes)
         x_ver = PULSE(ver.nodes)
-        evaluate = cert.directions.evaluator(ver.nodes)
         for k in range(4):
             eta = np.zeros(4)
             eta[k] = 1.0
             t = cert.t_for(eta)
-            y_ver = evaluate(t * (eta @ cert.directions.coeffs))
+            y_ver = cert.directions(ver.nodes, t * (eta @ cert.directions.coeffs))
             shift = design @ (ver.weights * (x_ver + y_ver)) - inst.target_moments
             assert np.max(np.abs(shift - t * eta)) <= 1e-10
 
@@ -792,11 +827,10 @@ class TestCoreCertificate:
         margin = MarginInterval(0.1, 0.6, 0.1, 0.6)
         directions = build_direction_functions(basis, RULE, margin, [1.0, -2.0, 0.5])
         s = np.linspace(0, 1, 301)
-        evaluate = directions.evaluator(s)
         weights = np.array([[1.0, 1.0, 1.0], [0.5, -3.0, 2.0]])
-        block = evaluate(weights @ directions.coeffs)
+        block = directions(s, weights @ directions.coeffs)
         assert block.shape == (2, s.size)
-        rows = directions.evaluate_all(s)
+        rows = directions(s)
         for w, got in zip(weights, block):
             np.testing.assert_allclose(got, (w[:, None] * rows).sum(axis=0),
                                        rtol=1e-12, atol=1e-12)
@@ -806,8 +840,8 @@ class TestCoreCertificate:
         inside = (s >= margin.lo) & (s <= margin.hi)
         size = np.zeros_like(s)
         size[inside] = ((np.abs(weights[1]) @ np.abs(directions.coeffs))
-                        @ np.abs(directions.design(s[inside])))
-        single = evaluate(weights[1] @ directions.coeffs)
+                        @ np.abs(_phi_at(directions, s[inside])))
+        single = directions(s, weights[1] @ directions.coeffs)
         assert np.all(np.abs(single - block[1]) <= 4 * basis.n * np.finfo(float).eps * size)
 
     @pytest.mark.parametrize("entropy,basis,rho,band,t_scale", [
@@ -900,15 +934,16 @@ class TestCoreCertificate:
 
     @pytest.mark.parametrize("trials", [1, 17, 100])
     def test_points_and_directions_built_once_per_verification(self, monkeypatch, trials):
-        """Verification builds no points and no design of the y_k, for any
-        number of trials: the build made them once, and verification reads
-        the certificate's."""
+        """Verification builds no points and no design of the basis or the
+        y_k, and evaluates no y_k, for any number of trials: the build made
+        them once, and verification reads the certificate's."""
         from entromin import certificates
 
         inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         calls = []
-        for owner, name in ((certificates, "refine_rule"), (DirectionFunctions, "design")):
+        for owner, name in ((certificates, "refine_rule"), (certificates, "design_matrix"),
+                            (certificates, "_phi"), (DirectionFunctions, "__call__")):
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name:
                                 calls.append(_n) or _f(*args))
@@ -971,8 +1006,8 @@ class TestCoreCertificate:
             sampled.append(np.array(s))
             return PULSE(s)
 
-        _, directions, *_, x_grid = certificates._margin_prelude(inst, x, 0.0, INF,
-                                                                 one_sided=one_sided)
+        directions, _, x_grid = certificates._margin_prelude(inst, x, 0.0, INF,
+                                                             one_sided=one_sided)
         [ver_rule] = rules
         assert ver_rule is directions.rule
         assert not any(np.array_equal(s, ver_rule.nodes) for s in sampled)
@@ -1002,7 +1037,8 @@ class TestCoreCertificate:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.delta = 0.0
         before = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
-        held = [cert.sup_unit, *cert.points, cert.inner_products, cert.kept, cert.y_kept]
+        held = [cert.sup_unit, cert.grid, cert.directions.basis_design, cert.inner_products,
+                cert.kept, cert.y_kept]
         arrays = [np.copy(a) for a in held]
         verify_core_certificate(inst, PULSE, cert, trials=10, seed=0)
         assert all(getattr(cert, name) is value for name, value in before.items())
@@ -1040,13 +1076,8 @@ class TestCoreCertificate:
                              piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         calls = []
-        evaluator = DirectionFunctions.evaluator
-
-        def counting_evaluator(self, s):
-            evaluate = evaluator(self, s)
-            return lambda *args, **kw: calls.append(1) or evaluate(*args, **kw)
-
-        monkeypatch.setattr(DirectionFunctions, "evaluator", counting_evaluator)
+        monkeypatch.setattr(DirectionFunctions, "__call__", lambda *args,
+                            _f=DirectionFunctions.__call__: calls.append(1) or _f(*args))
         counts = []
         for trials in (3, 30):
             calls.clear()
@@ -1098,7 +1129,7 @@ class TestCoreCertificate:
         """The inner products the build takes from its margin design match
         `direction_inner_products` to 1e-13, verification reports their
         orthogonality defect, and the y_k it carries on the kept grid columns
-        are those columns of `evaluate_all` on the whole grid, bit for bit."""
+        are those columns of the y_k on the whole grid, bit for bit."""
         inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         audit = direction_inner_products(cert.directions)
@@ -1107,8 +1138,7 @@ class TestCoreCertificate:
         defect = cert.inner_products - np.eye(inst.n)
         assert report.orthogonality == np.linalg.norm(defect, axis=0).max() <= 1e-12
         assert report.target <= 1e-14 and report.all_passed and report.failures == ()
-        grid = cert.points[1]
-        full = cert.directions.evaluate_all(grid)
+        full = cert.directions(cert.grid)
         assert cert.y_kept.tobytes() == np.ascontiguousarray(full[:, cert.kept]).tobytes()
         assert not np.any(full[:, ~cert.kept])
 
@@ -1287,12 +1317,11 @@ class TestQriCertificate:
         inst = make_instance(entropy, basis, rho)
         lower, upper = band
         m_max = 2000
-        margin, directions, points, x_grid = _margin_prelude(
-            inst, rho, lower, upper, one_sided=True)
-        margin_design = directions.margin_design
-        ver_rule, (ver_design, grid) = directions.rule, points
+        directions, grid, x_grid = _margin_prelude(inst, rho, lower, upper, one_sided=True)
+        margin_design, ver_design = directions.margin_design, directions.basis_design
+        ver_rule = directions.rule
         x_ver = x_grid[grid.size - ver_rule.nodes.size:]
-        delta = margin.val_lo - lower
+        delta = directions.margin.val_lo - lower
 
         def clip(values, m):
             if np.isfinite(upper):
@@ -1419,20 +1448,16 @@ class TestQriCertificate:
         `lost` witnesses each scan checks (every one, for None)."""
         from entromin.certificates import MEMBERSHIP_SAMPLES
 
-        evaluator, checked = DirectionFunctions.evaluator, []
+        call, checked = DirectionFunctions.__call__, []
 
-        def raised_on_membership_grid(self, s):
-            evaluate = evaluator(self, s)
+        def raised_on_membership_grid(self, s, coeffs=None):
+            values = call(self, s, coeffs)
             if not (s.size > MEMBERSHIP_SAMPLES and s[0] < self.margin.lo):
-                return evaluate  # the margin grid, or a witness's own points
+                return values  # the margin grid, or a witness's own points
+            checked.append(None)
+            return values + (2.0 if lost is None or len(checked) <= lost else 0.0)
 
-            def raised(coeffs):
-                checked.append(None)
-                return evaluate(coeffs) + (2.0 if lost is None or len(checked) <= lost else 0.0)
-
-            return raised
-
-        monkeypatch.setattr(DirectionFunctions, "evaluator", raised_on_membership_grid)
+        monkeypatch.setattr(DirectionFunctions, "__call__", raised_on_membership_grid)
         inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
         expected = _replay_full_scan(inst, PULSE, 0.0, INF, m_max=300)
         checked.clear()
@@ -1575,13 +1600,14 @@ class TestOneDesignPerPointSet:
 
     def test_failing_readme_scan_builds_no_membership_evaluator(self, monkeypatch):
         """The README config fails at the default budget without a level
-        passing sup|v| < delta/2, so the membership-grid evaluator, built for
-        a passing level's witness, is never built."""
+        passing sup|v| < delta/2, so the y_k, evaluated on the membership grid
+        for a passing level's witness, are never evaluated."""
         from entromin import certificates
 
-        evaluator, built = DirectionFunctions.evaluator, []
-        monkeypatch.setattr(DirectionFunctions, "evaluator",
-                            lambda self, s: built.append(s.size) or evaluator(self, s))
+        call, built = DirectionFunctions.__call__, []
+        monkeypatch.setattr(DirectionFunctions, "__call__",
+                            lambda self, s, coeffs=None: built.append(s.size)
+                            or call(self, s, coeffs))
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
         with pytest.raises(CertificateError, match="no acceptable witness up to m=4000"):
             certificates.build_qri_certificate(inst, PULSE, 0.0, INF, m_max=4000)

@@ -89,6 +89,29 @@ def test_certify_outcome_matches_the_table(tmp_path, config):
                             else pytest.approx(expected[key], rel=1e-9, abs=0.0)), key
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=[_label(c) for c in CONFIGS])
+def test_phi_evaluated_once_per_point_set(tmp_path, monkeypatch, config):
+    """The phi_j the y_k expand over are evaluated on the margin grid, and on
+    the membership-grid points inside the margin for the core certificate or
+    an accepted qri witness: twice per core build (every core config here
+    takes the Legendre path) and per accepted qri build, once for the README
+    config's qri run, which accepts no level at m_max = 4000, and never in
+    verification."""
+    from entromin import certificates, cli
+
+    calls, verify = [], cli.verify_core_certificate
+    monkeypatch.setattr(certificates, "_phi", lambda *args, _f=certificates._phi:
+                        calls.append("phi") or _f(*args))
+    monkeypatch.setattr(cli, "verify_core_certificate",
+                        lambda *args, **kwargs: calls.append("verify") or verify(*args, **kwargs))
+    accepted = _row(config, tmp_path)["exit"] == 0
+    if config[0] == "core":
+        assert calls == ["phi", "phi", "verify"]
+    else:
+        assert calls == ["phi"] * (1 + accepted)
+        assert accepted == (_label(config) != "qri/piecewise_flat/n=6/pulse/320")
+
+
 if __name__ == "__main__":  # rewrite the table from the current code
     import tempfile
 

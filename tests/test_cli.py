@@ -111,6 +111,20 @@ class TestSolve:
         assert "f_star_d1 of burg" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_untabulable_solution_of_unconverged_solve_exits_2(self, tmp_path, capsys):
+        """Burg monomial n=12 on the pulse spends its budget, and its field
+        also turns positive between nodes: the run reports the spent budget,
+        with summary.json and trace.csv, and writes no solution.csv."""
+        cfg = write_config(tmp_path, entropy="burg", n=12)
+        cfg.write_text(cfg.read_text().replace("sample_points = 101", "sample_points = 1001"))
+        assert main(["solve", "--config", str(cfg), "--trace"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solve: not converged: iteration budget 100 exhausted")
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["summary.json", "trace.csv"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["converged"], summary["iterations"]) == (False, 100)
+
     def test_quad_overrides_accepted(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg),

@@ -119,6 +119,24 @@ class TestNumpyForms:
             np.testing.assert_array_equal(spec.f_star_d1(np.array([-800.0, 800.0])), [0.0, 1.0])
             np.testing.assert_array_equal(spec.f_star_d2(np.array([-800.0, 800.0])), 0.0)
 
+    @pytest.mark.parametrize("name,label,v,expected", [
+        ("burg", "f_star_d1", -1e-320, np.inf),
+        ("burg", "f_star_d2", -1e-200, np.inf),
+        ("cosh", "f_star", 1e200, -np.inf),
+        ("cosh", "f_star_d2", 1e200, 0.0),
+        ("l2_norm", "f_star", 1e200, np.inf),
+    ], ids=["burg-d1", "burg-d2", "cosh-f-star", "cosh-d2", "l2-f-star"])
+    def test_conjugate_overflow_is_a_value_not_a_warning(self, name, label, v, expected):
+        """Overflow and division by zero in a conjugate map, guarded or
+        unguarded, give inf, -inf or 0.0 silently: the dual oracle names the
+        non-finite value, where a RuntimeWarning raised under warnings-as-errors
+        would escape the line search."""
+        conjugate = getattr(builtin_entropy(name), label)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert conjugate(v) == expected
+            np.testing.assert_array_equal(conjugate.__wrapped__(np.array([v, v])), expected)
+
     def test_logistic_symmetry(self):
         d1 = builtin_entropy("fermi_dirac").f_star_d1
         v = np.linspace(-40.0, 40.0, 801)

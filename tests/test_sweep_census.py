@@ -10,28 +10,33 @@ exactly:
 
 * "audited": converged, and |duality gap| <= GAP_TOL;
 * "gap audit": converged, and |duality gap| > GAP_TOL;
-* "not converged: <reason>": the solver's message without its residual;
+* "not converged: <reason>": the solver's message without its residual,
+  also where the solution cannot be tabulated, as `solve` reports it;
 * otherwise the class name of the exception the run raised, with the
   iterations of the solve if it finished (Burg's field can leave the
   conjugate domain between nodes, which only tabulating the solution sees).
 
 A change that moves an outcome updates the table (`python
-tests/test_sweep_census.py` rewrites it) and says which rows moved.
+tests/test_sweep_census.py` rewrites it) and says which rows moved.  The
+README's "Sweep outcomes" bullet states the table's class counts.
 """
 
 import itertools
 import json
 import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from entromin.config import BasisSpec, RhoSpec, RunConfig, build_problem
 from entromin.dual import solve_dual
+from entromin.errors import DomainViolationError
 from entromin.primal import reconstruct, sample_solution
 
 TABLE = Path(__file__).with_name("sweep_census.json")
+README = Path(__file__).resolve().parents[1] / "README.md"
 GAP_TOL = 1e-8  # the gap audit of the solve-sweep benchmark (GAP_TOL in bench/worker.py)
 ENTROPIES = ("boltzmann_shannon", "burg", "cosh", "fermi_dirac", "l2_norm",
              "translated_boltzmann_shannon")
@@ -54,15 +59,17 @@ def _run_config(config) -> RunConfig:
 
 def _row(config) -> dict:
     """One solve of `config`, reduced to its census row."""
-    cfg, solution = _run_config(config), None
+    cfg, solution, primal = _run_config(config), None, None
     try:
         instance = build_problem(cfg, cfg.basis)[0]
         solution = solve_dual(instance, phi0=cfg.phi0, tol=cfg.tol, max_iter=cfg.max_iter)
         primal = reconstruct(instance, solution.multipliers)
         sample_solution(primal, np.linspace(*cfg.interval, cfg.sample_points))
     except Exception as exc:  # a failure is an outcome, recorded as it is
-        return {"outcome": type(exc).__name__,
-                "iterations": None if solution is None else solution.iterations}
+        tabulating = primal is not None and isinstance(exc, DomainViolationError)
+        if not tabulating or solution.converged:  # `solve` reports the others not converged
+            return {"outcome": type(exc).__name__,
+                    "iterations": None if solution is None else solution.iterations}
     if not solution.converged:
         outcome = "not converged: " + re.sub(r" (with|at) residual .*", "", solution.message)
     else:
@@ -85,6 +92,20 @@ def test_solve_outcomes_match_the_table():
     assert not moved, json.dumps(moved, indent=1)
 
 
+def test_readme_states_the_census_counts():
+    """The four counts of the README's "Sweep outcomes" bullet are the
+    table's, one per outcome class, and cover all 288 configs."""
+    bullet = README.read_text().split("* **Sweep outcomes.**")[1].split("\n* ")[0]
+    bullet = " ".join(bullet.split())
+    stated = {outcome: int(re.search(rf"(\d+) {phrase}", bullet).group(1))
+              for outcome, phrase in (("audited", "converge and pass"),
+                                      ("gap audit", "converge with a larger gap"),
+                                      ("not converged", "exhaust the 100-iteration budget"),
+                                      ("DomainViolationError", "Burg solves exit 1"))}
+    counts = Counter(row["outcome"].split(":")[0] for row in json.loads(TABLE.read_text()).values())
+    assert stated == counts and sum(counts.values()) == len(CONFIGS)
+
+
 def test_reconstruction_residual_is_the_solver_residual():
     """reconstruct reads the solver's oracle: at the multipliers solve_dual
     returns, its moment residual is the solver's residual, bit for bit."""
@@ -97,7 +118,7 @@ def test_reconstruction_residual_is_the_solver_residual():
             converged += 1
             primal = reconstruct(instance, solution.multipliers)
             assert primal.moment_residual_inf == solution.residual_inf, _label(config)
-    assert converged == 277  # the 270 audited and gap-audit rows, and 7 of the 8 Burg rows
+    assert converged == 277  # the 270 audited and gap-audit rows, and the 7 Burg rows
 
 
 if __name__ == "__main__":  # rewrite the table from the current code, warnings as errors as in tier-1
