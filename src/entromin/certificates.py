@@ -44,18 +44,20 @@ segment, which set a scanned margin's range, and the membership grid
 Numerical note: every margin integral (independence, the y_k, core
 verification, the qri scan) is taken on one rule, the instance rule refined
 at the margin ends, which the prelude builds once.  The y_k are the dual
-basis of a_1..a_n on the margin, scaled by eta: over functions phi_j spanning
-the a_k their coefficients are diag(eta) M^-1, M_ji = <phi_j, a_i> on that
-rule's margin nodes, in float64.  Power form is what makes the margin Gram
-matrix Hilbert-like (about 1e10 for six monomials on half the unit interval),
-so phi is the Legendre polynomials on the margin where they reproduce the a_k
-(monomials, and piecewise_flat on a margin that does not cross its split),
-and otherwise the a_k orthonormalized by a QR factorization, whose M is
-conditioned like the weighted a_k, not like their Gram matrix.  The y_k
-carry the two designs M takes, each evaluated once: the basis at the margin
-rule's nodes (`basis_design`), for every margin integral, and the phi_j on the
-margin grid (`margin_design`), for core's sup bound and <y_k, a_j> and the qri
-scan's sup |v|.  Elsewhere the y_k, or any expansion over the phi_j, are
+basis of a_1..a_n on the margin, for the unit direction: over functions phi_j
+spanning the a_k their coefficients are M^-1, M_ji = <phi_j, a_i> on that
+rule's margin nodes, in float64.  A direction eta reaches them through
+`CoreCertificate.delta_for`/`t_for`, or as the expansions
+`directions(s, eta[:, None] * directions.coeffs)`.  Power form is what makes
+the margin Gram matrix Hilbert-like (about 1e10 for six monomials on half the
+unit interval), so phi is the Legendre polynomials on the margin where they
+reproduce the a_k (monomials, and piecewise_flat on a margin that does not
+cross its split), and otherwise the a_k orthonormalized by a QR factorization,
+whose M is conditioned like the weighted a_k, not like their Gram matrix.
+The y_k carry the two designs M takes, each evaluated once: the basis at the
+margin rule's nodes (`basis_design`), for every margin integral, and the
+phi_j on the margin grid (`margin_design`), for core's sup bound and
+<y_k, a_j> and the qri scan's sup |v|.  Elsewhere the y_k, or any expansion over the phi_j, are
 evaluated by calling the `DirectionFunctions`: on the membership grid, for
 core's P1 and the qri witness.  P1 runs in stacked blocks: a stacked numpy
 call makes each trial's BLAS call, so each keeps its bits.  The qri scan
@@ -243,7 +245,8 @@ def _phi(margin: MarginInterval, basis: MomentBasis, factor, s) -> np.ndarray:
 @dataclass(frozen=True)
 class DirectionFunctions:
     """Functions y_1..y_n in the span of the moment family on a margin
-    interval, with <y_k, a_j> = eta_k when j = k and 0 otherwise.
+    interval, with <y_k, a_j> = 1 when j = k and 0 otherwise: the unit
+    direction's, which a direction eta scales row by row (module note).
 
     Row k of `coeffs` expands y_k over the phi_j of `_phi`; the y_k are zero
     outside [margin.lo, margin.hi], and calling the instance evaluates them.
@@ -275,24 +278,18 @@ LEGENDRE_FIT_TOL = 1e3 * np.finfo(float).eps   # relative to the 2-norm of a_k a
 
 
 def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
-                              margin: MarginInterval, eta) -> DirectionFunctions:
-    """Construct the y_k for a direction eta on the margin interval.
+                              margin: MarginInterval) -> DirectionFunctions:
+    """Construct the unit-direction y_k on the margin interval.
 
-    Row k of the coefficients is eta_k times row k of M^-1 (see the module
-    note), so they are linear in eta, bit for bit, and zero components of
-    eta yield identically zero y_k.  Every integral, the independence check
-    included, is taken on the margin nodes of `rule` refined at the margin
-    ends (`refine_rule`), from the basis at that rule's nodes, evaluated here
-    once and kept as `basis_design`.  phi is Legendre (see `_phi`) when its
-    least-squares fit reproduces the a_k at those nodes to LEGENDRE_FIT_TOL,
-    and the a_k orthonormalized on them otherwise.
+    The coefficients are M^-1 (see the module note); a direction eta scales
+    row k by eta_k, through `CoreCertificate.delta_for`/`t_for` or as
+    `directions(s, eta[:, None] * directions.coeffs)`.  Every integral, the
+    independence check included, is taken on the margin nodes of `rule`
+    refined at the margin ends (`refine_rule`), from the basis at that rule's
+    nodes, evaluated here once and kept as `basis_design`.  phi is Legendre
+    (see `_phi`) when its least-squares fit reproduces the a_k at those nodes
+    to LEGENDRE_FIT_TOL, and the a_k orthonormalized on them otherwise.
     """
-    eta = np.asarray(eta, dtype=float)
-    n = basis.n
-    if eta.shape != (n,):
-        raise ValidationError(f"direction has shape {eta.shape}, expected ({n},)")
-    if not np.all(np.isfinite(eta)):
-        raise ValidationError(f"direction must be finite, got {eta}")
     rule = refine_rule(rule, margin.lo, margin.hi)   # the prelude's rule comes back as it is
     design = design_matrix(basis, rule.nodes)
     inside = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
@@ -311,11 +308,12 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     on_grid, factor = _phi(margin, basis, None, grid), None  # Legendre, kept if it fits the a_k
     misfit = np.sqrt(np.linalg.lstsq(on_grid[:, MEMBERSHIP_SAMPLES:].T, values.T,
                                      rcond=None)[1])   # none unless N > n
-    if misfit.size < n or np.any(misfit > LEGENDRE_FIT_TOL * np.linalg.norm(values, axis=1)):
+    if (misfit.size < basis.n
+            or np.any(misfit > LEGENDRE_FIT_TOL * np.linalg.norm(values, axis=1))):
         factor = np.linalg.qr((values * np.sqrt(weights)).T, mode="r")
         on_grid = _phi(margin, basis, factor, grid)
     phi = on_grid[:, MEMBERSHIP_SAMPLES:].copy()   # C order, as M's bits need
-    coeffs = eta[:, None] * np.linalg.inv((phi * weights) @ values.T)
+    coeffs = np.linalg.inv((phi * weights) @ values.T)
     return DirectionFunctions(margin, basis, coeffs, factor, rule, design, on_grid)
 
 
@@ -331,13 +329,12 @@ class CoreCertificate:
 
     Built once for the all-ones direction; the y_k scale linearly in their
     own component of eta, so `delta_for`/`t_for` recover the bound and
-    admissible step for any direction.  `t_unit` is the step for a
-    direction at the sup bound (delta_for == delta).  `grid` is the
-    membership grid, ending with the nodes of `directions.rule`, where the
-    build confirmed the margin and verification replays.  `inner_products`
-    is <y_k, a_j> (row k) on that rule's margin nodes, and `y_kept` the y_k
-    on the grid columns `kept`, the aligned groups of 16 that meet the
-    margin (the y_k are zero on the others).
+    admissible step for any direction, and `t_unit` follows from `clearance`
+    as they do.  `grid` is the membership grid, ending with the nodes of
+    `directions.rule`, where the build confirmed the margin and verification
+    replays.  `inner_products` is <y_k, a_j> (row k) on that rule's margin
+    nodes, and `y_kept` the y_k on the grid columns `kept`, the aligned
+    groups of 16 that meet the margin (the y_k are zero on the others).
     """
 
     margin: MarginInterval
@@ -347,11 +344,15 @@ class CoreCertificate:
     lower: float
     upper: float
     clearance: float
-    t_unit: float
     grid: np.ndarray = field(repr=False)
     inner_products: np.ndarray = field(repr=False)     # (n, n)
     kept: np.ndarray = field(repr=False)               # bool, one per grid point
     y_kept: np.ndarray = field(repr=False)             # (n, kept columns)
+
+    @property
+    def t_unit(self) -> float:
+        """The step for a direction at the sup bound (delta_for == delta)."""
+        return SAFETY_FACTOR * self.clearance / (len(self.sup_unit) * self.delta)
 
     def delta_for(self, eta):
         """Sup bound for a direction, or one per row of a stack of them."""
@@ -383,14 +384,13 @@ class CertificateVerification:
     worst_p2_residual: float
     orthogonality: float
     target: float
-    p2_tol: float = P2_TOL
 
     @property
     def failures(self) -> tuple:
-        """The certificate-level checks above `p2_tol` (or NaN), by name."""
+        """The certificate-level checks above P2_TOL (or NaN), by name."""
         return tuple(name for name, value in (("direction functions", self.orthogonality),
                                               ("target moments", self.target))
-                     if not value <= self.p2_tol)
+                     if not value <= P2_TOL)
 
     @property
     def all_passed(self) -> bool:
@@ -439,7 +439,7 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     checked = x_grid[(grid >= margin.lo) & (grid <= margin.hi)]
     margin = replace(margin, val_lo=float(checked.min(initial=margin.val_lo)),
                      val_hi=float(checked.max(initial=margin.val_hi)))
-    directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
+    directions = build_direction_functions(basis, rule, margin)
     if not (margin.val_lo > lower and (one_sided or margin.val_hi < upper)):
         raise CertificateError(
             f"density range [{margin.val_lo}, {margin.val_hi}] on the margin interval "
@@ -487,7 +487,6 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
         lower=float(lower),
         upper=float(upper),
         clearance=float(clearance),
-        t_unit=SAFETY_FACTOR * float(clearance) / (instance.n * delta),
         grid=grid,
         inner_products=inner_products,
         kept=kept,
@@ -504,15 +503,17 @@ def _whole_number(name: str, value) -> int:
 
 
 def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
-                            trials: int = 100, seed: int = 0,
-                            t_scale: float = 1.0) -> CertificateVerification:
-    """Replay the core construction for seeded random unit directions.
+                            trials: int = 100, seed: int = 0) -> CertificateVerification:
+    """Replay the core construction of `cert` for seeded random unit directions.
 
     For each direction eta the step s = t(eta) * eta is checked for both
     conclusions: x + sum_k s_k y_k stays inside the band on the membership
-    grid (P1), and its moments equal b + s to within P2_TOL (P2).  `t_scale`
-    over- or under-drives the step rule (a negative control: beyond the
-    certified bound P1 must eventually fail on a tight margin).
+    grid (P1), and its moments equal b + s to within P2_TOL (P2).  The y_k
+    are the unit direction's, and eta reaches them through `cert.t_for`.  A
+    certificate over-driving its step rule is one with a larger clearance,
+    `dataclasses.replace(cert, clearance=k * cert.clearance)` (a negative
+    control: beyond the certified bound P1 must eventually fail on a tight
+    margin).
 
     P2 is linear in s: on the margin rule those moments are b + e + D^T s,
     with e the moments of x less b and D = `cert.inner_products`, so one
@@ -520,8 +521,8 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     also checked at unit size (`CertificateVerification.failures`).  x is
     sampled once, on the certificate's membership grid, which ends with the
     margin rule's nodes.  P1 combines the y_k the build evaluated where the
-    grid meets the margin as s @ y, within about (n+2)*eps*clearance*t_scale
-    of the exact sum, in stacked blocks of TRIAL_BLOCK trials that keep the
+    grid meets the margin as s @ y, within about (n+2)*eps*clearance of the
+    exact sum, in stacked blocks of TRIAL_BLOCK trials that keep the
     BLAS calls, so the bits, of one trial at a time.  The directions are
     drawn in one call, the stream of one draw of n per trial.  `trials` and
     `seed` must be whole numbers.
@@ -531,11 +532,9 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
         raise ValidationError(f"verification needs at least one trial, got trials={trials}")
     if seed < 0:
         raise ValidationError(f"the verification seed must be >= 0, got seed={seed}")
-    if not 0.0 <= t_scale < np.inf:
-        raise ValidationError(f"t_scale must be non-negative and finite, got {t_scale}")
     etas = np.random.default_rng(seed).standard_normal((trials, instance.n))
     etas /= np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0]  # np.linalg.norm's bits
-    steps = (t_scale * cert.t_for(etas))[:, None] * etas
+    steps = cert.t_for(etas)[:, None] * etas
     weights, grid = cert.directions.rule.weights, cert.grid
     x_grid = np.asarray(x(grid), dtype=float)
     target = (cert.directions.basis_design @ (weights * x_grid[grid.size - weights.size:])
@@ -586,7 +585,7 @@ class QriCertificate:
     correction_sup: float
 
 
-DEFAULT_M_MAX = 4000    # clip-level budget: the README config needs m = 44103
+DEFAULT_M_MAX = 50000   # clip-level budget: the README config needs m = 44103
 
 
 def _candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,

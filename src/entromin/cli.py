@@ -88,9 +88,22 @@ def _write_trace(path, solution) -> None:
                [(r.iteration, r.residual_inf, r.step, r.dual_value) for r in solution.trace])
 
 
-def _solve(cfg: RunConfig, instance):
+def _solve(cfg: RunConfig, instance, *measures):
+    """Solve and reconstruct, then apply each measure to the primal solution,
+    in order.  A measure whose x leaves the conjugate domain re-raises for a
+    converged solve; for one that did not converge it gives None, and the
+    run reports the solve without it."""
     solution = solve_dual(instance, phi0=cfg.phi0, tol=cfg.tol, max_iter=cfg.max_iter)
-    return solution, reconstruct(instance, solution.multipliers)
+    primal = reconstruct(instance, solution.multipliers)
+    measured = []
+    for measure in measures:
+        try:
+            measured.append(measure(primal))
+        except DomainViolationError:
+            if solution.converged:
+                raise
+            measured.append(None)
+    return (solution, primal, *measured)
 
 
 def _summary(solution, primal) -> dict:
@@ -108,13 +121,9 @@ def _summary(solution, primal) -> dict:
 def cmd_solve(cfg: RunConfig, args) -> int:
     if cfg.basis is None:
         raise EntrominError("solve requires a [basis] section") from None
-    solution, primal = _solve(cfg, build_problem(cfg, cfg.basis)[0])
-    try:
-        table = sample_solution(primal, np.linspace(*cfg.interval, cfg.sample_points))
-    except DomainViolationError:
-        if solution.converged:
-            raise
-        table = None  # not converged, and untabulable: reported without solution.csv
+    solution, primal, table = _solve(
+        cfg, build_problem(cfg, cfg.basis)[0],
+        lambda primal: sample_solution(primal, np.linspace(*cfg.interval, cfg.sample_points)))
     os.makedirs(cfg.out_dir, exist_ok=True)  # only after tabulating, which may raise
     if table is not None:
         _write_csv(os.path.join(cfg.out_dir, "solution.csv"), ("s", "x"), table)
@@ -184,15 +193,16 @@ def cmd_compare(cfg: RunConfig, args) -> int:
                 for label, spec in (("a", cfg.basis_a), ("b", cfg.basis_b))}
     results, solved = {}, {}
     for label, (spec, instance, rho) in problems.items():
-        solution, primal = _solve(cfg, instance)
-        overshoot = gibbs_overshoot(primal, rho, window)
-        solved[label] = solution, sample_solution(primal, grid)
+        solution, primal, overshoot, table = _solve(
+            cfg, instance, lambda primal: gibbs_overshoot(primal, rho, window),
+            lambda primal: sample_solution(primal, grid))
+        solved[label] = solution, table
         results[label] = {
             "basis": spec.kind,
             "n": spec.n,
             "residual": solution.residual_inf,
             "gap": primal.duality_gap,
-            "overshoot": overshoot,
+            "overshoot": math.nan if overshoot is None else overshoot,
             "converged": solution.converged,
             "mu": list(solution.multipliers),
         }
@@ -206,9 +216,10 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         "gaps": [results["a"]["gap"], results["b"]["gap"]],
         "window": list(window),
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)  # only once both solves are tabulated
+    os.makedirs(cfg.out_dir, exist_ok=True)  # only once both solves are measured
     for label, (solution, table) in solved.items():
-        _write_csv(os.path.join(cfg.out_dir, f"solution_{label}.csv"), ("s", "x"), table)
+        if table is not None:
+            _write_csv(os.path.join(cfg.out_dir, f"solution_{label}.csv"), ("s", "x"), table)
         if args.trace:
             _write_trace(os.path.join(cfg.out_dir, f"trace_{label}.csv"), solution)
     _write_json(os.path.join(cfg.out_dir, "comparison.json"), payload)

@@ -136,10 +136,10 @@ class EntropySpec:
     name: str
     f_domain: Interval
     f: Callable = field(repr=False)
-    f_star_domain: Interval = field(repr=False, default=None)
-    f_star: Callable = field(repr=False, default=None)
-    f_star_d1: Callable = field(repr=False, default=None)
-    f_star_d2: Callable = field(repr=False, default=None)
+    f_star_domain: Interval = field(repr=False)
+    f_star: Callable = field(repr=False)
+    f_star_d1: Callable = field(repr=False)
+    f_star_d2: Callable = field(repr=False)
 
 
 def _make(name, f_domain, f_raw, f_star_domain, fs_raw, d1_raw, d2_raw) -> EntropySpec:
@@ -171,88 +171,26 @@ def _cosh(u):
 
 
 _REAL = Interval(-_INF, _INF, False, False)
+_HALF_LINE = Interval(0.0, _INF, True, False)
 
-
-def _l2_norm():
-    return _make(
-        "l2_norm",
-        _REAL,
-        lambda u: 0.5 * u * u,
-        _REAL,
-        lambda v: 0.5 * v * v,
-        lambda v: np.asarray(v, dtype=float) + 0.0,
-        lambda v: np.ones_like(np.asarray(v, dtype=float)),
-    )
-
-
-def _boltzmann_shannon():
-    return _make(
-        "boltzmann_shannon",
-        Interval(0.0, _INF, True, False),
-        _xlogx,
-        _REAL,
-        lambda v: np.exp(v - 1.0),
-        lambda v: np.exp(v - 1.0),
-        lambda v: np.exp(v - 1.0),
-    )
-
-
-def _translated_boltzmann_shannon():
-    return _make(
-        "translated_boltzmann_shannon",
-        Interval(0.0, _INF, True, False),
-        lambda u: _xlogx(u) - u,
-        _REAL,
-        np.exp,
-        np.exp,
-        np.exp,
-    )
-
-
-def _burg():
-    return _make(
-        "burg",
-        Interval(0.0, _INF, False, False),
-        lambda u: -np.log(u),
-        Interval(-_INF, 0.0, False, False),
-        lambda v: -1.0 - np.log(-v),
-        lambda v: -1.0 / v,
-        lambda v: 1.0 / (v * v),
-    )
-
-
-def _cosh_entropy():
-    return _make(
-        "cosh",
-        _REAL,
-        _cosh,
-        _REAL,
-        lambda v: v * np.arcsinh(v) - np.sqrt(1.0 + v * v),
-        np.arcsinh,
-        lambda v: 1.0 / np.sqrt(1.0 + v * v),
-    )
-
-
-def _fermi_dirac():
-    return _make(
-        "fermi_dirac",
-        Interval(0.0, 1.0, True, True),
-        lambda u: _xlogx(u) + _xlogx(1.0 - u),
-        _REAL,
-        lambda v: np.logaddexp(0.0, v),
-        _expit,
-        lambda v: _expit(v) * _expit(-v),
-    )
-
-
-_BUILTINS = {
-    "l2_norm": _l2_norm,
-    "boltzmann_shannon": _boltzmann_shannon,
-    "translated_boltzmann_shannon": _translated_boltzmann_shannon,
-    "burg": _burg,
-    "cosh": _cosh_entropy,
-    "fermi_dirac": _fermi_dirac,
-}
+_BUILTINS = {spec.name: spec for spec in (
+    _make("l2_norm", _REAL, lambda u: 0.5 * u * u,
+          _REAL, lambda v: 0.5 * v * v, lambda v: np.asarray(v, dtype=float) + 0.0,
+          lambda v: np.ones_like(np.asarray(v, dtype=float))),
+    _make("boltzmann_shannon", _HALF_LINE, _xlogx,
+          _REAL, lambda v: np.exp(v - 1.0), lambda v: np.exp(v - 1.0),
+          lambda v: np.exp(v - 1.0)),
+    _make("translated_boltzmann_shannon", _HALF_LINE, lambda u: _xlogx(u) - u,
+          _REAL, np.exp, np.exp, np.exp),
+    _make("burg", Interval(0.0, _INF, False, False), lambda u: -np.log(u),
+          Interval(-_INF, 0.0, False, False), lambda v: -1.0 - np.log(-v),
+          lambda v: -1.0 / v, lambda v: 1.0 / (v * v)),
+    _make("cosh", _REAL, _cosh,
+          _REAL, lambda v: v * np.arcsinh(v) - np.sqrt(1.0 + v * v), np.arcsinh,
+          lambda v: 1.0 / np.sqrt(1.0 + v * v)),
+    _make("fermi_dirac", Interval(0.0, 1.0, True, True), lambda u: _xlogx(u) + _xlogx(1.0 - u),
+          _REAL, lambda v: np.logaddexp(0.0, v), _expit, lambda v: _expit(v) * _expit(-v)),
+)}
 
 
 def available_entropies() -> tuple:
@@ -260,7 +198,8 @@ def available_entropies() -> tuple:
 
 
 def builtin_entropy(name: str) -> EntropySpec:
-    """Return the built-in entropy with the given name.
+    """Return the built-in entropy with the given name, one shared frozen
+    spec per name, built at import.
 
     Raises
     ------
@@ -268,12 +207,11 @@ def builtin_entropy(name: str) -> EntropySpec:
     is unknown.
     """
     try:
-        builder = _BUILTINS[name]
+        return _BUILTINS[name]
     except KeyError:
         raise ValidationError(
             f"unknown entropy {name!r}; available: {', '.join(available_entropies())}"
         ) from None
-    return builder()
 
 
 def fenchel_young_gap(spec: EntropySpec, u, v):

@@ -7,6 +7,7 @@ conjugate derivatives, or directional properties checked end to end; no
 tolerance here is looser than the one stated next to it.
 """
 
+import dataclasses
 import json
 import zlib
 
@@ -278,9 +279,10 @@ def test_criterion_8_direction_function_orthogonality():
     rng = np.random.default_rng(88)
     worst = 0.0
     for basis, margin in setups:
+        unit = build_direction_functions(basis, RULE, margin)
         for _ in range(50):
             eta = rng.standard_normal(basis.n)
-            directions = build_direction_functions(basis, RULE, margin, eta)
+            directions = dataclasses.replace(unit, coeffs=eta[:, None] * unit.coeffs)
             defect = direction_inner_products(directions) - np.diag(eta)
             worst = max(worst, float(np.max(np.abs(defect))))
     report(8, worst <= 1e-8,

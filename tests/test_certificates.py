@@ -44,6 +44,17 @@ def make_instance(entropy_name, basis, rho):
     return instance_from_density(builtin_entropy(entropy_name), basis, RULE, rho)
 
 
+def _scaled(directions, eta):
+    """The y_k of `directions` for the direction eta: row k scaled by eta_k."""
+    return dataclasses.replace(directions,
+                               coeffs=np.asarray(eta, dtype=float)[:, None] * directions.coeffs)
+
+
+def _overdriven(cert, k):
+    """`cert` with its step rule driven k times as far: k times the clearance."""
+    return dataclasses.replace(cert, clearance=k * cert.clearance)
+
+
 def _phi_at(directions, s):
     """The phi_j the y_k expand over, at the points s, shape (n, len(s))."""
     from entromin.certificates import _phi
@@ -105,7 +116,7 @@ def _assert_replays(got, replay, p1_tol=0.0):
     assert abs(got.worst_p2_residual - worst_p2) <= bound
 
 
-def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
+def _replay_rebuilding_designs(instance, x, cert, trials, seed):
     """Core verification the direct way: each trial's perturbation is
     expanded as one set of coefficients and evaluated on the membership
     grid, with the y_k design rebuilt on every trial; P2 by quadrature."""
@@ -123,7 +134,7 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
     for _ in range(trials):
         eta = rng.standard_normal(instance.n)
         eta /= np.linalg.norm(eta)
-        t = t_scale * cert.t_for(eta)
+        t = cert.t_for(eta)
         perturbed = x_grid + evaluate(grid, t * (eta @ cert.directions.coeffs))
         violation = max(float(np.max(cert.lower - perturbed)), 0.0)
         if np.isfinite(cert.upper):
@@ -133,7 +144,7 @@ def _replay_rebuilding_designs(instance, x, cert, trials, seed, t_scale):
     return _replay(instance, x, cert, np.array(steps), violations)
 
 
-def _replay_per_trial(instance, x, cert, trials, seed, t_scale):
+def _replay_per_trial(instance, x, cert, trials, seed):
     """Core verification one direction at a time: a draw, np.linalg.norm
     and the scalar step rule per trial, P1 as the max over the grid of
     lower - p and p - upper; P2 by quadrature."""
@@ -148,7 +159,7 @@ def _replay_per_trial(instance, x, cert, trials, seed, t_scale):
     for _ in range(trials):
         eta = rng.standard_normal(instance.n)
         eta /= np.linalg.norm(eta)
-        step = t_scale * cert.t_for(eta) * eta
+        step = cert.t_for(eta) * eta
         perturbed = x_grid + step @ y_grid
         violations.append(max(float(np.max(cert.lower - perturbed)),
                               float(np.max(perturbed - cert.upper)), 0.0))
@@ -168,7 +179,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     margin = find_margin_interval(x, lower, upper, rule.interval, breakpoints=rule.breakpoints,
                                   nodes=rule.nodes, one_sided=True)
     delta = margin.val_lo - lower
-    directions = build_direction_functions(basis, rule, margin, np.ones(basis.n))
+    directions = build_direction_functions(basis, rule, margin)
     ver_rule = directions.rule
     ver_design = design_matrix(basis, ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
@@ -232,7 +243,7 @@ def _pulse_marked(basis, value, where):
     if where == "node":
         margin = find_margin_interval(PULSE, 0.0, INF, RULE.interval,
                                       breakpoints=RULE.breakpoints, nodes=RULE.nodes)
-        nodes = build_direction_functions(basis, RULE, margin, np.ones(basis.n)).rule.nodes
+        nodes = build_direction_functions(basis, RULE, margin).rule.nodes
         points = nodes[(nodes > margin.lo) & (nodes < margin.hi)][:1]
     else:
         grid = np.linspace(*RULE.interval, MEMBERSHIP_SAMPLES + 2)
@@ -477,7 +488,7 @@ class TestDirectionFunctions:
         # <y_1, 1> = 2 over [0, 1/2] forces y_1 = 4 there
         basis = monomial_basis(1)
         margin = MarginInterval(0.0, 0.5, 1.0, 1.0)
-        directions = build_direction_functions(basis, RULE, margin, [2.0])
+        directions = _scaled(build_direction_functions(basis, RULE, margin), [2.0])
         inside = directions(np.array([0.1, 0.3, 0.49]))
         np.testing.assert_allclose(inside, 4.0, rtol=1e-12)
         outside = directions(np.array([0.6, 0.9]))
@@ -490,7 +501,7 @@ class TestDirectionFunctions:
         # so y_1 = 4 a_1 - 6 a_2 and y_2 = 0
         basis = monomial_basis(2)
         margin = MarginInterval(0.0, 1.0, 0.5, 0.5)
-        directions = build_direction_functions(basis, RULE, margin, [1.0, 0.0])
+        directions = _scaled(build_direction_functions(basis, RULE, margin), [1.0, 0.0])
         s = np.linspace(0.0, 1.0, 11)
         values = directions(s)
         np.testing.assert_allclose(values[0], 4.0 - 6.0 * s, rtol=1e-10, atol=1e-12)
@@ -513,8 +524,7 @@ class TestDirectionFunctions:
         if n >= 7:
             monkeypatch.setattr(certificates, "linearly_independent_on",
                                 lambda *args: IndependenceReport(True, 1.0, 0.0))
-        directions = build_direction_functions(monomial_basis(n), RULE, README_MARGIN,
-                                               np.ones(n))
+        directions = build_direction_functions(monomial_basis(n), RULE, README_MARGIN)
         assert directions.factor is None  # Legendre polynomials
         s = np.linspace(README_MARGIN.lo, README_MARGIN.hi, 301)
         exact = _exact_monomial_dual_basis(n, README_MARGIN.lo, README_MARGIN.hi, s)
@@ -557,7 +567,7 @@ class TestDirectionFunctions:
         gave M, equals a fresh evaluation on the margin grid bit for bit."""
         from entromin.certificates import MEMBERSHIP_SAMPLES
 
-        directions = build_direction_functions(basis, RULE, margin, np.ones(basis.n))
+        directions = build_direction_functions(basis, RULE, margin)
         grid = np.concatenate([np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
                                nodes_in(directions.rule, margin.lo, margin.hi)[0]])
         fresh = _phi_at(directions, grid)
@@ -574,7 +584,7 @@ class TestDirectionFunctions:
         margin rule, bit for bit."""
         from entromin.moments import design_matrix
 
-        directions = build_direction_functions(basis, RULE, margin, np.ones(basis.n))
+        directions = build_direction_functions(basis, RULE, margin)
         fresh = design_matrix(basis, directions.rule.nodes)
         assert directions.basis_design.tobytes() == fresh.tobytes()
         assert directions.basis_design.shape == fresh.shape
@@ -584,8 +594,9 @@ class TestDirectionFunctions:
         coefficients of shape (n,) or (k, n) their expansions, one value or
         row each, which for the y_k's own coefficients are the y_k, bit for
         bit; zero outside the margin either way."""
-        directions = build_direction_functions(monomial_basis(3), RULE,
-                                               MarginInterval(0.1, 0.6, 0.1, 0.6), [1.0, -2.0, 0.5])
+        directions = _scaled(build_direction_functions(monomial_basis(3), RULE,
+                                                       MarginInterval(0.1, 0.6, 0.1, 0.6)),
+                             [1.0, -2.0, 0.5])
         s = np.linspace(0.0, 1.0, 301)
         rows = directions(s)
         assert rows.shape == (3, s.size)
@@ -594,12 +605,6 @@ class TestDirectionFunctions:
         assert single.shape == s.shape
         outside = (s < 0.1) | (s > 0.6)
         assert not rows[:, outside].any() and not single[outside].any()
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_direction_rejected(self, bad):
-        with pytest.raises(ValidationError, match="direction must be finite"):
-            build_direction_functions(monomial_basis(4), RULE, README_MARGIN,
-                                      [bad, 1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("basis,margin,legendre", [
         (monomial_basis(6), README_MARGIN, True),
@@ -614,7 +619,7 @@ class TestDirectionFunctions:
         either way."""
         rng = np.random.default_rng(3)
         eta = rng.standard_normal(basis.n)
-        directions = build_direction_functions(basis, RULE, margin, eta)
+        directions = _scaled(build_direction_functions(basis, RULE, margin), eta)
         assert (directions.factor is None) is legendre
         defect = direction_inner_products(directions) - np.diag(eta)
         assert np.max(np.abs(defect)) <= 1e-12
@@ -662,8 +667,7 @@ class TestDirectionFunctions:
     def test_inner_products_audit_the_evaluation(self):
         """The inner products integrate the y_k as calling them gives them:
         the same coefficients over a wrongly mapped margin show a defect."""
-        directions = build_direction_functions(monomial_basis(4), RULE, README_MARGIN,
-                                               np.ones(4))
+        directions = build_direction_functions(monomial_basis(4), RULE, README_MARGIN)
         np.testing.assert_allclose(direction_inner_products(directions), np.eye(4),
                                    rtol=0.0, atol=1e-12)
         shifted = dataclasses.replace(README_MARGIN, hi=0.45)
@@ -673,14 +677,14 @@ class TestDirectionFunctions:
     def test_zero_direction_gives_zero_functions(self):
         basis = monomial_basis(3)
         margin = MarginInterval(0.0, 0.5, 1.0, 1.0)
-        directions = build_direction_functions(basis, RULE, margin, np.zeros(3))
+        directions = _scaled(build_direction_functions(basis, RULE, margin), np.zeros(3))
         assert np.all(np.asarray(directions.coeffs) == 0.0)
 
     def test_dependent_family_rejected(self):
         basis = piecewise_flat_basis(3, 0.5)
         margin = MarginInterval(0.5, 1.0, 0.0, 0.0)
         with pytest.raises(DependentBasisError):
-            build_direction_functions(basis, RULE, margin, np.ones(3))
+            build_direction_functions(basis, RULE, margin)
 
     @pytest.mark.parametrize("basis,margin", [
         (monomial_basis(2), MarginInterval(0.0, 1.0, 0.5, 0.5)),
@@ -690,10 +694,10 @@ class TestDirectionFunctions:
     ])
     def test_orthogonality_for_random_directions(self, basis, margin):
         rng = np.random.default_rng(2024)
-        worst = 0.0
+        worst, unit = 0.0, build_direction_functions(basis, RULE, margin)
         for _ in range(50):
             eta = rng.standard_normal(basis.n)
-            directions = build_direction_functions(basis, RULE, margin, eta)
+            directions = _scaled(unit, eta)
             defect = direction_inner_products(directions) - np.diag(eta)
             worst = max(worst, float(np.max(np.abs(defect))))
         assert worst <= 1e-8
@@ -702,17 +706,24 @@ class TestDirectionFunctions:
     @pytest.mark.parametrize("family", [monomial_basis, lambda n: piecewise_flat_basis(n, 0.9)],
                              ids=["monomial", "piecewise"])
     def test_directions_linear_in_eta(self, family, n):
-        """The coefficients for any eta are eta_k times those for the all-ones
-        direction, by value, and rows where eta is zero are exactly 0."""
+        """The unit-direction y_k with row k scaled by eta_k are the y_k for
+        eta: <y_k, a_j> = eta_k on the diagonal and 0 off it, rows where eta
+        is zero exactly 0, and their sum is the expansion of eta over the
+        unit coefficients to rounding."""
         basis, rule = family(n), build_rule((0.0, 1.0), (0.9,))
-        margin = MarginInterval(0.0, 0.9, 1.0, 1.0)
-        unit = build_direction_functions(basis, rule, margin, np.ones(n)).coeffs
+        unit = build_direction_functions(basis, rule, MarginInterval(0.0, 0.9, 1.0, 1.0))
+        s = np.linspace(0.0, 1.0, 301)
         rng = np.random.default_rng(n)
         for eta in (np.ones(n), rng.standard_normal(n) * (np.arange(n) % 3 != 1),
                     np.where(np.arange(n) == n - 1, -2.5, 0.0), np.zeros(n)):
-            coeffs = build_direction_functions(basis, rule, margin, eta).coeffs
-            np.testing.assert_array_equal(coeffs, eta[:, None] * unit, strict=True)
-            assert np.all(coeffs[eta == 0.0] == 0.0)
+            directions = _scaled(unit, eta)
+            defect = direction_inner_products(directions) - np.diag(eta)
+            assert np.max(np.abs(defect)) <= 1e-8
+            rows = directions(s)
+            assert np.all(directions.coeffs[eta == 0.0] == 0.0) and np.all(rows[eta == 0.0] == 0.0)
+            size = max(1.0, float(np.max(np.abs(rows))))
+            combined = unit(s, eta @ unit.coeffs)
+            assert np.all(np.abs(combined - rows.sum(axis=0)) <= 4 * n * np.finfo(float).eps * size)
 
 
 class TestCoreCertificate:
@@ -774,6 +785,17 @@ class TestCoreCertificate:
         assert steps.tolist() == [cert.t_for(eta) for eta in stack] and steps[-1] == 0.0
         assert bounds.tolist() == [cert.delta_for(eta) for eta in stack] and bounds[-1] == 0.0
 
+    def test_unit_step_follows_the_clearance(self):
+        """`t_unit` is the step rule at the sup bound, bit for bit, also for a
+        certificate over-driven through its clearance."""
+        inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        at_bound = np.eye(4)[np.argmax(cert.sup_unit)]
+        for k in (1.0, 2.0):
+            driven = _overdriven(cert, k)
+            assert driven.delta_for(at_bound) == driven.delta
+            assert driven.t_unit == driven.t_for(at_bound) > 0.0
+
     def test_band_violation_names_hypothesis(self):
         rho = constant_density(2.0)
         inst = make_instance("boltzmann_shannon", monomial_basis(2), rho)
@@ -825,7 +847,7 @@ class TestCoreCertificate:
     def test_combined_evaluation_matches_row_sum(self):
         basis = monomial_basis(3)
         margin = MarginInterval(0.1, 0.6, 0.1, 0.6)
-        directions = build_direction_functions(basis, RULE, margin, [1.0, -2.0, 0.5])
+        directions = _scaled(build_direction_functions(basis, RULE, margin), [1.0, -2.0, 0.5])
         s = np.linspace(0, 1, 301)
         weights = np.array([[1.0, 1.0, 1.0], [0.5, -3.0, 2.0]])
         block = directions(s, weights @ directions.coeffs)
@@ -844,23 +866,22 @@ class TestCoreCertificate:
         single = directions(s, weights[1] @ directions.coeffs)
         assert np.all(np.abs(single - block[1]) <= 4 * basis.n * np.finfo(float).eps * size)
 
-    @pytest.mark.parametrize("entropy,basis,rho,band,t_scale", [
+    @pytest.mark.parametrize("entropy,basis,rho,band,k", [
         ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF), 1.0),
         ("boltzmann_shannon", monomial_basis(4), constant_density(0.5), (0.0, 1.0), 1.0),
         ("boltzmann_shannon", monomial_basis(1), constant_density(0.5), (0.0, 1.0), 2.0),
     ], ids=["pulse-piecewise4", "constant-monomial4", "overdriven-control"])
-    def test_designs_built_once_replay_exactly(self, entropy, basis, rho, band, t_scale):
+    def test_designs_built_once_replay_exactly(self, entropy, basis, rho, band, k):
         """Verification with its designs built once reports exactly the counts
         and worst P1 violation of a replay rebuilding the design on every
         trial, and its linear P2 residual within rounding of that replay's
         per-trial quadrature."""
         inst = make_instance(entropy, basis, rho)
-        cert = build_core_certificate(inst, rho, *band)
-        expected = _replay_rebuilding_designs(inst, rho, cert, trials=40, seed=9,
-                                              t_scale=t_scale)
-        got = verify_core_certificate(inst, rho, cert, trials=40, seed=9, t_scale=t_scale)
+        cert = _overdriven(build_core_certificate(inst, rho, *band), k)
+        expected = _replay_rebuilding_designs(inst, rho, cert, trials=40, seed=9)
+        got = verify_core_certificate(inst, rho, cert, trials=40, seed=9)
         _assert_replays(got, expected)
-        if t_scale > 1.0:
+        if k > 1.0:
             assert got.p1_passes < got.trials
 
     @pytest.mark.parametrize("basis", [
@@ -879,11 +900,11 @@ class TestCoreCertificate:
         loop exactly, and P2 within rounding of its quadrature."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
-        for seed, t_scale in zip((0, 1, 2), (0.0, 1.0, 2.0)):
+        for seed, k in zip((0, 1, 2), (0.0, 1.0, 2.0)):
+            driven = _overdriven(cert, k)
             for trials in (1, 40):
-                got = verify_core_certificate(inst, rho, cert, trials=trials, seed=seed,
-                                              t_scale=t_scale)
-                _assert_replays(got, _replay_per_trial(inst, rho, cert, trials, seed, t_scale))
+                got = verify_core_certificate(inst, rho, driven, trials=trials, seed=seed)
+                _assert_replays(got, _replay_per_trial(inst, rho, driven, trials, seed))
 
     def test_margin_columns_replay_full_grid(self):
         """P1 on the grid columns that meet the margin reports what the full
@@ -892,10 +913,10 @@ class TestCoreCertificate:
         rho = pulse_density(0.4571)
         inst = instance_from_density(builtin_entropy("translated_boltzmann_shannon"),
                                      monomial_basis(6), build_rule((0.0, 1.0), (0.4571,)), rho)
-        cert = build_core_certificate(inst, rho, 0.0, INF)
+        cert = _overdriven(build_core_certificate(inst, rho, 0.0, INF), 8.0)
         for seed in (7, 8, 17):
-            got = verify_core_certificate(inst, rho, cert, trials=40, seed=seed, t_scale=8.0)
-            _assert_replays(got, _replay_per_trial(inst, rho, cert, 40, seed, 8.0))
+            got = verify_core_certificate(inst, rho, cert, trials=40, seed=seed)
+            _assert_replays(got, _replay_per_trial(inst, rho, cert, 40, seed))
 
     @pytest.mark.parametrize("entropy,basis,rho,band", [
         ("translated_boltzmann_shannon", monomial_basis(3), PULSE, (0.0, INF)),
@@ -915,12 +936,12 @@ class TestCoreCertificate:
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         for trials in (1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 2 * TRIAL_BLOCK + 1, 100):
-            for t_scale in (0.0, 1.0, 8.0):
-                got = verify_core_certificate(inst, rho, cert, trials=trials, seed=trials,
-                                              t_scale=t_scale)
-                _assert_replays(got, _replay_per_trial(inst, rho, cert, trials, trials, t_scale))
-                tol = 4 * np.finfo(float).eps * max(1.0, cert.clearance) * max(1.0, t_scale)
-                exact = _replay_rebuilding_designs(inst, rho, cert, trials, trials, t_scale)
+            for k in (0.0, 1.0, 8.0):
+                driven = _overdriven(cert, k)
+                got = verify_core_certificate(inst, rho, driven, trials=trials, seed=trials)
+                _assert_replays(got, _replay_per_trial(inst, rho, driven, trials, trials))
+                tol = 4 * np.finfo(float).eps * max(1.0, cert.clearance) * max(1.0, k)
+                exact = _replay_rebuilding_designs(inst, rho, driven, trials, trials)
                 _assert_replays(got, exact, p1_tol=tol)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16, 33])
@@ -1045,6 +1066,25 @@ class TestCoreCertificate:
         for array, now in zip(arrays, held):
             np.testing.assert_array_equal(now, array)
 
+    def test_verification_replays_the_certificate_as_built(self):
+        """The y_k are the unit direction's and verification replays the
+        certificate it is given: neither takes a direction or step scale,
+        and a verification report checks the one P2_TOL."""
+        import inspect
+
+        from entromin.certificates import CertificateVerification
+
+        def parameters(fn):
+            return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+        required = inspect.Parameter.empty
+        assert parameters(build_direction_functions) == [
+            ("basis", required), ("rule", required), ("margin", required)]
+        assert parameters(verify_core_certificate) == [
+            ("instance", required), ("x", required), ("cert", required), ("trials", 100),
+            ("seed", 0)]
+        assert "p2_tol" not in {f.name for f in dataclasses.fields(CertificateVerification)}
+
     def test_no_trials_rejected(self):
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(4, 0.5), PULSE)
@@ -1053,7 +1093,7 @@ class TestCoreCertificate:
             with pytest.raises(ValidationError):
                 verify_core_certificate(inst, PULSE, cert, trials=trials)
 
-    def test_bad_seed_and_t_scale_rejected(self):
+    def test_bad_seed_rejected(self):
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
@@ -1064,10 +1104,6 @@ class TestCoreCertificate:
             with pytest.raises(ValidationError, match="must be a whole number"):
                 verify_core_certificate(inst, PULSE, cert, **{"trials": 3, **kw})
         assert verify_core_certificate(inst, PULSE, cert, trials=3.0, seed=2.0).trials == 3
-        for t_scale in (float("nan"), INF, -0.5):
-            with pytest.raises(ValidationError, match="t_scale must be non-negative"):
-                verify_core_certificate(inst, PULSE, cert, trials=3, t_scale=t_scale)
-        assert verify_core_certificate(inst, PULSE, cert, trials=3, t_scale=0.0).all_passed
 
     def test_direction_functions_evaluated_once_per_point_set(self, monkeypatch):
         """Verification evaluates no y_k, for any number of trials: the build
@@ -1085,7 +1121,7 @@ class TestCoreCertificate:
             counts.append(len(calls))
         assert counts == [0, 0]
 
-    @pytest.mark.parametrize("t_scale", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("basis", [
         piecewise_flat_basis(2, 0.5), piecewise_flat_basis(4, 0.5), piecewise_flat_basis(6, 0.5),
         monomial_basis(2), monomial_basis(4), monomial_basis(6),
@@ -1094,7 +1130,7 @@ class TestCoreCertificate:
         ("translated_boltzmann_shannon", PULSE, (0.0, INF)),
         ("boltzmann_shannon", constant_density(0.5), (0.0, 1.0)),
     ], ids=["pulse", "constant"])
-    def test_combination_matches_direct_replay(self, entropy, rho, band, basis, t_scale):
+    def test_combination_matches_direct_replay(self, entropy, rho, band, basis, k):
         """Combining the y_k evaluated once gives the pass counts of a
         per-trial evaluation of each perturbation's own coefficients, its
         worst P1 violation to a few ulps of the clearance (the bound on the
@@ -1103,9 +1139,9 @@ class TestCoreCertificate:
         trials, so P1 counts are compared too."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
-        expected = _replay_rebuilding_designs(inst, rho, cert, trials=40, seed=9,
-                                              t_scale=t_scale)
-        got = verify_core_certificate(inst, rho, cert, trials=40, seed=9, t_scale=t_scale)
+        driven = _overdriven(cert, k)
+        expected = _replay_rebuilding_designs(inst, rho, driven, trials=40, seed=9)
+        got = verify_core_certificate(inst, rho, driven, trials=40, seed=9)
         _assert_replays(got, expected, p1_tol=4 * np.finfo(float).eps * max(1.0, cert.clearance))
 
     def test_overdriven_step_breaks_band_on_tight_margin(self):
@@ -1117,7 +1153,7 @@ class TestCoreCertificate:
         cert = build_core_certificate(inst, rho, 0.0, 1.0)
         ok = verify_core_certificate(inst, rho, cert, trials=20, seed=3)
         assert ok.all_passed
-        overdriven = verify_core_certificate(inst, rho, cert, trials=20, seed=3, t_scale=2.0)
+        overdriven = verify_core_certificate(inst, rho, _overdriven(cert, 2.0), trials=20, seed=3)
         assert overdriven.p1_passes == 0
         assert overdriven.worst_p1_violation > 0.4
 
@@ -1515,15 +1551,17 @@ class TestQriCertificate:
         assert time.perf_counter() - start < 0.5
         assert [int(part.split(":")[0]) for part in str(err.value).split("m=")[2:]] == reported
 
-    def test_readme_config_accepted_past_default_budget(self):
+    def test_readme_config_accepted_within_default_budget(self):
         """On the pulse, m * sup|v| stays near 22,050 for the README config,
-        so the default budget of 4000 clip levels cannot reach a witness;
-        acceptance comes at m = 44103."""
+        so a budget of 4000 clip levels cannot reach a witness; the default
+        budget of 50000 accepts it at m = 44103."""
+        from entromin.certificates import DEFAULT_M_MAX
+
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
         with pytest.raises(CertificateError):
-            build_qri_certificate(inst, PULSE, 0.0, INF)
-        cert = build_qri_certificate(inst, PULSE, 0.0, INF, m_max=50000)
-        assert cert.m == 44103
+            build_qri_certificate(inst, PULSE, 0.0, INF, m_max=4000)
+        cert = build_qri_certificate(inst, PULSE, 0.0, INF)
+        assert DEFAULT_M_MAX == 50000 and cert.m == 44103
         assert cert.eps > 0.0
         assert cert.correction_sup < 0.5
         assert cert.moment_match_residual <= 1e-8
@@ -1551,20 +1589,8 @@ class TestOneDesignPerPointSet:
     nodes and the phi_j once on the margin grid, and still reaches every
     layer the benchmark traces."""
 
-    @staticmethod
-    def _tracing():
-        """bench/tracing.py, which wraps the traced layers by name."""
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
     @pytest.mark.parametrize("kind", ["core", "qri"])
-    def test_each_point_set_designed_once(self, monkeypatch, kind):
+    def test_each_point_set_designed_once(self, monkeypatch, bench_module, kind):
         from entromin import certificates, moments
         from entromin.certificates import MEMBERSHIP_SAMPLES
         from entromin.quadrature import refine_rule
@@ -1577,7 +1603,7 @@ class TestOneDesignPerPointSet:
         monkeypatch.setattr(certificates, "_phi", lambda margin, basis, factor, s,
                             _f=certificates._phi: phis.append(np.array(s))
                             or _f(margin, basis, factor, s))
-        tracer = self._tracing().Tracer()
+        tracer = bench_module("tracing").Tracer()   # wraps the traced layers by name
         with tracer.installed():
             if kind == "core":
                 cert = certificates.build_core_certificate(inst, PULSE, 0.0, INF)

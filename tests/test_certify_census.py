@@ -6,7 +6,8 @@ A row holds the exit code, the hypothesis stderr names, the margin ends and
 range, and `m`, all exactly, and `delta`, `t_unit`, `eps` and
 `trials_passed` to 1e-9 relative, which BLAS builds do not move.  A change
 that moves an outcome updates the table (`python tests/test_certify_census.py`
-rewrites it) and says which rows moved.
+rewrites it) and says which rows moved.  The configs are checked against the
+benchmark plans, so the two cannot drift apart.
 """
 
 import contextlib
@@ -18,12 +19,14 @@ from pathlib import Path
 import pytest
 
 from entromin.cli import main
+from entromin.config import load_config
 
 TABLE = Path(__file__).with_name("certify_census.json")
 
 # (type, basis kind, n, density, panels per segment, band or None for the
 # entropy domain, trial seed): translated Boltzmann-Shannon on [0, 1] with
-# 20-node panels, 320 or 1280 nodes in all, and m_max = 4000
+# 20-node panels, 320 or 1280 nodes in all, and m_max = 4000: the ops of the
+# certify-core and certify-qri plans at seed 1
 CONFIGS = [
     ("core", "piecewise_flat", 6, "pulse", 8, None, 50368367),
     ("core", "piecewise_flat", 4, "pulse", 8, None, 998410498),
@@ -72,6 +75,22 @@ def _row(config, directory: Path) -> dict:
     certificate = out / "certificate.json"
     fields = json.loads(certificate.read_text()) if certificate.exists() else {}
     return {**row, **{key: fields.get(key) for key in EXACT[2:] + CLOSE}}
+
+
+def test_configs_are_the_benchmark_plans(tmp_path, bench_module):
+    """The census runs the 8 ops of the certify-core plan and the 5 of the
+    certify-qri plan, each under its plan's type and trial seed, and each
+    census INI loads to the RunConfig its op's INI loads to."""
+    workloads = bench_module("workloads")   # stdlib only
+    ops = {(kind, workloads.label(op).split("/", 1)[1], op["trial_seed"]): op
+           for kind in ("core", "qri") for op in workloads.plan(f"certify-{kind}", 1)["ops"]}
+    census = {(config[0], _label(config).split("/", 1)[1], config[6]): config
+              for config in CONFIGS}
+    assert sorted(census) == sorted(ops) and len(ops) == len(CONFIGS)
+    for key, config in census.items():
+        (tmp_path / "census.ini").write_text(_ini(config))
+        (tmp_path / "op.ini").write_text(workloads.to_ini(ops[key]))
+        assert load_config(str(tmp_path / "census.ini")) == load_config(str(tmp_path / "op.ini"))
 
 
 def test_table_covers_the_configs():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 import entromin
 from entromin import cli
 from entromin.cli import main
-from entromin.config import load_config
+from entromin.config import CertifyOptions, load_config
 
 SOLVE_INI = """
 [problem]
@@ -411,6 +412,33 @@ class TestCompare:
         assert "f_star_d1 of burg" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("window,measured", [("0.4 0.6", True), ("0 1", False)])
+    def test_untabulable_unconverged_basis_exits_2(self, tmp_path, capsys, window, measured):
+        """Burg monomial n=12 on the pulse spends its budget, and its field
+        turns positive between nodes; basis b (split 0.4) converges.  As for
+        `solve`, the spent budget is what the run reports: exit 2, with
+        comparison.json and both traces, and without solution_a.csv.  Basis
+        a's overshoot is measured where its x can be evaluated (the window
+        around the jump) and NaN where it cannot (the whole interval)."""
+        cfg = write_compare_config(tmp_path, n=12, extra_b="split = 0.4",
+                                   out=str(tmp_path / "out"))
+        cfg.write_text(cfg.read_text().replace("translated_boltzmann_shannon", "burg")
+                       .replace("window = 0.4 0.6", f"window = {window}"))
+        assert main(["compare", "--config", str(cfg), "--trace"]) == 2
+        assert capsys.readouterr().err == "compare: at least one solve did not converge\n"
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["comparison.json", "solution_b.csv",
+                                           "trace_a.csv", "trace_b.csv"]
+        text = (out / "comparison.json").read_text()
+        payload = json.loads(text)
+        assert (payload["basis_a"]["converged"], payload["basis_b"]["converged"]) == (False, True)
+        assert payload["overshoot_a"] == payload["basis_a"]["overshoot"]
+        if measured:
+            assert np.isfinite(payload["overshoot_a"])
+        else:
+            assert payload["overshoot_a"] == "nan" and '"overshoot_a": "nan"' in text
+        assert np.isfinite(payload["overshoot_b"])
+
     def test_invalid_second_basis_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
         """Both instances are built before either is solved, so a [basis_b]
         that cannot be built costs no solve."""
@@ -800,9 +828,23 @@ def test_readme_config_schema_loads(tmp_path):
     cfg = load_config(str(path))
     assert cfg.entropy == "translated_boltzmann_shannon"
     assert (cfg.basis.kind, cfg.basis.n, cfg.basis.split) == ("piecewise_flat", 6, 0.5)
-    assert cfg.certify.m_max == 4000
+    assert cfg.certify.m_max == 50000
     assert cfg.certify.seed == 0
     assert cfg.tol == 1e-10
+
+
+def test_readme_config_certifies_qri_at_the_default_budget(tmp_path, capsys):
+    """The README's "Config schema" block states the default qri budget, and
+    at that default the example config certifies under `certify --type qri`,
+    at m = 44103 (a budget of 4000 levels exits 3)."""
+    block = _readme_block("### Config schema", "ini")
+    stated = re.search(r"^m_max = (\d+) ", block, re.MULTILINE)
+    assert int(stated.group(1)) == CertifyOptions().m_max
+    path, out = tmp_path / "schema.ini", tmp_path / "out"
+    path.write_text(block.replace(stated.group(0), ""))   # the default applies
+    assert main(["certify", "--config", str(path), "--type", "qri", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("certify: qri witness accepted at m=44103,")
+    assert json.loads((out / "certificate.json").read_text())["m"] == 44103
 
 
 def test_readme_config_schema_commented_keys_load(tmp_path):
@@ -820,7 +862,7 @@ def test_readme_config_schema_commented_keys_load(tmp_path):
 
 
 @pytest.mark.parametrize("old,new,named", [
-    ("m_max = 4000", "m-max = 50000", "unknown key certify.m-max"),
+    ("m_max = 50000", "m-max = 50000", "unknown key certify.m-max"),
     ("max_iter = 100", "max_iters = 1", "unknown key solver.max_iters"),
     ("[certify]", "[certfy]", "unknown section [certfy]"),
 ], ids=["m-max", "max-iters", "certfy"])

@@ -1,5 +1,6 @@
 """Entropy/conjugate pairs: closed forms, domains, and convexity checks."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 from entromin import (
     DomainViolationError,
+    EntropySpec,
     available_entropies,
     builtin_entropy,
     fenchel_young_gap,
@@ -48,6 +50,19 @@ def test_builtin_names_complete():
         "boltzmann_shannon", "burg", "cosh", "fermi_dirac",
         "l2_norm", "translated_boltzmann_shannon",
     )
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_builtin_spec_is_one_shared_frozen_instance(name):
+    """Each name gives the one spec built at import, frozen, and complete:
+    every conjugate map is set, and no field has a default to fall back on."""
+    spec = builtin_entropy(name)
+    assert builtin_entropy(name) is spec and spec.name == name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.f_star = None
+    assert all(callable(getattr(spec, attr)) for attr in ("f", "f_star", "f_star_d1", "f_star_d2"))
+    assert all(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+               for f in dataclasses.fields(EntropySpec))
 
 
 class TestClosedForms:

@@ -18,7 +18,9 @@ exactly:
 
 A change that moves an outcome updates the table (`python
 tests/test_sweep_census.py` rewrites it) and says which rows moved.  The
-README's "Sweep outcomes" bullet states the table's class counts.
+README's "Sweep outcomes" bullet states the table's class counts.  The
+configs and GAP_TOL are checked against the benchmark's, so the two cannot
+drift apart.
 """
 
 import itertools
@@ -26,17 +28,19 @@ import json
 import re
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from entromin.config import BasisSpec, RhoSpec, RunConfig, build_problem
+from entromin.config import BasisSpec, RhoSpec, RunConfig, build_problem, load_config
 from entromin.dual import solve_dual
 from entromin.errors import DomainViolationError
 from entromin.primal import reconstruct, sample_solution
 
 TABLE = Path(__file__).with_name("sweep_census.json")
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 GAP_TOL = 1e-8  # the gap audit of the solve-sweep benchmark (GAP_TOL in bench/worker.py)
 ENTROPIES = ("boltzmann_shannon", "burg", "cosh", "fermi_dirac", "l2_norm",
              "translated_boltzmann_shannon")
@@ -75,6 +79,28 @@ def _row(config) -> dict:
     else:
         outcome = "audited" if abs(primal.duality_gap) <= GAP_TOL else "gap audit"
     return {"outcome": outcome, "iterations": solution.iterations}
+
+
+def test_configs_are_the_benchmark_plan(tmp_path, bench_module):
+    """The census solves what the solve-sweep benchmark solves: one config
+    per plan op, whose INI loads to the census's RunConfig but for the
+    certify options, which a solve does not read."""
+    workloads = bench_module("workloads")   # stdlib only
+    ops = {workloads.label(op): op for op in workloads.plan("solve-sweep", 1)["ops"]}
+    assert sorted(ops) == sorted(map(_label, CONFIGS)) and len(ops) == len(CONFIGS)
+    path = tmp_path / "op.ini"
+    for config in CONFIGS:
+        expected = _run_config(config)
+        path.write_text(workloads.to_ini(ops[_label(config)]))
+        loaded = load_config(str(path))
+        assert replace(loaded, certify=expected.certify) == expected, _label(config)
+
+
+def test_gap_tol_is_the_benchmarks():
+    """GAP_TOL is the gap audit `bench/worker.py` assigns, read as text:
+    importing the worker imports scipy."""
+    text = (ROOT / "bench" / "worker.py").read_text()
+    assert [float(v) for v in re.findall(r"^GAP_TOL = ([^\s#]+)", text, re.MULTILINE)] == [GAP_TOL]
 
 
 def test_table_covers_the_configs():
