@@ -80,7 +80,7 @@ from .errors import (
     NoMarginIntervalError,
     ValidationError,
 )
-from .moments import (DEFAULT_INDEPENDENCE_TOL, MomentBasis, ProblemInstance, design_matrix,
+from .moments import (DEFAULT_INDEPENDENCE_TOL, MomentBasis, ProblemInstance,
                       linearly_independent_on)
 from .quadrature import QuadratureRule, nodes_in, refine_rule, uniform_grid
 
@@ -233,7 +233,7 @@ def _phi(margin: MarginInterval, basis: MomentBasis, factor, s) -> np.ndarray:
     for bit, in C order) if `factor` is None, else R^-T a for R = `factor`."""
     s = np.asarray(s, dtype=float)
     if factor is not None:
-        return np.linalg.solve(factor.T, design_matrix(basis, s))
+        return np.linalg.solve(factor.T, basis(s))
     u = (2.0 * s - (margin.lo + margin.hi)) / (margin.hi - margin.lo) + 0.0  # no -0.0
     rows = np.empty((basis.n,) + u.shape)
     rows[0], rows[1:2] = u * 0 + 1, u   # row 1 only when n > 1
@@ -291,7 +291,7 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     to LEGENDRE_FIT_TOL, and the a_k orthonormalized on them otherwise.
     """
     rule = refine_rule(rule, margin.lo, margin.hi)   # the prelude's rule comes back as it is
-    design = design_matrix(basis, rule.nodes)
+    design = basis(rule.nodes)
     inside = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
     nodes, weights = rule.nodes[inside], rule.weights[inside]
     values = design.compress(inside, axis=1)   # C order, as the Gram's and M's bits need
@@ -320,7 +320,7 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
 def direction_inner_products(directions: DirectionFunctions) -> np.ndarray:
     """The matrix <y_k, a_j>, integrated on the margin nodes of its rule."""
     nodes, weights = nodes_in(directions.rule, directions.margin.lo, directions.margin.hi)
-    return (directions(nodes) * weights) @ design_matrix(directions.basis, nodes).T
+    return (directions(nodes) * weights) @ directions.basis(nodes).T
 
 
 @dataclass(frozen=True)
@@ -335,12 +335,12 @@ class CoreCertificate:
     replays.  `inner_products` is <y_k, a_j> (row k) on that rule's margin
     nodes, and `y_kept` the y_k on the grid columns `kept`, the aligned
     groups of 16 that meet the margin (the y_k are zero on the others).
+    `margin` and `delta` are read from `directions` and `sup_unit`, so each
+    value is stored once.
     """
 
-    margin: MarginInterval
     directions: DirectionFunctions
     sup_unit: np.ndarray            # per-k sup |y_k| for the unit direction
-    delta: float
     lower: float
     upper: float
     clearance: float
@@ -348,6 +348,15 @@ class CoreCertificate:
     inner_products: np.ndarray = field(repr=False)     # (n, n)
     kept: np.ndarray = field(repr=False)               # bool, one per grid point
     y_kept: np.ndarray = field(repr=False)             # (n, kept columns)
+
+    @property
+    def margin(self) -> MarginInterval:
+        return self.directions.margin
+
+    @property
+    def delta(self) -> float:
+        """The sup bound of the unit direction, the largest of `sup_unit`."""
+        return float(np.max(self.sup_unit))
 
     @property
     def t_unit(self) -> float:
@@ -471,7 +480,6 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     margin, rule = directions.margin, directions.rule
     y_margin = directions.coeffs @ directions.margin_design   # the unit y_k, nodes last
     sup_unit = np.max(np.abs(y_margin), axis=-1) * (1.0 + 1e-9)  # above the sampled sup
-    delta = float(np.max(sup_unit))
     clearance = min(margin.val_lo - lower, upper - margin.val_hi)
     on_nodes = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
     inner_products = ((y_margin[:, MEMBERSHIP_SAMPLES:] * rule.weights[on_nodes])
@@ -480,10 +488,8 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     meets = (grid >= margin.lo) & (grid <= margin.hi)
     kept = np.repeat(np.logical_or.reduceat(meets, np.arange(0, grid.size, 16)), 16)[:grid.size]
     return CoreCertificate(
-        margin=margin,
         directions=directions,
         sup_unit=sup_unit,
-        delta=delta,
         lower=float(lower),
         upper=float(upper),
         clearance=float(clearance),

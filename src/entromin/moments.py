@@ -7,6 +7,11 @@ constant 1 past a split point), a loader for tabulated families, the
 moment map x -> (<a_1, x>, ..., <a_n, x>), and L2 Gram matrices on
 subintervals.
 
+A family is one callable: `basis(s)` is its design, a_k(s) in row k, shape
+(n,) + s.shape, from one evaluator that fills the rows of one array.  A
+custom family is `MomentBasis(n, rows, breakpoints, kind, interval)` with
+`rows(s)` returning that design.
+
 Linear independence of the moment functions on a subinterval is what the
 strong-duality certificates require.  In infinite dimensions independence
 is an abstract statement; here it is decided numerically through the
@@ -21,7 +26,7 @@ callers may want to judge for themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +42,6 @@ __all__ = [
     "monomial_basis",
     "piecewise_flat_basis",
     "tabulated_basis",
-    "design_matrix",
     "moment_vector",
     "gram_matrix",
     "linearly_independent_on",
@@ -49,35 +53,38 @@ DEFAULT_INDEPENDENCE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MomentBasis:
-    """An ordered family of bounded moment functions on [0, tau]; the
-    declared breakpoints are trusted as the only non-smooth points."""
+    """An ordered family of n bounded moment functions on [0, tau], one
+    callable: `basis(s)` is the design `rows(s)`, a_k(s) in row k, shape
+    (n,) + s.shape.  The declared breakpoints are trusted as the only
+    non-smooth points."""
 
-    functions: tuple
+    n: int
+    rows: Callable = field(repr=False)
     breakpoints: tuple
     kind: str
     interval: tuple
 
-    @property
-    def n(self) -> int:
-        return len(self.functions)
+    def __call__(self, s) -> np.ndarray:
+        return self.rows(s)
 
 
-def _power(s, k: int) -> np.ndarray:
-    """s**k, numpy's pow in the dtype of s (ones for k = 0)."""
-    return np.asarray(s) ** k
+def _monomial_rows(t, n: int) -> np.ndarray:
+    """Row k is t**k, numpy's pow in the dtype of t, k = 0..n-1.  One `**` per
+    row keeps the scalar-power fast paths (k = 2 squares), which
+    np.power(..., out=) skips, so the bits of each power taken alone."""
+    t = np.asarray(t)
+    rows = np.empty((n,) + t.shape, dtype=np.result_type(t, 1))
+    for k in range(n):
+        rows[k] = t ** k
+    return rows
 
 
 def monomial_basis(n: int, interval=(0.0, 1.0)) -> MomentBasis:
     """a_i(s) = s**(i-1) for i = 1..n; smooth, independent on any interval."""
     if n < 1:
         raise ValidationError(f"need at least one moment function, got n={n}")
-    lo, hi = float(interval[0]), float(interval[1])
-    return MomentBasis(
-        functions=tuple(partial(_power, k=k) for k in range(n)),
-        breakpoints=(),
-        kind="monomial",
-        interval=(lo, hi),
-    )
+    return MomentBasis(n, lambda s: _monomial_rows(s, n), (), "monomial",
+                       (float(interval[0]), float(interval[1])))
 
 
 def piecewise_flat_basis(n: int, split: float, interval=(0.0, 1.0)) -> MomentBasis:
@@ -96,18 +103,10 @@ def piecewise_flat_basis(n: int, split: float, interval=(0.0, 1.0)) -> MomentBas
     if not lo < split < hi:
         raise ValidationError(f"split {split} must lie strictly inside ({lo}, {hi})")
 
-    def branch(k):
-        def f(s):  # 1**k is exactly 1, so masking before the power keeps every bit
-            return _power(np.where(np.asarray(s) <= split, s, 1), k)
+    def rows(s):  # 1**k is exactly 1, so masking before the power keeps every bit
+        return _monomial_rows(np.where(np.asarray(s) <= split, s, 1), n)
 
-        return f
-
-    return MomentBasis(
-        functions=tuple(branch(k) for k in range(n)),
-        breakpoints=(split,),
-        kind="piecewise_flat",
-        interval=(lo, hi),
-    )
+    return MomentBasis(n, rows, (split,), "piecewise_flat", (lo, hi))
 
 
 def tabulated_basis(path, interval=(0.0, 1.0)) -> MomentBasis:
@@ -118,33 +117,22 @@ def tabulated_basis(path, interval=(0.0, 1.0)) -> MomentBasis:
     ``# breakpoints: ...`` declares non-smooth points.
     """
     breakpoints, data = _load_table(path, "need an s column plus at least one function column")
-    s = data[:, 0]
+    s, columns = data[:, 0], data[:, 1:].T.copy()
 
-    def interpolant(col):
-        vals = data[:, col]
+    def rows(q):
+        q = np.asarray(q, dtype=float)
+        design = np.empty((len(columns),) + q.shape)
+        for k, column in enumerate(columns):
+            design[k] = np.interp(q, s, column)
+        return design
 
-        def f(q):
-            return np.interp(np.asarray(q, dtype=float), s, vals)
-
-        return f
-
-    return MomentBasis(
-        functions=tuple(interpolant(c) for c in range(1, data.shape[1])),
-        breakpoints=tuple(float(b) for b in breakpoints),
-        kind="tabulated",
-        interval=(float(interval[0]), float(interval[1])),
-    )
-
-
-def design_matrix(basis: MomentBasis, s) -> np.ndarray:
-    """Stack of a_k(s), shape (n, len(s)); preserves the dtype of s."""
-    s = np.asarray(s)
-    return np.stack([f(s) for f in basis.functions])
+    return MomentBasis(len(columns), rows, tuple(float(b) for b in breakpoints), "tabulated",
+                       (float(interval[0]), float(interval[1])))
 
 
 def moment_vector(basis: MomentBasis, rule: QuadratureRule, x) -> np.ndarray:
     """The moment map: componentwise quadrature of a_k * x."""
-    return _node_moments(rule, design_matrix(basis, rule.nodes), x)
+    return _node_moments(rule, basis(rule.nodes), x)
 
 
 def _node_moments(rule: QuadratureRule, design: np.ndarray, x) -> np.ndarray:
@@ -165,7 +153,7 @@ def gram_matrix(basis: MomentBasis, rule: QuadratureRule, subinterval=None,
     """
     lo, hi = subinterval or rule.interval
     nodes, weights = nodes_in(refine_rule(rule, lo, hi), lo, hi)
-    return weighted_gram(design_matrix(basis, nodes) if design is None else design, weights)
+    return weighted_gram(basis(nodes) if design is None else design, weights)
 
 
 def weighted_gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -236,7 +224,7 @@ class ProblemInstance:
                 f"breakpoints {missing}"
             )
         if self.design is None:
-            self.design = design_matrix(self.basis, self.rule.nodes)
+            self.design = self.basis(self.rule.nodes)
 
     @property
     def n(self) -> int:
@@ -246,5 +234,5 @@ class ProblemInstance:
 def instance_from_density(entropy: EntropySpec, basis: MomentBasis, rule: QuadratureRule,
                           rho) -> ProblemInstance:
     """Build an instance whose target moments are the moments of `rho`."""
-    design = design_matrix(basis, rule.nodes)
+    design = basis(rule.nodes)
     return ProblemInstance(entropy, basis, rule, _node_moments(rule, design, rho), design)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .dual import _derivatives, _field
-from .moments import ProblemInstance, design_matrix
+from .moments import ProblemInstance
 from .quadrature import integrate_values
 
 __all__ = ["PrimalSolution", "reconstruct", "sample_solution", "gibbs_overshoot"]
@@ -46,7 +46,7 @@ def reconstruct(instance: ProblemInstance, mu) -> PrimalSolution:
     entropy, basis = instance.entropy, instance.basis
 
     def x(s):
-        v = design_matrix(basis, np.asarray(s, dtype=float)).T @ mu
+        v = basis(np.asarray(s, dtype=float)).T @ mu
         return entropy.f_star_d1(v)
 
     v, dual = _field(instance, mu)

@@ -30,7 +30,7 @@ from entromin import (
     within_bounds,
 )
 from entromin.certificates import DirectionFunctions, MarginInterval
-from entromin.moments import IndependenceReport, moment_vector, tabulated_basis
+from entromin.moments import IndependenceReport, MomentBasis, moment_vector, tabulated_basis
 from entromin.quadrature import nodes_in
 
 RULE = build_rule((0.0, 1.0), (0.5,))
@@ -74,10 +74,9 @@ def _quadrature_p2(instance, x, cert, steps):
     product of at most three factors, so each lies within gamma = (N + 2n +
     6) * eps of it in units of the summed magnitudes |A| @ (w * (|x| +
     |s| @ |C| @ |phi|)) + |b| + |s|, and the two within twice that."""
-    from entromin.moments import design_matrix
 
     rule, directions = cert.directions.rule, cert.directions
-    design = design_matrix(instance.basis, rule.nodes)
+    design = instance.basis(rule.nodes)
     x_ver = np.asarray(x(rule.nodes), dtype=float)
     y_ver = directions(rule.nodes)
     inside = (rule.nodes >= cert.margin.lo) & (rule.nodes <= cert.margin.hi)
@@ -173,7 +172,6 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     moment_match_residual, upper_clearance, y on a grid), or the message of
     the CertificateError the scan ends with."""
     from entromin.certificates import MEMBERSHIP_SAMPLES
-    from entromin.moments import design_matrix
 
     basis, rule = instance.basis, instance.rule
     margin = find_margin_interval(x, lower, upper, rule.interval, breakpoints=rule.breakpoints,
@@ -181,7 +179,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     delta = margin.val_lo - lower
     directions = build_direction_functions(basis, rule, margin)
     ver_rule = directions.rule
-    ver_design = design_matrix(basis, ver_rule.nodes)
+    ver_design = basis(ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     margin_grid = np.concatenate([np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
                                   nodes_in(ver_rule, margin.lo, margin.hi)[0]])
@@ -582,10 +580,9 @@ class TestDirectionFunctions:
         """`basis_design`, from the one evaluation of the a_k that also gave
         the independence check and M, is the basis at every node of the
         margin rule, bit for bit."""
-        from entromin.moments import design_matrix
 
         directions = build_direction_functions(basis, RULE, margin)
-        fresh = design_matrix(basis, directions.rule.nodes)
+        fresh = basis(directions.rule.nodes)
         assert directions.basis_design.tobytes() == fresh.tobytes()
         assert directions.basis_design.shape == fresh.shape
 
@@ -648,7 +645,6 @@ class TestDirectionFunctions:
         the identity to rounding (built on the basis breakpoints alone, they
         missed it by 7.7e-4 for n = 4 and 1.3e-1 for n = 6)."""
         from entromin.densities import tabulated_density
-        from entromin.moments import design_matrix
 
         s = np.linspace(0.0, 1.0, 401)
         np.savetxt(tmp_path / "basis.txt", np.column_stack([s] + [s ** k for k in range(n)]))
@@ -661,7 +657,7 @@ class TestDirectionFunctions:
         ver = cert.directions.rule
         assert ver.breakpoints == (0.1, 0.3, 0.9)
         products = ((cert.directions(ver.nodes) * ver.weights)
-                    @ design_matrix(basis, ver.nodes).T)
+                    @ basis(ver.nodes).T)
         assert np.max(np.abs(products - np.eye(n))) <= 1e-12
 
     def test_inner_products_audit_the_evaluation(self):
@@ -828,13 +824,12 @@ class TestCoreCertificate:
     def test_coordinate_directions_shift_one_moment_exactly(self):
         """For eta = e_k the perturbed moments move by t in coordinate k
         alone, to 1e-10, under a rule resolving the perturbation support."""
-        from entromin.moments import design_matrix
 
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         ver = cert.directions.rule
-        design = design_matrix(inst.basis, ver.nodes)
+        design = inst.basis(ver.nodes)
         x_ver = PULSE(ver.nodes)
         for k in range(4):
             eta = np.zeros(4)
@@ -963,7 +958,7 @@ class TestCoreCertificate:
         inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         calls = []
-        for owner, name in ((certificates, "refine_rule"), (certificates, "design_matrix"),
+        for owner, name in ((certificates, "refine_rule"), (MomentBasis, "__call__"),
                             (certificates, "_phi"), (DirectionFunctions, "__call__")):
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name:
@@ -1591,15 +1586,15 @@ class TestOneDesignPerPointSet:
 
     @pytest.mark.parametrize("kind", ["core", "qri"])
     def test_each_point_set_designed_once(self, monkeypatch, bench_module, kind):
-        from entromin import certificates, moments
+        from entromin import certificates
         from entromin.certificates import MEMBERSHIP_SAMPLES
         from entromin.quadrature import refine_rule
 
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE)
         bases, phis = [], []
-        for module in (certificates, moments):
-            monkeypatch.setattr(module, "design_matrix", lambda basis, s, _f=module.design_matrix:
-                                bases.append(np.array(s)) or _f(basis, s))
+        call = MomentBasis.__call__
+        monkeypatch.setattr(MomentBasis, "__call__", lambda basis, s:
+                            bases.append(np.array(s)) or call(basis, s))
         monkeypatch.setattr(certificates, "_phi", lambda margin, basis, factor, s,
                             _f=certificates._phi: phis.append(np.array(s))
                             or _f(margin, basis, factor, s))

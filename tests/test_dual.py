@@ -240,7 +240,7 @@ class TestSolveDual:
         basis = monomial_basis(2)
         shifted = instance_from_density(
             builtin_entropy("burg"),
-            type(basis)(functions=basis.functions[::-1], breakpoints=(), kind="monomial",
+            type(basis)(n=2, rows=lambda s: basis(s)[::-1], breakpoints=(), kind="monomial",
                         interval=(0.0, 1.0)),
             RULE, constant_density(0.5),
         )

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from entromin import (
     ValidationError,
@@ -17,7 +20,7 @@ from entromin import (
 )
 from entromin.densities import constant_density, pulse_density
 from entromin.errors import NonFiniteIntegrandError
-from entromin.moments import ProblemInstance, _power, design_matrix
+from entromin.moments import ProblemInstance
 from entromin.quadrature import integrate_values
 
 RULE = build_rule((0.0, 1.0), (0.5,))
@@ -57,7 +60,7 @@ class TestPiecewiseFlatBasis:
     def test_first_function_constant_everywhere(self):
         basis = piecewise_flat_basis(1, 0.5)
         s = np.linspace(0, 1, 101)
-        np.testing.assert_allclose(basis.functions[0](s), 1.0)
+        np.testing.assert_allclose(basis(s)[0], 1.0)
 
     def test_second_function_integral(self):
         basis = piecewise_flat_basis(2, 0.5)
@@ -68,9 +71,8 @@ class TestPiecewiseFlatBasis:
     def test_jump_at_split(self):
         # left branch value 1/2, right branch 1: jump of magnitude 1/2
         basis = piecewise_flat_basis(2, 0.5)
-        a2 = basis.functions[1]
-        assert float(a2(0.5)) == pytest.approx(0.5)
-        assert float(a2(0.5 + 1e-12)) == pytest.approx(1.0)
+        assert float(basis(0.5)[1]) == pytest.approx(0.5)
+        assert float(basis(0.5 + 1e-12)[1]) == pytest.approx(1.0)
 
     def test_split_outside_interval_rejected(self):
         with pytest.raises(ValidationError):
@@ -118,7 +120,7 @@ class TestMomentVector:
 def _moments_per_row(basis, rule, x):
     """The moment map one row at a time, each row checked and summed alone."""
     xv = np.asarray(x(rule.nodes), dtype=float)
-    return np.array([integrate_values(rule, row * xv) for row in design_matrix(basis, rule.nodes)])
+    return np.array([integrate_values(rule, row * xv) for row in basis(rule.nodes)])
 
 
 @pytest.mark.parametrize("rho", [pulse_density(0.5), constant_density(0.5)],
@@ -134,7 +136,7 @@ def test_instance_moments_replay_per_row_quadrature(basis, rho):
     expected = _moments_per_row(basis, rule, rho)
     assert inst.target_moments.tobytes() == expected.tobytes()
     assert moment_vector(basis, rule, rho).tobytes() == expected.tobytes()
-    assert inst.design.tobytes() == design_matrix(basis, rule.nodes).tobytes()
+    assert inst.design.tobytes() == basis(rule.nodes).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -145,13 +147,68 @@ def test_piecewise_flat_masks_before_the_power(dtype):
     split = 0.5
     s = np.concatenate([np.linspace(-0.5, 1.5, 321), RULE.nodes, [split, 7.0]]).astype(dtype)
     basis = piecewise_flat_basis(12, split)
-    for k, f in enumerate(basis.functions):
-        row = f(s)
-        expected = np.where(s <= split, _power(s, k), np.ones_like(s))
+    for k, row in enumerate(basis(s)):
+        expected = np.where(s <= split, s ** k, np.ones_like(s))
         assert row.dtype == dtype
         np.testing.assert_array_equal(row, expected, err_msg=str(k), strict=True)
         if dtype == np.float64:  # long double pads its 80 bits with arbitrary bytes
             assert row.tobytes() == expected.tobytes(), k
+
+
+SPLIT = 0.5
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+_POINTS = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=st.one_of(
+        st.sampled_from([np.nextafter(SPLIT, -np.inf), SPLIT, np.nextafter(SPLIT, np.inf)]),
+        st.floats(-3.0, 3.0))),
+    hnp.arrays(np.int64, _SHAPES, elements=st.integers(-3, 3)),
+)
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    """A tabulated family of five columns, one with a kink at the split."""
+    s = np.linspace(0.0, 1.0, 21)
+    path = tmp_path_factory.mktemp("table") / "basis.txt"
+    np.savetxt(path, np.column_stack([s] + [s ** k for k in range(4)]
+                                     + [np.where(s <= SPLIT, s, 1.0 - s)]))
+    return path
+
+
+def _per_function_design(kind, n, s, table_path):
+    """The design one function at a time: s ** k per row, np.where then the
+    power, or np.interp per column, stacked."""
+    if kind == "monomial":
+        return np.stack([np.asarray(s) ** k for k in range(n)])
+    if kind == "piecewise_flat":
+        return np.stack([np.where(np.asarray(s) <= SPLIT, s, 1) ** k for k in range(n)])
+    data = np.loadtxt(table_path)
+    return np.stack([np.interp(np.asarray(s, dtype=float), data[:, 0], data[:, c])
+                     for c in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("kind", ["monomial", "piecewise_flat", "tabulated"])
+@given(s=_POINTS, n=st.integers(1, 12))
+def test_basis_call_is_the_per_function_design(table_path, kind, s, n):
+    """Calling a built-in family gives, byte for byte and in shape and
+    dtype, the stack of its functions evaluated one at a time."""
+    basis = {"monomial": lambda: monomial_basis(n),
+             "piecewise_flat": lambda: piecewise_flat_basis(n, SPLIT),
+             "tabulated": lambda: tabulated_basis(table_path)}[kind]()
+    got = basis(s)
+    expected = _per_function_design(kind, basis.n, s, table_path)
+    assert got.shape == expected.shape == (basis.n,) + s.shape
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_piecewise_flat_call_builds_one_mask(monkeypatch):
+    """One call of a piecewise_flat family masks its points once, not once
+    per function."""
+    basis, where, masks = piecewise_flat_basis(6, SPLIT), np.where, []
+    monkeypatch.setattr(np, "where", lambda *args: masks.append(args) or where(*args))
+    basis(RULE.nodes)
+    assert len(masks) == 1
 
 
 class TestGramMatrix:
@@ -179,7 +236,7 @@ class TestGramMatrix:
         from entromin.quadrature import nodes_in, refine_rule
 
         basis = piecewise_flat_basis(4, 0.5)
-        design = design_matrix(basis, nodes_in(refine_rule(RULE, *sub), *sub)[0])
+        design = basis(nodes_in(refine_rule(RULE, *sub), *sub)[0])
         assert (gram_matrix(basis, RULE, sub, design).tobytes()
                 == gram_matrix(basis, RULE, sub).tobytes())
         assert (linearly_independent_on(basis, RULE, sub, 1e-10, design)
@@ -252,7 +309,7 @@ class TestTabulatedBasis(object):
         assert basis.breakpoints == (0.5,)
         assert basis.kind == "tabulated"
         probe = np.array([0.25, 0.75])
-        np.testing.assert_allclose(basis.functions[1](probe), [0.25, 1.0], atol=1e-12)
+        np.testing.assert_allclose(basis(probe)[1], [0.25, 1.0], atol=1e-12)
 
     def test_decreasing_s_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -321,12 +378,12 @@ class TestProblemInstance:
 ])
 def test_design_finite_at_nodes(basis):
     rule = build_rule(basis.interval, basis.breakpoints)
-    values = design_matrix(basis, rule.nodes)
+    values = basis(rule.nodes)
     assert np.all(np.isfinite(values))
 
 
-def test_design_matrix_preserves_longdouble():
+def test_design_preserves_longdouble():
     basis = piecewise_flat_basis(3, 0.5)
     s = np.linspace(0, 1, 7).astype(np.longdouble)
-    out = design_matrix(basis, s)
+    out = basis(s)
     assert out.dtype == np.longdouble

@@ -23,7 +23,6 @@ from entromin import (
     solve_dual,
 )
 from entromin.config import BasisSpec, RunConfig, build_problem
-from entromin.moments import design_matrix
 from entromin.quadrature import integrate_values
 
 RULE = build_rule((0.0, 1.0), (0.5,))
@@ -112,7 +111,7 @@ def _reconstruct_rebuilding_design(instance, mu):
     entropy, basis = instance.entropy, instance.basis
 
     def x(s):
-        return entropy.f_star_d1(design_matrix(basis, np.asarray(s, dtype=float)).T @ mu)
+        return entropy.f_star_d1(basis(np.asarray(s, dtype=float)).T @ mu)
 
     x_nodes = x(instance.rule.nodes)
     moments = instance.design @ (instance.rule.weights * x_nodes)
@@ -142,8 +141,8 @@ class TestOneFieldReconstruct:
         assert got.x(grid).tobytes() == x(grid).tobytes()
 
     def test_basis_evaluated_at_the_nodes_once(self, monkeypatch):
-        """Building, solving and reconstructing one problem evaluates each
-        moment function at the rule nodes once."""
+        """Building, solving and reconstructing one problem evaluates the
+        basis at the rule nodes once."""
         calls = []
         to_basis = BasisSpec.to_basis
 
@@ -152,7 +151,7 @@ class TestOneFieldReconstruct:
 
         def spying_to_basis(self, interval):
             basis = to_basis(self, interval)
-            return dataclasses.replace(basis, functions=tuple(map(counting, basis.functions)))
+            return dataclasses.replace(basis, rows=counting(basis.rows))
 
         monkeypatch.setattr(BasisSpec, "to_basis", spying_to_basis)
         cfg = RunConfig(entropy="translated_boltzmann_shannon",
@@ -160,7 +159,30 @@ class TestOneFieldReconstruct:
         instance, _ = build_problem(cfg, cfg.basis)
         reconstruct(instance, solve_dual(instance).multipliers)
         at_nodes = [s for s in calls if np.array_equal(s, instance.rule.nodes)]
-        assert len(at_nodes) == len(calls) == instance.n
+        assert len(at_nodes) == len(calls) == 1
+
+    @pytest.mark.parametrize("spec", [BasisSpec("monomial", 6), BasisSpec("piecewise_flat", 6, 0.5)],
+                             ids=["monomial", "piecewise_flat"])
+    def test_solve_op_evaluates_the_basis_three_times(self, monkeypatch, spec):
+        """One solve op as the CLI and the benchmark worker run it (build,
+        solve, reconstruct, the overshoot window and the output table)
+        evaluates the basis three times: at the rule nodes, on the window
+        grid and on the sample grid."""
+        from entromin.moments import MomentBasis
+        from entromin.primal import OVERSHOOT_SAMPLES
+
+        calls, call = [], MomentBasis.__call__
+        monkeypatch.setattr(MomentBasis, "__call__",
+                            lambda basis, s: calls.append(np.array(s)) or call(basis, s))
+        cfg = RunConfig(entropy="translated_boltzmann_shannon", basis=spec)
+        instance, rho = build_problem(cfg, cfg.basis)
+        solution = solve_dual(instance, phi0=cfg.phi0, tol=cfg.tol, max_iter=cfg.max_iter)
+        primal = reconstruct(instance, solution.multipliers)
+        gibbs_overshoot(primal, rho, cfg.default_window())
+        sample_solution(primal, np.linspace(*cfg.interval, cfg.sample_points))
+        expected = [instance.rule.nodes, np.linspace(*cfg.default_window(), OVERSHOOT_SAMPLES),
+                    np.linspace(*cfg.interval, cfg.sample_points)]
+        assert [s.tobytes() for s in calls] == [s.tobytes() for s in expected]
 
 
     def test_non_finite_density_at_a_node_names_the_conjugate_derivative(self):
