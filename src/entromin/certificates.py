@@ -80,8 +80,7 @@ from .errors import (
     NoMarginIntervalError,
     ValidationError,
 )
-from .moments import (DEFAULT_INDEPENDENCE_TOL, MomentBasis, ProblemInstance,
-                      linearly_independent_on)
+from .moments import MomentBasis, ProblemInstance, linearly_independent_on
 from .quadrature import QuadratureRule, nodes_in, refine_rule, uniform_grid
 
 __all__ = [
@@ -295,8 +294,7 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     inside = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
     nodes, weights = rule.nodes[inside], rule.weights[inside]
     values = design.compress(inside, axis=1)   # C order, as the Gram's and M's bits need
-    report = linearly_independent_on(basis, rule, (margin.lo, margin.hi),
-                                     DEFAULT_INDEPENDENCE_TOL, values)
+    report = linearly_independent_on(basis, rule, (margin.lo, margin.hi), values)
     if not report.independent:
         raise DependentBasisError(
             f"moment functions are numerically dependent on "
@@ -571,7 +569,7 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QriCertificate:
     """A witness with the same moments as the density and positive lower
     clearance, built by clipping and correcting on the margin interval.

@@ -241,21 +241,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    solve = sub.add_parser("solve", help="solve one instance and write solution + summary")
+    certify = sub.add_parser("certify", help="build and verify a strong-duality certificate")
+    compare = sub.add_parser("compare", help="solve two bases and compare overshoot")
+    for p in (solve, certify, compare):
         p.add_argument("--config", required=True, help="path to the run config (INI)")
         p.add_argument("--out", help="output directory (overrides [output] dir)")
-        p.add_argument("--trace", action="store_true", help="write the iteration trace CSV")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
         p.add_argument("--quad-order", type=int, default=None,
                        help="Gauss-Legendre nodes per panel (overrides [quad] order)")
         p.add_argument("--quad-panels", type=int, default=None,
                        help="panels per smooth segment (overrides [quad] panels)")
-
-    common(sub.add_parser("solve", help="solve one instance and write solution + summary"))
-    certify = sub.add_parser("certify", help="build and verify a strong-duality certificate")
-    common(certify)
+    for p in (solve, compare):
+        p.add_argument("--trace", action="store_true", help="write the iteration trace CSV")
     certify.add_argument("--type", choices=("core", "qri"), required=True)
-    common(sub.add_parser("compare", help="solve two bases and compare overshoot"))
+    certify.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     return parser
 
 
@@ -266,7 +265,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:  # each flag meets its INI key's check before any rule is built
+        # each flag meets its INI key's check before any rule is built; --seed is certify's
+        if getattr(args, "seed", None) is not None:
             cfg = replace(cfg, certify=replace(cfg.certify, seed=args.seed))
         flags = {"out_dir": args.out, "quad_order": args.quad_order,
                  "quad_panels": args.quad_panels}

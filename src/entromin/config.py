@@ -88,13 +88,13 @@ class BasisSpec:
 
     def to_basis(self, interval) -> MomentBasis:
         if self.kind == "monomial":
-            return monomial_basis(self.n, interval)
+            return monomial_basis(self.n)
         if self.kind == "piecewise_flat":
             if self.split is None:
                 raise ValidationError("piecewise_flat basis requires a split point")
             return piecewise_flat_basis(self.n, self.split, interval)
         if self.kind == "tabulated":
-            basis = tabulated_basis(_existing_file("basis", self.file), interval)
+            basis = tabulated_basis(_existing_file("basis", self.file))
             if basis.n != self.n:
                 raise ValidationError(
                     f"basis file {self.file} provides {basis.n} functions, config says n={self.n}"

@@ -22,7 +22,6 @@ __all__ = ["Density", "pulse_density", "constant_density", "tabulated_density"]
 
 @dataclass(frozen=True)
 class Density:
-    kind: str
     fn: Callable = field(repr=False)
     breakpoints: tuple = ()
 
@@ -37,7 +36,7 @@ def pulse_density(split: float = 0.5) -> Density:
         s = np.asarray(s)
         return np.where(s <= split, 1.0, 0.0)
 
-    return Density(kind="pulse", fn=fn, breakpoints=(float(split),))
+    return Density(fn, (float(split),))
 
 
 def constant_density(c: float) -> Density:
@@ -46,7 +45,7 @@ def constant_density(c: float) -> Density:
     def fn(s):
         return np.full_like(np.asarray(s, dtype=float), c)
 
-    return Density(kind="constant", fn=fn)
+    return Density(fn)
 
 
 def tabulated_density(path) -> Density:
@@ -61,7 +60,7 @@ def tabulated_density(path) -> Density:
     def fn(q):
         return np.interp(np.asarray(q, dtype=float), s, vals)
 
-    return Density(kind="tabulated", fn=fn, breakpoints=breakpoints)
+    return Density(fn, breakpoints)
 
 
 def _load_table(path, too_few_columns: str):

@@ -9,18 +9,18 @@ subintervals.
 
 A family is one callable: `basis(s)` is its design, a_k(s) in row k, shape
 (n,) + s.shape, from one evaluator that fills the rows of one array.  A
-custom family is `MomentBasis(n, rows, breakpoints, kind, interval)` with
-`rows(s)` returning that design.
+custom family is `MomentBasis(n, rows, breakpoints=())` with `rows(s)`
+returning that design and `breakpoints` its non-smooth points.
 
 Linear independence of the moment functions on a subinterval is what the
 strong-duality certificates require.  In infinite dimensions independence
 is an abstract statement; here it is decided numerically through the
-smallest eigenvalue of the subinterval Gram matrix, with a scale-free
-threshold relative to trace/n.  Independence in L2 implies independence in
-L-infinity for bounded functions on a bounded interval, so the surrogate
-errs only on the conservative side.  The raw eigenvalue is always reported
-because Hilbert-type Gram matrices are notoriously ill-conditioned and
-callers may want to judge for themselves.
+smallest eigenvalue of the subinterval Gram matrix, against the scale-free
+threshold INDEPENDENCE_TOL * trace/n.  Independence in L2 implies
+independence in L-infinity for bounded functions on a bounded interval, so
+the surrogate errs only on the conservative side.  The raw eigenvalue is
+always reported because Hilbert-type Gram matrices are notoriously
+ill-conditioned and callers may want to judge for themselves.
 """
 
 from __future__ import annotations
@@ -48,21 +48,19 @@ __all__ = [
     "instance_from_density",
 ]
 
-DEFAULT_INDEPENDENCE_TOL = 1e-10
+INDEPENDENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class MomentBasis:
     """An ordered family of n bounded moment functions on [0, tau], one
     callable: `basis(s)` is the design `rows(s)`, a_k(s) in row k, shape
-    (n,) + s.shape.  The declared breakpoints are trusted as the only
-    non-smooth points."""
+    (n,) + s.shape.  A custom family is `MomentBasis(n, rows, breakpoints=())`;
+    the declared breakpoints are trusted as the only non-smooth points."""
 
     n: int
     rows: Callable = field(repr=False)
-    breakpoints: tuple
-    kind: str
-    interval: tuple
+    breakpoints: tuple = ()
 
     def __call__(self, s) -> np.ndarray:
         return self.rows(s)
@@ -79,12 +77,11 @@ def _monomial_rows(t, n: int) -> np.ndarray:
     return rows
 
 
-def monomial_basis(n: int, interval=(0.0, 1.0)) -> MomentBasis:
+def monomial_basis(n: int) -> MomentBasis:
     """a_i(s) = s**(i-1) for i = 1..n; smooth, independent on any interval."""
     if n < 1:
         raise ValidationError(f"need at least one moment function, got n={n}")
-    return MomentBasis(n, lambda s: _monomial_rows(s, n), (), "monomial",
-                       (float(interval[0]), float(interval[1])))
+    return MomentBasis(n, lambda s: _monomial_rows(s, n))
 
 
 def piecewise_flat_basis(n: int, split: float, interval=(0.0, 1.0)) -> MomentBasis:
@@ -106,10 +103,10 @@ def piecewise_flat_basis(n: int, split: float, interval=(0.0, 1.0)) -> MomentBas
     def rows(s):  # 1**k is exactly 1, so masking before the power keeps every bit
         return _monomial_rows(np.where(np.asarray(s) <= split, s, 1), n)
 
-    return MomentBasis(n, rows, (split,), "piecewise_flat", (lo, hi))
+    return MomentBasis(n, rows, (split,))
 
 
-def tabulated_basis(path, interval=(0.0, 1.0)) -> MomentBasis:
+def tabulated_basis(path) -> MomentBasis:
     """Moment functions sampled in a columned text file.
 
     First column is s, remaining columns are a_1..a_n; values between
@@ -126,8 +123,7 @@ def tabulated_basis(path, interval=(0.0, 1.0)) -> MomentBasis:
             design[k] = np.interp(q, s, column)
         return design
 
-    return MomentBasis(len(columns), rows, tuple(float(b) for b in breakpoints), "tabulated",
-                       (float(interval[0]), float(interval[1])))
+    return MomentBasis(len(columns), rows, breakpoints)
 
 
 def moment_vector(basis: MomentBasis, rule: QuadratureRule, x) -> np.ndarray:
@@ -168,22 +164,14 @@ class IndependenceReport:
     min_eigenvalue: float
     threshold: float
 
-    def __bool__(self):
-        return self.independent
-
 
 def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterval,
-                            tol: float = DEFAULT_INDEPENDENCE_TOL,
                             design=None) -> IndependenceReport:
-    """Decide numerical independence of the a_k on a subinterval.
-
-    Independent iff the smallest Gram eigenvalue exceeds tol * trace/n, 0 < tol < inf.
-    """
-    if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
+    """Decide numerical independence of the a_k on a subinterval: independent
+    iff the smallest Gram eigenvalue exceeds INDEPENDENCE_TOL * trace/n."""
     gram = gram_matrix(basis, rule, subinterval, design)
     eigvals = np.linalg.eigvalsh(gram)
-    threshold = tol * float(np.trace(gram)) / basis.n
+    threshold = INDEPENDENCE_TOL * float(np.trace(gram)) / basis.n
     return IndependenceReport(
         independent=bool(eigvals[0] > threshold),
         min_eigenvalue=float(eigvals[0]),

@@ -337,11 +337,11 @@ def test_criterion_10_byte_identical_compare_runs(tmp_path):
     for run in ("one", "two"):
         ini = tmp_path / f"{run}.ini"
         ini.write_text(COMPARE_INI.format(out=str(tmp_path / run)))
-        assert main(["compare", "--config", str(ini), "--seed", "7"]) == 0
+        assert main(["compare", "--config", str(ini)]) == 0
         paths.append(tmp_path / run)
     for name in ("solution_a.csv", "solution_b.csv", "comparison.json"):
         identical &= (paths[0] / name).read_bytes() == (paths[1] / name).read_bytes()
     payload = json.loads((paths[0] / "comparison.json").read_text())
     report(10, identical and payload["overshoot_b"] < payload["overshoot_a"],
-           "two compare runs with identical config and seed emit byte-identical "
+           "two compare runs with identical config emit byte-identical "
            "CSV and JSON artifacts")

@@ -1,11 +1,13 @@
 """Command-line pipelines: artifacts, exit codes, and determinism."""
 
+import argparse
 import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -453,8 +455,8 @@ class TestCompare:
     def test_byte_identical_reruns(self, tmp_path):
         cfg1 = write_compare_config(tmp_path, name="c1.ini", out=str(tmp_path / "run1"))
         cfg2 = write_compare_config(tmp_path, name="c2.ini", out=str(tmp_path / "run2"))
-        assert main(["compare", "--config", str(cfg1), "--seed", "42"]) == 0
-        assert main(["compare", "--config", str(cfg2), "--seed", "42"]) == 0
+        assert main(["compare", "--config", str(cfg1)]) == 0
+        assert main(["compare", "--config", str(cfg2)]) == 0
         for name in ("solution_a.csv", "solution_b.csv", "comparison.json"):
             b1 = (tmp_path / "run1" / name).read_bytes()
             b2 = (tmp_path / "run2" / name).read_bytes()
@@ -749,6 +751,22 @@ def test_usage_error_exits_1(capsys, args):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--seed", "1"], ["compare", "--seed", "1"], ["certify", "--type", "core", "--trace"],
+], ids=["solve-seed", "compare-seed", "certify-trace"])
+def test_flag_another_subcommand_reads_exits_1(tmp_path, capsys, args):
+    """Each subcommand takes only the flags it reads: --seed is certify's,
+    --trace solve's and compare's.  Given to another, it is a usage error:
+    exit 1 on a config that runs, and no output directory."""
+    out = tmp_path / "out"
+    write = {"solve": write_config, "certify": write_cert_config,
+             "compare": write_compare_config}[args[0]]
+    path = write(tmp_path, out=str(out))
+    assert main([*args, "--config", str(path)]) == 1
+    assert "error: unrecognized arguments: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["solve", "--help"]) == 0
     assert "--quad-order" in capsys.readouterr().out
@@ -804,6 +822,28 @@ def test_console_entry_point_runs(tmp_path):
     assert "converged" in proc.stdout
 
 
+def test_package_exports_are_pinned():
+    """The public names of `entromin`, its submodules aside, are these: an
+    API that grows or shrinks changes this list on purpose."""
+    exported = sorted(name for name, value in vars(entromin).items()
+                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert exported == [
+        "CertificateError", "CertificateVerification", "CoreCertificate", "Density",
+        "DependentBasisError", "DirectionFunctions", "DomainViolationError", "DualSolution",
+        "EntrominError", "EntropySpec", "IndependenceReport", "Interval", "MarginInterval",
+        "MomentBasis", "NoMarginIntervalError", "NonFiniteIntegrandError", "PrimalSolution",
+        "ProblemInstance", "QriCertificate", "QuadratureRule", "ValidationError",
+        "available_entropies", "build_core_certificate", "build_direction_functions",
+        "build_qri_certificate", "build_rule", "builtin_entropy", "constant_density",
+        "direction_inner_products", "dual_gradient", "dual_hessian", "dual_value",
+        "fenchel_young_gap", "find_margin_interval", "gibbs_overshoot", "gram_matrix",
+        "instance_from_density", "integrate", "linearly_independent_on", "moment_vector",
+        "monomial_basis", "piecewise_flat_basis", "pulse_density", "reconstruct",
+        "sample_solution", "solve_dual", "tabulated_basis", "tabulated_density",
+        "verify_core_certificate", "within_bounds",
+    ]
+
+
 def test_cli_imports_no_scipy():
     src = str(Path(entromin.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -818,6 +858,20 @@ def _readme_block(heading, lang):
     """The first ```lang block under `heading` in README.md."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return readme.split(heading, 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_usage_lines_are_the_parser():
+    """The README's usage line of each subcommand names exactly the options
+    the parser gives it, so an undocumented or unread flag fails here."""
+    block = _readme_block("## Command line", "")
+    stated = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+              for line in block.splitlines()}
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    parsed = {name: {option for action in sub._actions for option in action.option_strings
+                     if option.startswith("--") and option != "--help"}
+              for name, sub in subparsers.choices.items()}
+    assert stated == parsed
 
 
 def test_readme_config_schema_loads(tmp_path):

@@ -72,7 +72,7 @@ class TestDualValue:
         rule2 = build_rule((0.0, 2.0))
         inst = instance_from_density(
             builtin_entropy("translated_boltzmann_shannon"),
-            monomial_basis(1, (0.0, 2.0)), rule2, constant_density(0.5),
+            monomial_basis(1), rule2, constant_density(0.5),
         )
         assert dual_value(inst, [0.0]) == pytest.approx(-2.0, rel=1e-13)
         solution = solve_dual(inst)
@@ -240,8 +240,7 @@ class TestSolveDual:
         basis = monomial_basis(2)
         shifted = instance_from_density(
             builtin_entropy("burg"),
-            type(basis)(n=2, rows=lambda s: basis(s)[::-1], breakpoints=(), kind="monomial",
-                        interval=(0.0, 1.0)),
+            type(basis)(n=2, rows=lambda s: basis(s)[::-1]),
             RULE, constant_density(0.5),
         )
         with pytest.raises(ValidationError, match="phi0"):

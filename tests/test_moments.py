@@ -1,5 +1,8 @@
 """Moment families, the moment map, Gram matrices, and independence."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,9 +21,9 @@ from entromin import (
     piecewise_flat_basis,
     tabulated_basis,
 )
-from entromin.densities import constant_density, pulse_density
+from entromin.densities import Density, constant_density, pulse_density
 from entromin.errors import NonFiniteIntegrandError
-from entromin.moments import ProblemInstance
+from entromin.moments import INDEPENDENCE_TOL, MomentBasis, ProblemInstance
 from entromin.quadrature import integrate_values
 
 RULE = build_rule((0.0, 1.0), (0.5,))
@@ -239,7 +242,7 @@ class TestGramMatrix:
         design = basis(nodes_in(refine_rule(RULE, *sub), *sub)[0])
         assert (gram_matrix(basis, RULE, sub, design).tobytes()
                 == gram_matrix(basis, RULE, sub).tobytes())
-        assert (linearly_independent_on(basis, RULE, sub, 1e-10, design)
+        assert (linearly_independent_on(basis, RULE, sub, design)
                 == linearly_independent_on(basis, RULE, sub))
 
     @pytest.mark.parametrize("make", [
@@ -284,13 +287,11 @@ class TestIndependence:
                 assert linearly_independent_on(basis, RULE, (0.0, hi)).independent
             assert not linearly_independent_on(basis, RULE, (0.5, 1.0)).independent
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_tolerance(self, tol):
-        """Only a tolerance in (0, inf) decides: nan reported every family
-        dependent with a nan threshold, and inf every family dependent."""
-        with pytest.raises(ValidationError,
-                           match=f"^tolerance must be positive and finite, got {tol}$"):
-            linearly_independent_on(monomial_basis(2), RULE, (0.0, 1.0), tol=tol)
+    def test_threshold_is_the_module_tolerance_of_trace_over_n(self):
+        basis = monomial_basis(3)
+        report = linearly_independent_on(basis, RULE, (0.0, 0.5))
+        gram = gram_matrix(basis, RULE, (0.0, 0.5))
+        assert report.threshold == INDEPENDENCE_TOL * float(np.trace(gram)) / 3
 
 
 class TestTabulatedBasis(object):
@@ -307,7 +308,6 @@ class TestTabulatedBasis(object):
         basis = tabulated_basis(path)
         assert basis.n == 2
         assert basis.breakpoints == (0.5,)
-        assert basis.kind == "tabulated"
         probe = np.array([0.25, 0.75])
         np.testing.assert_allclose(basis(probe)[1], [0.25, 1.0], atol=1e-12)
 
@@ -371,13 +371,13 @@ class TestProblemInstance:
         assert inst.design.shape == (2, RULE.nodes.size)
 
 
-@pytest.mark.parametrize("basis", [
-    monomial_basis(4),
-    piecewise_flat_basis(5, 0.5),
-    monomial_basis(3, (0.0, 2.0)),
+@pytest.mark.parametrize("basis,interval", [
+    (monomial_basis(4), (0.0, 1.0)),
+    (piecewise_flat_basis(5, 0.5), (0.0, 1.0)),
+    (monomial_basis(3), (0.0, 2.0)),
 ])
-def test_design_finite_at_nodes(basis):
-    rule = build_rule(basis.interval, basis.breakpoints)
+def test_design_finite_at_nodes(basis, interval):
+    rule = build_rule(interval, basis.breakpoints)
     values = basis(rule.nodes)
     assert np.all(np.isfinite(values))
 
@@ -387,3 +387,20 @@ def test_design_preserves_longdouble():
     s = np.linspace(0, 1, 7).astype(np.longdouble)
     out = basis(s)
     assert out.dtype == np.longdouble
+
+
+def test_families_and_densities_store_only_what_is_read():
+    """A family is its size, its design and its non-smooth points, a density
+    its map and its jumps; no kind or interval is kept beside them."""
+    assert [f.name for f in dataclasses.fields(MomentBasis)] == ["n", "rows", "breakpoints"]
+    assert [f.name for f in dataclasses.fields(Density)] == ["fn", "breakpoints"]
+
+
+@pytest.mark.parametrize("fn,params", [
+    (monomial_basis, ["n"]),
+    (piecewise_flat_basis, ["n", "split", "interval"]),   # the split is checked against it
+    (tabulated_basis, ["path"]),
+    (linearly_independent_on, ["basis", "rule", "subinterval", "design"]),
+], ids=["monomial", "piecewise_flat", "tabulated", "independence"])
+def test_no_setting_that_nothing_reads(fn, params):
+    assert list(inspect.signature(fn).parameters) == params
