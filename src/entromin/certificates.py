@@ -38,7 +38,7 @@ upper clearance is reported alongside for inspection.
 All membership checks are sample-based, so a certificate is strong numerical
 evidence, not an almost-everywhere proof; solver output labels it as such.
 x is sampled on lattices of one size, MEMBERSHIP_SAMPLES: the scan's, per
-segment, which set a scanned margin's range, and the membership grid
+segment, which set the margin's range, and the membership grid
 (`_membership_grid`), where the band is checked and that range widened.
 
 Numerical note: every margin integral (independence, the y_k, core
@@ -110,9 +110,9 @@ class MarginInterval:
     """A subinterval where the density keeps clear of its value bounds.
 
     `val_lo`/`val_hi` are the observed minimum and maximum of the density
-    on [lo, hi] over the points where certificates are checked: the
-    membership grid and the margin rule's nodes, and, for a scanned margin,
-    the scan samples and instance-rule nodes the scan evaluated there.
+    on [lo, hi] over the scan samples and instance-rule nodes the scan
+    evaluated there and, once a certificate's prelude widens them, the
+    membership grid and the margin rule's nodes, where certificates are checked.
     """
 
     lo: float
@@ -162,25 +162,25 @@ def _longest_run(mask: np.ndarray):
     return int(starts[best]), int(stops[best])
 
 
-def find_margin_interval(x, lower: float, upper: float, interval,
-                         breakpoints=(), min_width: Optional[float] = None,
-                         nodes=None, one_sided: bool = False) -> MarginInterval:
+def find_margin_interval(x, lower: float, upper: float, rule: QuadratureRule,
+                         min_width: Optional[float] = None,
+                         one_sided: bool = False) -> MarginInterval:
     """Locate the widest interval on which x stays clear of its bounds.
 
-    Scans each segment between breakpoints on MEMBERSHIP_SAMPLES interior
-    samples, trying margins eps from a geometric grid (largest first) and
-    returning the widest interval of width at least `min_width` (default: 1%
-    of the interval) on which x(s) stays in [lower + eps, upper - eps].  With
-    `one_sided=True` only the lower clearance constrains the scan, which
-    is what the quasi-relative-interior construction needs: its conclusion
-    certifies clearance above the lower bound only, so a density pinned to
-    the upper bound (the pulse with band (0, 1)) must still admit a
-    witness interval.
+    Scans each segment of `rule` (its interval cut at its breakpoints) on
+    MEMBERSHIP_SAMPLES interior samples, trying margins eps from a geometric
+    grid (largest first) and returning the widest interval of width at least
+    `min_width` (default: 1% of the interval) on which x(s) stays in
+    [lower + eps, upper - eps].  With `one_sided=True` only the lower
+    clearance constrains the scan, which is what the quasi-relative-interior
+    construction needs: its conclusion certifies clearance above the lower
+    bound only, so a density pinned to the upper bound (the pulse with band
+    (0, 1)) must still admit a witness interval.
 
-    x is called once, on the scan samples and `nodes` (quadrature nodes, if
-    given); the value range is read from those in the interval found.
+    x is called once, on the scan samples and the rule's nodes; the value
+    range is read from those in the interval found.
     """
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = rule.interval
     if min_width is None:
         min_width = (hi - lo) / 100.0
     if not 0.0 < min_width < np.inf:
@@ -191,11 +191,10 @@ def find_margin_interval(x, lower: float, upper: float, interval,
     else:
         eps_grid = [2.0 ** -k for k in range(0, 60)]
 
-    edges = np.array([lo, *sorted(b for b in breakpoints if lo < b < hi), hi])
+    edges = np.array([lo, *rule.breakpoints, hi])
     grids = uniform_grid(edges[:-1, None], edges[1:, None], MEMBERSHIP_SAMPLES + 2)[:, 1:-1]
     spacing = float(np.max(grids[:, 1] - grids[:, 0]))   # interior samples only, one row each
-    nodes = np.empty(0) if nodes is None else np.asarray(nodes, dtype=float)
-    values = np.asarray(x(np.concatenate([grids.ravel(), nodes])), dtype=float)
+    values = np.asarray(x(np.concatenate([grids.ravel(), rule.nodes])), dtype=float)
     node_values, values = values[grids.size:], values[:grids.size].reshape(grids.shape)
 
     for eps in eps_grid:
@@ -217,7 +216,8 @@ def find_margin_interval(x, lower: float, upper: float, interval,
         # boundary case ties to the last ulp
         if best is not None and best[1] - best[0] >= min_width - 1.5 * spacing:
             z1, z2, run_values = best
-            seen = np.concatenate([run_values, node_values[(nodes >= z1) & (nodes <= z2)]])
+            on_run = (rule.nodes >= z1) & (rule.nodes <= z2)
+            seen = np.concatenate([run_values, node_values[on_run]])
             return MarginInterval(z1, z2, float(seen.min()), float(seen.max()))
 
     raise NoMarginIntervalError(
@@ -406,17 +406,16 @@ class CertificateVerification:
 
 
 def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
-                    candidate_interval=None, min_width: Optional[float] = None,
-                    one_sided: bool = False):
+                    min_width: Optional[float] = None, one_sided: bool = False):
     """The hypothesis both certificates start from, checked in order.
 
     1. The band lies in the entropy domain (ValidationError otherwise); the
        two-sided core construction also needs the density finite and inside
        it on the membership grid (`within_bounds`), and again on that grid
        once step 2 has refined its rule; the one-sided qri needs it finite there.
-    2. A margin interval, the scan's or `candidate_interval` (whose range
-       starts empty), its range widened by the density on the membership grid
-       inside it, and the margin rule: the instance rule refined at its ends.
+    2. The scan's margin interval on the instance rule, its range widened by
+       the density on the membership grid inside it, and the margin rule: the
+       instance rule refined at its ends.
     3. The unit-direction y_k on it, the only independence check.
     4. Its range strictly inside the band (above `lower` when `one_sided`).
 
@@ -431,13 +430,7 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
         _check_band(instance.entropy, lower, upper)
     elif not within_bounds(instance.entropy, x, lower, upper, rule):
         raise outside
-    if candidate_interval is None:
-        margin = find_margin_interval(
-            x, lower, upper, rule.interval, breakpoints=rule.breakpoints,
-            min_width=min_width, nodes=rule.nodes, one_sided=one_sided,
-        )
-    else:
-        margin = MarginInterval(*map(float, candidate_interval), np.inf, -np.inf)
+    margin = find_margin_interval(x, lower, upper, rule, min_width, one_sided)
     rule = refine_rule(rule, margin.lo, margin.hi)
     grid = _membership_grid(rule)
     x_grid = np.asarray(x(grid), dtype=float)
@@ -463,18 +456,14 @@ def _margin_sup(coeffs, margin_design):
 
 
 def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: float,
-                           candidate_interval=None,
                            min_width: Optional[float] = None) -> CoreCertificate:
     """Assemble the core certificate for the density x and band [lower, upper].
 
     Fails with a :class:`CertificateError` naming the hypothesis that does
     not hold: band membership, existence of a margin interval, or linear
-    independence on it (see `_margin_prelude`).  An explicit
-    `candidate_interval` replaces the scan; independence there is examined
-    before its value range.
+    independence on the scanned margin (see `_margin_prelude`).
     """
-    directions, grid, _ = _margin_prelude(instance, x, lower, upper, candidate_interval,
-                                          min_width)
+    directions, grid, _ = _margin_prelude(instance, x, lower, upper, min_width)
     margin, rule = directions.margin, directions.rule
     y_margin = directions.coeffs @ directions.margin_design   # the unit y_k, nodes last
     sup_unit = np.max(np.abs(y_margin), axis=-1) * (1.0 + 1e-9)  # above the sampled sup

@@ -42,20 +42,16 @@ def _fmt(value) -> str:
 
 
 def _json_dumps(obj, indent=0) -> str:
-    """Deterministic JSON: sorted keys, 17-digit floats, LF endings."""
+    """Deterministic JSON: sorted keys, 17-digit floats, LF endings (no
+    artifact holds an empty object or list, so none is written as one)."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = (f'{inner}"{key}": {_json_dumps(obj[key], indent + 1)}'
                  for key in sorted(obj))
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = (f"{inner}{_json_dumps(v, indent + 1)}" for v in seq)
+        items = (f"{inner}{_json_dumps(v, indent + 1)}" for v in obj)
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"

@@ -30,13 +30,17 @@ class Density:
 
 
 def pulse_density(split: float = 0.5) -> Density:
-    """Indicator of [0, split]: 1 up to and including the split, 0 after."""
+    """Indicator of [0, split]: 1 up to and including the split, 0 after.
+    A split that is nan or infinite is a ValidationError."""
+    split = float(split)
+    if not np.isfinite(split):
+        raise ValidationError(f"the pulse split must be finite, got split={split}")
 
     def fn(s):
         s = np.asarray(s)
         return np.where(s <= split, 1.0, 0.0)
 
-    return Density(fn, (float(split),))
+    return Density(fn, (split,))
 
 
 def constant_density(c: float) -> Density:

@@ -69,7 +69,7 @@ class IterationRecord:
     dual_value: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualSolution:
     """Result of a dual solve, converged or not.
 

@@ -28,7 +28,7 @@ __all__ = ["PrimalSolution", "reconstruct", "sample_solution", "gibbs_overshoot"
 OVERSHOOT_SAMPLES = 2001
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimalSolution:
     """The recovered density plus its feasibility and optimality audit."""
 

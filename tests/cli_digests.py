@@ -1,0 +1,92 @@
+"""Byte-identity harness: a SHA-256 digest line for every CLI run of the benchmark plans.
+
+Run it from the repository root against the source tree to be checked:
+
+    PYTHONPATH=src python tests/cli_digests.py > digests.txt
+
+and `diff` the output of two source trees: equal output means equal exit
+codes, stdout, stderr and artifacts on every run.  It calls `cli.main`
+in-process, in a temporary directory, over 458 runs:
+
+- the 288 `solve-sweep` configs as `solve --trace`;
+- the 144 of them at 320 nodes as `compare --trace` (labelled by the sweep
+  config they come from);
+- the `certify-core` and `certify-qri` plan configs at seeds 1 and 7, core
+  with `--seed` as `bench/run.py` passes it.
+
+Each line holds the arguments, the config label, the exit code, and the
+SHA-256 of stdout, of stderr and of each artifact; the lines are sorted.
+The plans are read from `bench/workloads.py`, loaded from its file.  pytest
+does not collect this module; `tests/test_cli.py` runs two of its runs twice.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 7)
+
+
+def load_workloads():
+    """`bench/workloads.py`, loaded from its file: `bench/` is no package."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(workloads) -> list:
+    """(subcommand args, config, label) of every run."""
+    sweep = workloads.plan("solve-sweep", SEEDS[0])["ops"]
+    plan = [(("solve", "--trace"), c, workloads.label(c)) for c in sweep]
+    plan += [(("compare", "--trace"), dict(c, compare=True), workloads.label(c))
+             for c in sweep if c["nodes"] == 320]
+    for seed in SEEDS:
+        plan += [(("certify", "--type", "core", "--seed", str(c["trial_seed"])), c,
+                  workloads.label(c)) for c in workloads.plan("certify-core", seed)["ops"]]
+        plan += [(("certify", "--type", "qri"), c, workloads.label(c))
+                 for c in workloads.plan("certify-qri", seed)["ops"]]
+    return plan
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(workloads, args, cfg, label, tmp) -> str:
+    """Run one config in the directory `tmp` and return its line."""
+    from entromin import cli
+
+    ini, out = os.path.join(tmp, "run.ini"), os.path.join(tmp, "out")
+    with open(ini, "w", encoding="utf-8") as fh:
+        fh.write(workloads.to_ini(cfg))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([*args, "--config", ini, "--out", out])
+    fields = [" ".join(args), label, f"exit={code}"]
+    fields += [f"{name}={_sha256(text.getvalue().replace(tmp, '<tmp>').encode())}"
+               for name, text in (("stdout", stdout), ("stderr", stderr))]
+    if os.path.isdir(out):
+        fields += [f"{name}={_sha256(Path(out, name).read_bytes())}"
+                   for name in sorted(os.listdir(out))]
+        shutil.rmtree(out)
+    return " ".join(fields)
+
+
+def digests(plan) -> list:
+    """The sorted lines of the runs in `plan` (see `runs`)."""
+    workloads = load_workloads()
+    with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
+        return sorted(digest(workloads, *run, tmp) for run in plan)
+
+
+if __name__ == "__main__":
+    sys.stdout.write("".join(line + "\n" for line in digests(runs(load_workloads()))))

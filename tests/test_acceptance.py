@@ -14,6 +14,7 @@ import zlib
 import numpy as np
 
 from entromin import (
+    Density,
     DependentBasisError,
     build_core_certificate,
     build_direction_functions,
@@ -41,6 +42,7 @@ from entromin.cli import main
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 PULSE = pulse_density(0.5)
+RIGHT_PULSE = Density(lambda s: 1.0 - PULSE(s), PULSE.breakpoints)   # 1 on (0.5, 1]
 INF = float("inf")
 
 
@@ -235,9 +237,11 @@ def test_criterion_6_core_certificate_with_negative_control():
         rep = verify_core_certificate(inst, PULSE, cert, trials=100, seed=2024 + n)
         worst_p2 = max(worst_p2, rep.worst_p2_residual)
         all_pass &= inside and rep.p1_passes == 100 and rep.p2_passes == 100
-        # negative control: independence fails right of the split
+        # negative control: on the right pulse the scanned margin lies right of
+        # the split, where independence fails
+        right = instance_from_density(inst.entropy, inst.basis, RULE, RIGHT_PULSE)
         try:
-            build_core_certificate(inst, PULSE, 0.0, INF, candidate_interval=(0.5, 1.0))
+            build_core_certificate(right, RIGHT_PULSE, 0.0, INF)
             all_pass = False
         except DependentBasisError:
             pass

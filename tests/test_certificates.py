@@ -37,6 +37,7 @@ from entromin.quadrature import nodes_in
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 PULSE = pulse_density(0.5)
+RIGHT_PULSE = Density(lambda s: 1.0 - PULSE(s), PULSE.breakpoints)   # 1 on (0.5, 1]
 RAMP = Density(lambda s: np.asarray(s, dtype=float))
 BUMP = Density(lambda s: 4.0 * np.asarray(s, dtype=float) * (1.0 - np.asarray(s)))
 INF = float("inf")
@@ -176,8 +177,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     from entromin.certificates import MEMBERSHIP_SAMPLES
 
     basis, rule = instance.basis, instance.rule
-    margin = find_margin_interval(x, lower, upper, rule.interval, breakpoints=rule.breakpoints,
-                                  nodes=rule.nodes, one_sided=True)
+    margin = find_margin_interval(x, lower, upper, rule, one_sided=True)
     delta = margin.val_lo - lower
     directions = build_direction_functions(basis, rule, margin)
     ver_rule = directions.rule
@@ -226,8 +226,7 @@ def _pulse_zeroed_in_margin():
     """The README-family pulse with piecewise_flat n=4, set to 0 at one
     instance-rule node inside its margin: the scan, which samples between
     the nodes, still finds the margin, but its confirmed range reaches 0."""
-    margin = find_margin_interval(PULSE, 0.0, INF, RULE.interval, breakpoints=RULE.breakpoints,
-                                  nodes=RULE.nodes)
+    margin = find_margin_interval(PULSE, 0.0, INF, RULE)
     node = float(RULE.nodes[(RULE.nodes > margin.lo) & (RULE.nodes < margin.hi)][0])
     rho = Density(lambda s: np.where(np.asarray(s) == node, 0.0, PULSE(s)))
     return make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), rho), rho
@@ -241,8 +240,7 @@ def _pulse_marked(basis, value, where):
     from entromin.certificates import MEMBERSHIP_SAMPLES
 
     if where == "node":
-        margin = find_margin_interval(PULSE, 0.0, INF, RULE.interval,
-                                      breakpoints=RULE.breakpoints, nodes=RULE.nodes)
+        margin = find_margin_interval(PULSE, 0.0, INF, RULE)
         nodes = build_direction_functions(basis, RULE, margin).rule.nodes
         points = nodes[(nodes > margin.lo) & (nodes < margin.hi)][:1]
     else:
@@ -354,23 +352,14 @@ class TestCheckedPointsConfirmMargin:
     """Both certificates are checked on the verification nodes and the
     membership grid, so the margin's value range covers those inside it."""
 
-    @pytest.mark.parametrize("candidate", [False, True], ids=["scanned", "candidate"])
     @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
-    def test_density_at_band_on_verification_node_names_margin(self, basis, candidate,
-                                                                monkeypatch):
-        """Both builders, or core on an explicit candidate interval (the
-        scanned one), fail before any trial or clip level runs."""
+    def test_density_at_band_on_verification_node_names_margin(self, basis, monkeypatch):
+        """Both builders fail before any trial or clip level runs."""
         from entromin import certificates
 
         inst, rho = _pulse_marked(basis, 0.0, "node")
         monkeypatch.setattr(certificates, "_candidate_levels", None)  # no clip level runs
-        builds = [build_core_certificate, build_qri_certificate]
-        if candidate:
-            margin = find_margin_interval(PULSE, 0.0, INF, RULE.interval,
-                                          breakpoints=RULE.breakpoints, nodes=RULE.nodes)
-            builds = [lambda *args: build_core_certificate(
-                *args, candidate_interval=(margin.lo, margin.hi))]
-        for build in builds:
+        for build in [build_core_certificate, build_qri_certificate]:
             with pytest.raises(CertificateError) as err:
                 build(inst, rho, 0.0, INF)
             assert err.value.hypothesis == "margin interval"
@@ -448,19 +437,18 @@ class TestWithinBounds:
 
 class TestFindMarginInterval:
     def test_pulse_on_half_line(self):
-        margin = find_margin_interval(PULSE, 0.0, INF, (0.0, 1.0),
-                                      breakpoints=(0.5,), nodes=RULE.nodes)
+        margin = find_margin_interval(PULSE, 0.0, INF, RULE)
         assert 0.0 <= margin.lo < margin.hi <= 0.5
         assert margin.val_lo == pytest.approx(1.0)
         assert margin.val_hi == pytest.approx(1.0)
 
     def test_boundary_density_has_no_margin(self):
         with pytest.raises(NoMarginIntervalError):
-            find_margin_interval(constant_density(0.0), 0.0, INF, (0.0, 1.0))
+            find_margin_interval(constant_density(0.0), 0.0, INF, build_rule((0.0, 1.0)))
 
     def test_identity_map_unit_band(self):
         margin = find_margin_interval(lambda s: np.asarray(s, dtype=float),
-                                      0.0, 1.0, (0.0, 1.0), min_width=0.5)
+                                      0.0, 1.0, build_rule((0.0, 1.0)), min_width=0.5)
         assert margin.lo == pytest.approx(0.25, abs=2e-3)
         assert margin.hi == pytest.approx(0.75, abs=2e-3)
         assert margin.val_lo == pytest.approx(margin.lo, abs=1e-12)
@@ -470,15 +458,15 @@ class TestFindMarginInterval:
     def test_pulse_unit_band_needs_one_sided(self):
         # two-sided clearance is impossible for a {0,1}-valued density
         with pytest.raises(NoMarginIntervalError):
-            find_margin_interval(PULSE, 0.0, 1.0, (0.0, 1.0), breakpoints=(0.5,))
-        margin = find_margin_interval(PULSE, 0.0, 1.0, (0.0, 1.0),
-                                      breakpoints=(0.5,), one_sided=True)
+            find_margin_interval(PULSE, 0.0, 1.0, RULE)
+        margin = find_margin_interval(PULSE, 0.0, 1.0, RULE, one_sided=True)
         assert margin.hi <= 0.5 and margin.val_lo == pytest.approx(1.0)
 
     def test_bad_min_width(self):
         for min_width in (0.0, -0.1, float("nan"), INF):
             with pytest.raises(ValidationError):
-                find_margin_interval(PULSE, 0.0, INF, (0.0, 1.0), min_width=min_width)
+                find_margin_interval(PULSE, 0.0, INF, build_rule((0.0, 1.0)),
+                                     min_width=min_width)
 
 
 class TestDirectionFunctions:
@@ -639,10 +627,10 @@ class TestDirectionFunctions:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_dual_basis_on_the_rule_that_verifies_it(self, tmp_path, n):
-        """A candidate margin across a declared kink of a tabulated density:
-        the y_k are built on the instance rule refined at the margin ends,
-        the rule core verification integrates them on, so <y_k, a_j> there is
-        the identity to rounding (built on the basis breakpoints alone, they
+        """A margin across a declared kink of a tabulated density: the y_k
+        are built on the instance rule refined at the margin ends, the rule
+        core verification integrates them on, so <y_k, a_j> there is the
+        identity to rounding (built on the basis breakpoints alone, they
         missed it by 7.7e-4 for n = 4 and 1.3e-1 for n = 6)."""
         from entromin.densities import tabulated_density
 
@@ -651,13 +639,11 @@ class TestDirectionFunctions:
         (tmp_path / "rho.txt").write_text("# breakpoints: 0.3\n0 0.5\n0.3 1.0\n1 0.5\n")
         basis = tabulated_basis(tmp_path / "basis.txt")
         rho = tabulated_density(tmp_path / "rho.txt")
-        inst = instance_from_density(builtin_entropy("translated_boltzmann_shannon"), basis,
-                                     build_rule((0.0, 1.0), rho.breakpoints), rho)
-        cert = build_core_certificate(inst, rho, 0.0, INF, candidate_interval=(0.1, 0.9))
-        ver = cert.directions.rule
+        directions = build_direction_functions(basis, build_rule((0.0, 1.0), rho.breakpoints),
+                                               MarginInterval(0.1, 0.9, 4 / 7, 1.0))
+        ver = directions.rule
         assert ver.breakpoints == (0.1, 0.3, 0.9)
-        products = ((cert.directions(ver.nodes) * ver.weights)
-                    @ basis(ver.nodes).T)
+        products = (directions(ver.nodes) * ver.weights) @ basis(ver.nodes).T
         assert np.max(np.abs(products - np.eye(n))) <= 1e-12
 
     def test_inner_products_audit_the_evaluation(self):
@@ -743,12 +729,16 @@ class TestCoreCertificate:
         assert report.worst_p2_residual <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_candidate_interval_right_of_split_fails_independence(self, n):
+    def test_margin_right_of_split_fails_independence(self, n):
+        """On the right pulse the scan finds its margin right of the split,
+        where the piecewise-flat family is dependent: both builders say so."""
         inst = make_instance("translated_boltzmann_shannon",
-                             piecewise_flat_basis(n, 0.5), PULSE)
-        with pytest.raises(DependentBasisError) as err:
-            build_core_certificate(inst, PULSE, 0.0, INF, candidate_interval=(0.5, 1.0))
-        assert err.value.hypothesis == "linear independence"
+                             piecewise_flat_basis(n, 0.5), RIGHT_PULSE)
+        for build in (build_core_certificate, build_qri_certificate):
+            with pytest.raises(DependentBasisError) as err:
+                build(inst, RIGHT_PULSE, 0.0, INF)
+            assert err.value.hypothesis == "linear independence"
+            assert "[0.5002497502497503, 0.9997502497502497]" in str(err.value)
 
     def test_constant_density_wide_margin(self):
         # breakpoint-free rule: the scan is free to span the whole interval

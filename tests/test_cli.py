@@ -617,6 +617,14 @@ CONFIG_ERRORS = {
     "unknown-density-kind": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = gaussian\n",
                              "unknown density kind 'gaussian'; expected pulse, "
                              "constant or tabulated"),
+    "pulse-split-nan": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = pulse\nsplit = nan\n",
+                        "the pulse split must be finite, got split=nan"),
+    "pulse-split-inf": (["certify", "--type", "core"],
+                        TBS + MONOMIAL_2 + "[rho]\nkind = pulse\nsplit = inf\n",
+                        "the pulse split must be finite, got split=inf"),
+    "pulse-split-minus-inf": (["certify", "--type", "qri"],
+                              TBS + MONOMIAL_2 + "[rho]\nkind = pulse\nsplit = -inf\n",
+                              "the pulse split must be finite, got split=-inf"),
     "l2-norm-without-alpha": (["certify", "--type", "core"],
                               "[problem]\nentropy = l2_norm\n" + MONOMIAL_2,
                               "certificates need a finite lower bound"),
@@ -787,6 +795,8 @@ MALFORMED_TABLES = {
     "ragged": ("0 1 0\n0.5 1\n1 1 1\n", "the number of columns changed from 3 to 2 at row 2"),
     "breakpoints": ("# breakpoints: 0.2 half\n0 1 0\n1 1 1\n",
                     "could not convert string to float: 'half'"),
+    "one-column": ("0\n0.5\n1\n", {"basis": "need an s column plus at least one function column",
+                                   "rho": "need at least two columns (s, value)"}),
 }
 
 
@@ -794,9 +804,11 @@ MALFORMED_TABLES = {
 @pytest.mark.parametrize("table", list(MALFORMED_TABLES))
 def test_malformed_table_is_one_config_error_line(tmp_path, capsys, table, section):
     """A tabulated basis or density file with a token that is no number, a
-    ragged row or a breakpoint that is no number: exit 1, one stderr line
-    naming the file, and no output directory, for every subcommand."""
+    ragged row, a breakpoint that is no number or one column: exit 1, one
+    stderr line naming the file, and no output directory, for every subcommand."""
     text, message = MALFORMED_TABLES[table]
+    if isinstance(message, dict):   # the one-column message says what each table holds
+        message = message[section]
     path = tmp_path / "table.txt"
     path.write_text(text)
     tabulated = f"kind = tabulated\nfile = {path}\n"
@@ -810,6 +822,20 @@ def test_malformed_table_is_one_config_error_line(tmp_path, capsys, table, secti
         assert main([*command, "--config", str(ini), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"{command[0]}: {path}: {message}\n"
         assert not out.exists()
+
+
+def test_byte_identity_harness_repeats(bench_module):
+    """`tests/cli_digests.py` covers its 458 runs, and two of them, a solve
+    and a core certificate, digest to the same lines when run twice."""
+    from cli_digests import digests, runs
+
+    plan = runs(bench_module("workloads"))
+    assert len(plan) == 458
+    chosen = [plan[0], next(run for run in plan if run[0][2:3] == ("core",))]
+    lines = digests(chosen)
+    assert lines == digests(chosen)
+    assert [line.split()[0] for line in lines] == ["certify", "solve"]
+    assert all(" exit=0 " in line for line in lines)
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -14,6 +14,7 @@ from entromin import (
     builtin_entropy,
     fenchel_young_gap,
 )
+from entromin.entropies import Interval
 
 ALL_NAMES = available_entropies()
 
@@ -38,6 +39,12 @@ V_BOX = {
 # narrower v-range for subgradient (equality) pairs, where u = (f*)'(v)
 V_EQ_BOX = {name: (-4.0, 4.0) for name in ALL_NAMES}
 V_EQ_BOX["burg"] = (-4.0, -0.05)
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (1.0, 0.0)], ids=["point", "reversed"])
+def test_empty_interval_rejected(lo, hi):
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(lo, hi)
 
 
 def test_unknown_name_lists_available():

@@ -11,8 +11,10 @@ from hypothesis.extra import numpy as hnp
 
 from entromin import (
     ValidationError,
+    build_core_certificate,
     build_rule,
     builtin_entropy,
+    find_margin_interval,
     gram_matrix,
     instance_from_density,
     linearly_independent_on,
@@ -76,6 +78,10 @@ class TestPiecewiseFlatBasis:
         basis = piecewise_flat_basis(2, 0.5)
         assert float(basis(0.5)[1]) == pytest.approx(0.5)
         assert float(basis(0.5 + 1e-12)[1]) == pytest.approx(1.0)
+
+    def test_zero_size_rejected(self):
+        with pytest.raises(ValidationError, match="at least one moment function"):
+            piecewise_flat_basis(0, 0.5)
 
     def test_split_outside_interval_rejected(self):
         with pytest.raises(ValidationError):
@@ -389,6 +395,14 @@ def test_design_preserves_longdouble():
     assert out.dtype == np.longdouble
 
 
+@pytest.mark.parametrize("split", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_pulse_split_must_be_finite(split):
+    """Against a nan split `s <= split` is false everywhere, so the pulse
+    would be 0 on the whole interval; an infinite one, 1 or 0 everywhere."""
+    with pytest.raises(ValidationError, match="pulse split must be finite"):
+        pulse_density(split)
+
+
 def test_families_and_densities_store_only_what_is_read():
     """A family is its size, its design and its non-smooth points, a density
     its map and its jumps; no kind or interval is kept beside them."""
@@ -398,9 +412,13 @@ def test_families_and_densities_store_only_what_is_read():
 
 @pytest.mark.parametrize("fn,params", [
     (monomial_basis, ["n"]),
-    (piecewise_flat_basis, ["n", "split", "interval"]),   # the split is checked against it
+    (piecewise_flat_basis, ["n", "split", "interval=(0.0, 1.0)"]),   # the split is checked
     (tabulated_basis, ["path"]),
-    (linearly_independent_on, ["basis", "rule", "subinterval", "design"]),
-], ids=["monomial", "piecewise_flat", "tabulated", "independence"])
+    (linearly_independent_on, ["basis", "rule", "subinterval", "design=None"]),
+    (find_margin_interval, ["x", "lower", "upper", "rule", "min_width=None", "one_sided=False"]),
+    (build_core_certificate, ["instance", "x", "lower", "upper", "min_width=None"]),
+], ids=["monomial", "piecewise_flat", "tabulated", "independence", "margin_scan", "core"])
 def test_no_setting_that_nothing_reads(fn, params):
-    assert list(inspect.signature(fn).parameters) == params
+    """The parameters and their defaults, annotations aside."""
+    parameters = inspect.signature(fn).parameters.values()
+    assert [str(p.replace(annotation=p.empty)) for p in parameters] == params

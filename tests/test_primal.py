@@ -32,6 +32,19 @@ def make_instance(entropy_name, basis, rho):
     return instance_from_density(builtin_entropy(entropy_name), basis, RULE, rho)
 
 
+def test_solutions_frozen():
+    """A dual solve and its reconstruction are results, frozen like the
+    certificates: their fields cannot be reassigned."""
+    inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), pulse_density(0.5))
+    dual = solve_dual(inst)
+    primal = reconstruct(inst, dual.multipliers)
+    for result, name, value in ((dual, "converged", False), (dual, "multipliers", None),
+                                (primal, "duality_gap", 0.0), (primal, "x", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, name, value)
+    assert dual.converged
+
+
 class TestReconstruct:
     def test_l2_constant_closed_form(self):
         inst = make_instance("l2_norm", monomial_basis(1), constant_density(0.5))

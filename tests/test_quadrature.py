@@ -56,6 +56,7 @@ def test_constant_and_identity():
     rule = build_rule((0.0, 1.0))
     assert integrate(rule, lambda s: np.ones_like(s)) == pytest.approx(1.0, rel=1e-14)
     assert integrate(rule, lambda s: s) == pytest.approx(0.5, rel=1e-14)
+    assert integrate(rule, lambda s: 2.0) == pytest.approx(2.0, rel=1e-14)  # broadcast
 
 
 class TestValidation:
