@@ -59,10 +59,13 @@ margin rule's nodes (`basis_design`), for every margin integral, and the
 phi_j on the margin grid (`margin_design`), for core's sup bound and
 <y_k, a_j> and the qri scan's sup |v|.  Elsewhere the y_k, or any expansion over the phi_j, are
 evaluated by calling the `DirectionFunctions`: on the membership grid, for
-core's P1 and the qri witness.  P1 runs in stacked blocks: a stacked numpy
-call makes each trial's BLAS call, so each keeps its bits.  The qri scan
-solves for the clip levels it must evaluate instead of visiting each (see
-`_candidate_levels`).
+core's P1 and the qri witness.  P1 is decided first by a float64 rounding
+bound on each trial's perturbation: a trial whose perturbation cannot move x
+out of the band where some y_k is nonzero reports the violation of x itself,
+which it equals bit for bit.  Only the other trials form the perturbation, in
+stacked blocks where a stacked numpy call makes each trial's BLAS call, so
+each keeps its bits.  The qri scan solves for the clip levels it must
+evaluate instead of visiting each (see `_candidate_levels`).
 """
 
 from __future__ import annotations
@@ -513,12 +516,20 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     product gives every trial's residual |e + (D - I)^T s|, and each part is
     also checked at unit size (`CertificateVerification.failures`).  x is
     sampled once, on the certificate's membership grid, which ends with the
-    margin rule's nodes.  P1 combines the y_k the build evaluated where the
-    grid meets the margin as s @ y, within about (n+2)*eps*clearance of the
-    exact sum, in stacked blocks of TRIAL_BLOCK trials that keep the
-    BLAS calls, so the bits, of one trial at a time.  The directions are
-    drawn in one call, the stream of one draw of n per trial.  `trials` and
-    `seed` must be whole numbers.
+    margin rule's nodes.  P1 adds s @ y to x on the grid columns the build
+    kept, where it evaluated the y_k.  A trial is cleared, and reports the
+    violation of x alone, when min x - B > lower and max x + B < upper on
+    the columns where some y_k is nonzero, for B = (1+gamma)^2 (|s| @ M) +
+    tiny >= |fl(s @ y_j)|, M_k = max |y_k|: gamma = 2(n+2)*eps covers an
+    n-term dot (the gemv's and |s| @ M's) and the two products scaling it,
+    tiny underflow.  Rounding is monotone, so those columns stay strictly
+    inside the band, and where every y_k is 0, fl(s @ 0) + x_j is x_j: the
+    two violations agree to the bit.  No trial clears on a non-finite x or a
+    -0.0 in x (whose sign the sum may flip), nor with a non-finite step or
+    y_k.  The other trials form the sum in stacked blocks of TRIAL_BLOCK
+    trials that keep the BLAS calls, so the bits, of one trial at a time.
+    The directions are drawn in one call, the stream of one draw of n per
+    trial.  `trials` and `seed` must be whole numbers.
     """
     trials, seed = _whole_number("trials", trials), _whole_number("seed", seed)
     if trials < 1:
@@ -537,15 +548,28 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     x_in, x_out = x_grid[cert.kept], x_grid[~cert.kept]
     x_lo, x_hi = x_out.min(initial=np.inf), x_out.max(initial=-np.inf)
 
-    violations = np.empty(trials)
-    for a in range(0, trials, TRIAL_BLOCK):
-        p = (steps[a:a + TRIAL_BLOCK, None, :] @ cert.y_kept)[:, 0]
-        p += x_in
+    def p1(p):
+        """The worst violation of each row of perturbed values p on the kept columns."""
         # lower - p rounds monotonically in p, so this is max(lower - p) exactly
-        low = cert.lower - p.min(axis=1, initial=x_lo)
-        high = p.max(axis=1, initial=x_hi) - cert.upper
+        low = cert.lower - p.min(axis=-1, initial=x_lo)
+        high = p.max(axis=-1, initial=x_hi) - cert.upper
         worst = np.where(high > low, high, low)  # Python's max(low, high, 0.0), NaN and -0.0 too
-        violations[a:a + TRIAL_BLOCK] = np.where(worst < 0.0, 0.0, worst)
+        return np.where(worst < 0.0, 0.0, worst)
+
+    gamma = 2.0 * (instance.n + 2) * np.finfo(float).eps
+    bound = ((1.0 + gamma) ** 2 * (np.abs(steps) @ np.abs(cert.y_kept).max(axis=1, initial=0.0))
+             + np.finfo(float).tiny)
+    x_moved = x_in[np.any(cert.y_kept != 0.0, axis=0)]
+    cleared = ((x_moved.min(initial=np.inf) - bound > cert.lower)
+               & (x_moved.max(initial=-np.inf) + bound < cert.upper)
+               & np.isfinite(x_grid).all() & ~np.signbit(x_grid[x_grid == 0.0]).any())
+    violations = np.full(trials, p1(x_in))
+    replayed = np.flatnonzero(~cleared)
+    for a in range(0, replayed.size, TRIAL_BLOCK):
+        rows = replayed[a:a + TRIAL_BLOCK]
+        p = (steps[rows, None, :] @ cert.y_kept)[:, 0]
+        p += x_in
+        violations[rows] = p1(p)
 
     return CertificateVerification(
         trials=trials,

@@ -186,6 +186,11 @@ class RunConfig:
         if min_width is not None and min_width >= self.interval[1] - self.interval[0]:
             raise ValidationError(f"certify.min_width {min_width} must be shorter than the "
                                   f"interval {list(self.interval)}")
+        split = self.rho.split   # a nan or infinite split is the pulse's own error
+        if (self.rho.kind == "pulse" and math.isfinite(split)
+                and not self.interval[0] < split < self.interval[1]):
+            raise ValidationError(f"rho.split {split} must lie strictly inside the interval "
+                                  f"{list(self.interval)}")
         for name in ("basis", "basis_a", "basis_b"):
             spec = getattr(self, name)
             if self.phi0 is not None and spec is not None and len(self.phi0) != spec.n:

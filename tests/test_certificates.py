@@ -32,6 +32,7 @@ from entromin import (
     within_bounds,
 )
 from entromin.certificates import DirectionFunctions, MarginInterval
+from entromin.config import build_problem, load_config
 from entromin.moments import IndependenceReport, MomentBasis, moment_vector, tabulated_basis
 from entromin.quadrature import nodes_in
 
@@ -167,6 +168,30 @@ def _replay_per_trial(instance, x, cert, trials, seed):
                               float(np.max(perturbed - cert.upper)), 0.0))
         steps.append(step)
     return _replay(instance, x, cert, np.array(steps), violations)
+
+
+def _verify_counting_replays(instance, x, cert, trials, seed):
+    """Verification of `cert`, and the number of trials it ran through the
+    stacked product, counted by a `y_kept` that records each (block, 1, n)
+    operand it is multiplied by."""
+    blocks = []
+
+    class Recording(np.ndarray):
+        def __rmatmul__(self, other):
+            if np.ndim(other) == 3:
+                blocks.append(len(other))
+            return np.asarray(other) @ np.asarray(self)
+
+    recorded = dataclasses.replace(cert, y_kept=cert.y_kept.view(Recording))
+    return verify_core_certificate(instance, x, recorded, trials=trials, seed=seed), sum(blocks)
+
+
+P1_SCREENED = [("boltzmann_shannon", monomial_basis(4), constant_density(0.5), (0.0, 1.0)),
+               ("boltzmann_shannon", monomial_basis(4), constant_density(0.7), (0.0, 1.0)),
+               ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF)),
+               ("translated_boltzmann_shannon", monomial_basis(3), PULSE, (0.0, INF))]
+P1_SCREENED_IDS = ["constant-monomial4", "constant-upper-monomial4", "pulse-piecewise4",
+                   "pulse-monomial3"]
 
 
 def _replay_full_scan(instance, x, lower, upper, m_max):
@@ -902,6 +927,76 @@ class TestCoreCertificate:
         for seed in (7, 8, 17):
             got = verify_core_certificate(inst, rho, cert, trials=40, seed=seed)
             _assert_replays(got, _replay_per_trial(inst, rho, cert, 40, seed))
+
+    @pytest.mark.parametrize("entropy,basis,rho,band", P1_SCREENED, ids=P1_SCREENED_IDS)
+    def test_screen_replays_per_trial_at_mixed_clearance(self, entropy, basis, rho, band):
+        """Between the clearance every trial clears and 8x, where none does,
+        the rounding bound clears some trials of a block and the product
+        replays the rest: the counts and worst P1 violation are those of the
+        per-trial loop exactly, also across several blocks of replayed trials."""
+        inst = make_instance(entropy, basis, rho)
+        cert = build_core_certificate(inst, rho, *band)
+        replayed = []
+        for k in (1.5, 2.0, 3.0):
+            for seed in (0, 1):
+                got, count = _verify_counting_replays(inst, rho, _overdriven(cert, k), 40, seed)
+                _assert_replays(got, _replay_per_trial(inst, rho, _overdriven(cert, k), 40, seed))
+                replayed.append(count)
+        assert any(0 < count < 40 for count in replayed), replayed
+        assert max(replayed) > 8, replayed   # more than one block of TRIAL_BLOCK trials
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.floats(0.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_screen_replays_per_trial_at_any_clearance(self, k, seed):
+        """For any overdrive k and seed, clearing trials by the rounding
+        bound reports the counts and worst P1 violation of the per-trial
+        loop exactly, here where the upper bound is the nearer one."""
+        rho = constant_density(0.7)
+        inst = make_instance("boltzmann_shannon", monomial_basis(4), rho)
+        cert = _overdriven(build_core_certificate(inst, rho, 0.0, 1.0), k)
+        got = verify_core_certificate(inst, rho, cert, trials=24, seed=seed)
+        _assert_replays(got, _replay_per_trial(inst, rho, cert, 24, seed))
+
+    @pytest.mark.parametrize("where", ["kept", "off"])
+    @pytest.mark.parametrize("entropy,basis,rho,band", P1_SCREENED, ids=P1_SCREENED_IDS)
+    def test_screen_keeps_violations_off_the_margin(self, entropy, basis, rho, band, where):
+        """A density other than the build's that leaves the band by 0.25 off
+        the margin, on the kept columns alone, where every y_k is 0, or on
+        every grid point off it: a cleared trial reports that violation, as
+        the per-trial loop does."""
+        inst = make_instance(entropy, basis, rho)
+        cert = build_core_certificate(inst, rho, *band)
+        out = band[1] + 0.25 if np.isfinite(band[1]) else band[0] - 0.25
+        on_margin = (cert.grid >= cert.margin.lo) & (cert.grid <= cert.margin.hi)
+        moved = cert.grid[~on_margin & (cert.kept if where == "kept" else True)]
+
+        def leaving(s):
+            s = np.asarray(s, dtype=float)
+            return np.where(np.isin(s, moved), out, rho(s))
+
+        for k, seed in ((1.0, 0), (2.0, 1), (3.0, 2)):
+            got, count = _verify_counting_replays(inst, leaving, _overdriven(cert, k), 40, seed)
+            _assert_replays(got, _replay_per_trial(inst, leaving, _overdriven(cert, k), 40, seed))
+            assert got.p1_passes == 0 and got.worst_p1_violation >= 0.25
+            if k == 1.0:
+                assert count == 0 and got.worst_p1_violation == 0.25
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_plan_configs_replay_no_trial(self, tmp_path, bench_module, seed):
+        """On the 8 configs of the certify-core benchmark plan the rounding
+        bound clears every trial at the built clearance, so verification runs
+        the stacked product for none; at 8x the clearance it runs it for all."""
+        workloads = bench_module("workloads")
+        for i, op in enumerate(workloads.plan("certify-core", seed)["ops"]):
+            path = tmp_path / f"{i}.ini"
+            path.write_text(workloads.to_ini(op))
+            cfg = load_config(path)
+            inst, rho = build_problem(cfg, cfg.basis)
+            cert = build_core_certificate(inst, rho, *cfg.certify.band_for(inst.entropy))
+            got, count = _verify_counting_replays(inst, rho, cert, 100, op["trial_seed"])
+            assert got.all_passed and count == 0, workloads.label(op)
+            assert _verify_counting_replays(inst, rho, _overdriven(cert, 8.0), 100,
+                                            op["trial_seed"])[1] == 100, workloads.label(op)
 
     @pytest.mark.parametrize("entropy,basis,rho,band", [
         ("translated_boltzmann_shannon", monomial_basis(3), PULSE, (0.0, INF)),

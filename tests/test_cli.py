@@ -625,6 +625,13 @@ CONFIG_ERRORS = {
     "pulse-split-minus-inf": (["certify", "--type", "qri"],
                               TBS + MONOMIAL_2 + "[rho]\nkind = pulse\nsplit = -inf\n",
                               "the pulse split must be finite, got split=-inf"),
+    "pulse-split-at-start": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = pulse\nsplit = 0\n",
+                             "rho.split 0.0 must lie strictly inside the interval [0.0, 1.0]"),
+    "pulse-split-left": (["certify", "--type", "core"],
+                         TBS + MONOMIAL_2 + "[rho]\nkind = pulse\nsplit = -1\n",
+                         "rho.split -1.0 must lie strictly inside the interval [0.0, 1.0]"),
+    "pulse-split-at-end": (["compare"], TBS + "[rho]\nsplit = 1\n",
+                           "rho.split 1.0 must lie strictly inside the interval [0.0, 1.0]"),
     "l2-norm-without-alpha": (["certify", "--type", "core"],
                               "[problem]\nentropy = l2_norm\n" + MONOMIAL_2,
                               "certificates need a finite lower bound"),

@@ -55,9 +55,11 @@ def test_default_window_fallbacks(fields, window):
 
 
 def test_default_window_missing_the_interval_named():
-    """A pulse split 0.1 or more past the interval leaves no window to clip."""
+    """A basis split 0.1 or more past the interval leaves no window to clip
+    (a pulse split must lie inside the interval)."""
     with pytest.raises(ValueError) as exc:
-        RunConfig(entropy="l2_norm", rho=RhoSpec(split=1.5)).default_window()
+        RunConfig(entropy="l2_norm", rho=RhoSpec("constant"),
+                  basis_a=BasisSpec("piecewise_flat", 4, 1.5)).default_window()
     assert str(exc.value) == ("compare.window: split 1.5 +- 0.1 misses the interval "
                               "[0.0, 1.0]; set compare.window")
 
@@ -86,9 +88,16 @@ def test_default_window_missing_the_interval_named():
      "certify.min_width 0.5 must be shorter than the interval [0.0, 0.5]"),
     (lambda: RunConfig("l2_norm", basis_b=BasisSpec("monomial", 3), phi0=(1.0, 2.0)),
      "solver.phi0 needs one value per function of [basis_b] (n = 3), got 2"),
+    (lambda: RunConfig("l2_norm", rho=RhoSpec(split=0.0)),
+     "rho.split 0.0 must lie strictly inside the interval [0.0, 1.0]"),
+    (lambda: RunConfig("l2_norm", rho=RhoSpec(split=-1.0)),
+     "rho.split -1.0 must lie strictly inside the interval [0.0, 1.0]"),
+    (lambda: RunConfig("l2_norm", interval=(1.0, 3.0)),
+     "rho.split 0.5 must lie strictly inside the interval [1.0, 3.0]"),
 ], ids=["order", "panels", "max-iter", "tol", "sample-points", "interval", "window",
         "window-outside", "trials", "m-max", "seed", "min-width", "replace",
-        "min-width-whole-interval", "phi0-length"])
+        "min-width-whole-interval", "phi0-length", "pulse-split-at-start", "pulse-split-left",
+        "pulse-default-split-left"])
 def test_bounds_checked_where_the_value_is_held(make, message):
     """Each bound is the dataclass's own, so a config built in code or
     changed with dataclasses.replace meets the INI key's check."""
@@ -127,10 +136,10 @@ def test_undeclared_key_or_unparsable_value_named(tmp_path, text, message):
 
 def test_keys_fill_their_fields(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text("[problem]\nentropy = l2_norm\ninterval = 1, 3\n[quad]\norder = 5\n"
-                    "panels = 2\n[output]\ndir = there\nsample_points = 7\n"
+    path.write_text("[problem]\nentropy = l2_norm\ninterval = 1, 3\n[rho]\nsplit = 2\n"
+                    "[quad]\norder = 5\npanels = 2\n[output]\ndir = there\nsample_points = 7\n"
                     "[compare]\nwindow = 1.5 2\n[solver]\nmax_iter = 9\ntol = 1e-9\n")
     cfg = load_config(str(path))
-    assert (cfg.interval, cfg.quad_order, cfg.quad_panels) == ((1.0, 3.0), 5, 2)
+    assert (cfg.interval, cfg.rho.split, cfg.quad_order, cfg.quad_panels) == ((1.0, 3.0), 2.0, 5, 2)
     assert (cfg.out_dir, cfg.sample_points, cfg.window) == ("there", 7, (1.5, 2.0))
     assert (cfg.max_iter, cfg.tol, cfg.phi0) == (9, 1e-9, None)
