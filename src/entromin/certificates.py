@@ -59,13 +59,14 @@ margin rule's nodes (`basis_design`), for every margin integral, and the
 phi_j on the margin grid (`margin_design`), for core's sup bound and
 <y_k, a_j> and the qri scan's sup |v|.  Elsewhere the y_k, or any expansion over the phi_j, are
 evaluated by calling the `DirectionFunctions`: on the membership grid, for
-core's P1 and the qri witness.  P1 is decided first by a float64 rounding
-bound on each trial's perturbation: a trial whose perturbation cannot move x
-out of the band where some y_k is nonzero reports the violation of x itself,
-which it equals bit for bit.  Only the other trials form the perturbation, in
-stacked blocks where a stacked numpy call makes each trial's BLAS call, so
-each keeps its bits.  The qri scan solves for the clip levels it must
-evaluate instead of visiting each (see `_candidate_levels`).
+core's sup bound on it, core's P1 and the qri witness.  P1 is decided first by
+a float64 rounding bound on each trial's perturbation, |s @ y| <= |s| @ sup
+|y_k|: a trial whose perturbation cannot move x out of the band on the margin
+reports the violation of x itself, which it equals bit for bit.  Only the
+other trials are replayed, one at a time, on the y_k evaluated on the grid
+once per verification.  The qri scan solves for the clip levels it must
+evaluate instead of visiting each (see `_candidate_levels`), and an accepted
+witness must match the target moments to P2_TOL.
 """
 
 from __future__ import annotations
@@ -105,7 +106,6 @@ MEMBERSHIP_SAMPLES = 2001       # per scan segment and margin grid; + 2 on the m
 SAFETY_FACTOR = 0.99            # strictness slack in the step rule
 P2_TOL = 1e-8
 P1_SLACK = 1e-12
-TRIAL_BLOCK = 8                 # verification trials per stacked call: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -334,10 +334,10 @@ class CoreCertificate:
     as they do.  `grid` is the membership grid, ending with the nodes of
     `directions.rule`, where the build confirmed the margin and verification
     replays.  `inner_products` is <y_k, a_j> (row k) on that rule's margin
-    nodes, and `y_kept` the y_k on the grid columns `kept`, the aligned
-    groups of 16 that meet the margin (the y_k are zero on the others).
-    `margin` and `delta` are read from `directions` and `sup_unit`, so each
-    value is stored once.
+    nodes, and `grid_sup` the largest |y_k| on the grid points inside the
+    margin (the y_k are zero on the others), which bounds each trial's
+    perturbation.  `margin` and `delta` are read from `directions` and
+    `sup_unit`, so each value is stored once.
     """
 
     directions: DirectionFunctions
@@ -347,8 +347,7 @@ class CoreCertificate:
     clearance: float
     grid: np.ndarray = field(repr=False)
     inner_products: np.ndarray = field(repr=False)     # (n, n)
-    kept: np.ndarray = field(repr=False)               # bool, one per grid point
-    y_kept: np.ndarray = field(repr=False)             # (n, kept columns)
+    grid_sup: np.ndarray = field(repr=False)           # (n,) max |y_k| on the grid
 
     @property
     def margin(self) -> MarginInterval:
@@ -474,9 +473,7 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     on_nodes = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
     inner_products = ((y_margin[:, MEMBERSHIP_SAMPLES:] * rule.weights[on_nodes])
                       @ directions.basis_design.compress(on_nodes, axis=1).T)  # the audit's bits
-    # y is 0 off the margin; aligned C-order groups of 16 columns keep the full grid's gemv bits
-    meets = (grid >= margin.lo) & (grid <= margin.hi)
-    kept = np.repeat(np.logical_or.reduceat(meets, np.arange(0, grid.size, 16)), 16)[:grid.size]
+    y_grid = directions(grid[(grid >= margin.lo) & (grid <= margin.hi)])   # 0 off the margin
     return CoreCertificate(
         directions=directions,
         sup_unit=sup_unit,
@@ -485,8 +482,7 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
         clearance=float(clearance),
         grid=grid,
         inner_products=inner_products,
-        kept=kept,
-        y_kept=directions(grid[kept]),
+        grid_sup=np.abs(y_grid).max(axis=1),
     )
 
 
@@ -516,19 +512,19 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     product gives every trial's residual |e + (D - I)^T s|, and each part is
     also checked at unit size (`CertificateVerification.failures`).  x is
     sampled once, on the certificate's membership grid, which ends with the
-    margin rule's nodes.  P1 adds s @ y to x on the grid columns the build
-    kept, where it evaluated the y_k.  A trial is cleared, and reports the
+    margin rule's nodes.  P1 is the worst of lower - p and p - upper over
+    the grid, for p = x + s @ y.  A trial is cleared, and reports the
     violation of x alone, when min x - B > lower and max x + B < upper on
-    the columns where some y_k is nonzero, for B = (1+gamma)^2 (|s| @ M) +
-    tiny >= |fl(s @ y_j)|, M_k = max |y_k|: gamma = 2(n+2)*eps covers an
-    n-term dot (the gemv's and |s| @ M's) and the two products scaling it,
-    tiny underflow.  Rounding is monotone, so those columns stay strictly
-    inside the band, and where every y_k is 0, fl(s @ 0) + x_j is x_j: the
-    two violations agree to the bit.  No trial clears on a non-finite x or a
-    -0.0 in x (whose sign the sum may flip), nor with a non-finite step or
-    y_k.  The other trials form the sum in stacked blocks of TRIAL_BLOCK
-    trials that keep the BLAS calls, so the bits, of one trial at a time.
-    The directions are drawn in one call, the stream of one draw of n per
+    the grid points inside the margin, for B = (1+gamma)^2 (|s| @
+    `cert.grid_sup`) + tiny >= |fl(s @ y_j)|: gamma = 2(n+2)*eps covers an
+    n-term dot (the gemv's and |s| @ grid_sup's) and the two products
+    scaling it, tiny underflow.  Rounding is monotone, so those points stay
+    strictly inside the band, and off the margin, where every y_k is 0,
+    fl(s @ 0) + x_j is x_j: the two violations agree to the bit.  No trial
+    clears on a non-finite x or a -0.0 in x (whose sign the sum may flip),
+    nor with a non-finite step or y_k.  Every other trial is replayed, one
+    at a time, on the y_k evaluated on the grid once per call.  The
+    directions are drawn in one call, the stream of one draw of n per
     trial.  `trials` and `seed` must be whole numbers.
     """
     trials, seed = _whole_number("trials", trials), _whole_number("seed", seed)
@@ -545,31 +541,22 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
               - instance.target_moments)
     defect = cert.inner_products - np.eye(instance.n)
     residuals = np.abs(target + steps @ defect).max(axis=1)
-    x_in, x_out = x_grid[cert.kept], x_grid[~cert.kept]
-    x_lo, x_hi = x_out.min(initial=np.inf), x_out.max(initial=-np.inf)
 
     def p1(p):
-        """The worst violation of each row of perturbed values p on the kept columns."""
-        # lower - p rounds monotonically in p, so this is max(lower - p) exactly
-        low = cert.lower - p.min(axis=-1, initial=x_lo)
-        high = p.max(axis=-1, initial=x_hi) - cert.upper
-        worst = np.where(high > low, high, low)  # Python's max(low, high, 0.0), NaN and -0.0 too
-        return np.where(worst < 0.0, 0.0, worst)
+        return max(float(np.max(cert.lower - p)), float(np.max(p - cert.upper)), 0.0)
 
     gamma = 2.0 * (instance.n + 2) * np.finfo(float).eps
-    bound = ((1.0 + gamma) ** 2 * (np.abs(steps) @ np.abs(cert.y_kept).max(axis=1, initial=0.0))
-             + np.finfo(float).tiny)
-    x_moved = x_in[np.any(cert.y_kept != 0.0, axis=0)]
+    bound = (1.0 + gamma) ** 2 * (np.abs(steps) @ cert.grid_sup) + np.finfo(float).tiny
+    x_moved = x_grid[(grid >= cert.margin.lo) & (grid <= cert.margin.hi)]
     cleared = ((x_moved.min(initial=np.inf) - bound > cert.lower)
                & (x_moved.max(initial=-np.inf) + bound < cert.upper)
                & np.isfinite(x_grid).all() & ~np.signbit(x_grid[x_grid == 0.0]).any())
-    violations = np.full(trials, p1(x_in))
+    violations = np.full(trials, p1(x_grid))
     replayed = np.flatnonzero(~cleared)
-    for a in range(0, replayed.size, TRIAL_BLOCK):
-        rows = replayed[a:a + TRIAL_BLOCK]
-        p = (steps[rows, None, :] @ cert.y_kept)[:, 0]
-        p += x_in
-        violations[rows] = p1(p)
+    if replayed.size:
+        y_grid = cert.directions(grid)
+        for i in replayed:
+            violations[i] = p1(x_grid + steps[i] @ y_grid)
 
     return CertificateVerification(
         trials=trials,
@@ -684,7 +671,9 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     report are those of a scan that evaluates every level.
 
     Raises a :class:`CertificateError` describing the decay of the moment
-    defect when the budget m_max is exhausted.
+    defect when the budget m_max is exhausted, and one naming "moment match"
+    when the accepted witness's moments, on the margin rule, miss the target
+    by more than P2_TOL.
     """
     m_max = _whole_number("m_max", m_max)
     if m_max < 3:
@@ -724,6 +713,10 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
 
         residual = float(np.max(np.abs(
             ver_design @ (ver_rule.weights * y_full[nodes]) - instance.target_moments)))
+        if not residual <= P2_TOL:
+            raise CertificateError(
+                f"the witness accepted at m={m} misses the target moments by {residual:.3e} "
+                f"> {P2_TOL:.0e} on the margin rule", hypothesis="moment match")
         return QriCertificate(m=m, y=y, eps=eps, moment_match_residual=residual, margin=margin,
                               upper_clearance=upper_clearance, correction_sup=sup_v)
 

@@ -179,13 +179,14 @@ def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterva
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
     """Everything needed to pose one constrained entropy minimization.
 
     The rule must resolve every basis breakpoint strictly inside its interval.
     `design`, the basis at the nodes that the dual solver reads on every iteration,
-    is built once (or passed in by `instance_from_density`).
+    is built once (or passed in by `instance_from_density`).  The instance is
+    frozen, so its checks and its design hold for as long as it lives.
     """
 
     entropy: EntropySpec
@@ -195,7 +196,7 @@ class ProblemInstance:
     design: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.target_moments = np.asarray(self.target_moments, dtype=float)
+        object.__setattr__(self, "target_moments", np.asarray(self.target_moments, dtype=float))
         if self.target_moments.shape != (self.basis.n,):
             raise ValidationError(
                 f"target moment vector has shape {self.target_moments.shape}, "
@@ -212,7 +213,7 @@ class ProblemInstance:
                 f"breakpoints {missing}"
             )
         if self.design is None:
-            self.design = self.basis(self.rule.nodes)
+            object.__setattr__(self, "design", self.basis(self.rule.nodes))
 
     @property
     def n(self) -> int:

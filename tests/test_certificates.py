@@ -171,19 +171,24 @@ def _replay_per_trial(instance, x, cert, trials, seed):
 
 
 def _verify_counting_replays(instance, x, cert, trials, seed):
-    """Verification of `cert`, and the number of trials it ran through the
-    stacked product, counted by a `y_kept` that records each (block, 1, n)
-    operand it is multiplied by."""
-    blocks = []
+    """Verification of `cert`, and the number of trials it replayed, counted
+    by y_k that record each step (a 1-D operand) they are multiplied by."""
+    steps = []
 
     class Recording(np.ndarray):
         def __rmatmul__(self, other):
-            if np.ndim(other) == 3:
-                blocks.append(len(other))
+            if np.ndim(other) == 1:
+                steps.append(other)
             return np.asarray(other) @ np.asarray(self)
 
-    recorded = dataclasses.replace(cert, y_kept=cert.y_kept.view(Recording))
-    return verify_core_certificate(instance, x, recorded, trials=trials, seed=seed), sum(blocks)
+    class RecordingDirections(DirectionFunctions):
+        def __call__(self, s, coeffs=None):
+            return super().__call__(s, coeffs).view(Recording)
+
+    directions = RecordingDirections(*(getattr(cert.directions, f.name)
+                                       for f in dataclasses.fields(cert.directions)))
+    recorded = dataclasses.replace(cert, directions=directions)
+    return verify_core_certificate(instance, x, recorded, trials=trials, seed=seed), len(steps)
 
 
 P1_SCREENED = [("boltzmann_shannon", monomial_basis(4), constant_density(0.5), (0.0, 1.0)),
@@ -931,9 +936,9 @@ class TestCoreCertificate:
     @pytest.mark.parametrize("entropy,basis,rho,band", P1_SCREENED, ids=P1_SCREENED_IDS)
     def test_screen_replays_per_trial_at_mixed_clearance(self, entropy, basis, rho, band):
         """Between the clearance every trial clears and 8x, where none does,
-        the rounding bound clears some trials of a block and the product
-        replays the rest: the counts and worst P1 violation are those of the
-        per-trial loop exactly, also across several blocks of replayed trials."""
+        the rounding bound clears some trials and verification replays the
+        rest: the counts and worst P1 violation are those of the per-trial
+        loop exactly, also where more than a few trials are replayed."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         replayed = []
@@ -943,7 +948,7 @@ class TestCoreCertificate:
                 _assert_replays(got, _replay_per_trial(inst, rho, _overdriven(cert, k), 40, seed))
                 replayed.append(count)
         assert any(0 < count < 40 for count in replayed), replayed
-        assert max(replayed) > 8, replayed   # more than one block of TRIAL_BLOCK trials
+        assert max(replayed) > 8, replayed
 
     @settings(max_examples=25, deadline=None)
     @given(k=st.floats(0.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
@@ -961,14 +966,18 @@ class TestCoreCertificate:
     @pytest.mark.parametrize("entropy,basis,rho,band", P1_SCREENED, ids=P1_SCREENED_IDS)
     def test_screen_keeps_violations_off_the_margin(self, entropy, basis, rho, band, where):
         """A density other than the build's that leaves the band by 0.25 off
-        the margin, on the kept columns alone, where every y_k is 0, or on
-        every grid point off it: a cleared trial reports that violation, as
-        the per-trial loop does."""
+        the margin, where every y_k is 0: on the grid points next to the
+        margin ends alone (those of the aligned groups of 16 grid points that
+        meet the margin), or on every grid point off it.  A cleared trial
+        reports that violation, as the per-trial loop does."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         out = band[1] + 0.25 if np.isfinite(band[1]) else band[0] - 0.25
         on_margin = (cert.grid >= cert.margin.lo) & (cert.grid <= cert.margin.hi)
-        moved = cert.grid[~on_margin & (cert.kept if where == "kept" else True)]
+        groups = np.logical_or.reduceat(on_margin, np.arange(0, cert.grid.size, 16))
+        next_to = np.repeat(groups, 16)[:cert.grid.size]
+        moved = cert.grid[~on_margin & (next_to if where == "kept" else True)]
+        assert moved.size > 0
 
         def leaving(s):
             s = np.asarray(s, dtype=float)
@@ -981,11 +990,25 @@ class TestCoreCertificate:
             if k == 1.0:
                 assert count == 0 and got.worst_p1_violation == 0.25
 
+    def test_screen_replays_negative_zero_bit_for_bit(self):
+        """A density that is -0.0 off the margin, under a band that ends at
+        0: the replayed sum x + s @ y turns -0.0 into +0.0, so x alone would
+        report a violation of -0.0 where the per-trial loop reports +0.0.
+        No trial clears, and the sign bit is the loop's."""
+        rho = Density(lambda s: np.where(np.asarray(s) <= 0.5, -0.5, -0.0), (0.5,))
+        inst = make_instance("l2_norm", monomial_basis(3), rho)
+        cert = build_core_certificate(inst, rho, -1.0, 0.0)
+        for seed in (0, 1):
+            got, count = _verify_counting_replays(inst, rho, cert, 10, seed)
+            replay = _replay_per_trial(inst, rho, cert, 10, seed)
+            _assert_replays(got, replay)
+            assert count == 10 and got.worst_p1_violation.hex() == replay[0][3].hex()
+
     @pytest.mark.parametrize("seed", [1, 7])
     def test_plan_configs_replay_no_trial(self, tmp_path, bench_module, seed):
         """On the 8 configs of the certify-core benchmark plan the rounding
-        bound clears every trial at the built clearance, so verification runs
-        the stacked product for none; at 8x the clearance it runs it for all."""
+        bound clears every trial at the built clearance, so verification
+        replays none; at 8x the clearance it replays all."""
         workloads = bench_module("workloads")
         for i, op in enumerate(workloads.plan("certify-core", seed)["ops"]):
             path = tmp_path / f"{i}.ini"
@@ -1005,17 +1028,15 @@ class TestCoreCertificate:
         ("boltzmann_shannon", monomial_basis(1), constant_density(0.5), (0.0, 1.0)),
     ], ids=["pulse-monomial3", "pulse-piecewise4", "constant-monomial4", "constant-monomial1"])
     def test_trial_blocks_replay_one_trial_at_a_time(self, entropy, basis, rho, band):
-        """Trials stacked in blocks report the counts and worst P1 violation
-        of the float64 loop over one trial at a time, for counts on both sides
-        of a block edge and at every step scale, and P2 within rounding of its
-        quadrature; against the replay that expands each perturbation as one
-        set of coefficients the pass counts agree and the worst P1 violation
-        to a few ulps."""
-        from entromin.certificates import TRIAL_BLOCK
-
+        """Verification reports the counts and worst P1 violation of the
+        float64 loop over one trial at a time, for any number of trials and
+        at every step scale, and P2 within rounding of its quadrature;
+        against the replay that expands each perturbation as one set of
+        coefficients the pass counts agree and the worst P1 violation to a
+        few ulps."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
-        for trials in (1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 2 * TRIAL_BLOCK + 1, 100):
+        for trials in (1, 7, 8, 9, 17, 100):
             for k in (0.0, 1.0, 8.0):
                 driven = _overdriven(cert, k)
                 got = verify_core_certificate(inst, rho, driven, trials=trials, seed=trials)
@@ -1139,7 +1160,7 @@ class TestCoreCertificate:
             cert.delta = 0.0
         before = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
         held = [cert.sup_unit, cert.grid, cert.directions.basis_design, cert.inner_products,
-                cert.kept, cert.y_kept]
+                cert.grid_sup]
         arrays = [np.copy(a) for a in held]
         verify_core_certificate(inst, PULSE, cert, trials=10, seed=0)
         assert all(getattr(cert, name) is value for name, value in before.items())
@@ -1224,6 +1245,24 @@ class TestCoreCertificate:
         got = verify_core_certificate(inst, rho, driven, trials=40, seed=9)
         _assert_replays(got, expected, p1_tol=4 * np.finfo(float).eps * max(1.0, cert.clearance))
 
+    @pytest.mark.parametrize("trials", [1, 17, 100])
+    def test_replay_evaluates_directions_once_per_call(self, monkeypatch, trials):
+        """At the built clearance every trial clears and verification
+        evaluates no y_k; at 8x the clearance trials leave the band, and it
+        evaluates the y_k on the grid once per call, not once per trial."""
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        calls = []
+        monkeypatch.setattr(DirectionFunctions, "__call__", lambda *args,
+                            _f=DirectionFunctions.__call__: calls.append(1) or _f(*args))
+        counts = []
+        for k in (1.0, 8.0):
+            calls.clear()
+            report = verify_core_certificate(inst, PULSE, _overdriven(cert, k), trials=trials,
+                                             seed=0)
+            counts.append(len(calls))
+        assert counts == [0, 1] and report.worst_p1_violation > 0.0
+
     def test_overdriven_step_breaks_band_on_tight_margin(self):
         """Doubling t past the certified rule must leave the band when the
         margin is tight (constant density: clearance equals the certified
@@ -1244,8 +1283,8 @@ class TestCoreCertificate:
     def test_build_hands_verification_the_audited_arrays(self, basis):
         """The inner products the build takes from its margin design match
         `direction_inner_products` to 1e-13, verification reports their
-        orthogonality defect, and the y_k it carries on the kept grid columns
-        are those columns of the y_k on the whole grid, bit for bit."""
+        orthogonality defect, and the largest |y_k| it carries is that of the
+        y_k on the whole grid, bit for bit."""
         inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         audit = direction_inner_products(cert.directions)
@@ -1255,8 +1294,8 @@ class TestCoreCertificate:
         assert report.orthogonality == np.linalg.norm(defect, axis=0).max() <= 1e-12
         assert report.target <= 1e-14 and report.all_passed and report.failures == ()
         full = cert.directions(cert.grid)
-        assert cert.y_kept.tobytes() == np.ascontiguousarray(full[:, cert.kept]).tobytes()
-        assert not np.any(full[:, ~cert.kept])
+        assert cert.grid_sup.tobytes() == np.abs(full).max(axis=1).tobytes()
+        assert not np.any(full[:, (cert.grid < cert.margin.lo) | (cert.grid > cert.margin.hi)])
 
     def test_corrupted_direction_fails_as_direction_functions(self, monkeypatch):
         """Negative control: y_1 + 1e-6 y_2 in place of y_1 on the README

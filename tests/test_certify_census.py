@@ -93,6 +93,17 @@ def test_configs_are_the_benchmark_plans(tmp_path, bench_module):
         assert load_config(str(tmp_path / "census.ini")) == load_config(str(tmp_path / "op.ini"))
 
 
+def test_qri_residual_gate_is_the_builders():
+    """The moment-match gate `bench/worker.py` applies to a qri witness,
+    read as text (importing the worker imports scipy), is the P2_TOL that
+    `build_qri_certificate` holds an accepted witness to."""
+    from entromin.certificates import P2_TOL
+
+    text = (Path(__file__).resolve().parents[1] / "bench" / "worker.py").read_text()
+    found = re.findall(r"^QRI_RESIDUAL_TOL = ([^\s#]+)", text, re.MULTILINE)
+    assert [float(v) for v in found] == [P2_TOL]
+
+
 def test_table_covers_the_configs():
     """The table keeps a row for every config, failures included, and no other."""
     assert sorted(json.loads(TABLE.read_text())) == sorted(map(_label, CONFIGS))

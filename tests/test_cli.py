@@ -239,6 +239,24 @@ class TestCertify:
         assert payload["residuals"]["moment_match"] <= 1e-8
         assert payload["m"] >= 3
 
+    def test_qri_witness_missing_the_moments_exits_3(self, tmp_path, capsys):
+        """Monomials tabulated on 401 samples, on `constant 0.9999999999`
+        with Fermi-Dirac and a coarse rule: the witness accepted at m = 3
+        misses the target moments by 3.8e-8 on the margin rule, more than
+        P2_TOL, so the build fails by name and writes no certificate."""
+        s = np.linspace(0.0, 1.0, 401)
+        np.savetxt(tmp_path / "basis.txt", np.column_stack([s] + [s ** k for k in range(3)]))
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[problem]\nentropy = fermi_dirac\n"
+                       f"[basis]\nkind = tabulated\nn = 3\nfile = {tmp_path / 'basis.txt'}\n"
+                       f"[rho]\nkind = constant\nc = 0.9999999999\n"
+                       f"[quad]\norder = 8\npanels = 8\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["certify", "--config", str(ini), "--type", "qri"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("certify: failed hypothesis [moment match]: the witness accepted "
+                              "at m=3 misses the target moments by 3.822e-08 > 1e-08"), err
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_core_without_trials_exits_1(self, tmp_path, trials):
         cfg = write_cert_config(tmp_path, certify=f"trials = {trials}\nseed = 0")

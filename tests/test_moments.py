@@ -376,6 +376,24 @@ class TestProblemInstance:
         np.testing.assert_allclose(inst.target_moments, [0.5, 0.125], atol=1e-15)
         assert inst.design.shape == (2, RULE.nodes.size)
 
+    def test_frozen_so_checks_and_design_hold(self):
+        """Assigning a field would skip the checks (a NaN target) or leave
+        the design of another rule; an instance is frozen, and `replace`
+        builds a checked one with its own design."""
+        inst = instance_from_density(
+            builtin_entropy("l2_norm"), monomial_basis(3), RULE, pulse_density(0.5)
+        )
+        for name, value in (("target_moments", [np.nan, 1.0, 2.0]),
+                            ("rule", build_rule((0.0, 2.0), (0.5,))),
+                            ("design", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inst, name, value)
+        with pytest.raises(ValidationError, match="finite"):
+            dataclasses.replace(inst, target_moments=[np.nan, 1.0, 2.0])
+        wider = build_rule((0.0, 2.0), (0.5,))
+        moved = dataclasses.replace(inst, rule=wider, design=None)
+        assert moved.design.tobytes() == monomial_basis(3)(wider.nodes).tobytes()
+
 
 @pytest.mark.parametrize("basis,interval", [
     (monomial_basis(4), (0.0, 1.0)),
