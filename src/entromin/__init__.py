@@ -15,57 +15,13 @@ empirically, tame the Gibbs overshoot when reconstructing discontinuous
 densities.
 """
 
-from .certificates import (
-    CertificateVerification,
-    CoreCertificate,
-    DirectionFunctions,
-    MarginInterval,
-    QriCertificate,
-    build_core_certificate,
-    build_direction_functions,
-    build_qri_certificate,
-    direction_inner_products,
-    find_margin_interval,
-    verify_core_certificate,
-    within_bounds,
-)
-from .densities import Density, constant_density, pulse_density, tabulated_density
-from .dual import (
-    DualSolution,
-    dual_gradient,
-    dual_hessian,
-    dual_value,
-    solve_dual,
-)
-from .entropies import (
-    EntropySpec,
-    Interval,
-    available_entropies,
-    builtin_entropy,
-    fenchel_young_gap,
-)
-from .errors import (
-    CertificateError,
-    DependentBasisError,
-    DomainViolationError,
-    EntrominError,
-    NoMarginIntervalError,
-    NonFiniteIntegrandError,
-    ValidationError,
-)
-from .moments import (
-    IndependenceReport,
-    MomentBasis,
-    ProblemInstance,
-    gram_matrix,
-    instance_from_density,
-    linearly_independent_on,
-    moment_vector,
-    monomial_basis,
-    piecewise_flat_basis,
-    tabulated_basis,
-)
-from .primal import PrimalSolution, gibbs_overshoot, reconstruct, sample_solution
-from .quadrature import QuadratureRule, build_rule, integrate
+from .certificates import *
+from .densities import *
+from .dual import *
+from .entropies import *
+from .errors import *
+from .moments import *
+from .primal import *
+from .quadrature import *
 
 __version__ = "0.1.0"

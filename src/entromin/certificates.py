@@ -106,6 +106,9 @@ MEMBERSHIP_SAMPLES = 2001       # per scan segment and margin grid; + 2 on the m
 SAFETY_FACTOR = 0.99            # strictness slack in the step rule
 P2_TOL = 1e-8
 P1_SLACK = 1e-12
+DEFAULT_TRIALS = 100            # core verification: seeded random unit directions
+DEFAULT_SEED = 0
+DEFAULT_M_MAX = 50000           # clip-level budget: the README config needs m = 44103
 
 
 @dataclass(frozen=True)
@@ -495,7 +498,8 @@ def _whole_number(name: str, value) -> int:
 
 
 def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
-                            trials: int = 100, seed: int = 0) -> CertificateVerification:
+                            trials: int = DEFAULT_TRIALS,
+                            seed: int = DEFAULT_SEED) -> CertificateVerification:
     """Replay the core construction of `cert` for seeded random unit directions.
 
     For each direction eta the step s = t(eta) * eta is checked for both
@@ -587,9 +591,6 @@ class QriCertificate:
     margin: MarginInterval
     upper_clearance: float
     correction_sup: float
-
-
-DEFAULT_M_MAX = 50000   # clip-level budget: the README config needs m = 44103
 
 
 def _candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,

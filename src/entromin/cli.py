@@ -1,10 +1,11 @@
 """Command-line front end: solve, certify, and compare pipelines.
 
-Every run is driven by a config file (see the README for the schema) plus
-a handful of overriding flags.  Outputs are CSV and JSON only, written
-with 17 significant digits, LF line endings, and sorted JSON keys, so two
-runs with identical inputs produce byte-identical artifacts.  Plotting is
-intentionally left to the user's tool of choice.
+Every run is driven by a config file (see the README for the schema); only
+`--out` and `--seed` override its `output.dir` and `certify.seed`.  Outputs
+are CSV and JSON only, written with 17 significant digits, LF line endings,
+and sorted JSON keys, so two runs with identical inputs produce
+byte-identical artifacts.  Plotting is intentionally left to the user's
+tool of choice.
 
 Exit codes: 0 success, 1 configuration error (a usage error too), 2 solver
 did not converge, 3 a certificate hypothesis failed.
@@ -36,9 +37,11 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_FAILED_HYPOTHESIS = 3
 
 
+_FLOAT = "%.17g"  # 17 significant digits (full double precision); nan, inf, -inf
+
+
 def _fmt(value) -> str:
-    """One float at 17 significant digits (full double precision); nan, inf, -inf."""
-    return format(float(value), ".17g")
+    return _FLOAT % float(value)
 
 
 def _json_dumps(obj, indent=0) -> str:
@@ -73,10 +76,11 @@ def _write_json(path, obj) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
+    """The header, then each row as `_fmt` writes values, in one formatting pass."""
+    values = tuple(np.asarray(rows, dtype=float).ravel().tolist())
+    line = ",".join([_FLOAT] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + (line * (len(values) // len(header))) % values)
 
 
 def _write_trace(path, solution) -> None:
@@ -243,10 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (solve, certify, compare):
         p.add_argument("--config", required=True, help="path to the run config (INI)")
         p.add_argument("--out", help="output directory (overrides [output] dir)")
-        p.add_argument("--quad-order", type=int, default=None,
-                       help="Gauss-Legendre nodes per panel (overrides [quad] order)")
-        p.add_argument("--quad-panels", type=int, default=None,
-                       help="panels per smooth segment (overrides [quad] panels)")
     for p in (solve, compare):
         p.add_argument("--trace", action="store_true", help="write the iteration trace CSV")
     certify.add_argument("--type", choices=("core", "qri"), required=True)
@@ -264,9 +264,8 @@ def main(argv=None) -> int:
         # each flag meets its INI key's check before any rule is built; --seed is certify's
         if getattr(args, "seed", None) is not None:
             cfg = replace(cfg, certify=replace(cfg.certify, seed=args.seed))
-        flags = {"out_dir": args.out, "quad_order": args.quad_order,
-                 "quad_panels": args.quad_panels}
-        cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
         handler = {"solve": cmd_solve, "certify": cmd_certify, "compare": cmd_compare}
         return handler[args.command](cfg, args)
     except CertificateError as exc:

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .certificates import DEFAULT_M_MAX
+from .certificates import DEFAULT_M_MAX, DEFAULT_SEED, DEFAULT_TRIALS
 from .densities import Density, constant_density, pulse_density, tabulated_density
 from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .entropies import EntropySpec, builtin_entropy
@@ -128,8 +128,8 @@ class RhoSpec:
 class CertifyOptions:
     alpha: Optional[float] = None   # defaults to the entropy domain endpoints
     beta: Optional[float] = None
-    trials: int = 100
-    seed: int = 0
+    trials: int = DEFAULT_TRIALS
+    seed: int = DEFAULT_SEED
     m_max: int = DEFAULT_M_MAX
     min_width: Optional[float] = None
 

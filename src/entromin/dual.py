@@ -50,8 +50,7 @@ from .errors import DomainViolationError, NonFiniteIntegrandError, ValidationErr
 from .moments import ProblemInstance, weighted_gram
 from .quadrature import finite_at_nodes, integrate_values
 
-__all__ = ["DualSolution", "IterationRecord", "dual_value", "dual_gradient",
-           "dual_hessian", "solve_dual", "default_start"]
+__all__ = ["DualSolution", "dual_value", "dual_gradient", "dual_hessian", "solve_dual"]
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100

@@ -11,6 +11,10 @@ for the caller to react without string parsing.
 
 from __future__ import annotations
 
+__all__ = ["EntrominError", "ValidationError", "DomainViolationError",
+           "NonFiniteIntegrandError", "CertificateError", "NoMarginIntervalError",
+           "DependentBasisError"]
+
 
 class EntrominError(Exception):
     """Base class for all package-specific errors."""

@@ -186,7 +186,8 @@ class ProblemInstance:
     The rule must resolve every basis breakpoint strictly inside its interval.
     `design`, the basis at the nodes that the dual solver reads on every iteration,
     is built once (or passed in by `instance_from_density`).  The instance is
-    frozen, so its checks and its design hold for as long as it lives.
+    frozen and holds its arrays read-only (`target_moments` a copy, `design` a
+    view), so its checks and its design hold for as long as it lives.
     """
 
     entropy: EntropySpec
@@ -196,7 +197,9 @@ class ProblemInstance:
     design: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "target_moments", np.asarray(self.target_moments, dtype=float))
+        target = np.array(self.target_moments, dtype=float)
+        target.flags.writeable = False
+        object.__setattr__(self, "target_moments", target)
         if self.target_moments.shape != (self.basis.n,):
             raise ValidationError(
                 f"target moment vector has shape {self.target_moments.shape}, "
@@ -212,8 +215,10 @@ class ProblemInstance:
                 f"rule breakpoints {self.rule.breakpoints} do not cover basis "
                 f"breakpoints {missing}"
             )
-        if self.design is None:
-            object.__setattr__(self, "design", self.basis(self.rule.nodes))
+        design = np.asarray(self.basis(self.rule.nodes) if self.design is None else self.design)
+        design = design.view()
+        design.flags.writeable = False
+        object.__setattr__(self, "design", design)
 
     @property
     def n(self) -> int:

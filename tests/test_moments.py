@@ -377,9 +377,10 @@ class TestProblemInstance:
         assert inst.design.shape == (2, RULE.nodes.size)
 
     def test_frozen_so_checks_and_design_hold(self):
-        """Assigning a field would skip the checks (a NaN target) or leave
-        the design of another rule; an instance is frozen, and `replace`
-        builds a checked one with its own design."""
+        """Assigning a field or writing into its arrays would skip the checks
+        (a NaN target) or leave the design of another rule; an instance is
+        frozen with read-only arrays, and `replace` builds a checked one with
+        its own design."""
         inst = instance_from_density(
             builtin_entropy("l2_norm"), monomial_basis(3), RULE, pulse_density(0.5)
         )
@@ -388,6 +389,14 @@ class TestProblemInstance:
                             ("design", None)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(inst, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            inst.target_moments[0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            inst.design[:] = 0
+        assert np.isfinite(inst.target_moments).all() and inst.design.any()
+        design = monomial_basis(3)(RULE.nodes)
+        held = dataclasses.replace(inst, design=design)  # a view, not a copy or a lock
+        assert np.shares_memory(held.design, design) and design.flags.writeable
         with pytest.raises(ValidationError, match="finite"):
             dataclasses.replace(inst, target_moments=[np.nan, 1.0, 2.0])
         wider = build_rule((0.0, 2.0), (0.5,))
