@@ -18,6 +18,7 @@ import entromin
 from entromin import cli
 from entromin.cli import main
 from entromin.config import CertifyOptions, load_config
+from entromin.quadrature import build_rule
 
 SOLVE_INI = """
 [problem]
@@ -128,6 +129,25 @@ class TestSolve:
         assert sorted(os.listdir(out)) == ["summary.json", "trace.csv"]
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["converged"], summary["iterations"]) == (False, 100)
+
+    def test_quad_set_in_config_builds_the_rule(self, tmp_path, monkeypatch):
+        """`[quad]` is set in the run file alone: its order and panels build
+        the rule the run solves on."""
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "\n[quad]\norder = 12\npanels = 4\n")
+        rules, build_problem = [], cli.build_problem
+
+        def build(run, spec):
+            built = build_problem(run, spec)
+            rules.append(built[0].rule)
+            return built
+
+        monkeypatch.setattr(cli, "build_problem", build)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        expected = build_rule((0.0, 1.0), (0.5,), 12, 4)  # the pulse split is the breakpoint
+        assert len(rules) == 1 and rules[0].nodes.size == 2 * 4 * 12
+        assert np.array_equal(rules[0].nodes, expected.nodes)
+        assert np.array_equal(rules[0].weights, expected.weights)
 
 
 CERT_INI = """
