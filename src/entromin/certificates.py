@@ -29,11 +29,13 @@ supported on the margin interval, and accept the first m whose correction
 is small against the margin (sup |v| < delta/2) while the witness
 y = x_m - v stays strictly above the lower bound.  The resulting y has the
 same moments as the density and a positive clearance eps, which is exactly
-what the certificate asserts.  The clearance is one-sided by construction: for a
-two-valued density such as the pulse with band (0, 1), the correction
-necessarily pushes y above the upper bound somewhere, so only the lower
-clearance can be certified.  When the upper bound is finite the measured
-upper clearance is reported alongside for inspection.
+what the certificate asserts.  The clearance is one-sided where the entropy's
+domain is unbounded above: for a two-valued density such as the pulse with
+band (0, 1), the correction necessarily pushes y above the upper bound
+somewhere, so only the lower clearance can be certified, and the upper one is
+reported for inspection.  Where dom f ends above (Fermi-Dirac's 1), eps also
+counts y's clearance below that end, and a band reaching it is scanned
+two-sided, as core's is, so a density pinned to it has no margin interval.
 
 All membership checks are sample-based, so a certificate is strong numerical
 evidence, not an almost-everywhere proof; solver output labels it as such.
@@ -78,13 +80,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .entropies import EntropySpec
-from .errors import (
-    CertificateError,
-    DependentBasisError,
-    NoMarginIntervalError,
-    ValidationError,
-)
-from .moments import MomentBasis, ProblemInstance, linearly_independent_on
+from .errors import CertificateError, ValidationError
+from .moments import MomentBasis, ProblemInstance, _hold_read_only, linearly_independent_on
 from .quadrature import QuadratureRule, nodes_in, refine_rule, uniform_grid
 
 __all__ = [
@@ -180,8 +177,9 @@ def find_margin_interval(x, lower: float, upper: float, rule: QuadratureRule,
     [lower + eps, upper - eps].  With `one_sided=True` only the lower
     clearance constrains the scan, which is what the quasi-relative-interior
     construction needs: its conclusion certifies clearance above the lower
-    bound only, so a density pinned to the upper bound (the pulse with band
-    (0, 1)) must still admit a witness interval.
+    bound only where the band's upper end lies inside the entropy domain, so
+    a density pinned to that end (the pulse with band (0, 1) under
+    Boltzmann-Shannon) must still admit a witness interval.
 
     x is called once, on the scan samples and the rule's nodes; the value
     range is read from those in the interval found.
@@ -226,9 +224,10 @@ def find_margin_interval(x, lower: float, upper: float, rule: QuadratureRule,
             seen = np.concatenate([run_values, node_values[on_run]])
             return MarginInterval(z1, z2, float(seen.min()), float(seen.max()))
 
-    raise NoMarginIntervalError(
+    raise CertificateError(
         f"no margin interval of width >= {min_width} found on [{lo}, {hi}]: "
-        f"the density never clears its bounds ({lower}, {upper}) at this resolution"
+        f"the density never clears its bounds ({lower}, {upper}) at this resolution",
+        hypothesis="margin interval",
     )
 
 
@@ -267,6 +266,9 @@ class DirectionFunctions:
     basis_design: np.ndarray = field(repr=False)    # a_k at the nodes of `rule`
     margin_design: np.ndarray = field(repr=False)   # phi_j on the margin grid, nodes last
 
+    def __post_init__(self):
+        _hold_read_only(self, "coeffs", "factor", "basis_design", "margin_design")
+
     def __call__(self, s, coeffs=None) -> np.ndarray:
         """The y_k at the points s, shape (n, len(s)), or the expansions
         `coeffs` over the phi_j, shape (n,) or (k, n): one product with the
@@ -302,11 +304,12 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     values = design.compress(inside, axis=1)   # C order, as the Gram's and M's bits need
     report = linearly_independent_on(basis, rule, (margin.lo, margin.hi), values)
     if not report.independent:
-        raise DependentBasisError(
+        raise CertificateError(
             f"moment functions are numerically dependent on "
             f"[{margin.lo}, {margin.hi}] (smallest Gram eigenvalue "
             f"{report.min_eigenvalue:.3e} <= threshold {report.threshold:.3e}); "
-            f"reduce the family or choose a different interval"
+            f"reduce the family or choose a different interval",
+            hypothesis="linear independence",
         )
     grid = np.concatenate([uniform_grid(margin.lo, margin.hi, MEMBERSHIP_SAMPLES), nodes])
     on_grid, factor = _phi(margin, basis, None, grid), None  # Legendre, kept if it fits the a_k
@@ -340,7 +343,8 @@ class CoreCertificate:
     nodes, and `grid_sup` the largest |y_k| on the grid points inside the
     margin (the y_k are zero on the others), which bounds each trial's
     perturbation.  `margin` and `delta` are read from `directions` and
-    `sup_unit`, so each value is stored once.
+    `sup_unit`, so each value is stored once.  The certificate is frozen and
+    holds its arrays, and those of its `directions`, read-only.
     """
 
     directions: DirectionFunctions
@@ -351,6 +355,9 @@ class CoreCertificate:
     grid: np.ndarray = field(repr=False)
     inner_products: np.ndarray = field(repr=False)     # (n, n)
     grid_sup: np.ndarray = field(repr=False)           # (n,) max |y_k| on the grid
+
+    def __post_init__(self):
+        _hold_read_only(self, "sup_unit", "grid", "inner_products", "grid_sup")
 
     @property
     def margin(self) -> MarginInterval:
@@ -414,10 +421,11 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
                     min_width: Optional[float] = None, one_sided: bool = False):
     """The hypothesis both certificates start from, checked in order.
 
-    1. The band lies in the entropy domain (ValidationError otherwise); the
-       two-sided core construction also needs the density finite and inside
-       it on the membership grid (`within_bounds`), and again on that grid
-       once step 2 has refined its rule; the one-sided qri needs it finite there.
+    1. The band lies in the entropy domain (ValidationError otherwise); a
+       two-sided construction (core's, or qri's at an end of dom f) also
+       needs the density finite and inside it on the membership grid
+       (`within_bounds`), and again on that grid once step 2 has refined its
+       rule; a one-sided one needs it finite there.
     2. The scan's margin interval on the instance rule, its range widened by
        the density on the membership grid inside it, and the margin rule: the
        instance rule refined at its ends.
@@ -578,10 +586,10 @@ class QriCertificate:
     """A witness with the same moments as the density and positive lower
     clearance, built by clipping and correcting on the margin interval.
 
-    `eps` certifies y(s) >= lower + eps at every sample.  When the band's
-    upper end is finite, `upper_clearance` records min(upper - y); it can
-    be negative (see the module note on one-sidedness) and is informative
-    only.
+    `eps` certifies y(s) >= lower + eps, and y(s) <= end - eps below a
+    finite end of dom f, at every sample.  When the band's upper end is
+    finite, `upper_clearance` records min(upper - y); inside dom f it can be
+    negative (see the module note on one-sidedness) and is informative only.
     """
 
     m: int
@@ -666,7 +674,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     that defect is built on the margin interval.  The first m whose
     correction satisfies sup |v| < delta/2 (delta being the certified
     lower clearance of the density on the margin interval) and whose
-    witness y = x_m - v keeps a positive lower clearance is returned.
+    witness y = x_m - v keeps a positive clearance eps (module note) is
+    returned.
     Only the levels `_candidate_levels` hands on are evaluated; every other
     has sup |v| >= delta/2, so the accepted m, the witness and the failure
     report are those of a scan that evaluates every level.
@@ -679,13 +688,14 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     m_max = _whole_number("m_max", m_max)
     if m_max < 3:
         raise ValidationError(f"the clip-level scan starts at m=3, got m_max={m_max}")
-    directions, full_grid, x_full = _margin_prelude(instance, x, lower, upper,
-                                                    min_width=min_width, one_sided=True)
+    top = instance.entropy.f_domain.hi   # a finite end of dom f bounds y too (module note)
+    directions, full_grid, x_full = _margin_prelude(instance, x, lower, upper, min_width,
+                                                    one_sided=upper != top or top == np.inf)
     margin, ver_rule, ver_design = directions.margin, directions.rule, directions.basis_design
     delta, margin_design = margin.val_lo - lower, directions.margin_design
     nodes = slice(full_grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
     x_ver = x_full[nodes]
-    lost = []       # levels whose witness lost its lower clearance
+    lost = []       # levels whose witness lost its clearance
     width = upper - lower if np.isfinite(upper) else 1.0
 
     def clip(values, m):
@@ -703,7 +713,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
         if sup_v >= delta / 2.0:
             continue
         y_full = clip(x_full, m) - directions(full_grid, coeffs)
-        eps = float(np.min(y_full - lower))
+        eps = float(min(np.min(y_full - lower), np.min(top - y_full)))
         if eps <= 0.0:
             lost.append(m)
             continue
@@ -726,8 +736,9 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     decay = "; ".join(f"m={m}: |defect|={np.max(np.abs(d)):.3e}, "
                       f"sup|v|={_margin_sup(c, margin_design):.3e}"
                       for m, (d, c) in zip(reported, map(level, reported)))
+    below = f" and clearance below {top}" if top < np.inf else ""
     raise CertificateError(
         f"no acceptable witness up to m={m_max} (need sup|v| < {delta / 2.0:.3e} "
-        f"with positive lower clearance); defect decay: {decay}",
+        f"with positive lower clearance{below}); defect decay: {decay}",
         hypothesis="witness acceptance",
     )

@@ -21,14 +21,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .certificates import (
-    build_core_certificate,
-    build_qri_certificate,
-    verify_core_certificate,
-)
+from .certificates import build_core_certificate, build_qri_certificate, verify_core_certificate
 from .config import RunConfig, build_problem, load_config
 from .dual import solve_dual
-from .errors import CertificateError, DomainViolationError, EntrominError
+from .errors import CertificateError, DomainViolationError, EntrominError, ValidationError
 from .primal import gibbs_overshoot, reconstruct, sample_solution
 
 EXIT_OK = 0
@@ -120,7 +116,7 @@ def _summary(solution, primal) -> dict:
 
 def cmd_solve(cfg: RunConfig, args) -> int:
     if cfg.basis is None:
-        raise EntrominError("solve requires a [basis] section") from None
+        raise ValidationError("solve requires a [basis] section")
     solution, primal, table = _solve(
         cfg, build_problem(cfg, cfg.basis)[0],
         lambda primal: sample_solution(primal, np.linspace(*cfg.interval, cfg.sample_points)))
@@ -140,7 +136,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 def cmd_certify(cfg: RunConfig, args) -> int:
     if cfg.basis is None:
-        raise EntrominError("certify requires a [basis] section") from None
+        raise ValidationError("certify requires a [basis] section")
     instance, rho = build_problem(cfg, cfg.basis)
     opts = cfg.certify
     lower, upper = opts.band_for(instance.entropy)
@@ -182,11 +178,11 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 
 def cmd_compare(cfg: RunConfig, args) -> int:
     if cfg.basis_a is None or cfg.basis_b is None:
-        raise EntrominError("compare requires [basis_a] and [basis_b] sections") from None
+        raise ValidationError("compare requires [basis_a] and [basis_b] sections")
     if cfg.basis_a.n != cfg.basis_b.n:
-        raise EntrominError(
+        raise ValidationError(
             f"compare needs equal basis sizes, got {cfg.basis_a.n} and {cfg.basis_b.n}"
-        ) from None
+        )
     window = cfg.default_window()
     grid = np.linspace(*cfg.interval, cfg.sample_points)
     problems = {label: (spec, *build_problem(cfg, spec))  # both built before either solves

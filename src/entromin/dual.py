@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolationError, NonFiniteIntegrandError, ValidationError
+from .errors import DomainViolationError, ValidationError
 from .moments import ProblemInstance, weighted_gram
 from .quadrature import finite_at_nodes, integrate_values
 
@@ -223,7 +223,7 @@ def solve_dual(instance: ProblemInstance, phi0=None, tol: float = DEFAULT_TOL,
                     _, trial_grad, trial_hess = _derivatives(instance, v, 2)
                     if not by_residual or np.max(np.abs(trial_grad)) < residual:
                         accepted = trial_value, trial_grad, trial_hess
-            except (DomainViolationError, NonFiniteIntegrandError):
+            except DomainViolationError:
                 pass
             if accepted is not None:
                 break

@@ -60,7 +60,7 @@ class Interval:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+            raise ValidationError(f"empty interval [{self.lo}, {self.hi}]")
 
     def contains(self, v):
         """Vectorized membership test; infinite endpoints count as open."""
@@ -86,8 +86,8 @@ class Interval:
 def _guard(interval: Interval, name: str, owner: str, fn):
     """Wrap fn so evaluation outside `interval` raises a domain error, and so
     that fn, exposed as `__wrapped__`, overflows and divides by zero silently:
-    the dual oracle names a non-finite value as a NonFiniteIntegrandError,
-    which the line search treats as infeasible."""
+    the dual oracle names a non-finite value as a DomainViolationError at its
+    node, which the line search treats as infeasible."""
 
     def quiet(v):
         with np.errstate(over="ignore", divide="ignore"):

@@ -1,19 +1,18 @@
 """Exception types shared across the package.
 
-The solver distinguishes three failure families: bad inputs
-(:class:`ValidationError`), evaluation outside a function's domain
-(:class:`DomainViolationError`, :class:`NonFiniteIntegrandError`), and a
-certificate hypothesis that does not hold (:class:`CertificateError` and
-subclasses).  Domain violations are ordinary control flow during the Newton
-line search, so they carry enough context (offending value, node location)
-for the caller to react without string parsing.
+Every failure is one of three families, one class each under
+:class:`EntrominError`: bad input (:class:`ValidationError`), an evaluation
+outside a function's domain or non-finite at a quadrature node
+(:class:`DomainViolationError`), and a certificate hypothesis that does not
+hold (:class:`CertificateError`, which names it in `hypothesis`).  Domain
+violations are ordinary control flow during the Newton line search, so they
+carry enough context (offending value, node location) for the caller to
+react without string parsing.
 """
 
 from __future__ import annotations
 
-__all__ = ["EntrominError", "ValidationError", "DomainViolationError",
-           "NonFiniteIntegrandError", "CertificateError", "NoMarginIntervalError",
-           "DependentBasisError"]
+__all__ = ["EntrominError", "ValidationError", "DomainViolationError", "CertificateError"]
 
 
 class EntrominError(Exception):
@@ -25,12 +24,13 @@ class ValidationError(EntrominError, ValueError):
 
 
 class DomainViolationError(EntrominError, ValueError):
-    """A scalar map was evaluated outside its domain.
+    """A scalar map was evaluated outside its domain, or an integrand is
+    NaN or +/-inf at a quadrature node.
 
     Attributes
     ----------
     argument : str
-        Name of the offending argument ("u", "v", "phi0", ...).
+        Name of the offending argument ("u", "v", "phi0", ...), when known.
     value : float
         The offending value.
     node : float or None
@@ -44,36 +44,15 @@ class DomainViolationError(EntrominError, ValueError):
         self.node = node
 
 
-class NonFiniteIntegrandError(EntrominError, ValueError):
-    """An integrand evaluated to NaN or +/-inf at a quadrature node."""
-
-    def __init__(self, message, node=float("nan"), value=float("nan")):
-        super().__init__(message)
-        self.node = node
-        self.value = value
-
-
 class CertificateError(EntrominError, RuntimeError):
     """A hypothesis required by a strong-duality certificate failed.
 
-    `hypothesis` names the failed requirement so command-line users and
-    tests can react to the specific failure rather than the message text.
+    `hypothesis` names the failed requirement ("admissible band", "margin
+    interval", "linear independence", "witness acceptance" or "moment
+    match"), so command-line users and tests can react to the specific
+    failure rather than the message text.
     """
 
     def __init__(self, message, hypothesis=""):
         super().__init__(message)
         self.hypothesis = hypothesis
-
-
-class NoMarginIntervalError(CertificateError):
-    """No subinterval keeps the density strictly inside its value bounds."""
-
-    def __init__(self, message):
-        super().__init__(message, hypothesis="margin interval")
-
-
-class DependentBasisError(CertificateError):
-    """Moment functions are numerically dependent on the working interval."""
-
-    def __init__(self, message):
-        super().__init__(message, hypothesis="linear independence")

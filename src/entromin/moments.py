@@ -179,6 +179,16 @@ def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterva
     )
 
 
+def _hold_read_only(frozen, *names) -> None:
+    """Hold the named array fields (None aside) of the dataclass `frozen` as
+    read-only views, not copies, so a caller's own array stays writable."""
+    for name in names:
+        if getattr(frozen, name) is not None:
+            view = np.asarray(getattr(frozen, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(frozen, name, view)
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Everything needed to pose one constrained entropy minimization.
@@ -197,9 +207,8 @@ class ProblemInstance:
     design: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        target = np.array(self.target_moments, dtype=float)
-        target.flags.writeable = False
-        object.__setattr__(self, "target_moments", target)
+        object.__setattr__(self, "target_moments", np.array(self.target_moments, dtype=float))
+        _hold_read_only(self, "target_moments")
         if self.target_moments.shape != (self.basis.n,):
             raise ValidationError(
                 f"target moment vector has shape {self.target_moments.shape}, "
@@ -215,10 +224,9 @@ class ProblemInstance:
                 f"rule breakpoints {self.rule.breakpoints} do not cover basis "
                 f"breakpoints {missing}"
             )
-        design = np.asarray(self.basis(self.rule.nodes) if self.design is None else self.design)
-        design = design.view()
-        design.flags.writeable = False
-        object.__setattr__(self, "design", design)
+        if self.design is None:
+            object.__setattr__(self, "design", self.basis(self.rule.nodes))
+        _hold_read_only(self, "design")
 
     @property
     def n(self) -> int:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFiniteIntegrandError, ValidationError
+from .errors import DomainViolationError, ValidationError
 
 __all__ = ["QuadratureRule", "build_rule", "integrate"]
 
@@ -136,7 +136,7 @@ def integrate(rule: QuadratureRule, g) -> float:
     """Integrate a scalar map over the rule's interval.
 
     `g` is called once on the full node array.  A non-finite value at any
-    node raises :class:`NonFiniteIntegrandError` carrying the node, which
+    node raises :class:`DomainViolationError` carrying the node, which
     is how entropy-domain violations surface during the Newton line search.
     """
     values = np.asarray(g(rule.nodes), dtype=float)
@@ -147,14 +147,14 @@ def integrate(rule: QuadratureRule, g) -> float:
 
 def finite_at_nodes(rule: QuadratureRule, values, what: str = "integrand") -> np.ndarray:
     """`values` at the nodes (last axis) as a float array; the first non-finite
-    entry raises :class:`NonFiniteIntegrandError` naming `what` and its node."""
+    entry raises :class:`DomainViolationError` naming `what` and its node."""
     values = np.asarray(values, dtype=float)
     finite = np.isfinite(values)
     if not finite.all():
         idx = np.unravel_index(np.argmin(finite), values.shape)
         value, node = float(values[idx]), float(rule.nodes[idx[-1]])
-        raise NonFiniteIntegrandError(f"{what} is {value!r} at node s={node!r}",
-                                      node=node, value=value)
+        raise DomainViolationError(f"{what} is {value!r} at node s={node!r}",
+                                   node=node, value=value)
     return values
 
 

@@ -14,8 +14,8 @@ import zlib
 import numpy as np
 
 from entromin import (
+    CertificateError,
     Density,
-    DependentBasisError,
     build_core_certificate,
     build_direction_functions,
     build_qri_certificate,
@@ -243,8 +243,8 @@ def test_criterion_6_core_certificate_with_negative_control():
         try:
             build_core_certificate(right, RIGHT_PULSE, 0.0, INF)
             all_pass = False
-        except DependentBasisError:
-            pass
+        except CertificateError as err:
+            all_pass &= err.hypothesis == "linear independence"
         assert not linearly_independent_on(inst.basis, RULE, (0.5, 1.0)).independent
     report(6, all_pass and worst_p2 <= 1e-8,
            f"margin in [0, 1/2], 100/100 directions for n in (2, 4, 6), worst "

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from entromin import (
     CertificateError,
     Density,
-    DependentBasisError,
-    NoMarginIntervalError,
     ValidationError,
     build_core_certificate,
     build_direction_functions,
@@ -207,7 +205,8 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     from entromin.certificates import MEMBERSHIP_SAMPLES
 
     basis, rule = instance.basis, instance.rule
-    margin = find_margin_interval(x, lower, upper, rule, one_sided=True)
+    top = instance.entropy.f_domain.hi   # a band reaching a finite end of dom f is two-sided
+    margin = find_margin_interval(x, lower, upper, rule, one_sided=not upper == top < INF)
     delta = margin.val_lo - lower
     directions = build_direction_functions(basis, rule, margin)
     ver_rule = directions.rule
@@ -235,7 +234,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
                 history.append((m, float(np.max(np.abs(defect))), sup_v))
             continue
         y_full = clip(x_full, m) - directions(full_grid, coeffs)
-        eps = float(np.min(y_full - lower))
+        eps = min(float(np.min(y_full - lower)), float(np.min(top - y_full)))
         if eps <= 0.0:
             history.append((m, float(np.max(np.abs(defect))), sup_v))
             continue
@@ -248,8 +247,9 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
         upper_clearance = float(np.min(upper - y_full)) if np.isfinite(upper) else INF
         return m, eps, sup_v, residual, upper_clearance, y(np.linspace(0.0, 1.0, 777))
     decay = "; ".join(f"m={m}: |defect|={d:.3e}, sup|v|={sv:.3e}" for m, d, sv in history[-6:])
+    below = f" and clearance below {top}" if top < INF else ""
     return (f"no acceptable witness up to m={m_max} (need sup|v| < {delta / 2.0:.3e} "
-            f"with positive lower clearance); defect decay: {decay}")
+            f"with positive lower clearance{below}); defect decay: {decay}")
 
 
 def _pulse_zeroed_in_margin():
@@ -473,8 +473,9 @@ class TestFindMarginInterval:
         assert margin.val_hi == pytest.approx(1.0)
 
     def test_boundary_density_has_no_margin(self):
-        with pytest.raises(NoMarginIntervalError):
+        with pytest.raises(CertificateError) as err:
             find_margin_interval(constant_density(0.0), 0.0, INF, build_rule((0.0, 1.0)))
+        assert err.value.hypothesis == "margin interval"
 
     def test_identity_map_unit_band(self):
         margin = find_margin_interval(lambda s: np.asarray(s, dtype=float),
@@ -487,8 +488,9 @@ class TestFindMarginInterval:
 
     def test_pulse_unit_band_needs_one_sided(self):
         # two-sided clearance is impossible for a {0,1}-valued density
-        with pytest.raises(NoMarginIntervalError):
+        with pytest.raises(CertificateError) as err:
             find_margin_interval(PULSE, 0.0, 1.0, RULE)
+        assert err.value.hypothesis == "margin interval"
         margin = find_margin_interval(PULSE, 0.0, 1.0, RULE, one_sided=True)
         assert margin.hi <= 0.5 and margin.val_lo == pytest.approx(1.0)
 
@@ -695,8 +697,9 @@ class TestDirectionFunctions:
     def test_dependent_family_rejected(self):
         basis = piecewise_flat_basis(3, 0.5)
         margin = MarginInterval(0.5, 1.0, 0.0, 0.0)
-        with pytest.raises(DependentBasisError):
+        with pytest.raises(CertificateError) as err:
             build_direction_functions(basis, RULE, margin)
+        assert err.value.hypothesis == "linear independence"
 
     @pytest.mark.parametrize("basis,margin", [
         (monomial_basis(2), MarginInterval(0.0, 1.0, 0.5, 0.5)),
@@ -765,7 +768,7 @@ class TestCoreCertificate:
         inst = make_instance("translated_boltzmann_shannon",
                              piecewise_flat_basis(n, 0.5), RIGHT_PULSE)
         for build in (build_core_certificate, build_qri_certificate):
-            with pytest.raises(DependentBasisError) as err:
+            with pytest.raises(CertificateError) as err:
                 build(inst, RIGHT_PULSE, 0.0, INF)
             assert err.value.hypothesis == "linear independence"
             assert "[0.5002497502497503, 0.9997502497502497]" in str(err.value)
@@ -1167,6 +1170,30 @@ class TestCoreCertificate:
         for array, now in zip(arrays, held):
             np.testing.assert_array_equal(now, array)
 
+    def test_certificate_holds_read_only_views(self):
+        """A certificate over-driven 64 times fails P1 in every trial; were its
+        grid maxima zeroed in place, the rounding bound would clear them all.
+        Each array of the certificate and of its y_k (a QR factor too) is a
+        read-only view: a write raises, and a caller's own array is held
+        without a copy and stays writable."""
+        rho = constant_density(0.5)
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(4), rho)
+        cert = _overdriven(build_core_certificate(inst, rho, 0.0, 1.0), 64.0)
+        across = build_direction_functions(piecewise_flat_basis(4, 0.5), RULE,
+                                           MarginInterval(0.25, 0.75, 1.0, 1.0))
+        assert verify_core_certificate(inst, rho, cert).p1_passes == 0
+        held = [(cert, name) for name in ("sup_unit", "grid", "inner_products", "grid_sup")]
+        held += [(across, name) for name in ("coeffs", "factor", "basis_design",
+                                             "margin_design")]
+        for owner, name in held:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(owner, name)[...] = 0.0
+        assert verify_core_certificate(inst, rho, cert).p1_passes == 0
+        own = np.ones(4)
+        assert np.shares_memory(dataclasses.replace(cert, grid_sup=own).grid_sup, own)
+        assert np.shares_memory(dataclasses.replace(across, factor=own).factor, own)
+        own[0] = 2.0
+
     def test_verification_replays_the_certificate_as_built(self):
         """The y_k are the unit direction's and verification replays the
         certificate it is given: neither takes a direction or step scale,
@@ -1377,6 +1404,20 @@ class TestQriCertificate:
         grid = np.linspace(0, 1, 101)
         np.testing.assert_array_equal(cert.y(grid), rho(grid))
 
+    def test_witness_clears_the_end_of_a_bounded_domain(self):
+        """Fermi-Dirac, constant 0.9, margin left of the split: levels 3..9 clip
+        x down and their correction, carried by half the interval, lifts the
+        witness above 1, out of dom f, so they are lost; m = 10 clips nothing,
+        and eps is the witness's clearance below 1, not above 0."""
+        rho = constant_density(0.9)
+        inst = make_instance("fermi_dirac", monomial_basis(3), rho)
+        cert = build_qri_certificate(inst, rho, 0.0, 1.0)
+        assert cert.margin.hi < 0.5
+        assert cert.m == 10
+        assert cert.eps == cert.upper_clearance == pytest.approx(0.1, abs=1e-15)
+        grid = np.linspace(0, 1, 101)
+        np.testing.assert_array_equal(cert.y(grid), rho(grid))
+
     def test_single_constant_moment(self):
         inst = make_instance("boltzmann_shannon", monomial_basis(1), PULSE)
         cert = build_qri_certificate(inst, PULSE, 0.0, 1.0)
@@ -1448,9 +1489,12 @@ class TestQriCertificate:
         ("boltzmann_shannon", monomial_basis(3), BUMP, (0.0, 1.0), 4000),
         ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), BUMP, (0.0, INF), 300),
         ("boltzmann_shannon", monomial_basis(6), PULSE, (0.0, 1.0), 400),
+        ("fermi_dirac", monomial_basis(4), RAMP, (0.0, 1.0), 200),
+        ("fermi_dirac", monomial_basis(3), constant_density(0.6), (0.0, 1.0), 200),
     ], ids=["pulse-monomial4", "pulse-piecewise4", "constant-monomial3", "readme-budget-200",
             "ramp-monomial4", "ramp-monomial5-half-line", "bump-monomial3",
-            "bump-piecewise4-half-line", "pulse-monomial6-budget-400"])
+            "bump-piecewise4-half-line", "pulse-monomial6-budget-400",
+            "ramp-monomial4-fermi-dirac", "constant-monomial3-fermi-dirac"])
     def test_screened_scan_replays_full_scan_exactly(self, entropy, basis, rho, band, m_max):
         """Solving for the candidate clip levels accepts the same m, with the
         same witness, as evaluating every level on the whole margin grid,

@@ -255,23 +255,59 @@ class TestCertify:
         assert payload["residuals"]["moment_match"] <= 1e-8
         assert payload["m"] >= 3
 
-    def test_qri_witness_missing_the_moments_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entropy,message", [
+        ("boltzmann_shannon", "[moment match]: the witness accepted at m=3 misses the target "
+                              "moments by 3.822e-08 > 1e-08"),
+        ("fermi_dirac", "[witness acceptance]: no acceptable witness up to m=100 (need "
+                        "sup|v| < 5.000e-01 with positive lower clearance and clearance "
+                        "below 1.0)"),
+    ], ids=["bs-moment-match", "fd-witness-leaves-domain"])
+    def test_qri_witness_missing_the_moments_exits_3(self, tmp_path, capsys, entropy, message):
         """Monomials tabulated on 401 samples, on `constant 0.9999999999`
-        with Fermi-Dirac and a coarse rule: the witness accepted at m = 3
-        misses the target moments by 3.8e-8 on the margin rule, more than
-        P2_TOL, so the build fails by name and writes no certificate."""
+        with a coarse rule: under Boltzmann-Shannon the witness accepted at
+        m = 3 misses the target moments by 3.8e-8 on the margin rule, more
+        than P2_TOL, so the build fails by name and writes no certificate.
+        Under Fermi-Dirac every witness with a small enough correction
+        leaves dom f = [0, 1] above, so none is accepted (m_max = 100: each
+        such level builds its witness)."""
         s = np.linspace(0.0, 1.0, 401)
         np.savetxt(tmp_path / "basis.txt", np.column_stack([s] + [s ** k for k in range(3)]))
         ini = tmp_path / "run.ini"
-        ini.write_text(f"[problem]\nentropy = fermi_dirac\n"
+        ini.write_text(f"[problem]\nentropy = {entropy}\n"
                        f"[basis]\nkind = tabulated\nn = 3\nfile = {tmp_path / 'basis.txt'}\n"
-                       f"[rho]\nkind = constant\nc = 0.9999999999\n"
+                       f"[rho]\nkind = constant\nc = 0.9999999999\n[certify]\nm_max = 100\n"
                        f"[quad]\norder = 8\npanels = 8\n[output]\ndir = {tmp_path / 'out'}\n")
         assert main(["certify", "--config", str(ini), "--type", "qri"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("certify: failed hypothesis [moment match]: the witness accepted "
-                              "at m=3 misses the target moments by 3.822e-08 > 1e-08"), err
+        assert err.startswith(f"certify: failed hypothesis {message}"), err
         assert not (tmp_path / "out" / "certificate.json").exists()
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("kind,extra_basis", [("monomial", ""),
+                                                  ("piecewise_flat", "split = 0.5")])
+    def test_qri_fermi_dirac_boundary_target_exits_3(self, tmp_path, capsys, kind,
+                                                     extra_basis, n):
+        """The pulse under Fermi-Dirac's default band [0, 1], which reaches the
+        domain's upper end: the target is a boundary point, and qri fails
+        `[margin interval]` as core does, instead of accepting a witness that
+        exceeds 1."""
+        cfg = write_cert_config(tmp_path, entropy="fermi_dirac", kind=kind, n=n,
+                                extra_basis=extra_basis, certify="")
+        for cert_type in ("core", "qri"):
+            assert main(["certify", "--config", str(cfg), "--type", cert_type]) == 3
+            assert capsys.readouterr().err.startswith(
+                "certify: failed hypothesis [margin interval]: no margin interval")
+            assert not (tmp_path / "out").exists()
+
+    def test_qri_fermi_dirac_clearance_counts_the_domain_end(self, tmp_path):
+        """Fermi-Dirac, constant 0.9: the witness accepted at m = 3 clears 0 by
+        0.667 and 1 by 0.0986, and eps is the smaller, below 1."""
+        cfg = write_cert_config(tmp_path, entropy="fermi_dirac", kind="monomial", n=3,
+                                extra_basis="", rho_kind="constant", c="0.9", certify="")
+        assert main(["certify", "--config", str(cfg), "--type", "qri"]) == 0
+        payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+        assert payload["m"] == 3
+        assert payload["eps"] == payload["upper_clearance"] == pytest.approx(0.0986, abs=1e-4)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_core_without_trials_exits_1(self, tmp_path, trials):
@@ -896,10 +932,9 @@ def test_package_exports_are_pinned():
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == [
         "CertificateError", "CertificateVerification", "CoreCertificate", "Density",
-        "DependentBasisError", "DirectionFunctions", "DomainViolationError", "DualSolution",
-        "EntrominError", "EntropySpec", "IndependenceReport", "Interval", "MarginInterval",
-        "MomentBasis", "NoMarginIntervalError", "NonFiniteIntegrandError", "PrimalSolution",
-        "ProblemInstance", "QriCertificate", "QuadratureRule", "ValidationError",
+        "DirectionFunctions", "DomainViolationError", "DualSolution", "EntrominError",
+        "EntropySpec", "IndependenceReport", "Interval", "MarginInterval", "MomentBasis",
+        "PrimalSolution", "ProblemInstance", "QriCertificate", "QuadratureRule", "ValidationError",
         "available_entropies", "build_core_certificate", "build_direction_functions",
         "build_qri_certificate", "build_rule", "builtin_entropy", "constant_density",
         "direction_inner_products", "dual_gradient", "dual_hessian", "dual_value",

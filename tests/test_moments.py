@@ -24,7 +24,7 @@ from entromin import (
     tabulated_basis,
 )
 from entromin.densities import Density, constant_density, pulse_density
-from entromin.errors import NonFiniteIntegrandError
+from entromin.errors import DomainViolationError
 from entromin.moments import INDEPENDENCE_TOL, MomentBasis, ProblemInstance
 from entromin.quadrature import integrate_values
 
@@ -121,7 +121,7 @@ class TestMomentVector:
     def test_non_finite_product_names_first_node(self):
         bad = RULE.nodes[[37, 100]]
         density = lambda s: np.where(np.isin(s, bad), np.nan, 1.0)
-        with pytest.raises(NonFiniteIntegrandError, match="integrand is") as err:
+        with pytest.raises(DomainViolationError, match="integrand is") as err:
             moment_vector(monomial_basis(3), RULE, density)
         assert err.value.node == bad[0]
 
