@@ -21,7 +21,8 @@ directions and checks both conclusions: the perturbed density stays in the
 band (P1) and its moments move exactly to b + t*eta (P2).  P2 is linear in
 eta, so the n x n matrix <y_k, a_j> and the density's own moment defect
 decide it for every direction at once; each is also checked at unit size,
-failing by name as "direction functions" or "target moments".
+failing by name as "direction functions" or "target moments"; the radius
+around b that the certified steps reach net of both must be positive ("radius").
 
 Quasi-relative-interior certificate.  Clip the density into the open band
 at level 1/m, correct the clipped moments back to b with a function v
@@ -56,6 +57,7 @@ unit interval), so phi is the Legendre polynomials on the margin where they
 reproduce the a_k (monomials, and piecewise_flat on a margin that does not
 cross its split), and otherwise the a_k orthonormalized by a QR factorization,
 whose M is conditioned like the weighted a_k, not like their Gram matrix.
+Legendre's own M decides whether it reproduces the a_k, and is then inverted.
 The y_k carry the two designs M takes, each evaluated once: the basis at the
 margin rule's nodes (`basis_design`), for every margin integral, and the
 phi_j on the margin grid (`margin_design`), for core's sup bound and
@@ -90,7 +92,6 @@ __all__ = [
     "CoreCertificate",
     "QriCertificate",
     "CertificateVerification",
-    "within_bounds",
     "find_margin_interval",
     "build_direction_functions",
     "direction_inner_products",
@@ -142,16 +143,6 @@ def _in_band(values, lower: float, upper: float) -> bool:
 def _membership_grid(rule: QuadratureRule) -> np.ndarray:
     """MEMBERSHIP_SAMPLES + 2 uniform samples of the rule's interval, then its nodes."""
     return np.concatenate([uniform_grid(*rule.interval, MEMBERSHIP_SAMPLES + 2), rule.nodes])
-
-
-def within_bounds(entropy: EntropySpec, x, lower: float, upper: float,
-                  rule: QuadratureRule) -> bool:
-    """Check x(s) finite and in [lower, upper] on the membership grid of
-    `rule`, the grid P1 checks once the margin ends join the rule; a band
-    outside the entropy domain raises ValidationError.
-    """
-    _check_band(entropy, lower, upper)
-    return _in_band(np.asarray(x(_membership_grid(rule)), dtype=float), lower, upper)
 
 
 def _longest_run(mask: np.ndarray):
@@ -294,8 +285,9 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     independence check included, is taken on the margin nodes of `rule`
     refined at the margin ends (`refine_rule`), from the basis at that rule's
     nodes, evaluated here once and kept as `basis_design`.  phi is Legendre
-    (see `_phi`) when its least-squares fit reproduces the a_k at those nodes
-    to LEGENDRE_FIT_TOL, and the a_k orthonormalized on them otherwise.
+    (see `_phi`) when the a_k at more than n such nodes match their projection
+    (G^-1 M)^T phi, G the Gram matrix of the phi_j, to LEGENDRE_FIT_TOL, and
+    the a_k orthonormalized on them otherwise; the M of the phi kept is inverted.
     """
     rule = refine_rule(rule, margin.lo, margin.hi)   # the prelude's rule comes back as it is
     design = basis(rule.nodes)
@@ -313,14 +305,16 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
         )
     grid = np.concatenate([uniform_grid(margin.lo, margin.hi, MEMBERSHIP_SAMPLES), nodes])
     on_grid, factor = _phi(margin, basis, None, grid), None  # Legendre, kept if it fits the a_k
-    misfit = np.sqrt(np.linalg.lstsq(on_grid[:, MEMBERSHIP_SAMPLES:].T, values.T,
-                                     rcond=None)[1])   # none unless N > n
-    if (misfit.size < basis.n
-            or np.any(misfit > LEGENDRE_FIT_TOL * np.linalg.norm(values, axis=1))):
+    phi = on_grid[:, MEMBERSHIP_SAMPLES:].copy()   # C order, as M's bits need
+    m = (phi * weights) @ values.T   # M_ji = <phi_j, a_i>
+    misfit = (np.linalg.norm(values - np.linalg.solve((phi * weights) @ phi.T, m).T @ phi, axis=1)
+              if nodes.size > basis.n else np.inf)   # a_k less its projection on the phi_j
+    if np.any(misfit > LEGENDRE_FIT_TOL * np.linalg.norm(values, axis=1)):
         factor = np.linalg.qr((values * np.sqrt(weights)).T, mode="r")
         on_grid = _phi(margin, basis, factor, grid)
-    phi = on_grid[:, MEMBERSHIP_SAMPLES:].copy()   # C order, as M's bits need
-    coeffs = np.linalg.inv((phi * weights) @ values.T)
+        phi = on_grid[:, MEMBERSHIP_SAMPLES:].copy()
+        m = (phi * weights) @ values.T
+    coeffs = np.linalg.inv(m)
     return DirectionFunctions(margin, basis, coeffs, factor, rule, design, on_grid)
 
 
@@ -393,7 +387,8 @@ class CertificateVerification:
 
     The two parts of every P2 residual are reported at unit size:
     `orthogonality`, the largest over j of the 2-norm over k of
-    <y_k, a_j> - delta_kj, and `target`, |moments of x - b| on the margin rule.
+    <y_k, a_j> - delta_kj, and `target`, |moments of x - b| on the margin rule;
+    `radius` is the sup-norm radius around b that the certified steps reach.
     """
 
     trials: int
@@ -403,13 +398,15 @@ class CertificateVerification:
     worst_p2_residual: float
     orthogonality: float
     target: float
+    radius: float
 
     @property
     def failures(self) -> tuple:
-        """The certificate-level checks above P2_TOL (or NaN), by name."""
-        return tuple(name for name, value in (("direction functions", self.orthogonality),
-                                              ("target moments", self.target))
-                     if not value <= P2_TOL)
+        """The certificate-level checks that fail (NaN fails each), by name."""
+        return tuple(name for name, ok in (("direction functions", self.orthogonality <= P2_TOL),
+                                           ("target moments", self.target <= P2_TOL),
+                                           ("radius", self.radius > 0.0))
+                     if not ok)
 
     @property
     def all_passed(self) -> bool:
@@ -423,8 +420,8 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
 
     1. The band lies in the entropy domain (ValidationError otherwise); a
        two-sided construction (core's, or qri's at an end of dom f) also
-       needs the density finite and inside it on the membership grid
-       (`within_bounds`), and again on that grid once step 2 has refined its
+       needs the density finite and inside it on the membership grid of the
+       instance rule, and again on that grid once step 2 has refined its
        rule; a one-sided one needs it finite there.
     2. The scan's margin interval on the instance rule, its range widened by
        the density on the membership grid inside it, and the margin rule: the
@@ -439,9 +436,9 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     basis, rule = instance.basis, instance.rule
     outside = CertificateError(f"the density leaves the band [{lower}, {upper}] somewhere on "
                                f"{rule.interval}", hypothesis="admissible band")
-    if one_sided:
-        _check_band(instance.entropy, lower, upper)
-    elif not within_bounds(instance.entropy, x, lower, upper, rule):
+    _check_band(instance.entropy, lower, upper)
+    if not (one_sided or _in_band(np.asarray(x(_membership_grid(rule)), dtype=float),
+                                  lower, upper)):
         raise outside
     margin = find_margin_interval(x, lower, upper, rule, min_width, one_sided)
     rule = refine_rule(rule, margin.lo, margin.hi)
@@ -522,7 +519,9 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     P2 is linear in s: on the margin rule those moments are b + e + D^T s,
     with e the moments of x less b and D = `cert.inner_products`, so one
     product gives every trial's residual |e + (D - I)^T s|, and each part is
-    also checked at unit size (`CertificateVerification.failures`).  x is
+    also checked at unit size (`CertificateVerification.failures`), as is the
+    radius t_unit (1 - omega) - ||e||_inf, omega = ||D^T - I||_inf: every b + s'
+    with ||s'||_inf <= radius is reached by s = D^-T (s' - e), ||s||_inf <= t_unit.  x is
     sampled once, on the certificate's membership grid, which ends with the
     margin rule's nodes.  P1 is the worst of lower - p and p - upper over
     the grid, for p = x + s @ y.  A trial is cleared, and reports the
@@ -578,6 +577,8 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
         worst_p2_residual=float(residuals.max()),
         orthogonality=float(np.linalg.norm(defect, axis=0).max()),
         target=float(np.abs(target).max()),
+        radius=float(cert.t_unit * (1.0 - np.abs(defect).sum(axis=0).max())
+                     - np.abs(target).max()),
     )
 
 

@@ -1,11 +1,11 @@
-"""Moment functions, the moment map, Gram matrices, and independence tests.
+"""Moment functions, the moment map, and independence tests.
 
 The linear constraints of the problem are inner products against a finite
 family of bounded "moment functions" a_1..a_n.  This module provides the
 two built-in families (global monomials, and monomials that flatten to the
 constant 1 past a split point), a loader for tabulated families, the
-moment map x -> (<a_1, x>, ..., <a_n, x>), and L2 Gram matrices on
-subintervals.
+moment map x -> (<a_1, x>, ..., <a_n, x>), and the test of their
+independence on a subinterval.
 
 A family is one callable: `basis(s)` is its design, a_k(s) in row k, shape
 (n,) + s.shape, from one evaluator that fills the rows of one array.  A
@@ -15,8 +15,9 @@ returning that design and `breakpoints` its non-smooth points.
 Linear independence of the moment functions on a subinterval is what the
 strong-duality certificates require.  In infinite dimensions independence
 is an abstract statement; here it is decided numerically through the
-smallest eigenvalue of the subinterval Gram matrix, against the scale-free
-threshold INDEPENDENCE_TOL * trace/n.  Independence in L2 implies
+smallest eigenvalue of the L2 Gram matrix on the subinterval (`weighted_gram`
+on the quadrature nodes there), against the scale-free threshold
+INDEPENDENCE_TOL * trace/n.  Independence in L2 implies
 independence in L-infinity for bounded functions on a bounded interval, so
 the surrogate errs only on the conservative side.  The raw eigenvalue is
 always reported because Hilbert-type Gram matrices are notoriously
@@ -43,7 +44,6 @@ __all__ = [
     "piecewise_flat_basis",
     "tabulated_basis",
     "moment_vector",
-    "gram_matrix",
     "linearly_independent_on",
     "instance_from_density",
 ]
@@ -137,21 +137,6 @@ def _node_moments(rule: QuadratureRule, design: np.ndarray, x) -> np.ndarray:
     return (products[:, None, :] @ rule.weights[:, None])[:, 0, 0]
 
 
-def gram_matrix(basis: MomentBasis, rule: QuadratureRule, subinterval=None,
-                design=None) -> np.ndarray:
-    """G_ij = integral of a_i * a_j over the subinterval (default: all of it).
-
-    Taken on the nodes inside it of `rule` refined at its ends (`refine_rule`),
-    as every margin integral is, from `design`, the a_k there (evaluated if
-    None); `rule` must resolve the basis breakpoints.  Symmetrized numerically;
-    positive semidefinite up to roundoff whenever the quadrature weights are
-    positive, which composite Gauss-Legendre guarantees.
-    """
-    lo, hi = subinterval or rule.interval
-    nodes, weights = nodes_in(refine_rule(rule, lo, hi), lo, hi)
-    return weighted_gram(basis(nodes) if design is None else design, weights)
-
-
 def weighted_gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_s w(s) a_i(s) a_j(s) from a design, symmetrized; keeps its dtype."""
     gram = (design * weights) @ design.T
@@ -168,8 +153,13 @@ class IndependenceReport:
 def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterval,
                             design=None) -> IndependenceReport:
     """Decide numerical independence of the a_k on a subinterval: independent
-    iff the smallest Gram eigenvalue exceeds INDEPENDENCE_TOL * trace/n."""
-    gram = gram_matrix(basis, rule, subinterval, design)
+    iff the smallest eigenvalue of their Gram matrix exceeds INDEPENDENCE_TOL *
+    trace/n.  It is taken on the nodes in the subinterval of `rule` refined at
+    its ends (`refine_rule`), as every margin integral is, from `design`, the
+    a_k there (evaluated if None); `rule` must resolve the basis breakpoints."""
+    lo, hi = subinterval
+    nodes, weights = nodes_in(refine_rule(rule, lo, hi), lo, hi)
+    gram = weighted_gram(basis(nodes) if design is None else design, weights)
     eigvals = np.linalg.eigvalsh(gram)
     threshold = INDEPENDENCE_TOL * float(np.trace(gram)) / basis.n
     return IndependenceReport(

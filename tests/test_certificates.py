@@ -27,7 +27,6 @@ from entromin import (
     reconstruct,
     solve_dual,
     verify_core_certificate,
-    within_bounds,
 )
 from entromin.certificates import DirectionFunctions, MarginInterval
 from entromin.config import build_problem, load_config
@@ -410,16 +409,15 @@ class TestCheckedPointsConfirmMargin:
 
     @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
     def test_density_off_band_on_membership_grid_names_band(self, basis):
-        """The pulse at -1 on one membership-grid point off the margin:
-        `within_bounds` samples the grid P1 checks, so it sees the dip, and
-        core names the band before any trial, instead of building clearance
-        1.0 that fails P1 every time."""
+        """The pulse at -1 on one membership-grid point off the margin: the
+        prelude samples the grid P1 checks, so it sees the dip, and core
+        names the band before any trial, instead of building clearance 1.0
+        that fails P1 every time."""
         from entromin.certificates import MEMBERSHIP_SAMPLES
 
         point = np.linspace(*RULE.interval, MEMBERSHIP_SAMPLES + 2)[1202]
         rho = Density(lambda s: np.where(np.asarray(s) == point, -1.0, PULSE(s)))
         inst = make_instance("translated_boltzmann_shannon", basis, rho)
-        assert not within_bounds(inst.entropy, rho, 0.0, INF, RULE)
         with pytest.raises(CertificateError) as err:
             build_core_certificate(inst, rho, 0.0, INF)
         assert err.value.hypothesis == "admissible band"
@@ -446,23 +444,36 @@ class TestCheckedPointsConfirmMargin:
         assert err.value.hypothesis == "admissible band"
 
 
-class TestWithinBounds:
+class TestAdmissibleBand:
+    """The prelude's band check on the membership grid of the instance rule,
+    seen through the builders: a two-sided build names `[admissible band]`,
+    and a band outside the entropy domain is a ValidationError."""
+
     def test_pulse_in_unit_band_boltzmann(self):
-        spec = builtin_entropy("boltzmann_shannon")
-        assert within_bounds(spec, PULSE, 0.0, 1.0, RULE)
+        """The pulse stays in [0, 1]: core passes the band check and fails
+        only for want of a two-sided margin."""
+        inst = make_instance("boltzmann_shannon", monomial_basis(3), PULSE)
+        with pytest.raises(CertificateError) as err:
+            build_core_certificate(inst, PULSE, 0.0, 1.0)
+        assert err.value.hypothesis == "margin interval"
 
     def test_constant_two_escapes_unit_band(self):
-        spec = builtin_entropy("boltzmann_shannon")
-        assert not within_bounds(spec, constant_density(2.0), 0.0, 1.0, RULE)
+        rho = constant_density(2.0)
+        inst = make_instance("boltzmann_shannon", monomial_basis(3), rho)
+        with pytest.raises(CertificateError) as err:
+            build_core_certificate(inst, rho, 0.0, 1.0)
+        assert err.value.hypothesis == "admissible band"
 
     def test_pulse_in_half_line_band_translated(self):
-        spec = builtin_entropy("translated_boltzmann_shannon")
-        assert within_bounds(spec, PULSE, 0.0, INF, RULE)
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
+        assert build_core_certificate(inst, PULSE, 0.0, INF).clearance == 1.0
 
-    def test_band_outside_entropy_domain_rejected(self):
-        spec = builtin_entropy("boltzmann_shannon")
-        with pytest.raises(ValidationError):
-            within_bounds(spec, PULSE, -1.0, 1.0, RULE)
+    @pytest.mark.parametrize("build", [build_core_certificate, build_qri_certificate],
+                             ids=["core", "qri"])
+    def test_band_outside_entropy_domain_rejected(self, build):
+        inst = make_instance("boltzmann_shannon", monomial_basis(3), PULSE)
+        with pytest.raises(ValidationError, match="not contained in the domain"):
+            build(inst, PULSE, -1.0, 1.0)
 
 
 class TestFindMarginInterval:
@@ -640,6 +651,92 @@ class TestDirectionFunctions:
         assert (directions.factor is None) is legendre
         defect = direction_inner_products(directions) - np.diag(eta)
         assert np.max(np.abs(defect)) <= 1e-12
+
+    @staticmethod
+    def _legendre_misfits(directions):
+        """The largest misfit of an a_k by the Legendre phi_j on the margin
+        nodes, relative to the 2-norm of a_k there, by two fits: the
+        projection in the margin rule's inner product, and the residual of the
+        unweighted least-squares fit (`np.linalg.lstsq`), an independent
+        reference for the same question."""
+        from entromin.certificates import _phi
+
+        margin, rule = directions.margin, directions.rule
+        inside = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
+        values, weights = directions.basis_design[:, inside], rule.weights[inside]
+        phi = _phi(margin, directions.basis, None, rule.nodes[inside])
+        projected = np.linalg.solve((phi * weights) @ phi.T, (phi * weights) @ values.T).T @ phi
+        squares = np.linalg.lstsq(phi.T, values.T, rcond=None)[1]   # of the residuals
+        scale = np.linalg.norm(values, axis=1)
+        return [float(np.max(misfit / scale))
+                for misfit in (np.linalg.norm(values - projected, axis=1), np.sqrt(squares))]
+
+    @pytest.mark.parametrize("margin", [README_MARGIN, MarginInterval(0.2, 0.25, 1.0, 1.0),
+                                        MarginInterval(0.0, 1.0, 1.0, 1.0)],
+                             ids=["readme", "narrow", "unit"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_legendre_kept_where_it_reproduces_monomials(self, n, margin, monkeypatch):
+        """Monomials up to degree 11 are Legendre polynomials on any margin:
+        the build keeps them, and both fits sit at least 100x under
+        LEGENDRE_FIT_TOL.  Independence is bypassed where its threshold
+        rejects the family, as it does high n on narrow margins."""
+        from entromin import certificates
+        from entromin.certificates import LEGENDRE_FIT_TOL
+
+        monkeypatch.setattr(certificates, "linearly_independent_on",
+                            lambda *args: IndependenceReport(True, 1.0, 0.0))
+        directions = build_direction_functions(monomial_basis(n), RULE, margin)
+        assert directions.factor is None
+        assert max(self._legendre_misfits(directions)) <= LEGENDRE_FIT_TOL / 100
+
+    @pytest.mark.parametrize("family,margin", [
+        ("tabulated", README_MARGIN),
+        ("cosines", README_MARGIN),
+        ("piecewise4", MarginInterval(0.25, 0.75, 1.0, 1.0)),
+    ], ids=["tabulated-monomial3", "cosines", "piecewise4-across-split"])
+    def test_qr_taken_where_legendre_misses(self, family, margin, tmp_path):
+        """Monomials tabulated on 401 samples (piecewise linear), 1, cos(pi s)
+        and cos(2 pi s), and piecewise_flat across its split are no
+        polynomials of degree < n on the margin: the build orthonormalizes
+        the a_k, and both fits miss by at least 100x LEGENDRE_FIT_TOL."""
+        from entromin.certificates import LEGENDRE_FIT_TOL
+
+        s = np.linspace(0.0, 1.0, 401)
+        np.savetxt(tmp_path / "basis.txt", np.column_stack([s] + [s ** k for k in range(3)]))
+        basis = {"tabulated": lambda: tabulated_basis(tmp_path / "basis.txt"),
+                 "cosines": lambda: MomentBasis(3, lambda s: np.stack(
+                     [np.cos(k * np.pi * np.asarray(s)) for k in range(3)])),
+                 "piecewise4": lambda: piecewise_flat_basis(4, 0.5)}[family]()
+        directions = build_direction_functions(basis, RULE, margin)
+        assert directions.factor is not None
+        assert min(self._legendre_misfits(directions)) >= 100 * LEGENDRE_FIT_TOL
+        defect = direction_inner_products(directions) - np.eye(basis.n)
+        assert np.max(np.abs(defect)) <= 1e-12
+
+    def test_margin_with_no_more_nodes_than_functions_takes_qr(self):
+        """Three Legendre polynomials interpolate any a_k at three nodes, so
+        such a fit says nothing: a margin with no more nodes than functions
+        takes the orthonormalized a_k, which are the dual basis there too."""
+        rule = build_rule((0.0, 1.0), (), 3, 1)
+        directions = build_direction_functions(monomial_basis(3), rule,
+                                               MarginInterval(0.0, 1.0, 1.0, 1.0))
+        assert directions.rule.nodes.size == 3 and directions.factor is not None
+        assert np.max(np.abs(direction_inner_products(directions) - np.eye(3))) <= 1e-12
+
+    def test_builds_run_without_least_squares(self, monkeypatch, tmp_path):
+        """Neither certificate build calls `np.linalg.lstsq`, on either
+        coordinate path: the fit is read from M."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        s = np.linspace(0.0, 1.0, 401)
+        np.savetxt(tmp_path / "basis.txt", np.column_stack([s] + [s ** k for k in range(3)]))
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        for basis in [piecewise_flat_basis(6, 0.5), tabulated_basis(tmp_path / "basis.txt")]:
+            inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
+            cert = build_core_certificate(inst, PULSE, 0.0, INF)
+            assert verify_core_certificate(inst, PULSE, cert, trials=10, seed=0).all_passed
+            assert build_qri_certificate(inst, PULSE, 0.0, INF).eps > 0.0
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_tabulated_monomials_certify_on_the_family(self, tmp_path, n):
@@ -1144,7 +1241,7 @@ class TestCoreCertificate:
     ], ids=["core", "qri"])
     def test_readme_build_samples_x_once_per_point_set(self, build, calls):
         """On the README config core samples x on the instance rule's
-        membership grid (`within_bounds`), on the scan samples with the
+        membership grid (the band check), on the scan samples with the
         instance nodes, and on the margin rule's membership grid; qri skips
         the first.  The scan's samples set the margin's range: no call
         samples a 1001-point lattice of the margin to confirm it."""
@@ -1366,6 +1463,70 @@ class TestCoreCertificate:
         assert report.target == pytest.approx(gap, rel=0.01)
         assert report.orthogonality <= 1e-13
         assert report.failures == ("target moments",) and not report.all_passed
+
+
+    @pytest.mark.parametrize("entropy,basis,rho,band", [
+        ("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE, (0.0, INF)),
+        ("boltzmann_shannon", monomial_basis(4), constant_density(0.5), (0.0, 1.0)),
+        ("fermi_dirac", monomial_basis(3), constant_density(0.999999999999999), (0.0, 1.0)),
+    ], ids=["readme", "constant-monomial4", "fermi-dirac-near-1"])
+    def test_radius_nets_the_defect_out_of_the_step(self, entropy, basis, rho, band):
+        """radius = t_unit (1 - ||D^T - I||_inf) - ||e||_inf, the sup-norm
+        ball around b the certified steps reach.  Where the defects are at
+        rounding level it is t_unit to 1e-8; Fermi-Dirac just below 1 takes a
+        step of 9e-18 against a target defect of 1e-15, so every trial passes
+        P1 and P2 and the radius, negative, fails by name."""
+        inst = make_instance(entropy, basis, rho)
+        cert = build_core_certificate(inst, rho, *band)
+        report = verify_core_certificate(inst, rho, cert, trials=100, seed=0)
+        omega = np.linalg.norm(cert.inner_products.T - np.eye(inst.n), np.inf)
+        assert report.radius == pytest.approx(cert.t_unit * (1.0 - omega) - report.target,
+                                              rel=1e-12, abs=1e-30)
+        assert (report.p1_passes, report.p2_passes) == (100, 100)
+        if entropy == "fermi_dirac":
+            assert cert.t_unit < 1e-17 < 1e-16 < report.target and report.radius < 0.0
+            assert report.failures == ("radius",) and not report.all_passed
+        else:
+            assert report.radius / cert.t_unit >= 1.0 - 1e-8
+            assert report.failures == () and report.all_passed
+        for radius in (0.0, -0.0, np.nan):
+            assert dataclasses.replace(report, radius=radius).failures == ("radius",)
+        for column, omega in (([0.1, -0.2, 0.3], 0.6), ([0.5, -0.5, 0.5], 1.5)):
+            skew = np.zeros((inst.n, inst.n))
+            skew[:3, 1] = column   # omega is the largest column sum of |D - I|
+            skewed = verify_core_certificate(
+                inst, rho, dataclasses.replace(cert, inner_products=cert.inner_products + skew),
+                trials=1, seed=0)
+            assert skewed.radius == pytest.approx(cert.t_unit * (1.0 - omega) - report.target,
+                                                  rel=1e-9, abs=1e-30)
+            assert ("radius" in skewed.failures) is (omega > 1.0 or entropy == "fermi_dirac")
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_solver_density_on_a_boundary_target_fails_radius(self, n):
+        """Fermi-Dirac piecewise_flat on the pulse, a boundary target: the
+        solver's x_mu builds a core certificate whose every trial passes, but
+        its step (1e-13 and below) is smaller than its target defect (about
+        5e-11), so no neighbourhood of b is certified."""
+        inst = make_instance("fermi_dirac", piecewise_flat_basis(n, 0.5), PULSE)
+        x = reconstruct(inst, solve_dual(inst).multipliers).x
+        cert = build_core_certificate(inst, x, 0.0, 1.0)
+        report = verify_core_certificate(inst, x, cert, trials=100, seed=0)
+        assert (report.p1_passes, report.p2_passes) == (100, 100)
+        assert cert.t_unit < 1e-13 < 1e-11 < report.target
+        assert report.radius < 0.0 and report.failures == ("radius",)
+
+    def test_plan_configs_certify_their_step_as_radius(self, tmp_path, bench_module):
+        """On the 8 configs of the certify-core benchmark plan the certified
+        radius is the unit step to 1e-8: their defects are at rounding level."""
+        workloads = bench_module("workloads")
+        for i, op in enumerate(workloads.plan("certify-core", 1)["ops"]):
+            path = tmp_path / f"{i}.ini"
+            path.write_text(workloads.to_ini(op))
+            cfg = load_config(path)
+            inst, rho = build_problem(cfg, cfg.basis)
+            cert = build_core_certificate(inst, rho, *cfg.certify.band_for(inst.entropy))
+            report = verify_core_certificate(inst, rho, cert, 100, op["trial_seed"])
+            assert report.radius / cert.t_unit >= 1.0 - 1e-8, workloads.label(op)
 
 
 class TestQriCertificate:

@@ -244,6 +244,35 @@ class TestCertify:
         assert payload["residuals"]["orthogonality"] == pytest.approx(1e-6, rel=1e-6)
         assert payload["residuals"]["target"] <= 1e-14
 
+    @pytest.mark.parametrize("basis,rho,quad,t_unit,target", [
+        ("kind = monomial\nn = 3", "0.999999999999999", "", 9.1e-18, 1.2e-15),
+        ("kind = tabulated\nn = 3\nfile = {tmp}/basis.txt", "0.9999999999",
+         "[quad]\norder = 8\npanels = 48\n", 9.1e-13, 5.1e-9),
+    ], ids=["monomial-default-quad", "tabulated-48-panels"])
+    def test_core_radius_not_positive_exits_3(self, tmp_path, capsys, basis, rho, quad,
+                                              t_unit, target):
+        """Fermi-Dirac on a constant just below 1, band [0, 1]: every trial
+        passes P1 and P2, but the target defect exceeds the step the
+        certificate takes, so no neighbourhood of b is reached, and
+        verification fails by name as "radius".  The certificate is written,
+        with its keys unchanged."""
+        s = np.linspace(0.0, 1.0, 401)
+        np.savetxt(tmp_path / "basis.txt", np.column_stack([s] + [s ** k for k in range(3)]))
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[problem]\nentropy = fermi_dirac\n"
+                       f"[basis]\n{basis.format(tmp=tmp_path)}\n"
+                       f"[rho]\nkind = constant\nc = {rho}\n{quad}"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["certify", "--config", str(ini), "--type", "core"]) == 3
+        assert capsys.readouterr().err == ("certify: verification failed (100/100 P1, "
+                                           "100/100 P2; failed: radius)\n")
+        payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+        assert payload["t_unit"] == pytest.approx(t_unit, rel=0.01)
+        assert payload["residuals"]["target"] == pytest.approx(target, rel=0.05)
+        assert payload["trials_passed"] == 100
+        assert sorted(payload) == ["delta", "eps1", "eps2", "m", "residuals", "t_unit",
+                                   "trials", "trials_passed", "type", "zeta1", "zeta2"]
+
     def test_qri_pulse_monomials_unit_band(self, tmp_path):
         cfg = write_cert_config(tmp_path, entropy="boltzmann_shannon",
                                 kind="monomial", n=3, extra_basis="",
@@ -938,11 +967,11 @@ def test_package_exports_are_pinned():
         "available_entropies", "build_core_certificate", "build_direction_functions",
         "build_qri_certificate", "build_rule", "builtin_entropy", "constant_density",
         "direction_inner_products", "dual_gradient", "dual_hessian", "dual_value",
-        "fenchel_young_gap", "find_margin_interval", "gibbs_overshoot", "gram_matrix",
+        "fenchel_young_gap", "find_margin_interval", "gibbs_overshoot",
         "instance_from_density", "integrate", "linearly_independent_on", "moment_vector",
         "monomial_basis", "piecewise_flat_basis", "pulse_density", "reconstruct",
         "sample_solution", "solve_dual", "tabulated_basis", "tabulated_density",
-        "verify_core_certificate", "within_bounds",
+        "verify_core_certificate",
     ]
 
 

@@ -1,4 +1,4 @@
-"""Moment families, the moment map, Gram matrices, and independence."""
+"""Moment families, the moment map, and independence through the Gram matrix."""
 
 import dataclasses
 import inspect
@@ -15,7 +15,6 @@ from entromin import (
     build_rule,
     builtin_entropy,
     find_margin_interval,
-    gram_matrix,
     instance_from_density,
     linearly_independent_on,
     moment_vector,
@@ -25,8 +24,8 @@ from entromin import (
 )
 from entromin.densities import Density, constant_density, pulse_density
 from entromin.errors import DomainViolationError
-from entromin.moments import INDEPENDENCE_TOL, MomentBasis, ProblemInstance
-from entromin.quadrature import integrate_values
+from entromin.moments import INDEPENDENCE_TOL, MomentBasis, ProblemInstance, weighted_gram
+from entromin.quadrature import integrate_values, nodes_in, refine_rule
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 
@@ -36,24 +35,29 @@ def hilbert(n):
     return 1.0 / (i[:, None] + i[None, :] - 1.0)
 
 
+def gram(basis, sub=(0.0, 1.0)):
+    """The Gram matrix `linearly_independent_on` decides on: the a_k on the
+    nodes in `sub` of RULE refined at its ends."""
+    nodes, weights = nodes_in(refine_rule(RULE, *sub), *sub)
+    return weighted_gram(basis(nodes), weights)
+
+
 class TestMonomialBasis:
     def test_single_constant(self):
-        basis = monomial_basis(1)
-        gram = gram_matrix(basis, RULE)
-        np.testing.assert_allclose(gram, [[1.0]], atol=1e-14)
+        report = linearly_independent_on(monomial_basis(1), RULE, (0.0, 1.0))
+        assert report.min_eigenvalue == pytest.approx(1.0, abs=1e-14)
 
     def test_gram_is_hilbert(self):
         basis = monomial_basis(3)
-        gram = gram_matrix(basis, RULE)
-        np.testing.assert_allclose(gram, hilbert(3), atol=1e-14)
+        np.testing.assert_allclose(weighted_gram(basis(RULE.nodes), RULE.weights), hilbert(3),
+                                   atol=1e-14)
 
     def test_two_by_two_smallest_eigenvalue(self):
         # eigenvalue formula on [[1, 1/2], [1/2, 1/3]]:
         # (1 + 1/3)/2 - sqrt((1 - 1/3)^2/4 + 1/4) = 2/3 - sqrt(13)/6
-        basis = monomial_basis(2)
-        gram = gram_matrix(basis, RULE)
+        report = linearly_independent_on(monomial_basis(2), RULE, (0.0, 1.0))
         expected = 2.0 / 3.0 - np.sqrt(13.0) / 6.0
-        assert np.linalg.eigvalsh(gram)[0] == pytest.approx(expected, rel=1e-12)
+        assert report.min_eigenvalue == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.0657, abs=5e-5)
 
     def test_zero_size_rejected(self):
@@ -221,35 +225,38 @@ def test_piecewise_flat_call_builds_one_mask(monkeypatch):
 
 
 class TestGramMatrix:
+    """The Gram matrix the independence test decides on, from `weighted_gram`
+    on the refined rule's nodes in the subinterval (`gram`)."""
+
     def test_monomials_full_interval(self):
-        gram = gram_matrix(monomial_basis(2), RULE, (0.0, 1.0))
-        np.testing.assert_allclose(gram, [[1.0, 0.5], [0.5, 1.0 / 3.0]], atol=1e-14)
+        np.testing.assert_allclose(gram(monomial_basis(2), (0.0, 1.0)),
+                                   [[1.0, 0.5], [0.5, 1.0 / 3.0]], atol=1e-14)
 
     def test_monomials_left_half(self):
-        gram = gram_matrix(monomial_basis(2), RULE, (0.0, 0.5))
-        np.testing.assert_allclose(gram, [[0.5, 0.125], [0.125, 1.0 / 24.0]], atol=1e-15)
+        np.testing.assert_allclose(gram(monomial_basis(2), (0.0, 0.5)),
+                                   [[0.5, 0.125], [0.125, 1.0 / 24.0]], atol=1e-15)
 
     def test_piecewise_right_half_rank_one(self):
-        gram = gram_matrix(piecewise_flat_basis(2, 0.5), RULE, (0.5, 1.0))
-        np.testing.assert_allclose(gram, 0.5 * np.ones((2, 2)), atol=1e-14)
-        assert np.linalg.matrix_rank(gram, tol=1e-10) == 1
+        right = gram(piecewise_flat_basis(2, 0.5), (0.5, 1.0))
+        np.testing.assert_allclose(right, 0.5 * np.ones((2, 2)), atol=1e-14)
+        assert np.linalg.matrix_rank(right, tol=1e-10) == 1
 
     def test_empty_subinterval_rejected(self):
         with pytest.raises(ValidationError):
-            gram_matrix(monomial_basis(2), RULE, (0.7, 0.7))
+            linearly_independent_on(monomial_basis(2), RULE, (0.7, 0.7))
 
     @pytest.mark.parametrize("sub", [(0.0, 1.0), (0.1, 0.45), (0.3, 0.7)])
     def test_given_design_gives_the_same_gram(self, sub):
         """The a_k at the refined rule's nodes in the subinterval, passed in,
-        give the Gram matrix, and the independence report, bit for bit."""
-        from entromin.quadrature import nodes_in, refine_rule
-
+        give the independence report, bit for bit, whose smallest eigenvalue
+        and threshold are those of `gram`, bit for bit."""
         basis = piecewise_flat_basis(4, 0.5)
         design = basis(nodes_in(refine_rule(RULE, *sub), *sub)[0])
-        assert (gram_matrix(basis, RULE, sub, design).tobytes()
-                == gram_matrix(basis, RULE, sub).tobytes())
-        assert (linearly_independent_on(basis, RULE, sub, design)
-                == linearly_independent_on(basis, RULE, sub))
+        report = linearly_independent_on(basis, RULE, sub, design)
+        assert report == linearly_independent_on(basis, RULE, sub)
+        expected = gram(basis, sub)
+        assert report.min_eigenvalue == float(np.linalg.eigvalsh(expected)[0])
+        assert report.threshold == INDEPENDENCE_TOL * float(np.trace(expected)) / 4
 
     @pytest.mark.parametrize("make", [
         lambda: monomial_basis(4),
@@ -257,9 +264,10 @@ class TestGramMatrix:
     ])
     @pytest.mark.parametrize("sub", [(0.0, 1.0), (0.1, 0.45), (0.5, 1.0)])
     def test_symmetric_psd(self, make, sub):
-        gram = gram_matrix(make(), RULE, sub)
-        np.testing.assert_allclose(gram, gram.T, atol=0.0)
-        assert np.linalg.eigvalsh(gram)[0] >= -1e-10
+        matrix = gram(make(), sub)
+        np.testing.assert_allclose(matrix, matrix.T, atol=0.0)
+        assert np.linalg.eigvalsh(matrix)[0] >= -1e-10
+        assert linearly_independent_on(make(), RULE, sub).min_eigenvalue >= -1e-10
 
 
 class TestIndependence:
@@ -296,8 +304,7 @@ class TestIndependence:
     def test_threshold_is_the_module_tolerance_of_trace_over_n(self):
         basis = monomial_basis(3)
         report = linearly_independent_on(basis, RULE, (0.0, 0.5))
-        gram = gram_matrix(basis, RULE, (0.0, 0.5))
-        assert report.threshold == INDEPENDENCE_TOL * float(np.trace(gram)) / 3
+        assert report.threshold == INDEPENDENCE_TOL * float(np.trace(gram(basis, (0.0, 0.5)))) / 3
 
 
 class TestTabulatedBasis(object):
@@ -442,9 +449,11 @@ def test_families_and_densities_store_only_what_is_read():
     (piecewise_flat_basis, ["n", "split", "interval=(0.0, 1.0)"]),   # the split is checked
     (tabulated_basis, ["path"]),
     (linearly_independent_on, ["basis", "rule", "subinterval", "design=None"]),
+    (weighted_gram, ["design", "weights"]),
     (find_margin_interval, ["x", "lower", "upper", "rule", "min_width=None", "one_sided=False"]),
     (build_core_certificate, ["instance", "x", "lower", "upper", "min_width=None"]),
-], ids=["monomial", "piecewise_flat", "tabulated", "independence", "margin_scan", "core"])
+], ids=["monomial", "piecewise_flat", "tabulated", "independence", "gram", "margin_scan",
+        "core"])
 def test_no_setting_that_nothing_reads(fn, params):
     """The parameters and their defaults, annotations aside."""
     parameters = inspect.signature(fn).parameters.values()
