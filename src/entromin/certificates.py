@@ -63,12 +63,11 @@ margin rule's nodes (`basis_design`), for every margin integral, and the
 phi_j on the margin grid (`margin_design`), for core's sup bound and
 <y_k, a_j> and the qri scan's sup |v|.  Elsewhere the y_k, or any expansion over the phi_j, are
 evaluated by calling the `DirectionFunctions`: on the membership grid, for
-core's sup bound on it, core's P1 and the qri witness.  P1 is decided first by
-a float64 rounding bound on each trial's perturbation, |s @ y| <= |s| @ sup
-|y_k|: a trial whose perturbation cannot move x out of the band on the margin
-reports the violation of x itself, which it equals bit for bit.  Only the
-other trials are replayed, one at a time, on the y_k evaluated on the grid
-once per verification.  The qri scan solves for the clip levels it must
+core's sup bound on it, core's P1 and the qri witness.  Core's sup bound
+covers both grids, so the step rule keeps |s @ y| below 0.99 times the
+clearance at every point P1 checks, for every direction: one float64 bound
+decides P1 for all trials, or each is replayed on the y_k evaluated on the
+grid once per verification.  The qri scan solves for the clip levels it must
 evaluate instead of visiting each (see `_candidate_levels`), and an accepted
 witness must match the target moments to P2_TOL.
 """
@@ -334,24 +333,23 @@ class CoreCertificate:
     as they do.  `grid` is the membership grid, ending with the nodes of
     `directions.rule`, where the build confirmed the margin and verification
     replays.  `inner_products` is <y_k, a_j> (row k) on that rule's margin
-    nodes, and `grid_sup` the largest |y_k| on the grid points inside the
-    margin (the y_k are zero on the others), which bounds each trial's
-    perturbation.  `margin` and `delta` are read from `directions` and
+    nodes.  `sup_unit` bounds |y_k| on the margin grid and on the grid points
+    inside the margin (the y_k are zero on the others), so at every point P1
+    checks.  `margin` and `delta` are read from `directions` and
     `sup_unit`, so each value is stored once.  The certificate is frozen and
     holds its arrays, and those of its `directions`, read-only.
     """
 
     directions: DirectionFunctions
-    sup_unit: np.ndarray            # per-k sup |y_k| for the unit direction
+    sup_unit: np.ndarray            # per-k sup |y_k| for the unit direction, on both grids
     lower: float
     upper: float
     clearance: float
     grid: np.ndarray = field(repr=False)
     inner_products: np.ndarray = field(repr=False)     # (n, n)
-    grid_sup: np.ndarray = field(repr=False)           # (n,) max |y_k| on the grid
 
     def __post_init__(self):
-        _hold_read_only(self, "sup_unit", "grid", "inner_products", "grid_sup")
+        _hold_read_only(self, "sup_unit", "grid", "inner_products")
 
     @property
     def margin(self) -> MarginInterval:
@@ -476,12 +474,12 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     directions, grid, _ = _margin_prelude(instance, x, lower, upper, min_width)
     margin, rule = directions.margin, directions.rule
     y_margin = directions.coeffs @ directions.margin_design   # the unit y_k, nodes last
-    sup_unit = np.max(np.abs(y_margin), axis=-1) * (1.0 + 1e-9)  # above the sampled sup
+    y_grid = directions(grid[(grid >= margin.lo) & (grid <= margin.hi)])   # 0 off the margin
+    sup_unit = np.abs(np.hstack([y_margin, y_grid])).max(axis=1) * (1.0 + 1e-9)  # both grids
     clearance = min(margin.val_lo - lower, upper - margin.val_hi)
     on_nodes = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
     inner_products = ((y_margin[:, MEMBERSHIP_SAMPLES:] * rule.weights[on_nodes])
                       @ directions.basis_design.compress(on_nodes, axis=1).T)  # the audit's bits
-    y_grid = directions(grid[(grid >= margin.lo) & (grid <= margin.hi)])   # 0 off the margin
     return CoreCertificate(
         directions=directions,
         sup_unit=sup_unit,
@@ -490,7 +488,6 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
         clearance=float(clearance),
         grid=grid,
         inner_products=inner_products,
-        grid_sup=np.abs(y_grid).max(axis=1),
     )
 
 
@@ -524,18 +521,20 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     with ||s'||_inf <= radius is reached by s = D^-T (s' - e), ||s||_inf <= t_unit.  x is
     sampled once, on the certificate's membership grid, which ends with the
     margin rule's nodes.  P1 is the worst of lower - p and p - upper over
-    the grid, for p = x + s @ y.  A trial is cleared, and reports the
-    violation of x alone, when min x - B > lower and max x + B < upper on
-    the grid points inside the margin, for B = (1+gamma)^2 (|s| @
-    `cert.grid_sup`) + tiny >= |fl(s @ y_j)|: gamma = 2(n+2)*eps covers an
-    n-term dot (the gemv's and |s| @ grid_sup's) and the two products
-    scaling it, tiny underflow.  Rounding is monotone, so those points stay
-    strictly inside the band, and off the margin, where every y_k is 0,
-    fl(s @ 0) + x_j is x_j: the two violations agree to the bit.  No trial
-    clears on a non-finite x or a -0.0 in x (whose sign the sum may flip),
-    nor with a non-finite step or y_k.  Every other trial is replayed, one
-    at a time, on the y_k evaluated on the grid once per call.  The
-    directions are drawn in one call, the stream of one draw of n per
+    the grid, for p = x + s @ y, and is decided for every direction at once.
+    As `cert.sup_unit` bounds |y_k| on the grid, |fl(s @ y_j)| <= (1+gamma)^2
+    (|s| @ sup_unit) + tiny, gamma = 2(n+2)*eps (an n-term dot, two products).
+    `t_for` rounds each |s_k| sup_unit_k to below r/n (1+u)^3/(1-u), r =
+    fl(SAFETY_FACTOR * clearance), u = eps/2, and the dot adds n u, so B =
+    (1+gamma)^2 r (1 + (n+3) eps) + tiny exceeds that bound for every trial,
+    by (n+1) u.  If min x - B > lower and max x + B < upper on the grid
+    points inside the margin, every trial reports the violation of x alone,
+    bit for bit: rounding is monotone, and off the margin, where every y_k is
+    0, fl(s @ 0) + x_j is x_j.  Otherwise, or on a non-finite x, a -0.0 in x
+    (whose sign the sum may flip), or a sup_unit or nonzero r outside
+    [2^-500, 2^500] (where the roundings stop being relative), every trial is
+    replayed, one at a time, on the y_k evaluated on the grid once per call.
+    The directions are drawn in one call, the stream of one draw of n per
     trial.  `trials` and `seed` must be whole numbers.
     """
     trials, seed = _whole_number("trials", trials), _whole_number("seed", seed)
@@ -556,18 +555,18 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     def p1(p):
         return max(float(np.max(cert.lower - p)), float(np.max(p - cert.upper)), 0.0)
 
-    gamma = 2.0 * (instance.n + 2) * np.finfo(float).eps
-    bound = (1.0 + gamma) ** 2 * (np.abs(steps) @ cert.grid_sup) + np.finfo(float).tiny
+    n, rate, fi = instance.n, SAFETY_FACTOR * cert.clearance, np.finfo(float)  # r of t_for
+    bound = (1.0 + 2.0 * (n + 2) * fi.eps) ** 2 * (rate * (1.0 + (n + 3) * fi.eps)) + fi.tiny
+    scales = np.append(cert.sup_unit, rate or 1.0)   # where the roundings are relative
     x_moved = x_grid[(grid >= cert.margin.lo) & (grid <= cert.margin.hi)]
-    cleared = ((x_moved.min(initial=np.inf) - bound > cert.lower)
-               & (x_moved.max(initial=-np.inf) + bound < cert.upper)
-               & np.isfinite(x_grid).all() & ~np.signbit(x_grid[x_grid == 0.0]).any())
-    violations = np.full(trials, p1(x_grid))
-    replayed = np.flatnonzero(~cleared)
-    if replayed.size:
+    if (np.all((2.0 ** -500 <= scales) & (scales <= 2.0 ** 500)) and np.isfinite(x_grid).all()
+            and x_moved.min(initial=np.inf) - bound > cert.lower
+            and x_moved.max(initial=-np.inf) + bound < cert.upper
+            and not np.signbit(x_grid[x_grid == 0.0]).any()):
+        violations = np.full(trials, p1(x_grid))
+    else:
         y_grid = cert.directions(grid)
-        for i in replayed:
-            violations[i] = p1(x_grid + steps[i] @ y_grid)
+        violations = np.array([p1(x_grid + step @ y_grid) for step in steps])
 
     return CertificateVerification(
         trials=trials,

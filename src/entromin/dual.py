@@ -23,13 +23,14 @@ non-finite derivatives surface as exceptions from the evaluation layer and
 are treated as ordinary line-search rejections.
 
 Near the optimum the predicted ascent g.d of a Newton step falls to the
-rounding level of D itself (a few eps times max(1, |D|)).  There, whether
-the computed D rises or falls is decided by rounding, and accepting on
-"does not decrease" lets the search settle on steps too short to move
-the residual.  In that regime a step is accepted instead when it
-strictly lowers the residual, the infinity norm of the gradient at the
-candidate; the dual values along the trace are then nondecreasing only up
-to rounding.
+rounding level of D itself: a few eps times max(1, |D|) or, where D's two
+terms cancel, times its rounding scale |phi|.|b| + integral of |f*(v)|,
+which `_field` returns next to D.  There, whether the computed D rises or
+falls is decided by rounding, and accepting on "does not decrease" lets
+the search settle on steps too short to move the residual.  In that
+regime a step is accepted instead when it strictly lowers the residual,
+the infinity norm of the gradient at the candidate; the dual values along
+the trace are then nondecreasing only up to rounding.
 
 One oracle, `_field` then `_derivatives`, computes D, x = (f*)' at the
 nodes, the gradient and the Hessian from one dual field on the instance's
@@ -57,7 +58,7 @@ DEFAULT_MAX_ITER = 100
 
 _MIN_STEP = 2.0 ** -60          # give up on the line search below this
 _REG_START = 1e-12              # Hessian shift ladder, relative to ||H||
-_ROUNDING = 8 * np.finfo(float).eps  # predicted ascent below this x max(1, |D|) is noise
+_ROUNDING = 8 * np.finfo(float).eps  # predicted ascent below this x D's rounding level is noise
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,8 @@ def _unguarded(conjugate):
 
 
 def _field(instance: ProblemInstance, phi: np.ndarray):
-    """The dual field v = sum_k phi_k a_k at the nodes, and D(phi).
+    """The dual field v = sum_k phi_k a_k at the nodes, D(phi), and the
+    rounding scale of D, |phi|.|b| + integral of |f*(v)|.
 
     v is checked against the conjugate domain here, once, so f* and its
     derivatives are evaluated from it unguarded.
@@ -109,7 +111,9 @@ def _field(instance: ProblemInstance, phi: np.ndarray):
             f"the conjugate domain {entropy.f_star_domain} of {entropy.name}",
             argument="phi", value=value, node=node)
     conjugate = _unguarded(entropy.f_star)(v)
-    return v, float(phi @ instance.target_moments - integrate_values(rule, conjugate))
+    value = float(phi @ instance.target_moments - integrate_values(rule, conjugate))
+    return v, value, float(np.abs(phi) @ np.abs(instance.target_moments)
+                           + rule.weights @ np.abs(conjugate))
 
 
 def _derivatives(instance: ProblemInstance, v: np.ndarray, order: int):
@@ -171,9 +175,9 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray):
     which it does for any finite H once the shift passes ||H||_inf (it is then
     strictly diagonally dominant).  -H is a (f*)''-weighted Gram, positive
     semidefinite for every built-in entropy, and rounding makes it singular in
-    common traffic: over the 288 solve-sweep configs, 1,471 of 3,736 Newton
-    steps take the second rung (69 configs, all with n = 12 or 16), and none
-    needs a third.
+    common traffic: over the 288 solve-sweep configs, 1,464 of 3,658 Newton
+    directions take the second rung (69 configs, all with n = 12 or 16), and
+    none needs a third.
     """
     shift = 0.0
     while True:
@@ -200,7 +204,7 @@ def solve_dual(instance: ProblemInstance, phi0=None, tol: float = DEFAULT_TOL,
     if phi.shape != (instance.n,):
         raise ValidationError(f"phi0 has shape {phi.shape}, expected ({instance.n},)")
 
-    v, value = _field(instance, phi)  # raises if phi0 infeasible
+    v, value, scale = _field(instance, phi)  # raises if phi0 infeasible
     _, grad, hess = _derivatives(instance, v, 2)
     residual = float(np.max(np.abs(grad)))
     trace = [IterationRecord(0, residual, 0.0, value)]
@@ -212,17 +216,17 @@ def solve_dual(instance: ProblemInstance, phi0=None, tol: float = DEFAULT_TOL,
             message = f"iteration budget {max_iter} exhausted with residual {residual:.3e}"
             break
         direction, _shift = _newton_direction(hess, grad)
-        by_residual = abs(float(grad @ direction)) <= _ROUNDING * max(1.0, abs(value))
+        by_residual = abs(float(grad @ direction)) <= _ROUNDING * max(1.0, abs(value), scale)
         step = 1.0
         accepted = None
         while step >= _MIN_STEP:
             candidate = phi + step * direction
             try:
-                v, trial_value = _field(instance, candidate)
+                v, trial_value, trial_scale = _field(instance, candidate)
                 if by_residual or trial_value >= value:
                     _, trial_grad, trial_hess = _derivatives(instance, v, 2)
                     if not by_residual or np.max(np.abs(trial_grad)) < residual:
-                        accepted = trial_value, trial_grad, trial_hess
+                        accepted = trial_value, trial_scale, trial_grad, trial_hess
             except DomainViolationError:
                 pass
             if accepted is not None:
@@ -232,7 +236,7 @@ def solve_dual(instance: ProblemInstance, phi0=None, tol: float = DEFAULT_TOL,
             message = f"line search stalled at residual {residual:.3e}"
             break
         phi = candidate
-        value, grad, hess = accepted
+        value, scale, grad, hess = accepted
         iterations += 1
         residual = float(np.max(np.abs(grad)))
         trace.append(IterationRecord(iterations, residual, step, value))

@@ -49,7 +49,7 @@ def reconstruct(instance: ProblemInstance, mu) -> PrimalSolution:
         v = basis(np.asarray(s, dtype=float)).T @ mu
         return entropy.f_star_d1(v)
 
-    v, dual = _field(instance, mu)
+    v, dual, _ = _field(instance, mu)
     x_nodes, grad, _ = _derivatives(instance, v, 1)
     primal = integrate_values(instance.rule, entropy.f(x_nodes))
     return PrimalSolution(

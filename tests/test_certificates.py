@@ -188,6 +188,27 @@ def _verify_counting_replays(instance, x, cert, trials, seed):
     return verify_core_certificate(instance, x, recorded, trials=trials, seed=seed), len(steps)
 
 
+def _one_bound(n, clearance):
+    """B = (1+gamma)^2 r (1 + (n+3) eps) + tiny, r = fl(SAFETY_FACTOR *
+    clearance): the bound on every trial's perturbation that core
+    verification decides P1 on (see `verify_core_certificate`)."""
+    from entromin.certificates import SAFETY_FACTOR
+
+    fi = np.finfo(float)
+    return ((1.0 + 2.0 * (n + 2) * fi.eps) ** 2
+            * (SAFETY_FACTOR * clearance * (1.0 + (n + 3) * fi.eps)) + fi.tiny)
+
+
+def _assert_sup_bounds_grid(cert):
+    """`cert.sup_unit` is 1 + 1e-9 times the largest |y_k| on the margin
+    grid and the membership grid together, so above |y_k| at every grid point."""
+    on_grid = np.abs(cert.directions(cert.grid))
+    on_margin = np.abs(cert.directions.coeffs @ cert.directions.margin_design)
+    union = np.maximum(on_margin.max(axis=1), on_grid.max(axis=1)) * (1.0 + 1e-9)
+    assert cert.sup_unit.tobytes() == union.tobytes()
+    assert np.all(on_grid < cert.sup_unit[:, None])
+
+
 P1_SCREENED = [("boltzmann_shannon", monomial_basis(4), constant_density(0.5), (0.0, 1.0)),
                ("boltzmann_shannon", monomial_basis(4), constant_density(0.7), (0.0, 1.0)),
                ("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE, (0.0, INF)),
@@ -1035,27 +1056,108 @@ class TestCoreCertificate:
 
     @pytest.mark.parametrize("entropy,basis,rho,band", P1_SCREENED, ids=P1_SCREENED_IDS)
     def test_screen_replays_per_trial_at_mixed_clearance(self, entropy, basis, rho, band):
-        """Between the clearance every trial clears and 8x, where none does,
-        the rounding bound clears some trials and verification replays the
-        rest: the counts and worst P1 violation are those of the per-trial
-        loop exactly, also where more than a few trials are replayed."""
+        """One bound decides P1 for every direction: at the built clearance
+        verification replays no trial, and over-driven past it, where the
+        step rule no longer keeps x in the band, it replays all 40.  Either
+        way the counts and worst P1 violation are those of the per-trial
+        loop exactly."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
-        replayed = []
-        for k in (1.5, 2.0, 3.0):
+        replayed = {}
+        for k in (1.0, 1.05, 1.5, 2.0, 3.0):
             for seed in (0, 1):
                 got, count = _verify_counting_replays(inst, rho, _overdriven(cert, k), 40, seed)
                 _assert_replays(got, _replay_per_trial(inst, rho, _overdriven(cert, k), 40, seed))
-                replayed.append(count)
-        assert any(0 < count < 40 for count in replayed), replayed
-        assert max(replayed) > 8, replayed
+                replayed[k, seed] = count
+        assert replayed == {(k, seed): 0 if k == 1.0 else 40
+                            for k in (1.0, 1.05, 1.5, 2.0, 3.0) for seed in (0, 1)}
+
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           clearance=st.floats(-150.0, 150.0),
+           sups=st.lists(st.floats(-150.0, 150.0), min_size=12, max_size=12))
+    def test_one_bound_covers_every_trials_bound(self, n, seed, clearance, sups):
+        """B, taken from the step rule alone, is at least each trial's own
+        rounding bound (1+gamma)^2 (|s| @ sup_unit) + tiny in float64, for n
+        in 1..12 and a clearance and sup_unit_k anywhere over 300 decades:
+        on 64 seeded directions, as verification draws them, and on 64 with
+        every |eta_k| sup_unit_k equal, where |s| @ sup_unit is largest."""
+        from entromin.certificates import CoreCertificate
+
+        sup_unit = 10.0 ** np.array(sups[:n])
+        cert = CoreCertificate(None, sup_unit, 0.0, 1.0, 10.0 ** clearance, np.empty(0),
+                               np.empty((n, n)))
+        rng = np.random.default_rng(seed)
+        etas = np.vstack([rng.standard_normal((64, n)),
+                          rng.choice([-1.0, 1.0], (64, n)) / sup_unit])
+        etas /= np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0]
+        steps = cert.t_for(etas)[:, None] * etas
+        gamma = 2.0 * (n + 2) * np.finfo(float).eps
+        bounds = (1.0 + gamma) ** 2 * (np.abs(steps) @ sup_unit) + np.finfo(float).tiny
+        assert np.all(bounds <= _one_bound(n, cert.clearance))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_one_bound_decides_at_its_threshold(self, n):
+        """Verification clears every trial exactly when x moved by B stays
+        strictly inside the band: with the lower bound at fl(x - B) for the
+        constant density x, or the upper one at fl(x + B), every trial is
+        replayed, and with it one ulp further out, none is.  Either way the
+        report is the per-trial loop's."""
+        rho = constant_density(0.5)
+        inst = make_instance("boltzmann_shannon", monomial_basis(n), rho)
+        cert = build_core_certificate(inst, rho, 0.0, 1.0)
+        reach = _one_bound(n, cert.clearance)
+        for side, edge, out in (("lower", 0.5 - reach, -INF), ("upper", 0.5 + reach, INF)):
+            for moved, replayed in ((edge, 40), (np.nextafter(edge, out), 0)):
+                driven = dataclasses.replace(cert, **{side: float(moved)})
+                got, count = _verify_counting_replays(inst, rho, driven, 40, n)
+                _assert_replays(got, _replay_per_trial(inst, rho, driven, 40, n))
+                assert count == replayed, (side, moved)
+
+    @pytest.mark.parametrize("entropy,basis,rho,band", P1_SCREENED, ids=P1_SCREENED_IDS)
+    def test_negative_clearance_replays_every_trial(self, entropy, basis, rho, band):
+        """A clearance of -2x the built one steps twice as far against each
+        eta.  The one bound is negative there and decides nothing, so every
+        trial is replayed, and the report is the per-trial loop's."""
+        inst = make_instance(entropy, basis, rho)
+        cert = _overdriven(build_core_certificate(inst, rho, *band), -2.0)
+        got, count = _verify_counting_replays(inst, rho, cert, 40, 0)
+        _assert_replays(got, _replay_per_trial(inst, rho, cert, 40, 0))
+        assert count == 40
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_sup_bounds_the_grid_on_the_plan_configs(self, tmp_path, bench_module, seed):
+        """On the 8 configs of the certify-core benchmark plan the sup bound
+        is taken over both grids and lies above |y_k| at every grid point."""
+        workloads = bench_module("workloads")
+        for i, op in enumerate(workloads.plan("certify-core", seed)["ops"]):
+            path = tmp_path / f"{i}.ini"
+            path.write_text(workloads.to_ini(op))
+            cfg = load_config(path)
+            inst, rho = build_problem(cfg, cfg.basis)
+            _assert_sup_bounds_grid(build_core_certificate(
+                inst, rho, *cfg.certify.band_for(inst.entropy)))
+
+    @pytest.mark.parametrize("family", ["cosines", "tabulated-monomial4"])
+    def test_sup_bounds_the_grid_on_the_qr_path(self, family, tmp_path):
+        """So it is where the y_k expand over the orthonormalized a_k: for 1,
+        cos(pi s) and cos(2 pi s), and for monomials tabulated on 401 samples."""
+        s = np.linspace(0.0, 1.0, 401)
+        np.savetxt(tmp_path / "basis.txt", np.column_stack([s] + [s ** k for k in range(4)]))
+        basis = {"cosines": lambda: MomentBasis(3, lambda s: np.stack(
+                     [np.cos(k * np.pi * np.asarray(s)) for k in range(3)])),
+                 "tabulated-monomial4": lambda: tabulated_basis(tmp_path / "basis.txt")}[family]()
+        cert = build_core_certificate(make_instance("translated_boltzmann_shannon", basis, PULSE),
+                                      PULSE, 0.0, INF)
+        assert cert.directions.factor is not None
+        _assert_sup_bounds_grid(cert)
 
     @settings(max_examples=25, deadline=None)
     @given(k=st.floats(0.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_screen_replays_per_trial_at_any_clearance(self, k, seed):
-        """For any overdrive k and seed, clearing trials by the rounding
-        bound reports the counts and worst P1 violation of the per-trial
-        loop exactly, here where the upper bound is the nearer one."""
+        """For any overdrive k and seed, deciding P1 by the one bound
+        reports the counts and worst P1 violation of the per-trial loop
+        exactly, here where the upper bound is the nearer one."""
         rho = constant_density(0.7)
         inst = make_instance("boltzmann_shannon", monomial_basis(4), rho)
         cert = _overdriven(build_core_certificate(inst, rho, 0.0, 1.0), k)
@@ -1068,8 +1170,9 @@ class TestCoreCertificate:
         """A density other than the build's that leaves the band by 0.25 off
         the margin, where every y_k is 0: on the grid points next to the
         margin ends alone (those of the aligned groups of 16 grid points that
-        meet the margin), or on every grid point off it.  A cleared trial
-        reports that violation, as the per-trial loop does."""
+        meet the margin), or on every grid point off it.  Where the one
+        bound decides, every trial reports that violation, as the per-trial
+        loop does."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         out = band[1] + 0.25 if np.isfinite(band[1]) else band[0] - 0.25
@@ -1259,8 +1362,7 @@ class TestCoreCertificate:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.delta = 0.0
         before = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
-        held = [cert.sup_unit, cert.grid, cert.directions.basis_design, cert.inner_products,
-                cert.grid_sup]
+        held = [cert.sup_unit, cert.grid, cert.directions.basis_design, cert.inner_products]
         arrays = [np.copy(a) for a in held]
         verify_core_certificate(inst, PULSE, cert, trials=10, seed=0)
         assert all(getattr(cert, name) is value for name, value in before.items())
@@ -1269,7 +1371,8 @@ class TestCoreCertificate:
 
     def test_certificate_holds_read_only_views(self):
         """A certificate over-driven 64 times fails P1 in every trial; were its
-        grid maxima zeroed in place, the rounding bound would clear them all.
+        sup bound zeroed in place, the step rule would take no step, and every
+        trial would pass.
         Each array of the certificate and of its y_k (a QR factor too) is a
         read-only view: a write raises, and a caller's own array is held
         without a copy and stays writable."""
@@ -1279,7 +1382,7 @@ class TestCoreCertificate:
         across = build_direction_functions(piecewise_flat_basis(4, 0.5), RULE,
                                            MarginInterval(0.25, 0.75, 1.0, 1.0))
         assert verify_core_certificate(inst, rho, cert).p1_passes == 0
-        held = [(cert, name) for name in ("sup_unit", "grid", "inner_products", "grid_sup")]
+        held = [(cert, name) for name in ("sup_unit", "grid", "inner_products")]
         held += [(across, name) for name in ("coeffs", "factor", "basis_design",
                                              "margin_design")]
         for owner, name in held:
@@ -1287,7 +1390,7 @@ class TestCoreCertificate:
                 getattr(owner, name)[...] = 0.0
         assert verify_core_certificate(inst, rho, cert).p1_passes == 0
         own = np.ones(4)
-        assert np.shares_memory(dataclasses.replace(cert, grid_sup=own).grid_sup, own)
+        assert np.shares_memory(dataclasses.replace(cert, sup_unit=own).sup_unit, own)
         assert np.shares_memory(dataclasses.replace(across, factor=own).factor, own)
         own[0] = 2.0
 
@@ -1407,8 +1510,8 @@ class TestCoreCertificate:
     def test_build_hands_verification_the_audited_arrays(self, basis):
         """The inner products the build takes from its margin design match
         `direction_inner_products` to 1e-13, verification reports their
-        orthogonality defect, and the largest |y_k| it carries is that of the
-        y_k on the whole grid, bit for bit."""
+        orthogonality defect, and its sup bound is above |y_k| on the whole
+        grid, where the y_k are zero off the margin."""
         inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         audit = direction_inner_products(cert.directions)
@@ -1418,7 +1521,7 @@ class TestCoreCertificate:
         assert report.orthogonality == np.linalg.norm(defect, axis=0).max() <= 1e-12
         assert report.target <= 1e-14 and report.all_passed and report.failures == ()
         full = cert.directions(cert.grid)
-        assert cert.grid_sup.tobytes() == np.abs(full).max(axis=1).tobytes()
+        assert np.all(np.abs(full) < cert.sup_unit[:, None])
         assert not np.any(full[:, (cert.grid < cert.margin.lo) | (cert.grid > cert.margin.hi)])
 
     def test_corrupted_direction_fails_as_direction_functions(self, monkeypatch):

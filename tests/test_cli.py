@@ -117,18 +117,19 @@ class TestSolve:
         assert not (tmp_path / "out").exists()
 
     def test_untabulable_solution_of_unconverged_solve_exits_2(self, tmp_path, capsys):
-        """Burg monomial n=12 on the pulse spends its budget, and its field
-        also turns positive between nodes: the run reports the spent budget,
-        with summary.json and trace.csv, and writes no solution.csv."""
-        cfg = write_config(tmp_path, entropy="burg", n=12)
+        """Burg monomial n=12 on the pulse, cut at 30 Newton iterations,
+        spends its budget, and its field also turns positive between nodes:
+        the run reports the spent budget, with summary.json and trace.csv,
+        and writes no solution.csv."""
+        cfg = write_config(tmp_path, entropy="burg", n=12, max_iter=30)
         cfg.write_text(cfg.read_text().replace("sample_points = 101", "sample_points = 1001"))
         assert main(["solve", "--config", str(cfg), "--trace"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("solve: not converged: iteration budget 100 exhausted")
+        assert err.startswith("solve: not converged: iteration budget 30 exhausted")
         out = tmp_path / "out"
         assert sorted(os.listdir(out)) == ["summary.json", "trace.csv"]
         summary = json.loads((out / "summary.json").read_text())
-        assert (summary["converged"], summary["iterations"]) == (False, 100)
+        assert (summary["converged"], summary["iterations"]) == (False, 30)
 
     def test_quad_set_in_config_builds_the_rule(self, tmp_path, monkeypatch):
         """`[quad]` is set in the run file alone: its order and panels build
@@ -515,16 +516,18 @@ class TestCompare:
 
     @pytest.mark.parametrize("window,measured", [("0.4 0.6", True), ("0 1", False)])
     def test_untabulable_unconverged_basis_exits_2(self, tmp_path, capsys, window, measured):
-        """Burg monomial n=12 on the pulse spends its budget, and its field
-        turns positive between nodes; basis b (split 0.4) converges.  As for
-        `solve`, the spent budget is what the run reports: exit 2, with
-        comparison.json and both traces, and without solution_a.csv.  Basis
-        a's overshoot is measured where its x can be evaluated (the window
-        around the jump) and NaN where it cannot (the whole interval)."""
+        """Burg monomial n=12 on the pulse, cut at 30 Newton iterations,
+        spends its budget, and its field turns positive between nodes; basis
+        b (split 0.4) converges.  As for `solve`, the spent budget is what
+        the run reports: exit 2, with comparison.json and both traces, and
+        without solution_a.csv.  Basis a's overshoot is measured where its x
+        can be evaluated (the window around the jump) and NaN where it cannot
+        (the whole interval)."""
         cfg = write_compare_config(tmp_path, n=12, extra_b="split = 0.4",
                                    out=str(tmp_path / "out"))
         cfg.write_text(cfg.read_text().replace("translated_boltzmann_shannon", "burg")
-                       .replace("window = 0.4 0.6", f"window = {window}"))
+                       .replace("window = 0.4 0.6", f"window = {window}")
+                       + "\n[solver]\nmax_iter = 30\n")
         assert main(["compare", "--config", str(cfg), "--trace"]) == 2
         assert capsys.readouterr().err == "compare: at least one solve did not converge\n"
         out = tmp_path / "out"

@@ -271,6 +271,17 @@ class TestRoundingRegime:
         eps = np.finfo(float).eps
         assert all(b >= a - 8 * eps * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
 
+    def test_rounding_scale_reads_the_cancellation_in_d(self):
+        """D = <phi, b> - integral of f*(v) cancels on tBS monomial n=8 on the
+        pulse: at the optimum its rounding scale |phi|.|b| + integral of
+        |f*(v)|, as `_field` returns it next to D, is over 100 times
+        max(1, |D|), so D cannot resolve an ascent the size of rounding."""
+        inst = pulse_instance("translated_boltzmann_shannon", 8)
+        phi = solve_dual(inst).multipliers
+        _, value, scale = dual._field(inst, phi)
+        assert scale == reference_scale(inst, phi)
+        assert scale > 100.0 * max(1.0, abs(value))
+
 
 class TestNewtonDirection:
     @staticmethod
@@ -317,6 +328,14 @@ def reference_oracle(instance, phi):
     return dual_value(instance, phi), dual_gradient(instance, phi), dual_hessian(instance, phi)
 
 
+def reference_scale(instance, phi):
+    """The rounding scale of D at phi, |phi|.|b| + integral of |f*(v)|,
+    from its own field."""
+    conjugate = instance.entropy.f_star(instance.design.T @ phi)
+    return float(np.abs(phi) @ np.abs(instance.target_moments)
+                 + instance.rule.weights @ np.abs(conjugate))
+
+
 def reference_solve(instance, phi):
     """solve_dual's loop with D evaluated at every trial and the full
     oracle evaluated again at an accepted one, each from its own field.
@@ -334,7 +353,8 @@ def reference_solve(instance, phi):
             message = f"iteration budget {budget} exhausted with residual {residual:.3e}"
             break
         direction, _ = _newton_direction(hess, grad)
-        by_residual = abs(float(grad @ direction)) <= dual._ROUNDING * max(1.0, abs(value))
+        scale = reference_scale(instance, phi)
+        by_residual = abs(float(grad @ direction)) <= dual._ROUNDING * max(1.0, abs(value), scale)
         if by_residual:
             seen.add("rounding")
         step, accepted = 1.0, None

@@ -126,7 +126,7 @@ def test_readme_states_the_census_counts():
     stated = {outcome: int(re.search(rf"(\d+) {phrase}", bullet).group(1))
               for outcome, phrase in (("audited", "converge and pass"),
                                       ("gap audit", "converge with a larger gap"),
-                                      ("not converged", "exhaust the 100-iteration budget"),
+                                      ("not converged", "stop unconverged"),
                                       ("DomainViolationError", "Burg solves exit 1"))}
     counts = Counter(row["outcome"].split(":")[0] for row in json.loads(TABLE.read_text()).values())
     assert stated == counts and sum(counts.values()) == len(CONFIGS)
