@@ -16,13 +16,14 @@ supported on the margin interval with <y_k, a_j> = eta_k when j = k and 0
 otherwise.  The certificate packages the y_k (built once for the unit
 direction and rescaled, since they are linear in eta), a bound Delta on
 their sup, and the step rule t(eta) that keeps the perturbed density
-inside the band.  Verification replays the construction for randomized
-directions and checks both conclusions: the perturbed density stays in the
-band (P1) and its moments move exactly to b + t*eta (P2).  P2 is linear in
-eta, so the n x n matrix <y_k, a_j> and the density's own moment defect
-decide it for every direction at once; each is also checked at unit size,
-failing by name as "direction functions" or "target moments"; the radius
-around b that the certified steps reach net of both must be positive ("radius").
+inside the band.  Verification checks both conclusions: the perturbed
+density stays in the band (P1), decided once for every direction the step
+rule admits, and its moments move exactly to b + t*eta (P2), counted over
+seeded random directions.  P2 is linear in eta, so the n x n matrix
+<y_k, a_j> and the density's own moment defect decide it for every direction
+at once; each is also checked at unit size, failing by name as "direction
+functions" or "target moments"; the radius around b that the certified steps
+reach net of both must be positive ("radius").
 
 Quasi-relative-interior certificate.  Clip the density into the open band
 at level 1/m, correct the clipped moments back to b with a function v
@@ -34,9 +35,10 @@ what the certificate asserts.  The clearance is one-sided where the entropy's
 domain is unbounded above: for a two-valued density such as the pulse with
 band (0, 1), the correction necessarily pushes y above the upper bound
 somewhere, so only the lower clearance can be certified, and the upper one is
-reported for inspection.  Where dom f ends above (Fermi-Dirac's 1), eps also
-counts y's clearance below that end, and a band reaching it is scanned
-two-sided, as core's is, so a density pinned to it has no margin interval.
+reported for inspection.  Where dom f ends above (Fermi-Dirac's 1), eps and
+delta also count the clearance below that end, and a band reaching it is
+scanned two-sided, as core's is, so a density pinned to it has no margin
+interval.
 
 All membership checks are sample-based, so a certificate is strong numerical
 evidence, not an almost-everywhere proof; solver output labels it as such.
@@ -63,13 +65,13 @@ margin rule's nodes (`basis_design`), for every margin integral, and the
 phi_j on the margin grid (`margin_design`), for core's sup bound and
 <y_k, a_j> and the qri scan's sup |v|.  Elsewhere the y_k, or any expansion over the phi_j, are
 evaluated by calling the `DirectionFunctions`: on the membership grid, for
-core's sup bound on it, core's P1 and the qri witness.  Core's sup bound
-covers both grids, so the step rule keeps |s @ y| below 0.99 times the
-clearance at every point P1 checks, for every direction: one float64 bound
-decides P1 for all trials, or each is replayed on the y_k evaluated on the
-grid once per verification.  The qri scan solves for the clip levels it must
-evaluate instead of visiting each (see `_candidate_levels`), and an accepted
-witness must match the target moments to P2_TOL.
+core's sup bound on it and the qri witness.  Core's sup bound covers both
+grids, so the step rule keeps |s @ y| below 0.99 times the clearance at
+every point P1 checks, for every direction: P1 checks x moved by one float64
+bound on that sum, and verification evaluates no y_k.  The qri scan solves
+for the clip levels it must evaluate instead of visiting each (see
+`_candidate_levels`), and an accepted witness must match the target moments
+to P2_TOL.
 """
 
 from __future__ import annotations
@@ -332,7 +334,7 @@ class CoreCertificate:
     admissible step for any direction, and `t_unit` follows from `clearance`
     as they do.  `grid` is the membership grid, ending with the nodes of
     `directions.rule`, where the build confirmed the margin and verification
-    replays.  `inner_products` is <y_k, a_j> (row k) on that rule's margin
+    checks P1.  `inner_products` is <y_k, a_j> (row k) on that rule's margin
     nodes.  `sup_unit` bounds |y_k| on the margin grid and on the grid points
     inside the margin (the y_k are zero on the others), so at every point P1
     checks.  `margin` and `delta` are read from `directions` and
@@ -381,10 +383,12 @@ class CoreCertificate:
 
 @dataclass(frozen=True)
 class CertificateVerification:
-    """Replay report for randomized directions; see verify_core_certificate.
+    """Verification report; see verify_core_certificate.
 
-    The two parts of every P2 residual are reported at unit size:
-    `orthogonality`, the largest over j of the 2-norm over k of
+    P1 holds for every admissible direction or for none, so `p1_passes` is
+    `trials` or 0, and `worst_p1_violation` bounds each trial's excursion
+    out of the band.  The two parts of every P2 residual are reported at
+    unit size: `orthogonality`, the largest over j of the 2-norm over k of
     <y_k, a_j> - delta_kj, and `target`, |moments of x - b| on the margin rule;
     `radius` is the sup-norm radius around b that the certified steps reach.
     """
@@ -502,16 +506,29 @@ def _whole_number(name: str, value) -> int:
 def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
                             trials: int = DEFAULT_TRIALS,
                             seed: int = DEFAULT_SEED) -> CertificateVerification:
-    """Replay the core construction of `cert` for seeded random unit directions.
-
-    For each direction eta the step s = t(eta) * eta is checked for both
-    conclusions: x + sum_k s_k y_k stays inside the band on the membership
-    grid (P1), and its moments equal b + s to within P2_TOL (P2).  The y_k
-    are the unit direction's, and eta reaches them through `cert.t_for`.  A
+    """Check both conclusions of the core construction of `cert`: a step
+    s = t(eta) * eta keeps x + sum_k s_k y_k inside the band on the
+    membership grid (P1) and moves its moments to b + s to within P2_TOL
+    (P2).  eta reaches the unit direction's y_k through `cert.t_for`.  A
     certificate over-driving its step rule is one with a larger clearance,
     `dataclasses.replace(cert, clearance=k * cert.clearance)` (a negative
     control: beyond the certified bound P1 must eventually fail on a tight
     margin).
+
+    P1 is decided once, for every direction the step rule admits.  As
+    `cert.sup_unit` bounds |y_k| on the grid, |fl(s @ y_j)| <= (1+gamma)^2
+    (|s| @ sup_unit) + tiny, gamma = 2(n+2)*eps (an n-term dot, two
+    products).  `t_for` rounds each |s_k| sup_unit_k to below r/n
+    (1+u)^3/(1-u), r = fl(SAFETY_FACTOR * clearance), u = eps/2, and the dot
+    adds n u, so B = (1+gamma)^2 r (1 + (n+3) eps) + tiny bounds every
+    |fl(s @ y_j)| while each sup_unit_k and r lie in [2^-500, 2^500], where
+    the roundings are relative.  So x moved by `reach`, B inside the margin
+    (inf where that range fails, a negative clearance too) and 0 off it,
+    where every y_k is 0, must stay in the band: the worst violation is the
+    largest of lower - (x - reach), (x + reach) - upper and 0 on the grid,
+    and P1 passes in every trial if it is within P1_SLACK (NaN fails), in
+    none otherwise.  Rounding is monotone, so it bounds each trial's
+    violation, and it is x's own where x clears the band by B.
 
     P2 is linear in s: on the margin rule those moments are b + e + D^T s,
     with e the moments of x less b and D = `cert.inner_products`, so one
@@ -520,22 +537,9 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     radius t_unit (1 - omega) - ||e||_inf, omega = ||D^T - I||_inf: every b + s'
     with ||s'||_inf <= radius is reached by s = D^-T (s' - e), ||s||_inf <= t_unit.  x is
     sampled once, on the certificate's membership grid, which ends with the
-    margin rule's nodes.  P1 is the worst of lower - p and p - upper over
-    the grid, for p = x + s @ y, and is decided for every direction at once.
-    As `cert.sup_unit` bounds |y_k| on the grid, |fl(s @ y_j)| <= (1+gamma)^2
-    (|s| @ sup_unit) + tiny, gamma = 2(n+2)*eps (an n-term dot, two products).
-    `t_for` rounds each |s_k| sup_unit_k to below r/n (1+u)^3/(1-u), r =
-    fl(SAFETY_FACTOR * clearance), u = eps/2, and the dot adds n u, so B =
-    (1+gamma)^2 r (1 + (n+3) eps) + tiny exceeds that bound for every trial,
-    by (n+1) u.  If min x - B > lower and max x + B < upper on the grid
-    points inside the margin, every trial reports the violation of x alone,
-    bit for bit: rounding is monotone, and off the margin, where every y_k is
-    0, fl(s @ 0) + x_j is x_j.  Otherwise, or on a non-finite x, a -0.0 in x
-    (whose sign the sum may flip), or a sup_unit or nonzero r outside
-    [2^-500, 2^500] (where the roundings stop being relative), every trial is
-    replayed, one at a time, on the y_k evaluated on the grid once per call.
-    The directions are drawn in one call, the stream of one draw of n per
-    trial.  `trials` and `seed` must be whole numbers.
+    margin rule's nodes.  The `trials` directions, drawn in one call as the
+    stream of one draw of n per trial, are P2's sample alone: P1 does not
+    depend on `seed`.  `trials` and `seed` must be whole numbers.
     """
     trials, seed = _whole_number("trials", trials), _whole_number("seed", seed)
     if trials < 1:
@@ -552,27 +556,20 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     defect = cert.inner_products - np.eye(instance.n)
     residuals = np.abs(target + steps @ defect).max(axis=1)
 
-    def p1(p):
-        return max(float(np.max(cert.lower - p)), float(np.max(p - cert.upper)), 0.0)
-
     n, rate, fi = instance.n, SAFETY_FACTOR * cert.clearance, np.finfo(float)  # r of t_for
-    bound = (1.0 + 2.0 * (n + 2) * fi.eps) ** 2 * (rate * (1.0 + (n + 3) * fi.eps)) + fi.tiny
-    scales = np.append(cert.sup_unit, rate or 1.0)   # where the roundings are relative
-    x_moved = x_grid[(grid >= cert.margin.lo) & (grid <= cert.margin.hi)]
-    if (np.all((2.0 ** -500 <= scales) & (scales <= 2.0 ** 500)) and np.isfinite(x_grid).all()
-            and x_moved.min(initial=np.inf) - bound > cert.lower
-            and x_moved.max(initial=-np.inf) + bound < cert.upper
-            and not np.signbit(x_grid[x_grid == 0.0]).any()):
-        violations = np.full(trials, p1(x_grid))
-    else:
-        y_grid = cert.directions(grid)
-        violations = np.array([p1(x_grid + step @ y_grid) for step in steps])
+    scales = np.append(cert.sup_unit, rate)
+    bound = ((1.0 + 2.0 * (n + 2) * fi.eps) ** 2 * (rate * (1.0 + (n + 3) * fi.eps)) + fi.tiny
+             if np.all((2.0 ** -500 <= scales) & (scales <= 2.0 ** 500)) else np.inf)
+    reach = np.where((grid >= cert.margin.lo) & (grid <= cert.margin.hi), bound, 0.0)
+    with np.errstate(invalid="ignore"):   # inf - inf at an infinite end: the other side decides
+        moved = np.fmax(cert.lower - (x_grid - reach), x_grid + reach - cert.upper)
+    worst_p1 = float(np.max(moved, initial=0.0))
 
     return CertificateVerification(
         trials=trials,
-        p1_passes=int(np.count_nonzero(violations <= P1_SLACK)),
+        p1_passes=trials if worst_p1 <= P1_SLACK else 0,
         p2_passes=int(np.count_nonzero(residuals <= P2_TOL)),
-        worst_p1_violation=float(violations.max()),
+        worst_p1_violation=worst_p1,
         worst_p2_residual=float(residuals.max()),
         orthogonality=float(np.linalg.norm(defect, axis=0).max()),
         target=float(np.abs(target).max()),
@@ -672,10 +669,10 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     (below only when the band is unbounded above), the moment defect of
     the clipped density is computed, and a correction v carrying exactly
     that defect is built on the margin interval.  The first m whose
-    correction satisfies sup |v| < delta/2 (delta being the certified
-    lower clearance of the density on the margin interval) and whose
-    witness y = x_m - v keeps a positive clearance eps (module note) is
-    returned.
+    correction satisfies sup |v| < delta/2 (delta being the density's
+    clearance on the margin interval above `lower` and below a finite end
+    of dom f) and whose witness y = x_m - v keeps a positive clearance eps
+    (module note) is returned.
     Only the levels `_candidate_levels` hands on are evaluated; every other
     has sup |v| >= delta/2, so the accepted m, the witness and the failure
     report are those of a scan that evaluates every level.
@@ -692,7 +689,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     directions, full_grid, x_full = _margin_prelude(instance, x, lower, upper, min_width,
                                                     one_sided=upper != top or top == np.inf)
     margin, ver_rule, ver_design = directions.margin, directions.rule, directions.basis_design
-    delta, margin_design = margin.val_lo - lower, directions.margin_design
+    delta = min(margin.val_lo - lower, top - margin.val_hi)   # the clearance eps counts
+    margin_design = directions.margin_design
     nodes = slice(full_grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
     x_ver = x_full[nodes]
     lost = []       # levels whose witness lost its clearance

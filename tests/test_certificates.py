@@ -1,6 +1,7 @@
 """Margin intervals, direction functions, and both duality certificates."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -107,12 +108,18 @@ def _replay(instance, x, cert, steps, p1_violations):
 
 
 def _assert_replays(got, replay, p1_tol=0.0):
-    """Verification against a replay: the counts exactly, the worst P1
-    violation to `p1_tol` (exactly by default), the worst P2 residual within
-    the replay's rounding bound."""
+    """Verification against a replay: the trial and P2 counts exactly, the
+    worst P2 residual within the replay's rounding bound.  P1 passes in
+    every trial or in none, by its worst violation against P1_SLACK; that
+    violation is at least the replay's worst trial's (less `p1_tol`), and a
+    trial the replay fails fails every trial."""
+    from entromin.certificates import P1_SLACK
+
     (trials, p1, p2, worst_p1, worst_p2), bound = replay
-    assert (got.trials, got.p1_passes, got.p2_passes) == (trials, p1, p2)
-    assert abs(got.worst_p1_violation - worst_p1) <= p1_tol
+    assert (got.trials, got.p2_passes) == (trials, p2)
+    assert got.p1_passes == (trials if got.worst_p1_violation <= P1_SLACK else 0)
+    assert got.worst_p1_violation >= worst_p1 - p1_tol
+    assert p1 == trials or got.p1_passes == 0
     assert abs(got.worst_p2_residual - worst_p2) <= bound
 
 
@@ -167,31 +174,10 @@ def _replay_per_trial(instance, x, cert, trials, seed):
     return _replay(instance, x, cert, np.array(steps), violations)
 
 
-def _verify_counting_replays(instance, x, cert, trials, seed):
-    """Verification of `cert`, and the number of trials it replayed, counted
-    by y_k that record each step (a 1-D operand) they are multiplied by."""
-    steps = []
-
-    class Recording(np.ndarray):
-        def __rmatmul__(self, other):
-            if np.ndim(other) == 1:
-                steps.append(other)
-            return np.asarray(other) @ np.asarray(self)
-
-    class RecordingDirections(DirectionFunctions):
-        def __call__(self, s, coeffs=None):
-            return super().__call__(s, coeffs).view(Recording)
-
-    directions = RecordingDirections(*(getattr(cert.directions, f.name)
-                                       for f in dataclasses.fields(cert.directions)))
-    recorded = dataclasses.replace(cert, directions=directions)
-    return verify_core_certificate(instance, x, recorded, trials=trials, seed=seed), len(steps)
-
-
 def _one_bound(n, clearance):
     """B = (1+gamma)^2 r (1 + (n+3) eps) + tiny, r = fl(SAFETY_FACTOR *
-    clearance): the bound on every trial's perturbation that core
-    verification decides P1 on (see `verify_core_certificate`)."""
+    clearance): the bound on every admissible perturbation that core
+    verification moves x by to decide P1 (see `verify_core_certificate`)."""
     from entromin.certificates import SAFETY_FACTOR
 
     fi = np.finfo(float)
@@ -217,6 +203,14 @@ P1_SCREENED_IDS = ["constant-monomial4", "constant-upper-monomial4", "pulse-piec
                    "pulse-monomial3"]
 
 
+@functools.lru_cache(maxsize=None)
+def _screened_certificate(i):
+    """The instance, density and core certificate of `P1_SCREENED[i]`."""
+    entropy, basis, rho, band = P1_SCREENED[i]
+    inst = make_instance(entropy, basis, rho)
+    return inst, rho, build_core_certificate(inst, rho, *band)
+
+
 def _replay_full_scan(instance, x, lower, upper, m_max):
     """The qri clip-level scan the direct way: the correction is evaluated
     on the whole margin grid at every m.  Returns (m, eps, correction_sup,
@@ -227,7 +221,7 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     basis, rule = instance.basis, instance.rule
     top = instance.entropy.f_domain.hi   # a band reaching a finite end of dom f is two-sided
     margin = find_margin_interval(x, lower, upper, rule, one_sided=not upper == top < INF)
-    delta = margin.val_lo - lower
+    delta = min(margin.val_lo - lower, top - margin.val_hi)   # the clearance eps counts
     directions = build_direction_functions(basis, rule, margin)
     ver_rule = directions.rule
     ver_design = basis(ver_rule.nodes)
@@ -1008,17 +1002,17 @@ class TestCoreCertificate:
         ("boltzmann_shannon", monomial_basis(1), constant_density(0.5), (0.0, 1.0), 2.0),
     ], ids=["pulse-piecewise4", "constant-monomial4", "overdriven-control"])
     def test_designs_built_once_replay_exactly(self, entropy, basis, rho, band, k):
-        """Verification with its designs built once reports exactly the counts
-        and worst P1 violation of a replay rebuilding the design on every
-        trial, and its linear P2 residual within rounding of that replay's
-        per-trial quadrature."""
+        """Verification with its designs built once reports exactly the P2
+        counts of a replay rebuilding the design on every trial, and its
+        linear P2 residual within rounding of that replay's per-trial
+        quadrature.  P1 covers every trial of that replay, and over-driven
+        it fails them all."""
         inst = make_instance(entropy, basis, rho)
         cert = _overdriven(build_core_certificate(inst, rho, *band), k)
         expected = _replay_rebuilding_designs(inst, rho, cert, trials=40, seed=9)
         got = verify_core_certificate(inst, rho, cert, trials=40, seed=9)
         _assert_replays(got, expected)
-        if k > 1.0:
-            assert got.p1_passes < got.trials
+        assert got.p1_passes == (0 if k > 1.0 else 40)
 
     @pytest.mark.parametrize("basis", [
         piecewise_flat_basis(1, 0.5), piecewise_flat_basis(2, 0.5), piecewise_flat_basis(4, 0.5),
@@ -1032,8 +1026,10 @@ class TestCoreCertificate:
     ], ids=["pulse", "constant"])
     def test_stacked_directions_replay_per_trial_loop(self, entropy, rho, band, basis):
         """Drawing every direction in one call and taking the step rule on
-        the stack reports the counts and worst P1 violation of the per-trial
-        loop exactly, and P2 within rounding of its quadrature."""
+        the stack reports the P2 counts of the per-trial loop exactly, and
+        its worst P2 residual within rounding of its quadrature; P1 covers
+        every trial of the loop, at clearance 0 (where B bounds nothing and
+        P1 fails) too."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         for seed, k in zip((0, 1, 2), (0.0, 1.0, 2.0)):
@@ -1043,9 +1039,9 @@ class TestCoreCertificate:
                 _assert_replays(got, _replay_per_trial(inst, rho, driven, trials, seed))
 
     def test_margin_columns_replay_full_grid(self):
-        """P1 on the grid columns that meet the margin reports what the full
-        grid does, also where 1074 columns meet it, not a multiple of 4, and
-        an overdriven step puts the extreme among the last of them."""
+        """A pulse split at 0.4571, where 1074 grid columns meet the margin,
+        over-driven 8x: P1 fails every trial, by at least the per-trial
+        loop's worst trial, and P2 is the loop's."""
         rho = pulse_density(0.4571)
         inst = instance_from_density(builtin_entropy("translated_boltzmann_shannon"),
                                      monomial_basis(6), build_rule((0.0, 1.0), (0.4571,)), rho)
@@ -1055,22 +1051,20 @@ class TestCoreCertificate:
             _assert_replays(got, _replay_per_trial(inst, rho, cert, 40, seed))
 
     @pytest.mark.parametrize("entropy,basis,rho,band", P1_SCREENED, ids=P1_SCREENED_IDS)
-    def test_screen_replays_per_trial_at_mixed_clearance(self, entropy, basis, rho, band):
-        """One bound decides P1 for every direction: at the built clearance
-        verification replays no trial, and over-driven past it, where the
-        step rule no longer keeps x in the band, it replays all 40.  Either
-        way the counts and worst P1 violation are those of the per-trial
-        loop exactly."""
+    def test_p1_decides_at_mixed_clearance(self, entropy, basis, rho, band):
+        """At the built clearance x moved by B stays in the band, so P1
+        passes every trial with no violation; over-driven past it, from 5%
+        to 3x, x moved by B leaves the band, and P1 fails every trial.
+        Either way P1 covers every trial of the per-trial loop, and P2 is
+        the loop's."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
-        replayed = {}
         for k in (1.0, 1.05, 1.5, 2.0, 3.0):
             for seed in (0, 1):
-                got, count = _verify_counting_replays(inst, rho, _overdriven(cert, k), 40, seed)
+                got = verify_core_certificate(inst, rho, _overdriven(cert, k), 40, seed)
                 _assert_replays(got, _replay_per_trial(inst, rho, _overdriven(cert, k), 40, seed))
-                replayed[k, seed] = count
-        assert replayed == {(k, seed): 0 if k == 1.0 else 40
-                            for k in (1.0, 1.05, 1.5, 2.0, 3.0) for seed in (0, 1)}
+                assert got.p1_passes == (40 if k == 1.0 else 0), (k, seed)
+                assert (got.worst_p1_violation == 0.0) == (k == 1.0), (k, seed)
 
     @settings(max_examples=400, deadline=None)
     @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
@@ -1098,32 +1092,62 @@ class TestCoreCertificate:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_one_bound_decides_at_its_threshold(self, n):
-        """Verification clears every trial exactly when x moved by B stays
-        strictly inside the band: with the lower bound at fl(x - B) for the
-        constant density x, or the upper one at fl(x + B), every trial is
-        replayed, and with it one ulp further out, none is.  Either way the
-        report is the per-trial loop's."""
+        """P1 moves the constant density x by B inside the margin.  With the
+        lower bound at fl(x - B), or the upper one at fl(x + B), the worst
+        violation is 0, and one ulp further in it is that ulp: the code's B
+        is the formula's, bit for bit.  P1 fails at the first band end that
+        puts the violation above P1_SLACK, and one ulp further out it passes."""
+        from entromin.certificates import P1_SLACK
+
         rho = constant_density(0.5)
         inst = make_instance("boltzmann_shannon", monomial_basis(n), rho)
         cert = build_core_certificate(inst, rho, 0.0, 1.0)
         reach = _one_bound(n, cert.clearance)
         for side, edge, out in (("lower", 0.5 - reach, -INF), ("upper", 0.5 + reach, INF)):
-            for moved, replayed in ((edge, 40), (np.nextafter(edge, out), 0)):
-                driven = dataclasses.replace(cert, **{side: float(moved)})
-                got, count = _verify_counting_replays(inst, rho, driven, 40, n)
-                _assert_replays(got, _replay_per_trial(inst, rho, driven, 40, n))
-                assert count == replayed, (side, moved)
+            def verify(end):
+                return verify_core_certificate(
+                    inst, rho, dataclasses.replace(cert, **{side: float(end)}), 40, n)
+
+            inward = np.nextafter(edge, -out)
+            assert verify(edge).worst_p1_violation == 0.0
+            assert verify(inward).worst_p1_violation == abs(inward - edge) > 0.0
+            first = edge - np.sign(out) * P1_SLACK   # the violation is |end - edge|, exactly
+            while abs(first - edge) <= P1_SLACK:
+                first = np.nextafter(first, -out)
+            while abs(np.nextafter(first, out) - edge) > P1_SLACK:
+                first = np.nextafter(first, out)
+            failing, passing = verify(first), verify(np.nextafter(first, out))
+            assert (failing.p1_passes, passing.p1_passes) == (0, 40), side
+            assert failing.worst_p1_violation == abs(first - edge) > P1_SLACK
 
     @pytest.mark.parametrize("entropy,basis,rho,band", P1_SCREENED, ids=P1_SCREENED_IDS)
-    def test_negative_clearance_replays_every_trial(self, entropy, basis, rho, band):
+    def test_negative_clearance_fails_p1(self, entropy, basis, rho, band):
         """A clearance of -2x the built one steps twice as far against each
-        eta.  The one bound is negative there and decides nothing, so every
-        trial is replayed, and the report is the per-trial loop's."""
+        eta.  r < 0 lies outside [2^-500, 2^500], so B bounds no step: x
+        moves by inf inside the margin, and P1 fails every trial with an
+        infinite worst violation.  P2 is the per-trial loop's."""
         inst = make_instance(entropy, basis, rho)
         cert = _overdriven(build_core_certificate(inst, rho, *band), -2.0)
-        got, count = _verify_counting_replays(inst, rho, cert, 40, 0)
+        got = verify_core_certificate(inst, rho, cert, trials=40, seed=0)
         _assert_replays(got, _replay_per_trial(inst, rho, cert, 40, 0))
-        assert count == 40
+        assert got.p1_passes == 0 and got.worst_p1_violation == INF
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=st.integers(0, len(P1_SCREENED) - 1), seed=st.integers(0, 2 ** 32 - 1),
+           k=st.floats(-2.0, 4.0))
+    def test_p1_covers_every_replayed_trial(self, config, seed, k):
+        """Over seeds and overdrives k in [-2, 4] on the `P1_SCREENED`
+        configs: when a trial of the per-trial loop leaves the band by more
+        than P1_SLACK, verification fails P1 in every trial, and its worst
+        violation is at least that of every trial of the loop.  P2 is the
+        loop's, and P1's report does not depend on the seed."""
+        inst, rho, cert = _screened_certificate(config)
+        driven = _overdriven(cert, k)
+        got = verify_core_certificate(inst, rho, driven, trials=24, seed=seed)
+        _assert_replays(got, _replay_per_trial(inst, rho, driven, 24, seed))
+        unseeded = verify_core_certificate(inst, rho, driven, trials=24, seed=0)
+        assert (got.p1_passes, got.worst_p1_violation) == (unseeded.p1_passes,
+                                                           unseeded.worst_p1_violation)
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_sup_bounds_the_grid_on_the_plan_configs(self, tmp_path, bench_module, seed):
@@ -1152,34 +1176,21 @@ class TestCoreCertificate:
         assert cert.directions.factor is not None
         _assert_sup_bounds_grid(cert)
 
-    @settings(max_examples=25, deadline=None)
-    @given(k=st.floats(0.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
-    def test_screen_replays_per_trial_at_any_clearance(self, k, seed):
-        """For any overdrive k and seed, deciding P1 by the one bound
-        reports the counts and worst P1 violation of the per-trial loop
-        exactly, here where the upper bound is the nearer one."""
-        rho = constant_density(0.7)
-        inst = make_instance("boltzmann_shannon", monomial_basis(4), rho)
-        cert = _overdriven(build_core_certificate(inst, rho, 0.0, 1.0), k)
-        got = verify_core_certificate(inst, rho, cert, trials=24, seed=seed)
-        _assert_replays(got, _replay_per_trial(inst, rho, cert, 24, seed))
-
-    @pytest.mark.parametrize("where", ["kept", "off"])
+    @pytest.mark.parametrize("where", ["beside", "every"])
     @pytest.mark.parametrize("entropy,basis,rho,band", P1_SCREENED, ids=P1_SCREENED_IDS)
-    def test_screen_keeps_violations_off_the_margin(self, entropy, basis, rho, band, where):
+    def test_violations_off_the_margin_fail_p1(self, entropy, basis, rho, band, where):
         """A density other than the build's that leaves the band by 0.25 off
-        the margin, where every y_k is 0: on the grid points next to the
-        margin ends alone (those of the aligned groups of 16 grid points that
-        meet the margin), or on every grid point off it.  Where the one
-        bound decides, every trial reports that violation, as the per-trial
-        loop does."""
+        the margin, where every y_k is 0 and P1 moves x by nothing: at the
+        nearest grid point beyond each margin end alone, or at every grid
+        point off it.  P1 fails every trial, at the built clearance by
+        exactly 0.25, and so does the per-trial loop."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         out = band[1] + 0.25 if np.isfinite(band[1]) else band[0] - 0.25
-        on_margin = (cert.grid >= cert.margin.lo) & (cert.grid <= cert.margin.hi)
-        groups = np.logical_or.reduceat(on_margin, np.arange(0, cert.grid.size, 16))
-        next_to = np.repeat(groups, 16)[:cert.grid.size]
-        moved = cert.grid[~on_margin & (next_to if where == "kept" else True)]
+        below, above = cert.grid[cert.grid < cert.margin.lo], cert.grid[cert.grid > cert.margin.hi]
+        moved = (np.concatenate([below, above]) if where == "every" else
+                 np.concatenate([below[below == below.max(initial=-INF)],
+                                 above[above == above.min(initial=INF)]]))
         assert moved.size > 0
 
         def leaving(s):
@@ -1187,31 +1198,34 @@ class TestCoreCertificate:
             return np.where(np.isin(s, moved), out, rho(s))
 
         for k, seed in ((1.0, 0), (2.0, 1), (3.0, 2)):
-            got, count = _verify_counting_replays(inst, leaving, _overdriven(cert, k), 40, seed)
+            got = verify_core_certificate(inst, leaving, _overdriven(cert, k), 40, seed)
             _assert_replays(got, _replay_per_trial(inst, leaving, _overdriven(cert, k), 40, seed))
             assert got.p1_passes == 0 and got.worst_p1_violation >= 0.25
             if k == 1.0:
-                assert count == 0 and got.worst_p1_violation == 0.25
+                assert got.worst_p1_violation == 0.25
 
-    def test_screen_replays_negative_zero_bit_for_bit(self):
-        """A density that is -0.0 off the margin, under a band that ends at
-        0: the replayed sum x + s @ y turns -0.0 into +0.0, so x alone would
-        report a violation of -0.0 where the per-trial loop reports +0.0.
-        No trial clears, and the sign bit is the loop's."""
-        rho = Density(lambda s: np.where(np.asarray(s) <= 0.5, -0.5, -0.0), (0.5,))
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_negative_zero_at_a_band_end_reports_no_violation(self, side):
+        """A density that is -0.0 off the margin, under a band that ends at 0
+        there: x moved by nothing stays in the band, so P1 passes every
+        trial, and the worst violation reads +0.0, the per-trial loop's,
+        not -0.0."""
+        sign, band = (-1.0, (-1.0, 0.0)) if side == "upper" else (1.0, (0.0, 1.0))
+        rho = Density(lambda s: np.where(np.asarray(s) <= 0.5, sign * 0.5, -0.0), (0.5,))
         inst = make_instance("l2_norm", monomial_basis(3), rho)
-        cert = build_core_certificate(inst, rho, -1.0, 0.0)
+        cert = build_core_certificate(inst, rho, *band)
         for seed in (0, 1):
-            got, count = _verify_counting_replays(inst, rho, cert, 10, seed)
+            got = verify_core_certificate(inst, rho, cert, 10, seed)
             replay = _replay_per_trial(inst, rho, cert, 10, seed)
             _assert_replays(got, replay)
-            assert count == 10 and got.worst_p1_violation.hex() == replay[0][3].hex()
+            assert got.p1_passes == 10
+            assert got.worst_p1_violation.hex() == replay[0][3].hex() == (0.0).hex()
 
     @pytest.mark.parametrize("seed", [1, 7])
-    def test_plan_configs_replay_no_trial(self, tmp_path, bench_module, seed):
-        """On the 8 configs of the certify-core benchmark plan the rounding
-        bound clears every trial at the built clearance, so verification
-        replays none; at 8x the clearance it replays all."""
+    def test_plan_configs_verify_p1_at_the_built_clearance(self, tmp_path, bench_module, seed):
+        """On the 8 configs of the certify-core benchmark plan x moved by B
+        stays in the band at the built clearance, so every check passes and
+        P1 reports no violation; at 8x the clearance P1 fails every trial."""
         workloads = bench_module("workloads")
         for i, op in enumerate(workloads.plan("certify-core", seed)["ops"]):
             path = tmp_path / f"{i}.ini"
@@ -1219,10 +1233,11 @@ class TestCoreCertificate:
             cfg = load_config(path)
             inst, rho = build_problem(cfg, cfg.basis)
             cert = build_core_certificate(inst, rho, *cfg.certify.band_for(inst.entropy))
-            got, count = _verify_counting_replays(inst, rho, cert, 100, op["trial_seed"])
-            assert got.all_passed and count == 0, workloads.label(op)
-            assert _verify_counting_replays(inst, rho, _overdriven(cert, 8.0), 100,
-                                            op["trial_seed"])[1] == 100, workloads.label(op)
+            got = verify_core_certificate(inst, rho, cert, 100, op["trial_seed"])
+            assert got.all_passed and got.worst_p1_violation == 0.0, workloads.label(op)
+            over = verify_core_certificate(inst, rho, _overdriven(cert, 8.0), 100,
+                                           op["trial_seed"])
+            assert over.p1_passes == 0 < over.worst_p1_violation, workloads.label(op)
 
     @pytest.mark.parametrize("entropy,basis,rho,band", [
         ("translated_boltzmann_shannon", monomial_basis(3), PULSE, (0.0, INF)),
@@ -1231,12 +1246,12 @@ class TestCoreCertificate:
         ("boltzmann_shannon", monomial_basis(1), constant_density(0.5), (0.0, 1.0)),
     ], ids=["pulse-monomial3", "pulse-piecewise4", "constant-monomial4", "constant-monomial1"])
     def test_trial_blocks_replay_one_trial_at_a_time(self, entropy, basis, rho, band):
-        """Verification reports the counts and worst P1 violation of the
-        float64 loop over one trial at a time, for any number of trials and
-        at every step scale, and P2 within rounding of its quadrature;
-        against the replay that expands each perturbation as one set of
-        coefficients the pass counts agree and the worst P1 violation to a
-        few ulps."""
+        """Verification reports the P2 counts of the float64 loop over one
+        trial at a time, for any number of trials and at every step scale,
+        and its worst P2 residual within rounding of its quadrature; P1
+        covers every trial of that loop, and, to a few ulps, every trial of
+        the replay that expands each perturbation as one set of
+        coefficients."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         for trials in (1, 7, 8, 9, 17, 100):
@@ -1258,13 +1273,16 @@ class TestCoreCertificate:
         assert stacked.tobytes() == np.array([np.linalg.norm(eta) for eta in etas]).tobytes()
 
     @pytest.mark.parametrize("trials", [1, 17, 100])
-    def test_points_and_directions_built_once_per_verification(self, monkeypatch, trials):
+    @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
+    def test_verification_never_evaluates_the_y_k(self, monkeypatch, basis, trials):
         """Verification builds no points and no design of the basis or the
-        y_k, and evaluates no y_k, for any number of trials: the build made
-        them once, and verification reads the certificate's."""
+        y_k, and evaluates no y_k, for any number of trials and at any
+        clearance: at the built one, where every check passes, at 8x, where
+        P1 fails, and at -2x, where B bounds no step.  The build made them
+        once, and verification reads the certificate's."""
         from entromin import certificates
 
-        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
+        inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         calls = []
         for owner, name in ((certificates, "refine_rule"), (MomentBasis, "__call__"),
@@ -1272,8 +1290,10 @@ class TestCoreCertificate:
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name:
                                 calls.append(_n) or _f(*args))
-        verify_core_certificate(inst, PULSE, cert, trials=trials, seed=0)
+        reports = [verify_core_certificate(inst, PULSE, _overdriven(cert, k), trials=trials,
+                                           seed=0) for k in (1.0, 8.0, -2.0)]
         assert calls == []
+        assert [report.p1_passes for report in reports] == [trials, 0, 0]
 
     @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
     def test_verification_builds_no_rule_and_samples_x_once(self, monkeypatch, basis):
@@ -1433,22 +1453,6 @@ class TestCoreCertificate:
                 verify_core_certificate(inst, PULSE, cert, **{"trials": 3, **kw})
         assert verify_core_certificate(inst, PULSE, cert, trials=3.0, seed=2.0).trials == 3
 
-    def test_direction_functions_evaluated_once_per_point_set(self, monkeypatch):
-        """Verification evaluates no y_k, for any number of trials: the build
-        evaluated them once on the grid columns that meet the margin."""
-        inst = make_instance("translated_boltzmann_shannon",
-                             piecewise_flat_basis(4, 0.5), PULSE)
-        cert = build_core_certificate(inst, PULSE, 0.0, INF)
-        calls = []
-        monkeypatch.setattr(DirectionFunctions, "__call__", lambda *args,
-                            _f=DirectionFunctions.__call__: calls.append(1) or _f(*args))
-        counts = []
-        for trials in (3, 30):
-            calls.clear()
-            verify_core_certificate(inst, PULSE, cert, trials=trials, seed=0)
-            counts.append(len(calls))
-        assert counts == [0, 0]
-
     @pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("basis", [
         piecewise_flat_basis(2, 0.5), piecewise_flat_basis(4, 0.5), piecewise_flat_basis(6, 0.5),
@@ -1459,36 +1463,18 @@ class TestCoreCertificate:
         ("boltzmann_shannon", constant_density(0.5), (0.0, 1.0)),
     ], ids=["pulse", "constant"])
     def test_combination_matches_direct_replay(self, entropy, rho, band, basis, k):
-        """Combining the y_k evaluated once gives the pass counts of a
-        per-trial evaluation of each perturbation's own coefficients, its
-        worst P1 violation to a few ulps of the clearance (the bound on the
-        perturbation) and its worst P2 residual within the quadrature's
-        rounding bound.  At n=2 an overdriven step leaves the band in some
-        trials, so P1 counts are compared too."""
+        """Against a per-trial evaluation of each perturbation's own
+        coefficients, verification gives its P2 counts, its worst P2
+        residual within the quadrature's rounding bound, and a worst P1
+        violation no smaller than its worst trial's, less a few ulps of the
+        clearance (the bound on the perturbation); over-driven steps leave
+        the band in some trials, and then P1 fails every trial."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         driven = _overdriven(cert, k)
         expected = _replay_rebuilding_designs(inst, rho, driven, trials=40, seed=9)
         got = verify_core_certificate(inst, rho, driven, trials=40, seed=9)
         _assert_replays(got, expected, p1_tol=4 * np.finfo(float).eps * max(1.0, cert.clearance))
-
-    @pytest.mark.parametrize("trials", [1, 17, 100])
-    def test_replay_evaluates_directions_once_per_call(self, monkeypatch, trials):
-        """At the built clearance every trial clears and verification
-        evaluates no y_k; at 8x the clearance trials leave the band, and it
-        evaluates the y_k on the grid once per call, not once per trial."""
-        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
-        cert = build_core_certificate(inst, PULSE, 0.0, INF)
-        calls = []
-        monkeypatch.setattr(DirectionFunctions, "__call__", lambda *args,
-                            _f=DirectionFunctions.__call__: calls.append(1) or _f(*args))
-        counts = []
-        for k in (1.0, 8.0):
-            calls.clear()
-            report = verify_core_certificate(inst, PULSE, _overdriven(cert, k), trials=trials,
-                                             seed=0)
-            counts.append(len(calls))
-        assert counts == [0, 1] and report.worst_p1_violation > 0.0
 
     def test_overdriven_step_breaks_band_on_tight_margin(self):
         """Doubling t past the certified rule must leave the band when the
@@ -1670,9 +1656,10 @@ class TestQriCertificate:
 
     def test_witness_clears_the_end_of_a_bounded_domain(self):
         """Fermi-Dirac, constant 0.9, margin left of the split: levels 3..9 clip
-        x down and their correction, carried by half the interval, lifts the
-        witness above 1, out of dom f, so they are lost; m = 10 clips nothing,
-        and eps is the witness's clearance below 1, not above 0."""
+        x down, and their correction, carried by half the interval, reaches
+        delta/2 = 0.05, half the density's clearance below 1, so the scan
+        passes over them; m = 10 clips nothing, and eps is the witness's
+        clearance below 1, not above 0."""
         rho = constant_density(0.9)
         inst = make_instance("fermi_dirac", monomial_basis(3), rho)
         cert = build_qri_certificate(inst, rho, 0.0, 1.0)

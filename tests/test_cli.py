@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -288,8 +289,8 @@ class TestCertify:
     @pytest.mark.parametrize("entropy,message", [
         ("boltzmann_shannon", "[moment match]: the witness accepted at m=3 misses the target "
                               "moments by 3.822e-08 > 1e-08"),
-        ("fermi_dirac", "[witness acceptance]: no acceptable witness up to m=100 (need "
-                        "sup|v| < 5.000e-01 with positive lower clearance and clearance "
+        ("fermi_dirac", "[witness acceptance]: no acceptable witness up to m=50000 (need "
+                        "sup|v| < 5.000e-11 with positive lower clearance and clearance "
                         "below 1.0)"),
     ], ids=["bs-moment-match", "fd-witness-leaves-domain"])
     def test_qri_witness_missing_the_moments_exits_3(self, tmp_path, capsys, entropy, message):
@@ -297,17 +298,20 @@ class TestCertify:
         with a coarse rule: under Boltzmann-Shannon the witness accepted at
         m = 3 misses the target moments by 3.8e-8 on the margin rule, more
         than P2_TOL, so the build fails by name and writes no certificate.
-        Under Fermi-Dirac every witness with a small enough correction
-        leaves dom f = [0, 1] above, so none is accepted (m_max = 100: each
-        such level builds its witness)."""
+        Under Fermi-Dirac the density clears dom f = [0, 1] by 1e-10 below
+        its upper end, so delta/2 is 5e-11 and no correction up to the
+        default budget is that small: the scan solves for no level and
+        fails within a second."""
         s = np.linspace(0.0, 1.0, 401)
         np.savetxt(tmp_path / "basis.txt", np.column_stack([s] + [s ** k for k in range(3)]))
         ini = tmp_path / "run.ini"
         ini.write_text(f"[problem]\nentropy = {entropy}\n"
                        f"[basis]\nkind = tabulated\nn = 3\nfile = {tmp_path / 'basis.txt'}\n"
-                       f"[rho]\nkind = constant\nc = 0.9999999999\n[certify]\nm_max = 100\n"
+                       f"[rho]\nkind = constant\nc = 0.9999999999\n"
                        f"[quad]\norder = 8\npanels = 8\n[output]\ndir = {tmp_path / 'out'}\n")
+        start = time.perf_counter()
         assert main(["certify", "--config", str(ini), "--type", "qri"]) == 3
+        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith(f"certify: failed hypothesis {message}"), err
         assert not (tmp_path / "out" / "certificate.json").exists()
@@ -330,14 +334,16 @@ class TestCertify:
             assert not (tmp_path / "out").exists()
 
     def test_qri_fermi_dirac_clearance_counts_the_domain_end(self, tmp_path):
-        """Fermi-Dirac, constant 0.9: the witness accepted at m = 3 clears 0 by
-        0.667 and 1 by 0.0986, and eps is the smaller, below 1."""
+        """Fermi-Dirac, constant 0.9: delta counts the density's clearance
+        below 1, so levels 3-6, whose corrections reach delta/2 = 0.05, are
+        passed over; the witness accepted at m = 7 clears 1 by 0.0997, less
+        than it clears 0, and eps is that clearance below 1."""
         cfg = write_cert_config(tmp_path, entropy="fermi_dirac", kind="monomial", n=3,
                                 extra_basis="", rho_kind="constant", c="0.9", certify="")
         assert main(["certify", "--config", str(cfg), "--type", "qri"]) == 0
         payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
-        assert payload["m"] == 3
-        assert payload["eps"] == payload["upper_clearance"] == pytest.approx(0.0986, abs=1e-4)
+        assert payload["m"] == 7
+        assert payload["eps"] == payload["upper_clearance"] == pytest.approx(0.0997, abs=1e-4)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_core_without_trials_exits_1(self, tmp_path, trials):
