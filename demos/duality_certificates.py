@@ -47,7 +47,7 @@ print(f"admissible step for a unit direction: t = {cert.t_unit:.4e}")
 report = verify_core_certificate(instance, pulse, cert, trials=100, seed=0)
 print(f"verification: {report.p1_passes}/100 stayed in band, "
       f"{report.p2_passes}/100 hit the shifted moments "
-      f"(worst residual {report.worst_p2_residual:.2e})")
+      f"(every residual at most {report.worst_p2_residual:.2e})")
 
 left = linearly_independent_on(instance.basis, rule, (0.0, 0.5))
 right = linearly_independent_on(instance.basis, rule, (0.5, 1.0))

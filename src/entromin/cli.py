@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (solve, compare):
         p.add_argument("--trace", action="store_true", help="write the iteration trace CSV")
     certify.add_argument("--type", choices=("core", "qri"), required=True)
-    certify.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
+    certify.add_argument("--seed", type=int, default=None, help="certify.seed (>= 0), checked; drives nothing")
     return parser
 
 

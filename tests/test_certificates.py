@@ -57,6 +57,16 @@ def _overdriven(cert, k):
     return dataclasses.replace(cert, clearance=k * cert.clearance)
 
 
+def _skewed(cert, skew):
+    """`cert` with y_k + sum_j skew_kj y_j in place of each y_k: its inner
+    products are (I + skew) D, and |I + skew| @ sup_unit bounds the new y_k."""
+    mix = np.eye(len(cert.sup_unit)) + skew
+    coeffs = mix @ cert.directions.coeffs
+    return dataclasses.replace(cert, directions=dataclasses.replace(cert.directions, coeffs=coeffs),
+                               inner_products=mix @ cert.inner_products,
+                               sup_unit=np.abs(mix) @ cert.sup_unit)
+
+
 def _phi_at(directions, s):
     """The phi_j the y_k expand over, at the points s, shape (n, len(s))."""
     from entromin.certificates import _phi
@@ -108,19 +118,22 @@ def _replay(instance, x, cert, steps, p1_violations):
 
 
 def _assert_replays(got, replay, p1_tol=0.0):
-    """Verification against a replay: the trial and P2 counts exactly, the
-    worst P2 residual within the replay's rounding bound.  P1 passes in
-    every trial or in none, by its worst violation against P1_SLACK; that
-    violation is at least the replay's worst trial's (less `p1_tol`), and a
-    trial the replay fails fails every trial."""
-    from entromin.certificates import P1_SLACK
+    """Verification against a replay: the trial count exactly.  P1 and P2
+    each pass in every trial or in none, by the worst violation against
+    P1_SLACK and the worst residual against P2_TOL.  That violation is at
+    least the replay's worst trial's (less `p1_tol`), that residual at least
+    the replay's worst less its rounding bound, and a trial the replay fails
+    fails every trial."""
+    from entromin.certificates import P1_SLACK, P2_TOL
 
     (trials, p1, p2, worst_p1, worst_p2), bound = replay
-    assert (got.trials, got.p2_passes) == (trials, p2)
+    assert got.trials == trials
     assert got.p1_passes == (trials if got.worst_p1_violation <= P1_SLACK else 0)
+    assert got.p2_passes == (trials if got.worst_p2_residual <= P2_TOL else 0)
     assert got.worst_p1_violation >= worst_p1 - p1_tol
+    assert got.worst_p2_residual >= worst_p2 - bound
     assert p1 == trials or got.p1_passes == 0
-    assert abs(got.worst_p2_residual - worst_p2) <= bound
+    assert p2 == trials or got.p2_passes == 0
 
 
 def _replay_rebuilding_designs(instance, x, cert, trials, seed):
@@ -1002,11 +1015,10 @@ class TestCoreCertificate:
         ("boltzmann_shannon", monomial_basis(1), constant_density(0.5), (0.0, 1.0), 2.0),
     ], ids=["pulse-piecewise4", "constant-monomial4", "overdriven-control"])
     def test_designs_built_once_replay_exactly(self, entropy, basis, rho, band, k):
-        """Verification with its designs built once reports exactly the P2
-        counts of a replay rebuilding the design on every trial, and its
-        linear P2 residual within rounding of that replay's per-trial
-        quadrature.  P1 covers every trial of that replay, and over-driven
-        it fails them all."""
+        """Verification, reading the designs the build made, covers every
+        trial of a replay rebuilding the design on every trial: P1, and P2
+        to the rounding bound of that replay's per-trial quadrature.
+        Over-driven, P1 fails every trial."""
         inst = make_instance(entropy, basis, rho)
         cert = _overdriven(build_core_certificate(inst, rho, *band), k)
         expected = _replay_rebuilding_designs(inst, rho, cert, trials=40, seed=9)
@@ -1025,11 +1037,9 @@ class TestCoreCertificate:
         ("boltzmann_shannon", constant_density(0.5), (0.0, 1.0)),
     ], ids=["pulse", "constant"])
     def test_stacked_directions_replay_per_trial_loop(self, entropy, rho, band, basis):
-        """Drawing every direction in one call and taking the step rule on
-        the stack reports the P2 counts of the per-trial loop exactly, and
-        its worst P2 residual within rounding of its quadrature; P1 covers
-        every trial of the loop, at clearance 0 (where B bounds nothing and
-        P1 fails) too."""
+        """P1 and P2 cover every trial of the per-trial loop, which draws
+        one direction at a time, P2 to the rounding bound of its quadrature,
+        at clearance 0 too, where B and W bound nothing and both fail."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         for seed, k in zip((0, 1, 2), (0.0, 1.0, 2.0)):
@@ -1041,7 +1051,7 @@ class TestCoreCertificate:
     def test_margin_columns_replay_full_grid(self):
         """A pulse split at 0.4571, where 1074 grid columns meet the margin,
         over-driven 8x: P1 fails every trial, by at least the per-trial
-        loop's worst trial, and P2 is the loop's."""
+        loop's worst trial, and P2 covers the loop's."""
         rho = pulse_density(0.4571)
         inst = instance_from_density(builtin_entropy("translated_boltzmann_shannon"),
                                      monomial_basis(6), build_rule((0.0, 1.0), (0.4571,)), rho)
@@ -1074,7 +1084,7 @@ class TestCoreCertificate:
         """B, taken from the step rule alone, is at least each trial's own
         rounding bound (1+gamma)^2 (|s| @ sup_unit) + tiny in float64, for n
         in 1..12 and a clearance and sup_unit_k anywhere over 300 decades:
-        on 64 seeded directions, as verification draws them, and on 64 with
+        on 64 seeded directions, as the per-trial loop draws them, and on 64 with
         every |eta_k| sup_unit_k equal, where |s| @ sup_unit is largest."""
         from entromin.certificates import CoreCertificate
 
@@ -1125,12 +1135,15 @@ class TestCoreCertificate:
         """A clearance of -2x the built one steps twice as far against each
         eta.  r < 0 lies outside [2^-500, 2^500], so B bounds no step: x
         moves by inf inside the margin, and P1 fails every trial with an
-        infinite worst violation.  P2 is the per-trial loop's."""
+        infinite worst violation, and W bounds no residual: P2 fails every
+        trial with an infinite worst residual.  Both cover the per-trial
+        loop."""
         inst = make_instance(entropy, basis, rho)
         cert = _overdriven(build_core_certificate(inst, rho, *band), -2.0)
         got = verify_core_certificate(inst, rho, cert, trials=40, seed=0)
         _assert_replays(got, _replay_per_trial(inst, rho, cert, 40, 0))
         assert got.p1_passes == 0 and got.worst_p1_violation == INF
+        assert got.p2_passes == 0 and got.worst_p2_residual == INF
 
     @settings(max_examples=200, deadline=None)
     @given(config=st.integers(0, len(P1_SCREENED) - 1), seed=st.integers(0, 2 ** 32 - 1),
@@ -1139,7 +1152,7 @@ class TestCoreCertificate:
         """Over seeds and overdrives k in [-2, 4] on the `P1_SCREENED`
         configs: when a trial of the per-trial loop leaves the band by more
         than P1_SLACK, verification fails P1 in every trial, and its worst
-        violation is at least that of every trial of the loop.  P2 is the
+        violation is at least that of every trial of the loop.  P2 covers the
         loop's, and P1's report does not depend on the seed."""
         inst, rho, cert = _screened_certificate(config)
         driven = _overdriven(cert, k)
@@ -1148,6 +1161,63 @@ class TestCoreCertificate:
         unseeded = verify_core_certificate(inst, rho, driven, trials=24, seed=0)
         assert (got.p1_passes, got.worst_p1_violation) == (unseeded.p1_passes,
                                                            unseeded.worst_p1_violation)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=st.integers(0, len(P1_SCREENED) - 1), seed=st.integers(0, 2 ** 32 - 1),
+           k=st.floats(-2.0, 4.0), scale=st.floats(-12.0, 0.0),
+           skew=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16))
+    def test_p2_covers_every_replayed_trial(self, config, seed, k, scale, skew):
+        """Over seeds, overdrives k in [-2, 4] and skews of `inner_products`
+        on the `P1_SCREENED` configs: the worst P2 residual is at least every
+        trial's of the per-trial loop, less the loop's rounding bound, and
+        when a trial of the loop misses P2_TOL, P2 fails every trial.  The
+        skew, 10^scale times entries in [-1, 1], is made in the y_k
+        (`_skewed`), so the loop's quadrature integrates what D claims.  The
+        report does not depend on the seed."""
+        inst, rho, cert = _screened_certificate(config)
+        n = inst.n
+        driven = _overdriven(_skewed(cert, 10.0 ** scale * np.reshape(skew[:n * n], (n, n))), k)
+        got = verify_core_certificate(inst, rho, driven, trials=24, seed=seed)
+        _assert_replays(got, _replay_per_trial(inst, rho, driven, 24, seed))
+        assert got == verify_core_certificate(inst, rho, driven, trials=24, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_p2_bound_decides_at_its_threshold(self, n):
+        """P2 fails or passes by W = max_j (|e_j| + sum_k |D - I|_kj r /
+        (n sup_unit_k)) (1 + (n+8) eps) + tiny against P2_TOL.  With D
+        skewed by d in its top right entry, bisection over the floats d
+        finds the last d whose W is within P2_TOL: there verification reports
+        that W bit for bit and passes P2 in every trial, and one ulp of d
+        further it reports that W, above P2_TOL, and fails every trial."""
+        from entromin.certificates import P2_TOL, SAFETY_FACTOR
+
+        rho = constant_density(0.5)
+        inst = make_instance("boltzmann_shannon", monomial_basis(n), rho)
+        cert = build_core_certificate(inst, rho, 0.0, 1.0)
+        rule, fi = cert.directions.rule, np.finfo(float)
+        target = (cert.directions.basis_design @ (rule.weights * rho(rule.nodes))
+                  - inst.target_moments)
+
+        def skewed(d):
+            skew = np.zeros((n, n))
+            skew[0, -1] = d
+            return dataclasses.replace(cert, inner_products=cert.inner_products + skew)
+
+        def bound(d):
+            defect = skewed(d).inner_products - np.eye(n)
+            rate = SAFETY_FACTOR * cert.clearance
+            worst = np.max(np.abs(target) + (rate / (n * cert.sup_unit)) @ np.abs(defect))
+            return float(worst * (1.0 + (n + 8) * fi.eps) + fi.tiny)
+
+        lo, hi = np.float64(0.0).view(np.int64), np.float64(1.0).view(np.int64)
+        assert bound(lo.view(np.float64)) <= P2_TOL < bound(hi.view(np.float64))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if bound(mid.view(np.float64)) <= P2_TOL else (lo, mid)
+        for d, passes in ((lo.view(np.float64), 40), (hi.view(np.float64), 0)):
+            got = verify_core_certificate(inst, rho, skewed(d), 40, n)
+            assert got.worst_p2_residual.hex() == bound(d).hex()
+            assert got.p2_passes == passes and (got.worst_p2_residual <= P2_TOL) == (passes > 0)
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_sup_bounds_the_grid_on_the_plan_configs(self, tmp_path, bench_module, seed):
@@ -1221,6 +1291,24 @@ class TestCoreCertificate:
             assert got.p1_passes == 10
             assert got.worst_p1_violation.hex() == replay[0][3].hex() == (0.0).hex()
 
+    def test_infinite_density_on_the_grid_fails_p1(self):
+        """A density other than the build's that is +inf at three uniform
+        grid points past 0.9, none of them a node, under the band [0, inf):
+        there x + reach - upper is inf - inf, which leaves the upper side
+        undecided, but x is not finite, so P1 fails every trial by inf, as
+        the build's band check fails it."""
+        from entromin.certificates import MEMBERSHIP_SAMPLES
+
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        uniform = cert.grid[:MEMBERSHIP_SAMPLES + 2]
+        points = uniform[(uniform > 0.9) & ~np.isin(uniform, cert.directions.rule.nodes)][:3]
+        assert points.size == 3
+        x = Density(lambda s: np.where(np.isin(np.asarray(s), points), INF, PULSE(s)))
+        got = verify_core_certificate(inst, x, cert, trials=10, seed=0)
+        assert (got.p1_passes, got.worst_p1_violation) == (0, INF)
+        assert got.p2_passes == 10 and not got.all_passed
+
     @pytest.mark.parametrize("seed", [1, 7])
     def test_plan_configs_verify_p1_at_the_built_clearance(self, tmp_path, bench_module, seed):
         """On the 8 configs of the certify-core benchmark plan x moved by B
@@ -1246,12 +1334,10 @@ class TestCoreCertificate:
         ("boltzmann_shannon", monomial_basis(1), constant_density(0.5), (0.0, 1.0)),
     ], ids=["pulse-monomial3", "pulse-piecewise4", "constant-monomial4", "constant-monomial1"])
     def test_trial_blocks_replay_one_trial_at_a_time(self, entropy, basis, rho, band):
-        """Verification reports the P2 counts of the float64 loop over one
-        trial at a time, for any number of trials and at every step scale,
-        and its worst P2 residual within rounding of its quadrature; P1
-        covers every trial of that loop, and, to a few ulps, every trial of
-        the replay that expands each perturbation as one set of
-        coefficients."""
+        """P1 and P2 cover every trial of the float64 loop over one trial at
+        a time, P2 to the rounding bound of its quadrature, for any number of
+        trials and at every step scale; so does P1, to a few ulps, for the
+        replay that expands each perturbation as one set of coefficients."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         for trials in (1, 7, 8, 9, 17, 100):
@@ -1265,7 +1351,8 @@ class TestCoreCertificate:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16, 33])
     def test_stacked_norm_equals_linalg_norm(self, n):
-        """The direction norms as one stacked matmul, one dot per row, are
+        """The direction norms as one stacked matmul, one dot per row, as
+        `test_one_bound_covers_every_trials_bound` takes them, are
         np.linalg.norm's bit for bit, over a wide range of magnitudes."""
         etas = np.random.default_rng(n).standard_normal((100, n))
         etas *= np.logspace(-150, 150, 100)[:, None]
@@ -1464,11 +1551,11 @@ class TestCoreCertificate:
     ], ids=["pulse", "constant"])
     def test_combination_matches_direct_replay(self, entropy, rho, band, basis, k):
         """Against a per-trial evaluation of each perturbation's own
-        coefficients, verification gives its P2 counts, its worst P2
-        residual within the quadrature's rounding bound, and a worst P1
-        violation no smaller than its worst trial's, less a few ulps of the
-        clearance (the bound on the perturbation); over-driven steps leave
-        the band in some trials, and then P1 fails every trial."""
+        coefficients, verification's worst P2 residual covers its trials',
+        to the quadrature's rounding bound, and its worst P1 violation is no
+        smaller than its worst trial's, less a few ulps of the clearance
+        (the bound on the perturbation); over-driven steps leave the band in
+        some trials, and then P1 fails every trial."""
         inst = make_instance(entropy, basis, rho)
         cert = build_core_certificate(inst, rho, *band)
         driven = _overdriven(cert, k)
@@ -1512,9 +1599,10 @@ class TestCoreCertificate:
 
     def test_corrupted_direction_fails_as_direction_functions(self, monkeypatch):
         """Negative control: y_1 + 1e-6 y_2 in place of y_1 on the README
-        family has <y_1, a_2> = 1e-6.  The per-trial P2 residual scales it by
-        t, about 7e-7, so every trial passes P2; the orthogonality defect,
-        taken at unit size, fails as "direction functions"."""
+        family has <y_1, a_2> = 1e-6.  P2's bound scales it by the largest
+        admissible |s_1|, about 2.3e-3, to 2.3e-9, so every trial passes P2;
+        the orthogonality defect, taken at unit size, fails as "direction
+        functions"."""
         from entromin import certificates
 
         build = certificates.build_direction_functions

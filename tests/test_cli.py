@@ -1061,6 +1061,22 @@ def test_readme_config_certifies_qri_at_the_default_budget(tmp_path, capsys):
     assert json.loads((out / "certificate.json").read_text())["m"] == 44103
 
 
+def test_readme_config_certify_core_imports_no_numpy_random(tmp_path):
+    """Core verification decides P1 and P2 for every admissible step and
+    samples none: `certify --type core` on the README config, in a fresh
+    interpreter, verifies without importing numpy.random."""
+    path = tmp_path / "schema.ini"
+    path.write_text(_readme_block("### Config schema", "ini"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from entromin import cli; "
+         "code = cli.main(sys.argv[1:]); print(code, 'numpy.random' in sys.modules)",
+         "certify", "--config", str(path), "--type", "core", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(entromin.__file__).resolve().parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_readme_config_schema_commented_keys_load(tmp_path):
     """Each optional key the README shows commented out is one load_config
     reads, too."""
