@@ -44,7 +44,9 @@ All membership checks are sample-based, so a certificate is strong numerical
 evidence, not an almost-everywhere proof; solver output labels it as such.
 x is sampled on lattices of one size, MEMBERSHIP_SAMPLES: the scan's, per
 segment, which set the margin's range, and the membership grid
-(`_membership_grid`), where the band is checked and that range widened.
+(`_membership_grid`), where the band is checked and that range widened.  In
+the margin that grid is the margin grid: MEMBERSHIP_SAMPLES samples of it,
+then the margin rule's nodes in it.
 
 Numerical note: every margin integral (independence, the y_k, core
 verification, the qri scan) is taken on one rule, the instance rule refined
@@ -62,16 +64,16 @@ whose M is conditioned like the weighted a_k, not like their Gram matrix.
 Legendre's own M decides whether it reproduces the a_k, and is then inverted.
 The y_k carry the two designs M takes, each evaluated once: the basis at the
 margin rule's nodes (`basis_design`), for every margin integral, and the
-phi_j on the margin grid (`margin_design`), for core's sup bound and
-<y_k, a_j> and the qri scan's sup |v|.  Elsewhere the y_k, or any expansion over the phi_j, are
-evaluated by calling the `DirectionFunctions`: on the membership grid, for
-core's sup bound on it and the qri witness.  Core's sup bound covers both
-grids, so the step rule keeps |s @ y| below 0.99 times the clearance at
-every point P1 checks, for every direction: P1 checks x moved by one float64
-bound on that sum, and verification evaluates no y_k.  The qri scan solves
-for the clip levels it must evaluate instead of visiting each (see
-`_candidate_levels`), and an accepted witness must match the target moments
-to P2_TOL.
+phi_j on the margin grid (`margin_design`), for every value of an expansion
+over the phi_j that a build reads: core's sup bound and <y_k, a_j>, and the
+qri scan's sup |v| and witness.  Calling the `DirectionFunctions` evaluates
+them at any other points (the qri witness as a function).  The y_k are zero
+off the margin, so core's sup bound holds at every point P1 checks, and the
+step rule keeps |s @ y| below 0.99 times the clearance there for every
+direction: P1 checks x moved by one float64 bound on that sum, and
+verification evaluates no y_k.  The qri scan solves for the clip levels it
+must evaluate instead of visiting each (see `_candidate_levels`), and an
+accepted witness must match the target moments to P2_TOL.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ import numpy as np
 from .entropies import EntropySpec
 from .errors import CertificateError, ValidationError
 from .moments import MomentBasis, ProblemInstance, _hold_read_only, linearly_independent_on
-from .quadrature import QuadratureRule, nodes_in, refine_rule, uniform_grid
+from .quadrature import QuadratureRule, refine_rule, uniform_grid
 
 __all__ = [
     "MarginInterval",
@@ -95,7 +97,6 @@ __all__ = [
     "CertificateVerification",
     "find_margin_interval",
     "build_direction_functions",
-    "direction_inner_products",
     "build_core_certificate",
     "verify_core_certificate",
     "build_qri_certificate",
@@ -104,7 +105,6 @@ __all__ = [
 MEMBERSHIP_SAMPLES = 2001       # per scan segment and margin grid; + 2 on the membership grid
 SAFETY_FACTOR = 0.99            # strictness slack in the step rule
 P2_TOL = 1e-8
-P1_SLACK = 1e-12
 DEFAULT_TRIALS = 100            # core verification: the count its reports are sized by
 DEFAULT_SEED = 0                # validated, and drives nothing
 DEFAULT_M_MAX = 50000           # clip-level budget: the README config needs m = 44103
@@ -141,9 +141,16 @@ def _in_band(values, lower: float, upper: float) -> bool:
     return bool(np.all(np.isfinite(values) & (values >= lower) & (values <= upper)))
 
 
-def _membership_grid(rule: QuadratureRule) -> np.ndarray:
-    """MEMBERSHIP_SAMPLES + 2 uniform samples of the rule's interval, then its nodes."""
-    return np.concatenate([uniform_grid(*rule.interval, MEMBERSHIP_SAMPLES + 2), rule.nodes])
+def _membership_grid(rule: QuadratureRule, margin: Optional[MarginInterval] = None) -> np.ndarray:
+    """MEMBERSHIP_SAMPLES + 2 uniform samples of the rule's interval, then its
+    nodes.  Given a margin, its samples in [lo, hi] give way to the margin
+    grid's MEMBERSHIP_SAMPLES, so the points in [lo, hi] are the margin grid."""
+    grid = uniform_grid(*rule.interval, MEMBERSHIP_SAMPLES + 2)
+    if margin is not None:
+        grid = np.concatenate([grid[grid < margin.lo],
+                               uniform_grid(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
+                               grid[grid > margin.hi]])
+    return np.concatenate([grid, rule.nodes])
 
 
 def _longest_run(mask: np.ndarray):
@@ -245,9 +252,10 @@ class DirectionFunctions:
     direction's, which a direction eta scales row by row (module note).
 
     Row k of `coeffs` expands y_k over the phi_j of `_phi`; the y_k are zero
-    outside [margin.lo, margin.hi], and calling the instance evaluates them.
-    `rule` is the margin rule, whose nodes in the margin carry every margin
-    integral, from the a_k at its nodes (`basis_design`).
+    outside [margin.lo, margin.hi].  `rule` is the margin rule, whose nodes
+    in the margin carry every margin integral, from the a_k at its nodes
+    (`basis_design`).  The builders read the y_k on the margin grid, as
+    `coeffs @ margin_design`; calling the instance evaluates them elsewhere.
     """
 
     margin: MarginInterval
@@ -293,7 +301,7 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
     rule = refine_rule(rule, margin.lo, margin.hi)   # the prelude's rule comes back as it is
     design = basis(rule.nodes)
     inside = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
-    nodes, weights = rule.nodes[inside], rule.weights[inside]
+    weights = rule.weights[inside]
     values = design.compress(inside, axis=1)   # C order, as the Gram's and M's bits need
     report = linearly_independent_on(basis, rule, (margin.lo, margin.hi), values)
     if not report.independent:
@@ -304,12 +312,13 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
             f"reduce the family or choose a different interval",
             hypothesis="linear independence",
         )
-    grid = np.concatenate([uniform_grid(margin.lo, margin.hi, MEMBERSHIP_SAMPLES), nodes])
+    grid = _membership_grid(rule, margin)
+    grid = grid[(grid >= margin.lo) & (grid <= margin.hi)]   # the margin grid, nodes last
     on_grid, factor = _phi(margin, basis, None, grid), None  # Legendre, kept if it fits the a_k
     phi = on_grid[:, MEMBERSHIP_SAMPLES:].copy()   # C order, as M's bits need
     m = (phi * weights) @ values.T   # M_ji = <phi_j, a_i>
     misfit = (np.linalg.norm(values - np.linalg.solve((phi * weights) @ phi.T, m).T @ phi, axis=1)
-              if nodes.size > basis.n else np.inf)   # a_k less its projection on the phi_j
+              if weights.size > basis.n else np.inf)   # a_k less its projection on the phi_j
     if np.any(misfit > LEGENDRE_FIT_TOL * np.linalg.norm(values, axis=1)):
         factor = np.linalg.qr((values * np.sqrt(weights)).T, mode="r")
         on_grid = _phi(margin, basis, factor, grid)
@@ -317,12 +326,6 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
         m = (phi * weights) @ values.T
     coeffs = np.linalg.inv(m)
     return DirectionFunctions(margin, basis, coeffs, factor, rule, design, on_grid)
-
-
-def direction_inner_products(directions: DirectionFunctions) -> np.ndarray:
-    """The matrix <y_k, a_j>, integrated on the margin nodes of its rule."""
-    nodes, weights = nodes_in(directions.rule, directions.margin.lo, directions.margin.hi)
-    return (directions(nodes) * weights) @ directions.basis(nodes).T
 
 
 @dataclass(frozen=True)
@@ -334,16 +337,17 @@ class CoreCertificate:
     admissible step for any direction, and `t_unit` follows from `clearance`
     as they do.  `grid` is the membership grid, ending with the nodes of
     `directions.rule`, where the build confirmed the margin and verification
-    checks P1.  `inner_products` is <y_k, a_j> (row k) on that rule's margin
-    nodes.  `sup_unit` bounds |y_k| on the margin grid and on the grid points
-    inside the margin (the y_k are zero on the others), so at every point P1
-    checks.  `margin` and `delta` are read from `directions` and
+    checks P1; its points in the margin are the margin grid.
+    `inner_products` is <y_k, a_j> (row k) on that rule's margin nodes.
+    `sup_unit` bounds |y_k| on the margin grid, where the y_k were sampled,
+    and the y_k are zero on the other grid points, so it bounds them at every
+    point P1 checks.  `margin` and `delta` are read from `directions` and
     `sup_unit`, so each value is stored once.  The certificate is frozen and
     holds its arrays, and those of its `directions`, read-only.
     """
 
     directions: DirectionFunctions
-    sup_unit: np.ndarray            # per-k sup |y_k| for the unit direction, on both grids
+    sup_unit: np.ndarray            # per-k sup |y_k| for the unit direction, on the margin grid
     lower: float
     upper: float
     clearance: float
@@ -367,18 +371,15 @@ class CoreCertificate:
         """The step for a direction at the sup bound (delta_for == delta)."""
         return SAFETY_FACTOR * self.clearance / (len(self.sup_unit) * self.delta)
 
-    def delta_for(self, eta):
-        """Sup bound for a direction, or one per row of a stack of them."""
-        eta = np.asarray(eta, dtype=float)
-        return np.max(np.abs(eta) * self.sup_unit, axis=-1)[()]
+    def delta_for(self, eta) -> float:
+        """Sup bound for the direction eta."""
+        return float(np.max(np.abs(np.asarray(eta, dtype=float)) * self.sup_unit))
 
-    def t_for(self, eta):
+    def t_for(self, eta) -> float:
         """Step length keeping x + t * sum y_k strictly inside the band
-        (0 for a zero direction), or one per row of a stack of directions."""
+        (0 for a zero direction)."""
         bound = self.delta_for(eta)
-        with np.errstate(divide="ignore"):
-            t = SAFETY_FACTOR * self.clearance / (len(self.sup_unit) * bound)
-        return np.where(bound == 0.0, 0.0, t)[()]
+        return SAFETY_FACTOR * self.clearance / (len(self.sup_unit) * bound) if bound else 0.0
 
 
 @dataclass(frozen=True)
@@ -428,8 +429,8 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
        instance rule, and again on that grid once step 2 has refined its
        rule; a one-sided one needs it finite there.
     2. The scan's margin interval on the instance rule, its range widened by
-       the density on the membership grid inside it, and the margin rule: the
-       instance rule refined at its ends.
+       the density on the margin grid, and the margin rule: the instance rule
+       refined at its ends.
     3. The unit-direction y_k on it, the only independence check.
     4. Its range strictly inside the band (above `lower` when `one_sided`).
 
@@ -446,7 +447,7 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
         raise outside
     margin = find_margin_interval(x, lower, upper, rule, min_width, one_sided)
     rule = refine_rule(rule, margin.lo, margin.hi)
-    grid = _membership_grid(rule)
+    grid = _membership_grid(rule, margin)
     x_grid = np.asarray(x(grid), dtype=float)
     if not _in_band(x_grid, *((-np.inf, np.inf) if one_sided else (lower, upper))):
         raise outside
@@ -464,11 +465,6 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     return directions, grid, x_grid
 
 
-def _margin_sup(coeffs, margin_design):
-    """sup |v| on the margin grid of each expansion v in `coeffs`."""
-    return np.max(np.abs(coeffs @ margin_design), axis=-1)
-
-
 def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: float,
                            min_width: Optional[float] = None) -> CoreCertificate:
     """Assemble the core certificate for the density x and band [lower, upper].
@@ -480,8 +476,7 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     directions, grid, _ = _margin_prelude(instance, x, lower, upper, min_width)
     margin, rule = directions.margin, directions.rule
     y_margin = directions.coeffs @ directions.margin_design   # the unit y_k, nodes last
-    y_grid = directions(grid[(grid >= margin.lo) & (grid <= margin.hi)])   # 0 off the margin
-    sup_unit = np.abs(np.hstack([y_margin, y_grid])).max(axis=1) * (1.0 + 1e-9)  # both grids
+    sup_unit = np.abs(y_margin).max(axis=1) * (1.0 + 1e-9)
     clearance = min(margin.val_lo - lower, upper - margin.val_hi)
     on_nodes = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
     inner_products = ((y_margin[:, MEMBERSHIP_SAMPLES:] * rule.weights[on_nodes])
@@ -533,9 +528,9 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     residual |e + (D - I)^T s| is at most W = max_j (|e_j| + sum_k
     |D - I|_kj r / (n sup_unit_k)).  In P1's range W and `t_for` round n+8
     times, relatively, so fl(W) (1 + (n+8) eps) + tiny bounds it (inf out of
-    that range).  P1 and P2 pass in every trial if the worst violation is
-    within P1_SLACK and the bound within P2_TOL (NaN fails), in none
-    otherwise.  P2's parts are also checked at unit size
+    that range).  P1 and P2 pass in every trial if the worst violation is 0
+    (B covers every rounding) and the bound within P2_TOL (NaN fails), in
+    none otherwise.  P2's parts are also checked at unit size
     (`CertificateVerification.failures`), as is the radius t_unit (1 -
     omega) - ||e||_inf, omega = ||D^T - I||_inf: every b + s' with
     ||s'||_inf <= radius is reached by s = D^-T (s' - e), ||s||_inf <=
@@ -567,7 +562,7 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
 
     return CertificateVerification(
         trials=trials,
-        p1_passes=trials if worst_p1 <= P1_SLACK else 0,
+        p1_passes=trials if worst_p1 <= 0.0 else 0,
         p2_passes=trials if worst_p2 <= P2_TOL else 0,
         worst_p1_violation=worst_p1,
         worst_p2_residual=worst_p2,
@@ -692,6 +687,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     delta = min(margin.val_lo - lower, top - margin.val_hi)   # the clearance eps counts
     margin_design = directions.margin_design
     nodes = slice(full_grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
+    on_margin = (full_grid >= margin.lo) & (full_grid <= margin.hi)   # the margin grid
     x_ver = x_full[nodes]
     lost = []       # levels whose witness lost its clearance
     width = upper - lower if np.isfinite(upper) else 1.0
@@ -700,17 +696,19 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
         return np.clip(values, lower + width / m, upper - width / m)
 
     def level(m):
-        """Moment defect of the level-m clip and its correction's coefficients."""
+        """The level-m clip's moment defect, and its correction's coefficients and v."""
         defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
-        return defect, defect @ directions.coeffs
+        coeffs = defect @ directions.coeffs
+        return defect, coeffs, coeffs @ margin_design
 
     for m in _candidate_levels(x_ver, ver_rule.weights, ver_design, directions.coeffs,
                                margin_design, lower, upper, delta, m_max):
-        coeffs = level(m)[1]
-        sup_v = float(_margin_sup(coeffs, margin_design))
+        _, coeffs, v = level(m)
+        sup_v = float(np.max(np.abs(v)))
         if sup_v >= delta / 2.0:
             continue
-        y_full = clip(x_full, m) - directions(full_grid, coeffs)
+        y_full = clip(x_full, m)
+        y_full[on_margin] -= v   # v is 0 off the margin
         eps = float(min(np.min(y_full - lower), np.min(top - y_full)))
         if eps <= 0.0:
             lost.append(m)
@@ -731,9 +729,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
 
     # every level failed: report the last six of m = 3, the multiples of 25 and the lost ones
     reported = sorted({3, *range(m_max // 25 * 25, 0, -25)[:6], *lost})[-6:]
-    decay = "; ".join(f"m={m}: |defect|={np.max(np.abs(d)):.3e}, "
-                      f"sup|v|={_margin_sup(c, margin_design):.3e}"
-                      for m, (d, c) in zip(reported, map(level, reported)))
+    decay = "; ".join(f"m={m}: |defect|={np.max(np.abs(d)):.3e}, sup|v|={np.max(np.abs(v)):.3e}"
+                      for m, (d, _, v) in zip(reported, map(level, reported)))
     below = f" and clearance below {top}" if top < np.inf else ""
     raise CertificateError(
         f"no acceptable witness up to m={m_max} (need sup|v| < {delta / 2.0:.3e} "

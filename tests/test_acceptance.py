@@ -22,7 +22,6 @@ from entromin import (
     build_rule,
     builtin_entropy,
     constant_density,
-    direction_inner_products,
     dual_gradient,
     dual_hessian,
     dual_value,
@@ -39,6 +38,7 @@ from entromin import (
 )
 from entromin.certificates import MarginInterval
 from entromin.cli import main
+from entromin.quadrature import nodes_in
 
 RULE = build_rule((0.0, 1.0), (0.5,))
 PULSE = pulse_density(0.5)
@@ -287,7 +287,9 @@ def test_criterion_8_direction_function_orthogonality():
         for _ in range(50):
             eta = rng.standard_normal(basis.n)
             directions = dataclasses.replace(unit, coeffs=eta[:, None] * unit.coeffs)
-            defect = direction_inner_products(directions) - np.diag(eta)
+            # <y_k, a_j> audited: the y_k evaluated afresh at the margin nodes
+            nodes, weights = nodes_in(unit.rule, margin.lo, margin.hi)
+            defect = (directions(nodes) * weights) @ basis(nodes).T - np.diag(eta)
             worst = max(worst, float(np.max(np.abs(defect))))
     report(8, worst <= 1e-8,
            f"worst inner-product defect {worst:.2e} (<= 1e-8) over 50 seeded "

@@ -19,7 +19,6 @@ from entromin import (
     build_rule,
     builtin_entropy,
     constant_density,
-    direction_inner_products,
     find_margin_interval,
     instance_from_density,
     monomial_basis,
@@ -67,6 +66,18 @@ def _skewed(cert, skew):
                                sup_unit=np.abs(mix) @ cert.sup_unit)
 
 
+def _inner_products(directions):
+    """The audit of <y_k, a_j>: the y_k evaluated afresh at the margin nodes
+    of their rule, integrated against the basis there."""
+    nodes, weights = nodes_in(directions.rule, directions.margin.lo, directions.margin.hi)
+    return (directions(nodes) * weights) @ directions.basis(nodes).T
+
+
+def _margin_sup(coeffs, margin_design):
+    """sup |v| on the margin grid of each expansion v in `coeffs`."""
+    return np.max(np.abs(coeffs @ margin_design), axis=-1)
+
+
 def _phi_at(directions, s):
     """The phi_j the y_k expand over, at the points s, shape (n, len(s))."""
     from entromin.certificates import _phi
@@ -108,27 +119,27 @@ def _quadrature_p2(instance, x, cert, steps):
 def _replay(instance, x, cert, steps, p1_violations):
     """(trials, P1 passes, P2 passes, worst P1 violation, worst P2 residual)
     of a replay, with P2 by quadrature, and its P2 rounding bound."""
-    from entromin.certificates import P1_SLACK, P2_TOL
+    from entromin.certificates import P2_TOL
 
     residuals, bounds = _quadrature_p2(instance, x, cert, steps)
     violations = np.array(p1_violations)
-    return ((len(steps), int(np.count_nonzero(violations <= P1_SLACK)),
+    return ((len(steps), int(np.count_nonzero(violations <= 0.0)),
              int(np.count_nonzero(residuals <= P2_TOL)), float(violations.max()),
              float(residuals.max())), float(bounds.max()))
 
 
 def _assert_replays(got, replay, p1_tol=0.0):
     """Verification against a replay: the trial count exactly.  P1 and P2
-    each pass in every trial or in none, by the worst violation against
-    P1_SLACK and the worst residual against P2_TOL.  That violation is at
-    least the replay's worst trial's (less `p1_tol`), that residual at least
-    the replay's worst less its rounding bound, and a trial the replay fails
+    each pass in every trial or in none, by the worst violation against 0
+    and the worst residual against P2_TOL.  That violation is at least the
+    replay's worst trial's (less `p1_tol`), that residual at least the
+    replay's worst less its rounding bound, and a trial the replay fails
     fails every trial."""
-    from entromin.certificates import P1_SLACK, P2_TOL
+    from entromin.certificates import P2_TOL
 
     (trials, p1, p2, worst_p1, worst_p2), bound = replay
     assert got.trials == trials
-    assert got.p1_passes == (trials if got.worst_p1_violation <= P1_SLACK else 0)
+    assert got.p1_passes == (trials if got.worst_p1_violation <= 0.0 else 0)
     assert got.p2_passes == (trials if got.worst_p2_residual <= P2_TOL else 0)
     assert got.worst_p1_violation >= worst_p1 - p1_tol
     assert got.worst_p2_residual >= worst_p2 - bound
@@ -199,13 +210,18 @@ def _one_bound(n, clearance):
 
 
 def _assert_sup_bounds_grid(cert):
-    """`cert.sup_unit` is 1 + 1e-9 times the largest |y_k| on the margin
-    grid and the membership grid together, so above |y_k| at every grid point."""
-    on_grid = np.abs(cert.directions(cert.grid))
-    on_margin = np.abs(cert.directions.coeffs @ cert.directions.margin_design)
-    union = np.maximum(on_margin.max(axis=1), on_grid.max(axis=1)) * (1.0 + 1e-9)
-    assert cert.sup_unit.tobytes() == union.tobytes()
-    assert np.all(on_grid < cert.sup_unit[:, None])
+    """`cert.grid`'s points in the margin are the margin grid, where
+    `margin_design` holds the phi_j, bit for bit, and `cert.sup_unit` is
+    1 + 1e-9 times the largest |y_k| there, so above |y_k| at every grid point."""
+    from entromin.certificates import MEMBERSHIP_SAMPLES
+
+    directions, grid, margin = cert.directions, cert.grid, cert.margin
+    margin_grid = np.concatenate([np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
+                                  nodes_in(directions.rule, margin.lo, margin.hi)[0]])
+    assert grid[(grid >= margin.lo) & (grid <= margin.hi)].tobytes() == margin_grid.tobytes()
+    on_margin = np.abs(directions.coeffs @ directions.margin_design).max(axis=1)
+    assert cert.sup_unit.tobytes() == (on_margin * (1.0 + 1e-9)).tobytes()
+    assert np.all(np.abs(directions(grid)) < cert.sup_unit[:, None])
 
 
 P1_SCREENED = [("boltzmann_shannon", monomial_basis(4), constant_density(0.5), (0.0, 1.0)),
@@ -226,7 +242,8 @@ def _screened_certificate(i):
 
 def _replay_full_scan(instance, x, lower, upper, m_max):
     """The qri clip-level scan the direct way: the correction is evaluated
-    on the whole margin grid at every m.  Returns (m, eps, correction_sup,
+    on the whole margin grid at every m, and the witness on the membership
+    grid, whose points in the margin are the margin grid.  Returns (m, eps, correction_sup,
     moment_match_residual, upper_clearance, y on a grid), or the message of
     the CertificateError the scan ends with."""
     from entromin.certificates import MEMBERSHIP_SAMPLES
@@ -241,15 +258,14 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     margin_grid = np.concatenate([np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
                                   nodes_in(ver_rule, margin.lo, margin.hi)[0]])
-    full_grid = np.concatenate([np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2),
-                                ver_rule.nodes])
+    uniform = np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2)
+    full_grid = np.concatenate([uniform[uniform < margin.lo], margin_grid[:MEMBERSHIP_SAMPLES],
+                                uniform[uniform > margin.hi], ver_rule.nodes])
     x_full = np.asarray(x(full_grid), dtype=float)
+    width = upper - lower if np.isfinite(upper) else 1.0
 
     def clip(values, m):
-        if np.isfinite(upper):
-            width = upper - lower
-            return np.clip(values, lower + width / m, upper - width / m)
-        return np.maximum(values, lower + 1.0 / m)
+        return np.clip(values, lower + width / m, upper - width / m)
 
     history = []
     for m in range(3, m_max + 1):
@@ -435,6 +451,32 @@ class TestCheckedPointsConfirmMargin:
         assert qri.margin.val_lo == 0.1
         assert qri.eps > 0.0
 
+    def test_dips_on_the_margin_grid_set_the_clearance(self):
+        """The pulse at 0.1 on every 7th margin-grid point that neither the
+        scan, nor the uniform membership points, nor a node samples: both
+        builders read the margin's range on the margin grid, so each sees
+        the dips, core with clearance 0.1 and qri with a range from 0.1, and
+        every check still passes."""
+        from entromin.certificates import MEMBERSHIP_SAMPLES
+        from entromin.quadrature import refine_rule, uniform_grid
+
+        margin = find_margin_interval(PULSE, 0.0, INF, RULE)
+        points = np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES)[::7]
+        scan = uniform_grid(np.array([[0.0], [0.5]]), np.array([[0.5], [1.0]]),
+                            MEMBERSHIP_SAMPLES + 2)[:, 1:-1]
+        seen = np.concatenate([scan.ravel(), np.linspace(0.0, 1.0, MEMBERSHIP_SAMPLES + 2),
+                               RULE.nodes, refine_rule(RULE, margin.lo, margin.hi).nodes])
+        marked = points[~np.isin(points, seen)]
+        assert (marked.size, points.size) == (91, 286)
+        rho = Density(lambda s: np.where(np.isin(np.asarray(s), marked), 0.1, PULSE(s)))
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), rho)
+        core = build_core_certificate(inst, rho, 0.0, INF)
+        assert core.clearance == 0.1
+        assert verify_core_certificate(inst, rho, core, trials=100, seed=0).all_passed
+        qri = build_qri_certificate(inst, rho, 0.0, INF)
+        assert qri.margin.val_lo == 0.1
+        assert qri.eps > 0.0
+
     @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
     def test_density_off_band_on_membership_grid_names_band(self, basis):
         """The pulse at -1 on one membership-grid point off the margin: the
@@ -463,8 +505,9 @@ class TestCheckedPointsConfirmMargin:
 
         basis = monomial_basis(3)
         inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
-        grid = np.linspace(*RULE.interval, MEMBERSHIP_SAMPLES + 2)
-        point = {"grid": grid[1202], "margin-grid": grid[500],
+        margin = find_margin_interval(PULSE, 0.0, INF, RULE)
+        point = {"grid": np.linspace(*RULE.interval, MEMBERSHIP_SAMPLES + 2)[1202],
+                 "margin-grid": np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES)[1001],
                  "node": RULE.nodes[np.argmin(np.abs(RULE.nodes - 0.6252))]}[where]
         rho = Density(lambda s: np.where(np.asarray(s) == point, np.inf, PULSE(s)))
         with pytest.raises(CertificateError) as err:
@@ -550,7 +593,7 @@ class TestDirectionFunctions:
         np.testing.assert_allclose(inside, 4.0, rtol=1e-12)
         outside = directions(np.array([0.6, 0.9]))
         np.testing.assert_allclose(outside, 0.0, atol=0.0)
-        ips = direction_inner_products(directions)
+        ips = _inner_products(directions)
         np.testing.assert_allclose(ips, [[2.0]], rtol=1e-12)
 
     def test_two_monomials_projection(self):
@@ -563,7 +606,7 @@ class TestDirectionFunctions:
         values = directions(s)
         np.testing.assert_allclose(values[0], 4.0 - 6.0 * s, rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(values[1], 0.0)
-        ips = direction_inner_products(directions)
+        ips = _inner_products(directions)
         assert abs(ips[0, 1]) <= 1e-10
         assert ips[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -677,7 +720,7 @@ class TestDirectionFunctions:
         eta = rng.standard_normal(basis.n)
         directions = _scaled(build_direction_functions(basis, RULE, margin), eta)
         assert (directions.factor is None) is legendre
-        defect = direction_inner_products(directions) - np.diag(eta)
+        defect = _inner_products(directions) - np.diag(eta)
         assert np.max(np.abs(defect)) <= 1e-12
 
     @staticmethod
@@ -738,7 +781,7 @@ class TestDirectionFunctions:
         directions = build_direction_functions(basis, RULE, margin)
         assert directions.factor is not None
         assert min(self._legendre_misfits(directions)) >= 100 * LEGENDRE_FIT_TOL
-        defect = direction_inner_products(directions) - np.eye(basis.n)
+        defect = _inner_products(directions) - np.eye(basis.n)
         assert np.max(np.abs(defect)) <= 1e-12
 
     def test_margin_with_no_more_nodes_than_functions_takes_qr(self):
@@ -749,7 +792,7 @@ class TestDirectionFunctions:
         directions = build_direction_functions(monomial_basis(3), rule,
                                                MarginInterval(0.0, 1.0, 1.0, 1.0))
         assert directions.rule.nodes.size == 3 and directions.factor is not None
-        assert np.max(np.abs(direction_inner_products(directions) - np.eye(3))) <= 1e-12
+        assert np.max(np.abs(_inner_products(directions) - np.eye(3))) <= 1e-12
 
     def test_builds_run_without_least_squares(self, monkeypatch, tmp_path):
         """Neither certificate build calls `np.linalg.lstsq`, on either
@@ -778,7 +821,7 @@ class TestDirectionFunctions:
         inst = make_instance("translated_boltzmann_shannon", tabulated_basis(path), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         assert cert.directions.factor is not None
-        defect = direction_inner_products(cert.directions) - np.eye(n)
+        defect = _inner_products(cert.directions) - np.eye(n)
         assert np.max(np.abs(defect)) <= 1e-11
         assert verify_core_certificate(inst, PULSE, cert, trials=100, seed=3).all_passed
 
@@ -807,10 +850,10 @@ class TestDirectionFunctions:
         """The inner products integrate the y_k as calling them gives them:
         the same coefficients over a wrongly mapped margin show a defect."""
         directions = build_direction_functions(monomial_basis(4), RULE, README_MARGIN)
-        np.testing.assert_allclose(direction_inner_products(directions), np.eye(4),
+        np.testing.assert_allclose(_inner_products(directions), np.eye(4),
                                    rtol=0.0, atol=1e-12)
         shifted = dataclasses.replace(README_MARGIN, hi=0.45)
-        defect = direction_inner_products(dataclasses.replace(directions, margin=shifted))
+        defect = _inner_products(dataclasses.replace(directions, margin=shifted))
         assert np.max(np.abs(defect - np.eye(4))) > 0.1
 
     def test_zero_direction_gives_zero_functions(self):
@@ -838,7 +881,7 @@ class TestDirectionFunctions:
         for _ in range(50):
             eta = rng.standard_normal(basis.n)
             directions = _scaled(unit, eta)
-            defect = direction_inner_products(directions) - np.diag(eta)
+            defect = _inner_products(directions) - np.diag(eta)
             worst = max(worst, float(np.max(np.abs(defect))))
         assert worst <= 1e-8
 
@@ -857,7 +900,7 @@ class TestDirectionFunctions:
         for eta in (np.ones(n), rng.standard_normal(n) * (np.arange(n) % 3 != 1),
                     np.where(np.arange(n) == n - 1, -2.5, 0.0), np.zeros(n)):
             directions = _scaled(unit, eta)
-            defect = direction_inner_products(directions) - np.diag(eta)
+            defect = _inner_products(directions) - np.diag(eta)
             assert np.max(np.abs(defect)) <= 1e-8
             rows = directions(s)
             assert np.all(directions.coeffs[eta == 0.0] == 0.0) and np.all(rows[eta == 0.0] == 0.0)
@@ -915,19 +958,12 @@ class TestCoreCertificate:
                              piecewise_flat_basis(4, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
         rng = np.random.default_rng(5)
-        etas = []
         for _ in range(25):
             eta = rng.standard_normal(4)
             eta /= np.linalg.norm(eta)
             t = cert.t_for(eta)
             assert t * 4 * cert.delta_for(eta) < cert.clearance
-            etas.append(eta)
-        # a stack gives each row's own values, and 0 for a zero direction
-        stack = np.vstack([etas, np.zeros(4)])
-        with np.errstate(all="raise"):
-            steps, bounds = cert.t_for(stack), cert.delta_for(stack)
-        assert steps.tolist() == [cert.t_for(eta) for eta in stack] and steps[-1] == 0.0
-        assert bounds.tolist() == [cert.delta_for(eta) for eta in stack] and bounds[-1] == 0.0
+        assert cert.t_for(np.zeros(4)) == 0.0 == cert.delta_for(np.zeros(4))
 
     def test_unit_step_follows_the_clearance(self):
         """`t_unit` is the step rule at the sup bound, bit for bit, also for a
@@ -1094,8 +1130,8 @@ class TestCoreCertificate:
         rng = np.random.default_rng(seed)
         etas = np.vstack([rng.standard_normal((64, n)),
                           rng.choice([-1.0, 1.0], (64, n)) / sup_unit])
-        etas /= np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0]
-        steps = cert.t_for(etas)[:, None] * etas
+        etas = [eta / np.linalg.norm(eta) for eta in etas]   # one direction at a time
+        steps = np.array([cert.t_for(eta) * eta for eta in etas])
         gamma = 2.0 * (n + 2) * np.finfo(float).eps
         bounds = (1.0 + gamma) ** 2 * (np.abs(steps) @ sup_unit) + np.finfo(float).tiny
         assert np.all(bounds <= _one_bound(n, cert.clearance))
@@ -1104,11 +1140,9 @@ class TestCoreCertificate:
     def test_one_bound_decides_at_its_threshold(self, n):
         """P1 moves the constant density x by B inside the margin.  With the
         lower bound at fl(x - B), or the upper one at fl(x + B), the worst
-        violation is 0, and one ulp further in it is that ulp: the code's B
-        is the formula's, bit for bit.  P1 fails at the first band end that
-        puts the violation above P1_SLACK, and one ulp further out it passes."""
-        from entromin.certificates import P1_SLACK
-
+        violation is 0 and P1 passes, and one ulp further in the violation is
+        that ulp and P1 fails: the code's B is the formula's, bit for bit, and
+        P1 takes no slack."""
         rho = constant_density(0.5)
         inst = make_instance("boltzmann_shannon", monomial_basis(n), rho)
         cert = build_core_certificate(inst, rho, 0.0, 1.0)
@@ -1119,16 +1153,10 @@ class TestCoreCertificate:
                     inst, rho, dataclasses.replace(cert, **{side: float(end)}), 40, n)
 
             inward = np.nextafter(edge, -out)
-            assert verify(edge).worst_p1_violation == 0.0
-            assert verify(inward).worst_p1_violation == abs(inward - edge) > 0.0
-            first = edge - np.sign(out) * P1_SLACK   # the violation is |end - edge|, exactly
-            while abs(first - edge) <= P1_SLACK:
-                first = np.nextafter(first, -out)
-            while abs(np.nextafter(first, out) - edge) > P1_SLACK:
-                first = np.nextafter(first, out)
-            failing, passing = verify(first), verify(np.nextafter(first, out))
-            assert (failing.p1_passes, passing.p1_passes) == (0, 40), side
-            assert failing.worst_p1_violation == abs(first - edge) > P1_SLACK
+            passing, failing = verify(edge), verify(inward)
+            assert (passing.worst_p1_violation, passing.p1_passes) == (0.0, 40), side
+            assert failing.worst_p1_violation == abs(inward - edge) > 0.0
+            assert failing.p1_passes == 0, side
 
     @pytest.mark.parametrize("entropy,basis,rho,band", P1_SCREENED, ids=P1_SCREENED_IDS)
     def test_negative_clearance_fails_p1(self, entropy, basis, rho, band):
@@ -1150,8 +1178,8 @@ class TestCoreCertificate:
            k=st.floats(-2.0, 4.0))
     def test_p1_covers_every_replayed_trial(self, config, seed, k):
         """Over seeds and overdrives k in [-2, 4] on the `P1_SCREENED`
-        configs: when a trial of the per-trial loop leaves the band by more
-        than P1_SLACK, verification fails P1 in every trial, and its worst
+        configs: when a trial of the per-trial loop leaves the band,
+        verification fails P1 in every trial, and its worst
         violation is at least that of every trial of the loop.  P2 covers the
         loop's, and P1's report does not depend on the seed."""
         inst, rho, cert = _screened_certificate(config)
@@ -1222,7 +1250,8 @@ class TestCoreCertificate:
     @pytest.mark.parametrize("seed", [1, 7])
     def test_sup_bounds_the_grid_on_the_plan_configs(self, tmp_path, bench_module, seed):
         """On the 8 configs of the certify-core benchmark plan the sup bound
-        is taken over both grids and lies above |y_k| at every grid point."""
+        is taken on the margin grid, which is the grid inside the margin, and
+        lies above |y_k| at every grid point."""
         workloads = bench_module("workloads")
         for i, op in enumerate(workloads.plan("certify-core", seed)["ops"]):
             path = tmp_path / f"{i}.ini"
@@ -1231,6 +1260,13 @@ class TestCoreCertificate:
             inst, rho = build_problem(cfg, cfg.basis)
             _assert_sup_bounds_grid(build_core_certificate(
                 inst, rho, *cfg.certify.band_for(inst.entropy)))
+
+    @pytest.mark.parametrize("config", range(len(P1_SCREENED)), ids=P1_SCREENED_IDS)
+    def test_margin_grid_is_the_grid_inside_the_margin(self, config):
+        """P1 moves x by B exactly where the sup bound sampled the y_k: the
+        grid's points in the margin are the margin grid, bit for bit, and the
+        sup bound is read there alone."""
+        _assert_sup_bounds_grid(_screened_certificate(config)[2])
 
     @pytest.mark.parametrize("family", ["cosines", "tabulated-monomial4"])
     def test_sup_bounds_the_grid_on_the_qr_path(self, family, tmp_path):
@@ -1297,16 +1333,28 @@ class TestCoreCertificate:
         there x + reach - upper is inf - inf, which leaves the upper side
         undecided, but x is not finite, so P1 fails every trial by inf, as
         the build's band check fails it."""
-        from entromin.certificates import MEMBERSHIP_SAMPLES
-
         inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
-        uniform = cert.grid[:MEMBERSHIP_SAMPLES + 2]
-        points = uniform[(uniform > 0.9) & ~np.isin(uniform, cert.directions.rule.nodes)][:3]
+        grid = cert.grid
+        points = grid[(grid > 0.9) & ~np.isin(grid, cert.directions.rule.nodes)][:3]
         assert points.size == 3
         x = Density(lambda s: np.where(np.isin(np.asarray(s), points), INF, PULSE(s)))
         got = verify_core_certificate(inst, x, cert, trials=10, seed=0)
         assert (got.p1_passes, got.worst_p1_violation) == (0, INF)
+        assert got.p2_passes == 10 and not got.all_passed
+
+    def test_p1_fails_a_density_just_below_the_band(self):
+        """P1 takes no slack: a density other than the build's that is 1e-13
+        below the lower bound at one grid point off the margin, not a node,
+        where x is moved by nothing, fails P1 in every trial by 1e-13."""
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        grid = cert.grid[~np.isin(cert.grid, cert.directions.rule.nodes)]
+        point = grid[np.argmin(np.abs(grid - 0.8002))]
+        assert point > cert.margin.hi
+        x = Density(lambda s: np.where(np.asarray(s) == point, -1e-13, PULSE(s)))
+        got = verify_core_certificate(inst, x, cert, trials=10, seed=0)
+        assert (got.p1_passes, got.worst_p1_violation) == (0, 1e-13)
         assert got.p2_passes == 10 and not got.all_passed
 
     @pytest.mark.parametrize("seed", [1, 7])
@@ -1348,16 +1396,6 @@ class TestCoreCertificate:
                 tol = 4 * np.finfo(float).eps * max(1.0, cert.clearance) * max(1.0, k)
                 exact = _replay_rebuilding_designs(inst, rho, driven, trials, trials)
                 _assert_replays(got, exact, p1_tol=tol)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16, 33])
-    def test_stacked_norm_equals_linalg_norm(self, n):
-        """The direction norms as one stacked matmul, one dot per row, as
-        `test_one_bound_covers_every_trials_bound` takes them, are
-        np.linalg.norm's bit for bit, over a wide range of magnitudes."""
-        etas = np.random.default_rng(n).standard_normal((100, n))
-        etas *= np.logspace(-150, 150, 100)[:, None]
-        stacked = np.sqrt(etas[:, None, :] @ etas[:, :, None])[:, 0, 0]
-        assert stacked.tobytes() == np.array([np.linalg.norm(eta) for eta in etas]).tobytes()
 
     @pytest.mark.parametrize("trials", [1, 17, 100])
     @pytest.mark.parametrize("basis", BASES_34, ids=["monomial3", "piecewise4"])
@@ -1452,16 +1490,24 @@ class TestCoreCertificate:
     def test_readme_build_samples_x_once_per_point_set(self, build, calls):
         """On the README config core samples x on the instance rule's
         membership grid (the band check), on the scan samples with the
-        instance nodes, and on the margin rule's membership grid; qri skips
-        the first.  The scan's samples set the margin's range: no call
-        samples a 1001-point lattice of the margin to confirm it."""
+        instance nodes, and on the margin rule's membership grid, which is
+        the margin grid inside the margin; qri skips the first.  Only that
+        last call samples the margin grid."""
+        from entromin.certificates import MEMBERSHIP_SAMPLES
+        from entromin.quadrature import refine_rule
+
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
         sampled = []
         x = Density(lambda s: sampled.append(np.array(s)) or PULSE(s))
         margin = build(inst, x, 0.0, INF).margin
         assert len(sampled) == calls
-        lattice = np.linspace(margin.lo, margin.hi, 1001)
-        assert not any(np.isin(lattice, s).all() for s in sampled)
+        rule = refine_rule(inst.rule, margin.lo, margin.hi)
+        uniform = np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2)
+        margin_grid = np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES)
+        grid = np.concatenate([uniform[uniform < margin.lo], margin_grid,
+                               uniform[uniform > margin.hi], rule.nodes])
+        assert sampled[-1].tobytes() == grid.tobytes()
+        assert [np.isin(margin_grid, s).all() for s in sampled] == [False] * (calls - 1) + [True]
 
     def test_certificate_frozen_and_unchanged_by_verification(self):
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(4, 0.5), PULSE)
@@ -1582,12 +1628,12 @@ class TestCoreCertificate:
     ], ids=["piecewise4", "piecewise6-readme", "monomial1", "monomial4", "monomial6"])
     def test_build_hands_verification_the_audited_arrays(self, basis):
         """The inner products the build takes from its margin design match
-        `direction_inner_products` to 1e-13, verification reports their
+        `_inner_products` to 1e-13, verification reports their
         orthogonality defect, and its sup bound is above |y_k| on the whole
         grid, where the y_k are zero off the margin."""
         inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
-        audit = direction_inner_products(cert.directions)
+        audit = _inner_products(cert.directions)
         np.testing.assert_allclose(cert.inner_products, audit, rtol=0.0, atol=1e-13)
         report = verify_core_certificate(inst, PULSE, cert, trials=10, seed=0)
         defect = cert.inner_products - np.eye(inst.n)
@@ -1616,7 +1662,7 @@ class TestCoreCertificate:
         monkeypatch.setattr(certificates, "build_direction_functions", corrupted)
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
         cert = build_core_certificate(inst, PULSE, 0.0, INF)
-        assert direction_inner_products(cert.directions)[0, 1] == pytest.approx(1e-6, rel=1e-6)
+        assert _inner_products(cert.directions)[0, 1] == pytest.approx(1e-6, rel=1e-6)
         report = verify_core_certificate(inst, PULSE, cert, trials=100, seed=0)
         assert (report.p1_passes, report.p2_passes) == (100, 100)
         assert report.orthogonality == pytest.approx(1e-6, rel=1e-6)
@@ -1862,7 +1908,7 @@ class TestQriCertificate:
         an exact per-level sup|v| >= delta/2, and every level handed on
         passes, or the next one does (the solved interval is widened to whole
         levels)."""
-        from entromin.certificates import _candidate_levels, _margin_prelude, _margin_sup
+        from entromin.certificates import _candidate_levels, _margin_prelude
 
         inst = make_instance(entropy, basis, rho)
         lower, upper = band
@@ -1933,7 +1979,7 @@ class TestQriCertificate:
         end is wrong and the confirmation falls back to the gallop.  Acceptance
         starts where a piece ends, for delta/2 at that level's sup|v|: there a
         piece end one level off changes the yields."""
-        from entromin.certificates import _candidate_levels, _margin_sup
+        from entromin.certificates import _candidate_levels
 
         args = _scan_inputs("boltzmann_shannon", monomial_basis(4), RAMP, (0.0, 1.0))
         x_ver, weights, ver_design, coeffs, margin_design = args[:5]
@@ -1994,20 +2040,20 @@ class TestQriCertificate:
         """A level that passes sup|v| < delta/2 but whose witness has eps <= 0
         is skipped and named in the failure report, as the full scan does.  A
         confirmed margin leaves no such level on a real density, so a fake
-        raises the correction by 2 on the membership grid for the first
-        `lost` witnesses each scan checks (every one, for None)."""
+        clip lowers the clipped density by 2 on the membership grid for the
+        first `lost` witnesses each scan checks (every one, for None)."""
         from entromin.certificates import MEMBERSHIP_SAMPLES
 
-        call, checked = DirectionFunctions.__call__, []
+        clip, checked = np.clip, []
 
-        def raised_on_membership_grid(self, s, coeffs=None):
-            values = call(self, s, coeffs)
-            if not (s.size > MEMBERSHIP_SAMPLES and s[0] < self.margin.lo):
-                return values  # the margin grid, or a witness's own points
+        def lowered_on_membership_grid(values, lo, hi):
+            clipped = clip(values, lo, hi)
+            if values.size <= MEMBERSHIP_SAMPLES:
+                return clipped  # the nodes, or a witness's own points
             checked.append(None)
-            return values + (2.0 if lost is None or len(checked) <= lost else 0.0)
+            return clipped - (2.0 if lost is None or len(checked) <= lost else 0.0)
 
-        monkeypatch.setattr(DirectionFunctions, "__call__", raised_on_membership_grid)
+        monkeypatch.setattr(np, "clip", lowered_on_membership_grid)
         inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), PULSE)
         expected = _replay_full_scan(inst, PULSE, 0.0, INF, m_max=300)
         checked.clear()
@@ -2026,23 +2072,23 @@ class TestQriCertificate:
 
     def test_candidate_levels_spare_full_evaluations(self, monkeypatch):
         """On the README config the scan evaluates no clip level on the margin
-        grid at the default budget, only the six of the failure report, and
-        at m_max = 50000 it accepts m = 44103 after at most five."""
+        grid at m_max = 4000, only the six of the failure report, and at
+        m_max = 50000 it accepts m = 44103 after at most five: a level is
+        evaluated there once `_candidate_levels` hands it on."""
         from entromin import certificates
 
         inst = make_instance("translated_boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
-        calls = []
-        margin_sup = certificates._margin_sup
+        calls, screen = [], certificates._candidate_levels
 
-        def counted_margin_sup(coeffs, design):
-            calls.append(None)
-            return margin_sup(coeffs, design)
+        def counted_levels(*args):
+            for m in screen(*args):
+                calls.append(m)
+                yield m
 
-        monkeypatch.setattr(certificates, "_margin_sup", counted_margin_sup)
-        with pytest.raises(CertificateError):
+        monkeypatch.setattr(certificates, "_candidate_levels", counted_levels)
+        with pytest.raises(CertificateError) as err:
             build_qri_certificate(inst, PULSE, 0.0, INF, m_max=4000)
-        assert len(calls) == 6
-        calls.clear()
+        assert calls == [] and str(err.value).count("sup|v|=") == 6
         assert build_qri_certificate(inst, PULSE, 0.0, INF, m_max=50000).m == 44103
         assert len(calls) <= 5
 
@@ -2129,8 +2175,7 @@ class TestOneDesignPerPointSet:
         margin_grid = np.concatenate([np.linspace(cert.margin.lo, cert.margin.hi,
                                                   MEMBERSHIP_SAMPLES), on_margin])
         assert len(bases) == 1 and bases[0].tobytes() == rule.nodes.tobytes()
-        assert [s.tobytes() == margin_grid.tobytes() for s in phis] == [True, False]
-        assert phis[1].size < margin_grid.size   # the membership grid where it meets the margin
+        assert [s.tobytes() for s in phis] == [margin_grid.tobytes()]
         reached = {span[1] for span in tracer.spans}
         assert {"quadrature.build_rule", "moments.linearly_independent_on",
                 "certificates.find_margin_interval",
@@ -2139,9 +2184,10 @@ class TestOneDesignPerPointSet:
                 and ("certificates.verify_core_certificate" in reached) == (kind == "core"))
 
     def test_failing_readme_scan_builds_no_membership_evaluator(self, monkeypatch):
-        """The README config fails at the default budget without a level
-        passing sup|v| < delta/2, so the y_k, evaluated on the membership grid
-        for a passing level's witness, are never evaluated."""
+        """The README config fails at m_max = 4000 without a level passing
+        sup|v| < delta/2, and accepts m = 44103 at m_max = 50000; neither
+        scan calls the `DirectionFunctions`: the witness reads its correction
+        on the margin grid, where sup|v| read it."""
         from entromin import certificates
 
         call, built = DirectionFunctions.__call__, []
@@ -2152,8 +2198,8 @@ class TestOneDesignPerPointSet:
         with pytest.raises(CertificateError, match="no acceptable witness up to m=4000"):
             certificates.build_qri_certificate(inst, PULSE, 0.0, INF, m_max=4000)
         assert built == []
-        certificates.build_qri_certificate(inst, PULSE, 0.0, INF, m_max=50000)
-        assert len(built) == 1
+        assert certificates.build_qri_certificate(inst, PULSE, 0.0, INF, m_max=50000).m == 44103
+        assert built == []
 
 
 def test_custom_family_solves_and_certifies():

@@ -121,12 +121,10 @@ def test_certify_outcome_matches_the_table(tmp_path, config):
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[_label(c) for c in CONFIGS])
 def test_phi_evaluated_once_per_point_set(tmp_path, monkeypatch, config):
-    """The phi_j the y_k expand over are evaluated on the margin grid, and on
-    the membership-grid points inside the margin for the core certificate or
-    an accepted qri witness: twice per core build (every core config here
-    takes the Legendre path) and per accepted qri build, once for the README
-    config's qri run, which accepts no level at m_max = 4000, and never in
-    verification."""
+    """The phi_j the y_k expand over are evaluated once, on the margin grid,
+    per build (every core config here takes the Legendre path), accepted qri
+    witness or not (the README config's qri run accepts no level at m_max =
+    4000), and never in verification."""
     from entromin import certificates, cli
 
     calls, verify = [], cli.verify_core_certificate
@@ -135,11 +133,22 @@ def test_phi_evaluated_once_per_point_set(tmp_path, monkeypatch, config):
     monkeypatch.setattr(cli, "verify_core_certificate",
                         lambda *args, **kwargs: calls.append("verify") or verify(*args, **kwargs))
     accepted = _row(config, tmp_path)["exit"] == 0
-    if config[0] == "core":
-        assert calls == ["phi", "phi", "verify"]
-    else:
-        assert calls == ["phi"] * (1 + accepted)
-        assert accepted == (_label(config) != "qri/piecewise_flat/n=6/pulse/320")
+    assert calls == (["phi", "verify"] if config[0] == "core" else ["phi"])
+    assert accepted == (_label(config) != "qri/piecewise_flat/n=6/pulse/320")
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[_label(c) for c in CONFIGS])
+def test_builders_never_call_the_evaluator(tmp_path, monkeypatch, config):
+    """Every y_k or correction value a build reads is its coefficients times
+    the phi_j on the margin grid, so neither builder, nor verification,
+    calls the `DirectionFunctions`."""
+    from entromin.certificates import DirectionFunctions
+
+    calls, call = [], DirectionFunctions.__call__
+    monkeypatch.setattr(DirectionFunctions, "__call__",
+                        lambda *args, **kwargs: calls.append(args) or call(*args, **kwargs))
+    _row(config, tmp_path)
+    assert calls == []
 
 
 if __name__ == "__main__":  # rewrite the table from the current code

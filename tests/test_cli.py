@@ -975,8 +975,8 @@ def test_package_exports_are_pinned():
         "PrimalSolution", "ProblemInstance", "QriCertificate", "QuadratureRule", "ValidationError",
         "available_entropies", "build_core_certificate", "build_direction_functions",
         "build_qri_certificate", "build_rule", "builtin_entropy", "constant_density",
-        "direction_inner_products", "dual_gradient", "dual_hessian", "dual_value",
-        "fenchel_young_gap", "find_margin_interval", "gibbs_overshoot",
+        "dual_gradient", "dual_hessian", "dual_value", "fenchel_young_gap",
+        "find_margin_interval", "gibbs_overshoot",
         "instance_from_density", "integrate", "linearly_independent_on", "moment_vector",
         "monomial_basis", "piecewise_flat_basis", "pulse_density", "reconstruct",
         "sample_solution", "solve_dual", "tabulated_basis", "tabulated_density",
