@@ -29,16 +29,14 @@ Quasi-relative-interior certificate.  Clip the density into the open band
 at level 1/m, correct the clipped moments back to b with a function v
 supported on the margin interval, and accept the first m whose correction
 is small against the margin (sup |v| < delta/2) while the witness
-y = x_m - v stays strictly above the lower bound.  The resulting y has the
+y = x_m - v stays strictly inside the band.  The resulting y has the
 same moments as the density and a positive clearance eps, which is exactly
-what the certificate asserts.  The clearance is one-sided where the entropy's
-domain is unbounded above: for a two-valued density such as the pulse with
-band (0, 1), the correction necessarily pushes y above the upper bound
-somewhere, so only the lower clearance can be certified, and the upper one is
-reported for inspection.  Where dom f ends above (Fermi-Dirac's 1), eps and
-delta also count the clearance below that end, and a band reaching it is
-scanned two-sided, as core's is, so a density pinned to it has no margin
-interval.
+what the certificate asserts.  One band, one claim: both certificates certify
+b for densities valued in [lower, upper], so delta and eps count the clearance
+below a finite `upper` as core's clearance does, and a density pinned to
+either end (the pulse with band [0, 1]) has no margin interval under either.
+An end at infinity leaves nothing to clear, so on [lower, inf) the scan and
+the witness are one-sided without a case of their own.
 
 All membership checks are sample-based, so a certificate is strong numerical
 evidence, not an almost-everywhere proof; solver output labels it as such.
@@ -165,20 +163,14 @@ def _longest_run(mask: np.ndarray):
 
 
 def find_margin_interval(x, lower: float, upper: float, rule: QuadratureRule,
-                         min_width: Optional[float] = None,
-                         one_sided: bool = False) -> MarginInterval:
+                         min_width: Optional[float] = None) -> MarginInterval:
     """Locate the widest interval on which x stays clear of its bounds.
 
     Scans each segment of `rule` (its interval cut at its breakpoints) on
     MEMBERSHIP_SAMPLES interior samples, trying margins eps from a geometric
     grid (largest first) and returning the widest interval of width at least
     `min_width` (default: 1% of the interval) on which x(s) stays in
-    [lower + eps, upper - eps].  With `one_sided=True` only the lower
-    clearance constrains the scan, which is what the quasi-relative-interior
-    construction needs: its conclusion certifies clearance above the lower
-    bound only where the band's upper end lies inside the entropy domain, so
-    a density pinned to that end (the pulse with band (0, 1) under
-    Boltzmann-Shannon) must still admit a witness interval.
+    [lower + eps, upper - eps].
 
     x is called once, on the scan samples and the rule's nodes; the value
     range is read from those in the interval found.
@@ -205,10 +197,7 @@ def find_margin_interval(x, lower: float, upper: float, rule: QuadratureRule,
             break  # eps rounds away against the bounds: nothing left to scan
         best = None
         for grid, row in zip(grids, values):
-            ok = row >= lower + eps
-            if np.isfinite(upper) and not one_sided:
-                ok &= row <= upper - eps
-            run = _longest_run(ok)
+            run = _longest_run((row >= lower + eps) & (row <= upper - eps))
             if run is None:
                 continue
             z1, z2 = float(grid[run[0]]), float(grid[run[1]])
@@ -420,49 +409,49 @@ class CertificateVerification:
 
 
 def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
-                    min_width: Optional[float] = None, one_sided: bool = False):
+                    min_width: Optional[float] = None, in_band: bool = True):
     """The hypothesis both certificates start from, checked in order.
 
-    1. The band lies in the entropy domain (ValidationError otherwise); a
-       two-sided construction (core's, or qri's at an end of dom f) also
-       needs the density finite and inside it on the membership grid of the
-       instance rule, and again on that grid once step 2 has refined its
-       rule; a one-sided one needs it finite there.
+    1. The band lies in the entropy domain (ValidationError otherwise).  With
+       `in_band` (core's) the density must also be finite and inside the band
+       on the membership grid of the instance rule, and again on that grid
+       once step 2 has refined its rule; without it (qri's, which clips the
+       density into the band) it must be finite there.
     2. The scan's margin interval on the instance rule, its range widened by
        the density on the margin grid, and the margin rule: the instance rule
        refined at its ends.
     3. The unit-direction y_k on it, the only independence check.
-    4. Its range strictly inside the band (above `lower` when `one_sided`).
+    4. Its range strictly inside (lower, upper).
 
     Returns the y_k, whose `margin` is the margin of step 2 and whose designs
     cover the margin rule's nodes and the margin grid, the membership grid of
-    the margin rule (`_membership_grid`), and x on it.
+    the margin rule (`_membership_grid`), x on it, and the clearance of that
+    range from the band, which core's step rule and qri's delta both read.
     """
     basis, rule = instance.basis, instance.rule
     outside = CertificateError(f"the density leaves the band [{lower}, {upper}] somewhere on "
                                f"{rule.interval}", hypothesis="admissible band")
     _check_band(instance.entropy, lower, upper)
-    if not (one_sided or _in_band(np.asarray(x(_membership_grid(rule)), dtype=float),
-                                  lower, upper)):
+    if in_band and not _in_band(np.asarray(x(_membership_grid(rule)), dtype=float),
+                                lower, upper):
         raise outside
-    margin = find_margin_interval(x, lower, upper, rule, min_width, one_sided)
+    margin = find_margin_interval(x, lower, upper, rule, min_width)
     rule = refine_rule(rule, margin.lo, margin.hi)
     grid = _membership_grid(rule, margin)
     x_grid = np.asarray(x(grid), dtype=float)
-    if not _in_band(x_grid, *((-np.inf, np.inf) if one_sided else (lower, upper))):
+    if not _in_band(x_grid, *((lower, upper) if in_band else (-np.inf, np.inf))):
         raise outside
     checked = x_grid[(grid >= margin.lo) & (grid <= margin.hi)]
     margin = replace(margin, val_lo=float(checked.min(initial=margin.val_lo)),
                      val_hi=float(checked.max(initial=margin.val_hi)))
     directions = build_direction_functions(basis, rule, margin)
-    if not (margin.val_lo > lower and (one_sided or margin.val_hi < upper)):
+    if not lower < margin.val_lo <= margin.val_hi < upper:
         raise CertificateError(
             f"density range [{margin.val_lo}, {margin.val_hi}] on the margin interval "
-            f"[{margin.lo}, {margin.hi}] is not strictly "
-            + (f"above {lower}" if one_sided else f"inside ({lower}, {upper})"),
+            f"[{margin.lo}, {margin.hi}] is not strictly inside ({lower}, {upper})",
             hypothesis="margin interval",
         )
-    return directions, grid, x_grid
+    return directions, grid, x_grid, min(margin.val_lo - lower, upper - margin.val_hi)
 
 
 def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: float,
@@ -473,11 +462,10 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     not hold: band membership, existence of a margin interval, or linear
     independence on the scanned margin (see `_margin_prelude`).
     """
-    directions, grid, _ = _margin_prelude(instance, x, lower, upper, min_width)
+    directions, grid, _, clearance = _margin_prelude(instance, x, lower, upper, min_width)
     margin, rule = directions.margin, directions.rule
     y_margin = directions.coeffs @ directions.margin_design   # the unit y_k, nodes last
     sup_unit = np.abs(y_margin).max(axis=1) * (1.0 + 1e-9)
-    clearance = min(margin.val_lo - lower, upper - margin.val_hi)
     on_nodes = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
     inner_products = ((y_margin[:, MEMBERSHIP_SAMPLES:] * rule.weights[on_nodes])
                       @ directions.basis_design.compress(on_nodes, axis=1).T)  # the audit's bits
@@ -575,13 +563,12 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
 
 @dataclass(frozen=True)
 class QriCertificate:
-    """A witness with the same moments as the density and positive lower
-    clearance, built by clipping and correcting on the margin interval.
+    """A witness with the same moments as the density that clears its band,
+    built by clipping and correcting on the margin interval.
 
-    `eps` certifies y(s) >= lower + eps, and y(s) <= end - eps below a
-    finite end of dom f, at every sample.  When the band's upper end is
-    finite, `upper_clearance` records min(upper - y); inside dom f it can be
-    negative (see the module note on one-sidedness) and is informative only.
+    `eps` certifies lower + eps <= y(s) <= upper - eps at every sample of the
+    membership grid; `upper_clearance` is min(upper - y) there, at least eps
+    when `upper` is finite and inf otherwise.
     """
 
     m: int
@@ -665,8 +652,8 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     the clipped density is computed, and a correction v carrying exactly
     that defect is built on the margin interval.  The first m whose
     correction satisfies sup |v| < delta/2 (delta being the density's
-    clearance on the margin interval above `lower` and below a finite end
-    of dom f) and whose witness y = x_m - v keeps a positive clearance eps
+    clearance from the band on the margin interval, as core's) and whose
+    witness y = x_m - v keeps a positive clearance eps from the band
     (module note) is returned.
     Only the levels `_candidate_levels` hands on are evaluated; every other
     has sup |v| >= delta/2, so the accepted m, the witness and the failure
@@ -680,11 +667,9 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     m_max = _whole_number("m_max", m_max)
     if m_max < 3:
         raise ValidationError(f"the clip-level scan starts at m=3, got m_max={m_max}")
-    top = instance.entropy.f_domain.hi   # a finite end of dom f bounds y too (module note)
-    directions, full_grid, x_full = _margin_prelude(instance, x, lower, upper, min_width,
-                                                    one_sided=upper != top or top == np.inf)
+    directions, full_grid, x_full, delta = _margin_prelude(instance, x, lower, upper, min_width,
+                                                           in_band=False)
     margin, ver_rule, ver_design = directions.margin, directions.rule, directions.basis_design
-    delta = min(margin.val_lo - lower, top - margin.val_hi)   # the clearance eps counts
     margin_design = directions.margin_design
     nodes = slice(full_grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
     on_margin = (full_grid >= margin.lo) & (full_grid <= margin.hi)   # the margin grid
@@ -709,11 +694,11 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
             continue
         y_full = clip(x_full, m)
         y_full[on_margin] -= v   # v is 0 off the margin
-        eps = float(min(np.min(y_full - lower), np.min(top - y_full)))
+        upper_clearance = float(np.min(upper - y_full))     # inf when unbounded above
+        eps = min(float(np.min(y_full - lower)), upper_clearance)
         if eps <= 0.0:
             lost.append(m)
             continue
-        upper_clearance = float(np.min(upper - y_full))     # inf when unbounded above
 
         def y(s):
             return clip(np.asarray(x(s), dtype=float), m) - directions(s, coeffs)
@@ -731,7 +716,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     reported = sorted({3, *range(m_max // 25 * 25, 0, -25)[:6], *lost})[-6:]
     decay = "; ".join(f"m={m}: |defect|={np.max(np.abs(d)):.3e}, sup|v|={np.max(np.abs(v)):.3e}"
                       for m, (d, _, v) in zip(reported, map(level, reported)))
-    below = f" and clearance below {top}" if top < np.inf else ""
+    below = f" and clearance below {upper}" if upper < np.inf else ""
     raise CertificateError(
         f"no acceptable witness up to m={m_max} (need sup|v| < {delta / 2.0:.3e} "
         f"with positive lower clearance{below}); defect decay: {decay}",

@@ -253,12 +253,20 @@ def test_criterion_6_core_certificate_with_negative_control():
 
 
 def test_criterion_7_qri_certificate():
+    """The pulse certified on the domain band [0, inf); on [0, 1], whose ends
+    it touches, both certificates fail `[margin interval]`."""
     ok = True
     details = []
     for n in (2, 3, 4):
         inst = pulse_instance("boltzmann_shannon", monomial_basis(n))
-        cert = build_qri_certificate(inst, PULSE, 0.0, 1.0)
+        cert = build_qri_certificate(inst, PULSE, 0.0, INF)
         ok &= cert.eps > 0.0 and cert.moment_match_residual <= 1e-8
+        for build in (build_core_certificate, build_qri_certificate):
+            try:
+                build(inst, PULSE, 0.0, 1.0)
+                ok = False
+            except CertificateError as err:
+                ok &= err.hypothesis == "margin interval"
         details.append(f"n={n}: m={cert.m}, eps={cert.eps:.2e}")
     rho = constant_density(0.5)
     inst = instance_from_density(builtin_entropy("boltzmann_shannon"),
@@ -267,8 +275,8 @@ def test_criterion_7_qri_certificate():
     grid = np.linspace(0, 1, 2001)
     identity = bool(np.all(cert.y(grid) == rho(grid)))
     ok &= identity
-    report(7, ok, "; ".join(details) + f"; interior density returned unchanged: "
-                                       f"{identity}")
+    report(7, ok, "; ".join(details) + f" on [0, inf), [margin interval] on [0, 1]; "
+                                       f"interior density returned unchanged: {identity}")
 
 
 def test_criterion_8_direction_function_orthogonality():

@@ -275,10 +275,20 @@ class TestCertify:
         assert sorted(payload) == ["delta", "eps1", "eps2", "m", "residuals", "t_unit",
                                    "trials", "trials_passed", "type", "zeta1", "zeta2"]
 
-    def test_qri_pulse_monomials_unit_band(self, tmp_path):
+    def test_qri_pulse_monomials_unit_band(self, tmp_path, capsys):
+        """The pulse under Boltzmann-Shannon with band [0, 1], whose ends it
+        touches: both certificates fail `[margin interval]` and write nothing.
+        On the default band, dom f = [0, inf), qri accepts a witness."""
         cfg = write_cert_config(tmp_path, entropy="boltzmann_shannon",
                                 kind="monomial", n=3, extra_basis="",
                                 certify="alpha = 0\nbeta = 1")
+        for cert_type in ("core", "qri"):
+            assert main(["certify", "--config", str(cfg), "--type", cert_type]) == 3
+            assert capsys.readouterr().err.startswith(
+                "certify: failed hypothesis [margin interval]: no margin interval")
+            assert not (tmp_path / "out").exists()
+        cfg = write_cert_config(tmp_path, entropy="boltzmann_shannon",
+                                kind="monomial", n=3, extra_basis="", certify="")
         assert main(["certify", "--config", str(cfg), "--type", "qri"]) == 0
         payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
         assert payload["type"] == "qri"

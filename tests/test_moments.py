@@ -450,7 +450,7 @@ def test_families_and_densities_store_only_what_is_read():
     (tabulated_basis, ["path"]),
     (linearly_independent_on, ["basis", "rule", "subinterval", "design=None"]),
     (weighted_gram, ["design", "weights"]),
-    (find_margin_interval, ["x", "lower", "upper", "rule", "min_width=None", "one_sided=False"]),
+    (find_margin_interval, ["x", "lower", "upper", "rule", "min_width=None"]),
     (build_core_certificate, ["instance", "x", "lower", "upper", "min_width=None"]),
 ], ids=["monomial", "piecewise_flat", "tabulated", "independence", "gram", "margin_scan",
         "core"])
