@@ -40,11 +40,11 @@ the witness are one-sided without a case of their own.
 
 All membership checks are sample-based, so a certificate is strong numerical
 evidence, not an almost-everywhere proof; solver output labels it as such.
-x is sampled on lattices of one size, MEMBERSHIP_SAMPLES: the scan's, per
-segment, which set the margin's range, and the membership grid
-(`_membership_grid`), where the band is checked and that range widened.  In
-the margin that grid is the margin grid: MEMBERSHIP_SAMPLES samples of it,
-then the margin rule's nodes in it.
+x is sampled (`_sample`) on lattices of one size, MEMBERSHIP_SAMPLES: the
+scan's, per segment, which only proposes the margin, and the membership grid
+(`_membership_grid`), where the band is checked.  In the margin that grid is
+the margin grid, MEMBERSHIP_SAMPLES samples of it and then the margin rule's
+nodes in it: the only points there that a certificate reads, x's range included.
 
 Numerical note: every margin integral (independence, the y_k, core
 verification, the qri scan) is taken on one rule, the instance rule refined
@@ -82,7 +82,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .entropies import EntropySpec
 from .errors import CertificateError, ValidationError
 from .moments import MomentBasis, ProblemInstance, _hold_read_only, linearly_independent_on
 from .quadrature import QuadratureRule, refine_rule, uniform_grid
@@ -112,10 +111,9 @@ DEFAULT_M_MAX = 50000           # clip-level budget: the README config needs m =
 class MarginInterval:
     """A subinterval where the density keeps clear of its value bounds.
 
-    `val_lo`/`val_hi` are the observed minimum and maximum of the density
-    on [lo, hi] over the scan samples and instance-rule nodes the scan
-    evaluated there and, once a certificate's prelude widens them, the
-    membership grid and the margin rule's nodes, where certificates are checked.
+    `val_lo`/`val_hi` are the density's minimum and maximum on [lo, hi]: on
+    the scan samples, as the scan proposes them, and on the margin grid, where
+    certificates are checked, once a certificate's prelude has read them there.
     """
 
     lo: float
@@ -124,14 +122,17 @@ class MarginInterval:
     val_hi: float
 
 
-def _check_band(entropy: EntropySpec, lower: float, upper: float) -> None:
-    """[lower, upper] must sit inside the entropy domain; that is a
-    configuration error, not a certificate failure."""
-    if not entropy.f_domain.contains_interval(lower, upper):
-        raise ValidationError(
-            f"band [{lower}, {upper}] is not contained in the domain "
-            f"{entropy.f_domain} of {entropy.name}"
-        )
+def _band_width(lower: float, upper: float) -> float:
+    """The band's scale: upper - lower, or 1 when `upper` is infinite."""
+    return upper - lower if np.isfinite(upper) else 1.0
+
+
+def _sample(x, points) -> np.ndarray:
+    """x at `points` as floats of their shape, a scalar being every point's value."""
+    values, shape = np.asarray(x(points), dtype=float), np.shape(points)
+    if values.shape not in (shape, ()):
+        raise ValidationError(f"the density returned values of shape {values.shape} at {shape}")
+    return values if values.shape == shape else np.full(shape, values)
 
 
 def _in_band(values, lower: float, upper: float) -> bool:
@@ -172,8 +173,8 @@ def find_margin_interval(x, lower: float, upper: float, rule: QuadratureRule,
     `min_width` (default: 1% of the interval) on which x(s) stays in
     [lower + eps, upper - eps].
 
-    x is called once, on the scan samples and the rule's nodes; the value
-    range is read from those in the interval found.
+    x is called once, on the scan samples alone; their range in the interval
+    found is a proposal, which a certificate's prelude replaces (`MarginInterval`).
     """
     lo, hi = rule.interval
     if min_width is None:
@@ -181,16 +182,13 @@ def find_margin_interval(x, lower: float, upper: float, rule: QuadratureRule,
     if not 0.0 < min_width < np.inf:
         raise ValidationError(f"min_width must be positive and finite, got {min_width}")
 
-    if np.isfinite(upper):
-        eps_grid = [(upper - lower) / 2.0 ** k for k in range(1, 60)]
-    else:
-        eps_grid = [2.0 ** -k for k in range(0, 60)]
+    width = _band_width(lower, upper)
+    eps_grid = [width / 2.0 ** k for k in range(int(np.isfinite(upper)), 60)]
 
     edges = np.array([lo, *rule.breakpoints, hi])
     grids = uniform_grid(edges[:-1, None], edges[1:, None], MEMBERSHIP_SAMPLES + 2)[:, 1:-1]
     spacing = float(np.max(grids[:, 1] - grids[:, 0]))   # interior samples only, one row each
-    values = np.asarray(x(np.concatenate([grids.ravel(), rule.nodes])), dtype=float)
-    node_values, values = values[grids.size:], values[:grids.size].reshape(grids.shape)
+    values = _sample(x, grids.ravel()).reshape(grids.shape)
 
     for eps in eps_grid:
         if lower + eps == lower or (np.isfinite(upper) and upper - eps == upper):
@@ -208,9 +206,7 @@ def find_margin_interval(x, lower: float, upper: float, rule: QuadratureRule,
         # boundary case ties to the last ulp
         if best is not None and best[1] - best[0] >= min_width - 1.5 * spacing:
             z1, z2, run_values = best
-            on_run = (rule.nodes >= z1) & (rule.nodes <= z2)
-            seen = np.concatenate([run_values, node_values[on_run]])
-            return MarginInterval(z1, z2, float(seen.min()), float(seen.max()))
+            return MarginInterval(z1, z2, float(run_values.min()), float(run_values.max()))
 
     raise CertificateError(
         f"no margin interval of width >= {min_width} found on [{lo}, {hi}]: "
@@ -277,15 +273,14 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
                               margin: MarginInterval) -> DirectionFunctions:
     """Construct the unit-direction y_k on the margin interval.
 
-    The coefficients are M^-1 (see the module note); a direction eta scales
-    row k by eta_k, through `CoreCertificate.delta_for`/`t_for` or as
-    `directions(s, eta[:, None] * directions.coeffs)`.  Every integral, the
-    independence check included, is taken on the margin nodes of `rule`
-    refined at the margin ends (`refine_rule`), from the basis at that rule's
-    nodes, evaluated here once and kept as `basis_design`.  phi is Legendre
-    (see `_phi`) when the a_k at more than n such nodes match their projection
-    (G^-1 M)^T phi, G the Gram matrix of the phi_j, to LEGENDRE_FIT_TOL, and
-    the a_k orthonormalized on them otherwise; the M of the phi kept is inverted.
+    The coefficients are M^-1 (see the module note), whose row k a direction
+    eta scales by eta_k.  Every integral, the independence check included, is
+    taken on the margin nodes of `rule` refined at the margin ends
+    (`refine_rule`), from the basis at that rule's nodes, evaluated here once
+    and kept as `basis_design`.  phi is Legendre (see `_phi`) when the a_k at
+    more than n such nodes match their projection (G^-1 M)^T phi, G the Gram
+    matrix of the phi_j, to LEGENDRE_FIT_TOL, and the a_k orthonormalized on
+    them otherwise; the M of the phi kept is inverted.
     """
     rule = refine_rule(rule, margin.lo, margin.hi)   # the prelude's rule comes back as it is
     design = basis(rule.nodes)
@@ -301,8 +296,8 @@ def build_direction_functions(basis: MomentBasis, rule: QuadratureRule,
             f"reduce the family or choose a different interval",
             hypothesis="linear independence",
         )
-    grid = _membership_grid(rule, margin)
-    grid = grid[(grid >= margin.lo) & (grid <= margin.hi)]   # the margin grid, nodes last
+    grid = np.concatenate([uniform_grid(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
+                           rule.nodes[inside]])   # the margin grid, nodes last
     on_grid, factor = _phi(margin, basis, None, grid), None  # Legendre, kept if it fits the a_k
     phi = on_grid[:, MEMBERSHIP_SAMPLES:].copy()   # C order, as M's bits need
     m = (phi * weights) @ values.T   # M_ji = <phi_j, a_i>
@@ -417,9 +412,9 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
        on the membership grid of the instance rule, and again on that grid
        once step 2 has refined its rule; without it (qri's, which clips the
        density into the band) it must be finite there.
-    2. The scan's margin interval on the instance rule, its range widened by
-       the density on the margin grid, and the margin rule: the instance rule
-       refined at its ends.
+    2. The scan's margin interval on the instance rule, and the margin rule:
+       the instance rule refined at its ends.  The margin's range is the
+       density's on the margin grid, in place of the scan's.
     3. The unit-direction y_k on it, the only independence check.
     4. Its range strictly inside (lower, upper).
 
@@ -428,22 +423,22 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     the margin rule (`_membership_grid`), x on it, and the clearance of that
     range from the band, which core's step rule and qri's delta both read.
     """
-    basis, rule = instance.basis, instance.rule
+    basis, rule, entropy = instance.basis, instance.rule, instance.entropy
     outside = CertificateError(f"the density leaves the band [{lower}, {upper}] somewhere on "
                                f"{rule.interval}", hypothesis="admissible band")
-    _check_band(instance.entropy, lower, upper)
-    if in_band and not _in_band(np.asarray(x(_membership_grid(rule)), dtype=float),
-                                lower, upper):
+    if not entropy.f_domain.contains_interval(lower, upper):   # a configuration error
+        raise ValidationError(f"band [{lower}, {upper}] is not contained in the domain "
+                              f"{entropy.f_domain} of {entropy.name}")
+    if in_band and not _in_band(_sample(x, _membership_grid(rule)), lower, upper):
         raise outside
     margin = find_margin_interval(x, lower, upper, rule, min_width)
     rule = refine_rule(rule, margin.lo, margin.hi)
     grid = _membership_grid(rule, margin)
-    x_grid = np.asarray(x(grid), dtype=float)
+    x_grid = _sample(x, grid)
     if not _in_band(x_grid, *((lower, upper) if in_band else (-np.inf, np.inf))):
         raise outside
-    checked = x_grid[(grid >= margin.lo) & (grid <= margin.hi)]
-    margin = replace(margin, val_lo=float(checked.min(initial=margin.val_lo)),
-                     val_hi=float(checked.max(initial=margin.val_hi)))
+    checked = x_grid[(grid >= margin.lo) & (grid <= margin.hi)]   # x on the margin grid
+    margin = replace(margin, val_lo=float(checked.min()), val_hi=float(checked.max()))
     directions = build_direction_functions(basis, rule, margin)
     if not lower < margin.val_lo <= margin.val_hi < upper:
         raise CertificateError(
@@ -532,7 +527,7 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     if seed < 0:
         raise ValidationError(f"the verification seed must be >= 0, got seed={seed}")
     weights, grid = cert.directions.rule.weights, cert.grid
-    x_grid = np.asarray(x(grid), dtype=float)
+    x_grid = _sample(x, grid)
     target = (cert.directions.basis_design @ (weights * x_grid[grid.size - weights.size:])
               - instance.target_moments)
     n, rate, fi = instance.n, SAFETY_FACTOR * cert.clearance, np.finfo(float)  # r of t_for
@@ -602,7 +597,7 @@ def _candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,
     puts it a level off, a gallop and bisection finds it, at the cost of probes.
     """
     gamma = 2.0 * (x_ver.size + 2 * coeffs.shape[0] + 8) * np.finfo(float).eps
-    width = upper - lower if np.isfinite(upper) else 1.0
+    width = _band_width(lower, upper)
     spread = np.abs(coeffs) @ np.abs(margin_design)
 
     def sides(k):
@@ -670,12 +665,11 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
     directions, full_grid, x_full, delta = _margin_prelude(instance, x, lower, upper, min_width,
                                                            in_band=False)
     margin, ver_rule, ver_design = directions.margin, directions.rule, directions.basis_design
-    margin_design = directions.margin_design
     nodes = slice(full_grid.size - ver_rule.nodes.size, None)  # the grid ends with the nodes
     on_margin = (full_grid >= margin.lo) & (full_grid <= margin.hi)   # the margin grid
     x_ver = x_full[nodes]
     lost = []       # levels whose witness lost its clearance
-    width = upper - lower if np.isfinite(upper) else 1.0
+    width = _band_width(lower, upper)
 
     def clip(values, m):
         return np.clip(values, lower + width / m, upper - width / m)
@@ -684,10 +678,10 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
         """The level-m clip's moment defect, and its correction's coefficients and v."""
         defect = ver_design @ (ver_rule.weights * (clip(x_ver, m) - x_ver))
         coeffs = defect @ directions.coeffs
-        return defect, coeffs, coeffs @ margin_design
+        return defect, coeffs, coeffs @ directions.margin_design
 
     for m in _candidate_levels(x_ver, ver_rule.weights, ver_design, directions.coeffs,
-                               margin_design, lower, upper, delta, m_max):
+                               directions.margin_design, lower, upper, delta, m_max):
         _, coeffs, v = level(m)
         sup_v = float(np.max(np.abs(v)))
         if sup_v >= delta / 2.0:
@@ -701,7 +695,7 @@ def build_qri_certificate(instance: ProblemInstance, x, lower: float, upper: flo
             continue
 
         def y(s):
-            return clip(np.asarray(x(s), dtype=float), m) - directions(s, coeffs)
+            return clip(_sample(x, s), m) - directions(s, coeffs)
 
         residual = float(np.max(np.abs(
             ver_design @ (ver_rule.weights * y_full[nodes]) - instance.target_moments)))

@@ -250,13 +250,14 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
 
     basis, rule = instance.basis, instance.rule
     margin = find_margin_interval(x, lower, upper, rule)
-    delta = min(margin.val_lo - lower, upper - margin.val_hi)   # the clearance eps counts
     directions = build_direction_functions(basis, rule, margin)
     ver_rule = directions.rule
     ver_design = basis(ver_rule.nodes)
     x_ver = np.asarray(x(ver_rule.nodes), dtype=float)
     margin_grid = np.concatenate([np.linspace(margin.lo, margin.hi, MEMBERSHIP_SAMPLES),
                                   nodes_in(ver_rule, margin.lo, margin.hi)[0]])
+    x_margin = np.asarray(x(margin_grid), dtype=float)   # the range delta is read from
+    delta = min(x_margin.min() - lower, upper - x_margin.max())   # the clearance eps counts
     uniform = np.linspace(*rule.interval, MEMBERSHIP_SAMPLES + 2)
     full_grid = np.concatenate([uniform[uniform < margin.lo], margin_grid[:MEMBERSHIP_SAMPLES],
                                 uniform[uniform > margin.hi], ver_rule.nodes])
@@ -296,8 +297,9 @@ def _replay_full_scan(instance, x, lower, upper, m_max):
 
 def _pulse_zeroed_in_margin():
     """The README-family pulse with piecewise_flat n=4, set to 0 at one
-    instance-rule node inside its margin: the scan, which samples between
-    the nodes, still finds the margin, but its confirmed range reaches 0."""
+    instance-rule node inside its margin.  The scan samples between the
+    nodes, and the margin grid holds the margin rule's nodes, not that one,
+    so no certificate reads the zero there, but the target moments carry it."""
     margin = find_margin_interval(PULSE, 0.0, INF, RULE)
     node = float(RULE.nodes[(RULE.nodes > margin.lo) & (RULE.nodes < margin.hi)][0])
     rho = Density(lambda s: np.where(np.asarray(s) == node, 0.0, PULSE(s)))
@@ -490,6 +492,40 @@ class TestCheckedPointsConfirmMargin:
         with pytest.raises(CertificateError) as err:
             build_core_certificate(inst, rho, 0.0, INF)
         assert err.value.hypothesis == "admissible band"
+
+    @pytest.mark.parametrize("kind", ["core", "qri"])
+    def test_off_grid_scan_sample_moves_no_margin_grid_quantity(self, kind):
+        """The pulse at 0.8 on a scan sample in the margin that lies on
+        no grid a certificate checks (tBS, monomial n = 3, band [0, 3]).  The
+        scan proposes 0.8 as the margin's low end, but the prelude reads the
+        range on the margin grid alone, so each certificate is the unmoved
+        pulse's: core's clearance 1.0, and qri's m = 223 and eps = 3/223."""
+        from entromin.certificates import _membership_grid
+        from entromin.quadrature import refine_rule
+
+        point = 0.26198801198801197
+        rho = Density(lambda s: np.where(np.asarray(s) == point, 0.8, PULSE(s)))
+        proposed = find_margin_interval(rho, 0.0, 3.0, RULE)
+        margin = find_margin_interval(PULSE, 0.0, 3.0, RULE)
+        assert (proposed.lo, proposed.hi, proposed.val_lo) == (margin.lo, margin.hi, 0.8)
+        checked = np.concatenate([_membership_grid(RULE), _membership_grid(
+            refine_rule(RULE, margin.lo, margin.hi), margin)])
+        assert margin.lo < point < margin.hi and not np.isin(point, checked)
+        certs = []
+        for x in (rho, PULSE):   # the same target moments: the point is no instance node
+            inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), x)
+            if kind == "core":
+                cert = build_core_certificate(inst, x, 0.0, 3.0)
+                assert verify_core_certificate(inst, x, cert).all_passed
+                certs.append((cert.margin, cert.clearance, cert.t_unit))
+            else:
+                cert = build_qri_certificate(inst, x, 0.0, 3.0)
+                certs.append((cert.margin, cert.m, cert.eps, cert.correction_sup))
+        assert certs[0] == certs[1] and certs[0][0] == dataclasses.replace(margin, val_lo=1.0)
+        if kind == "core":
+            assert certs[0][1:] == (1.0, pytest.approx(0.001370883234899712, rel=1e-12))
+        else:
+            assert certs[0][1:3] == (223, 3 / 223)
 
     @pytest.mark.parametrize("build", [build_core_certificate, build_qri_certificate],
                              ids=["core", "qri"])
@@ -1002,11 +1038,17 @@ class TestCoreCertificate:
         assert err.value.hypothesis == "margin interval"
 
     def test_scanned_margin_touching_the_band_names_margin(self):
+        """The zero sits on no point core checks, so the margin's range read
+        on the margin grid is [1, 1] and the certificate builds; but the
+        target moments carry it, so verification refuses the density by
+        name, and no admissible step passes P2."""
         inst, rho = _pulse_zeroed_in_margin()
-        with pytest.raises(CertificateError) as err:
-            build_core_certificate(inst, rho, 0.0, INF)
-        assert err.value.hypothesis == "margin interval"
-        assert "is not strictly inside (0.0, inf)" in str(err.value)
+        cert = build_core_certificate(inst, rho, 0.0, INF)
+        assert (cert.margin.val_lo, cert.margin.val_hi, cert.clearance) == (1.0, 1.0, 1.0)
+        report = verify_core_certificate(inst, rho, cert, trials=100, seed=0)
+        assert report.failures == ("target moments", "radius")
+        assert report.target == pytest.approx(1.269e-3, rel=1e-3)
+        assert (report.p1_passes, report.p2_passes) == (100, 0)
 
     def test_coordinate_directions_shift_one_moment_exactly(self):
         """For eta = e_k the perturbed moments move by t in coordinate k
@@ -1855,16 +1897,15 @@ class TestQriCertificate:
         with pytest.raises(ValidationError, match="is not contained in the domain"):
             build_qri_certificate(inst, PULSE, *band)
 
-    def test_scanned_margin_touching_the_band_names_margin(self, monkeypatch):
-        """The zeroed node makes delta 0: no clip level is solved for or scanned."""
-        from entromin import certificates
-
+    def test_scanned_margin_touching_the_band_names_margin(self):
+        """The zero sits on no point qri checks, so delta is read as 1; the
+        witness accepted at m = 1037 matches the margin rule's moments, not
+        the target the zero moved, and fails `[moment match]`."""
         inst, rho = _pulse_zeroed_in_margin()
-        monkeypatch.setattr(certificates, "_candidate_levels", None)
-        with pytest.raises(CertificateError) as err:
+        with pytest.raises(CertificateError, match=r"accepted at m=1037 misses the target "
+                                                   r"moments by 1\.269e-03") as err:
             build_qri_certificate(inst, rho, 0.0, INF)
-        assert err.value.hypothesis == "margin interval"
-        assert "is not strictly inside (0.0, inf)" in str(err.value)
+        assert err.value.hypothesis == "moment match"
 
     def test_budget_exhaustion_reports_decay(self):
         # five monomials need the clipping level well past m = 100
@@ -2194,6 +2235,26 @@ class TestOneDesignPerPointSet:
         assert (f"certificates.build_{kind}_certificate" in reached
                 and ("certificates.verify_core_certificate" in reached) == (kind == "core"))
 
+    def test_scan_samples_its_lattice_and_the_builder_the_margin_grid(self, monkeypatch):
+        """The scan calls x once, on MEMBERSHIP_SAMPLES interior samples of each
+        segment alone (4002 points on the README rule, no node), and the y_k
+        builder builds the margin grid without the membership grid."""
+        from entromin import certificates
+        from entromin.certificates import MEMBERSHIP_SAMPLES
+
+        sampled, built = [], []
+        x = Density(lambda s: sampled.append(np.array(s)) or PULSE(s))
+        margin = find_margin_interval(x, 0.0, INF, RULE)
+        lattice = np.concatenate([np.linspace(lo, hi, MEMBERSHIP_SAMPLES + 2)[1:-1]
+                                  for lo, hi in [(0.0, 0.5), (0.5, 1.0)]])
+        assert lattice.size == 4002 and not np.isin(RULE.nodes, lattice).any()
+        assert [s.tobytes() for s in sampled] == [lattice.tobytes()]
+        monkeypatch.setattr(certificates, "_membership_grid", lambda *args: built.append(args))
+        directions = build_direction_functions(piecewise_flat_basis(6, 0.5), RULE, margin)
+        assert built == []
+        on_margin = nodes_in(directions.rule, margin.lo, margin.hi)[0]
+        assert directions.margin_design.shape == (6, MEMBERSHIP_SAMPLES + on_margin.size)
+
     def test_failing_readme_scan_builds_no_membership_evaluator(self, monkeypatch):
         """The README config fails at m_max = 4000 without a level passing
         sup|v| < delta/2, and accepts m = 44103 at m_max = 50000; neither
@@ -2211,6 +2272,34 @@ class TestOneDesignPerPointSet:
         assert built == []
         assert certificates.build_qri_certificate(inst, PULSE, 0.0, INF, m_max=50000).m == 44103
         assert built == []
+
+
+@pytest.mark.parametrize("kind", ["core", "qri"])
+def test_scalar_density_certifies_as_the_constant(kind):
+    """`instance_from_density` accepts a density that returns one scalar for
+    all points; both certificates read it as that value at every point, so
+    it certifies exactly as `constant_density(0.5)` does.  A density that
+    returns shape (2, N) fails as a ValidationError naming the shape."""
+    results = []
+    for rho in (Density(lambda s: 0.5), constant_density(0.5)):
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(3), rho)
+        if kind == "core":
+            cert = build_core_certificate(inst, rho, 0.0, 1.0)
+            results.append((cert.margin, cert.clearance, cert.sup_unit.tobytes(),
+                            cert.inner_products.tobytes(), cert.grid.tobytes(),
+                            verify_core_certificate(inst, rho, cert)))
+        else:
+            cert = build_qri_certificate(inst, rho, 0.0, 1.0)
+            results.append((cert.margin, cert.m, cert.eps, cert.moment_match_residual,
+                            cert.upper_clearance, cert.correction_sup,
+                            cert.y(np.linspace(0.0, 1.0, 777)).tobytes(), float(cert.y(0.3))))
+    assert results[0] == results[1]
+    assert kind == "qri" or results[0][-1].all_passed
+    pair = Density(lambda s: np.stack([np.full(np.shape(s), 0.5)] * 2))
+    inst = make_instance("translated_boltzmann_shannon", monomial_basis(2), pair)
+    build = build_core_certificate if kind == "core" else build_qri_certificate
+    with pytest.raises(ValidationError, match=r"returned values of shape \(2, \d+\) at \(\d+,\)"):
+        build(inst, pair, 0.0, 1.0)
 
 
 def test_custom_family_solves_and_certifies():
