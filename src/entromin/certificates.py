@@ -63,9 +63,10 @@ Legendre's own M decides whether it reproduces the a_k, and is then inverted.
 The y_k carry the two designs M takes, each evaluated once: the basis at the
 margin rule's nodes (`basis_design`), for every margin integral, and the
 phi_j on the margin grid (`margin_design`), for every value of an expansion
-over the phi_j that a build reads: core's sup bound and <y_k, a_j>, and the
-qri scan's sup |v| and witness.  Calling the `DirectionFunctions` evaluates
-them at any other points (the qri witness as a function).  The y_k are zero
+over the phi_j that a build or verification reads: core's sup bound, the
+<y_k, a_j> core verification forms, and the qri scan's sup |v| and witness.
+Calling the `DirectionFunctions` evaluates them at any other points (the qri
+witness as a function).  The y_k are zero
 off the margin, so core's sup bound holds at every point P1 checks, and the
 step rule keeps |s @ y| below 0.99 times the clearance there for every
 direction: P1 checks x moved by one float64 bound on that sum, and
@@ -84,7 +85,7 @@ import numpy as np
 
 from .errors import CertificateError, ValidationError
 from .moments import MomentBasis, ProblemInstance, _hold_read_only, linearly_independent_on
-from .quadrature import QuadratureRule, refine_rule, uniform_grid
+from .quadrature import QuadratureRule, _sample, refine_rule, uniform_grid
 
 __all__ = [
     "MarginInterval",
@@ -125,14 +126,6 @@ class MarginInterval:
 def _band_width(lower: float, upper: float) -> float:
     """The band's scale: upper - lower, or 1 when `upper` is infinite."""
     return upper - lower if np.isfinite(upper) else 1.0
-
-
-def _sample(x, points) -> np.ndarray:
-    """x at `points` as floats of their shape, a scalar being every point's value."""
-    values, shape = np.asarray(x(points), dtype=float), np.shape(points)
-    if values.shape not in (shape, ()):
-        raise ValidationError(f"the density returned values of shape {values.shape} at {shape}")
-    return values if values.shape == shape else np.full(shape, values)
 
 
 def _in_band(values, lower: float, upper: float) -> bool:
@@ -322,12 +315,12 @@ class CoreCertificate:
     as they do.  `grid` is the membership grid, ending with the nodes of
     `directions.rule`, where the build confirmed the margin and verification
     checks P1; its points in the margin are the margin grid.
-    `inner_products` is <y_k, a_j> (row k) on that rule's margin nodes.
     `sup_unit` bounds |y_k| on the margin grid, where the y_k were sampled,
     and the y_k are zero on the other grid points, so it bounds them at every
     point P1 checks.  `margin` and `delta` are read from `directions` and
-    `sup_unit`, so each value is stored once.  The certificate is frozen and
-    holds its arrays, and those of its `directions`, read-only.
+    `sup_unit`, and verification forms <y_k, a_j> from `directions`, so
+    each value is stored once.  The certificate is frozen and holds its
+    arrays, and those of its `directions`, read-only.
     """
 
     directions: DirectionFunctions
@@ -336,10 +329,9 @@ class CoreCertificate:
     upper: float
     clearance: float
     grid: np.ndarray = field(repr=False)
-    inner_products: np.ndarray = field(repr=False)     # (n, n)
 
     def __post_init__(self):
-        _hold_read_only(self, "sup_unit", "grid", "inner_products")
+        _hold_read_only(self, "sup_unit", "grid")
 
     @property
     def margin(self) -> MarginInterval:
@@ -458,20 +450,13 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     independence on the scanned margin (see `_margin_prelude`).
     """
     directions, grid, _, clearance = _margin_prelude(instance, x, lower, upper, min_width)
-    margin, rule = directions.margin, directions.rule
-    y_margin = directions.coeffs @ directions.margin_design   # the unit y_k, nodes last
-    sup_unit = np.abs(y_margin).max(axis=1) * (1.0 + 1e-9)
-    on_nodes = (rule.nodes >= margin.lo) & (rule.nodes <= margin.hi)
-    inner_products = ((y_margin[:, MEMBERSHIP_SAMPLES:] * rule.weights[on_nodes])
-                      @ directions.basis_design.compress(on_nodes, axis=1).T)  # the audit's bits
     return CoreCertificate(
         directions=directions,
-        sup_unit=sup_unit,
+        sup_unit=np.abs(directions.coeffs @ directions.margin_design).max(axis=1) * (1.0 + 1e-9),
         lower=float(lower),
         upper=float(upper),
         clearance=float(clearance),
         grid=grid,
-        inner_products=inner_products,
     )
 
 
@@ -507,13 +492,14 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     the band by B.
 
     P2 is linear in s: on the margin rule the moments are b + e + D^T s, e
-    the moments of x less b and D = `cert.inner_products`, so each step's
-    residual |e + (D - I)^T s| is at most W = max_j (|e_j| + sum_k
-    |D - I|_kj r / (n sup_unit_k)).  In P1's range W and `t_for` round n+8
-    times, relatively, so fl(W) (1 + (n+8) eps) + tiny bounds it (inf out of
-    that range).  P1 and P2 pass in every trial if the worst violation is 0
-    (B covers every rounding) and the bound within P2_TOL (NaN fails), in
-    none otherwise.  P2's parts are also checked at unit size
+    the moments of x less b and D_kj = <y_k, a_j>, both formed here, D from
+    the y_k at the margin rule's margin nodes (`margin_design`) and the a_k
+    there (`basis_design`).  So each step's residual |e + (D - I)^T s| is at
+    most W = max_j (|e_j| + sum_k |D - I|_kj r / (n sup_unit_k)).  In P1's
+    range W and `t_for` round n+8 times, relatively, so fl(W) (1 + (n+8)
+    eps) + tiny bounds it (inf out of that range).  P1 and P2 pass in every
+    trial if the worst violation is 0 (B covers every rounding) and the
+    bound within P2_TOL (NaN fails), in none otherwise.  P2's parts are also checked at unit size
     (`CertificateVerification.failures`), as is the radius t_unit (1 -
     omega) - ||e||_inf, omega = ||D^T - I||_inf: every b + s' with
     ||s'||_inf <= radius is reached by s = D^-T (s' - e), ||s||_inf <=
@@ -526,12 +512,16 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
         raise ValidationError(f"verification needs at least one trial, got trials={trials}")
     if seed < 0:
         raise ValidationError(f"the verification seed must be >= 0, got seed={seed}")
-    weights, grid = cert.directions.rule.weights, cert.grid
+    directions, grid = cert.directions, cert.grid
+    weights, nodes = directions.rule.weights, directions.rule.nodes
     x_grid = _sample(x, grid)
-    target = (cert.directions.basis_design @ (weights * x_grid[grid.size - weights.size:])
+    target = (directions.basis_design @ (weights * x_grid[grid.size - weights.size:])
               - instance.target_moments)
+    on_nodes = (nodes >= cert.margin.lo) & (nodes <= cert.margin.hi)
+    y_nodes = directions.coeffs @ directions.margin_design[:, MEMBERSHIP_SAMPLES:]
     n, rate, fi = instance.n, SAFETY_FACTOR * cert.clearance, np.finfo(float)  # r of t_for
-    defect = cert.inner_products - np.eye(n)
+    defect = ((y_nodes * weights[on_nodes]) @ directions.basis_design.compress(on_nodes, axis=1).T
+              - np.eye(n))   # D - I
     scales = np.append(cert.sup_unit, rate)
     trusted = np.all((2.0 ** -500 <= scales) & (scales <= 2.0 ** 500))
     bound = ((1.0 + 2.0 * (n + 2) * fi.eps) ** 2 * (rate * (1.0 + (n + 3) * fi.eps)) + fi.tiny

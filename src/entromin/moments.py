@@ -34,7 +34,7 @@ import numpy as np
 from .densities import _load_table
 from .entropies import EntropySpec
 from .errors import ValidationError
-from .quadrature import QuadratureRule, finite_at_nodes, nodes_in, refine_rule
+from .quadrature import QuadratureRule, _sample, finite_at_nodes, nodes_in, refine_rule
 
 __all__ = [
     "MomentBasis",
@@ -133,7 +133,7 @@ def moment_vector(basis: MomentBasis, rule: QuadratureRule, x) -> np.ndarray:
 
 def _node_moments(rule: QuadratureRule, design: np.ndarray, x) -> np.ndarray:
     """moment_vector on a built design; one dot per row, as one gemv changes bits."""
-    products = finite_at_nodes(rule, design * np.asarray(x(rule.nodes), dtype=float))
+    products = finite_at_nodes(rule, design * _sample(x, rule.nodes))
     return (products[:, None, :] @ rule.weights[:, None])[:, 0, 0]
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dual import _derivatives, _field
 from .moments import ProblemInstance
-from .quadrature import integrate_values
+from .quadrature import _sample, integrate_values
 
 __all__ = ["PrimalSolution", "reconstruct", "sample_solution", "gibbs_overshoot"]
 
@@ -81,7 +81,7 @@ def gibbs_overshoot(solution: PrimalSolution, target, window) -> float:
     lo, hi = float(window[0]), float(window[1])
     grid = np.linspace(lo, hi, OVERSHOOT_SAMPLES)
     x_vals = np.asarray(solution.x(grid), dtype=float)
-    t_vals = np.asarray(target(grid), dtype=float)
+    t_vals = _sample(target, grid)
     above = float(np.max(x_vals) - np.max(t_vals))
     below = float(np.min(t_vals) - np.min(x_vals))
     return max(above, below, 0.0)

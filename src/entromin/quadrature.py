@@ -132,17 +132,23 @@ def nodes_in(rule: QuadratureRule, lo: float, hi: float):
     return rule.nodes[inside], rule.weights[inside]
 
 
+def _sample(x, points) -> np.ndarray:
+    """x at `points` as floats of their shape, a scalar being every point's value:
+    the one way a density is read.  Any other shape is a ValidationError naming it."""
+    values, shape = np.asarray(x(points), dtype=float), np.shape(points)
+    if values.shape not in (shape, ()):
+        raise ValidationError(f"the density returned values of shape {values.shape} at {shape}")
+    return values if values.shape == shape else np.full(shape, values)
+
+
 def integrate(rule: QuadratureRule, g) -> float:
     """Integrate a scalar map over the rule's interval.
 
-    `g` is called once on the full node array.  A non-finite value at any
-    node raises :class:`DomainViolationError` carrying the node, which
+    `g` is called once on the full node array (`_sample`).  A non-finite value
+    at any node raises :class:`DomainViolationError` carrying the node, which
     is how entropy-domain violations surface during the Newton line search.
     """
-    values = np.asarray(g(rule.nodes), dtype=float)
-    if values.shape != rule.nodes.shape:
-        values = np.broadcast_to(values, rule.nodes.shape)
-    return integrate_values(rule, values)
+    return integrate_values(rule, _sample(g, rule.nodes))
 
 
 def finite_at_nodes(rule: QuadratureRule, values, what: str = "integrand") -> np.ndarray:

@@ -2,7 +2,9 @@
 `compare` and both certify types, on any of the six entropies, either
 built-in family, the pulse or the constant, any quadrature and any band,
 ends in an exit code the README names, with no stray exception, no warning
-and no NaN in an artifact but the one it documents.
+and no NaN in an artifact but the one it documents.  A solve's exit code
+is its audit's, and the two certificates end alike on one config but in
+the two ways the README names.
 
 Hypothesis draws the configs under the derandomized profile of
 `tests/conftest.py`, so every run draws the same ones.
@@ -35,9 +37,9 @@ def _basis(section, kind, n):
 
 
 @st.composite
-def runs(draw):
-    """(command, INI text without [output]) of one random run."""
-    command, n = draw(st.sampled_from(COMMANDS)), draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8]))
+def configs(draw, command):
+    """The INI text, without [output], of one random run of `command`."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8]))
     kinds = draw(st.permutations(KINDS))
     text = (f"[problem]\nentropy = {draw(st.sampled_from(ENTROPIES))}\ninterval = 0 1\n"
             + (_basis("basis_a", kinds[0], n) + _basis("basis_b", kinds[1], n)
@@ -54,7 +56,14 @@ def runs(draw):
                                           st.floats(0.05, 3.0).map(
                                               lambda w: band.get("alpha", 0.0) + w)))
         text += "[certify]\n" + "".join(f"{key} = {value!r}\n" for key, value in band.items())
-    return command, text
+    return text
+
+
+@st.composite
+def runs(draw):
+    """(command, INI text without [output]) of one random run."""
+    command = draw(st.sampled_from(COMMANDS))
+    return command, draw(configs(command))
 
 
 def _non_finite(obj, key=None):
@@ -70,14 +79,9 @@ def _non_finite(obj, key=None):
         yield key, obj
 
 
-@settings(max_examples=300, deadline=None)
-@given(runs())
-def test_every_run_ends_in_a_named_outcome(run):
-    """Each run exits 0-3 without raising or warning.  No artifact holds a
-    NaN, but compare's overshoot of a basis whose solve did not converge,
-    and no infinity, but qri's `upper_clearance` under a band unbounded
-    above.  A certify exit 3 names a hypothesis or a failed verification."""
-    command, text = run
+def _run(command, text):
+    """Run `command` on the config `text` with every warning an error: its
+    exit code, stderr, and artifacts by name."""
     argv = (["certify", "--type", command] if command in ("core", "qri") else [command])
     with tempfile.TemporaryDirectory() as directory:
         path, out = Path(directory) / "run.ini", Path(directory) / "out"
@@ -88,7 +92,18 @@ def test_every_run_ends_in_a_named_outcome(run):
             warnings.simplefilter("error")
             code = main(argv + ["--config", str(path), "--out", str(out)])
         artifacts = {p.name: p.read_text() for p in out.glob("*")} if out.exists() else {}
-    stderr = err.getvalue()
+    return code, err.getvalue(), artifacts
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs())
+def test_every_run_ends_in_a_named_outcome(run):
+    """Each run exits 0-3 without raising or warning.  No artifact holds a
+    NaN, but compare's overshoot of a basis whose solve did not converge,
+    and no infinity, but qri's `upper_clearance` under a band unbounded
+    above.  A certify exit 3 names a hypothesis or a failed verification."""
+    command, text = run
+    code, stderr, artifacts = _run(command, text)
     assert code in (0, 1, 2, 3), (text, stderr)
     assert "Traceback" not in stderr
     for name, content in artifacts.items():
@@ -109,3 +124,51 @@ def test_every_run_ends_in_a_named_outcome(run):
         named = re.search(r"failed hypothesis \[(.*?)\]", stderr)
         assert (named and named.group(1) in HYPOTHESES) or (
             command == "core" and "verification failed" in stderr), (text, stderr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["solve", "compare"]), data=st.data(),
+       tol=st.sampled_from([1e-6, 1e-10, 1e-13]), max_iter=st.sampled_from([0, 2, 8, 100]))
+def test_a_solve_exits_as_its_audit_reads(command, data, tol, max_iter):
+    """A `solve` or `compare` exit 0 means every basis converged with
+    `residual_inf` <= tol.  An exit 2 means one did not, with its residual
+    above tol: `solve` names the iteration budget or the stalled line search,
+    and `compare` says a solve did not converge."""
+    text = data.draw(configs(command)) + f"[solver]\ntol = {tol!r}\nmax_iter = {max_iter}\n"
+    code, stderr, artifacts = _run(command, text)
+    assert code in (0, 1, 2), (text, stderr)
+    if code == 1:
+        return
+    if command == "solve":
+        summary = json.loads(artifacts["summary.json"])
+        audits = [(summary["converged"], summary["residual_inf"])]
+        if code == 2:
+            assert re.search(r"not converged: (iteration budget \d+ exhausted|line search stalled)",
+                             stderr), (text, stderr)
+    else:
+        payload = json.loads(artifacts["comparison.json"])
+        audits = [(payload[f"basis_{label}"]["converged"], payload[f"basis_{label}"]["residual"])
+                  for label in "ab"]
+        assert code == 0 or "at least one solve did not converge" in stderr, (text, stderr)
+    assert all(converged == (residual <= tol) for converged, residual in audits), (text, audits)
+    assert all(converged for converged, _ in audits) == (code == 0), (text, audits)
+
+
+def _certify_outcome(code, stderr):
+    """A certify run's outcome: its exit code, or on exit 3 the hypothesis it
+    names, "verification" for a core verification that failed."""
+    named = re.search(r"failed hypothesis \[(.*?)\]", stderr)
+    return (named.group(1) if named else "verification") if code == 3 else code
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs("core"))
+def test_core_and_qri_agree_but_as_named(text):
+    """Both certificate types on one config end alike: both pass, both fail
+    the config, or both fail the same hypothesis.  They differ in two named
+    ways alone: core fails `[admissible band]` where the density leaves the
+    band, which qri clips it into, and core passes where qri spends its
+    clip-level budget, `[witness acceptance]`."""
+    core, qri = (_certify_outcome(*_run(command, text)[:2]) for command in ("core", "qri"))
+    assert core == qri or core == "admissible band" or (core, qri) == (0, "witness acceptance"), (
+        text, core, qri)

@@ -32,6 +32,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from entromin.config import BasisSpec, RhoSpec, RunConfig, build_problem, load_config
 from entromin.dual import solve_dual
@@ -108,6 +109,7 @@ def test_table_covers_the_configs():
     assert sorted(json.loads(TABLE.read_text())) == sorted(map(_label, CONFIGS))
 
 
+@pytest.mark.kernel_pinned
 def test_solve_outcomes_match_the_table():
     table = json.loads(TABLE.read_text())
     moved = {}
@@ -132,6 +134,7 @@ def test_readme_states_the_census_counts():
     assert stated == counts and sum(counts.values()) == len(CONFIGS)
 
 
+@pytest.mark.kernel_pinned
 def test_reconstruction_residual_is_the_solver_residual():
     """reconstruct reads the solver's oracle: at the multipliers solve_dual
     returns, its moment residual is the solver's residual, bit for bit."""
