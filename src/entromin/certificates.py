@@ -15,15 +15,15 @@ density by t * sum_k y_k, where the y_k are "direction functions"
 supported on the margin interval with <y_k, a_j> = eta_k when j = k and 0
 otherwise.  The certificate packages the y_k (built once for the unit
 direction and rescaled, since they are linear in eta), a bound Delta on
-their sup, and the step rule t(eta) that keeps the perturbed density
-inside the band.  Verification checks both conclusions, each decided once
-for every direction the step rule admits: the perturbed density stays in the
-band (P1), and its moments move exactly to b + t*eta (P2).  P2 is linear in
-eta, so the n x n matrix <y_k, a_j> and the density's own moment defect
-bound it over every admissible step; each is also checked at unit size,
-failing by name as "direction functions" or "target moments"; the radius
-around b that the certified steps reach net of both must be positive
-("radius").
+their sup, formed from them, and the step rule t(eta) that keeps the
+perturbed density inside the band.  Verification checks both conclusions,
+each decided once for every direction the step rule admits: the perturbed
+density stays in the band (P1), and its moments move exactly to b + t*eta
+(P2).  P2 is linear in eta, so the n x n matrix <y_k, a_j> and the
+density's own moment defect bound it over every admissible step; each is
+also checked at unit size, failing by name as "direction functions" or
+"target moments"; the radius around b that the certified steps reach net
+of both must be positive ("radius").
 
 Quasi-relative-interior certificate.  Clip the density into the open band
 at level 1/m, correct the clipped moments back to b with a function v
@@ -63,10 +63,10 @@ Legendre's own M decides whether it reproduces the a_k, and is then inverted.
 The y_k carry the two designs M takes, each evaluated once: the basis at the
 margin rule's nodes (`basis_design`), for every margin integral, and the
 phi_j on the margin grid (`margin_design`), for every value of an expansion
-over the phi_j that a build or verification reads: core's sup bound, the
-<y_k, a_j> core verification forms, and the qri scan's sup |v| and witness.
-Calling the `DirectionFunctions` evaluates them at any other points (the qri
-witness as a function).  The y_k are zero
+over the phi_j that is read: core's sup bound, which a core certificate
+forms from its y_k, the <y_k, a_j> core verification forms, and the qri
+scan's sup |v| and witness.  Calling the `DirectionFunctions` evaluates
+them at any other points (the qri witness as a function).  The y_k are zero
 off the margin, so core's sup bound holds at every point P1 checks, and the
 step rule keeps |s @ y| below 0.99 times the clearance there for every
 direction: P1 checks x moved by one float64 bound on that sum, and
@@ -163,12 +163,15 @@ def find_margin_interval(x, lower: float, upper: float, rule: QuadratureRule,
     Scans each segment of `rule` (its interval cut at its breakpoints) on
     MEMBERSHIP_SAMPLES interior samples, trying margins eps from a geometric
     grid (largest first) and returning the widest interval of width at least
-    `min_width` (default: 1% of the interval) on which x(s) stays in
-    [lower + eps, upper - eps].
+    `min_width` (default: 1% of the interval; positive and finite) on which
+    x(s) stays in [lower + eps, upper - eps], `lower` finite and <= `upper`.
 
     x is called once, on the scan samples alone; their range in the interval
     found is a proposal, which a certificate's prelude replaces (`MarginInterval`).
+    A band or `min_width` out of range is a ValidationError that names it.
     """
+    if not (np.isfinite(lower) and lower <= upper):   # nan too, as min_width below
+        raise ValidationError(f"band [{lower}, {upper}] needs a finite lower end <= its upper end")
     lo, hi = rule.interval
     if min_width is None:
         min_width = (hi - lo) / 100.0
@@ -315,22 +318,24 @@ class CoreCertificate:
     as they do.  `grid` is the membership grid, ending with the nodes of
     `directions.rule`, where the build confirmed the margin and verification
     checks P1; its points in the margin are the margin grid.
-    `sup_unit` bounds |y_k| on the margin grid, where the y_k were sampled,
-    and the y_k are zero on the other grid points, so it bounds them at every
-    point P1 checks.  `margin` and `delta` are read from `directions` and
-    `sup_unit`, and verification forms <y_k, a_j> from `directions`, so
-    each value is stored once.  The certificate is frozen and holds its
-    arrays, and those of its `directions`, read-only.
+    `sup_unit` is 1 + 1e-9 times the largest |y_k| on the margin grid,
+    formed from `directions` when the certificate is made, never handed in;
+    the y_k are zero on the other grid points, so it bounds them at every
+    point P1 checks.  `margin`, `delta` and verification's <y_k, a_j> are
+    read from `directions` too, so each value has one source.  The frozen
+    certificate holds its arrays, and those of its `directions`, read-only.
     """
 
     directions: DirectionFunctions
-    sup_unit: np.ndarray            # per-k sup |y_k| for the unit direction, on the margin grid
+    sup_unit: np.ndarray = field(init=False)   # per-k sup |y_k| for the unit direction
     lower: float
     upper: float
     clearance: float
     grid: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        y = self.directions.coeffs @ self.directions.margin_design   # the y_k on the margin grid
+        object.__setattr__(self, "sup_unit", np.abs(y).max(axis=1) * (1.0 + 1e-9))
         _hold_read_only(self, "sup_unit", "grid")
 
     @property
@@ -452,7 +457,6 @@ def build_core_certificate(instance: ProblemInstance, x, lower: float, upper: fl
     directions, grid, _, clearance = _margin_prelude(instance, x, lower, upper, min_width)
     return CoreCertificate(
         directions=directions,
-        sup_unit=np.abs(directions.coeffs @ directions.margin_design).max(axis=1) * (1.0 + 1e-9),
         lower=float(lower),
         upper=float(upper),
         clearance=float(clearance),
@@ -477,19 +481,19 @@ def verify_core_certificate(instance: ProblemInstance, x, cert: CoreCertificate,
     b + s to within P2_TOL (P2).  `dataclasses.replace(cert, clearance=k *
     cert.clearance)` over-drives the step rule (a negative control).
 
-    P1: as `cert.sup_unit` bounds |y_k| on the grid, |fl(s @ y_j)| <=
-    (1+gamma)^2 (|s| @ sup_unit) + tiny, gamma = 2(n+2)*eps (an n-term dot,
-    two products).  `t_for` rounds each |s_k| sup_unit_k to below r/n
-    (1+u)^3/(1-u), r = fl(SAFETY_FACTOR * clearance), u = eps/2, and the dot
-    adds n u, so B = (1+gamma)^2 r (1 + (n+3) eps) + tiny bounds every
-    |fl(s @ y_j)| while each sup_unit_k and r lie in [2^-500, 2^500], where
-    the roundings are relative.  So x moved by `reach`, B inside the margin
-    (inf where that range fails, a negative clearance too) and 0 off it,
-    where every y_k is 0, must stay in the band: the worst violation is the
-    largest of lower - (x - reach), (x + reach) - upper and 0 on the grid,
-    and inf where x is not finite, as in the build.  Rounding is monotone,
-    so it bounds each step's violation, and it is x's own where x clears
-    the band by B.
+    P1: as `cert.sup_unit`, formed from the y_k, bounds |y_k| on the grid,
+    |fl(s @ y_j)| <= (1+gamma)^2 (|s| @ sup_unit) + tiny, gamma = 2(n+2)*eps
+    (an n-term dot, two products).  `t_for` rounds each |s_k| sup_unit_k to
+    below r/n (1+u)^3/(1-u), r = fl(SAFETY_FACTOR * clearance), u = eps/2,
+    and the dot adds n u, so B = (1+gamma)^2 r (1 + (n+3) eps) + tiny bounds
+    every |fl(s @ y_j)| while each sup_unit_k and r lie in [2^-500, 2^500],
+    where the roundings are relative.  So x moved by `reach`, B inside the
+    margin (inf where that range fails, a negative clearance too) and 0 off
+    it, where every y_k is 0, must stay in the band: the worst violation is
+    the largest of lower - (x - reach), (x + reach) - upper and 0 on the
+    grid, and inf where x is not finite, as in the build.  Rounding is
+    monotone, so it bounds each step's violation, and it is x's own where x
+    clears the band by B.
 
     P2 is linear in s: on the margin rule the moments are b + e + D^T s, e
     the moments of x less b and D_kj = <y_k, a_j>, both formed here, D from

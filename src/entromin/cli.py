@@ -220,8 +220,10 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             _write_trace(os.path.join(cfg.out_dir, f"trace_{label}.csv"), solution)
     _write_json(os.path.join(cfg.out_dir, "comparison.json"), payload)
 
-    if not (results["a"]["converged"] and results["b"]["converged"]):
-        print("compare: at least one solve did not converge", file=sys.stderr)
+    unconverged = [f"compare: basis {label} not converged: {solution.message}"
+                   for label, (solution, _) in solved.items() if not solution.converged]
+    if unconverged:
+        print("\n".join(unconverged), file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     print(f"compare: overshoot_a={_fmt(results['a']['overshoot'])} "
           f"overshoot_b={_fmt(results['b']['overshoot'])} on window "

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 import types
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ RIGHT_PULSE = Density(lambda s: 1.0 - PULSE(s), PULSE.breakpoints)   # 1 on (0.5
 RAMP = Density(lambda s: np.asarray(s, dtype=float))
 BUMP = Density(lambda s: 4.0 * np.asarray(s, dtype=float) * (1.0 - np.asarray(s)))
 INF = float("inf")
+NAN = float("nan")
 # a param whose pinned tolerance holds on AVX-512 BLAS kernels alone (see `kernel_pinned`)
 KERNEL_PINNED = functools.partial(pytest.param, marks=pytest.mark.kernel_pinned)
 
@@ -63,11 +65,9 @@ def _overdriven(cert, k):
 
 def _skewed(cert, skew):
     """`cert` with y_k + sum_j skew_kj y_j in place of each y_k: its inner
-    products are (I + skew) D, and |I + skew| @ sup_unit bounds the new y_k."""
-    mix = np.eye(len(cert.sup_unit)) + skew
-    coeffs = mix @ cert.directions.coeffs
-    return dataclasses.replace(cert, directions=dataclasses.replace(cert.directions, coeffs=coeffs),
-                               sup_unit=np.abs(mix) @ cert.sup_unit)
+    products are (I + skew) D, and its sup bound is that of the new y_k."""
+    coeffs = (np.eye(len(cert.sup_unit)) + skew) @ cert.directions.coeffs
+    return dataclasses.replace(cert, directions=dataclasses.replace(cert.directions, coeffs=coeffs))
 
 
 def _verified_inner_products(directions):
@@ -636,6 +636,21 @@ class TestFindMarginInterval:
                 find_margin_interval(PULSE, 0.0, INF, build_rule((0.0, 1.0)),
                                      min_width=min_width)
 
+    def test_bad_band(self):
+        """A band whose lower end is not finite or exceeds its upper end (NaN
+        either way) is a ValidationError naming it, as a bad `min_width` is,
+        not a margin the density never clears.  Both builders reach the scan
+        with (-inf, inf) on l2_norm and cosh, whose domain is the real line."""
+        for lower, upper in ((-INF, INF), (NAN, INF), (2.0, 1.0), (0.0, NAN), (-INF, 2.0)):
+            named = re.escape(f"band [{lower}, {upper}] needs a finite lower end")
+            with pytest.raises(ValidationError, match=named):
+                find_margin_interval(PULSE, lower, upper, build_rule((0.0, 1.0)))
+        for entropy in ("l2_norm", "cosh"):
+            inst = make_instance(entropy, monomial_basis(3), PULSE)
+            for build in (build_core_certificate, build_qri_certificate):
+                with pytest.raises(ValidationError, match=r"band \[-inf, inf\] needs a finite"):
+                    build(inst, PULSE, -INF, INF)
+
 
 class TestDirectionFunctions:
     def test_single_constant_function_closed_form(self):
@@ -1030,6 +1045,28 @@ class TestCoreCertificate:
             assert driven.delta_for(at_bound) == driven.delta
             assert driven.t_unit == driven.t_for(at_bound) > 0.0
 
+    @pytest.mark.parametrize("scale", [2.0, 10.0])
+    @pytest.mark.parametrize("basis", [piecewise_flat_basis(6, 0.5), monomial_basis(4)],
+                             ids=["readme", "monomial4"])
+    def test_sup_bound_follows_the_y_k(self, basis, scale):
+        """y_k scaled after the build carry their own sup bound: the
+        certificate forms `sup_unit` from them, so its step rule shrinks by
+        the scale, and verification matches the per-trial loop, which moves
+        x by the scaled y_k: P1 passes every trial, and P2 fails every one
+        by name, as D is the scale times I.  A sup bound cannot be handed in."""
+        inst = make_instance("translated_boltzmann_shannon", basis, PULSE)
+        cert = build_core_certificate(inst, PULSE, 0.0, INF)
+        scaled = dataclasses.replace(cert, directions=_scaled(cert.directions,
+                                                              np.full(inst.n, scale)))
+        got = verify_core_certificate(inst, PULSE, scaled, trials=40, seed=3)
+        _assert_replays(got, _replay_per_trial(inst, PULSE, scaled, 40, 3))
+        assert (got.p1_passes, got.worst_p1_violation, got.p2_passes) == (40, 0.0, 0)
+        assert "direction functions" in got.failures
+        np.testing.assert_allclose(scaled.sup_unit, scale * cert.sup_unit, rtol=1e-12)
+        assert scaled.t_unit == pytest.approx(cert.t_unit / scale, rel=1e-12)
+        with pytest.raises(ValueError, match="sup_unit"):
+            dataclasses.replace(cert, sup_unit=scale * cert.sup_unit)
+
     def test_band_violation_names_hypothesis(self):
         rho = constant_density(2.0)
         inst = make_instance("boltzmann_shannon", monomial_basis(2), rho)
@@ -1181,11 +1218,14 @@ class TestCoreCertificate:
         rounding bound (1+gamma)^2 (|s| @ sup_unit) + tiny in float64, for n
         in 1..12 and a clearance and sup_unit_k anywhere over 300 decades:
         on 64 seeded directions, as the per-trial loop draws them, and on 64 with
-        every |eta_k| sup_unit_k equal, where |s| @ sup_unit is largest."""
+        every |eta_k| sup_unit_k equal, where |s| @ sup_unit is largest.  The
+        certificate forms sup_unit from stub y_k, y_k = 10^sups_k phi_k."""
         from entromin.certificates import CoreCertificate
 
-        sup_unit = 10.0 ** np.array(sups[:n])
-        cert = CoreCertificate(None, sup_unit, 0.0, 1.0, 10.0 ** clearance, np.empty(0))
+        stub = types.SimpleNamespace(coeffs=np.diag(10.0 ** np.array(sups[:n])),
+                                     margin_design=np.eye(n))
+        cert = CoreCertificate(stub, 0.0, 1.0, 10.0 ** clearance, np.empty(0))
+        sup_unit = cert.sup_unit
         rng = np.random.default_rng(seed)
         etas = np.vstack([rng.standard_normal((64, n)),
                           rng.choice([-1.0, 1.0], (64, n)) / sup_unit])
@@ -1274,9 +1314,10 @@ class TestCoreCertificate:
         (n sup_unit_k)) (1 + (n+8) eps) + tiny against P2_TOL.  With y_1
         skewed by d y_n (`coeffs[0] += d * coeffs[-1]`), bisection over the
         floats d finds the last d whose W, from the D of verification's
-        product, is within P2_TOL: there verification reports that W bit for
-        bit and passes P2 in every trial, and one ulp of d further it reports
-        that W, above P2_TOL, and fails every trial."""
+        product and the sup bound of the skewed y_k, is within P2_TOL: there
+        verification reports that W bit for bit and passes P2 in every trial,
+        and one ulp of d further it reports that W, above P2_TOL, and fails
+        every trial."""
         from entromin.certificates import P2_TOL, SAFETY_FACTOR
 
         rho = constant_density(0.5)
@@ -1295,7 +1336,7 @@ class TestCoreCertificate:
         def bound(d):
             defect = _verified_inner_products(skewed(d).directions) - np.eye(n)
             rate = SAFETY_FACTOR * cert.clearance
-            worst = np.max(np.abs(target) + (rate / (n * cert.sup_unit)) @ np.abs(defect))
+            worst = np.max(np.abs(target) + (rate / (n * skewed(d).sup_unit)) @ np.abs(defect))
             return float(worst * (1.0 + (n + 8) * fi.eps) + fi.tiny)
 
         lo, hi = np.float64(0.0).view(np.int64), np.float64(1.0).view(np.int64)
@@ -1310,11 +1351,15 @@ class TestCoreCertificate:
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_sup_bounds_the_grid_on_the_plan_configs(self, tmp_path, bench_module, seed):
-        """On the 8 configs of the certify-core benchmark plan the sup bound
-        is taken on the margin grid, which is the grid inside the margin, and
-        lies above |y_k| at every grid point."""
+        """On the 13 configs of the certify-core and certify-qri benchmark
+        plans the sup bound is taken on the margin grid, which is the grid
+        inside the margin, bit for bit, and lies above |y_k| at every grid
+        point."""
         workloads = bench_module("workloads")
-        for i, op in enumerate(workloads.plan("certify-core", seed)["ops"]):
+        ops = [op for workload in ("certify-core", "certify-qri")
+               for op in workloads.plan(workload, seed)["ops"]]
+        assert len(ops) == 13
+        for i, op in enumerate(ops):
             path = tmp_path / f"{i}.ini"
             path.write_text(workloads.to_ini(op))
             cfg = load_config(path)
@@ -1605,7 +1650,7 @@ class TestCoreCertificate:
                 getattr(owner, name)[...] = 0.0
         assert verify_core_certificate(inst, rho, cert).p1_passes == 0
         own = np.ones(4)
-        assert np.shares_memory(dataclasses.replace(cert, sup_unit=own).sup_unit, own)
+        assert np.shares_memory(dataclasses.replace(cert, grid=own).grid, own)
         assert np.shares_memory(dataclasses.replace(across, factor=own).factor, own)
         own[0] = 2.0
 

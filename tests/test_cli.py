@@ -487,11 +487,15 @@ class TestCompare:
 
     def test_unconverged_solve_exits_2_with_comparison(self, tmp_path, capsys):
         """One Newton iteration converges neither basis: exit 2 with one
-        stderr line, and comparison.json is still written as the evidence."""
+        stderr line per basis, naming it and why its solve stopped, and
+        comparison.json is still written as the evidence."""
         cfg = write_compare_config(tmp_path, out=str(tmp_path / "out"))
         cfg.write_text(cfg.read_text() + "\n[solver]\nmax_iter = 1\n")
         assert main(["compare", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == "compare: at least one solve did not converge\n"
+        assert re.fullmatch(r"compare: basis a not converged: iteration budget 1 exhausted "
+                            r"with residual \S+\n"
+                            r"compare: basis b not converged: iteration budget 1 exhausted "
+                            r"with residual \S+\n", capsys.readouterr().err)
         payload = json.loads((tmp_path / "out" / "comparison.json").read_text())
         assert (payload["basis_a"]["converged"], payload["basis_b"]["converged"]) == (False, False)
         assert min(payload["residuals"]) > 1e-10
@@ -545,7 +549,8 @@ class TestCompare:
                        .replace("window = 0.4 0.6", f"window = {window}")
                        + "\n[solver]\nmax_iter = 30\n")
         assert main(["compare", "--config", str(cfg), "--trace"]) == 2
-        assert capsys.readouterr().err == "compare: at least one solve did not converge\n"
+        assert re.fullmatch(r"compare: basis a not converged: iteration budget 30 exhausted "
+                            r"with residual \S+\n", capsys.readouterr().err)
         out = tmp_path / "out"
         assert sorted(os.listdir(out)) == ["comparison.json", "solution_b.csv",
                                            "trace_a.csv", "trace_b.csv"]
