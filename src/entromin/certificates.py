@@ -164,14 +164,14 @@ def find_margin_interval(x, lower: float, upper: float, rule: QuadratureRule,
     MEMBERSHIP_SAMPLES interior samples, trying margins eps from a geometric
     grid (largest first) and returning the widest interval of width at least
     `min_width` (default: 1% of the interval; positive and finite) on which
-    x(s) stays in [lower + eps, upper - eps], `lower` finite and <= `upper`.
+    x(s) stays in [lower + eps, upper - eps], `lower` finite and below `upper`.
 
     x is called once, on the scan samples alone; their range in the interval
     found is a proposal, which a certificate's prelude replaces (`MarginInterval`).
     A band or `min_width` out of range is a ValidationError that names it.
     """
-    if not (np.isfinite(lower) and lower <= upper):   # nan too, as min_width below
-        raise ValidationError(f"band [{lower}, {upper}] needs a finite lower end <= its upper end")
+    if not (np.isfinite(lower) and lower < upper):   # nan too, as min_width below
+        raise ValidationError(f"band [{lower}, {upper}] needs a finite lower end below the upper")
     lo, hi = rule.interval
     if min_width is None:
         min_width = (hi - lo) / 100.0
@@ -404,11 +404,12 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
                     min_width: Optional[float] = None, in_band: bool = True):
     """The hypothesis both certificates start from, checked in order.
 
-    1. The band lies in the entropy domain (ValidationError otherwise).  With
-       `in_band` (core's) the density must also be finite and inside the band
-       on the membership grid of the instance rule, and again on that grid
-       once step 2 has refined its rule; without it (qri's, which clips the
-       density into the band) it must be finite there.
+    1. The band is not empty and lies in the entropy domain (ValidationError
+       otherwise, an empty band named as empty).  With `in_band` (core's) the
+       density must also be finite and inside the band on the membership grid
+       of the instance rule, and again on that grid once step 2 has refined
+       its rule; without it (qri's, which clips the density into the band) it
+       must be finite there.
     2. The scan's margin interval on the instance rule, and the margin rule:
        the instance rule refined at its ends.  The margin's range is the
        density's on the margin grid, in place of the scan's.
@@ -423,6 +424,8 @@ def _margin_prelude(instance: ProblemInstance, x, lower: float, upper: float,
     basis, rule, entropy = instance.basis, instance.rule, instance.entropy
     outside = CertificateError(f"the density leaves the band [{lower}, {upper}] somewhere on "
                                f"{rule.interval}", hypothesis="admissible band")
+    if lower >= upper:   # a configuration error, as the domain check below
+        raise ValidationError(f"band [{lower}, {upper}] is empty")
     if not entropy.f_domain.contains_interval(lower, upper):   # a configuration error
         raise ValidationError(f"band [{lower}, {upper}] is not contained in the domain "
                               f"{entropy.f_domain} of {entropy.name}")

@@ -149,6 +149,9 @@ class CertifyOptions:
                 f"certificates need a finite lower bound; entropy {entropy.name} has "
                 f"domain {domain}, set certify.alpha explicitly"
             )
+        if lower >= upper:   # no interior for a margin's range to clear
+            raise ValidationError(f"band [{lower}, {upper}] is empty; set certify.alpha "
+                                  f"below certify.beta")
         if self.alpha is None and not domain.closed_lo:  # Burg's 0: no built-in upper end is open
             raise ValidationError(f"band [{lower}, {upper}] is not contained in the domain "
                                   f"{domain} of {entropy.name}, which leaves its end {lower} "

@@ -65,8 +65,6 @@ def reconstruct(instance: ProblemInstance, mu) -> PrimalSolution:
 def sample_solution(solution: PrimalSolution, grid) -> np.ndarray:
     """Tabulate the density on a grid; returns rows of (s, x(s))."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        return np.empty((0, 2))
     return np.column_stack([grid, solution.x(grid)])
 
 

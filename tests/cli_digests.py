@@ -16,15 +16,19 @@ in-process, in a temporary directory, over 458 runs:
 
 Each line holds the arguments, the config label, the exit code, and the
 SHA-256 of stdout, of stderr and of each artifact; the lines are sorted.
-The plans are read from `bench/workloads.py`, loaded from its file.  pytest
-does not collect this module; `tests/test_cli.py` runs two of its runs twice.
+pytest does not collect this module; `tests/test_cli.py` runs two of its
+runs twice.
+
+It is also the tests' one loader of a `bench/` module (`load_bench`, which
+the `bench_module` fixture returns) and their one in-process runner of a CLI
+config (`run_cli`, which the census and property suites call): the census
+tests read their configs from the plans of `bench/workloads.py`.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
-import os
 import shutil
 import sys
 import tempfile
@@ -34,13 +38,31 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 7)
 
 
-def load_workloads():
-    """`bench/workloads.py`, loaded from its file: `bench/` is no package."""
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
+def load_bench(name):
+    """`bench/<name>.py`, loaded from its file: `bench/` is no package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_cli(args, ini_text, directory):
+    """Run `cli.main` on `args` with the config `ini_text`, written to
+    `directory`/run.ini, and `--out` `directory`/out.  Returns the exit code,
+    stdout, stderr and {artifact name: bytes}; the out directory is removed,
+    so `directory` takes the next run."""
+    from entromin import cli
+
+    ini, out = Path(directory, "run.ini"), Path(directory, "out")
+    ini.write_text(ini_text, encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([*args, "--config", str(ini), "--out", str(out)])
+    artifacts = {}
+    if out.is_dir():
+        artifacts = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        shutil.rmtree(out)
+    return code, stdout.getvalue(), stderr.getvalue(), artifacts
 
 
 def runs(workloads) -> list:
@@ -63,30 +85,20 @@ def _sha256(data: bytes) -> str:
 
 def digest(workloads, args, cfg, label, tmp) -> str:
     """Run one config in the directory `tmp` and return its line."""
-    from entromin import cli
-
-    ini, out = os.path.join(tmp, "run.ini"), os.path.join(tmp, "out")
-    with open(ini, "w", encoding="utf-8") as fh:
-        fh.write(workloads.to_ini(cfg))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main([*args, "--config", ini, "--out", out])
+    code, stdout, stderr, artifacts = run_cli(args, workloads.to_ini(cfg), tmp)
     fields = [" ".join(args), label, f"exit={code}"]
-    fields += [f"{name}={_sha256(text.getvalue().replace(tmp, '<tmp>').encode())}"
+    fields += [f"{name}={_sha256(text.replace(tmp, '<tmp>').encode())}"
                for name, text in (("stdout", stdout), ("stderr", stderr))]
-    if os.path.isdir(out):
-        fields += [f"{name}={_sha256(Path(out, name).read_bytes())}"
-                   for name in sorted(os.listdir(out))]
-        shutil.rmtree(out)
+    fields += [f"{name}={_sha256(data)}" for name, data in artifacts.items()]
     return " ".join(fields)
 
 
 def digests(plan) -> list:
     """The sorted lines of the runs in `plan` (see `runs`)."""
-    workloads = load_workloads()
+    workloads = load_bench("workloads")
     with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
         return sorted(digest(workloads, *run, tmp) for run in plan)
 
 
 if __name__ == "__main__":
-    sys.stdout.write("".join(line + "\n" for line in digests(runs(load_workloads()))))
+    sys.stdout.write("".join(line + "\n" for line in digests(runs(load_bench("workloads")))))

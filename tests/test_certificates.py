@@ -651,6 +651,21 @@ class TestFindMarginInterval:
                 with pytest.raises(ValidationError, match=r"band \[-inf, inf\] needs a finite"):
                     build(inst, PULSE, -INF, INF)
 
+    def test_empty_band_named_empty(self):
+        """A band with lower >= upper has no interior for a margin's range to
+        clear: both builders name it empty before the domain check, (2, 1)
+        under Boltzmann-Shannon as (0.5, 0.5) under Fermi-Dirac, and the scan
+        takes no band of one point."""
+        for entropy, (lower, upper) in (("boltzmann_shannon", (2.0, 1.0)),
+                                        ("fermi_dirac", (0.5, 0.5))):
+            inst = make_instance(entropy, monomial_basis(3), PULSE)
+            for build in (build_core_certificate, build_qri_certificate):
+                with pytest.raises(ValidationError,
+                                   match=re.escape(f"band [{lower}, {upper}] is empty")):
+                    build(inst, PULSE, lower, upper)
+        with pytest.raises(ValidationError, match=re.escape("band [0.5, 0.5] needs a finite")):
+            find_margin_interval(PULSE, 0.5, 0.5, build_rule((0.0, 1.0)))
+
 
 class TestDirectionFunctions:
     def test_single_constant_function_closed_form(self):
@@ -1954,10 +1969,13 @@ class TestQriCertificate:
             inst, PULSE, 0.0, INF, m_max=m_max), y=None) for m_max in (4000.0, 4000))
         assert by_float == by_int
 
-    @pytest.mark.parametrize("band", [(-1.0, 2.0), (2.0, 1.0)], ids=["outside-domain", "empty"])
-    def test_band_outside_entropy_domain_rejected(self, band):
+    @pytest.mark.parametrize("band,message", [
+        ((-1.0, 2.0), "is not contained in the domain"),
+        ((2.0, 1.0), re.escape("band [2.0, 1.0] is empty")),
+    ], ids=["outside-domain", "empty"])
+    def test_band_outside_entropy_domain_rejected(self, band, message):
         inst = make_instance("boltzmann_shannon", piecewise_flat_basis(6, 0.5), PULSE)
-        with pytest.raises(ValidationError, match="is not contained in the domain"):
+        with pytest.raises(ValidationError, match=message):
             build_qri_certificate(inst, PULSE, *band)
 
     def test_scanned_margin_touching_the_band_names_margin(self):

@@ -108,6 +108,19 @@ class TestSolve:
         assert "output.sample_points must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["monomial", "piecewise_flat", "tabulated"])
+    def test_zero_sample_points_writes_the_header_alone(self, tmp_path, kind):
+        """`sample_points = 0` tabulates the solution on an empty grid, so
+        solution.csv holds its header alone, whatever the basis kind."""
+        s = np.linspace(0.0, 1.0, 401)
+        np.savetxt(tmp_path / "basis.txt", np.column_stack([s, np.ones_like(s), s]))
+        extra = {"monomial": "", "piecewise_flat": "split = 0.5",
+                 "tabulated": f"file = {tmp_path / 'basis.txt'}"}[kind]
+        cfg = write_config(tmp_path, kind=kind, n=2, extra_basis=extra)
+        cfg.write_text(cfg.read_text().replace("sample_points = 101", "sample_points = 0"))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "solution.csv").read_text() == "s,x\n"
+
     def test_field_leaving_domain_between_nodes_exits_1_without_output(self, tmp_path, capsys):
         # the solve converges, but Burg's dual field turns positive between
         # quadrature nodes, where the solution cannot be tabulated
@@ -428,14 +441,24 @@ class TestCertify:
         assert not out.exists()
 
     @pytest.mark.parametrize("cert_type", ["core", "qri"])
-    @pytest.mark.parametrize("band", ["alpha = -1\nbeta = 2", "alpha = 2\nbeta = 1"],
-                             ids=["outside-domain", "empty"])
-    def test_band_outside_entropy_domain_exits_1(self, tmp_path, capsys, cert_type, band):
-        cfg = write_cert_config(tmp_path, entropy="boltzmann_shannon", n=6, certify=band)
+    @pytest.mark.parametrize("entropy,band,message", [
+        ("boltzmann_shannon", "alpha = -1\nbeta = 2", "is not contained in the domain"),
+        ("boltzmann_shannon", "alpha = 2\nbeta = 1",
+         "band [2.0, 1.0] is empty; set certify.alpha below certify.beta"),
+        ("fermi_dirac", "alpha = 0.5\nbeta = 0.5",
+         "band [0.5, 0.5] is empty; set certify.alpha below certify.beta"),
+    ], ids=["outside-domain", "empty", "point"])
+    def test_band_outside_entropy_domain_exits_1(self, tmp_path, capsys, cert_type, entropy,
+                                                 band, message):
+        """A band outside the entropy's domain is a configuration error that
+        writes nothing, and so is an empty one, named as empty: a band of one
+        point, which Fermi-Dirac's domain holds, has no interior for a
+        margin's range to clear."""
+        cfg = write_cert_config(tmp_path, entropy=entropy, n=6, certify=band)
         out = tmp_path / "E" / cert_type
         assert main(["certify", "--config", str(cfg), "--type", cert_type,
                      "--out", str(out)]) == 1
-        assert "is not contained in the domain" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,12 +1,13 @@
-"""Solve outcome census: the 288 configs of the solve-sweep benchmark, each
-solved in-process as `solve` solves it and compared with the table
+"""Solve outcome census: the 288 ops of the solve-sweep benchmark plan
+(`bench/workloads.py`, seed 1), each loaded from its op's INI, solved
+in-process as `solve` solves it and compared with the table
 `sweep_census.json`.
 
-A config is one of 6 entropies x {monomial, piecewise_flat split at 0.5} x
+An op is one of 6 entropies x {monomial, piecewise_flat split at 0.5} x
 n in {2, 4, 6, 8, 12, 16} x {pulse split at 0.5, constant 0.5} x {320, 1280}
 nodes, on [0, 1] with 20-node panels, tol 1e-10 and a budget of 100 Newton
-iterations.  Its row holds the outcome class and the iteration count, both
-exactly:
+iterations.  Its row, keyed by the op's label, holds the outcome class and
+the iteration count, both exactly:
 
 * "audited": converged, and |duality gap| <= GAP_TOL;
 * "gap audit": converged, and |duality gap| > GAP_TOL;
@@ -19,22 +20,21 @@ exactly:
 A change that moves an outcome updates the table (`python
 tests/test_sweep_census.py` rewrites it) and says which rows moved.  The
 README's "Sweep outcomes" bullet states the table's class counts.  The
-configs and GAP_TOL are checked against the benchmark's, so the two cannot
-drift apart.
+configs are the plan's ops, read from the benchmark, and GAP_TOL is checked
+against the benchmark's, so the two cannot drift apart.
 """
 
-import itertools
 import json
 import re
 import warnings
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entromin.config import BasisSpec, RhoSpec, RunConfig, build_problem, load_config
+from cli_digests import load_bench
+from entromin.config import build_problem, load_config
 from entromin.dual import solve_dual
 from entromin.errors import DomainViolationError
 from entromin.primal import reconstruct, sample_solution
@@ -43,28 +43,21 @@ TABLE = Path(__file__).with_name("sweep_census.json")
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 GAP_TOL = 1e-8  # the gap audit of the solve-sweep benchmark (GAP_TOL in bench/worker.py)
-ENTROPIES = ("boltzmann_shannon", "burg", "cosh", "fermi_dirac", "l2_norm",
-             "translated_boltzmann_shannon")
-CONFIGS = list(itertools.product(ENTROPIES, ("monomial", "piecewise_flat"), (2, 4, 6, 8, 12, 16),
-                                 ("pulse", "constant"), (320, 1280)))
+WORKLOADS = load_bench("workloads")   # stdlib only
+CONFIGS = {WORKLOADS.label(op): op for op in WORKLOADS.plan("solve-sweep", 1)["ops"]}
 
 
-def _label(config) -> str:
-    entropy, kind, n, rho, nodes = config
-    return f"{entropy}/{kind}/n={n}/{rho}/{nodes}"
+def _run_configs(directory):
+    """(label, RunConfig) of each op, as `load_config` reads its INI from `directory`."""
+    path = Path(directory, "op.ini")
+    for label, op in CONFIGS.items():
+        path.write_text(WORKLOADS.to_ini(op))
+        yield label, load_config(path)
 
 
-def _run_config(config) -> RunConfig:
-    entropy, kind, n, rho, nodes = config
-    segments = 2 if rho == "pulse" or kind == "piecewise_flat" else 1
-    return RunConfig(entropy, basis=BasisSpec(kind, n, 0.5 if kind == "piecewise_flat" else None),
-                     rho=RhoSpec(rho, 0.5, 0.5), quad_order=20,
-                     quad_panels=nodes // (20 * segments), tol=1e-10, max_iter=100)
-
-
-def _row(config) -> dict:
-    """One solve of `config`, reduced to its census row."""
-    cfg, solution, primal = _run_config(config), None, None
+def _row(cfg) -> dict:
+    """One solve of `cfg`, reduced to its census row."""
+    solution, primal = None, None
     try:
         instance = build_problem(cfg, cfg.basis)[0]
         solution = solve_dual(instance, phi0=cfg.phi0, tol=cfg.tol, max_iter=cfg.max_iter)
@@ -82,21 +75,6 @@ def _row(config) -> dict:
     return {"outcome": outcome, "iterations": solution.iterations}
 
 
-def test_configs_are_the_benchmark_plan(tmp_path, bench_module):
-    """The census solves what the solve-sweep benchmark solves: one config
-    per plan op, whose INI loads to the census's RunConfig but for the
-    certify options, which a solve does not read."""
-    workloads = bench_module("workloads")   # stdlib only
-    ops = {workloads.label(op): op for op in workloads.plan("solve-sweep", 1)["ops"]}
-    assert sorted(ops) == sorted(map(_label, CONFIGS)) and len(ops) == len(CONFIGS)
-    path = tmp_path / "op.ini"
-    for config in CONFIGS:
-        expected = _run_config(config)
-        path.write_text(workloads.to_ini(ops[_label(config)]))
-        loaded = load_config(str(path))
-        assert replace(loaded, certify=expected.certify) == expected, _label(config)
-
-
 def test_gap_tol_is_the_benchmarks():
     """GAP_TOL is the gap audit `bench/worker.py` assigns, read as text:
     importing the worker imports scipy."""
@@ -106,15 +84,15 @@ def test_gap_tol_is_the_benchmarks():
 
 def test_table_covers_the_configs():
     """The table keeps a row for every config, failures included, and no other."""
-    assert sorted(json.loads(TABLE.read_text())) == sorted(map(_label, CONFIGS))
+    assert sorted(json.loads(TABLE.read_text())) == sorted(CONFIGS)
 
 
 @pytest.mark.kernel_pinned
-def test_solve_outcomes_match_the_table():
+def test_solve_outcomes_match_the_table(tmp_path):
     table = json.loads(TABLE.read_text())
     moved = {}
-    for config in CONFIGS:
-        label, row = _label(config), _row(config)
+    for label, cfg in _run_configs(tmp_path):
+        row = _row(cfg)
         if row != table[label]:
             moved[label] = {"table": table[label], "now": row}
     assert not moved, json.dumps(moved, indent=1)
@@ -135,22 +113,24 @@ def test_readme_states_the_census_counts():
 
 
 @pytest.mark.kernel_pinned
-def test_reconstruction_residual_is_the_solver_residual():
+def test_reconstruction_residual_is_the_solver_residual(tmp_path):
     """reconstruct reads the solver's oracle: at the multipliers solve_dual
     returns, its moment residual is the solver's residual, bit for bit."""
     converged = 0
-    for config in CONFIGS:
-        cfg = _run_config(config)
+    for label, cfg in _run_configs(tmp_path):
         instance = build_problem(cfg, cfg.basis)[0]
         solution = solve_dual(instance, tol=cfg.tol, max_iter=cfg.max_iter)
         if solution.converged:
             converged += 1
             primal = reconstruct(instance, solution.multipliers)
-            assert primal.moment_residual_inf == solution.residual_inf, _label(config)
+            assert primal.moment_residual_inf == solution.residual_inf, label
     assert converged == 277  # the 270 audited and gap-audit rows, and the 7 Burg rows
 
 
 if __name__ == "__main__":  # rewrite the table from the current code, warnings as errors as in tier-1
+    import tempfile
+
     warnings.simplefilter("error")
-    rows = {_label(config): _row(config) for config in CONFIGS}
+    with tempfile.TemporaryDirectory() as directory:
+        rows = {label: _row(cfg) for label, cfg in _run_configs(directory)}
     TABLE.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
