@@ -84,8 +84,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CertificateError, ValidationError
-from .moments import MomentBasis, ProblemInstance, _hold_read_only, linearly_independent_on
-from .quadrature import QuadratureRule, _sample, refine_rule, uniform_grid
+from .moments import MomentBasis, ProblemInstance, linearly_independent_on
+from .quadrature import QuadratureRule, _hold_read_only, _sample, refine_rule, uniform_grid
 
 __all__ = [
     "MarginInterval",

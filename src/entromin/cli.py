@@ -124,8 +124,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     if table is not None:
         _write_csv(os.path.join(cfg.out_dir, "solution.csv"), ("s", "x"), table)
     _write_json(os.path.join(cfg.out_dir, "summary.json"), _summary(solution, primal))
-    if args.trace:
-        _write_trace(os.path.join(cfg.out_dir, "trace.csv"), solution)
+    _write_trace(os.path.join(cfg.out_dir, "trace.csv"), solution)
     if not solution.converged:
         print(f"solve: not converged: {solution.message}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -216,8 +215,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     for label, (solution, table) in solved.items():
         if table is not None:
             _write_csv(os.path.join(cfg.out_dir, f"solution_{label}.csv"), ("s", "x"), table)
-        if args.trace:
-            _write_trace(os.path.join(cfg.out_dir, f"trace_{label}.csv"), solution)
+        _write_trace(os.path.join(cfg.out_dir, f"trace_{label}.csv"), solution)
     _write_json(os.path.join(cfg.out_dir, "comparison.json"), payload)
 
     unconverged = [f"compare: basis {label} not converged: {solution.message}"
@@ -245,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (solve, certify, compare):
         p.add_argument("--config", required=True, help="path to the run config (INI)")
         p.add_argument("--out", help="output directory (overrides [output] dir)")
-    for p in (solve, compare):
-        p.add_argument("--trace", action="store_true", help="write the iteration trace CSV")
     certify.add_argument("--type", choices=("core", "qri"), required=True)
     certify.add_argument("--seed", type=int, default=None, help="certify.seed (>= 0), checked; drives nothing")
     return parser

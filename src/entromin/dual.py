@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DomainViolationError, ValidationError
 from .moments import ProblemInstance, weighted_gram
-from .quadrature import finite_at_nodes, integrate_values
+from .quadrature import _hold_read_only, finite_at_nodes, integrate_values
 
 __all__ = ["DualSolution", "dual_value", "dual_gradient", "dual_hessian", "solve_dual"]
 
@@ -86,6 +86,9 @@ class DualSolution:
     converged: bool
     trace: list = field(default_factory=list)
     message: str = ""
+
+    def __post_init__(self):
+        _hold_read_only(self, "multipliers")
 
 
 def _unguarded(conjugate):

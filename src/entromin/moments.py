@@ -34,7 +34,8 @@ import numpy as np
 from .densities import _load_table
 from .entropies import EntropySpec
 from .errors import ValidationError
-from .quadrature import QuadratureRule, _sample, finite_at_nodes, nodes_in, refine_rule
+from .quadrature import (QuadratureRule, _hold_read_only, _sample, finite_at_nodes, nodes_in,
+                         refine_rule)
 
 __all__ = [
     "MomentBasis",
@@ -167,16 +168,6 @@ def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterva
         min_eigenvalue=float(eigvals[0]),
         threshold=threshold,
     )
-
-
-def _hold_read_only(frozen, *names) -> None:
-    """Hold the named array fields (None aside) of the dataclass `frozen` as
-    read-only views, not copies, so a caller's own array stays writable."""
-    for name in names:
-        if getattr(frozen, name) is not None:
-            view = np.asarray(getattr(frozen, name)).view()
-            view.flags.writeable = False
-            object.__setattr__(frozen, name, view)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dual import _derivatives, _field
 from .moments import ProblemInstance
-from .quadrature import _sample, integrate_values
+from .quadrature import _hold_read_only, _sample, integrate_values
 
 __all__ = ["PrimalSolution", "reconstruct", "sample_solution", "gibbs_overshoot"]
 
@@ -39,10 +39,14 @@ class PrimalSolution:
     dual_value: float
     duality_gap: float
 
+    def __post_init__(self):
+        _hold_read_only(self, "multipliers")
+
 
 def reconstruct(instance: ProblemInstance, mu) -> PrimalSolution:
     """Recover the primal density for multipliers `mu` and audit it."""
-    mu = np.asarray(mu, dtype=float)
+    mu = np.array(mu, dtype=float)  # a copy, read-only: no caller's array moves x
+    mu.flags.writeable = False
     entropy, basis = instance.entropy, instance.basis
 
     def x(s):

@@ -39,9 +39,19 @@ def _reference_rule(nodes_per_panel):
     return ref_x, ref_w
 
 
+def _hold_read_only(frozen, *names) -> None:
+    """Hold the named array fields (None aside) of the dataclass `frozen` as
+    read-only views, not copies, so a caller's own array stays writable."""
+    for name in names:
+        if getattr(frozen, name) is not None:
+            view = np.asarray(getattr(frozen, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(frozen, name, view)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """An immutable composite rule on [lo, hi] honoring its breakpoints."""
+    """An immutable composite rule on [lo, hi] honoring its breakpoints, arrays read-only."""
 
     interval: tuple
     breakpoints: tuple
@@ -49,6 +59,9 @@ class QuadratureRule:
     panels_per_segment: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        _hold_read_only(self, "nodes", "weights")
 
 
 def build_rule(interval, breakpoints=(), nodes_per_panel=DEFAULT_NODES_PER_PANEL,

@@ -8,9 +8,9 @@ and `diff` the output of two source trees: equal output means equal exit
 codes, stdout, stderr and artifacts on every run.  It calls `cli.main`
 in-process, in a temporary directory, over 458 runs:
 
-- the 288 `solve-sweep` configs as `solve --trace`;
-- the 144 of them at 320 nodes as `compare --trace` (labelled by the sweep
-  config they come from);
+- the 288 `solve-sweep` configs as `solve`;
+- the 144 of them at 320 nodes as `compare` (labelled by the sweep config
+  they come from);
 - the `certify-core` and `certify-qri` plan configs at seeds 1 and 7, core
   with `--seed` as `bench/run.py` passes it.
 
@@ -68,8 +68,8 @@ def run_cli(args, ini_text, directory):
 def runs(workloads) -> list:
     """(subcommand args, config, label) of every run."""
     sweep = workloads.plan("solve-sweep", SEEDS[0])["ops"]
-    plan = [(("solve", "--trace"), c, workloads.label(c)) for c in sweep]
-    plan += [(("compare", "--trace"), dict(c, compare=True), workloads.label(c))
+    plan = [(("solve",), c, workloads.label(c)) for c in sweep]
+    plan += [(("compare",), dict(c, compare=True), workloads.label(c))
              for c in sweep if c["nodes"] == 320]
     for seed in SEEDS:
         plan += [(("certify", "--type", "core", "--seed", str(c["trial_seed"])), c,

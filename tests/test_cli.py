@@ -59,7 +59,7 @@ def write_config(tmp_path, name="run.ini", **kw):
 class TestSolve:
     def test_converged_run_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)
-        assert main(["solve", "--config", str(cfg), "--trace"]) == 0
+        assert main(["solve", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
         assert (out / "solution.csv").exists()
         assert (out / "trace.csv").exists()
@@ -126,7 +126,7 @@ class TestSolve:
         # quadrature nodes, where the solution cannot be tabulated
         cfg = write_config(tmp_path, entropy="burg", kind="piecewise_flat", n=6,
                            extra_basis="split = 0.5")
-        assert main(["solve", "--config", str(cfg), "--trace"]) == 1
+        assert main(["solve", "--config", str(cfg)]) == 1
         assert "f_star_d1 of burg" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -137,7 +137,7 @@ class TestSolve:
         and writes no solution.csv."""
         cfg = write_config(tmp_path, entropy="burg", n=12, max_iter=30)
         cfg.write_text(cfg.read_text().replace("sample_points = 101", "sample_points = 1001"))
-        assert main(["solve", "--config", str(cfg), "--trace"]) == 2
+        assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("solve: not converged: iteration budget 30 exhausted")
         out = tmp_path / "out"
@@ -553,7 +553,7 @@ class TestCompare:
         # between quadrature nodes, so nothing of the run may be written
         cfg = write_compare_config(tmp_path, out=str(tmp_path / "out"))
         cfg.write_text(cfg.read_text().replace("translated_boltzmann_shannon", "burg"))
-        assert main(["compare", "--config", str(cfg), "--trace"]) == 1
+        assert main(["compare", "--config", str(cfg)]) == 1
         assert "f_star_d1 of burg" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -571,7 +571,7 @@ class TestCompare:
         cfg.write_text(cfg.read_text().replace("translated_boltzmann_shannon", "burg")
                        .replace("window = 0.4 0.6", f"window = {window}")
                        + "\n[solver]\nmax_iter = 30\n")
-        assert main(["compare", "--config", str(cfg), "--trace"]) == 2
+        assert main(["compare", "--config", str(cfg)]) == 2
         assert re.fullmatch(r"compare: basis a not converged: iteration budget 30 exhausted "
                             r"with residual \S+\n", capsys.readouterr().err)
         out = tmp_path / "out"
@@ -657,7 +657,7 @@ dir = {tmp_path / 'out'}
             ini = tmp_path / f"{name}.ini"
             ini.write_text(f"{TBS}[basis]\nkind = tabulated\nn = 2\nfile = {table}\n"
                            f"[output]\ndir = {out}\n")
-            assert main(["solve", "--config", str(ini), "--trace"]) == 0
+            assert main(["solve", "--config", str(ini)]) == 0
             artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert artifacts[0] == artifacts[1] and len(artifacts[0]) == 3
 
@@ -901,9 +901,13 @@ def test_empty_output_dir_exits_1_before_solving(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize("args", [
     ["solve"], ["certify", "--config", "run.ini"], ["frobnicate", "--config", "run.ini"],
     ["certify", "--config", "run.ini", "--type", "core", "--seed", "x"],
-], ids=["solve-without-config", "certify-without-type", "unknown-subcommand", "seed-not-int"])
+    ["solve", "--config", "run.ini", "--trace"], ["compare", "--config", "run.ini", "--trace"],
+], ids=["solve-without-config", "certify-without-type", "unknown-subcommand", "seed-not-int",
+        "solve-trace", "compare-trace"])
 def test_usage_error_exits_1(capsys, args):
-    """argparse's usage errors take the configuration-error code, not 2."""
+    """argparse's usage errors take the configuration-error code, not 2.
+    `--trace` is one for every subcommand: solve and compare always write
+    their Newton trace."""
     assert main(args) == 1
     assert "error: " in capsys.readouterr().err
 
@@ -916,7 +920,7 @@ def test_usage_error_exits_1(capsys, args):
         "certify-quad-panels", "compare-quad-order"])
 def test_flag_another_subcommand_reads_exits_1(tmp_path, capsys, args):
     """Each subcommand takes only the flags it reads: --seed is certify's,
-    --trace solve's and compare's, and `[quad]` is set in the config file
+    no subcommand reads --trace, and `[quad]` is set in the config file
     alone.  Any other flag is a usage error: exit 1 on a config that runs,
     and no output directory."""
     out = tmp_path / "out"

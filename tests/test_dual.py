@@ -173,6 +173,14 @@ class TestSolveDual:
         solution = solve_dual(single_constraint("l2_norm"))
         assert solution.converged and solution.iterations <= 2
 
+    def test_solution_holds_its_multipliers_read_only(self):
+        """A write into the multipliers of a frozen solution raises, rather
+        than leaving its residual and dual value audits of other numbers."""
+        solution = solve_dual(pulse_instance("translated_boltzmann_shannon", 4))
+        with pytest.raises(ValueError, match="read-only"):
+            solution.multipliers[0] += 1.0
+        assert solution.converged
+
     def test_trace_values_nondecreasing(self):
         solution = solve_dual(pulse_instance("translated_boltzmann_shannon", 4))
         values = [row.dual_value for row in solution.trace]

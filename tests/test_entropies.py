@@ -47,6 +47,14 @@ def test_empty_interval_rejected(lo, hi):
         Interval(lo, hi)
 
 
+def test_contains_interval_rejects_a_reversed_pair():
+    """[lo, hi] with lo > hi is no interval, so none contains it, even where
+    both ends lie inside."""
+    domain = Interval(0.0, math.inf)
+    assert domain.contains_interval(1.0, 2.0)
+    assert not domain.contains_interval(2.0, 1.0)
+
+
 def test_unknown_name_lists_available():
     with pytest.raises(ValueError, match="fermi_dirac"):
         builtin_entropy("boltzman")  # misspelled

@@ -45,6 +45,22 @@ def test_solutions_frozen():
 
 
 class TestReconstruct:
+    def test_holds_a_read_only_copy_of_mu(self):
+        """The density and its audit read one copy of the multipliers, held
+        read-only: neither a write into the result's multipliers nor one into
+        the caller's own array can move x away from the duality gap reported
+        for it."""
+        inst = make_instance("translated_boltzmann_shannon", monomial_basis(4),
+                             pulse_density(0.5))
+        mu = np.array(solve_dual(inst).multipliers)
+        primal = reconstruct(inst, mu)
+        before = primal.x(0.25)
+        with pytest.raises(ValueError, match="read-only"):
+            primal.multipliers[0] += 1.0
+        mu[0] += 1.0
+        assert primal.x(0.25) == before and abs(primal.duality_gap) <= 1e-12
+        assert not np.shares_memory(primal.multipliers, mu) and mu.flags.writeable
+
     def test_l2_constant_closed_form(self):
         inst = make_instance("l2_norm", monomial_basis(1), constant_density(0.5))
         primal = reconstruct(inst, [0.5])

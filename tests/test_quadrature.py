@@ -189,6 +189,15 @@ class TestLayout:
         assert _reference_rule(7) is _reference_rule(7)
 
 
+def test_rule_holds_its_arrays_read_only():
+    """A frozen rule's nodes and weights are read-only: a write raises rather
+    than moving every integral taken on the rule."""
+    rule = build_rule((0.0, 1.0), (0.5,))
+    for array in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 FINITE = st.floats(-1e300, 1e300)   # any width between them is finite
 
 
