@@ -588,35 +588,30 @@ def _candidate_levels(x_ver, weights, ver_design, coeffs, margin_design,
     is rejected: the rest of the piece is one interval of t, widened to
     whole levels.
 
-    Clipped sets only shrink as m grows: a piece ends before its first clipped
-    node leaves, near width / gap (gap = x - lower, or upper - x from above).
-    The clipped sets there and one level on confirm that end; where rounding
-    puts it a level off, a gallop and bisection finds it, at the cost of probes.
+    A piece lasts while its outermost clipped nodes stay clipped: `top`, the
+    largest value clipped up, < lower + width/k and `bottom`, the smallest
+    clipped down, > upper - width/k, the float bounds np.clip receives.  Both
+    are monotone in k, as rounding is, and no node joins a clipped set as m
+    grows, so a gallop and bisection on these tests finds the piece's last level.
     """
     gamma = 2.0 * (x_ver.size + 2 * coeffs.shape[0] + 8) * np.finfo(float).eps
     width = _band_width(lower, upper)
     spread = np.abs(coeffs) @ np.abs(margin_design)
 
-    def sides(k):
-        return np.sign(np.clip(x_ver, lower + width / k, upper - width / k) - x_ver)
-
     m = 3
     while m <= m_max:
-        side = sides(m)
+        side = np.sign(np.clip(x_ver, lower + width / m, upper - width / m) - x_ver)
         if not side.any():  # nothing is clipped at m or after it: v = 0
             yield from range(m, m_max + 1)
             return
         edge = np.where(side > 0, lower, np.where(side < 0, upper, 0.0))
-        end, step = m, 0    # one level long, unless the next level clips the same nodes
-        if m < m_max and np.array_equal(sides(m + 1), side):
-            with np.errstate(over="ignore", invalid="ignore"):
-                gap = side * (x_ver - edge)   # a clipped node leaves at about width / gap
-                guess = int(min(m_max, np.ceil((width / gap[gap > 0]).min(initial=np.inf)) - 1))
-            end, step = (guess if guess > m + 1 and np.array_equal(sides(guess), side)
-                         else m + 1), 1
-        while step:  # confirm the end, or gallop and bisect on: clipped sets only shrink
-            grow = end + step <= m_max and np.array_equal(sides(end + step), side)
-            end, step = (end + step, 2 * step) if grow else (end, step // 2)
+        top, bottom = x_ver[side > 0].max(initial=-np.inf), x_ver[side < 0].min(initial=np.inf)
+        end, step = m, 1
+        while step:  # gallop and bisect to the piece's last level
+            k = end + step
+            grow = (k <= m_max and lower + width / k > top
+                    and (bottom == np.inf or upper - width / k < bottom))
+            end, step = (k, 2 * step) if grow else (end, step // 2)
         clipped = weights * np.abs(side)
         rows = clipped * np.array([width * side, edge - x_ver])
         sizes = clipped * np.array([np.full(side.shape, width), np.abs(edge) + np.abs(x_ver)])

@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"{args.command}: failed hypothesis [{exc.hypothesis}]: {exc}", file=sys.stderr)
         return EXIT_FAILED_HYPOTHESIS
-    except EntrominError as exc:
+    except (EntrominError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

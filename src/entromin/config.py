@@ -235,9 +235,12 @@ def load_config(path) -> RunConfig:
         raise ValidationError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
     except configparser.Error as exc:  # its text spans lines; keep it on one
         raise ValidationError(f"cannot parse {path}: {' '.join(str(exc).split())}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes not UTF-8
+        raise ValidationError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from None
 
     if parser.defaults():  # configparser would copy its keys into every section
         raise ValidationError(f"{path}: unknown section [{parser.default_section}]")

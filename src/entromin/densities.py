@@ -93,6 +93,8 @@ def _load_table(path, too_few_columns: str):
             data = np.loadtxt(path, ndmin=2)
     except ValueError as err:   # a token that is no number, a ragged row, or not UTF-8
         raise ValidationError(f"{path}: {str(err).split(';')[0]}") from None
+    except OSError as err:      # a directory, say
+        raise ValidationError(f"{path}: cannot read: {err.strerror}") from None
     if data.size == 0:
         raise ValidationError(f"{path}: contains no data rows")
     if data.shape[1] < 2:

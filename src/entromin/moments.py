@@ -170,6 +170,18 @@ def linearly_independent_on(basis: MomentBasis, rule: QuadratureRule, subinterva
     )
 
 
+def _require_covered(rule: QuadratureRule, breakpoints, what: str) -> None:
+    """A ValidationError naming the `what` breakpoints strictly inside the rule's
+    interval that are more than 1e-12 from every rule breakpoint (one at or past
+    an end is none, as merge_breakpoints has it)."""
+    lo, hi = rule.interval
+    missing = [b for b in breakpoints if lo < b < hi
+               and not any(abs(b - rb) <= 1e-12 for rb in rule.breakpoints)]
+    if missing:
+        raise ValidationError(
+            f"rule breakpoints {rule.breakpoints} do not cover {what} breakpoints {missing}")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Everything needed to pose one constrained entropy minimization.
@@ -197,14 +209,7 @@ class ProblemInstance:
             )
         if not np.all(np.isfinite(self.target_moments)):
             raise ValidationError("target moments must be finite")
-        lo, hi = self.rule.interval  # a breakpoint at or past an end is none (merge_breakpoints)
-        missing = [b for b in self.basis.breakpoints if lo < b < hi
-                   and not any(abs(b - rb) <= 1e-12 for rb in self.rule.breakpoints)]
-        if missing:
-            raise ValidationError(
-                f"rule breakpoints {self.rule.breakpoints} do not cover basis "
-                f"breakpoints {missing}"
-            )
+        _require_covered(self.rule, self.basis.breakpoints, "basis")
         if self.design is None:
             object.__setattr__(self, "design", self.basis(self.rule.nodes))
         _hold_read_only(self, "design")
@@ -216,6 +221,8 @@ class ProblemInstance:
 
 def instance_from_density(entropy: EntropySpec, basis: MomentBasis, rule: QuadratureRule,
                           rho) -> ProblemInstance:
-    """Build an instance whose target moments are the moments of `rho`."""
+    """Build an instance whose target moments are the moments of `rho`; the
+    rule must resolve the density's breakpoints (its jumps) as the basis's."""
+    _require_covered(rule, getattr(rho, "breakpoints", ()), "density")
     design = basis(rule.nodes)
     return ProblemInstance(entropy, basis, rule, _node_moments(rule, design, rho), design)

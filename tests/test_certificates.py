@@ -401,7 +401,7 @@ def _galloping_candidate_levels(x_ver, weights, ver_design, coeffs, margin_desig
                                 lower, upper, delta, m_max):
     """`_candidate_levels` with each piece's end found by galloping and
     bisecting from the piece's first level, one clipped-set comparison per
-    probe: the reference the predicted piece ends must reproduce."""
+    probe: the reference the two-threshold piece ends must reproduce."""
     gamma = 2.0 * (x_ver.size + 2 * coeffs.shape[0] + 8) * np.finfo(float).eps
     width = upper - lower if np.isfinite(upper) else 1.0
     spread = np.abs(coeffs) @ np.abs(margin_design)
@@ -2072,13 +2072,31 @@ class TestQriCertificate:
     @pytest.mark.parametrize("m_max", [3, 4, 2000])
     @pytest.mark.parametrize("entropy,basis,rho,band", SCREENED_CONFIGS, ids=SCREENED_IDS)
     def test_predicted_piece_ends_yield_as_gallop(self, entropy, basis, rho, band, m_max):
-        """Predicting each piece's end from the clipped nodes' exit levels
-        yields the levels the gallop and bisection yield."""
+        """Ending each piece where its outermost clipped node leaves yields
+        the levels the clipped-set gallop and bisection yield."""
         from entromin.certificates import _candidate_levels
 
         args = _scan_inputs(entropy, basis, rho, band)
         assert (list(_candidate_levels(*args, m_max))
                 == list(_galloping_candidate_levels(*args, m_max)))
+
+    @pytest.mark.parametrize("entropy,basis,rho,band", SCREENED_CONFIGS, ids=SCREENED_IDS)
+    def test_one_clip_per_piece(self, entropy, basis, rho, band, monkeypatch):
+        """A piece's end is found from two node values, so the scan clips the
+        nodes once per piece: the runs of levels in [3, 2000] that clip the
+        same nodes, counted by clipping at every level."""
+        from entromin.certificates import _candidate_levels
+
+        args = _scan_inputs(entropy, basis, rho, band)
+        x_ver, (lower, upper) = args[0], band
+        width = upper - lower if np.isfinite(upper) else 1.0
+        sides = np.array([np.sign(np.clip(x_ver, lower + width / m, upper - width / m) - x_ver)
+                          for m in range(3, 2001)])
+        pieces = 1 + int(np.any(sides[1:] != sides[:-1], axis=1).sum())
+        clip, calls = np.clip, []
+        monkeypatch.setattr(np, "clip", lambda *a: calls.append(None) or clip(*a))
+        list(_candidate_levels(*args, 2000))
+        assert len(calls) == pieces
 
     @staticmethod
     def _exits_off_width_over_gap(lower, upper, top):
@@ -2108,10 +2126,11 @@ class TestQriCertificate:
                              ids=["unit", "half-line", "wide", "offset", "offset-half-line"])
     def test_nodes_on_clip_thresholds_yield_as_gallop(self, band):
         """Every node sits on or next to a clip threshold where the exit level
-        predicted from width / gap is one level off, so each piece's predicted
-        end is wrong and the confirmation falls back to the gallop.  Acceptance
-        starts where a piece ends, for delta/2 at that level's sup|v|: there a
-        piece end one level off changes the yields."""
+        width / gap gives is one level off, so a piece end taken from the gap
+        would be wrong; the two thresholds, the float bounds np.clip receives,
+        end each piece where the clipped sets change.  Acceptance starts where
+        a piece ends, for delta/2 at that level's sup|v|: there a piece end one
+        level off changes the yields."""
         from entromin.certificates import _candidate_levels
 
         args = _scan_inputs("boltzmann_shannon", monomial_basis(4), RAMP, (0.0, 1.0))
@@ -2148,7 +2167,7 @@ class TestQriCertificate:
         """At m_max = 10**8 a piece can end at the budget ("one-piece": every
         node leaves at 10**9) or far inside it ("exits-spread": nodes leave at
         levels up to 5 * 10**7, but one at the lower bound never does); the
-        prediction is clamped to the budget."""
+        gallop stops at the budget."""
         from entromin.certificates import _candidate_levels
 
         args = _scan_inputs("translated_boltzmann_shannon", monomial_basis(3), rho, (0.0, INF))

@@ -758,6 +758,10 @@ CONFIG_ERRORS = {
                            "piecewise_flat or tabulated"),
     "tabulated-density-without-file": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = tabulated\n",
                                        "tabulated density requires a file"),
+    "tabulated-basis-directory": (["solve"], TBS + "[basis]\nkind = tabulated\nn = 2\n"
+                                  "file = {tmp}\n", "solve: {tmp}: cannot read: "),
+    "tabulated-density-directory": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = tabulated\n"
+                                    "file = {tmp}\n", "solve: {tmp}: cannot read: "),
     "tabulated-density-missing-file": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = tabulated\n"
                                        "file = {tmp}/none.txt\n", "density file not found: "),
     "unknown-density-kind": (["solve"], TBS + MONOMIAL_2 + "[rho]\nkind = gaussian\n",
@@ -870,6 +874,43 @@ def test_config_error_exits_1_naming_it_without_output(tmp_path, capsys, case):
     assert err.startswith(f"{command[0]}: ") and message.format(tmp=tmp_path) in err, err
     assert len(err.splitlines()) == 1 and err.endswith("\n"), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf-8"])
+def test_unreadable_config_exits_1_naming_it(tmp_path, capsys, case):
+    """A `--config` that names a directory, or a file that is not UTF-8 text,
+    is a configuration error naming the path, not a missing [problem] section
+    or a traceback."""
+    path = tmp_path / "run.ini"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(TBS.encode() + b"; \xff\n" + MONOMIAL_2.encode())
+    out = tmp_path / "E"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"solve: cannot read {path}: ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", [["solve"], ["compare"], ["certify", "--type", "core"],
+                                     ["certify", "--type", "qri"]],
+                         ids=["solve", "compare", "certify-core", "certify-qri"])
+def test_unwritable_output_path_exits_1_in_one_line(tmp_path, capsys, command, where):
+    """An `--out` that names an existing file, or a path under one, cannot be
+    made a directory: exit 1 and one stderr line naming it, no traceback."""
+    write = {"solve": write_config, "certify": write_cert_config,
+             "compare": write_compare_config}[command[0]]
+    path = write(tmp_path, out=str(tmp_path / "unused"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "a-file" else blocker / "out"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command[0]}: ") and str(out) in err, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize("case", ["seed-flag"])

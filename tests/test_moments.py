@@ -22,7 +22,7 @@ from entromin import (
     piecewise_flat_basis,
     tabulated_basis,
 )
-from entromin.densities import Density, constant_density, pulse_density
+from entromin.densities import Density, constant_density, pulse_density, tabulated_density
 from entromin.errors import DomainViolationError
 from entromin.moments import INDEPENDENCE_TOL, MomentBasis, ProblemInstance, weighted_gram
 from entromin.quadrature import integrate_values, nodes_in, refine_rule
@@ -337,6 +337,14 @@ class TestTabulatedBasis(object):
         with pytest.raises(ValidationError, match="finite"):
             tabulated_basis(path)
 
+    @pytest.mark.parametrize("load", [tabulated_basis, tabulated_density])
+    def test_directory_is_a_validation_error_naming_it(self, tmp_path, load):
+        """A path that exists but cannot be read as a file is the loader's
+        ValidationError naming it, not a raw OSError."""
+        with pytest.raises(ValidationError, match="cannot read") as err:
+            load(tmp_path)
+        assert str(err.value).startswith(f"{tmp_path}: ")
+
 
 class TestProblemInstance:
     def test_breakpoint_coverage_enforced(self):
@@ -365,6 +373,25 @@ class TestProblemInstance:
         else:
             with pytest.raises(ValidationError, match=r"do not cover basis breakpoints \[0.3\]"):
                 instance_from_density(entropy, basis, RULE, rho)
+
+    @pytest.mark.parametrize("split", [0.3, 1.0])
+    def test_density_breakpoints_inside_the_interval_must_be_covered(self, split):
+        """A density jump inside the interval must be a rule breakpoint, as a
+        basis one must: on a rule without it the target moments would be off
+        (0.30295 for the pulse's 0.3).  A jump at an end is none."""
+        entropy, basis = builtin_entropy("l2_norm"), monomial_basis(4)
+        bare_rule = build_rule((0.0, 1.0))
+        rho = pulse_density(split)
+        if split == 1.0:
+            np.testing.assert_allclose(
+                instance_from_density(entropy, basis, bare_rule, rho).target_moments,
+                [1.0, 0.5, 1.0 / 3.0, 0.25], rtol=1e-14)
+            return
+        with pytest.raises(ValidationError, match=r"do not cover density breakpoints \[0.3\]"):
+            instance_from_density(entropy, basis, bare_rule, rho)
+        inst = instance_from_density(entropy, basis, build_rule((0.0, 1.0), (0.3,)), rho)
+        np.testing.assert_allclose(inst.target_moments, [0.3, 0.045, 0.009, 0.002025],
+                                   rtol=1e-13)
 
     def test_target_moment_shape_enforced(self):
         basis = monomial_basis(2)
